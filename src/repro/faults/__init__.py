@@ -9,9 +9,9 @@ first-class, *testable* input instead of an operational surprise:
   hang its pipe, drop or corrupt a report) so chaos runs replay
   bit-identically under the determinism sanitizer;
 - :mod:`~repro.faults.injector` — the slave-side hook object that
-  executes a plan inside the slave loop (process backend: real
-  ``os._exit`` / sleeps; serial backend: raised
-  :class:`InjectedFailure` exceptions the master handles identically);
+  executes a plan inside the slave loop (real ``os._exit`` / sleeps in
+  a slave process; the serial backend's inline transport substitutes
+  its own exit and sleep, and the master cannot tell the difference);
 - :mod:`~repro.faults.netplan` — :class:`NetFaultPlan`, the network
   sibling of FaultPlan: seeded frame-boundary faults (delay, drop,
   duplicate, corrupt, half-open partition, agent crash) applied by
@@ -35,7 +35,7 @@ from repro.faults.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.faults.injector import FaultInjector, InjectedFailure
+from repro.faults.injector import FaultInjector
 from repro.faults.netplan import NET_FAULT_KINDS, NetFaultPlan, NetFaultSpec
 from repro.faults.plan import FAULT_KINDS, FaultError, FaultPlan, FaultSpec
 from repro.faults.recovery import (
@@ -56,7 +56,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFailure",
     "NetFaultPlan",
     "NetFaultSpec",
     "RespawnPolicy",

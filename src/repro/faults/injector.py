@@ -13,17 +13,14 @@ consulted at three points in every measurement round:
 3. :meth:`after_send` — immediately after a successful send
    (``kill``/``post_report`` fires here).
 
-Two execution modes share the schedule logic:
-
-- **process mode** (default): ``kill`` calls ``os._exit`` so the OS
-  reclaims the process without running any cleanup — the closest
-  in-repo stand-in for a SIGKILL'd machine — and ``hang`` sleeps with
-  the pipe held open, exercising the master's recv deadline.
-- **serial mode** (``raise_instead=True``): ``kill``/``drop`` raise
-  :class:`InjectedFailure` for the in-process master loop to catch, so
-  the serial backend replays the identical failure schedule without
-  destroying the test process.  ``hang`` is ignored in serial mode
-  (there is no pipe to time out on).
+There is one execution mode.  ``kill`` calls ``exiter`` (default
+``os._exit``: the OS reclaims the process without running any cleanup —
+the closest in-repo stand-in for a SIGKILL'd machine) and ``hang`` calls
+``sleeper`` (default ``time.sleep``: silent with the pipe held open,
+exercising the master's recv deadline).  A host that cannot afford to
+lose its process — the serial backend's inline transport, unit tests —
+passes its own ``exiter``/``sleeper``; the schedule logic never learns
+which it got.
 """
 
 from __future__ import annotations
@@ -37,21 +34,6 @@ from repro.faults.plan import FaultSpec
 #: Exit status used by injected kills, distinct from crash exit codes so
 #: post-mortem triage can tell a scheduled chaos kill from a real bug.
 KILL_EXIT_STATUS = 86
-
-
-class InjectedFailure(RuntimeError):
-    """Raised in serial mode where process mode would die or go silent.
-
-    Carries the triggering :class:`FaultSpec` so the master can record a
-    precise cause code.
-    """
-
-    def __init__(self, spec: FaultSpec):
-        super().__init__(
-            f"injected {spec.kind} (slave {spec.slave_id} "
-            f"gen {spec.generation} round {spec.round})"
-        )
-        self.spec = spec
 
 
 def corrupt_payload(payload: dict) -> dict:
@@ -77,28 +59,20 @@ class FaultInjector:
     ----------
     specs:
         The picklable sub-plan for this ``(slave_id, generation)``.
-    raise_instead:
-        Serial mode — raise :class:`InjectedFailure` instead of exiting
-        or sleeping (see module docstring).
     sleeper / exiter:
-        Injection points for tests: default to ``time.sleep`` and
-        ``os._exit``.
+        What ``hang`` and ``kill`` call: default to ``time.sleep`` and
+        ``os._exit`` (see module docstring).
     """
 
     def __init__(
         self,
         specs: Iterable[FaultSpec] = (),
-        raise_instead: bool = False,
         sleeper=time.sleep,
         exiter=os._exit,
     ):
         self._specs = tuple(specs)
-        self._raise = raise_instead
         self._sleep = sleeper
         self._exit = exiter
-        #: Serial mode only: a post_report kill observed this round, to
-        #: be raised at the *next* round's start (see after_send).
-        self._dead_next: Optional[FaultSpec] = None
 
     def __bool__(self) -> bool:
         return bool(self._specs)
@@ -113,23 +87,17 @@ class FaultInjector:
             return spec
         return None
 
-    def _die(self, spec: FaultSpec) -> None:
-        if self._raise:
-            raise InjectedFailure(spec)
-        self._exit(KILL_EXIT_STATUS)
+    def _kill_at(self, round_number: int, phase: str) -> None:
+        if self._find(round_number, "kill", phase=phase) is not None:
+            self._exit(KILL_EXIT_STATUS)
 
     # -- hooks ---------------------------------------------------------------
 
     def on_chunk_start(self, round_number: int) -> None:
         """Pre-run hook: ``kill``/``pre_run`` and ``hang`` fire here."""
-        if self._dead_next is not None:
-            spec, self._dead_next = self._dead_next, None
-            raise InjectedFailure(spec)
-        spec = self._find(round_number, "kill", phase="pre_run")
-        if spec is not None:
-            self._die(spec)
+        self._kill_at(round_number, "pre_run")
         spec = self._find(round_number, "hang")
-        if spec is not None and not self._raise:
+        if spec is not None:
             # Stay silent with the pipe open: the master's recv deadline
             # must fire.  The sleep bounds the orphan's lifetime if the
             # master dies too.
@@ -142,16 +110,10 @@ class FaultInjector:
         corruption mangles every metric payload in place of the clean
         ones so the master's validator attributes the failure correctly.
         """
-        spec = self._find(round_number, "kill", phase="pre_report")
-        if spec is not None:
-            self._die(spec)
-        spec = self._find(round_number, "drop_report")
-        if spec is not None:
-            if self._raise:
-                raise InjectedFailure(spec)
+        self._kill_at(round_number, "pre_report")
+        if self._find(round_number, "drop_report") is not None:
             return None
-        spec = self._find(round_number, "corrupt_payload")
-        if spec is not None:
+        if self._find(round_number, "corrupt_payload") is not None:
             report.histograms = {
                 name: corrupt_payload(payload)
                 for name, payload in report.histograms.items()
@@ -161,17 +123,7 @@ class FaultInjector:
     def after_send(self, round_number: int) -> None:
         """Post-send hook: ``kill``/``post_report`` fires here.
 
-        In serial mode the kill is *deferred* to the next round's
-        :meth:`on_chunk_start` rather than raised here: the report was
-        already merged (exactly as in process mode, where the master
-        receives it before the exit), and the process backend only
-        detects a post-report death at the next round's send — deferring
-        keeps the two backends' detection rounds, and hence their owed
-        bookkeeping, identical.
+        The report is already on the wire, so the master merges it and
+        only learns of the death when the *next* round's send fails.
         """
-        spec = self._find(round_number, "kill", phase="post_report")
-        if spec is not None:
-            if self._raise:
-                self._dead_next = spec
-            else:
-                self._exit(KILL_EXIT_STATUS)
+        self._kill_at(round_number, "post_report")

@@ -12,9 +12,9 @@ Fault kinds
 -----------
 
 ``kill``
-    The slave dies (``os._exit`` on the process backend, an
-    :class:`~repro.faults.injector.InjectedFailure` on the serial
-    backend).  ``phase`` selects *when* within the round: before the
+    The slave dies (``os._exit`` in a slave process; the serial
+    backend's inline endpoint closes the same way a dead pipe does).
+    ``phase`` selects *when* within the round: before the
     chunk runs (``"pre_run"``), after the chunk but before the report is
     sent (``"pre_report"``), or immediately after the report is sent
     (``"post_report"``) — the three distinct windows a real crash can
@@ -22,7 +22,9 @@ Fault kinds
 ``hang``
     The slave stops responding without closing its pipe (sleeps
     ``delay`` seconds, default effectively forever).  Exercises the
-    master's per-round recv deadline; process backend only.
+    master's per-round recv deadline on every backend (inline, a
+    ``delay`` at or past ``round_timeout`` is silence; a shorter one
+    costs no wall time).
 ``drop_report``
     The slave runs its chunk but never sends the report (one round).
     The master sees a heartbeat timeout, exactly as if the report were
@@ -140,10 +142,9 @@ class FaultPlan:
                 )
             seen.add(key)
         # A drop_report suppresses the very send a post_report kill is
-        # anchored to, so combining them on one (slave, generation,
-        # round) cannot execute the same way on both backends (serial
-        # raises on the drop before after_send ever runs).  Reject the
-        # contradiction up front instead of diverging at run time.
+        # anchored to, so on one (slave, generation, round) the kill
+        # could never fire.  Reject the contradiction up front instead
+        # of silently running a plan with a dead entry.
         for spec in self.specs:
             if spec.kind != "kill" or spec.phase != "post_report":
                 continue

@@ -47,6 +47,7 @@ from repro.parallel.transport import (
     is_heartbeat,
     parse_address,
     read_frame,
+    reap_process,
     register_fork_unsafe_fd,
     unregister_fork_unsafe_fd,
 )
@@ -410,13 +411,7 @@ class HostAgent:
             parent_conn.close()
         except OSError:  # pragma: no cover
             pass
-        process.join(timeout=10.0)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - pathological child
-            process.kill()
-            process.join(timeout=5.0)
+        reap_process(process, timeout=10.0)
 
 
 def main(argv=None) -> int:

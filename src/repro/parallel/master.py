@@ -1,4 +1,4 @@
-"""The parallel master and its two slave backends.
+"""The parallel master: one round loop over a :class:`Transport`.
 
 Protocol (Fig. 3):
 
@@ -17,8 +17,11 @@ Protocol (Fig. 3):
 Chunk sizes grow geometrically per round (``adaptive_chunking``): early
 rounds stay small so convergence is detected promptly on easy targets,
 later rounds amortize the report/merge overhead on hard ones.  The
-master computes the schedule, so the serial and process backends see
-identical per-round chunk sizes and produce identical merged counts.
+master computes the schedule and runs the same loop whatever carries
+the messages — ``backend="serial"`` is the zero-thread inline transport
+below, ``"process"`` forks behind pipes, ``"remote"`` dials agents — so
+every backend sees identical per-round chunk sizes and produces
+identical merged counts.
 
 **Fault tolerance** (see docs/robustness.md).  The master treats slave
 death as an input, not an exception: every recv carries a per-round
@@ -33,7 +36,7 @@ slave reported in earlier rounds stays valid.  Periodic checkpoints
 slave's work log; ``run(resume_from=...)`` rebuilds slaves by replaying
 those logs, bit-for-bit.  A seeded
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
-for chaos testing on either backend.
+for chaos testing on every backend.
 
 The experiment ``factory`` must be a callable ``factory(seed, **kwargs)
 -> Experiment`` that declares the same metrics every time.  For the
@@ -43,6 +46,7 @@ The experiment ``factory`` must be a callable ``factory(seed, **kwargs)
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -57,7 +61,7 @@ from repro.faults.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.faults.injector import FaultInjector, InjectedFailure
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import (
     RespawnPolicy,
@@ -84,12 +88,12 @@ from repro.parallel.protocol import (
     validate_report_payload,
 )
 from repro.parallel.transport import (
-    FrameError,
     LocalPipeTransport,
     Transport,
     TransportCapacityError,
     WorkerEndpoint,
     disconnect_cause,
+    recv_message,
 )
 
 
@@ -123,88 +127,212 @@ def build_slave_experiment(
     return experiment
 
 
-def _slave_report(
-    experiment: Experiment,
-    slave_id: int,
-    tracker: Optional[DeltaTracker] = None,
-) -> SlaveReport:
-    histograms = {}
-    lags = {}
-    for statistic in experiment.stats:
-        if statistic.histogram is not None:
-            histograms[statistic.name] = statistic.histogram.to_payload()
-        lags[statistic.name] = statistic.lag
-    delta = tracker is not None
-    if delta:
-        histograms = tracker.delta_histograms(histograms)
-    probe = experiment.simulation.probe
-    return SlaveReport(
-        slave_id=slave_id,
-        histograms=histograms,
-        events_processed=experiment.simulation.events_processed,
-        sim_time=experiment.simulation.now,
-        total_accepted=experiment.stats.total_accepted,
-        lags=lags,
-        delta=delta,
-        digest=probe.snapshot() if probe is not None else None,
-    )
+def _chunk_quota(command) -> int:
+    """The size out of one ``("chunk", size)`` command."""
+    if not (
+        isinstance(command, tuple)
+        and len(command) == 2
+        and command[0] == "chunk"
+    ):  # pragma: no cover - protocol guard
+        raise ParallelError(f"unknown command: {command!r}")
+    return command[1]
 
 
-def _process_slave_main(
-    conn,
-    factory,
-    factory_kwargs,
-    seed,
-    schemes,
-    max_events_per_chunk,
-    slave_id,
-    delta_reports,
-    faults=(),
-    replay=(),
-    round_offset=0,
-):
-    """Entry point of one slave process: chunked measure/report loop.
+class _SlaveSession:
+    """One slave incarnation, whatever carries its messages.
+
+    Construction builds the replica and, on resume, fast-forwards it
+    through ``replay`` (a logged chunk schedule); :attr:`baseline` is
+    then the report the master validates and discards.  ``faults`` is
+    this incarnation's picklable fault sub-plan; ``round_offset`` maps
+    local command numbering onto master rounds so fault specs address
+    the same round on every backend.  ``host`` forwards the
+    ``exiter``/``sleeper`` a host that cannot lose its process gives
+    the :class:`~repro.faults.injector.FaultInjector`.
+    """
+
+    def __init__(
+        self,
+        factory,
+        factory_kwargs,
+        seed,
+        schemes,
+        max_events_per_chunk,
+        slave_id,
+        delta_reports,
+        faults=(),
+        replay=(),
+        round_offset=0,
+        **host,
+    ):
+        self.experiment = build_slave_experiment(
+            factory, factory_kwargs, seed, schemes
+        )
+        self.max_events_per_chunk = max_events_per_chunk
+        self.slave_id = slave_id
+        self.tracker = DeltaTracker() if delta_reports else None
+        self.injector = FaultInjector(faults, **host)
+        self.round_number = round_offset
+        self.baseline: Optional[SlaveReport] = None
+        if replay:
+            self.experiment.replay_chunks(
+                replay, max_events=max_events_per_chunk
+            )
+            self.baseline = self._report()
+
+    def _report(self) -> SlaveReport:
+        experiment = self.experiment
+        histograms = {}
+        lags = {}
+        for statistic in experiment.stats:
+            if statistic.histogram is not None:
+                histograms[statistic.name] = statistic.histogram.to_payload()
+            lags[statistic.name] = statistic.lag
+        if self.tracker is not None:
+            histograms = self.tracker.delta_histograms(histograms)
+        probe = experiment.simulation.probe
+        return SlaveReport(
+            slave_id=self.slave_id,
+            histograms=histograms,
+            events_processed=experiment.simulation.events_processed,
+            sim_time=experiment.simulation.now,
+            total_accepted=experiment.stats.total_accepted,
+            lags=lags,
+            delta=self.tracker is not None,
+            digest=probe.snapshot() if probe is not None else None,
+        )
+
+    def step(self, quota: int, send) -> None:
+        """Measure one chunk of ``quota`` and report it through ``send``."""
+        self.round_number += 1
+        self.injector.on_chunk_start(self.round_number)
+        self.experiment.run_until_accepted(
+            quota, max_events=self.max_events_per_chunk
+        )
+        report = self.injector.filter_report(self.round_number, self._report())
+        # A dropped report skips after_send: there was no send for a
+        # post_report kill to follow (FaultPlan rejects that pairing).
+        if report is not None:
+            send(report)
+            self.injector.after_send(self.round_number)
+
+
+def _process_slave_main(conn, *session_args):
+    """Entry point of one slave process: a session served over a pipe.
 
     Commands arrive as ``("chunk", size)`` tuples (the master owns the
-    chunk schedule) or the string ``"stop"``.  ``faults`` is this
-    incarnation's picklable fault sub-plan; ``replay`` is a logged
-    chunk schedule to fast-forward through on resume (the resulting
-    baseline report is sent for the master to validate and discard);
-    ``round_offset`` maps local command numbering onto master rounds so
-    fault specs address the same round on every backend.
+    chunk schedule) or the string ``"stop"``.
     """
-    experiment = build_slave_experiment(factory, factory_kwargs, seed, schemes)
-    tracker = DeltaTracker() if delta_reports else None
-    injector = FaultInjector(faults)
-    if replay:
-        experiment.replay_chunks(replay, max_events=max_events_per_chunk)
-        conn.send(_slave_report(experiment, slave_id, tracker))
-    round_number = round_offset
+    session = _SlaveSession(*session_args)
+    if session.baseline is not None:
+        conn.send(session.baseline)
     while True:
         command = conn.recv()
         if command == "stop":
             conn.close()
             return
-        if not (
-            isinstance(command, tuple)
-            and len(command) == 2
-            and command[0] == "chunk"
-        ):  # pragma: no cover - protocol guard
-            raise ParallelError(f"unknown command: {command!r}")
-        round_number += 1
-        injector.on_chunk_start(round_number)
-        experiment.run_until_accepted(
-            command[1], max_events=max_events_per_chunk
+        session.step(_chunk_quota(command), conn.send)
+
+
+# -- the serial backend: an inline, zero-thread transport -----------------------
+
+
+class _InjectedDeath(BrokenPipeError):
+    """An inline slave killed by its fault plan: a dead pipe on send and
+    recv alike, which still names its cause."""
+
+    cause = f"{CAUSE_INJECTED}: kill"
+
+
+class _InjectedHang(Exception):
+    """Unwinds an inline slave out of a hang the round deadline outlasts."""
+
+
+class _InlineEndpoint(WorkerEndpoint):
+    """A slave session stepped in the master's own thread.
+
+    ``send`` runs the commanded chunk to completion and queues its
+    report; ``recv`` pops it.  The session's injector exits and sleeps
+    through this endpoint, so a scheduled kill closes the channel the
+    way a dead process closes its pipe and a scheduled hang leaves it
+    open and silent — the round loop sees the shapes it sees on a pipe.
+    Genuine exceptions (a crashing factory, say) propagate to the
+    caller of ``run()``: the point of the serial backend is that
+    debuggers, profilers and the sanitizer see the slaves.
+    """
+
+    def __init__(self, worker_id, generation, session_args, round_timeout):
+        self.worker_id = worker_id
+        self.generation = generation
+        self._round_timeout = round_timeout
+        self._inbox: deque = deque()
+        self._dead = False
+        self._session: Optional[_SlaveSession] = _SlaveSession(
+            *session_args, exiter=self._exit, sleeper=self._sleep
         )
-        report = _slave_report(experiment, slave_id, tracker)
-        report = injector.filter_report(round_number, report)
-        # A dropped report skips after_send: there was no send for a
-        # post_report kill to follow.  FaultPlan rejects plans pairing
-        # drop_report with a post_report kill on one slot, so the two
-        # backends cannot diverge here (serial raises on the drop).
-        if report is not None:
-            conn.send(report)
-            injector.after_send(round_number)
+        if self._session.baseline is not None:
+            self._inbox.append(self._session.baseline)
+
+    def _exit(self, status) -> None:
+        raise _InjectedDeath(f"inline slave {self.worker_id} was killed")
+
+    def _sleep(self, delay: float) -> None:
+        # Virtual time: a nap the round deadline would sit out costs
+        # nothing; one it would not is silence for the rest of the run.
+        if self._round_timeout is not None and delay >= self._round_timeout:
+            raise _InjectedHang()
+
+    def send(self, message: object) -> None:
+        if self._dead:
+            raise _InjectedDeath(f"inline slave {self.worker_id} is gone")
+        if self._session is None or message == "stop":
+            return  # hung or closed: nobody is reading
+        try:
+            self._session.step(_chunk_quota(message), self._inbox.append)
+        except _InjectedDeath:
+            # Whatever was queued before the exit (a post_report kill's
+            # report) is still delivered; the next send or recv fails.
+            self._dead = True
+            self._session = None
+        except _InjectedHang:
+            self._session = None
+
+    def recv(self) -> object:
+        if self._inbox:
+            return self._inbox.popleft()
+        raise _InjectedDeath(f"inline slave {self.worker_id} is gone")
+
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        return bool(self._inbox) or self._dead
+
+    def close(self) -> None:
+        self._session = None
+
+
+class _InlineTransport(Transport):
+    """``backend="serial"``: no processes, no threads, no waiting."""
+
+    kind = "inline"
+
+    def __init__(self, round_timeout: Optional[float]):
+        super().__init__()
+        self._round_timeout = round_timeout
+
+    def spawn(self, worker_id, generation, entry, args, timeout=None):
+        # ``entry`` is the pipe loop around a session; inline, the
+        # endpoint's ``send`` is that loop.
+        return _InlineEndpoint(
+            worker_id, generation, args, self._round_timeout
+        )
+
+    def wait(self, endpoints, timeout=None):
+        """Whatever is already queued; never sleeps, so a silent slave
+        times out — and a respawn backoff elapses — at once."""
+        return [endpoint for endpoint in endpoints if endpoint.poll()]
+
+    def shutdown(self, endpoints) -> None:
+        for endpoint in endpoints:
+            endpoint.close()
 
 
 @dataclass
@@ -258,7 +386,7 @@ class ParallelResult:
 
 
 class _RunBook:
-    """Recovery bookkeeping shared by both backends.
+    """Recovery bookkeeping of the round loop.
 
     Tracks, per slave id: the current incarnation's seed and
     generation, its work log (chunk quotas completed *and merged*), the
@@ -337,8 +465,8 @@ class _RunBook:
         if lost_quota:
             self.owed[slave_id] = lost_quota
 
-    def respawn(self, slave_id: int) -> int:
-        """Advance to the next generation; returns the fresh seed."""
+    def respawn(self, slave_id: int) -> None:
+        """Advance to the next generation (its slave is already up)."""
         self.prior_events[slave_id] += self.events[slave_id]
         self.prior_accepted[slave_id] += self.accepted[slave_id]
         self.events[slave_id] = 0
@@ -350,7 +478,6 @@ class _RunBook:
         self.causes.pop(slave_id, None)
         seed = self.lineage.issue(slave_id, self.generation[slave_id])
         self.seed[slave_id] = seed
-        return seed
 
     # -- result accounting ---------------------------------------------------
 
@@ -372,12 +499,12 @@ class ParallelSimulation:
     n_slaves:
         Number of measurement replicas.
     backend:
-        ``"serial"`` (in-process round-robin; deterministic),
+        ``"serial"`` (slaves stepped inline in this thread),
         ``"process"`` (one OS process per slave on this host), or
         ``"remote"`` (slaves hosted by :mod:`repro.parallel.agent`
         processes over a :class:`~repro.parallel.transport.RemoteTransport`;
-        requires ``transport``).  All backends run the identical
-        master schedule, so merged digests are bit-identical.
+        requires ``transport``).  All backends run the one round loop
+        and master schedule, so merged digests are bit-identical.
     chunk_size:
         Accepted observations per slave in the first round between
         merges (rounds grow geometrically under ``adaptive_chunking``).
@@ -394,11 +521,11 @@ class ParallelSimulation:
     max_chunk_size:
         Cap for adaptive growth; defaults to ``16 * chunk_size``.
     round_timeout:
-        Per-round recv deadline in host seconds (process backend).  A
-        slave that produces no report within the deadline is marked
-        dead with cause ``"heartbeat timeout"`` instead of stalling the
-        round forever.  ``None`` disables the deadline (the historical
-        blocking behavior).
+        Per-round recv deadline in host seconds.  A slave that produces
+        no report within the deadline is marked dead with cause
+        ``"heartbeat timeout"`` instead of stalling the round forever
+        (the serial backend never waits: silence is detected at once).
+        ``None`` disables the deadline (the historical blocking behavior).
     respawn:
         A :class:`~repro.faults.recovery.RespawnPolicy` enabling
         automatic replacement of dead slaves, or ``None`` (default) to
@@ -695,30 +822,6 @@ class ParallelSimulation:
                 return f"{name}: {problem}"
         return None
 
-    def _slave_faults(self, slave_id: int, generation: int) -> tuple:
-        """The picklable fault sub-plan for one incarnation."""
-        if self.fault_plan is None:
-            return ()
-        return self.fault_plan.for_slave(slave_id, generation)
-
-    def _mark_dead(
-        self,
-        book: _RunBook,
-        slave_id: int,
-        round_number: int,
-        cause: str,
-        lost_quota: int,
-    ) -> None:
-        book.on_death(slave_id, cause, lost_quota)
-        self._trace_event(
-            "dead",
-            component="slave",
-            slave=slave_id,
-            round=round_number,
-            cause=cause,
-            generation=book.generation[slave_id],
-        )
-
     def _respawn_candidates(self, book: _RunBook, dead: List[int]) -> List[int]:
         """Dead slaves the policy will replace this round (budget check)."""
         if self.respawn is None:
@@ -742,18 +845,14 @@ class ParallelSimulation:
         """
         policy = self.supervision
         if survivors == 0:
-            if policy is not None:
-                raise SupervisionError(
-                    f"every slave has died ({self.n_slaves} started, "
-                    f"last loss in round {rounds}); no survivors to "
-                    "finish the run",
-                    cause=CAUSE_FLEET_EXHAUSTED,
-                )
-            raise ParallelError(
+            message = (
                 f"every slave has died ({self.n_slaves} started, "
                 f"last loss in round {rounds}); no survivors to "
                 "finish the run"
             )
+            if policy is not None:
+                raise SupervisionError(message, cause=CAUSE_FLEET_EXHAUSTED)
+            raise ParallelError(message)
         if policy is None or policy.fleet_ok(survivors):
             return
         if policy.on_exhausted == "abort":
@@ -892,13 +991,6 @@ class ParallelSimulation:
                 )
 
     @staticmethod
-    def _restore_merged(state: CheckpointState) -> Dict[str, Histogram]:
-        merged = {}
-        for name, payload in state.merged.items():
-            merged[name] = Histogram.from_payload(payload)
-        return merged
-
-    @staticmethod
     def _restore_targets(state: CheckpointState) -> Dict[str, MetricTargets]:
         targets = {}
         for name, fields_ in state.targets.items():
@@ -913,7 +1005,7 @@ class ParallelSimulation:
             )
         return targets
 
-    # -- backends -------------------------------------------------------------------
+    # -- running ----------------------------------------------------------------
 
     def run(self, resume_from=None) -> ParallelResult:
         """Execute the full master/slave protocol.
@@ -938,10 +1030,7 @@ class ParallelSimulation:
             master, schemes, targets = self._calibrate_master()
             self._master_events = master.simulation.events_processed
             master_wall = time.perf_counter() - started
-        if self.backend == "serial":
-            result = self._run_serial(schemes, targets, resume_state)
-        else:
-            result = self._run_process(schemes, targets, resume_state)
+        result = self._run_rounds(schemes, targets, resume_state)
         result.master_events = self._master_events
         result.master_wall_time = master_wall
         result.wall_time = time.perf_counter() - started
@@ -1004,265 +1093,38 @@ class ParallelSimulation:
             },
         )
 
-    # -- serial backend ---------------------------------------------------------
-
-    def _build_serial_slave(self, slave_id: int, book: _RunBook, schemes):
-        experiment = build_slave_experiment(
-            self.factory, self.factory_kwargs, book.seed[slave_id], schemes
-        )
-        tracker = DeltaTracker() if self.delta_reports else None
-        injector = FaultInjector(
-            self._slave_faults(slave_id, book.generation[slave_id]),
-            raise_instead=True,
-        )
-        return experiment, tracker, injector
-
-    def _run_serial(self, schemes, targets, resume=None) -> ParallelResult:
-        book = (
-            _RunBook.from_checkpoint(resume)
-            if resume is not None
-            else _RunBook(self.n_slaves, self.master_seed)
-        )
-        dead: List[int] = sorted(resume.dead) if resume is not None else []
-        slaves: Dict[int, Experiment] = {}
-        trackers: Dict[int, Optional[DeltaTracker]] = {}
-        injectors: Dict[int, FaultInjector] = {}
-        for slave_id in range(self.n_slaves):
-            if slave_id in dead:
-                continue
-            experiment, tracker, injector = self._build_serial_slave(
-                slave_id, book, schemes
-            )
-            if resume is not None and book.work_log[slave_id]:
-                experiment.replay_chunks(
-                    book.work_log[slave_id],
-                    max_events=self.max_events_per_chunk,
-                )
-                baseline = _slave_report(experiment, slave_id, tracker)
-                self._check_replay(book, slave_id, baseline)
-            slaves[slave_id] = experiment
-            trackers[slave_id] = tracker
-            injectors[slave_id] = injector
-        rounds = resume.round if resume is not None else 0
-        reports: List[SlaveReport] = []
-        merged: Dict[str, Histogram] = (
-            self._restore_merged(resume)
-            if resume is not None
-            else self._merge_reports([], schemes)
-        )
-        # A checkpoint taken on the converged round resumes as a no-op.
-        converged = (
-            self._all_converged(merged, targets)
-            if resume is not None
-            else False
-        )
-        measure_started = time.monotonic()
-        deadline_stopped = False
-        while rounds < self.max_rounds and not converged:
-            if self._deadline_exceeded(measure_started, rounds):
-                deadline_stopped = True
-                break
-            rounds += 1
-            chunk = self._round_chunk(rounds)
-            self._trace_scheduled_faults(rounds)
-            reports = []
-            dead_this_round: List[int] = []
-            for slave_id in sorted(slaves):
-                quota = book.command_quota(slave_id, chunk)
-                injector = injectors[slave_id]
-                slave = slaves[slave_id]
-                try:
-                    injector.on_chunk_start(rounds)
-                    slave.run_until_accepted(
-                        quota, max_events=self.max_events_per_chunk
-                    )
-                    report = injector.filter_report(
-                        rounds, _slave_report(slave, slave_id,
-                                              trackers[slave_id])
-                    )
-                except InjectedFailure as failure:
-                    self._mark_dead(
-                        book, slave_id, rounds,
-                        f"{CAUSE_INJECTED}: {failure.spec.kind}", quota,
-                    )
-                    dead_this_round.append(slave_id)
-                    continue
-                problem = self._report_problem(report, slave_id, schemes)
-                if problem is not None:
-                    self._mark_dead(
-                        book, slave_id, rounds,
-                        f"{CAUSE_CORRUPT_PAYLOAD}: {problem}", quota,
-                    )
-                    dead_this_round.append(slave_id)
-                    continue
-                reports.append(report)
-                book.on_reported(slave_id, quota, report)
-                try:
-                    injector.after_send(rounds)
-                except InjectedFailure:  # pragma: no cover - defensive
-                    # Serial post_report kills are deferred by the
-                    # injector to the next round's on_chunk_start so
-                    # both backends detect the death in the same round.
-                    pass
-            for slave_id in dead_this_round:
-                slaves.pop(slave_id)
-                trackers.pop(slave_id)
-                injectors.pop(slave_id)
-                dead.append(slave_id)
-            self._trace_round(rounds, reports)
-            merged = self._merge_round(merged, reports, schemes, rounds)
-            converged = self._all_converged(merged, targets)
-            if self._progress is not None:
-                self._progress.parallel_update(rounds, merged, targets)
-            if not converged:
-                for slave_id in self._respawn_candidates(book, dead):
-                    book.respawn(slave_id)
-                    experiment, tracker, injector = self._build_serial_slave(
-                        slave_id, book, schemes
-                    )
-                    slaves[slave_id] = experiment
-                    trackers[slave_id] = tracker
-                    injectors[slave_id] = injector
-                    dead.remove(slave_id)
-                    self._trace_event(
-                        "respawn",
-                        slave=slave_id,
-                        round=rounds,
-                        generation=book.generation[slave_id],
-                        seed=book.seed[slave_id],
-                    )
-            self._enforce_fleet(len(slaves), rounds)
-            self._maybe_checkpoint(
-                book, schemes, targets, merged, rounds, dead
-            )
-        return self._result(
-            book, merged, targets, converged, rounds, reports, dead,
-            force_degraded=deadline_stopped,
-        )
-
-    def _check_replay(self, book: _RunBook, slave_id: int, baseline) -> None:
-        """Replayed slave state must land exactly on the checkpoint."""
-        expected = (book.events[slave_id], book.accepted[slave_id])
-        found = (baseline.events_processed, baseline.total_accepted)
-        if found != expected:
-            raise ParallelError(
-                f"resume replay diverged for slave {slave_id}: expected "
-                f"(events, accepted) = {expected}, replay landed on "
-                f"{found}; the factory or its workload is not "
-                "deterministic in the seed"
-            )
-
-    # -- process backend --------------------------------------------------------
-
-    @staticmethod
-    def _shutdown_slaves(
-        processes,
-        pipes,
-        join_timeout: float = 30.0,
-        escalation_timeout: float = 5.0,
-        tracer=None,
-    ) -> List[tuple]:
-        """Stop slave processes, escalating join → terminate → kill.
-
-        Each slave first gets a cooperative ``"stop"`` and a
-        ``join_timeout`` to exit cleanly; a survivor is terminated
-        (SIGTERM) and, failing that too, killed (SIGKILL) — a hung or
-        signal-ignoring slave must never wedge the master's exit path.
-        Returns ``[(slave_id, action), ...]`` for every escalation
-        beyond the clean join (``"terminate"`` / ``"kill"``), which is
-        also what makes this testable with fake process objects.
-        """
-        for pipe in pipes:
-            try:
-                pipe.send("stop")
-                pipe.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        escalations: List[tuple] = []
-        for slave_id, process in enumerate(processes):
-            process.join(timeout=join_timeout)
-            if not process.is_alive():
-                continue
-            process.terminate()
-            process.join(timeout=escalation_timeout)
-            if process.is_alive():
-                # multiprocessing.Process.kill() exists since 3.7; fall
-                # back to terminate-again for exotic fakes without it.
-                kill = getattr(process, "kill", process.terminate)
-                kill()
-                process.join(timeout=escalation_timeout)
-                escalations.append((slave_id, "kill"))
-            else:
-                escalations.append((slave_id, "terminate"))
-            if tracer is not None:
-                tracer.event(
-                    "shutdown_escalation",
-                    component="master",
-                    slave=slave_id,
-                    action=escalations[-1][1],
-                )
-        return escalations
-
-    @staticmethod
-    def _reap(process, timeout: float = 5.0) -> None:
-        """Ensure one dead-or-condemned slave process is truly gone."""
-        process.join(timeout=0.0 if not process.is_alive() else timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=timeout)
-        if process.is_alive():  # pragma: no cover - stuck in kernel
-            kill = getattr(process, "kill", process.terminate)
-            kill()
-            process.join(timeout=timeout)
-
-    @staticmethod
-    def _recv_with_deadline(pipe, deadline: Optional[float]):
-        """``("ok", obj)`` | ``("timeout", None)`` | ``("eof", None)``.
-
-        Replaces the historical bare ``pipe.recv()``: a slave that
-        hangs *without* closing its pipe used to stall the master
-        forever; polling against the shared round deadline bounds the
-        wait, while a closed/reset pipe still surfaces immediately.
-        """
-        try:
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = max(0.0, deadline - time.monotonic())
-            if not pipe.poll(remaining):
-                return ("timeout", None)
-            return ("ok", pipe.recv())
-        except (
-            FrameError, EOFError, ConnectionResetError,
-            BrokenPipeError, OSError,
-        ):
-            return ("eof", None)
-
-    def _spawn_process_slave(
-        self, transport: Transport, slave_id: int, book: _RunBook, schemes,
-        replay=(), round_offset=0,
+    def _spawn_slave(
+        self, transport: Transport, slave_id: int, generation: int,
+        seed: int, schemes, replay=(), round_offset=0,
     ) -> WorkerEndpoint:
         return transport.spawn(
             slave_id,
-            book.generation[slave_id],
+            generation,
             _process_slave_main,
             (
                 self.factory,
                 self.factory_kwargs,
-                book.seed[slave_id],
+                seed,
                 schemes,
                 self.max_events_per_chunk,
                 slave_id,
                 self.delta_reports,
-                self._slave_faults(slave_id, book.generation[slave_id]),
+                self.fault_plan.for_slave(slave_id, generation)
+                if self.fault_plan is not None
+                else (),
                 tuple(replay),
                 round_offset,
             ),
             timeout=self.join_timeout,
         )
 
-    def _run_process(self, schemes, targets, resume=None) -> ParallelResult:
-        transport = self.transport or LocalPipeTransport("fork")
+    def _run_rounds(self, schemes, targets, resume=None) -> ParallelResult:
+        """Fig. 3's measure/merge rounds, over whatever carries them."""
+        owned = self.backend == "serial" or self.transport is None
+        if self.backend == "serial":
+            transport = _InlineTransport(self.round_timeout)
+        else:
+            transport = self.transport or LocalPipeTransport("fork")
         if self._tracer is not None:
             transport.attach_tracer(self._tracer)
         transport.start()
@@ -1274,60 +1136,69 @@ class ParallelSimulation:
         dead: List[int] = sorted(resume.dead) if resume is not None else []
         rounds = resume.round if resume is not None else 0
         slaves: Dict[int, WorkerEndpoint] = {}
-        resumed_replay: Dict[int, int] = {}
-        for slave_id in range(self.n_slaves):
-            if slave_id in dead:
-                continue
-            replay = (
-                book.work_log[slave_id] if resume is not None else ()
-            )
-            slaves[slave_id] = self._spawn_process_slave(
-                transport, slave_id, book, schemes,
-                replay=replay, round_offset=rounds,
-            )
-            if replay:
-                resumed_replay[slave_id] = len(replay)
         reports: List[SlaveReport] = []
-        merged: Dict[str, Histogram] = (
-            self._restore_merged(resume)
-            if resume is not None
-            else self._merge_reports([], schemes)
-        )
+        merged: Dict[str, Histogram] = self._merge_reports([], schemes)
+        if resume is not None:
+            for name, payload in resume.merged.items():
+                merged[name] = Histogram.from_payload(payload)
         # A checkpoint taken on the converged round resumes as a no-op.
-        converged = (
-            self._all_converged(merged, targets)
-            if resume is not None
-            else False
+        converged = resume is not None and self._all_converged(
+            merged, targets
         )
         measure_started = time.monotonic()
         deadline_stopped = False
+        commanded: Dict[int, int] = {}
+        dead_this_round: List[int] = []
 
-        def drop_slave(slave_id: int) -> None:
-            """Forget a dead/condemned slave's endpoint and reap it."""
-            endpoint = slaves.pop(slave_id, None)
-            if endpoint is not None:
-                endpoint.close()
-                transport.reap(endpoint)
+        def lose(slave_id: int, cause: str) -> None:
+            """Record a death; the round's quota is owed to a replacement."""
+            book.on_death(slave_id, cause, commanded[slave_id])
+            dead_this_round.append(slave_id)
+            self._trace_event(
+                "dead",
+                component="slave",
+                slave=slave_id,
+                round=rounds,
+                cause=cause,
+                generation=book.generation[slave_id],
+            )
 
         try:
-            # Resumed slaves replay their work logs and send a baseline
-            # report; validate it lands exactly on the checkpoint state.
-            if resumed_replay:
+            # A fresh run's work logs are empty; a resumed slave replays
+            # its log and sends a baseline report, which must land
+            # exactly on the checkpoint state.
+            for slave_id in range(self.n_slaves):
+                if slave_id not in dead:
+                    slaves[slave_id] = self._spawn_slave(
+                        transport, slave_id, book.generation[slave_id],
+                        book.seed[slave_id], schemes,
+                        replay=book.work_log[slave_id], round_offset=rounds,
+                    )
+            replayed = [i for i in sorted(slaves) if book.work_log[i]]
+            if replayed:
                 deadline = None
                 if self.round_timeout is not None:
                     deadline = time.monotonic() + self.round_timeout * max(
-                        1, max(resumed_replay.values())
+                        len(book.work_log[i]) for i in replayed
                     )
-                for slave_id in sorted(resumed_replay):
-                    status, baseline = self._recv_with_deadline(
-                        slaves[slave_id], deadline
+                for slave_id in replayed:
+                    baseline, cause = recv_message(
+                        slaves[slave_id], CAUSE_PIPE_CLOSED, deadline
                     )
-                    if status != "ok":
+                    if cause is not None:
                         raise ParallelError(
                             f"slave {slave_id} is gone: died during "
-                            f"resume replay ({status})"
+                            f"resume replay ({cause})"
                         )
-                    self._check_replay(book, slave_id, baseline)
+                    expected = (book.events[slave_id], book.accepted[slave_id])
+                    found = (baseline.events_processed, baseline.total_accepted)
+                    if found != expected:
+                        raise ParallelError(
+                            f"resume replay diverged for slave {slave_id}: "
+                            f"expected (events, accepted) = {expected}, "
+                            f"replay landed on {found}; the factory or its "
+                            "workload is not deterministic in the seed"
+                        )
             while rounds < self.max_rounds and not converged:
                 if self._deadline_exceeded(measure_started, rounds):
                     deadline_stopped = True
@@ -1335,32 +1206,30 @@ class ParallelSimulation:
                 rounds += 1
                 chunk = self._round_chunk(rounds)
                 self._trace_scheduled_faults(rounds)
-                commanded: Dict[int, int] = {}
-                dead_this_round: List[int] = []
+                commanded.clear()
+                dead_this_round.clear()
+                pending: List[int] = []
                 for slave_id in sorted(slaves):
-                    quota = book.command_quota(slave_id, chunk)
+                    commanded[slave_id] = book.command_quota(slave_id, chunk)
                     try:
-                        slaves[slave_id].send(("chunk", quota))
-                        commanded[slave_id] = quota
+                        slaves[slave_id].send(("chunk", commanded[slave_id]))
+                        pending.append(slave_id)
                     except (BrokenPipeError, OSError) as error:
-                        self._mark_dead(
-                            book, slave_id, rounds,
-                            f"{CAUSE_SEND_FAILED}: {error}", quota,
-                        )
-                        dead_this_round.append(slave_id)
+                        lose(slave_id, disconnect_cause(
+                            error, f"{CAUSE_SEND_FAILED}: {error}"
+                        ))
                 reports = []
                 deadline = (
                     time.monotonic() + self.round_timeout
                     if self.round_timeout is not None
                     else None
                 )
-                # Wait on every outstanding pipe at once: a single hung
-                # slave must not consume the other slaves' share of the
-                # round deadline (sequential recvs would poll the
+                # Wait on every outstanding endpoint at once: a single
+                # hung slave must not consume the other slaves' share of
+                # the round deadline (sequential recvs would poll the
                 # slaves after it with ~0 time left and falsely declare
                 # them dead).  Any report that arrives within the round
                 # window counts, whatever the arrival order.
-                pending: Dict[int, int] = dict(commanded)
                 received: Dict[int, object] = {}
                 while pending:
                     remaining = (
@@ -1369,18 +1238,14 @@ class ParallelSimulation:
                         else None
                     )
                     ready = transport.wait(
-                        [slaves[slave_id] for slave_id in sorted(pending)],
+                        [slaves[slave_id] for slave_id in pending],
                         timeout=remaining,
                     )
                     if not ready:
                         # Round deadline expired with reports missing:
                         # everyone still pending is hung.
-                        for slave_id in sorted(pending):
-                            self._mark_dead(
-                                book, slave_id, rounds,
-                                CAUSE_HEARTBEAT_TIMEOUT, pending[slave_id],
-                            )
-                            dead_this_round.append(slave_id)
+                        for slave_id in pending:
+                            lose(slave_id, CAUSE_HEARTBEAT_TIMEOUT)
                         break
                     for endpoint in ready:
                         # Dispatch by endpoint identity — no id()-keyed
@@ -1393,24 +1258,17 @@ class ParallelSimulation:
                             or slaves.get(slave_id) is not endpoint
                         ):
                             continue
-                        quota = pending.pop(slave_id)
-                        try:
-                            received[slave_id] = endpoint.recv()
-                        except (
-                            FrameError, EOFError, ConnectionResetError,
-                            BrokenPipeError, OSError,
-                        ) as error:
-                            # A dead slave closes (EOFError) or resets
-                            # its pipe end; without this the master
-                            # would block forever after a partial round.
-                            # Liveness timeouts and corrupt frames keep
-                            # their own cause codes.
-                            self._mark_dead(
-                                book, slave_id, rounds,
-                                disconnect_cause(error, CAUSE_PIPE_CLOSED),
-                                quota,
-                            )
-                            dead_this_round.append(slave_id)
+                        pending.remove(slave_id)
+                        # A dead slave closes or resets its pipe end;
+                        # liveness timeouts and corrupt frames keep
+                        # their own cause codes.
+                        report, cause = recv_message(
+                            endpoint, CAUSE_PIPE_CLOSED
+                        )
+                        if cause is not None:
+                            lose(slave_id, cause)
+                        else:
+                            received[slave_id] = report
                 # Validate and merge in slave-id order regardless of
                 # arrival order: float accumulation is not associative,
                 # and merged digests must stay bit-identical run-to-run
@@ -1419,17 +1277,14 @@ class ParallelSimulation:
                     report = received[slave_id]
                     problem = self._report_problem(report, slave_id, schemes)
                     if problem is not None:
-                        self._mark_dead(
-                            book, slave_id, rounds,
-                            f"{CAUSE_CORRUPT_PAYLOAD}: {problem}",
-                            commanded[slave_id],
-                        )
-                        dead_this_round.append(slave_id)
+                        lose(slave_id, f"{CAUSE_CORRUPT_PAYLOAD}: {problem}")
                         continue
                     reports.append(report)
                     book.on_reported(slave_id, commanded[slave_id], report)
                 for slave_id in dead_this_round:
-                    drop_slave(slave_id)
+                    endpoint = slaves.pop(slave_id)
+                    endpoint.close()
+                    transport.reap(endpoint)
                     dead.append(slave_id)
                 self._trace_round(rounds, reports)
                 merged = self._merge_round(merged, reports, schemes, rounds)
@@ -1439,41 +1294,43 @@ class ParallelSimulation:
                 if not converged:
                     for slave_id in self._respawn_candidates(book, dead):
                         generation = book.generation[slave_id] + 1
+                        seed = slave_seed(
+                            self.master_seed, slave_id, generation
+                        )
                         delay = self.respawn.delay(
-                            generation,
-                            jitter_seed=slave_seed(
-                                self.master_seed, slave_id, generation
-                            ),
+                            generation, jitter_seed=seed
                         )
                         if delay > 0.0:
                             # Round-synchronous barrier: all reports for
                             # this round are already merged, so the wait
                             # delays the next round start uniformly; it
                             # never stalls an individual slave's recv.
-                            time.sleep(delay)  # simlint: disable=blocking-sleep-in-transport
-                        book.respawn(slave_id)
+                            transport.wait((), timeout=delay)
                         try:
-                            slaves[slave_id] = self._spawn_process_slave(
-                                transport, slave_id, book, schemes,
-                                round_offset=rounds,
+                            endpoint = self._spawn_slave(
+                                transport, slave_id, generation, seed,
+                                schemes, round_offset=rounds,
                             )
                         except TransportCapacityError:
-                            # No agent slot free: stay degraded this
-                            # round; the slave remains a respawn
-                            # candidate for the next one.
+                            # No agent slot free: the book is untouched,
+                            # so the slave stays dead with its cause and
+                            # its restart budget, and remains a respawn
+                            # candidate for the next round.
                             self._trace_event(
                                 "respawn_no_capacity",
                                 slave=slave_id,
                                 round=rounds,
                             )
                             continue
+                        book.respawn(slave_id)
+                        slaves[slave_id] = endpoint
                         dead.remove(slave_id)
                         self._trace_event(
                             "respawn",
                             slave=slave_id,
                             round=rounds,
-                            generation=book.generation[slave_id],
-                            seed=book.seed[slave_id],
+                            generation=generation,
+                            seed=seed,
                             backoff=delay,
                         )
                 self._enforce_fleet(len(slaves), rounds)
@@ -1484,7 +1341,7 @@ class ParallelSimulation:
             transport.shutdown(
                 [slaves[i] for i in sorted(slaves)]
             )
-            if self.transport is None:
+            if owned:
                 transport.close()
         return self._result(
             book, merged, targets, converged, rounds, reports, dead,

@@ -67,12 +67,11 @@ from repro.parallel.protocol import (
     ParallelError,
 )
 from repro.parallel.transport import (
-    FrameError,
     LocalPipeTransport,
     Transport,
     TransportCapacityError,
     WorkerEndpoint,
-    disconnect_cause,
+    recv_message,
 )
 
 
@@ -424,7 +423,7 @@ class WorkerPool:
             if delay > 0:
                 # The fleet is empty, so waiting out the earliest
                 # backoff stalls nobody.
-                time.sleep(delay)  # simlint: disable=blocking-sleep-in-transport
+                self.transport.wait((), timeout=delay)
                 return True
             if self.transport.capacity() > 0:
                 return True
@@ -581,17 +580,9 @@ class WorkerPool:
                     or worker_id not in busy
                 ):
                     continue
-                try:
-                    endpoint.recv()
-                except (
-                    FrameError, EOFError, ConnectionResetError,
-                    BrokenPipeError, OSError,
-                ) as error:
-                    self._condemn(
-                        worker_id,
-                        disconnect_cause(error, self._eof_cause()),
-                        pending, busy,
-                    )
+                _, cause = recv_message(endpoint, self._eof_cause())
+                if cause is not None:
+                    self._condemn(worker_id, cause, pending, busy)
                     continue
                 # Whatever the worker reported — result or error — the
                 # assignment is absorbed and the worker is idle again.
@@ -707,17 +698,9 @@ class WorkerPool:
                 ):
                     continue
                 job = busy[worker_id][0]
-                try:
-                    message = endpoint.recv()
-                except (
-                    FrameError, EOFError, ConnectionResetError,
-                    BrokenPipeError, OSError,
-                ) as error:
-                    self._condemn(
-                        worker_id,
-                        disconnect_cause(error, self._eof_cause()),
-                        pending, busy,
-                    )
+                message, cause = recv_message(endpoint, self._eof_cause())
+                if cause is not None:
+                    self._condemn(worker_id, cause, pending, busy)
                     continue
                 tag = message[0] if isinstance(message, tuple) else None
                 if tag == "error" and message[1] == job[0]:

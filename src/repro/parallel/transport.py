@@ -56,6 +56,7 @@ from typing import Deque, List, Optional, Sequence, Set, Tuple
 
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_FRAME,
+    CAUSE_HEARTBEAT_TIMEOUT,
     CAUSE_LIVENESS_TIMEOUT,
     ParallelError,
 )
@@ -77,9 +78,11 @@ class FrameError(TransportError):
     known, so the master can attribute the death (cause
     ``"corrupt frame"``) without parsing the message.  Subclasses
     :class:`TransportError`, so handlers catching the transport family
-    keep working — but it is *not* an ``EOFError``/``OSError``, so the
-    recv paths in master/pool name it explicitly.
+    keep working — but it is *not* an ``EOFError``/``OSError``, so
+    :data:`RECV_FAILURES` names it explicitly.
     """
+
+    cause = CAUSE_CORRUPT_FRAME
 
     def __init__(self, message: str, worker_id: Optional[int] = None):
         super().__init__(message)
@@ -94,6 +97,8 @@ class LivenessError(EOFError):
     attribute the cause ``"liveness timeout"`` instead of the generic
     ``"pipe closed"``.
     """
+
+    cause = CAUSE_LIVENESS_TIMEOUT
 
 
 # -- framing ------------------------------------------------------------------
@@ -264,16 +269,39 @@ def raise_for_close(close_reason: Optional[str], worker_id: int) -> None:
 def disconnect_cause(error: BaseException, fallback: str) -> str:
     """Machine-readable cause code for one recv/send failure.
 
-    Master and pool route every worker-death exception through here so
-    a liveness timeout or corrupt frame keeps its specific attribution
-    while ordinary pipe deaths keep the caller's historical fallback
-    (``pipe closed`` / ``worker left``).
+    A typed death (:class:`LivenessError`, :class:`FrameError`, an
+    inline slave killed by its fault plan) names its own ``cause``;
+    ordinary pipe deaths keep the caller's historical fallback
+    (``pipe closed`` / ``worker left`` / ``send failed``).
     """
-    if isinstance(error, LivenessError):
-        return CAUSE_LIVENESS_TIMEOUT
-    if isinstance(error, FrameError):
-        return CAUSE_CORRUPT_FRAME
-    return fallback
+    return getattr(error, "cause", fallback)
+
+
+#: Every shape a recv on a dead or corrupt worker channel raises.
+RECV_FAILURES = (
+    FrameError, EOFError, ConnectionResetError, BrokenPipeError, OSError,
+)
+
+
+def recv_message(channel, fallback: str, deadline: Optional[float] = None):
+    """``(message, None)``, or ``(None, cause)`` when the worker is gone.
+
+    The one receive path of the package: master, pool and the sweep's
+    spawn backend all read worker channels (endpoints or bare pipes)
+    through here, so a liveness timeout or corrupt frame keeps its
+    specific cause everywhere while a closed/reset pipe reports
+    ``fallback``.  With a monotonic ``deadline`` the channel is polled
+    first and silence past it reports ``heartbeat timeout`` — a worker
+    that hangs *without* closing its pipe cannot stall the caller.
+    """
+    try:
+        if deadline is not None and not channel.poll(
+            max(0.0, deadline - time.monotonic())
+        ):
+            return None, CAUSE_HEARTBEAT_TIMEOUT
+        return channel.recv(), None
+    except RECV_FAILURES as error:
+        return None, disconnect_cause(error, fallback)
 
 
 # -- fork hygiene --------------------------------------------------------------
@@ -581,20 +609,75 @@ class LocalPipeTransport(Transport):
         return 1
 
     def reap(self, endpoint) -> None:
-        from repro.parallel.master import ParallelSimulation
-
-        ParallelSimulation._reap(endpoint.process)
+        reap_process(endpoint.process)
 
     def shutdown(self, endpoints) -> None:
-        # Reuse the master's join -> terminate -> kill escalation: a
-        # wedged worker must not hang the exit path.
-        from repro.parallel.master import ParallelSimulation
-
-        ParallelSimulation._shutdown_slaves(
+        shutdown_processes(
             [endpoint.process for endpoint in endpoints],
             [endpoint.conn for endpoint in endpoints],
             tracer=self._tracer,
         )
+
+
+def shutdown_processes(
+    processes,
+    pipes,
+    join_timeout: float = 30.0,
+    escalation_timeout: float = 5.0,
+    tracer=None,
+) -> List[tuple]:
+    """Stop worker processes, escalating join → terminate → kill.
+
+    Each worker first gets a cooperative ``"stop"`` and a
+    ``join_timeout`` to exit cleanly; a survivor is terminated
+    (SIGTERM) and, failing that too, killed (SIGKILL) — a hung or
+    signal-ignoring worker must never wedge the master's exit path.
+    Returns ``[(worker_id, action), ...]`` for every escalation
+    beyond the clean join (``"terminate"`` / ``"kill"``), which is
+    also what makes this testable with fake process objects.
+    """
+    for pipe in pipes:
+        try:
+            pipe.send("stop")
+            pipe.close()
+        except (BrokenPipeError, OSError):  # pragma: no cover
+            pass
+    escalations: List[tuple] = []
+    for worker_id, process in enumerate(processes):
+        process.join(timeout=join_timeout)
+        if not process.is_alive():
+            continue
+        process.terminate()
+        process.join(timeout=escalation_timeout)
+        if process.is_alive():
+            # multiprocessing.Process.kill() exists since 3.7; fall
+            # back to terminate-again for exotic fakes without it.
+            kill = getattr(process, "kill", process.terminate)
+            kill()
+            process.join(timeout=escalation_timeout)
+            escalations.append((worker_id, "kill"))
+        else:
+            escalations.append((worker_id, "terminate"))
+        if tracer is not None:
+            tracer.event(
+                "shutdown_escalation",
+                component="master",
+                slave=worker_id,
+                action=escalations[-1][1],
+            )
+    return escalations
+
+
+def reap_process(process, timeout: float = 5.0) -> None:
+    """Ensure one dead-or-condemned worker process is truly gone."""
+    process.join(timeout=0.0 if not process.is_alive() else timeout)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=timeout)
+    if process.is_alive():  # pragma: no cover - stuck in kernel
+        kill = getattr(process, "kill", process.terminate)
+        kill()
+        process.join(timeout=timeout)
 
 
 # -- remote (asyncio TCP) transport -------------------------------------------

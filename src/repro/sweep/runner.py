@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.parallel.pool import PoolStats, WorkerPool
+from repro.parallel.pool import (
+    PoolError,
+    PoolStats,
+    WorkerPool,
+    _pool_worker_main,
+)
+from repro.parallel.protocol import CAUSE_PIPE_CLOSED
+from repro.parallel.transport import LocalPipeTransport, recv_message
 from repro.sweep.cache import SweepCache
 from repro.sweep.spec import (
     SweepError,
@@ -381,40 +388,29 @@ class SweepRunner:
 
     def _compute_spawn(self, jobs: List[tuple]) -> Dict[str, dict]:
         """The historical per-point loop: one fresh process per point."""
-        import multiprocessing
-
-        from repro.parallel.master import ParallelSimulation
-        from repro.parallel.pool import PoolError, _pool_worker_main
-
-        context = multiprocessing.get_context("fork")
+        transport = LocalPipeTransport("fork")
         results = {}
         for digest, job in jobs:
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_pool_worker_main,
-                args=(child_conn, 0, run_point),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
+            worker = transport.spawn(0, 0, _pool_worker_main, (0, run_point))
             try:
-                parent_conn.send(("configure", digest, job))
-                status, message = ParallelSimulation._recv_with_deadline(
-                    parent_conn,
+                worker.send(("configure", digest, job))
+                message, cause = recv_message(
+                    worker,
+                    CAUSE_PIPE_CLOSED,
                     None
                     if self.job_timeout is None
                     else time.monotonic() + self.job_timeout,
                 )
             finally:
                 try:
-                    parent_conn.send("stop")
-                    parent_conn.close()
+                    worker.send("stop")
                 except (BrokenPipeError, OSError):
                     pass
-                ParallelSimulation._reap(process)
-            if status != "ok":
+                worker.close()
+                transport.reap(worker)
+            if cause is not None:
                 raise PoolError(
-                    f"spawned point {job.get('params')} died ({status})"
+                    f"spawned point {job.get('params')} died ({cause})"
                 )
             tag = message[0] if isinstance(message, tuple) else None
             if tag == "error":

@@ -8,6 +8,7 @@ chaos equivalence, and bit-for-bit checkpoint resume.
 """
 
 import os
+import time
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    InjectedFailure,
     RespawnPolicy,
     SeedLineage,
     backoff_delay,
@@ -29,8 +29,14 @@ from repro.faults import (
 from repro.faults.checkpoint import SlaveCheckpoint
 from repro.faults.injector import corrupt_payload
 from repro.parallel import ParallelError, ParallelSimulation
-from repro.parallel.master import slave_seed
-from repro.parallel.protocol import validate_report_payload
+from repro.parallel.master import (
+    _InlineTransport,
+    _process_slave_main,
+    slave_seed,
+)
+from repro.parallel.memory import InMemoryTransport
+from repro.parallel.protocol import scheme_payload, validate_report_payload
+from repro.parallel.transport import TransportCapacityError, disconnect_cause
 
 
 def factory(seed, load=0.6, accuracy=0.05):
@@ -151,36 +157,15 @@ class TestFaultInjector:
         injector.on_chunk_start(2)
         assert exits == [86]
 
-    def test_serial_kill_raises(self):
-        injector = FaultInjector(
-            (self._spec(phase="pre_run"),), raise_instead=True
-        )
-        injector.on_chunk_start(1)
-        with pytest.raises(InjectedFailure) as caught:
-            injector.on_chunk_start(2)
-        assert caught.value.spec.kind == "kill"
-
-    def test_hang_sleeps_in_process_mode_only(self):
+    def test_hang_sleeps(self):
         naps = []
         spec = self._spec(kind="hang", delay=12.5)
         FaultInjector((spec,), sleeper=naps.append).on_chunk_start(2)
         assert naps == [12.5]
-        FaultInjector(
-            (spec,), raise_instead=True, sleeper=naps.append
-        ).on_chunk_start(2)
-        assert naps == [12.5]  # serial mode ignores hang
 
     def test_drop_report_returns_none(self):
         injector = FaultInjector((self._spec(kind="drop_report"),))
         assert injector.filter_report(2, object()) is None
-
-    def test_post_report_kill_is_deferred_in_serial_mode(self):
-        injector = FaultInjector(
-            (self._spec(phase="post_report"),), raise_instead=True
-        )
-        injector.after_send(2)  # must NOT raise: report already merged
-        with pytest.raises(InjectedFailure):
-            injector.on_chunk_start(3)
 
     def test_corrupt_payload_fails_validation(self):
         clean = {
@@ -197,6 +182,49 @@ class TestFaultInjector:
         assert validate_report_payload(clean, (0.0, 1.0, 4)) is None
         mangled = corrupt_payload(clean)
         assert validate_report_payload(mangled, (0.0, 1.0, 4)) is not None
+
+
+class TestInlineEndpoint:
+    """The serial backend's transport, driven the way the round loop does."""
+
+    def _spawn(self, *faults):
+        master = factory(seed=7)
+        master.run_until_calibrated()
+        schemes = {
+            statistic.name: scheme_payload(statistic.histogram.scheme)
+            for statistic in master.stats
+        }
+        transport = _InlineTransport(round_timeout=30.0)
+        endpoint = transport.spawn(
+            0, 0, _process_slave_main,
+            (factory, {}, slave_seed(7, 0), schemes, 10_000_000, 0, True,
+             faults),
+        )
+        return transport, endpoint
+
+    def test_post_report_kill_delivers_then_fails_next_send(self):
+        transport, endpoint = self._spawn(
+            FaultSpec(kind="kill", slave_id=0, round=1, phase="post_report")
+        )
+        endpoint.send(("chunk", 50))
+        # The report went out before the exit, so the master merges it...
+        assert transport.wait([endpoint], timeout=30.0) == [endpoint]
+        assert endpoint.recv().total_accepted >= 50
+        # ...and only the next round's send finds the slave gone.
+        with pytest.raises(BrokenPipeError) as caught:
+            endpoint.send(("chunk", 50))
+        assert disconnect_cause(caught.value, "send failed") == (
+            "injected fault: kill"
+        )
+
+    def test_hang_is_silence_not_a_sleep(self):
+        transport, endpoint = self._spawn(
+            FaultSpec(kind="hang", slave_id=0, round=1, delay=60.0)
+        )
+        started = time.monotonic()
+        endpoint.send(("chunk", 50))
+        assert transport.wait([endpoint], timeout=30.0) == []
+        assert time.monotonic() - started < 10.0
 
 
 # -- recovery -----------------------------------------------------------------
@@ -426,11 +454,13 @@ class TestRecovery:
         ("kill", {"phase": "post_report"}),
         ("drop_report", {}),
         ("corrupt_payload", {}),
+        ("hang", {"delay": 60.0}),
     ])
     def test_serial_and_process_chaos_agree(self, kind, kwargs):
         plan = FaultPlan.single(kind, slave_id=1, round=1, **kwargs)
+        # The process backend sits out the whole deadline on a hang.
         common = dict(fault_plan=plan, respawn=NO_BACKOFF,
-                      round_timeout=30.0)
+                      round_timeout=2.0 if kind == "hang" else 30.0)
         serial = ParallelSimulation(factory, **{**KW, **common}).run()
         process = ParallelSimulation(
             factory, **{**KW, **common, "backend": "process"}
@@ -450,6 +480,19 @@ class TestRecovery:
         assert result.dead_slaves == [2]
         assert result.failure_causes[2] == "heartbeat timeout"
 
+    def test_serial_hang_hits_heartbeat_timeout_without_waiting(self):
+        plan = FaultPlan.single("hang", slave_id=2, round=1, delay=60.0)
+        started = time.monotonic()
+        result = ParallelSimulation(
+            factory, fault_plan=plan, round_timeout=30.0, **KW
+        ).run()
+        # Same round, same cause as the process backend — but the
+        # inline transport never sits out the 30 s round deadline.
+        assert time.monotonic() - started < 10.0
+        assert result.degraded
+        assert result.dead_slaves == [2]
+        assert result.failure_causes[2] == "heartbeat timeout"
+
     def test_hung_slave_does_not_starve_survivors(self):
         # The master waits on all outstanding pipes concurrently: slave
         # 0 hanging for the whole round window must not consume slaves
@@ -462,6 +505,42 @@ class TestRecovery:
         assert result.converged
         assert result.dead_slaves == [0]
         assert result.failure_causes == {0: "heartbeat timeout"}
+
+    def test_failed_respawn_keeps_cause_and_budget(self, tmp_path):
+        # Regression: the book used to advance generation, restart
+        # budget and seed lineage (and forget the death's cause)
+        # *before* the spawn; a transport with no capacity then left
+        # the slave dead without a cause and the run died on KeyError.
+        class NoRespawnCapacity(InMemoryTransport):
+            def spawn(self, worker_id, generation, entry, args, timeout=None):
+                if generation > 0:
+                    raise TransportCapacityError("no slot for a respawn")
+                return super().spawn(
+                    worker_id, generation, entry, args, timeout=timeout
+                )
+
+        path = tmp_path / "ck.jsonl"
+        transport = NoRespawnCapacity()
+        try:
+            result = ParallelSimulation(
+                factory,
+                fault_plan=FaultPlan.single(
+                    "corrupt_payload", slave_id=1, round=1
+                ),
+                respawn=NO_BACKOFF, checkpoint_path=path,
+                transport=transport, **{**KW, "backend": "process"},
+            ).run()
+        finally:
+            transport.close()
+        assert result.degraded
+        assert result.dead_slaves == [1]
+        assert result.failure_causes[1].startswith("corrupt payload")
+        assert result.restarts == 0
+        state = read_checkpoint(path)
+        assert state.dead == {1: result.failure_causes[1]}
+        assert state.total_restarts == 0
+        recorded = {s.slave_id: s for s in state.slaves}
+        assert recorded[1].generation == 0 and recorded[1].restarts == 0
 
     def test_all_slaves_dead_still_raises(self):
         plan = FaultPlan(specs=tuple(

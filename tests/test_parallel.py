@@ -13,6 +13,7 @@ from repro.parallel import (
 )
 from repro.parallel.master import build_slave_experiment, slave_seed
 from repro.parallel.protocol import scheme_from_payload, scheme_payload
+from repro.parallel.transport import shutdown_processes
 
 
 def crashing_factory(seed, master_seed=3):
@@ -401,7 +402,7 @@ class TestShutdownEscalation:
     def shutdown(self, processes, pipes=None, **kwargs):
         if pipes is None:
             pipes = [FakePipe() for _ in processes]
-        return ParallelSimulation._shutdown_slaves(
+        return shutdown_processes(
             processes, pipes, join_timeout=0.01, escalation_timeout=0.01,
             **kwargs,
         )

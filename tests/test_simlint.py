@@ -940,3 +940,20 @@ class TestBlockingSleepInTransportRule:
             rel="parallel/chaos.py",
         )
         assert rule_ids(findings) == []
+
+    def test_parallel_package_keeps_its_two_suppressions(self):
+        # Every other wait in repro.parallel goes through
+        # Transport.wait; a third suppressed sleep means a loop started
+        # blocking on its own again.
+        marker = "simlint: disable=blocking-sleep-in-transport"
+        package = REPO_ROOT / "src" / "repro" / "parallel"
+        suppressed = sorted(
+            f"{path.name}: {line.split('#')[0].strip()}"
+            for path in package.glob("*.py")
+            for line in path.read_text().splitlines()
+            if marker in line
+        )
+        assert suppressed == [
+            "pool.py: time.sleep(hang.delay)",       # the injected hang itself
+            "transport.py: time.sleep(timeout)",     # wait() on no endpoints
+        ]
