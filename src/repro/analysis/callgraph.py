@@ -197,7 +197,8 @@ def default_worker_entries(index: ProjectIndex) -> List[str]:
     These are the functions that run inside forked slave or pool-worker
     processes (or, for the slave session, inline under the serial
     backend), i.e. the roots the race detector's "reachable by parallel
-    code" query starts from.  The session's methods are listed because
+    code" query starts from.  The session's methods and the fault
+    injector's hooks (which both worker loops run) are listed because
     the call graph does not follow constructors or calls on locals.
     Fixture corpora pass their own entry list instead.
     """
@@ -207,6 +208,9 @@ def default_worker_entries(index: ProjectIndex) -> List[str]:
         "repro.parallel.master._SlaveSession.step",
         "repro.parallel.master.build_slave_experiment",
         "repro.parallel.pool._pool_worker_main",
+        "repro.faults.injector.FaultInjector.on_chunk_start",
+        "repro.faults.injector.FaultInjector.filter_report",
+        "repro.faults.injector.FaultInjector.after_send",
         "repro.sweep.runner.run_point",
     )
     return [name for name in candidates if name in index.functions]

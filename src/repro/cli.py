@@ -92,6 +92,38 @@ def _wrap_net_chaos(transport, args):
     return ChaosTransport(transport, NetFaultPlan.load(args.net_chaos))
 
 
+def _fleet_flags_set(args) -> bool:
+    """True when --chaos/--respawn/--min-workers/--deadline/--on-degrade
+    ask something of a fleet (any of them is off its default)."""
+    return bool(
+        args.chaos or args.respawn or args.min_workers is not None
+        or args.deadline is not None or args.on_degrade != "abort"
+    )
+
+
+def _build_fault_options(args):
+    """``(fault_plan, respawn)`` from --chaos/--respawn/--max-restarts."""
+    fault_plan = respawn = None
+    if args.chaos:
+        from repro.faults import FaultPlan
+
+        fault_plan = FaultPlan.load(args.chaos)
+    if args.respawn:
+        from repro.faults import RespawnPolicy
+
+        respawn = RespawnPolicy(max_restarts_per_slave=args.max_restarts)
+    return fault_plan, respawn
+
+
+def _remote_flag_misuse(args):
+    """Why the remote-backend flags do not fit together, or None."""
+    if args.net_chaos and args.backend != "remote":
+        return "--net-chaos needs the frame layer of --backend remote"
+    if args.backend == "remote" and not args.listen:
+        return "--backend remote requires --listen HOST:PORT"
+    return None
+
+
 def _make_observability(args):
     """Build (tracer, progress) from the run command's flags."""
     tracer = None
@@ -159,9 +191,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
     if not args.parallel and (
-        args.chaos or args.resume or args.checkpoint or args.respawn
-        or args.net_chaos or args.min_workers is not None
-        or args.deadline is not None or args.on_degrade != "abort"
+        args.resume or args.checkpoint or args.net_chaos
+        or _fleet_flags_set(args)
     ):
         print(
             "--chaos/--respawn/--checkpoint/--resume/--net-chaos/"
@@ -169,15 +200,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.net_chaos and args.backend != "remote":
-        print(
-            "--net-chaos needs the frame layer of --backend remote",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend == "remote" and not args.listen:
-        print("--backend remote requires --listen HOST:PORT",
-              file=sys.stderr)
+    misuse = _remote_flag_misuse(args)
+    if misuse is not None:
+        print(misuse, file=sys.stderr)
         return 2
     tracer, progress = _make_observability(args)
     transport = None
@@ -186,18 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.parallel.master import ParallelSimulation
 
             config = load_config(args.config)
-            fault_plan = None
-            if args.chaos:
-                from repro.faults import FaultPlan
-
-                fault_plan = FaultPlan.load(args.chaos)
-            respawn = None
-            if args.respawn:
-                from repro.faults import RespawnPolicy
-
-                respawn = RespawnPolicy(
-                    max_restarts_per_slave=args.max_restarts
-                )
+            fault_plan, respawn = _build_fault_options(args)
             if args.backend == "remote":
                 transport = _start_remote_transport(args)
             simulation = ParallelSimulation(
@@ -230,32 +244,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
             sys.stdout.write("\n")
             return 0 if result.converged else 3
 
-        if not args.sanitize:
+        if args.sanitize:
+            config = load_config(args.config)
+            experiment = build_experiment(config, sanitize=True)
+        else:
             experiment = build_experiment(args.config, engine=args.engine)
-            if tracer is not None:
-                experiment.attach_tracer(tracer)
-            if progress is not None:
-                experiment.attach_progress(progress)
-            experiment.collect_telemetry = args.metrics
-            result = experiment.run(max_events=args.max_events)
-            json.dump(result_to_dict(result), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return 0 if result.converged else 3
-
-        # Sanitized run: hash the event stream, verify every prefetch
-        # block per-draw, then replay the identical config with
-        # prefetching disabled and require a bit-identical event stream
-        # (see docs/analysis.md).  Exit 4 on any determinism mismatch.
-        from repro.analysis.sanitizer import experiment_digest
-
-        config = load_config(args.config)
-        experiment = build_experiment(config, sanitize=True)
         if tracer is not None:
             experiment.attach_tracer(tracer)
         if progress is not None:
             experiment.attach_progress(progress)
         experiment.collect_telemetry = args.metrics
         result = experiment.run(max_events=args.max_events)
+        if not args.sanitize:
+            json.dump(result_to_dict(result), sys.stdout, indent=2)
+            sys.stdout.write("\n")
+            return 0 if result.converged else 3
+
+        # Sanitized run: the event stream was hashed and every prefetch
+        # block verified per-draw; now replay the identical config with
+        # prefetching disabled and require a bit-identical event stream
+        # (see docs/analysis.md).  Exit 4 on any determinism mismatch.
+        from repro.analysis.sanitizer import experiment_digest
+
         twin = experiment_digest(
             lambda seed, **kwargs: build_experiment(
                 {**config, "seed": seed}, **kwargs
@@ -371,26 +381,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         findings = lint_spec(spec, path=str(args.spec))
         return _report_lint(findings, str(args.spec))
-    fault_plan = None
-    if args.chaos:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan.load(args.chaos)
-    respawn = None
-    if args.respawn:
-        from repro.faults import RespawnPolicy
-
-        respawn = RespawnPolicy(max_restarts_per_slave=args.max_restarts)
-    if args.net_chaos and args.backend != "remote":
+    if args.backend in ("serial", "spawn") and _fleet_flags_set(args):
+        # Those backends have no fleet to fault, respawn or supervise;
+        # running anyway would let a chaos sweep claim coverage it
+        # never had.
         print(
-            "--net-chaos needs the frame layer of --backend remote",
+            "--chaos/--respawn/--min-workers/--deadline/--on-degrade "
+            "require a worker pool (--backend pool or remote)",
             file=sys.stderr,
         )
         return 2
-    if args.backend == "remote" and not args.listen:
-        print("--backend remote requires --listen HOST:PORT",
-              file=sys.stderr)
+    misuse = _remote_flag_misuse(args)
+    if misuse is not None:
+        print(misuse, file=sys.stderr)
         return 2
+    fault_plan, respawn = _build_fault_options(args)
     tracer, progress = _make_observability(args)
 
     def on_point(point):
@@ -446,21 +451,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_agent(args: argparse.Namespace) -> int:
-    from repro.parallel.agent import main as agent_main
+    from repro.parallel.agent import run_agent
 
-    argv = [args.address, "--context", args.context,
-            "--reconnect-delay", str(args.reconnect_delay),
-            "--reconnect-cap", str(args.reconnect_cap),
-            "--backoff-seed", str(args.backoff_seed)]
-    if args.slots is not None:
-        argv += ["--slots", str(args.slots)]
-    if args.transport_key:
-        argv += ["--transport-key", args.transport_key]
-    if args.max_redial is not None:
-        argv += ["--max-redial", str(args.max_redial)]
-    if args.idle_exit is not None:
-        argv += ["--idle-exit", str(args.idle_exit)]
-    return agent_main(argv)
+    return run_agent(args)
+
+
+def _add_listen_args(parser) -> None:
+    """Flags shared by run/sweep: where --backend remote listens."""
+    parser.add_argument(
+        "--listen", metavar="HOST:PORT", default=None,
+        help=(
+            "agent-registration address for --backend remote (port 0 "
+            "picks a free port, printed to stderr)"
+        ),
+    )
+    parser.add_argument(
+        "--transport-key", metavar="KEY", default=None,
+        help="shared fleet key agents must present (--backend remote)",
+    )
 
 
 def _add_robustness_args(parser, deadline_help: str) -> None:
@@ -586,17 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--listen"
         ),
     )
-    run.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
-        help=(
-            "agent-registration address for --backend remote (port 0 "
-            "picks a free port, printed to stderr)"
-        ),
-    )
-    run.add_argument(
-        "--transport-key", metavar="KEY", default=None,
-        help="shared fleet key agents must present (--backend remote)",
-    )
+    _add_listen_args(run)
     run.add_argument(
         "--join-timeout", type=float, metavar="SECONDS", default=30.0,
         help=(
@@ -739,17 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
             "workers on 'repro agent' hosts (needs --listen)"
         ),
     )
-    sweep.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
-        help=(
-            "agent-registration address for --backend remote (port 0 "
-            "picks a free port, printed to stderr)"
-        ),
-    )
-    sweep.add_argument(
-        "--transport-key", metavar="KEY", default=None,
-        help="shared fleet key agents must present (--backend remote)",
-    )
+    _add_listen_args(sweep)
     sweep.add_argument(
         "--join-timeout", type=float, metavar="SECONDS", default=30.0,
         help=(
@@ -811,49 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
         "agent",
         help="host remote workers for a '--backend remote' master",
     )
-    agent.add_argument("address", help="master transport address, HOST:PORT")
-    agent.add_argument(
-        "--slots", type=int, metavar="N", default=None,
-        help="worker slots to offer (default: CPU count)",
-    )
-    agent.add_argument(
-        "--transport-key", metavar="KEY", default=None,
-        help="shared fleet key (must match the master's)",
-    )
-    agent.add_argument(
-        "--context", default="fork",
-        help="multiprocessing start method for workers (default: fork)",
-    )
-    agent.add_argument(
-        "--reconnect-delay", type=float, metavar="SECONDS", default=0.2,
-        help="base seconds of the re-dial backoff (default: 0.2)",
-    )
-    agent.add_argument(
-        "--reconnect-cap", type=float, metavar="SECONDS", default=30.0,
-        help="ceiling of the exponential re-dial backoff (default: 30)",
-    )
-    agent.add_argument(
-        "--backoff-seed", type=int, metavar="SEED", default=0,
-        help=(
-            "seed for the deterministic re-dial jitter (give each "
-            "agent its own so probes spread instead of dialing in "
-            "lockstep)"
-        ),
-    )
-    agent.add_argument(
-        "--max-redial", type=int, metavar="N", default=None,
-        help=(
-            "consecutive failed dials a slot tolerates before giving "
-            "up (default: retry forever)"
-        ),
-    )
-    agent.add_argument(
-        "--idle-exit", type=float, metavar="SECONDS", default=None,
-        help=(
-            "exit after this many seconds without hosting a worker "
-            "(useful in CI; default: run forever)"
-        ),
-    )
+    from repro.parallel.agent import add_agent_arguments
+
+    add_agent_arguments(agent)
     agent.set_defaults(handler=_cmd_agent)
     return parser
 

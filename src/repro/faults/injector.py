@@ -1,9 +1,11 @@
-"""FaultInjector: executes a fault plan inside the slave loop.
+"""FaultInjector: executes a fault plan inside the worker loop.
 
 The injector is the *only* piece of the fault subsystem that lives on
-the slave side of the protocol.  It is constructed from the picklable
-per-slave sub-plan (:meth:`repro.faults.plan.FaultPlan.for_slave`) and
-consulted at three points in every measurement round:
+the worker side of the protocol — the master's slave session and the
+pool's worker loop both run their faults through it.  It is constructed
+from the picklable per-incarnation sub-plan
+(:meth:`repro.faults.plan.FaultPlan.for_slave`) and consulted at three
+points in every round (for a pool worker: every configure):
 
 1. :meth:`on_chunk_start` — before the chunk runs (``kill``/``pre_run``
    and ``hang`` fire here);
@@ -52,6 +54,17 @@ def corrupt_payload(payload: dict) -> dict:
     return mangled
 
 
+def corrupt_report(report):
+    """Mangle every metric payload of a
+    :class:`~repro.parallel.protocol.SlaveReport` in place of the clean
+    ones, so the master's validator attributes the failure correctly."""
+    report.histograms = {
+        name: corrupt_payload(payload)
+        for name, payload in report.histograms.items()
+    }
+    return report
+
+
 class FaultInjector:
     """Executes one slave incarnation's scheduled faults.
 
@@ -73,9 +86,6 @@ class FaultInjector:
         self._specs = tuple(specs)
         self._sleep = sleeper
         self._exit = exiter
-
-    def __bool__(self) -> bool:
-        return bool(self._specs)
 
     def _find(self, round_number: int, kind: str,
               phase: Optional[str] = None) -> Optional[FaultSpec]:
@@ -103,21 +113,21 @@ class FaultInjector:
             # master dies too.
             self._sleep(spec.delay)
 
-    def filter_report(self, round_number: int, report):
+    def filter_report(
+        self, round_number: int, report, corrupt=corrupt_report
+    ):
         """Pre-send hook: may kill, drop (return None), or corrupt.
 
-        ``report`` is a :class:`~repro.parallel.protocol.SlaveReport`;
-        corruption mangles every metric payload in place of the clean
-        ones so the master's validator attributes the failure correctly.
+        ``corrupt`` is what a scheduled ``corrupt_payload`` does to
+        whatever the host reports: :func:`corrupt_report` for the
+        master's :class:`~repro.parallel.protocol.SlaveReport`, the
+        pool's own mangler for a job result.
         """
         self._kill_at(round_number, "pre_report")
         if self._find(round_number, "drop_report") is not None:
             return None
         if self._find(round_number, "corrupt_payload") is not None:
-            report.histograms = {
-                name: corrupt_payload(payload)
-                for name, payload in report.histograms.items()
-            }
+            return corrupt(report)
         return report
 
     def after_send(self, round_number: int) -> None:

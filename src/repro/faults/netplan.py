@@ -53,13 +53,11 @@ Fault kinds
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from repro.engine.simulation import seeded_rng
-from repro.faults.plan import FaultError
+from repro.faults.plan import FaultError, _SpecPlan
 
 #: Every network fault kind a plan may schedule.
 NET_FAULT_KINDS = (
@@ -159,13 +157,17 @@ class NetFaultSpec:
 
 
 @dataclass(frozen=True)
-class NetFaultPlan:
+class NetFaultPlan(_SpecPlan):
     """An immutable, addressable collection of :class:`NetFaultSpec`.
 
     At most one spec per ``(worker_id, generation, round, direction)``
     frame slot: two faults on one frame would have an application order
     the plan cannot express, so the ambiguity is rejected up front.
     """
+
+    _SPEC = NetFaultSpec
+    _KEY = "net_faults"
+    _NAME = "net fault plan"
 
     specs: Tuple[NetFaultSpec, ...] = field(default_factory=tuple)
     #: The seed used by :meth:`random` (provenance; serialized along).
@@ -186,12 +188,6 @@ class NetFaultPlan:
                 )
             seen.add(slot)
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
-
     def for_worker(
         self, worker_id: int, generation: int = 0
     ) -> Tuple[NetFaultSpec, ...]:
@@ -201,12 +197,6 @@ class NetFaultPlan:
             for spec in self.specs
             if spec.worker_id == worker_id
             and spec.generation == generation
-        )
-
-    def at_round(self, round_number: int) -> Tuple[NetFaultSpec, ...]:
-        """All specs addressing one frame ordinal (trace emission)."""
-        return tuple(
-            spec for spec in self.specs if spec.round == round_number
         )
 
     # -- construction --------------------------------------------------------
@@ -282,49 +272,3 @@ class NetFaultPlan:
                     "frame-slot space is too small for the plan"
                 )
         return cls(specs=tuple(specs), seed=seed)
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-safe plain form (``--net-chaos`` files)."""
-        payload: Dict[str, object] = {
-            "net_faults": [spec.to_dict() for spec in self.specs]
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetFaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        if not isinstance(data, dict) or "net_faults" not in data:
-            raise FaultError(
-                "net fault plan must be an object with a 'net_faults' list"
-            )
-        return cls(
-            specs=tuple(
-                NetFaultSpec.from_dict(entry)
-                for entry in data["net_faults"]
-            ),
-            seed=data.get("seed"),
-        )
-
-    @classmethod
-    def load(cls, source: Union[str, Path]) -> "NetFaultPlan":
-        """Parse a plan from a JSON file path or an inline JSON string."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise FaultError(
-                f"invalid net-fault-plan JSON: {error}"
-            ) from error
-        return cls.from_dict(data)
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the plan as indented JSON; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path

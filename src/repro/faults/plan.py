@@ -121,9 +121,81 @@ class FaultSpec:
         )
 
 
+class _SpecPlan:
+    """What :class:`FaultPlan` and
+    :class:`~repro.faults.netplan.NetFaultPlan` share: a ``specs`` tuple
+    with its ``seed``, iterated, addressed by round and (de)serialized
+    the same way.  A subclass names its spec class, the JSON key its
+    specs live under, and what error messages call it.
+    """
+
+    _SPEC: type
+    _KEY: str
+    _NAME: str
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __iter__(self):
+        return iter(self.specs)
+
+    def at_round(self, round_number: int) -> tuple:
+        """All specs scheduled for one round ordinal (trace emission)."""
+        return tuple(
+            spec for spec in self.specs if spec.round == round_number
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-safe plain form (``--chaos`` / ``--net-chaos`` files)."""
+        payload: Dict[str, object] = {
+            self._KEY: [spec.to_dict() for spec in self.specs]
+        }
+        if self.seed is not None:
+            payload["seed"] = self.seed
+        return payload
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Inverse of :meth:`to_dict`."""
+        if not isinstance(data, dict) or cls._KEY not in data:
+            raise FaultError(
+                f"{cls._NAME} must be an object with a {cls._KEY!r} list"
+            )
+        return cls(
+            specs=tuple(
+                cls._SPEC.from_dict(entry) for entry in data[cls._KEY]
+            ),
+            seed=data.get("seed"),
+        )
+
+    @classmethod
+    def load(cls, source: Union[str, Path]):
+        """Parse a plan from a JSON file path or an inline JSON string."""
+        text = str(source)
+        if not text.lstrip().startswith("{"):
+            text = Path(source).read_text()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise FaultError(
+                f"invalid {cls._NAME.replace(' ', '-')} JSON: {error}"
+            ) from error
+        return cls.from_dict(data)
+
+    def save(self, path: Union[str, Path]) -> Path:
+        """Write the plan as indented JSON; returns the path."""
+        path = Path(path)
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        return path
+
+
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(_SpecPlan):
     """An immutable, addressable collection of :class:`FaultSpec` entries."""
+
+    _SPEC = FaultSpec
+    _KEY = "faults"
+    _NAME = "fault plan"
 
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
     #: The seed used by :meth:`random` (informational; kept so a fuzzed
@@ -156,12 +228,6 @@ class FaultPlan:
                     "suppresses the send a post_report kill fires after"
                 )
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
-
     def for_slave(
         self, slave_id: int, generation: int = 0
     ) -> Tuple[FaultSpec, ...]:
@@ -170,12 +236,6 @@ class FaultPlan:
             spec
             for spec in self.specs
             if spec.slave_id == slave_id and spec.generation == generation
-        )
-
-    def at_round(self, round_number: int) -> Tuple[FaultSpec, ...]:
-        """All specs scheduled for one master round (trace emission)."""
-        return tuple(
-            spec for spec in self.specs if spec.round == round_number
         )
 
     # -- construction --------------------------------------------------------
@@ -249,44 +309,3 @@ class FaultPlan:
                     "is too small for the requested plan"
                 )
         return cls(specs=tuple(specs), seed=seed)
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-safe plain form (``--chaos`` files)."""
-        payload: Dict[str, object] = {
-            "faults": [spec.to_dict() for spec in self.specs]
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        if not isinstance(data, dict) or "faults" not in data:
-            raise FaultError("fault plan must be an object with a 'faults' list")
-        return cls(
-            specs=tuple(
-                FaultSpec.from_dict(entry) for entry in data["faults"]
-            ),
-            seed=data.get("seed"),
-        )
-
-    @classmethod
-    def load(cls, source: Union[str, Path]) -> "FaultPlan":
-        """Parse a plan from a JSON file path or an inline JSON string."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise FaultError(f"invalid fault-plan JSON: {error}") from error
-        return cls.from_dict(data)
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the plan as indented JSON; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path

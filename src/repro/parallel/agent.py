@@ -42,6 +42,7 @@ from repro.parallel.transport import (
     HEARTBEAT_ACK_TAG,
     FrameSequencer,
     _writer_fd,
+    close_event_loop,
     encode_frame,
     fork_safe_process,
     is_heartbeat,
@@ -171,14 +172,7 @@ class HostAgent:
         try:
             loop.run_until_complete(self._run_slots())
         finally:
-            to_cancel = asyncio.all_tasks(loop)
-            for task in to_cancel:
-                task.cancel()
-            if to_cancel:
-                loop.run_until_complete(
-                    asyncio.gather(*to_cancel, return_exceptions=True)
-                )
-            loop.close()
+            close_event_loop(loop)
             self._loop = None
             self._done.set()
 
@@ -414,60 +408,58 @@ class HostAgent:
         reap_process(process, timeout=10.0)
 
 
-def main(argv=None) -> int:
-    """``python -m repro.parallel.agent`` / ``repro agent`` entry."""
-    parser = argparse.ArgumentParser(
-        prog="repro agent",
-        description=(
-            "Host remote workers for a repro master "
-            "(--backend remote)."
-        ),
-    )
+def add_agent_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the agent's flags: on this module's own parser and on the
+    ``repro agent`` subcommand alike."""
     parser.add_argument(
         "address", help="master transport address, HOST:PORT"
     )
     parser.add_argument(
-        "--slots", type=int, default=os.cpu_count() or 1,
+        "--slots", type=int, metavar="N", default=os.cpu_count() or 1,
         help="worker slots to offer (default: CPU count)",
     )
     parser.add_argument(
-        "--transport-key", default=None,
+        "--transport-key", metavar="KEY", default=None,
         help="shared fleet key (must match the master's)",
     )
     parser.add_argument(
         "--context", default="fork",
-        help="multiprocessing start method for workers",
+        help="multiprocessing start method for workers (default: fork)",
     )
     parser.add_argument(
-        "--reconnect-delay", type=float, default=0.2,
-        help="base seconds of the re-dial backoff",
+        "--reconnect-delay", type=float, metavar="SECONDS", default=0.2,
+        help="base seconds of the re-dial backoff (default: 0.2)",
     )
     parser.add_argument(
-        "--reconnect-cap", type=float, default=30.0,
-        help="ceiling of the exponential re-dial backoff",
+        "--reconnect-cap", type=float, metavar="SECONDS", default=30.0,
+        help="ceiling of the exponential re-dial backoff (default: 30)",
     )
     parser.add_argument(
-        "--backoff-seed", type=int, default=0,
+        "--backoff-seed", type=int, metavar="SEED", default=0,
         help=(
             "seed for the deterministic re-dial jitter (give each "
-            "agent host a distinct value to spread probes)"
+            "agent its own so probes spread instead of dialing in "
+            "lockstep)"
         ),
     )
     parser.add_argument(
-        "--max-redial", type=int, default=None,
+        "--max-redial", type=int, metavar="N", default=None,
         help=(
-            "give a slot up after this many consecutive failed dial "
-            "attempts (default: retry forever)"
+            "consecutive failed dials a slot tolerates before giving "
+            "up (default: retry forever)"
         ),
     )
     parser.add_argument(
-        "--idle-exit", type=float, default=None,
+        "--idle-exit", type=float, metavar="SECONDS", default=None,
         help=(
             "exit after this many seconds without hosting a worker "
             "(useful in CI; default: run forever)"
         ),
     )
-    options = parser.parse_args(argv)
+
+
+def run_agent(options: argparse.Namespace) -> int:
+    """Run one agent as the parsed ``options`` describe, until it ends."""
     address = parse_address(options.address)
     agent = HostAgent(
         address,
@@ -502,6 +494,19 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def main(argv=None) -> int:
+    """``python -m repro.parallel.agent`` entry."""
+    parser = argparse.ArgumentParser(
+        prog="repro agent",
+        description=(
+            "Host remote workers for a repro master "
+            "(--backend remote)."
+        ),
+    )
+    add_agent_arguments(parser)
+    return run_agent(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

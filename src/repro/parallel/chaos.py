@@ -201,18 +201,10 @@ class ChaosEndpoint(WorkerEndpoint):
         )
 
     def recv(self) -> object:
-        while True:
-            self._pump()
-            self._release_due()
-            if self._ready:
-                return self._ready.popleft()
-            if self._error is not None:
-                raise self._error
-            due = self._next_due()
-            if due is not None:
-                self.inner.poll(max(due - time.monotonic(), 0.001))
-            else:
-                self.inner.poll(None)
+        self.poll(None)  # returns once a message or the error is in
+        if self._ready:
+            return self._ready.popleft()
+        raise self._error
 
     def poll(self, timeout: Optional[float] = None) -> bool:
         deadline = (
@@ -244,6 +236,11 @@ class ChaosEndpoint(WorkerEndpoint):
             for (direction, round_number), spec in self._faults.items()
         )
         return described
+
+
+def _inner(endpoint):
+    """The wrapped transport's own endpoint behind ``endpoint``."""
+    return endpoint.inner if isinstance(endpoint, ChaosEndpoint) else endpoint
 
 
 class ChaosTransport(Transport):
@@ -323,12 +320,7 @@ class ChaosTransport(Transport):
             if dues:
                 slices.append(max(min(dues) - time.monotonic(), 0.001))
             self.inner.wait(
-                [
-                    endpoint.inner
-                    if isinstance(endpoint, ChaosEndpoint)
-                    else endpoint
-                    for endpoint in endpoints
-                ],
+                [_inner(endpoint) for endpoint in endpoints],
                 timeout=min(slices) if slices else None,
             )
 
@@ -339,21 +331,10 @@ class ChaosTransport(Transport):
         return self.inner.wait_for_capacity(timeout)
 
     def reap(self, endpoint) -> None:
-        self.inner.reap(
-            endpoint.inner
-            if isinstance(endpoint, ChaosEndpoint)
-            else endpoint
-        )
+        self.inner.reap(_inner(endpoint))
 
     def shutdown(self, endpoints) -> None:
-        self.inner.shutdown(
-            [
-                endpoint.inner
-                if isinstance(endpoint, ChaosEndpoint)
-                else endpoint
-                for endpoint in endpoints
-            ]
-        )
+        self.inner.shutdown([_inner(endpoint) for endpoint in endpoints])
 
     def close(self) -> None:
         self.inner.close()

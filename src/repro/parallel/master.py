@@ -8,13 +8,13 @@ Protocol (Fig. 3):
    the experiment under a unique seed and runs its own warm-up +
    calibration (lag only — the scheme is imposed);
 3. slaves measure in chunks, reporting bin-count *deltas* since their
-   previous report (or full histograms with ``delta_reports=False``);
+   previous report;
 4. the master folds each delta into persistent merged histograms and
    signals stop as soon as the merged (aggregate) sample satisfies
    Eqs. 2-3;
 5. final estimates are read off the merged histograms.
 
-Chunk sizes grow geometrically per round (``adaptive_chunking``): early
+Chunk sizes grow geometrically per round up to ``max_chunk_size``: early
 rounds stay small so convergence is detected promptly on easy targets,
 later rounds amortize the report/merge overhead on hard ones.  The
 master computes the schedule and runs the same loop whatever carries
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -74,7 +75,6 @@ from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
     CAUSE_DEADLINE_EXCEEDED,
     CAUSE_FLEET_EXHAUSTED,
-    CAUSE_HEARTBEAT_TIMEOUT,
     CAUSE_INJECTED,
     CAUSE_PIPE_CLOSED,
     CAUSE_SEND_FAILED,
@@ -92,8 +92,8 @@ from repro.parallel.transport import (
     Transport,
     TransportCapacityError,
     WorkerEndpoint,
+    collect_replies,
     disconnect_cause,
-    recv_message,
 )
 
 
@@ -159,7 +159,6 @@ class _SlaveSession:
         schemes,
         max_events_per_chunk,
         slave_id,
-        delta_reports,
         faults=(),
         replay=(),
         round_offset=0,
@@ -170,7 +169,7 @@ class _SlaveSession:
         )
         self.max_events_per_chunk = max_events_per_chunk
         self.slave_id = slave_id
-        self.tracker = DeltaTracker() if delta_reports else None
+        self.tracker = DeltaTracker()
         self.injector = FaultInjector(faults, **host)
         self.round_number = round_offset
         self.baseline: Optional[SlaveReport] = None
@@ -188,17 +187,14 @@ class _SlaveSession:
             if statistic.histogram is not None:
                 histograms[statistic.name] = statistic.histogram.to_payload()
             lags[statistic.name] = statistic.lag
-        if self.tracker is not None:
-            histograms = self.tracker.delta_histograms(histograms)
         probe = experiment.simulation.probe
         return SlaveReport(
             slave_id=self.slave_id,
-            histograms=histograms,
+            histograms=self.tracker.delta_histograms(histograms),
             events_processed=experiment.simulation.events_processed,
             sim_time=experiment.simulation.now,
             total_accepted=experiment.stats.total_accepted,
             lags=lags,
-            delta=self.tracker is not None,
             digest=probe.snapshot() if probe is not None else None,
         )
 
@@ -507,19 +503,12 @@ class ParallelSimulation:
         and master schedule, so merged digests are bit-identical.
     chunk_size:
         Accepted observations per slave in the first round between
-        merges (rounds grow geometrically under ``adaptive_chunking``).
+        merges; later rounds double it up to ``max_chunk_size``.
     max_rounds:
         Safety bound on measure/merge rounds.
-    delta_reports:
-        When True (default) slaves ship per-round histogram deltas and
-        the master accumulates incrementally; False restores full-state
-        reports (the A/B configuration — final estimates agree to float
-        tolerance either way).
-    adaptive_chunking:
-        When True (default) the per-round chunk doubles each round up to
-        ``max_chunk_size``; False keeps every round at ``chunk_size``.
     max_chunk_size:
-        Cap for adaptive growth; defaults to ``16 * chunk_size``.
+        Cap for the geometric growth; defaults to ``16 * chunk_size``
+        (``max_chunk_size=chunk_size`` keeps every round constant).
     round_timeout:
         Per-round recv deadline in host seconds.  A slave that produces
         no report within the deadline is marked dead with cause
@@ -567,8 +556,6 @@ class ParallelSimulation:
         backend: str = "serial",
         max_rounds: int = 10_000,
         max_events_per_chunk: int = 10_000_000,
-        delta_reports: bool = True,
-        adaptive_chunking: bool = True,
         max_chunk_size: Optional[int] = None,
         round_timeout: Optional[float] = 600.0,
         respawn: Optional[RespawnPolicy] = None,
@@ -611,8 +598,6 @@ class ParallelSimulation:
         self.backend = backend
         self.max_rounds = max_rounds
         self.max_events_per_chunk = max_events_per_chunk
-        self.delta_reports = delta_reports
-        self.adaptive_chunking = adaptive_chunking
         self.max_chunk_size = (
             max_chunk_size if max_chunk_size is not None else 16 * chunk_size
         )
@@ -681,23 +666,22 @@ class ParallelSimulation:
                 phase=spec.phase,
             )
 
-    def _merge_round(self, merged, reports, schemes, round_number: int):
-        """One reduce step, traced as a ``master/merge`` span when possible."""
+    def _merge_round(self, merged, reports, round_number: int) -> None:
+        """One reduce step: fold the round's delta reports into ``merged``
+        in place, traced as a ``master/merge`` span when possible."""
         tracer = self._tracer
-
-        def reduce():
-            if self.delta_reports:
-                self._accumulate_reports(merged, reports)
-                return merged
-            return self._merge_reports(reports, schemes)
-
-        if tracer is not None and tracer.has_clock:
-            with tracer.span(
+        span = (
+            tracer.span(
                 "merge", component="master",
                 round=round_number, reports=len(reports),
-            ):
-                return reduce()
-        return reduce()
+            )
+            if tracer is not None and tracer.has_clock
+            else nullcontext()
+        )
+        with span:
+            for report in reports:
+                for name, payload in report.histograms.items():
+                    merged[name].merge_payload(payload)
 
     def _round_chunk(self, round_number: int) -> int:
         """Accepted-observation quota per slave for one round (1-based).
@@ -705,8 +689,6 @@ class ParallelSimulation:
         Geometric growth capped at ``max_chunk_size``; computed by the
         master so every backend follows the identical schedule.
         """
-        if not self.adaptive_chunking:
-            return self.chunk_size
         grown = self.chunk_size << min(round_number - 1, 60)
         return min(grown, self.max_chunk_size)
 
@@ -734,27 +716,12 @@ class ParallelSimulation:
         return master, schemes, targets
 
     @staticmethod
-    def _merge_reports(
-        reports: List[SlaveReport], schemes: Dict[str, tuple]
-    ) -> Dict[str, Histogram]:
-        """Full re-merge from full-state reports (delta_reports=False)."""
-        merged: Dict[str, Histogram] = {}
-        for name, payload in schemes.items():
-            merged[name] = Histogram(scheme_from_payload(payload))
-        for report in reports:
-            for name in schemes:
-                if name in report.histograms:
-                    merged[name].merge(report.histogram(name))
-        return merged
-
-    @staticmethod
-    def _accumulate_reports(
-        merged: Dict[str, Histogram], reports: List[SlaveReport]
-    ) -> None:
-        """Incremental reduce: fold one round of delta reports in place."""
-        for report in reports:
-            for name, payload in report.histograms.items():
-                merged[name].merge_payload(payload)
+    def _empty_merged(schemes: Dict[str, tuple]) -> Dict[str, Histogram]:
+        """The merged histograms before any report: one per metric."""
+        return {
+            name: Histogram(scheme_from_payload(payload))
+            for name, payload in schemes.items()
+        }
 
     @staticmethod
     def _all_converged(
@@ -930,9 +897,9 @@ class ParallelSimulation:
             master_seed=self.master_seed,
             n_slaves=self.n_slaves,
             chunk_size=self.chunk_size,
-            adaptive_chunking=self.adaptive_chunking,
+            adaptive_chunking=True,
             max_chunk_size=self.max_chunk_size,
-            delta_reports=self.delta_reports,
+            delta_reports=True,
             round=round_number,
             master_events=self._master_events,
             schemes=dict(schemes),
@@ -973,14 +940,20 @@ class ParallelSimulation:
         self._trace_event("checkpoint", round=round_number)
 
     def _validate_resume(self, state: CheckpointState) -> None:
-        """A checkpoint must match this run's deterministic schedule."""
+        """A checkpoint must match this run's deterministic schedule.
+
+        ``adaptive_chunking`` and ``delta_reports`` were options once;
+        a file written with either off followed a schedule (or merged a
+        report form) this master no longer has, so it is refused rather
+        than resumed onto a different one.
+        """
         expected = {
             "master_seed": self.master_seed,
             "n_slaves": self.n_slaves,
             "chunk_size": self.chunk_size,
-            "adaptive_chunking": self.adaptive_chunking,
+            "adaptive_chunking": True,
             "max_chunk_size": self.max_chunk_size,
-            "delta_reports": self.delta_reports,
+            "delta_reports": True,
         }
         for key, value in expected.items():
             found = getattr(state, key)
@@ -1108,7 +1081,6 @@ class ParallelSimulation:
                 schemes,
                 self.max_events_per_chunk,
                 slave_id,
-                self.delta_reports,
                 self.fault_plan.for_slave(slave_id, generation)
                 if self.fault_plan is not None
                 else (),
@@ -1137,7 +1109,7 @@ class ParallelSimulation:
         rounds = resume.round if resume is not None else 0
         slaves: Dict[int, WorkerEndpoint] = {}
         reports: List[SlaveReport] = []
-        merged: Dict[str, Histogram] = self._merge_reports([], schemes)
+        merged: Dict[str, Histogram] = self._empty_merged(schemes)
         if resume is not None:
             for name, payload in resume.merged.items():
                 merged[name] = Histogram.from_payload(payload)
@@ -1175,16 +1147,17 @@ class ParallelSimulation:
                         replay=book.work_log[slave_id], round_offset=rounds,
                     )
             replayed = [i for i in sorted(slaves) if book.work_log[i]]
-            if replayed:
-                deadline = None
-                if self.round_timeout is not None:
-                    deadline = time.monotonic() + self.round_timeout * max(
-                        len(book.work_log[i]) for i in replayed
-                    )
-                for slave_id in replayed:
-                    baseline, cause = recv_message(
-                        slaves[slave_id], CAUSE_PIPE_CLOSED, deadline
-                    )
+            deadline = None
+            if replayed and self.round_timeout is not None:
+                deadline = time.monotonic() + self.round_timeout * max(
+                    len(book.work_log[i]) for i in replayed
+                )
+            outstanding = {i: (slaves[i], deadline) for i in replayed}
+            while outstanding:
+                for slave_id, baseline, cause in collect_replies(
+                    transport, outstanding, CAUSE_PIPE_CLOSED
+                ):
+                    del outstanding[slave_id]
                     if cause is not None:
                         raise ParallelError(
                             f"slave {slave_id} is gone: died during "
@@ -1208,63 +1181,37 @@ class ParallelSimulation:
                 self._trace_scheduled_faults(rounds)
                 commanded.clear()
                 dead_this_round.clear()
-                pending: List[int] = []
+                sent: List[int] = []
                 for slave_id in sorted(slaves):
                     commanded[slave_id] = book.command_quota(slave_id, chunk)
                     try:
                         slaves[slave_id].send(("chunk", commanded[slave_id]))
-                        pending.append(slave_id)
+                        sent.append(slave_id)
                     except (BrokenPipeError, OSError) as error:
                         lose(slave_id, disconnect_cause(
                             error, f"{CAUSE_SEND_FAILED}: {error}"
                         ))
-                reports = []
                 deadline = (
                     time.monotonic() + self.round_timeout
                     if self.round_timeout is not None
                     else None
                 )
-                # Wait on every outstanding endpoint at once: a single
-                # hung slave must not consume the other slaves' share of
-                # the round deadline (sequential recvs would poll the
-                # slaves after it with ~0 time left and falsely declare
-                # them dead).  Any report that arrives within the round
-                # window counts, whatever the arrival order.
+                outstanding = {
+                    slave_id: (slaves[slave_id], deadline)
+                    for slave_id in sent
+                }
+                reports = []
+                # Every outstanding slave shares the round deadline and
+                # is waited on at once: a single hung slave must not
+                # consume the others' share of it, and any report that
+                # arrives within the round window counts, whatever the
+                # arrival order.
                 received: Dict[int, object] = {}
-                while pending:
-                    remaining = (
-                        max(0.0, deadline - time.monotonic())
-                        if deadline is not None
-                        else None
-                    )
-                    ready = transport.wait(
-                        [slaves[slave_id] for slave_id in pending],
-                        timeout=remaining,
-                    )
-                    if not ready:
-                        # Round deadline expired with reports missing:
-                        # everyone still pending is hung.
-                        for slave_id in pending:
-                            lose(slave_id, CAUSE_HEARTBEAT_TIMEOUT)
-                        break
-                    for endpoint in ready:
-                        # Dispatch by endpoint identity — no id()-keyed
-                        # connection map that a recycled allocation
-                        # could alias.  A stale readiness signal for a
-                        # slave dropped within this drain simply skips.
-                        slave_id = endpoint.worker_id
-                        if (
-                            slave_id not in pending
-                            or slaves.get(slave_id) is not endpoint
-                        ):
-                            continue
-                        pending.remove(slave_id)
-                        # A dead slave closes or resets its pipe end;
-                        # liveness timeouts and corrupt frames keep
-                        # their own cause codes.
-                        report, cause = recv_message(
-                            endpoint, CAUSE_PIPE_CLOSED
-                        )
+                while outstanding:
+                    for slave_id, report, cause in collect_replies(
+                        transport, outstanding, CAUSE_PIPE_CLOSED
+                    ):
+                        del outstanding[slave_id]
                         if cause is not None:
                             lose(slave_id, cause)
                         else:
@@ -1287,7 +1234,7 @@ class ParallelSimulation:
                     transport.reap(endpoint)
                     dead.append(slave_id)
                 self._trace_round(rounds, reports)
-                merged = self._merge_round(merged, reports, schemes, rounds)
+                self._merge_round(merged, reports, rounds)
                 converged = self._all_converged(merged, targets)
                 if self._progress is not None:
                     self._progress.parallel_update(rounds, merged, targets)

@@ -1,31 +1,32 @@
-"""An in-memory fake transport: the remote wire model without sockets.
+"""The in-memory transport: the remote frame pipeline without sockets.
 
 :class:`InMemoryTransport` runs workers as daemon *threads* inside the
-master process, but models the remote transport's frame pipeline
-faithfully — per-connection sequence stamping and dedup, an emulated
-agent bridge that acks heartbeats independently of the worker, channel
-close reasons, and per-direction blackhole flags — so the network-chaos
+master process behind the very channel, endpoint and ``wait`` the
+remote transport uses (``_FramedChannel`` / ``FramedEndpoint`` /
+``_FramedTransport`` in :mod:`repro.parallel.transport`): sequence
+stamping and master-side dedup (``set_raw_delivery`` for chaos
+wrappers), close reasons, per-direction blackholes and the liveness
+stamp are that shared code, not a model of it.  So the network-chaos
 and liveness machinery (:mod:`repro.parallel.chaos`, heartbeat
 monitoring) can be exercised in fast, socket-free unit tests with the
 exact schedule a loopback :class:`~repro.parallel.transport.RemoteTransport`
 would see.
 
-What is modeled:
+What this module adds is the carrier — what stands in for the agent
+process and its TCP connection:
 
-- Worker -> master messages are sequence-stamped by the emulated
-  bridge; master-side dedup lives on the channel (disable via
-  ``set_raw_delivery`` for chaos wrappers), mirroring the agent bridge
-  and ``_AgentChannel`` on the remote path.
-- Master -> worker frames pass bridge-side dedup before reaching the
-  worker's connection, so a duplicated command never runs twice.
-- With ``heartbeat_interval`` set, a monitor thread plays the master's
+- an emulated agent bridge: worker -> master messages are
+  sequence-stamped, master -> worker frames pass bridge-side dedup
+  before reaching the worker's connection, so a duplicated command
+  never runs twice;
+- with ``heartbeat_interval`` set, a monitor thread plays the master's
   ping loop: a live, un-partitioned channel acks every interval (the
   bridge acks even while the worker is busy — no false positive on a
   slow worker), and a channel silent past ``interval * misses`` closes
-  with reason ``"liveness timeout"``.
-- ``set_partition("in"/"out")`` blackholes one direction *below* the
-  heartbeat layer — data and acks/pings alike — reproducing a half-open
-  link that only liveness monitoring can detect.
+  with reason ``"liveness timeout"``; ``set_partition("in"/"out")``
+  blackholes one direction *below* that layer — data and acks/pings
+  alike — reproducing a half-open link only liveness monitoring can
+  detect.
 
 Workers run real entry functions (``_process_slave_main``,
 ``_pool_worker_main``) against a Connection-like object, so digest
@@ -37,14 +38,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.parallel.transport import (
     CLOSE_LIVENESS,
+    FramedEndpoint,
     FrameSequencer,
-    Transport,
-    WorkerEndpoint,
-    raise_for_close,
+    _FramedChannel,
+    _FramedTransport,
 )
 
 
@@ -56,6 +57,9 @@ class _WorkerConn:
         self._cond = threading.Condition()
         self._items: Deque[object] = deque()
         self._closed = False
+
+    def _ready(self) -> bool:
+        return bool(self._items) or self._closed
 
     # -- master/bridge side --------------------------------------------------
 
@@ -79,180 +83,68 @@ class _WorkerConn:
 
     def recv(self) -> object:
         with self._cond:
-            while not self._items and not self._closed:
-                self._cond.wait()
+            self._cond.wait_for(self._ready)
             if self._items:
                 return self._items.popleft()
         raise EOFError("connection closed")
 
     def poll(self, timeout: Optional[float] = None) -> bool:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._cond:
-            while not self._items and not self._closed:
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
+            return self._cond.wait_for(self._ready, timeout)
 
     def close(self) -> None:
-        self.shut()
-        self._channel.mark_closed()
+        self._channel.teardown()
 
 
-class _MemoryChannel:
-    """Master-side state for one in-memory worker connection.
+class _MemoryChannel(_FramedChannel):
+    """One worker thread behind the emulated agent bridge.
 
-    The structural twin of ``_AgentChannel``: inbox + closed flag +
-    close reason + dedup sequencer under the transport's condition
-    variable, plus the emulated bridge (out-stamping of worker sends,
-    in-dedup of master commands) and the partition blackhole flags.
+    The carrier half of the channel: the bridge's own sequencers
+    (out-stamping of worker sends, in-dedup of master commands) and the
+    worker's connection.  Inbox, dedup, close reasons and blackhole
+    flags are the shared :class:`_FramedChannel`.
     """
 
-    def __init__(self, transport: "InMemoryTransport", worker_id: int,
+    closed_text = "in-memory worker {} channel is closed"
+
+    def __init__(self, cond: threading.Condition, worker_id: int,
                  generation: int):
-        self.transport = transport
+        super().__init__(cond)
         self.worker_id = worker_id
         self.generation = generation
-        self.inbox: Deque[object] = deque()
-        self.closed = False
-        self.close_reason: Optional[str] = None
-        self.dedup = True
-        self.sequencer = FrameSequencer()       # master-side in-dedup
         self.bridge_out = FrameSequencer()      # bridge stamps worker sends
         self.bridge_in = FrameSequencer()       # bridge dedups commands
-        self.blackhole_in = False
-        self.blackhole_out = False
-        self.last_ack = time.monotonic()
         self.conn = _WorkerConn(self)
         self.thread: Optional[threading.Thread] = None
 
-    # -- frame pipeline ------------------------------------------------------
-
-    def to_worker(self, frame: object) -> None:
+    def transmit(self, frame: object) -> None:
         """One master->worker frame through the emulated bridge."""
         if self.blackhole_out:
             return
         accepted, message = self.bridge_in.accept(frame)
-        if not accepted:
-            return
-        self.conn.deliver(message)
+        if accepted:
+            self.conn.deliver(message)
 
     def from_worker(self, obj: object) -> None:
-        """One worker send, bridge-stamped, onto the master inbox."""
+        """One worker send, bridge-stamped, onto the master inbox.
+
+        A closed channel is a closed socket: the bridge has nowhere to
+        write, so the worker's later sends vanish.
+        """
         frame = self.bridge_out.stamp(obj)
-        if self.blackhole_in:
-            return
-        self.push(frame)
+        with self.cond:
+            if not (self.blackhole_in or self.closed):
+                self.push(frame)
 
-    def push(self, frame: object) -> None:
-        with self.transport._cond:
-            if self.closed:
-                return
-            if self.dedup:
-                accepted, message = self.sequencer.accept(frame)
-                if not accepted:
-                    return
-                self.inbox.append(message)
-            else:
-                self.inbox.append(frame)
-            self.transport._cond.notify_all()
-
-    def mark_closed(self, reason: Optional[str] = None) -> None:
-        with self.transport._cond:
-            if reason is not None and self.close_reason is None:
-                self.close_reason = reason
-            self.closed = True
-            self.transport._cond.notify_all()
-
-
-class InMemoryEndpoint(WorkerEndpoint):
-    """One in-memory worker incarnation (thread behind a fake bridge)."""
-
-    def __init__(self, channel: _MemoryChannel):
-        self.channel = channel
-        self.worker_id = channel.worker_id
-        self.generation = channel.generation
-        self._out_sequencer = FrameSequencer()
-
-    def stamp(self, message: object) -> object:
-        return self._out_sequencer.stamp(message)
-
-    def send_frame(self, frame: object) -> None:
-        if self.channel.closed:
-            raise BrokenPipeError(
-                f"in-memory worker {self.worker_id} channel is closed"
-            )
-        self.channel.to_worker(frame)
-
-    def send(self, message: object) -> None:
-        self.send_frame(self.stamp(message))
-
-    def recv(self) -> object:
-        return self.recv_raw()
-
-    def recv_raw(self) -> object:
-        cond = self.channel.transport._cond
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                cond.wait()
-            if self.channel.inbox:
-                return self.channel.inbox.popleft()
-        raise_for_close(self.channel.close_reason, self.worker_id)
-
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        cond = self.channel.transport._cond
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                if deadline is None:
-                    cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                cond.wait(remaining)
-            return True
-
-    def close(self) -> None:
-        self.channel.conn.shut()
-        self.channel.mark_closed()
-
-    def set_raw_delivery(self, raw: bool) -> bool:
-        with self.channel.transport._cond:
-            self.channel.dedup = not raw
-        return True
-
-    def set_partition(self, direction: str) -> bool:
-        with self.channel.transport._cond:
-            if direction == "in":
-                self.channel.blackhole_in = True
-            else:
-                self.channel.blackhole_out = True
-        return True
-
-    def inject_close(self, reason: Optional[str] = None) -> bool:
-        """Tear the channel down as the chaos layer's crash primitive."""
-        self.channel.conn.shut()
-        self.channel.mark_closed(reason)
-        return True
+    def teardown(self) -> None:
+        self.conn.shut()
+        self.mark_closed()
 
     def describe(self) -> dict:
-        return {
-            "transport": "memory",
-            "worker": self.worker_id,
-            "generation": self.generation,
-        }
+        return {"transport": "memory"}
 
 
-class InMemoryTransport(Transport):
+class InMemoryTransport(_FramedTransport):
     """Thread-backed fake of the remote transport's frame pipeline.
 
     Parameters
@@ -273,10 +165,7 @@ class InMemoryTransport(Transport):
         heartbeat_interval: Optional[float] = None,
         heartbeat_misses: int = 3,
     ):
-        super().__init__()
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
-        self._cond = threading.Condition()
+        super().__init__(heartbeat_interval, heartbeat_misses)
         self._channels: List[_MemoryChannel] = []
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -321,7 +210,7 @@ class InMemoryTransport(Transport):
 
     def spawn(self, worker_id, generation, entry, args, timeout=None):
         self.start()
-        channel = _MemoryChannel(self, worker_id, generation)
+        channel = _MemoryChannel(self._cond, worker_id, generation)
 
         def run_worker():
             try:
@@ -344,28 +233,7 @@ class InMemoryTransport(Transport):
             "spawn", backend="memory", worker=worker_id,
             generation=generation,
         )
-        return InMemoryEndpoint(channel)
-
-    def wait(self, endpoints, timeout=None):
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with self._cond:
-            while True:
-                ready = [
-                    endpoint
-                    for endpoint in endpoints
-                    if endpoint.channel.inbox or endpoint.channel.closed
-                ]
-                if ready:
-                    return ready
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                self._cond.wait(remaining)
+        return FramedEndpoint(channel, worker_id, generation)
 
     def capacity(self) -> int:
         # Threads are always spawnable, like forks on the local
@@ -399,5 +267,4 @@ class InMemoryTransport(Transport):
             channels = list(self._channels)
             self._channels.clear()
         for channel in channels:
-            channel.conn.shut()
-            channel.mark_closed()
+            channel.teardown()

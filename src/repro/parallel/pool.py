@@ -26,30 +26,34 @@ transports let workers join and leave mid-run: a vacated slot returns
 to the join queue instead of permanently degrading the fleet, and new
 agents are admitted between drains up to ``n_workers``.
 
-Fault tolerance mirrors the master's contract: every recv carries a
-deadline, every death gets a machine-readable cause code from
-:mod:`repro.parallel.protocol`, a dead worker's in-flight point is
+Fault tolerance mirrors the master's contract and shares its code:
+results are collected by the same turn
+(:func:`~repro.parallel.transport.collect_replies`: every in-flight job
+carries a deadline, every death gets a machine-readable cause code from
+:mod:`repro.parallel.protocol`), a dead worker's in-flight point is
 requeued (a death costs one point's recompute, not the sweep), and a
 :class:`~repro.faults.recovery.RespawnPolicy` replaces the worker under
-a fresh generation.  Respawn backoff never blocks the scheduling loop:
-a condemned worker is given a *due time* which is folded into the
-result-wait timeout, so healthy workers keep reporting while a
-replacement waits out its backoff.  A seeded
+a fresh generation.  What differs from the master on purpose is respawn
+timing: job order is not part of any result, so backoff never blocks
+the scheduling loop — a condemned worker is given a *due time* which is
+folded into the collection turn's wake-up, and healthy workers keep
+reporting while a replacement waits out its backoff.  A seeded
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
-for chaos tests; ``round`` in a spec addresses the n-th configure of
-one worker incarnation (1-based).
+for chaos tests, executed worker-side by the same
+:class:`~repro.faults.injector.FaultInjector` as a master slave's;
+``round`` in a spec addresses the n-th configure of one worker
+incarnation (1-based).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.faults.injector import KILL_EXIT_STATUS
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.faults.recovery import (
     RespawnPolicy,
     SupervisionError,
@@ -60,7 +64,6 @@ from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
     CAUSE_DEADLINE_EXCEEDED,
     CAUSE_FLEET_EXHAUSTED,
-    CAUSE_HEARTBEAT_TIMEOUT,
     CAUSE_PIPE_CLOSED,
     CAUSE_SEND_FAILED,
     CAUSE_WORKER_LEFT,
@@ -71,7 +74,7 @@ from repro.parallel.transport import (
     Transport,
     TransportCapacityError,
     WorkerEndpoint,
-    recv_message,
+    collect_replies,
 )
 
 
@@ -95,19 +98,6 @@ class PoolJobError(PoolError):
 # -- worker-side fault execution ----------------------------------------------
 
 
-def _find_fault(
-    specs: Tuple[FaultSpec, ...], round_number: int, kind: str,
-    phase: Optional[str] = None,
-) -> Optional[FaultSpec]:
-    for spec in specs:
-        if spec.round != round_number or spec.kind != kind:
-            continue
-        if phase is not None and spec.phase != phase:
-            continue
-        return spec
-    return None
-
-
 def corrupt_result(payload: dict) -> dict:
     """Deterministically mangle a result payload.
 
@@ -123,7 +113,13 @@ def corrupt_result(payload: dict) -> dict:
 
 
 def _pool_worker_main(conn, worker_id, runner, faults=()):
-    """One pool slave: configure → run → report, until told to stop."""
+    """One pool slave: configure → run → report, until told to stop.
+
+    ``faults`` is this incarnation's sub-plan, executed by the same
+    :class:`~repro.faults.injector.FaultInjector` hooks, in the same
+    order, as a master slave's rounds.
+    """
+    injector = FaultInjector(faults)
     rounds = 0
     while True:
         message = conn.recv()
@@ -138,12 +134,7 @@ def _pool_worker_main(conn, worker_id, runner, faults=()):
             raise PoolError(f"unknown pool command: {message!r}")
         _, job_id, job = message
         rounds += 1
-        if _find_fault(faults, rounds, "kill", phase="pre_run") is not None:
-            os._exit(KILL_EXIT_STATUS)
-        hang = _find_fault(faults, rounds, "hang")
-        if hang is not None:
-            # Worker-side injected hang: blocking is the fault itself.
-            time.sleep(hang.delay)  # simlint: disable=blocking-sleep-in-transport
+        injector.on_chunk_start(rounds)
         try:
             payload = runner(job)
         except Exception as error:  # simlint: disable=swallow-exception
@@ -151,15 +142,11 @@ def _pool_worker_main(conn, worker_id, runner, faults=()):
             # master, which raises PoolJobError with this context.
             conn.send(("error", job_id, f"{type(error).__name__}: {error}"))
             continue
-        if _find_fault(faults, rounds, "kill", phase="pre_report") is not None:
-            os._exit(KILL_EXIT_STATUS)
-        if _find_fault(faults, rounds, "drop_report") is not None:
-            continue  # silent: the master's deadline must catch it
-        if _find_fault(faults, rounds, "corrupt_payload") is not None:
-            payload = corrupt_result(payload)
-        conn.send(("result", job_id, payload))
-        if _find_fault(faults, rounds, "kill", phase="post_report") is not None:
-            os._exit(KILL_EXIT_STATUS)
+        payload = injector.filter_report(rounds, payload, corrupt_result)
+        # A dropped result is silent: the master's deadline must catch it.
+        if payload is not None:
+            conn.send(("result", job_id, payload))
+            injector.after_send(rounds)
 
 
 # -- master side --------------------------------------------------------------
@@ -300,11 +287,6 @@ class WorkerPool:
         if self.tracer is not None:
             self.tracer.event(name, component="pool", **fields)
 
-    def _worker_faults(self, worker_id: int, generation: int):
-        if self.fault_plan is None:
-            return ()
-        return self.fault_plan.for_slave(worker_id, generation)
-
     def _spawn(self, worker_id: int, timeout: Optional[float] = None) -> None:
         generation = self._generation.setdefault(worker_id, 0)
         endpoint = self.transport.spawn(
@@ -314,7 +296,9 @@ class WorkerPool:
             (
                 worker_id,
                 self.runner,
-                self._worker_faults(worker_id, generation),
+                self.fault_plan.for_slave(worker_id, generation)
+                if self.fault_plan is not None
+                else (),
             ),
             timeout=timeout,
         )
@@ -425,14 +409,12 @@ class WorkerPool:
                 # backoff stalls nobody.
                 self.transport.wait((), timeout=delay)
                 return True
-            if self.transport.capacity() > 0:
-                return True
-            return self.transport.wait_for_capacity(self.join_timeout)
-        if self._unbound and self.transport.elastic:
-            if self.transport.capacity() > 0:
-                return True
-            return self.transport.wait_for_capacity(self.join_timeout)
-        return False
+        elif not (self._unbound and self.transport.elastic):
+            return False
+        return (
+            self.transport.capacity() > 0
+            or self.transport.wait_for_capacity(self.join_timeout)
+        )
 
     # -- supervision ---------------------------------------------------------
 
@@ -483,15 +465,18 @@ class WorkerPool:
 
     # -- failure handling ----------------------------------------------------
 
-    def _eof_cause(self) -> str:
-        """Cause code for a dropped worker connection.
+    def _collect(self, busy: Dict[int, tuple], wake=None) -> List[tuple]:
+        """One collection turn over every worker with a job in flight.
 
         Over pipes an EOF means the forked worker died; over an elastic
         socket transport it usually means its host agent left the
         fleet, so the distinction is surfaced in the cause code.
         """
-        return (
-            CAUSE_WORKER_LEFT if self.transport.elastic else CAUSE_PIPE_CLOSED
+        return collect_replies(
+            self.transport,
+            {w: (self._workers[w], busy[w][1]) for w in sorted(busy)},
+            CAUSE_WORKER_LEFT if self.transport.elastic else CAUSE_PIPE_CLOSED,
+            wake,
         )
 
     def _condemn(
@@ -542,7 +527,9 @@ class WorkerPool:
         else:
             self.stats.failure_causes[worker_id] = cause
 
-    def _drain_busy(self, pending: deque, busy: Dict[int, tuple]) -> None:
+    def _drain_busy(
+        self, pending: deque, busy: Dict[int, tuple], replies=(),
+    ) -> None:
         """Absorb every in-flight report before :meth:`map` raises.
 
         When a job errors, ``map`` aborts — but other workers still owe
@@ -552,42 +539,22 @@ class WorkerPool:
         against its own jobs, and condemn perfectly healthy workers as
         corrupt.  So before raising we wait each straggler out (against
         its original deadline), discard its report, and condemn only
-        the ones that actually die or time out.
+        the ones that actually die or time out.  ``replies`` is what the
+        aborted turn had already read from other workers.
         """
         drained = 0
-        while busy:
-            deadlines = [d for _, d in busy.values() if d is not None]
-            remaining = (
-                max(0.0, min(deadlines) - time.monotonic())
-                if deadlines
-                else None
-            )
-            endpoints = [self._workers[w] for w in sorted(busy)]
-            ready = self.transport.wait(endpoints, timeout=remaining)
-            if not ready:
-                now = time.monotonic()
-                for worker_id in sorted(busy):
-                    deadline = busy[worker_id][1]
-                    if deadline is not None and now >= deadline:
-                        self._condemn(
-                            worker_id, CAUSE_HEARTBEAT_TIMEOUT, pending, busy
-                        )
-                continue
-            for endpoint in ready:
-                worker_id = endpoint.worker_id
-                if (
-                    self._workers.get(worker_id) is not endpoint
-                    or worker_id not in busy
-                ):
-                    continue
-                _, cause = recv_message(endpoint, self._eof_cause())
+        while True:
+            for worker_id, _, cause in replies:
                 if cause is not None:
                     self._condemn(worker_id, cause, pending, busy)
-                    continue
-                # Whatever the worker reported — result or error — the
-                # assignment is absorbed and the worker is idle again.
-                busy.pop(worker_id)
-                drained += 1
+                else:
+                    # Whatever the worker reported — result or error —
+                    # the assignment is absorbed and it is idle again.
+                    busy.pop(worker_id)
+                    drained += 1
+            if not busy:
+                break
+            replies = self._collect(busy)
         if drained:
             self._trace("drain", absorbed=drained)
 
@@ -649,66 +616,32 @@ class WorkerPool:
                 busy[worker_id] = (job, deadline)
             if not busy:
                 continue  # all survivors were condemned while feeding
-            # Wake for whichever comes first: a job deadline or a
-            # scheduled respawn becoming due.
+            # Besides the job deadlines, wake for a scheduled respawn
+            # becoming due.  One that is due but blocked on capacity
+            # (elastic lobby empty) is polled for, like newly joined
+            # agents while the fleet is under strength and there is
+            # work they could pull, rather than spun on.
             now = time.monotonic()
-            wake_points = [d for _, d in busy.values() if d is not None]
-            overdue = False
-            for due in self._respawn_due_times():
-                if due > now:
-                    wake_points.append(due)
-                else:
-                    # Due but blocked on capacity (elastic lobby empty);
-                    # poll rather than spin on a zero timeout.
-                    overdue = True
-            remaining = (
-                max(0.0, min(wake_points) - now) if wake_points else None
-            )
+            dues = self._respawn_due_times()
+            wakes = [due for due in dues if due > now]
+            overdue = len(wakes) < len(dues)
             if self.transport.elastic and pending and (
                 self._unbound or overdue
             ):
-                # Poll for newly joined agents while the fleet is
-                # under strength and there is work they could pull.
-                remaining = (
-                    0.5 if remaining is None else min(remaining, 0.5)
-                )
-            ready = self.transport.wait(
-                [self._workers[w] for w in sorted(busy)], timeout=remaining
-            )
-            if not ready:
-                now = time.monotonic()
-                for worker_id in sorted(busy):
-                    deadline = busy[worker_id][1]
-                    if deadline is not None and now >= deadline:
-                        self._condemn(
-                            worker_id, CAUSE_HEARTBEAT_TIMEOUT, pending, busy
-                        )
-                continue
-            for endpoint in ready:
-                # Dispatch by endpoint identity, never by id() of an
-                # underlying connection: a condemned worker's endpoint
-                # is popped from ``_workers``, so a stale readiness
-                # signal for it simply skips (the replacement, admitted
-                # only between drains, is a different object and can
-                # never inherit the old one's messages).
-                worker_id = endpoint.worker_id
-                if (
-                    self._workers.get(worker_id) is not endpoint
-                    or worker_id not in busy
-                ):
-                    continue
-                job = busy[worker_id][0]
-                message, cause = recv_message(endpoint, self._eof_cause())
+                wakes.append(now + 0.5)
+            replies = self._collect(busy, wake=min(wakes, default=None))
+            for consumed, (worker_id, message, cause) in enumerate(replies, 1):
                 if cause is not None:
                     self._condemn(worker_id, cause, pending, busy)
                     continue
+                job = busy[worker_id][0]
                 tag = message[0] if isinstance(message, tuple) else None
                 if tag == "error" and message[1] == job[0]:
                     # Deterministic job failure: absorb everyone else's
                     # in-flight reports first so the fleet is clean for
                     # the next map(), then surface the error.
                     busy.pop(worker_id)
-                    self._drain_busy(pending, busy)
+                    self._drain_busy(pending, busy, replies[consumed:])
                     raise PoolJobError(
                         f"job {message[1]!r} failed in worker "
                         f"{worker_id}: {message[2]}",

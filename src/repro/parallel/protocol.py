@@ -2,22 +2,17 @@
 
 Everything here is plain data (picklable, no live simulation state): the
 master broadcasts bin schemes + metric targets; slaves report their
-measurement progress each round in one of two forms:
+measurement progress each round as **deltas** — only the bin counts and
+moment sums accumulated *since the previous report*.  The master folds
+each delta into persistent merged histograms
+(:meth:`Histogram.merge_payload`), making per-round master work
+proportional to the round, not the run.  ``min_seen``/``max_seen`` are
+not delta-able and always travel as absolute running extrema; their
+min/max merge is idempotent, so repeating them every round is harmless.
 
-- **full reports** — the complete local histogram every round.
-  Idempotent (the master just re-sums), but both the wire payload and
-  the master's merge cost grow with the *cumulative* sample.
-- **delta reports** (default) — only the bin counts and moment sums
-  accumulated *since the previous report*.  The master folds each delta
-  into persistent merged histograms (:meth:`Histogram.merge_payload`),
-  making per-round master work proportional to the round, not the run.
-  ``min_seen``/``max_seen`` are not delta-able and always travel as
-  absolute running extrema; their min/max merge is idempotent, so
-  repeating them every round is harmless.
-
-Both forms produce identical merged integer bin counts; the float moment
-sums telescope (``Σ (sᵢ - sᵢ₋₁) = s_n``) up to rounding, so estimates
-agree to float tolerance.
+The merged integer bin counts equal what re-summing full histograms
+would give; the float moment sums telescope (``Σ (sᵢ - sᵢ₋₁) = s_n``)
+up to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.histogram import BinScheme, Histogram
+from repro.core.histogram import BinScheme
 from repro.core.statistic import Statistic
 
 
@@ -138,31 +133,22 @@ class MetricTargets:
 class SlaveReport:
     """One measurement-round report from a slave.
 
-    ``histograms`` maps metric name to a payload dict: the full local
-    histogram when ``delta`` is False, or only the counts/moments
-    accumulated since the previous report when ``delta`` is True.  The
-    scalar progress counters (``events_processed``, ``total_accepted``,
-    ``sim_time``) are always absolute.
+    ``histograms`` maps metric name to a delta payload: only the
+    counts/moments accumulated since the previous report (see
+    :func:`histogram_delta`).  The scalar progress counters
+    (``events_processed``, ``total_accepted``, ``sim_time``) are always
+    absolute.
     """
 
     slave_id: int
-    histograms: Dict[str, dict]  # name -> Histogram.to_payload() (or delta)
+    histograms: Dict[str, dict]  # name -> histogram_delta() payload
     events_processed: int
     sim_time: float
     total_accepted: int
     lags: Dict[str, Optional[int]] = field(default_factory=dict)
-    delta: bool = False
     #: Cumulative determinism digest (repro.analysis.sanitizer
     #: SanitizerDigest) when the slave runs sanitized, else None.
     digest: Optional[object] = None
-
-    def histogram(self, name: str) -> Histogram:
-        """Materialize one reported histogram (full reports only)."""
-        if self.delta:
-            raise ParallelError(
-                "cannot materialize a delta report as a standalone histogram"
-            )
-        return Histogram.from_payload(self.histograms[name])
 
 
 def histogram_delta(current: dict, previous: Optional[dict]) -> dict:

@@ -186,36 +186,30 @@ SEQ_TAG = "__seq__"
 HEARTBEAT_TAG = "__hb__"
 HEARTBEAT_ACK_TAG = "__hb_ack__"
 
-#: ``_AgentChannel.close_reason`` values recv maps to typed errors.
+#: ``_FramedChannel.close_reason`` values recv maps to typed errors.
 CLOSE_LIVENESS = "liveness timeout"
 CLOSE_CORRUPT = "corrupt frame"
 
 
+def _is_tagged(frame: object, tag: str, length: int) -> bool:
+    return (
+        isinstance(frame, tuple) and len(frame) == length and frame[0] == tag
+    )
+
+
 def is_sequenced(frame: object) -> bool:
     """True for a ``("__seq__", n, message)`` data frame."""
-    return (
-        isinstance(frame, tuple)
-        and len(frame) == 3
-        and frame[0] == SEQ_TAG
-    )
+    return _is_tagged(frame, SEQ_TAG, 3)
 
 
 def is_heartbeat(frame: object) -> bool:
     """True for a master->agent heartbeat ping."""
-    return (
-        isinstance(frame, tuple)
-        and len(frame) == 2
-        and frame[0] == HEARTBEAT_TAG
-    )
+    return _is_tagged(frame, HEARTBEAT_TAG, 2)
 
 
 def is_heartbeat_ack(frame: object) -> bool:
     """True for an agent->master heartbeat echo."""
-    return (
-        isinstance(frame, tuple)
-        and len(frame) == 2
-        and frame[0] == HEARTBEAT_ACK_TAG
-    )
+    return _is_tagged(frame, HEARTBEAT_ACK_TAG, 2)
 
 
 class FrameSequencer:
@@ -283,25 +277,66 @@ RECV_FAILURES = (
 )
 
 
-def recv_message(channel, fallback: str, deadline: Optional[float] = None):
-    """``(message, None)``, or ``(None, cause)`` when the worker is gone.
+def collect_replies(transport, outstanding, fallback: str,
+                    wake: Optional[float] = None) -> List[tuple]:
+    """One collection turn: wait once, read the ready, expire the silent.
 
-    The one receive path of the package: master, pool and the sweep's
-    spawn backend all read worker channels (endpoints or bare pipes)
-    through here, so a liveness timeout or corrupt frame keeps its
-    specific cause everywhere while a closed/reset pipe reports
-    ``fallback``.  With a monotonic ``deadline`` the channel is polled
-    first and silence past it reports ``heartbeat timeout`` — a worker
-    that hangs *without* closing its pipe cannot stall the caller.
+    ``outstanding`` maps worker id -> ``(endpoint, deadline)`` for every
+    worker that owes a message (monotonic deadlines, ``None`` = never);
+    ``wake`` is an extra instant the caller wants control back at (a
+    respawn falling due, an elastic-join poll).  Returns
+    ``[(worker_id, message, cause)]`` in the transport's readiness
+    order: a delivered message has ``cause`` None; a dead channel has
+    the cause its typed error names (liveness timeout, corrupt frame),
+    or ``fallback`` for a plain closed/reset pipe.  This is the one
+    receive path of the package — master rounds, resume baselines, the
+    pool and the sweep's spawn backend all collect through here.
+
+    Dispatch is by endpoint identity, never by ``id()`` of an
+    underlying connection: readiness for an endpoint that is not the
+    one ``outstanding`` holds for its worker — a condemned incarnation,
+    a worker with nothing in flight, a duplicate signal within this
+    turn — is dropped unread, so a replacement can never inherit its
+    predecessor's messages.
+
+    When the wait comes back empty, a worker has timed out
+    (``heartbeat timeout``) iff the instant the wait was asked to last
+    *until* had reached its deadline.  The clock is not read a second
+    time: a transport whose ``wait`` never sleeps (the inline serial
+    backend) times silence out at once, and a turn cut short by
+    ``wake`` expires nobody.
     """
-    try:
-        if deadline is not None and not channel.poll(
-            max(0.0, deadline - time.monotonic())
-        ):
-            return None, CAUSE_HEARTBEAT_TIMEOUT
-        return channel.recv(), None
-    except RECV_FAILURES as error:
-        return None, disconnect_cause(error, fallback)
+    instants = [d for _, d in outstanding.values() if d is not None]
+    if wake is not None:
+        instants.append(wake)
+    until = min(instants, default=None)
+    owed = {worker_id: endpoint
+            for worker_id, (endpoint, _) in outstanding.items()}
+    ready = transport.wait(
+        list(owed.values()),
+        timeout=(
+            None if until is None else max(0.0, until - time.monotonic())
+        ),
+    )
+    if not ready:
+        return [
+            (worker_id, None, CAUSE_HEARTBEAT_TIMEOUT)
+            for worker_id, (_, deadline) in outstanding.items()
+            if until is None or deadline is not None and deadline <= until
+        ]
+    replies: List[tuple] = []
+    for endpoint in ready:
+        worker_id = endpoint.worker_id
+        if owed.get(worker_id) is not endpoint:
+            continue
+        del owed[worker_id]  # a second signal this turn finds nothing owed
+        try:
+            replies.append((worker_id, endpoint.recv(), None))
+        except RECV_FAILURES as error:
+            replies.append(
+                (worker_id, None, disconnect_cause(error, fallback))
+            )
+    return replies
 
 
 # -- fork hygiene --------------------------------------------------------------
@@ -364,6 +399,20 @@ def fork_safe_process(context, entry, conn, args):
     return context.Process(
         target=entry, args=(conn,) + tuple(args), daemon=True
     )
+
+
+def close_event_loop(loop) -> None:
+    """Cancel whatever still runs on ``loop``, let it unwind, close it."""
+    import asyncio
+
+    to_cancel = asyncio.all_tasks(loop)
+    for task in to_cancel:
+        task.cancel()
+    if to_cancel:
+        loop.run_until_complete(
+            asyncio.gather(*to_cancel, return_exceptions=True)
+        )
+    loop.close()
 
 
 def _writer_fd(writer) -> Optional[int]:
@@ -616,6 +665,7 @@ class LocalPipeTransport(Transport):
             [endpoint.process for endpoint in endpoints],
             [endpoint.conn for endpoint in endpoints],
             tracer=self._tracer,
+            worker_ids=[endpoint.worker_id for endpoint in endpoints],
         )
 
 
@@ -625,6 +675,7 @@ def shutdown_processes(
     join_timeout: float = 30.0,
     escalation_timeout: float = 5.0,
     tracer=None,
+    worker_ids: Optional[Sequence[int]] = None,
 ) -> List[tuple]:
     """Stop worker processes, escalating join → terminate → kill.
 
@@ -635,6 +686,8 @@ def shutdown_processes(
     Returns ``[(worker_id, action), ...]`` for every escalation
     beyond the clean join (``"terminate"`` / ``"kill"``), which is
     also what makes this testable with fake process objects.
+    ``worker_ids`` names the workers behind ``processes`` (a fleet that
+    lost members is sparse); without it they are numbered by position.
     """
     for pipe in pipes:
         try:
@@ -643,66 +696,73 @@ def shutdown_processes(
         except (BrokenPipeError, OSError):  # pragma: no cover
             pass
     escalations: List[tuple] = []
-    for worker_id, process in enumerate(processes):
-        process.join(timeout=join_timeout)
-        if not process.is_alive():
+    if worker_ids is None:
+        worker_ids = range(len(processes))
+    for worker_id, process in zip(worker_ids, processes):
+        action = _stop_process(process, join_timeout, escalation_timeout)
+        if action is None:
             continue
-        process.terminate()
-        process.join(timeout=escalation_timeout)
-        if process.is_alive():
-            # multiprocessing.Process.kill() exists since 3.7; fall
-            # back to terminate-again for exotic fakes without it.
-            kill = getattr(process, "kill", process.terminate)
-            kill()
-            process.join(timeout=escalation_timeout)
-            escalations.append((worker_id, "kill"))
-        else:
-            escalations.append((worker_id, "terminate"))
+        escalations.append((worker_id, action))
         if tracer is not None:
             tracer.event(
                 "shutdown_escalation",
                 component="master",
                 slave=worker_id,
-                action=escalations[-1][1],
+                action=action,
             )
     return escalations
 
 
+def _stop_process(process, join_timeout, escalation_timeout) -> Optional[str]:
+    """join → terminate → kill one process; the last escalation it
+    took (``"terminate"`` / ``"kill"``), or None for a clean join."""
+    process.join(timeout=join_timeout)
+    if not process.is_alive():
+        return None
+    process.terminate()
+    process.join(timeout=escalation_timeout)
+    if not process.is_alive():
+        return "terminate"
+    # multiprocessing.Process.kill() exists since 3.7; fall back to
+    # terminate-again for exotic fakes without it.
+    kill = getattr(process, "kill", process.terminate)
+    kill()
+    process.join(timeout=escalation_timeout)
+    return "kill"
+
+
 def reap_process(process, timeout: float = 5.0) -> None:
     """Ensure one dead-or-condemned worker process is truly gone."""
-    process.join(timeout=0.0 if not process.is_alive() else timeout)
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=timeout)
-    if process.is_alive():  # pragma: no cover - stuck in kernel
-        kill = getattr(process, "kill", process.terminate)
-        kill()
-        process.join(timeout=timeout)
+    _stop_process(process, timeout if process.is_alive() else 0.0, timeout)
 
 
-# -- remote (asyncio TCP) transport -------------------------------------------
+# -- the framed channel (remote and in-memory transports) ---------------------
 
 
-class _AgentChannel:
-    """Master-side state for one agent connection (one worker slot).
+class _FramedChannel:
+    """Master-side state of one framed worker connection.
 
-    Lives on both sides of the thread boundary: the asyncio loop thread
-    appends inbound frames / flips ``closed``; the scheduling thread
-    pops frames under the transport's condition variable.
+    Everything the frame pipeline needs and no carrier detail: the
+    inbox, the closed flag and its reason, inbound dedup, the liveness
+    stamp and the partition blackhole flags.  It lives on both sides of
+    a thread boundary — the carrier's thread pushes inbound frames and
+    flips ``closed``, the scheduling thread pops frames — so every
+    field is guarded by ``cond``, the owning transport's condition
+    variable.  A carrier subclass says how one frame is transmitted,
+    how the connection is torn down, and what the far end is.
     """
 
-    def __init__(self, reader, writer, info: dict, transport):
-        self.reader = reader
-        self.writer = writer
-        self.info = dict(info)
-        self.transport = transport
+    #: Text of the ``BrokenPipeError`` a send on the closed channel
+    #: raises; it ends up in ``send failed: ...`` cause codes.
+    closed_text = "worker {} connection is closed"
+
+    def __init__(self, cond: threading.Condition):
+        self.cond = cond
         self.inbox: Deque[object] = deque()
         self.closed = False
         #: Why the channel closed, when more specific than a plain EOF
         #: (see CLOSE_LIVENESS / CLOSE_CORRUPT).
         self.close_reason: Optional[str] = None
-        #: (worker_id, generation) once bound, else None (in the lobby).
-        self.bound: Optional[Tuple[int, int]] = None
         #: Inbound dedup; disabled (raw delivery) by a chaos wrapper
         #: that performs its own dedup after injecting faults.
         self.dedup = True
@@ -710,15 +770,19 @@ class _AgentChannel:
         #: Monotonic time of the last life sign (any inbound frame).
         self.last_ack = time.monotonic()
         #: Half-open partition injection: ``blackhole_in`` silently
-        #: discards everything the agent sends (acks included);
-        #: ``blackhole_out`` discards everything written to the agent
-        #: (pings included).  Both sit below the heartbeat layer.
+        #: discards everything the worker side sends (acks included);
+        #: ``blackhole_out`` discards everything written to it (pings
+        #: included).  Both sit below the heartbeat layer.
         self.blackhole_in = False
         self.blackhole_out = False
 
-    # Called from the asyncio loop thread.
+    def ready(self) -> bool:
+        """A frame (or the end of the channel) can be read right now."""
+        return bool(self.inbox) or self.closed
+
+    # Called from the carrier's thread.
     def push(self, frame: object) -> None:
-        with self.transport._cond:
+        with self.cond:
             if self.dedup:
                 accepted, message = self.sequencer.accept(frame)
                 if not accepted:
@@ -726,20 +790,34 @@ class _AgentChannel:
                 self.inbox.append(message)
             else:
                 self.inbox.append(frame)
-            self.transport._cond.notify_all()
+            self.cond.notify_all()
 
     def mark_closed(self, reason: Optional[str] = None) -> None:
-        with self.transport._cond:
+        with self.cond:
             if reason is not None and self.close_reason is None:
                 self.close_reason = reason
             self.closed = True
-            self.transport._cond.notify_all()
+            self.cond.notify_all()
+
+    # -- what the carrier defines --------------------------------------------
+
+    def transmit(self, frame: object) -> None:
+        """Put one master->worker frame on the carrier."""
+        raise NotImplementedError
+
+    def teardown(self) -> None:
+        """Close the channel and release the carrier's resources."""
+        raise NotImplementedError
+
+    def describe(self) -> dict:
+        """Trace-friendly description of the carrier and the far end."""
+        raise NotImplementedError
 
 
-class RemoteEndpoint(WorkerEndpoint):
-    """A worker slot on a remote agent, bridged over one TCP stream."""
+class FramedEndpoint(WorkerEndpoint):
+    """One worker incarnation behind a :class:`_FramedChannel`."""
 
-    def __init__(self, channel: _AgentChannel, worker_id, generation):
+    def __init__(self, channel: _FramedChannel, worker_id, generation):
         self.channel = channel
         self.worker_id = worker_id
         self.generation = generation
@@ -751,9 +829,9 @@ class RemoteEndpoint(WorkerEndpoint):
     def send_frame(self, frame: object) -> None:
         if self.channel.closed:
             raise BrokenPipeError(
-                f"remote worker {self.worker_id} connection is closed"
+                self.channel.closed_text.format(self.worker_id)
             )
-        self.channel.transport._send_async(self.channel, frame)
+        self.channel.transmit(frame)
 
     def send(self, message: object) -> None:
         self.send_frame(self.stamp(message))
@@ -762,21 +840,24 @@ class RemoteEndpoint(WorkerEndpoint):
         return self.recv_raw()
 
     def recv_raw(self) -> object:
-        cond = self.channel.transport._cond
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                cond.wait()
-            if self.channel.inbox:
-                return self.channel.inbox.popleft()
-        raise_for_close(self.channel.close_reason, self.worker_id)
+        channel = self.channel
+        with channel.cond:
+            channel.cond.wait_for(channel.ready)
+            if channel.inbox:
+                return channel.inbox.popleft()
+        raise_for_close(channel.close_reason, self.worker_id)
+
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        with self.channel.cond:
+            return self.channel.cond.wait_for(self.channel.ready, timeout)
 
     def set_raw_delivery(self, raw: bool) -> bool:
-        with self.channel.transport._cond:
+        with self.channel.cond:
             self.channel.dedup = not raw
         return True
 
     def set_partition(self, direction: str) -> bool:
-        with self.channel.transport._cond:
+        with self.channel.cond:
             if direction == "in":
                 self.channel.blackhole_in = True
             else:
@@ -785,39 +866,102 @@ class RemoteEndpoint(WorkerEndpoint):
 
     def inject_close(self, reason: Optional[str] = None) -> bool:
         self.channel.mark_closed(reason)
-        self.channel.transport._close_channel(self.channel)
+        self.channel.teardown()
         return True
 
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        cond = self.channel.transport._cond
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with cond:
-            while not self.channel.inbox and not self.channel.closed:
-                if deadline is None:
-                    cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                cond.wait(remaining)
-            return True
-
     def close(self) -> None:
-        self.channel.transport._close_channel(self.channel)
+        self.channel.teardown()
 
     def describe(self) -> dict:
         return {
-            "transport": "remote",
-            "agent": self.channel.info.get("agent"),
-            "slot": self.channel.info.get("slot"),
+            **self.channel.describe(),
             "worker": self.worker_id,
             "generation": self.generation,
         }
 
 
-class RemoteTransport(Transport):
+class _FramedTransport(Transport):
+    """What the framed transports share: the condition variable every
+    channel of the transport is guarded by, readiness multiplexing over
+    it, and the heartbeat parameters."""
+
+    def __init__(
+        self, heartbeat_interval: Optional[float], heartbeat_misses: int
+    ):
+        super().__init__()
+        if heartbeat_interval is not None and heartbeat_interval <= 0:
+            raise TransportError(
+                f"heartbeat_interval must be > 0 or None, "
+                f"got {heartbeat_interval}"
+            )
+        if heartbeat_misses < 1:
+            raise TransportError(
+                f"heartbeat_misses must be >= 1, got {heartbeat_misses}"
+            )
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_misses = heartbeat_misses
+        self._cond = threading.Condition()
+
+    def wait(self, endpoints, timeout=None):
+        def ready():
+            return [e for e in endpoints if e.channel.ready()]
+
+        with self._cond:
+            return self._cond.wait_for(ready, timeout)
+
+
+# -- remote (asyncio TCP) transport -------------------------------------------
+
+
+class _AgentChannel(_FramedChannel):
+    """One agent connection (one worker slot) on the asyncio carrier."""
+
+    closed_text = "remote worker {} connection is closed"
+
+    def __init__(self, reader, writer, info: dict, transport):
+        super().__init__(transport._cond)
+        self.reader = reader
+        self.writer = writer
+        self.info = dict(info)
+        self.transport = transport
+        #: (worker_id, generation) once bound, else None (in the lobby).
+        self.bound: Optional[Tuple[int, int]] = None
+
+    def transmit(self, frame: object) -> None:
+        """Queue one outbound frame from the scheduling thread."""
+        import asyncio
+
+        transport = self.transport
+        if transport._loop is None:
+            raise BrokenPipeError("transport is not started")
+        try:
+            asyncio.run_coroutine_threadsafe(
+                transport._write_channel(self, frame), transport._loop
+            )
+        except RuntimeError:  # loop already closed
+            raise BrokenPipeError("transport is shut down") from None
+
+    def teardown(self) -> None:
+        self.mark_closed()
+        transport = self.transport
+        if transport._loop is None or transport._loop.is_closed():
+            return
+        try:
+            transport._loop.call_soon_threadsafe(
+                transport._close_writer, self.writer
+            )
+        except RuntimeError:  # pragma: no cover - loop raced shut
+            pass
+
+    def describe(self) -> dict:
+        return {
+            "transport": "remote",
+            "agent": self.info.get("agent"),
+            "slot": self.info.get("slot"),
+        }
+
+
+class RemoteTransport(_FramedTransport):
     """Master side of the multi-host fleet: a TCP registration server.
 
     The master listens; :mod:`repro.parallel.agent` processes dial in
@@ -860,24 +1004,12 @@ class RemoteTransport(Transport):
         heartbeat_interval: Optional[float] = None,
         heartbeat_misses: int = 3,
     ):
-        super().__init__()
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise TransportError(
-                f"heartbeat_interval must be > 0 or None, "
-                f"got {heartbeat_interval}"
-            )
-        if heartbeat_misses < 1:
-            raise TransportError(
-                f"heartbeat_misses must be >= 1, got {heartbeat_misses}"
-            )
+        super().__init__(heartbeat_interval, heartbeat_misses)
         self.host = host
         self.port = port
         self.key = key
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
         #: (host, port) actually bound, set by :meth:`start`.
         self.address: Optional[Tuple[str, int]] = None
-        self._cond = threading.Condition()
         self._lobby: Deque[_AgentChannel] = deque()
         self._channels: List[_AgentChannel] = []
         self._loop = None
@@ -921,16 +1053,7 @@ class RemoteTransport(Transport):
                 try:
                     loop.run_forever()
                 finally:
-                    to_cancel = asyncio.all_tasks(loop)
-                    for task in to_cancel:
-                        task.cancel()
-                    if to_cancel:
-                        loop.run_until_complete(
-                            asyncio.gather(
-                                *to_cancel, return_exceptions=True
-                            )
-                        )
-                    loop.close()
+                    close_event_loop(loop)
 
         self._thread = threading.Thread(
             target=run_loop, name="repro-remote-transport", daemon=True
@@ -1126,83 +1249,38 @@ class RemoteTransport(Transport):
                         channel, (HEARTBEAT_TAG, sequence)
                     )
 
-    def _send_async(self, channel: _AgentChannel, message) -> None:
-        """Queue one outbound frame from the scheduling thread."""
-        import asyncio
-
-        if self._loop is None:
-            raise BrokenPipeError("transport is not started")
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._write_channel(channel, message), self._loop
-            )
-        except RuntimeError:  # loop already closed
-            raise BrokenPipeError("transport is shut down") from None
-
-    def _close_channel(self, channel: _AgentChannel) -> None:
-        import asyncio
-
-        channel.mark_closed()
-        if self._loop is None or self._loop.is_closed():
-            return
-
-        try:
-            self._loop.call_soon_threadsafe(
-                self._close_writer, channel.writer
-            )
-        except RuntimeError:  # pragma: no cover - loop raced shut
-            pass
-
     # -- Transport surface ---------------------------------------------------
 
-    def _prune_lobby_locked(self) -> None:
+    def _lobby_open(self) -> bool:
+        """Whether a live slot is waiting (call with ``_cond`` held)."""
         while self._lobby and self._lobby[0].closed:
             self._lobby.popleft()
+        return bool(self._lobby)
 
     def capacity(self) -> int:
         with self._cond:
-            self._prune_lobby_locked()
+            self._lobby_open()
             return len(self._lobby)
 
     def wait_for_capacity(self, timeout: Optional[float] = None) -> bool:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._cond:
-            while True:
-                self._prune_lobby_locked()
-                if self._lobby:
-                    return True
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
+            return self._cond.wait_for(self._lobby_open, timeout)
 
     def spawn(self, worker_id, generation, entry, args, timeout=None):
-        deadline = time.monotonic() + (timeout or 0.0)
         with self._cond:
-            while True:
-                self._prune_lobby_locked()
-                if self._lobby:
-                    channel = self._lobby.popleft()
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportCapacityError(
-                        f"no registered agent slot to bind worker "
-                        f"{worker_id} (lobby empty; start agents with "
-                        f"'repro agent {self._address_hint()}')"
-                    )
-                self._cond.wait(remaining)
+            if not self._cond.wait_for(self._lobby_open, timeout or 0.0):
+                raise TransportCapacityError(
+                    f"no registered agent slot to bind worker "
+                    f"{worker_id} (lobby empty; start agents with "
+                    f"'repro agent {self._address_hint()}')"
+                )
+            channel = self._lobby.popleft()
             channel.bound = (worker_id, generation)
             # The liveness window opens at bind: a slot may have sat in
             # the lobby far longer than interval * misses.
             channel.last_ack = time.monotonic()
-        self._send_async(
-            channel, ("spawn", worker_id, generation, entry, tuple(args))
+        channel.transmit(
+            ("spawn", worker_id, generation, entry, tuple(args))
         )
         self._trace(
             "bind",
@@ -1211,36 +1289,15 @@ class RemoteTransport(Transport):
             agent=channel.info.get("agent"),
             slot=channel.info.get("slot"),
         )
-        return RemoteEndpoint(channel, worker_id, generation)
+        return FramedEndpoint(channel, worker_id, generation)
 
     def _address_hint(self) -> str:
         if self.address is None:
             return f"{self.host}:{self.port}"
         return f"{self.address[0]}:{self.address[1]}"
 
-    def wait(self, endpoints, timeout=None):
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with self._cond:
-            while True:
-                ready = [
-                    endpoint
-                    for endpoint in endpoints
-                    if endpoint.channel.inbox or endpoint.channel.closed
-                ]
-                if ready:
-                    return ready
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                self._cond.wait(remaining)
-
     def reap(self, endpoint) -> None:
-        self._close_channel(endpoint.channel)
+        endpoint.close()
 
     def shutdown(self, endpoints) -> None:
         for endpoint in endpoints:
@@ -1256,8 +1313,6 @@ class RemoteTransport(Transport):
 
     def close(self) -> None:
         """Stop the server loop and drop every connection."""
-        import asyncio
-
         with self._cond:
             self._stopping = True
             channels = list(self._channels)

@@ -38,7 +38,7 @@ from repro.parallel.pool import (
     _pool_worker_main,
 )
 from repro.parallel.protocol import CAUSE_PIPE_CLOSED
-from repro.parallel.transport import LocalPipeTransport, recv_message
+from repro.parallel.transport import LocalPipeTransport, collect_replies
 from repro.sweep.cache import SweepCache
 from repro.sweep.spec import (
     SweepError,
@@ -394,12 +394,13 @@ class SweepRunner:
             worker = transport.spawn(0, 0, _pool_worker_main, (0, run_point))
             try:
                 worker.send(("configure", digest, job))
-                message, cause = recv_message(
-                    worker,
-                    CAUSE_PIPE_CLOSED,
+                deadline = (
                     None
                     if self.job_timeout is None
-                    else time.monotonic() + self.job_timeout,
+                    else time.monotonic() + self.job_timeout
+                )
+                ((_, message, cause),) = collect_replies(
+                    transport, {0: (worker, deadline)}, CAUSE_PIPE_CLOSED
                 )
             finally:
                 try:

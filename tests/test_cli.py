@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestWorkloads:
@@ -279,3 +282,53 @@ class TestRobustnessFlags:
                 "--deadline", "0.000001",
             ])
         assert info.value.cause == CAUSE_DEADLINE_EXCEEDED
+
+
+class TestSweepFleetFlags:
+    """``repro sweep`` refuses fleet flags on backends without a fleet,
+    the way ``repro run`` refuses them without ``--parallel``."""
+
+    @pytest.mark.parametrize("backend", ["serial", "spawn"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--chaos", '{"faults": []}'],
+            ["--respawn"],
+            ["--min-workers", "2"],
+            ["--deadline", "5"],
+            ["--on-degrade", "continue"],
+        ],
+    )
+    def test_fleet_flags_require_a_pool_backend(
+        self, backend, flags, capsys
+    ):
+        spec = REPO_ROOT / "examples" / "sweeps" / "mm1_loadcurve.toml"
+        assert main(["sweep", str(spec), "--backend", backend] + flags) == 2
+        assert "--backend pool or remote" in capsys.readouterr().err
+
+
+class TestAgentFlags:
+    def test_repro_agent_and_module_entry_share_one_declaration(self):
+        import argparse
+        import os
+
+        from repro.cli import build_parser
+        from repro.parallel.agent import add_agent_arguments
+
+        standalone = argparse.ArgumentParser()
+        add_agent_arguments(standalone)
+        for argv in (
+            ["127.0.0.1:9751"],
+            ["h:1", "--slots", "3", "--transport-key", "k",
+             "--max-redial", "4", "--idle-exit", "2.5"],
+        ):
+            via_cli = vars(build_parser().parse_args(["agent"] + argv))
+            del via_cli["command"], via_cli["handler"]
+            assert via_cli == vars(standalone.parse_args(argv))
+        assert via_cli["slots"] == 3
+        defaults = standalone.parse_args(["h:1"])
+        assert defaults.slots == (os.cpu_count() or 1)
+        assert (defaults.context, defaults.reconnect_delay,
+                defaults.reconnect_cap, defaults.backoff_seed,
+                defaults.max_redial, defaults.idle_exit) == (
+            "fork", 0.2, 30.0, 0, None, None)

@@ -9,7 +9,6 @@ from repro.core.collection import StatisticsCollection
 from repro.core.histogram import BinScheme, Histogram
 from repro.core.statistic import Statistic
 from repro.engine.simulation import Simulation
-from repro.parallel.protocol import SlaveReport
 
 
 class TestHistogramEdges:
@@ -109,23 +108,6 @@ class TestSimulationEdges:
         first = Simulation(seed=1).spawn_rng().random(3)
         second = Simulation(seed=2).spawn_rng().random(3)
         assert not np.allclose(first, second)
-
-
-class TestProtocolEdges:
-    def test_slave_report_histogram_materialization(self, rng):
-        scheme = BinScheme(low=0.0, high=5.0, bins=16)
-        histogram = Histogram(scheme)
-        histogram.insert_many(rng.exponential(size=200))
-        report = SlaveReport(
-            slave_id=3,
-            histograms={"m": histogram.to_payload()},
-            events_processed=1000,
-            sim_time=12.5,
-            total_accepted=200,
-        )
-        clone = report.histogram("m")
-        assert clone.count == 200
-        assert clone.mean == pytest.approx(histogram.mean)
 
 
 class TestNumericalRobustness:

@@ -197,8 +197,7 @@ class TestInlineEndpoint:
         transport = _InlineTransport(round_timeout=30.0)
         endpoint = transport.spawn(
             0, 0, _process_slave_main,
-            (factory, {}, slave_seed(7, 0), schemes, 10_000_000, 0, True,
-             faults),
+            (factory, {}, slave_seed(7, 0), schemes, 10_000_000, 0, faults),
         )
         return transport, endpoint
 
@@ -599,6 +598,17 @@ class TestResume:
         with pytest.raises(CheckpointError, match="chunk_size"):
             ParallelSimulation(
                 factory, **{**KW, "chunk_size": 999}
+            ).run(resume_from=path)
+
+    @pytest.mark.parametrize("knob", ["delta_reports", "adaptive_chunking"])
+    def test_checkpoint_from_a_removed_knob_is_refused(self, tmp_path, knob):
+        # Written by a master that still had the option, with it off:
+        # the schedule (or report form) it followed no longer exists.
+        path = write_checkpoint(tmp_path / "old.jsonl", _state(**{knob: False}))
+        with pytest.raises(CheckpointError, match=f"{knob} is False"):
+            ParallelSimulation(
+                factory, n_slaves=2, master_seed=7, chunk_size=100,
+                max_chunk_size=1600,
             ).run(resume_from=path)
 
     def test_dead_slave_state_survives_checkpoint(self, tmp_path):

@@ -183,8 +183,9 @@ class TestChunkSchedule:
         ]
 
     def test_constant_without_adaptive_chunking(self):
+        # A cap equal to the first chunk leaves the growth no room.
         simulation = ParallelSimulation(
-            factory, chunk_size=100, adaptive_chunking=False
+            factory, chunk_size=100, max_chunk_size=100
         )
         assert [simulation._round_chunk(r) for r in (1, 5, 50)] == [100] * 3
 
@@ -226,23 +227,6 @@ class TestSerialBackend:
             ).run()["response_time"].mean
 
         assert run() == run()
-
-    def test_delta_reports_match_full_reports(self):
-        """A/B: the incremental delta protocol and full-state re-merge
-        must walk the identical round schedule and agree on estimates."""
-        kwargs = dict(n_slaves=2, master_seed=11, chunk_size=1000,
-                      backend="serial")
-        delta = ParallelSimulation(factory, delta_reports=True, **kwargs).run()
-        full = ParallelSimulation(factory, delta_reports=False, **kwargs).run()
-        assert delta.rounds == full.rounds
-        assert delta.total_accepted == full.total_accepted
-        assert delta.slave_events == full.slave_events
-        d, f = delta["response_time"], full["response_time"]
-        assert d.accepted == f.accepted
-        assert d.mean == pytest.approx(f.mean, rel=1e-12)
-        assert d.std == pytest.approx(f.std, rel=1e-9)
-        for q in d.quantiles:
-            assert d.quantiles[q] == pytest.approx(f.quantiles[q], rel=1e-12)
 
     def test_more_slaves_fewer_rounds_each(self):
         few = ParallelSimulation(
@@ -428,6 +412,23 @@ class TestShutdownEscalation:
         processes = [FakeProcess("terminate")]
         escalations = self.shutdown(processes, pipes=[FakePipe(broken=True)])
         assert escalations == [(0, "terminate")]
+
+    def test_sparse_fleet_is_named_by_worker_id_not_position(self):
+        # Slave 0 died earlier: the fleet shut down is [1, 2], and the
+        # escalation must name slave 2, not list position 1.
+        from repro.observability import Tracer
+        from repro.parallel.transport import LocalEndpoint, LocalPipeTransport
+
+        tracer = Tracer.to_memory()
+        transport = LocalPipeTransport("fork")
+        transport.attach_tracer(tracer)
+        transport.shutdown([
+            LocalEndpoint(1, 0, FakePipe(), FakeProcess("join")),
+            LocalEndpoint(2, 1, FakePipe(), FakeProcess("terminate")),
+        ])
+        (record,) = tracer.lines()
+        assert record["name"] == "shutdown_escalation"
+        assert record["fields"] == {"slave": 2, "action": "terminate"}
 
     def test_escalations_are_traced(self):
         from repro.observability import Tracer

@@ -23,7 +23,11 @@ import pytest
 
 from repro.faults import FaultPlan, RespawnPolicy
 from repro.parallel.pool import PoolJobError, WorkerPool
-from repro.parallel.transport import Transport, WorkerEndpoint
+from repro.parallel.transport import (
+    Transport,
+    WorkerEndpoint,
+    collect_replies,
+)
 
 
 def flaky_runner(job):
@@ -171,6 +175,7 @@ class ScriptedTransport(Transport):
         self.endpoints = {}
         self.wait_script = list(wait_script)
         self.wait_calls = 0
+        self.timeouts = []
         self.reaped = []
 
     def spawn(self, worker_id, generation, entry, args, timeout=None):
@@ -182,6 +187,7 @@ class ScriptedTransport(Transport):
         step = self.wait_script[min(self.wait_calls,
                                     len(self.wait_script) - 1)]
         self.wait_calls += 1
+        self.timeouts.append(timeout)
         return step(list(endpoints))
 
     def capacity(self):
@@ -264,3 +270,68 @@ class TestDispatchIdentity:
         results = pool.map([("a", {"x": 1})])
         assert set(results) == {"a"}
         assert pool.stats.deaths == 0
+
+
+class TestCollectionTurn:
+    """``collect_replies``: the one wait -> identity check -> recv ->
+    expire turn under the master's round loop and the pool's ``map``."""
+
+    @staticmethod
+    def turn(ready, outstanding, **kwargs):
+        transport = ScriptedTransport([lambda endpoints: list(ready)])
+        replies = collect_replies(
+            transport, outstanding, "pipe closed", **kwargs
+        )
+        return replies, transport.timeouts[0]
+
+    def test_stale_duplicate_and_stray_readiness_is_dropped_unread(self):
+        condemned, current, other = (
+            ScriptedEndpoint(0), ScriptedEndpoint(0, 1), ScriptedEndpoint(1)
+        )
+        condemned.inbox.append("for the dead incarnation")
+        other.inbox.append("report")
+        replies, _ = self.turn(
+            [condemned, other, other, ScriptedEndpoint(7)],
+            {0: (current, None), 1: (other, None)},
+        )
+        assert replies == [(1, "report", None)]
+        assert list(condemned.inbox) == ["for the dead incarnation"]
+
+    def test_dead_channel_reports_the_fallback_cause(self):
+        gone = ScriptedEndpoint(0)  # ready with nothing to read: EOF
+        replies, _ = self.turn([gone], {0: (gone, None)})
+        assert replies == [(0, None, "pipe closed")]
+
+    def test_only_the_worker_whose_deadline_the_wait_reached_expires(self):
+        now = time.monotonic()
+        soon, later = ScriptedEndpoint(0), ScriptedEndpoint(1)
+        replies, timeout = self.turn(
+            [], {0: (soon, now + 0.05), 1: (later, now + 60.0)}
+        )
+        assert replies == [(0, None, "heartbeat timeout")]
+        assert 0.0 <= timeout <= 0.05
+
+    def test_extra_wake_shortens_the_wait_and_expires_nobody(self):
+        now = time.monotonic()
+        busy = ScriptedEndpoint(0)
+        replies, timeout = self.turn(
+            [], {0: (busy, now + 60.0)}, wake=now + 0.01
+        )
+        assert replies == []
+        assert 0.0 <= timeout <= 0.01
+
+    def test_wait_that_never_sleeps_times_silence_out_at_once(self):
+        # The inline (serial) transport's wait returns what is queued
+        # and never blocks: an hour-long deadline, or none at all, is
+        # still silence the moment the wait comes back empty.
+        hung, unbounded = ScriptedEndpoint(0), ScriptedEndpoint(1)
+        started = time.monotonic()
+        replies, timeout = self.turn(
+            [], {0: (hung, started + 3600.0)}
+        )
+        assert replies == [(0, None, "heartbeat timeout")]
+        assert timeout > 3500.0
+        replies, timeout = self.turn([], {1: (unbounded, None)})
+        assert replies == [(1, None, "heartbeat timeout")]
+        assert timeout is None
+        assert time.monotonic() - started < 5.0

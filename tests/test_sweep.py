@@ -272,6 +272,55 @@ class TestWorkerPoolFaults:
         assert result.converged
         assert result.pool_stats.jobs_requeued == 1
 
+    @pytest.mark.parametrize(
+        "kind, where, job_timeout, causes",
+        [
+            ("kill", {"phase": "pre_run"}, 30.0, {"pipe closed"}),
+            ("kill", {"phase": "pre_report"}, 30.0, {"pipe closed"}),
+            # The result is out before the exit; whether the death then
+            # shows as a failed send (nothing to requeue) or as an EOF
+            # is the OS's choice.
+            ("kill", {"phase": "post_report"}, 30.0,
+             {"pipe closed", "send failed: [Errno 32] Broken pipe"}),
+            ("drop_report", {}, 0.5, {"heartbeat timeout"}),
+            ("corrupt_payload", {}, 30.0,
+             {"corrupt payload: point digest mismatch"}),
+            ("hang", {"delay": 1.5}, 0.5, {"heartbeat timeout"}),
+        ],
+    )
+    def test_fault_matrix_costs_one_worker_and_no_result(
+        self, kind, where, job_timeout, causes
+    ):
+        """Every fault kind, executed worker-side by ``FaultInjector``:
+        one attributed death, one respawn, at most one recomputed point,
+        and the clean run's digests."""
+        spec = task_spec(
+            factory="tests.sweep_factories:napping_task",
+            factory_kwargs={"delay": 0.05},
+            axes={"x": [1, 2, 3, 4, 5, 6]},
+        )
+        tracer = Tracer.to_memory()
+        result = SweepRunner(
+            spec, backend="pool", jobs=2, job_timeout=job_timeout,
+            fault_plan=FaultPlan.single(kind, slave_id=0, round=1, **where),
+            respawn=RespawnPolicy(backoff_base=0.0, jitter=0.0),
+            tracer=tracer,
+        ).run()
+        assert result.digests() == SweepRunner(
+            spec, backend="serial"
+        ).run().digests()
+        stats = result.pool_stats
+        assert (stats.jobs_completed, stats.deaths, stats.restarts) == (
+            6, 1, 1
+        )
+        assert stats.jobs_requeued in ((0, 1) if len(causes) > 1 else (1,))
+        assert stats.failure_causes == {}
+        (dead,) = [
+            record["fields"] for record in tracer.lines()
+            if record["component"] == "pool" and record["name"] == "dead"
+        ]
+        assert dead["worker"] == 0 and dead["cause"] in causes
+
     def test_all_workers_dead_raises_pool_error(self):
         plan = FaultPlan(specs=tuple(
             FaultPlan.single(

@@ -1,10 +1,13 @@
-"""Transport conformance suite: local pipes vs the loopback remote fleet.
+"""Transport conformance suite: local pipes, the loopback remote fleet
+and the in-memory transport.
 
-Every test in :class:`TestTransportConformance` runs against both
-:class:`~repro.parallel.transport.LocalPipeTransport` and a
+Every test in :class:`TestTransportConformance` runs against
+:class:`~repro.parallel.transport.LocalPipeTransport`, a
 :class:`~repro.parallel.transport.RemoteTransport` with an in-process
-:class:`~repro.parallel.agent.HostAgent` dialing it over loopback TCP —
-the endpoint contract (send/recv/poll exception families, wait
+:class:`~repro.parallel.agent.HostAgent` dialing it over loopback TCP,
+and :class:`~repro.parallel.memory.InMemoryTransport` (the same framed
+endpoint as remote over worker threads, so its workers must return,
+never ``os._exit``) — the endpoint contract (send/recv/poll exception families, wait
 semantics, endpoint-per-incarnation identity) must be indistinguishable
 to the scheduling loops upstream.  Remote-only classes cover the wire
 format, registration (keys, capacity), agent churn, and the
@@ -22,6 +25,7 @@ import pytest
 from repro.faults import FaultPlan, RespawnPolicy
 from repro.parallel.agent import HostAgent
 from repro.parallel.master import ParallelSimulation
+from repro.parallel.memory import InMemoryTransport
 from repro.parallel.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -67,11 +71,15 @@ def exiting_worker(conn):
 # -- rigs ---------------------------------------------------------------------
 
 
-@pytest.fixture(params=["local", "remote"])
+@pytest.fixture(params=["local", "remote", "memory"])
 def transport(request):
     """One started transport per param; remote gets a 2-slot loopback agent."""
-    if request.param == "local":
-        rig = LocalPipeTransport("fork")
+    if request.param != "remote":
+        rig = (
+            LocalPipeTransport("fork")
+            if request.param == "local"
+            else InMemoryTransport()
+        )
         rig.start()
         yield rig
         rig.close()
