@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import gammaincinv
 
 #: Knuth's quadratic-form coefficients (TAOCP §3.3.2, Eq. 3.3.2-14).
 KNUTH_A = np.array(
@@ -156,6 +156,15 @@ def runs_up_statistic(sequence: Sequence[float]) -> float:
     return float(deviation @ KNUTH_A @ deviation) / n
 
 
+def _runs_up_critical(significance: float) -> float:
+    """Upper-tail chi-square(6) critical value at ``significance``.
+
+    The expression scipy's ``chi2.ppf`` evaluates, called where it lives
+    (see :func:`repro.core.confidence.z_value` for why).
+    """
+    return float(2 * gammaincinv(RUNS_UP_DOF / 2, 1.0 - significance))
+
+
 def runs_up_test(
     sequence: Sequence[float], significance: float = 0.05
 ) -> RunsUpResult:
@@ -193,7 +202,7 @@ def runs_up_test(
             ),
         )
     statistic = runs_up_statistic(values)
-    critical = float(_scipy_stats.chi2.ppf(1.0 - significance, RUNS_UP_DOF))
+    critical = _runs_up_critical(significance)
     return RunsUpResult(
         outcome=PASS if statistic <= critical else FAIL,
         n=n,

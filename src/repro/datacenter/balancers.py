@@ -37,7 +37,12 @@ class LoadBalancer(abc.ABC):
         self.dispatched = 0
 
     def bind(self, sim: Simulation) -> None:
-        """Attach to a simulation; binds every backend transitively."""
+        """Attach to a simulation; binds every backend transitively.
+
+        Idempotent for every policy: a repeat call with the same
+        simulation (two sources feeding one balancer) does nothing, so
+        subclasses put their bind-time work in :meth:`_on_bind`.
+        """
         if self.sim is sim:
             return
         if self.sim is not None:
@@ -45,6 +50,10 @@ class LoadBalancer(abc.ABC):
         self.sim = sim
         for server in self.servers:
             server.bind(sim)
+        self._on_bind(sim)
+
+    def _on_bind(self, sim: Simulation) -> None:
+        """Subclass hook: runs once, after the backends are bound."""
 
     def arrive(self, job: Job) -> None:
         """Route one job."""
@@ -66,8 +75,7 @@ class LoadBalancer(abc.ABC):
 class RandomBalancer(LoadBalancer):
     """Uniform random dispatch — memoryless, the M/G/k-ish baseline."""
 
-    def bind(self, sim: Simulation) -> None:
-        super().bind(sim)
+    def _on_bind(self, sim: Simulation) -> None:
         self._rng = sim.spawn_rng()
 
     def choose(self, job: Job) -> Server:
@@ -106,8 +114,7 @@ class PowerOfTwoChoices(LoadBalancer):
     framework.
     """
 
-    def bind(self, sim: Simulation) -> None:
-        super().bind(sim)
+    def _on_bind(self, sim: Simulation) -> None:
         self._rng = sim.spawn_rng()
 
     def choose(self, job: Job) -> Server:
@@ -147,8 +154,8 @@ class _ReplicatingBalancer(LoadBalancer):
         #: Replicas cancelled because a sibling won the race.
         self.cancelled_replicas = 0
 
-    def bind(self, sim: Simulation) -> None:
-        super().bind(sim)
+    def _on_bind(self, sim: Simulation) -> None:
+        super()._on_bind(sim)
         for server in self.servers:
             server.on_complete(self._replica_complete)
 
@@ -179,14 +186,19 @@ class _ReplicatingBalancer(LoadBalancer):
         entry = self._pending.pop(logical.job_id, None)
         if entry is None:
             return  # sibling already won (defensive; siblings are cancelled)
-        for other, backend in entry:
-            if other is not replica and backend.cancel(other):
-                self.cancelled_replicas += 1
-        self._finalize_extra(logical)
         # The logical job starts when its first replica reached service
         # (waiting-time metrics read start - arrival).
-        starts = [job.start_time for job, _ in entry if job.start_time is not None]
-        logical.start_time = min(starts) if starts else replica.start_time
+        start = replica.start_time
+        for other, backend in entry:
+            if other is replica:
+                continue
+            if backend.cancel(other):
+                self.cancelled_replicas += 1
+            began = other.start_time
+            if began is not None and (start is None or began < start):
+                start = began
+        self._finalize_extra(logical)
+        logical.start_time = start
         logical.size = replica.size if logical.size is None else logical.size
         logical.remaining = 0.0
         logical.finish_time = self.sim.now
@@ -233,8 +245,8 @@ class CloningBalancer(_ReplicatingBalancer):
         self.synchronized = bool(synchronized)
         self._rng = None
 
-    def bind(self, sim: Simulation) -> None:
-        super().bind(sim)
+    def _on_bind(self, sim: Simulation) -> None:
+        super()._on_bind(sim)
         # Clone-to-all needs no randomness; spawning the stream only
         # when d < n keeps the RNG lineage of the deterministic case
         # independent of the backend count.
@@ -305,8 +317,8 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         #: logical job id -> arrival sequence number (the seed key).
         self._seqno: dict[int, int] = {}
 
-    def bind(self, sim: Simulation) -> None:
-        super().bind(sim)
+    def _on_bind(self, sim: Simulation) -> None:
+        super()._on_bind(sim)
         rng = sim.spawn_rng()
         self._lineage_seed = int(rng.integers(0, 2**31 - 1))
 

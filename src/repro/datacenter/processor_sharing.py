@@ -8,6 +8,18 @@ separate station type with the same outward interface (``bind``,
 ``arrive``, ``on_complete``), implemented by re-scheduling the earliest
 completion every time the multiprogramming level changes.
 
+Each change (an arrival, a cancellation, a completion) costs one walk of
+the pool, ``_settle``: debit every job its share of the service elapsed
+since the last change, let the one job in or out, and note the smallest
+``remaining`` on the way; the pending completion event is then cancelled
+and a new one pushed for that job.  A completion runs its listeners
+between the walk and the re-arm, so a listener that re-enters the station
+sees a settled pool and event sequence numbers do not depend on it.  The
+arithmetic is fixed — ``remaining - elapsed * speed / n`` clamped at 0.0,
+``delay = remaining * n / speed``, first admitted wins a tie — and
+``tests/test_processor_sharing.py`` holds a naive transcription that
+results must equal exactly, not approximately.
+
 PS is insensitive to the service distribution's shape: mean response at
 load rho is E[S] / (1 - rho) regardless of Cv — a sharp contrast with
 FCFS under heavy-tailed service, and a useful cross-check that the
@@ -16,11 +28,15 @@ simulator's service accounting is exact (a property test pins this).
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappush
+from math import inf
 from typing import Callable, Optional
 
 from repro.datacenter.job import Job
 from repro.datacenter.server import ServerError
 from repro.distributions.prefetch import PrefetchSampler
+from repro.engine.events import PENDING, SimulationError
 from repro.engine.simulation import Simulation
 
 
@@ -38,6 +54,9 @@ class ProcessorSharingServer:
         self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
         self._traced = False
+        self._cancel_event = None
+        self._heap = None
+        self._seq = None
         self._jobs: dict[int, Job] = {}
         self._completion_event = None
         self._last_progress = 0.0
@@ -55,6 +74,11 @@ class ProcessorSharingServer:
         self.sim = sim
         self._last_progress = sim.now
         self._traced = sim.tracing
+        # Captured once: _settle cancels and pushes completion records
+        # straight on the queue.  Safe because heap compaction is in-place.
+        self._cancel_event = sim.events.cancel
+        self._heap = sim.events._heap
+        self._seq = sim.events._counter
         if self.service_distribution is not None:
             self._service_rng = sim.spawn_rng()
             self._next_size = PrefetchSampler(
@@ -80,32 +104,72 @@ class ProcessorSharingServer:
 
     # -- mechanics ---------------------------------------------------------------
 
-    def _advance_progress(self) -> None:
-        """Debit elapsed shared service from every in-flight job."""
-        now = self.sim.now
-        elapsed = now - self._last_progress
-        if elapsed > 0 and self._jobs:
-            per_job = elapsed * self.speed / len(self._jobs)
-            for job in self._jobs.values():
-                job.remaining = max(0.0, job.remaining - per_job)
-        self._last_progress = now
+    def _settle(self, admit: Optional[Job] = None,
+                withdraw: Optional[Job] = None, arm: bool = True) -> None:
+        """Bring the pool up to the clock across one membership change.
 
-    def _reschedule(self) -> None:
-        if self._completion_event is not None:
-            self.sim.cancel(self._completion_event)
-            self._completion_event = None
-        if not self._jobs:
+        One walk: every job present since the last settle (``withdraw``
+        included, before it leaves) is debited its share of the elapsed
+        service, clamped at zero; ``admit`` joins undebited; and the
+        smallest ``remaining`` is tracked on the way, the first admitted
+        winning a tie.  Then the pending completion is cancelled and one
+        for that job is armed.  ``arm=False`` stops after the walk:
+        ``_complete`` arms only once its listeners have run.
+        """
+        now = self.sim.now
+        jobs = self._jobs
+        elapsed = now - self._last_progress
+        self._last_progress = now
+        sharers = len(jobs)
+        if withdraw is not None:
+            del jobs[withdraw.job_id]
+        soonest = None
+        least = inf
+        if elapsed > 0 and sharers:
+            per_job = elapsed * self.speed / sharers
+            if withdraw is not None:
+                left = withdraw.remaining - per_job
+                withdraw.remaining = left if left > 0.0 else 0.0
+            for job in jobs.values():
+                left = job.remaining - per_job
+                if not left > 0.0:
+                    left = 0.0
+                job.remaining = left
+                if left < least:
+                    least = left
+                    soonest = job
+        else:
+            for job in jobs.values():
+                left = job.remaining
+                if left < least:
+                    least = left
+                    soonest = job
+        if admit is not None:
+            jobs[admit.job_id] = admit
+            if admit.remaining < least:
+                least = admit.remaining
+                soonest = admit
+        if not arm:
             return
-        soonest = min(self._jobs.values(), key=lambda job: job.remaining)
-        delay = soonest.remaining * len(self._jobs) / self.speed
-        label = (
-            f"{self.name}:complete#{soonest.job_id}" if self._traced else ""
-        )
-        self._completion_event = self.sim.schedule_in(
-            delay,
-            lambda j=soonest: self._complete(j),
-            label,
-        )
+        if self._completion_event is not None:
+            self._cancel_event(self._completion_event)
+            self._completion_event = None
+        if soonest is None:
+            return
+        delay = least * len(jobs) / self.speed
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        # The record Simulation.schedule_in would build, pushed directly
+        # (layout [time, seq, callback, label, state]).
+        event = [
+            now + delay,
+            next(self._seq),
+            partial(self._complete, soonest),
+            f"{self.name}:complete#{soonest.job_id}" if self._traced else "",
+            PENDING,
+        ]
+        heappush(self._heap, event)
+        self._completion_event = event
 
     def arrive(self, job: Job) -> None:
         """Admit a job into the sharing pool."""
@@ -121,10 +185,8 @@ class ProcessorSharingServer:
             job.size = self._next_size()
         if job.remaining is None:
             job.remaining = job.size
-        self._advance_progress()
         job.start_time = self.sim.now  # PS serves immediately (slower)
-        self._jobs[job.job_id] = job
-        self._reschedule()
+        self._settle(admit=job)
 
     def cancel(self, job: Job) -> bool:
         """Withdraw a sharing job before it completes (replica
@@ -134,18 +196,17 @@ class ProcessorSharingServer:
             raise ServerError(f"{self.name}: not bound")
         if job.job_id not in self._jobs:
             return False
-        self._advance_progress()
-        del self._jobs[job.job_id]
-        self._reschedule()
+        self._settle(withdraw=job)
         return True
 
     def _complete(self, job: Job) -> None:
         self._completion_event = None
-        self._advance_progress()
-        del self._jobs[job.job_id]
+        self._settle(withdraw=job, arm=False)
         job.remaining = 0.0
         job.finish_time = self.sim.now
         self.completed_jobs += 1
         for listener in self._complete_listeners:
             listener(job, self)
-        self._reschedule()
+        # Armed after the listeners, which may re-enter arrive()/cancel():
+        # a second walk, with no time elapsed and nobody joining or leaving.
+        self._settle()

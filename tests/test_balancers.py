@@ -42,6 +42,17 @@ class TestCommon:
         with pytest.raises(RuntimeError):
             balancer.bind(Simulation(seed=2))
 
+    @pytest.mark.parametrize("policy", [RandomBalancer, PowerOfTwoChoices])
+    def test_repeat_bind_keeps_the_random_stream(self, policy):
+        # Two sources feeding one balancer bind it twice; the second call
+        # must not swap in a fresh stream and shift the seed lineage.
+        sim = Simulation(seed=1)
+        balancer = policy(make_pool())
+        balancer.bind(sim)
+        rng = balancer._rng
+        balancer.bind(sim)
+        assert balancer._rng is rng
+
     def test_on_complete_attaches_everywhere(self):
         sim = Simulation(seed=1)
         balancer = RoundRobinBalancer(make_pool())

@@ -138,6 +138,42 @@ class TestNoDoubleCounting:
             CloningBalancer(ps_backends(2), clones=0)
 
 
+class TestRepeatBind:
+    """Binding a redundancy balancer again (a second source feeding the
+    same pool) must change nothing: one replica listener per backend,
+    the same random stream, the same hedge lineage."""
+
+    def test_cloning_balancer(self):
+        sim = Simulation(seed=SEED)
+        balancer = CloningBalancer(ps_backends(3), clones=2)
+        balancer.bind(sim)
+        rng = balancer._rng
+        balancer.bind(sim)
+        assert [len(b._complete_listeners) for b in balancer.servers] == [1, 1, 1]
+        assert balancer._rng is rng
+
+    def test_speculative_retry_balancer(self):
+        sim = Simulation(seed=SEED)
+        balancer = SpeculativeRetryBalancer(ps_backends(3), threshold=0.1)
+        balancer.bind(sim)
+        lineage = balancer._lineage_seed
+        balancer.bind(sim)
+        assert [len(b._complete_listeners) for b in balancer.servers] == [1, 1, 1]
+        assert balancer._lineage_seed == lineage
+
+    def test_two_sources_feed_one_pool(self):
+        balancer = CloningBalancer(ps_backends(3), clones=2)
+        workload = Workload("clone", Exponential(rate=4.0), Exponential(rate=10.0))
+        experiment = Experiment(seed=SEED)
+        for _ in range(2):
+            experiment.add_source(workload, target=balancer, max_jobs=200)
+        assert [len(b._complete_listeners) for b in balancer.servers] == [1, 1, 1]
+        experiment.simulation.run()
+        assert balancer.dispatched == 400
+        assert balancer.completed_jobs == balancer.dispatched
+        assert balancer.cancelled_replicas == balancer.dispatched
+
+
 class TestCloneToAllEquivalence:
     """d = n synchronized cloning IS a single PS queue, sample for sample."""
 

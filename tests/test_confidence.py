@@ -1,6 +1,9 @@
 """Unit tests for confidence-interval math (Eqs. 1-3)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,39 @@ class TestZValue:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 z_value(bad)
+
+    def test_equals_scipy_stats_bit_for_bit(self):
+        # src/ calls scipy.special directly to keep scipy.stats out of
+        # start-up; the reference may import it.
+        from scipy import stats
+
+        levels = list(np.linspace(0.5, 0.9999, 400)) + [0.9, 0.95, 0.99, 0.999]
+        for level in levels:
+            confidence = float(level)
+            alpha = 1.0 - confidence
+            assert z_value(confidence) == float(stats.norm.ppf(1.0 - alpha / 2.0))
+
+
+class TestStartUp:
+    """``import repro`` pays for scipy.special only, never scipy.stats."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-c", "import repro"],
+        ["-c", "import repro.parallel"],
+        ["-m", "repro", "--help"],
+    ], ids=" ".join)
+    def test_scipy_stats_is_not_imported(self, argv):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        packages = {".".join(line.rsplit("|", 1)[-1].split(".")[:2]).strip()
+                    for line in done.stderr.splitlines()}
+        assert "scipy.special" in packages  # the listing sees scipy at all
+        assert "scipy.stats" not in packages
 
 
 class TestMeanSampleSize:

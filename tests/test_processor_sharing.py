@@ -1,6 +1,8 @@
 """Unit tests for the processor-sharing station."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Experiment, Workload
 from repro.datacenter.job import Job
@@ -121,3 +123,166 @@ class TestInsensitivity:
         heavy = self.run_ps(HyperExponential.from_mean_cv(0.05, 3.0), seed=103)
         # Same mean service -> same mean response, despite Cv 1 vs 3.
         assert heavy == pytest.approx(light, rel=0.15)
+
+
+class NaivePS:
+    """The station as first written, kept as the oracle.
+
+    Three separate steps per membership change -- a debit walk, ``min`` by
+    ``remaining``, then cancel + ``schedule_in`` -- through the public
+    ``Simulation`` API only.  ``src/`` never imports it, and it shares no
+    code with ``ProcessorSharingServer._settle``: the two must agree
+    exactly, not approximately.  ``_jobs``, ``_completion_event`` and
+    ``on_complete`` are named as on the station so one driver reads both.
+    """
+
+    def __init__(self, sim, speed=1.0):
+        self.sim = sim
+        self.speed = speed
+        self._jobs = {}
+        self._completion_event = None
+        self.last_progress = sim.now
+        self.completed_jobs = 0
+        self.listeners = []
+
+    def on_complete(self, listener):
+        self.listeners.append(listener)
+
+    def advance(self):
+        elapsed = self.sim.now - self.last_progress
+        if elapsed > 0 and self._jobs:
+            per_job = elapsed * self.speed / len(self._jobs)
+            for job in self._jobs.values():
+                job.remaining = max(0.0, job.remaining - per_job)
+        self.last_progress = self.sim.now
+
+    def reschedule(self):
+        if self._completion_event is not None:
+            self.sim.cancel(self._completion_event)
+            self._completion_event = None
+        if self._jobs:
+            soonest = min(self._jobs.values(), key=lambda job: job.remaining)
+            delay = soonest.remaining * len(self._jobs) / self.speed
+            self._completion_event = self.sim.schedule_in(
+                delay, lambda: self.complete(soonest)
+            )
+
+    def arrive(self, job):
+        job.arrival_time = job.start_time = self.sim.now
+        self.advance()
+        self._jobs[job.job_id] = job
+        self.reschedule()
+
+    def cancel(self, job):
+        if job.job_id not in self._jobs:
+            return False
+        self.advance()
+        del self._jobs[job.job_id]
+        self.reschedule()
+        return True
+
+    def complete(self, job):
+        self._completion_event = None
+        self.advance()
+        del self._jobs[job.job_id]
+        job.remaining = 0.0
+        job.finish_time = self.sim.now
+        self.completed_jobs += 1
+        for listener in self.listeners:
+            listener(job, self)
+        self.reschedule()
+
+
+#: Gaps and sizes drawn from small pools, so that zero-gap arrivals, equal
+#: sizes and ties in ``remaining`` are the common case, not the rare one.
+GAPS = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.3, 1.0, 2.5])
+SIZES = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 1.0, 2.0]),
+    st.floats(min_value=1e-3, max_value=8.0),
+)
+STEPS = st.lists(
+    st.one_of(
+        # (gap, "arrive", size, size of the job its completion re-admits)
+        st.tuples(GAPS, st.just("arrive"), SIZES, st.none() | SIZES),
+        # (gap, "cancel", which admitted job -- finished ones included)
+        st.tuples(GAPS, st.just("cancel"), st.integers(0, 63)),
+        # (gap, "cancel-soonest"): the job the pending completion is for
+        st.tuples(GAPS, st.just("cancel-soonest")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def play(steps, speed, make_station):
+    """Run one script; returns everything the two stations must agree on."""
+    sim = Simulation(seed=1)
+    station = make_station(sim, speed)
+    admitted = []
+    respawn = {}  # job id -> size of the job its completion re-admits
+    log = []
+
+    def admit(size, respawn_size):
+        job = Job(len(admitted) + 1, size=size)
+        if respawn_size is not None:
+            respawn[job.job_id] = respawn_size
+        admitted.append(job)
+        station.arrive(job)
+
+    def snapshot(what):
+        event = station._completion_event
+        log.append((
+            what, sim.now, event and (event[0], event[1]),
+            [(job.job_id, job.remaining, job.finish_time) for job in admitted],
+        ))
+
+    def reenter(job, _station):
+        # A completion listener that re-enters arrive() on the same station.
+        if job.job_id in respawn:
+            admit(respawn.pop(job.job_id), None)
+        snapshot("complete")
+
+    station.on_complete(reenter)
+
+    def step(kind, *args):
+        if kind == "arrive":
+            admit(*args)
+        elif kind == "cancel" and admitted:
+            job = admitted[args[0] % len(admitted)]
+            log.append(station.cancel(job))
+        elif kind == "cancel-soonest" and station._jobs:
+            job = min(station._jobs.values(), key=lambda job: job.remaining)
+            log.append(station.cancel(job))
+        snapshot(kind)
+
+    clock = 0.0
+    for gap, kind, *args in steps:
+        clock += gap
+        sim.schedule_at(clock, lambda kind=kind, args=args: step(kind, *args))
+    sim.run()
+    return log, station.completed_jobs, sim.events_processed, sim.now
+
+
+def real_station(sim, speed):
+    station = ProcessorSharingServer(speed=speed)
+    station.bind(sim)
+    return station
+
+
+class TestAgainstNaiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=STEPS, speed=st.sampled_from([1.0, 0.75, 3.0]))
+    def test_identical_to_the_three_step_algorithm(self, steps, speed):
+        # ==, not approx: finish times, every job's remaining (withdrawn
+        # ones included), completion counts, events processed and the
+        # (time, seq) of the pending completion after every step.
+        assert play(steps, speed, real_station) == play(steps, speed, NaivePS)
+
+    def test_cancel_of_the_job_about_to_complete(self):
+        steps = [(0.0, "arrive", 1.0, None), (0.0, "arrive", 2.0, 0.5),
+                 (0.5, "cancel-soonest"), (0.0, "arrive", 1.5, None)]
+        real = play(steps, 1.0, real_station)
+        assert real == play(steps, 1.0, NaivePS)
+        log, completed, _events, _now = real
+        assert True in log  # the cancel found its job
+        assert completed == 3  # two survivors and the re-admitted job

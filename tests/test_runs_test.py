@@ -8,6 +8,8 @@ from repro.core.runs_test import (
     KNUTH_B,
     MAX_TIE_FRACTION,
     MIN_RUNS_SAMPLE,
+    RUNS_UP_DOF,
+    _runs_up_critical,
     find_lag,
     runs_up_counts,
     runs_up_passes,
@@ -86,6 +88,18 @@ class TestStatistic:
     def test_bad_significance_rejected(self, rng):
         with pytest.raises(ValueError):
             runs_up_passes(rng.random(100), significance=0.0)
+
+    def test_critical_value_equals_scipy_stats_bit_for_bit(self):
+        # src/ calls scipy.special directly to keep scipy.stats out of
+        # start-up; the reference may import it.
+        from scipy import stats
+
+        levels = list(np.linspace(0.5, 0.9999, 400)) + [0.9, 0.95, 0.99, 0.999]
+        for level in levels:
+            significance = 1.0 - float(level)
+            assert _runs_up_critical(significance) == float(
+                stats.chi2.ppf(1.0 - significance, RUNS_UP_DOF)
+            )
 
 
 class TestFindLag:
