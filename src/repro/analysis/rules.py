@@ -358,8 +358,7 @@ class EventMutationRule(Rule):
                         self.id,
                         node,
                         "event records may only be mutated inside "
-                        "engine/events.py (use EventQueue.cancel / "
-                        "requeue)",
+                        "engine/events.py (use EventQueue.cancel)",
                     )
             elif isinstance(node, ast.AugAssign):
                 if self._is_event_subscript(node.target):
@@ -367,8 +366,7 @@ class EventMutationRule(Rule):
                         self.id,
                         node,
                         "event records may only be mutated inside "
-                        "engine/events.py (use EventQueue.cancel / "
-                        "requeue)",
+                        "engine/events.py (use EventQueue.cancel)",
                     )
 
 

@@ -121,16 +121,6 @@ class EventQueue:
             self._dead -= 1
         return None
 
-    def requeue(self, event: Event) -> None:
-        """Put a popped-but-undispatched event back (horizon overshoot).
-
-        :meth:`Simulation.run` pops eagerly and pushes back the first
-        event beyond its ``until`` horizon, which is cheaper than peeking
-        the heap top before every pop.
-        """
-        event[EV_STATE] = PENDING
-        heappush(self._heap, event)
-
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
         heap = self._heap

@@ -116,7 +116,6 @@ class Experiment:
         self.engine = engine
         self.sources: list = []
         self._metric_bindings: list = []
-        self._has_run = False
         self._tracer = None
         self._progress = None
         #: Attach an ExperimentTelemetry digest to results even without a
@@ -257,9 +256,9 @@ class Experiment:
         """Attach a :class:`repro.observability.ProgressReporter`.
 
         The reporter is polled from the convergence-check path (every
-        ``convergence_check_interval`` events, throttled internally by
-        its own wall-clock interval), so it costs nothing on the
-        per-event path.
+        ``convergence_check_interval`` events; once per block on the
+        vectorized fast path) and throttles itself by its own wall-clock
+        interval, so it costs nothing on the per-event path.
         """
         self._progress = reporter
 
@@ -273,35 +272,46 @@ class Experiment:
 
         return ExperimentTelemetry.from_experiment(self, tracer=self._tracer)
 
-    def _stop_condition(self, stop_when):
-        """Compose the convergence predicate with the progress poll."""
-        progress = self._progress
-        if progress is None:
-            return stop_when
-
-        def polled() -> bool:
-            progress.poll(self)
-            return stop_when()
-
-        return polled
-
     # -- running -------------------------------------------------------------------
 
-    def _probe_snapshot(self):
-        probe = self.simulation.probe
-        return probe.snapshot() if probe is not None else None
+    def _run_until(
+        self, stop_when, max_events=None, max_sim_time=None
+    ) -> ExperimentResult:
+        """Drive the event engine until ``stop_when()`` or a bound trips.
 
-    def _run_loop(self, stop_when, max_events=None, max_sim_time=None) -> None:
+        ``stop_when`` is evaluated every ``convergence_check_interval``
+        events, after the attached progress reporter (if any) is polled.
+        """
+        progress = self._progress
+        if progress is None:
+            polled = stop_when
+        else:
+            def polled() -> bool:
+                progress.poll(self)
+                return stop_when()
+
+        simulation = self.simulation
         budget = max_events if max_events is not None else self.max_events
         horizon = max_sim_time if max_sim_time is not None else self.max_sim_time
-        remaining = budget - self.simulation.events_processed
-        if remaining <= 0:
-            return
-        self.simulation.run(
-            until=horizon,
-            max_events=remaining,
-            stop_when=stop_when,
-            stop_check_interval=self.convergence_check_interval,
+        remaining = budget - simulation.events_processed
+        started = time.perf_counter()
+        if remaining > 0:
+            simulation.run(
+                until=horizon,
+                max_events=remaining,
+                stop_when=polled,
+                stop_check_interval=self.convergence_check_interval,
+            )
+        wall = time.perf_counter() - started
+        probe = simulation.probe
+        return ExperimentResult(
+            estimates=self.stats.report(),
+            converged=self.stats.all_converged,
+            events_processed=simulation.events_processed,
+            sim_time=simulation.now,
+            wall_time=wall,
+            jobs_generated=sum(source.generated for source in self.sources),
+            sanitizer=probe.snapshot() if probe is not None else None,
         )
 
     def progress(self) -> Dict[str, Dict[str, float]]:
@@ -361,24 +371,11 @@ class Experiment:
                 return fastpath.run_fastpath(self, max_events=max_events)
             if max_sim_time is None and fastpath.qualifies(self):
                 return fastpath.run_fastpath(self, max_events=max_events)
-        started = time.perf_counter()
-        self._run_loop(
-            stop_when=self._stop_condition(lambda: self.stats.all_converged),
-            max_events=max_events,
-            max_sim_time=max_sim_time,
+        result = self._run_until(
+            lambda: self.stats.all_converged, max_events, max_sim_time
         )
-        wall = time.perf_counter() - started
-        self._has_run = True
-        return ExperimentResult(
-            estimates=self.stats.report(),
-            converged=self.stats.all_converged,
-            events_processed=self.simulation.events_processed,
-            sim_time=self.simulation.now,
-            wall_time=wall,
-            jobs_generated=sum(source.generated for source in self.sources),
-            sanitizer=self._probe_snapshot(),
-            telemetry=self._telemetry(),
-        )
+        result.telemetry = self._telemetry()
+        return result
 
     def run_until_calibrated(
         self, max_events: Optional[int] = None
@@ -390,21 +387,7 @@ class Experiment:
         """
         if not len(self.stats):
             raise RuntimeError("experiment has no tracked metrics")
-        started = time.perf_counter()
-        self._run_loop(
-            stop_when=self._stop_condition(lambda: self.stats.all_measuring),
-            max_events=max_events,
-        )
-        wall = time.perf_counter() - started
-        return ExperimentResult(
-            estimates=self.stats.report(),
-            converged=self.stats.all_converged,
-            events_processed=self.simulation.events_processed,
-            sim_time=self.simulation.now,
-            wall_time=wall,
-            jobs_generated=sum(source.generated for source in self.sources),
-            sanitizer=self._probe_snapshot(),
-        )
+        return self._run_until(lambda: self.stats.all_measuring, max_events)
 
     def replay_chunks(
         self, chunks: Iterable, max_events: Optional[int] = None
@@ -437,21 +420,8 @@ class Experiment:
         if additional < 1:
             raise ValueError(f"additional must be >= 1, got {additional}")
         target = self.stats.total_accepted + additional
-        started = time.perf_counter()
-        self._run_loop(
-            stop_when=self._stop_condition(
-                lambda: self.stats.total_accepted >= target
-                or self.stats.all_converged
-            ),
-            max_events=max_events,
-        )
-        wall = time.perf_counter() - started
-        return ExperimentResult(
-            estimates=self.stats.report(),
-            converged=self.stats.all_converged,
-            events_processed=self.simulation.events_processed,
-            sim_time=self.simulation.now,
-            wall_time=wall,
-            jobs_generated=sum(source.generated for source in self.sources),
-            sanitizer=self._probe_snapshot(),
+        return self._run_until(
+            lambda: self.stats.total_accepted >= target
+            or self.stats.all_converged,
+            max_events,
         )

@@ -12,10 +12,12 @@ them directly:
   which vectorizes to three numpy passes per block.
 - **G/G/c (c >= 2)**: the Kiefer–Wolfowitz next-free-server recurrence —
   each job starts at ``max(arrival, min(core free times))`` — is an
-  inherently sequential scan over c state variables.  A specialized
-  kernel is code-generated per core count (flat unrolled min scan over c
-  locals), which runs ~10x faster than a generic heap-based loop; core
-  counts above :data:`MAX_UNROLLED_CORES` fall back to a ``heapq`` scan.
+  inherently sequential scan.  Every core count runs the same loop over
+  a ``heapq`` of free times, O(log c) per job (queuecomputer's design).
+  It is the only kernel because specializing does not pay: a scan
+  unrolled over c locals measured 94 / 128 / 203 / 360 ns per job at
+  c = 2 / 4 / 8 / 16 against this loop's 98 / 116 / 138 / 147
+  (32 768-job block, best of 7).
 
 Draws come in blocks from the **same RNG streams** the event engine
 would use (``Distribution.sample_block`` on the source's arrival and
@@ -49,11 +51,6 @@ from repro.datacenter.source import Source
 #: Jobs simulated per block: large enough to amortize numpy dispatch,
 #: small enough that convergence is checked at a reasonable cadence.
 BLOCK_JOBS = 32768
-
-#: Largest core count that gets a code-generated unrolled kernel; above
-#: this the generic heapq scan is used (the unrolled min scan is O(c)
-#: per job, so very wide servers stop benefiting anyway).
-MAX_UNROLLED_CORES = 16
 
 #: Event-engine cost of one fastpath job (arrival + completion), used to
 #: honour ``max_events`` budgets at parity with the event engine.
@@ -173,81 +170,29 @@ def qualifies(experiment) -> Qualification:
     return _QUALIFIED
 
 
-# -- G/G/c sequential kernels -------------------------------------------------
+# -- block recurrences --------------------------------------------------------
 
-_KERNEL_CACHE: dict = {}
+def _heap_scan(
+    gaps: np.ndarray,
+    services: np.ndarray,
+    carry: Tuple[float, list],
+) -> Tuple[np.ndarray, Tuple[float, list]]:
+    """Waiting times for one G/G/c block (c >= 2), with carry across blocks.
 
-
-def _make_kernel(cores: int) -> Callable:
-    """Code-generate the next-free-server scan specialized for ``cores``.
-
-    The generated function keeps each core's free time in its own local
-    variable, finds the minimum with an unrolled flat scan, and writes
-    the chosen core back through an unrolled if/elif ladder — roughly an
-    order of magnitude faster than a generic list/heap loop because no
-    container indexing or method dispatch survives into the hot loop.
-
-    Signature: ``kernel(arrivals, services, waits, state) -> state`` with
-    ``arrivals``/``services``/``waits`` as equal-length Python lists
-    (``waits`` is filled in place) and ``state`` the tuple of core free
-    times carried between blocks.
+    ``carry`` is ``(clock, free)``: the time of the last arrival so far
+    and the core free times as a heap, advanced in place.  Each job
+    starts at ``max(arrival, free[0])`` — the same arithmetic, in the
+    same order, as the reference next-free-server recurrence, so waits
+    are bit-equal to it; which of several equally free cores serves a
+    job does not enter a waiting time.  O(log c) per job.
     """
-    frees = [f"f{j}" for j in range(cores)]
-    lines = [
-        "def kernel(arrivals, services, waits, state):",
-        f"    {', '.join(frees)}, = state",
-        "    i = 0",
-        "    for a, s in zip(arrivals, services):",
-        "        f = f0; m = 0",
-    ]
-    for j in range(1, cores):
-        lines.append(f"        if f{j} < f: f = f{j}; m = {j}")
-    lines += [
-        "        if f > a:",
-        "            waits[i] = f - a",
-        "            d = f + s",
-        "        else:",
-        "            d = a + s",
-    ]
-    branch = "if"
-    for j in range(cores - 1):
-        lines.append(f"        {branch} m == {j}: f{j} = d")
-        branch = "elif"
-    if cores == 1:
-        lines.append("        f0 = d")
-    else:
-        lines.append(f"        else: f{cores - 1} = d")
-    lines += [
-        "        i += 1",
-        f"    return ({', '.join(frees)},)",
-    ]
-    namespace: dict = {}
-    exec(  # noqa: S102 - generating the specialized scan above
-        compile("\n".join(lines), f"<fastpath-ggc-kernel-{cores}>", "exec"),
-        namespace,
-    )
-    return namespace["kernel"]
-
-
-def _kernel_for(cores: int) -> Callable:
-    kernel = _KERNEL_CACHE.get(cores)
-    if kernel is None:
-        kernel = _make_kernel(cores)
-        _KERNEL_CACHE[cores] = kernel
-    return kernel
-
-
-def _heap_scan(arrivals, services, waits, state):
-    """Generic G/G/c scan for very wide servers (cores > MAX_UNROLLED_CORES).
-
-    Same recurrence as the generated kernels, but the core free times
-    live in a heap, so cost per job is O(log c) instead of O(c).
-    """
-    free = list(state)
-    heapq.heapify(free)
+    clock, free = carry
+    arrivals = np.cumsum(gaps)
+    arrivals += clock
+    waits = [0.0] * gaps.shape[0]
     replace = heapq.heapreplace
     i = 0
-    for a, s in zip(arrivals, services):
+    for a, s in zip(arrivals.tolist(), services.tolist()):
         f = free[0]
         if f > a:
             waits[i] = f - a
@@ -255,24 +200,23 @@ def _heap_scan(arrivals, services, waits, state):
         else:
             replace(free, a + s)
         i += 1
-    return tuple(free)
+    return np.array(waits, dtype=float), (float(arrivals[-1]), free)
 
-
-# -- block recurrences --------------------------------------------------------
 
 def _lindley_block(
     gaps: np.ndarray,
     services: np.ndarray,
-    carry: Tuple[float, float],
-) -> Tuple[np.ndarray, Tuple[float, float]]:
+    carry: Tuple[float, float, float],
+) -> Tuple[np.ndarray, Tuple[float, float, float]]:
     """Waiting times for one G/G/1 block, with carry across blocks.
 
-    ``carry`` is ``(w_last, s_last)`` — the previous block's final
-    waiting and service time — so the recurrence continues exactly:
-    the first wait is ``max(0, w_last + s_last - gaps[0])`` and the rest
-    follow the reflected-random-walk identity.
+    ``carry`` is ``(clock, w_last, s_last)`` — the time of the last
+    arrival so far and the previous block's final waiting and service
+    time — so the recurrence continues exactly: the first wait is
+    ``max(0, w_last + s_last - gaps[0])`` and the rest follow the
+    reflected-random-walk identity.
     """
-    w_last, s_last = carry
+    clock, w_last, s_last = carry
     n = gaps.shape[0]
     waits = np.empty(n, dtype=float)
     first = w_last + s_last - gaps[0]
@@ -282,7 +226,9 @@ def _lindley_block(
         floor = np.minimum.accumulate(walk)
         np.minimum(floor, -waits[0], out=floor)
         np.subtract(walk, floor, out=waits[1:])
-    return waits, (float(waits[-1]), float(services[-1]))
+    return waits, (
+        clock + float(gaps.sum()), float(waits[-1]), float(services[-1])
+    )
 
 
 # -- the engine ---------------------------------------------------------------
@@ -326,15 +272,16 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
     budget = max_events if max_events is not None else experiment.max_events
     jobs_budget = budget // EVENTS_PER_JOB
     jobs = 0
-    clock = 0.0
 
+    # Either recurrence maps (gaps, services, carry) to (waits, carry)
+    # and keeps the clock — the time of the last arrival — in carry[0].
     if cores == 1:
-        carry = (0.0, 0.0)
+        block, carry = _lindley_block, (0.0, 0.0, 0.0)
     else:
-        state = (0.0,) * cores
-        scan = _kernel_for(cores) if cores <= MAX_UNROLLED_CORES else _heap_scan
+        block, carry = _heap_scan, (0.0, [0.0] * cores)
 
     stats = experiment.stats
+    progress = experiment._progress
     while not stats.all_converged:
         remaining = jobs_budget - jobs
         if remaining <= 0:
@@ -344,29 +291,21 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
         services = service.sample_block(service_rng, n)
         if speed != 1.0:
             services = services / speed
-        if cores == 1:
-            waits, carry = _lindley_block(gaps, services, carry)
-            clock += float(gaps.sum())
-        else:
-            arrivals = np.cumsum(gaps)
-            arrivals += clock
-            clock = float(arrivals[-1])
-            wait_list = [0.0] * n
-            state = scan(arrivals.tolist(), services.tolist(), wait_list, state)
-            waits = np.array(wait_list, dtype=float)
+        waits, carry = block(gaps, services, carry)
         responses = waits + services if wants_response else None
         for feed, kind in feeds:
             feed(responses if kind == "response" else waits)
         jobs += n
+        if progress is not None:
+            progress.poll(experiment)
 
     source.generated += jobs
-    experiment._has_run = True
     wall = time.perf_counter() - started
     return ExperimentResult(
         estimates=stats.report(),
         converged=stats.all_converged,
         events_processed=jobs * EVENTS_PER_JOB,
-        sim_time=clock,
+        sim_time=carry[0],
         wall_time=wall,
         jobs_generated=jobs,
         extras={"engine": "fastpath"},

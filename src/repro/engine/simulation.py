@@ -24,12 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.engine.events import (
-    CANCELLED,
-    EV_CALLBACK,
-    EV_LABEL,
     EV_STATE,
-    EV_TIME,
-    FIRED,
     PENDING,
     Event,
     EventQueue,
@@ -67,9 +62,6 @@ class Simulation:
         self.seed = seed
         self.events = EventQueue()
         self.events_processed: int = 0
-        #: Events dispatched one-at-a-time through step() rather than the
-        #: inlined run() loop (telemetry: fast-path vs slow-path split).
-        self.slowpath_events: int = 0
         self._seed_sequence = np.random.SeedSequence(seed)
         self._periodics: dict[int, Event] = {}
         self._periodic_counter = 0
@@ -247,26 +239,6 @@ class Simulation:
 
     # -- event loop ---------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process one event.  Returns False when the queue is empty."""
-        event = self.events.pop()
-        if event is None:
-            return False
-        time = event[EV_TIME]
-        if time < self.now:
-            raise SimulationError(
-                f"time went backwards: event at {time}, now {self.now}"
-            )
-        self.now = time
-        self.events_processed += 1
-        self.slowpath_events += 1
-        if self._trace is not None:
-            self._trace.append((time, event[EV_LABEL]))
-        if self._probe is not None:
-            self._probe.record_time(time)
-        event[EV_CALLBACK]()
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
@@ -315,8 +287,7 @@ class Simulation:
         # No per-event monotonicity test: schedule_at/schedule_in refuse
         # past times, heap pops are globally non-decreasing, and events
         # inserted from a callback carry time >= the current event's —
-        # so popped times cannot regress.  (step() keeps the check for
-        # externally driven queues.)
+        # so popped times cannot regress.
         try:
             while processed < budget:
                 # -- inline EventQueue.pop (skipping cancelled entries) --

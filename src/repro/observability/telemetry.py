@@ -4,8 +4,8 @@ Where the trace file is the full chronological record, telemetry is the
 end-of-run digest: one JSON-safe object answering "what did the
 convergence pipeline actually do" — per-metric phases, lags (and
 whether the runs-up test chose them conclusively), sample-size
-requirements, engine fast-path/slow-path split, and (for parallel runs)
-per-slave progress and degradation flags.
+requirements, and (for parallel runs) per-slave progress and degradation
+flags.
 
 It is built once after the run from live objects, so it costs nothing
 during simulation and exists even when no trace file was requested.
@@ -31,10 +31,6 @@ class ExperimentTelemetry:
 
     events_processed: int = 0
     sim_time: float = 0.0
-    #: Events dispatched through the inlined Simulation.run loop vs the
-    #: one-at-a-time step() path.
-    fastpath_events: int = 0
-    slowpath_events: int = 0
     #: Per-metric pipeline state: phase, lag + how it was chosen,
     #: accepted/required counts, convergence checks performed.
     metrics: Dict[str, dict] = field(default_factory=dict)
@@ -48,12 +44,9 @@ class ExperimentTelemetry:
     def from_experiment(cls, experiment, tracer=None) -> "ExperimentTelemetry":
         """Digest a finished (or in-flight) Experiment."""
         simulation = experiment.simulation
-        slowpath = getattr(simulation, "slowpath_events", 0)
         telemetry = cls(
             events_processed=simulation.events_processed,
             sim_time=simulation.now,
-            fastpath_events=simulation.events_processed - slowpath,
-            slowpath_events=slowpath,
         )
         for statistic in experiment.stats:
             required = statistic.required_sample_size()
@@ -126,8 +119,6 @@ class ExperimentTelemetry:
         payload = {
             "events_processed": self.events_processed,
             "sim_time": self.sim_time,
-            "fastpath_events": self.fastpath_events,
-            "slowpath_events": self.slowpath_events,
             "metrics": {name: dict(entry) for name, entry in self.metrics.items()},
         }
         if self.trace:

@@ -7,8 +7,8 @@ Three layers of guarantees are pinned here:
    exactly the decisions of the scalar ``insert``/``observe`` loops
    (hypothesis property tests over awkward block splits).
 2. **Exactness of the recurrences** — the vectorized Lindley solution
-   and the code-generated G/G/c kernels reproduce the naive scalar
-   recurrences bit-for-bit, across block boundaries.
+   reproduces the naive scalar recurrence to fp tolerance and the G/G/c
+   scan reproduces it bit-for-bit, across block boundaries.
 3. **Gating** — ``qualifies`` admits exactly the models the recurrences
    are exact for, forced ``engine="fastpath"`` raises on anything else,
    and ``engine="auto"`` fallback is bit-identical to ``engine="event"``
@@ -16,7 +16,8 @@ Three layers of guarantees are pinned here:
    valid.
 """
 
-import heapq
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +28,12 @@ from repro.core.histogram import BinScheme, Histogram, HistogramError
 from repro.core.statistic import Statistic
 from repro.datacenter.disciplines import LIFOQueue
 from repro.datacenter.server import Server
-from repro.distributions import Exponential, HyperExponential
+from repro.distributions import Deterministic, Exponential, HyperExponential
 from repro.engine import fastpath
 from repro.engine.experiment import Experiment
 from repro.engine.fastpath import (
     FastpathError,
     _heap_scan,
-    _kernel_for,
     _lindley_block,
     qualifies,
     run_fastpath,
@@ -204,7 +204,7 @@ class TestLindleyBlock:
         services = rng.exponential(1.0, size=n)
         expected = scalar_lindley(gaps, services)
         cut = min(cut, n)
-        carry = (0.0, 0.0)
+        carry = (0.0, 0.0, 0.0)
         parts = []
         for chunk in (slice(0, cut), slice(cut, n)):
             if gaps[chunk].size:
@@ -215,7 +215,7 @@ class TestLindleyBlock:
         got = np.concatenate(parts)
         # The reflected-walk solution sums in a different order than the
         # scalar max-recurrence, so agreement is to fp tolerance, not
-        # bit-exact (the G/G/c kernels below ARE bit-exact — they do the
+        # bit-exact (the G/G/c scan below IS bit-exact — it does the
         # same arithmetic as the reference).
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
@@ -233,55 +233,57 @@ def scalar_ggc(arrivals, services, k):
 
 
 class TestGgcKernels:
-    @pytest.mark.parametrize("k", [2, 3, 4, 16])
-    def test_codegen_kernel_matches_reference(self, k):
+    @pytest.mark.parametrize("k", [2, 3, 4, 16, 17, 64])
+    def test_scan_matches_reference(self, k):
         rng = np.random.default_rng(11)
         n = 2000
         gaps = rng.exponential(1.0 / (0.8 * k), size=n)
-        arrivals = np.cumsum(gaps)
         services = rng.exponential(1.0, size=n)
-        expected = scalar_ggc(arrivals, services, k)
-        waits = [0.0] * n
-        _kernel_for(k)(arrivals.tolist(), services.tolist(), waits, (0.0,) * k)
-        assert np.array_equal(np.asarray(waits), expected)
-
-    def test_heap_scan_matches_codegen(self):
-        k = 6
-        rng = np.random.default_rng(12)
-        n = 1500
-        arrivals = np.cumsum(rng.exponential(1.0 / (0.7 * k), size=n))
-        services = rng.exponential(1.0, size=n)
-        waits_a, waits_b = [0.0] * n, [0.0] * n
-        state_a = _kernel_for(k)(
-            arrivals.tolist(), services.tolist(), waits_a, (0.0,) * k
-        )
-        state_b = _heap_scan(
-            arrivals.tolist(), services.tolist(), waits_b, (0.0,) * k
-        )
-        assert waits_a == waits_b
-        assert sorted(state_a) == sorted(heapq.nsmallest(k, state_b))
+        expected = scalar_ggc(np.cumsum(gaps), services, k)
+        waits, (clock, free) = _heap_scan(gaps, services, (0.0, [0.0] * k))
+        assert np.array_equal(waits, expected)
+        assert clock == np.cumsum(gaps)[-1]
+        assert len(free) == k
 
     def test_kernel_state_carries_across_blocks(self):
         k = 3
         rng = np.random.default_rng(13)
         n = 1000
-        arrivals = np.cumsum(rng.exponential(0.4, size=n))
+        gaps = rng.exponential(0.4, size=n)
         services = rng.exponential(1.0, size=n)
+        waits_one, carry = _heap_scan(
+            gaps[:400], services[:400], (0.0, [0.0] * k)
+        )
+        # Arrival times restart their running sum from the carried clock
+        # at each block, so the reference gets them summed the same way.
+        arrivals = np.concatenate(
+            [np.cumsum(gaps[:400]), np.cumsum(gaps[400:]) + carry[0]]
+        )
         expected = scalar_ggc(arrivals, services, k)
-        kernel = _kernel_for(k)
-        waits_one = [0.0] * 400
-        waits_two = [0.0] * 600
-        state = kernel(
-            arrivals[:400].tolist(), services[:400].tolist(),
-            waits_one, (0.0,) * k,
-        )
-        kernel(
-            arrivals[400:].tolist(), services[400:].tolist(),
-            waits_two, state,
-        )
+        # What crosses the boundary is the clock plus a heap-ordered
+        # free list, used as it stands by the next block.
+        free = carry[1]
+        assert all(free[(j - 1) // 2] <= free[j] for j in range(1, k))
+        waits_two, _ = _heap_scan(gaps[400:], services[400:], carry)
         assert np.array_equal(
-            np.asarray(waits_one + waits_two), expected
+            np.concatenate([waits_one, waits_two]), expected
         )
+
+    def test_equal_free_times_do_not_change_waits(self):
+        # Batches of four simultaneous arrivals with constant service on
+        # three cores: after every batch two or three cores free at the
+        # same instant, so the reference's lowest-index pick and the
+        # heap's pick differ in *which* core serves — and must not
+        # differ in any wait.
+        k, n = 3, 400
+        gaps = np.tile([1.0, 0.0, 0.0, 0.0], n // 4)
+        services = Deterministic(2.0).sample_block(
+            np.random.default_rng(0), n
+        )
+        expected = scalar_ggc(np.cumsum(gaps), services, k)
+        waits, (_, free) = _heap_scan(gaps, services, (0.0, [0.0] * k))
+        assert np.array_equal(waits, expected)
+        assert len(set(free)) < k
 
 
 # -- 3. gating and engine selection -------------------------------------------
@@ -525,24 +527,48 @@ class TestStatisticalEquivalence:
             expected, rel=0.1
         )
 
-    def test_wide_server_uses_heap_scan(self):
+
+#: ``engine="fastpath"`` outcomes recorded at commit 275bd65, when core
+#: counts up to 16 still ran the generated unrolled kernel: everything
+#: ``result_to_dict`` reports except wall time, plus histogram digests.
+PINS = json.loads(
+    (Path(__file__).parent / "fixtures" / "fastpath_pins.json").read_text()
+)
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize(
+        "pin", PINS, ids=lambda pin: f"c{pin['cores']}-seed{pin['seed']}"
+    )
+    def test_result_equals_recorded_parent_values(self, pin):
+        from repro.engine.report import result_to_dict
+        from repro.parallel.protocol import payload_digest
+
+        cores = pin["cores"]
         experiment = Experiment(
-            seed=3, engine="fastpath", warmup_samples=100,
-            calibration_samples=500,
+            seed=pin["seed"], engine="fastpath", warmup_samples=200,
+            calibration_samples=1000,
         )
-        server = Server(cores=fastpath.MAX_UNROLLED_CORES + 4)
+        server = Server(cores=cores)
         experiment.add_source(
             Workload(
-                "wide",
-                Exponential(rate=0.5 * (fastpath.MAX_UNROLLED_CORES + 4)),
-                Exponential(1.0),
+                "mmc", Exponential(rate=0.8 * cores), Exponential(rate=1.0)
             ),
-            server,
+            target=server,
         )
-        experiment.track_response_time(server, mean_accuracy=0.05)
-        result = experiment.run(max_events=2_000_000)
-        # Light load on a wide station: response ~ service mean.
-        assert result["response_time"].mean == pytest.approx(1.0, rel=0.15)
+        experiment.track_response_time(
+            server, mean_accuracy=0.02, quantiles={0.95: 0.05}
+        )
+        experiment.track_waiting_time(server, mean_accuracy=0.05)
+        got = result_to_dict(experiment.run())
+        del got["wall_time"]
+        got["histogram_digests"] = {
+            statistic.name: payload_digest(statistic.histogram.to_payload())
+            for statistic in experiment.stats
+        }
+        # Through JSON so tuples and float keys take the fixture's form;
+        # floats round-trip exactly.
+        assert json.loads(json.dumps(got)) == pin["result"]
 
 
 class TestEngineKnobPlumbing:

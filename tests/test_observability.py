@@ -280,16 +280,6 @@ class TestTelemetryWithoutTracer:
         assert result.telemetry.trace == {}
         assert result.telemetry.events_processed == result.events_processed
 
-    def test_fastpath_slowpath_split(self):
-        experiment = small_experiment()
-        experiment.collect_telemetry = True
-        result = experiment.run()
-        telemetry = result.telemetry
-        assert (
-            telemetry.fastpath_events + telemetry.slowpath_events
-            == telemetry.events_processed
-        )
-
 
 class TestProgressReporter:
     def test_poll_throttles_against_clock(self):
@@ -303,6 +293,28 @@ class TestProgressReporter:
         # Clock ticks 1s per poll: the first fires, then every third.
         assert polled == [True, False, False, True, False, False]
         assert reporter.reports_written == 2
+
+    @pytest.mark.parametrize("engine", ["event", "auto", "fastpath"])
+    def test_attached_reporter_is_polled_on_every_engine(self, engine):
+        from repro.engine.report import result_to_dict
+
+        def run(reporter):
+            experiment = small_experiment()
+            experiment.engine = engine
+            if reporter is not None:
+                experiment.attach_progress(reporter)
+            payload = result_to_dict(experiment.run())
+            del payload["wall_time"]
+            return payload
+
+        reporter = ProgressReporter(stream=io.StringIO(), min_interval=0.0)
+        reported = run(reporter)
+        assert reporter.reports_written > 0
+        assert "[progress] response_time" in reporter.stream.getvalue()
+        # A reporter neither moves an estimate nor changes which engine
+        # runs (extras carries the engine).
+        assert reported == run(None)
+        assert ("engine" in reported["extras"]) == (engine != "event")
 
     def test_update_renders_phase_and_fraction(self):
         experiment = small_experiment()
