@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -456,6 +457,57 @@ def _cmd_agent(args: argparse.Namespace) -> int:
     return run_agent(args)
 
 
+def _add_agent_args(parser) -> None:
+    """The agent's flags, for ``repro agent`` and for
+    ``python -m repro.parallel.agent`` alike; declared here so that
+    building the parser does not import :mod:`repro.parallel`."""
+    parser.add_argument(
+        "address", help="master transport address, HOST:PORT"
+    )
+    parser.add_argument(
+        "--slots", type=int, metavar="N", default=os.cpu_count() or 1,
+        help="worker slots to offer (default: CPU count)",
+    )
+    parser.add_argument(
+        "--transport-key", metavar="KEY", default=None,
+        help="shared fleet key (must match the master's)",
+    )
+    parser.add_argument(
+        "--context", default="fork",
+        help="multiprocessing start method for workers (default: fork)",
+    )
+    parser.add_argument(
+        "--reconnect-delay", type=float, metavar="SECONDS", default=0.2,
+        help="base seconds of the re-dial backoff (default: 0.2)",
+    )
+    parser.add_argument(
+        "--reconnect-cap", type=float, metavar="SECONDS", default=30.0,
+        help="ceiling of the exponential re-dial backoff (default: 30)",
+    )
+    parser.add_argument(
+        "--backoff-seed", type=int, metavar="SEED", default=0,
+        help=(
+            "seed for the deterministic re-dial jitter (give each "
+            "agent its own so probes spread instead of dialing in "
+            "lockstep)"
+        ),
+    )
+    parser.add_argument(
+        "--max-redial", type=int, metavar="N", default=None,
+        help=(
+            "consecutive failed dials a slot tolerates before giving "
+            "up (default: retry forever)"
+        ),
+    )
+    parser.add_argument(
+        "--idle-exit", type=float, metavar="SECONDS", default=None,
+        help=(
+            "exit after this many seconds without hosting a worker "
+            "(useful in CI; default: run forever)"
+        ),
+    )
+
+
 def _add_listen_args(parser) -> None:
     """Flags shared by run/sweep: where --backend remote listens."""
     parser.add_argument(
@@ -799,9 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
         "agent",
         help="host remote workers for a '--backend remote' master",
     )
-    from repro.parallel.agent import add_agent_arguments
-
-    add_agent_arguments(agent)
+    _add_agent_args(agent)
     agent.set_defaults(handler=_cmd_agent)
     return parser
 

@@ -33,11 +33,11 @@ lag conservatively otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 #: Knuth's quadratic-form coefficients (TAOCP §3.3.2, Eq. 3.3.2-14).
 KNUTH_A = np.array(
@@ -125,22 +125,13 @@ def runs_up_counts(sequence: Sequence[float]) -> np.ndarray:
     zero, but simulation outputs can repeat, e.g. zero waiting times).
     """
     values = np.asarray(sequence, dtype=float)
-    counts = np.zeros(6, dtype=np.int64)
     if values.size == 0:
-        return counts
-    if values.size == 1:
-        counts[0] = 1
-        return counts
-    ascending = values[1:] > values[:-1]
-    run_length = 1
-    for up in ascending:
-        if up:
-            run_length += 1
-        else:
-            counts[min(run_length, 6) - 1] += 1
-            run_length = 1
-    counts[min(run_length, 6) - 1] += 1
-    return counts
+        return np.zeros(6, dtype=np.int64)
+    # A run ends at every non-ascent and at the last value; its length
+    # is the distance back to the previous end.
+    non_ascents = np.flatnonzero(~(values[1:] > values[:-1]))
+    ends = np.concatenate(([-1], non_ascents, [values.size - 1]))
+    return np.bincount(np.minimum(np.diff(ends), 6) - 1, minlength=6)
 
 
 def runs_up_statistic(sequence: Sequence[float]) -> float:
@@ -156,13 +147,18 @@ def runs_up_statistic(sequence: Sequence[float]) -> float:
     return float(deviation @ KNUTH_A @ deviation) / n
 
 
-def _runs_up_critical(significance: float) -> float:
-    """Upper-tail chi-square(6) critical value at ``significance``.
+def _runs_up_tail(statistic: float) -> float:
+    """``P(X > statistic)`` for ``X`` ~ chi-square(:data:`RUNS_UP_DOF`).
 
-    The expression scipy's ``chi2.ppf`` evaluates, called where it lives
-    (see :func:`repro.core.confidence.z_value` for why).
+    With an even number of degrees of freedom ``2m`` the upper tail is
+    elementary, ``e^(-v/2) * sum_{k<m} (v/2)^k / k!``; for the runs-up
+    test's six that is ``e^(-v/2) * (1 + v/2 + v^2/8)``.  No level is
+    out of reach (there is no ``1 - significance`` to round to 1.0) and
+    nothing has to be imported to evaluate it (see
+    :func:`repro.core.confidence.z_value`).
     """
-    return float(2 * gammaincinv(RUNS_UP_DOF / 2, 1.0 - significance))
+    half = 0.5 * statistic
+    return math.exp(-half) * (1.0 + half + 0.5 * half * half)
 
 
 def runs_up_test(
@@ -174,7 +170,9 @@ def runs_up_test(
     verdict) when the sequence is shorter than :data:`MIN_RUNS_SAMPLE`
     or its adjacent-tie fraction exceeds :data:`MAX_TIE_FRACTION`;
     otherwise :data:`PASS` / :data:`FAIL` by the one-sided upper-tail
-    chi-square(6) criterion (autocorrelation inflates V).
+    chi-square(6) criterion (autocorrelation inflates V): the test fails
+    when the probability of a V this large under independence
+    (:func:`_runs_up_tail`) is below ``significance``.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must be in (0, 1), got {significance}")
@@ -202,13 +200,16 @@ def runs_up_test(
             ),
         )
     statistic = runs_up_statistic(values)
-    critical = _runs_up_critical(significance)
+    tail = _runs_up_tail(statistic)
     return RunsUpResult(
-        outcome=PASS if statistic <= critical else FAIL,
+        outcome=PASS if tail >= significance else FAIL,
         n=n,
         tie_fraction=ties,
         statistic=statistic,
-        reason=f"V={statistic:.2f} vs chi2 critical {critical:.2f}",
+        reason=(
+            f"V={statistic:.2f}, chi2({RUNS_UP_DOF}) upper tail "
+            f"{tail:.3g} vs significance {significance:g}"
+        ),
     )
 
 

@@ -408,56 +408,6 @@ class HostAgent:
         reap_process(process, timeout=10.0)
 
 
-def add_agent_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare the agent's flags: on this module's own parser and on the
-    ``repro agent`` subcommand alike."""
-    parser.add_argument(
-        "address", help="master transport address, HOST:PORT"
-    )
-    parser.add_argument(
-        "--slots", type=int, metavar="N", default=os.cpu_count() or 1,
-        help="worker slots to offer (default: CPU count)",
-    )
-    parser.add_argument(
-        "--transport-key", metavar="KEY", default=None,
-        help="shared fleet key (must match the master's)",
-    )
-    parser.add_argument(
-        "--context", default="fork",
-        help="multiprocessing start method for workers (default: fork)",
-    )
-    parser.add_argument(
-        "--reconnect-delay", type=float, metavar="SECONDS", default=0.2,
-        help="base seconds of the re-dial backoff (default: 0.2)",
-    )
-    parser.add_argument(
-        "--reconnect-cap", type=float, metavar="SECONDS", default=30.0,
-        help="ceiling of the exponential re-dial backoff (default: 30)",
-    )
-    parser.add_argument(
-        "--backoff-seed", type=int, metavar="SEED", default=0,
-        help=(
-            "seed for the deterministic re-dial jitter (give each "
-            "agent its own so probes spread instead of dialing in "
-            "lockstep)"
-        ),
-    )
-    parser.add_argument(
-        "--max-redial", type=int, metavar="N", default=None,
-        help=(
-            "consecutive failed dials a slot tolerates before giving "
-            "up (default: retry forever)"
-        ),
-    )
-    parser.add_argument(
-        "--idle-exit", type=float, metavar="SECONDS", default=None,
-        help=(
-            "exit after this many seconds without hosting a worker "
-            "(useful in CI; default: run forever)"
-        ),
-    )
-
-
 def run_agent(options: argparse.Namespace) -> int:
     """Run one agent as the parsed ``options`` describe, until it ends."""
     address = parse_address(options.address)
@@ -505,7 +455,9 @@ def main(argv=None) -> int:
             "(--backend remote)."
         ),
     )
-    add_agent_arguments(parser)
+    from repro.cli import _add_agent_args
+
+    _add_agent_args(parser)
     return run_agent(parser.parse_args(argv))
 
 

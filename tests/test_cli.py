@@ -308,15 +308,16 @@ class TestSweepFleetFlags:
 
 
 class TestAgentFlags:
-    def test_repro_agent_and_module_entry_share_one_declaration(self):
-        import argparse
+    def test_repro_agent_and_module_entry_share_one_declaration(
+        self, monkeypatch
+    ):
         import os
 
         from repro.cli import build_parser
-        from repro.parallel.agent import add_agent_arguments
+        from repro.parallel import agent
 
-        standalone = argparse.ArgumentParser()
-        add_agent_arguments(standalone)
+        # What ``python -m repro.parallel.agent ARGV`` hands to run_agent.
+        monkeypatch.setattr(agent, "run_agent", vars)
         for argv in (
             ["127.0.0.1:9751"],
             ["h:1", "--slots", "3", "--transport-key", "k",
@@ -324,9 +325,9 @@ class TestAgentFlags:
         ):
             via_cli = vars(build_parser().parse_args(["agent"] + argv))
             del via_cli["command"], via_cli["handler"]
-            assert via_cli == vars(standalone.parse_args(argv))
+            assert via_cli == agent.main(argv)
         assert via_cli["slots"] == 3
-        defaults = standalone.parse_args(["h:1"])
+        defaults = build_parser().parse_args(["agent", "h:1"])
         assert defaults.slots == (os.cpu_count() or 1)
         assert (defaults.context, defaults.reconnect_delay,
                 defaults.reconnect_cap, defaults.backoff_seed,

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.runs_test import (
+    FAIL,
     INCONCLUSIVE,
     KNUTH_B,
     MAX_TIE_FRACTION,
     MIN_RUNS_SAMPLE,
+    PASS,
     RUNS_UP_DOF,
-    _runs_up_critical,
+    _runs_up_tail,
     find_lag,
     runs_up_counts,
     runs_up_passes,
@@ -29,7 +33,71 @@ def ar1(rng, n, rho=0.95):
     return x
 
 
+def reference_counts(sequence):
+    """The scalar walk :func:`runs_up_counts` replaced, kept as its
+    reference: one Python step per observation."""
+    values = np.asarray(sequence, dtype=float)
+    counts = np.zeros(6, dtype=np.int64)
+    if values.size == 0:
+        return counts
+    run_length = 1
+    for up in values[1:] > values[:-1]:
+        if up:
+            run_length += 1
+        else:
+            counts[min(run_length, 6) - 1] += 1
+            run_length = 1
+    counts[min(run_length, 6) - 1] += 1
+    return counts
+
+
+def climb(steps):
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN we want
+        return np.cumsum(steps).tolist()
+
+
+#: Any floats at all (NaN and both infinities included), drawn so that
+#: ties are common ...
+_TIED = st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, 1.0, 2.0, float("nan"), float("inf"),
+                         float("-inf")]),
+    ),
+    max_size=200,
+)
+#: ... and walks whose steps are mostly upward, so that ascents longer
+#: than six (the capped class) are common too.
+_CLIMBING = st.lists(
+    st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.5, 0.0, -7.0, float("inf"),
+                     float("-inf"), float("nan")]),
+    max_size=200,
+).map(climb)
+
+
 class TestRunCounts:
+    @given(st.one_of(_TIED, _CLIMBING))
+    @example([])
+    @example([3.0])
+    @example([float("nan")])
+    @example(list(range(6)))
+    @example(list(range(7)) + [0.0])
+    @example([2.0, 2.0, 2.0])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_walk(self, sequence):
+        counts = runs_up_counts(sequence)
+        assert counts.dtype == np.int64
+        assert counts.shape == (6,)
+        assert counts.tolist() == reference_counts(sequence).tolist()
+
+    @pytest.mark.parametrize("size", [2, 3, 10, 100, 5000])
+    def test_equals_the_scalar_walk_at_calibration_sizes(self, rng, size):
+        continuous = rng.exponential(size=size)
+        tied = np.floor(continuous * 3.0)
+        for values in (continuous, tied, np.sort(continuous)):
+            assert (runs_up_counts(values).tolist()
+                    == reference_counts(values).tolist())
+
     def test_known_sequence(self):
         # Runs: [1,2,3] (len 3), [2] is start of [2,5] (len 2), [1] (len 1)
         counts = runs_up_counts([1, 2, 3, 2, 5, 1])
@@ -89,16 +157,92 @@ class TestStatistic:
         with pytest.raises(ValueError):
             runs_up_passes(rng.random(100), significance=0.0)
 
-    def test_critical_value_equals_scipy_stats_bit_for_bit(self):
-        # src/ calls scipy.special directly to keep scipy.stats out of
-        # start-up; the reference may import it.
+    def test_vanishing_significance_still_rejects(self):
+        # Regression: the critical value used to be chi2.ppf(1 - 1e-17)
+        # = chi2.ppf(1.0) = inf, which passed every sequence.
+        monotone = np.arange(5000, dtype=float)
+        assert runs_up_test(monotone, significance=1e-17).outcome == FAIL
+        assert not runs_up_passes(monotone, significance=1e-300)
+
+
+def mm1_waits(rng, n, rho):
+    """Lindley waiting times of an M/M/1: a point mass at zero (ties)."""
+    steps = rng.exponential(rho, size=n) - rng.exponential(1.0, size=n)
+    walk = np.concatenate(([0.0], np.cumsum(steps)))
+    return (walk - np.minimum.accumulate(walk))[1:]
+
+
+@pytest.fixture(scope="module")
+def verdict_corpus():
+    """2 400 seeded sequences: i.i.d., AR(1), and M/M/1 waits with ties."""
+    rng = np.random.default_rng(20120401)
+    corpus = []
+    for _ in range(300):
+        corpus.append(rng.exponential(size=1500))
+        corpus.append(rng.normal(size=1500))
+    for phi in (0.2, 0.5, 0.8, 0.95):
+        corpus.extend(ar1(rng, 1500, phi) for _ in range(250))
+    for rho in (0.3, 0.5, 0.7, 0.9):
+        corpus.extend(mm1_waits(rng, 1500, rho) for _ in range(200))
+    return corpus
+
+
+def reference_outcome(values, critical):
+    """The verdict as the parent commit reached it: V against the
+    chi-square(6) critical value scipy computes."""
+    if values.size < MIN_RUNS_SAMPLE:
+        return INCONCLUSIVE
+    if tie_fraction(values) > MAX_TIE_FRACTION:
+        return INCONCLUSIVE
+    return PASS if runs_up_statistic(values) <= critical else FAIL
+
+
+def reference_lag(values, critical, max_lag=50):
+    largest_testable = 1
+    for lag in range(1, max_lag + 1):
+        spaced = values[::lag]
+        if spaced.size < MIN_RUNS_SAMPLE:
+            break
+        largest_testable = lag
+        if reference_outcome(spaced, critical) == PASS:
+            return lag
+    return largest_testable
+
+
+class TestVerdictAgainstScipy:
+    """src/ compares the chi-square(6) upper tail of V with the
+    significance; scipy's quantile of the same distribution must reach
+    the same verdict and the same lag on every sequence."""
+
+    @pytest.mark.parametrize("significance", [0.10, 0.05, 0.01])
+    def test_outcome_and_lag_equal_the_scipy_reference(
+        self, verdict_corpus, significance
+    ):
+        from scipy import stats
+
+        critical = float(stats.chi2.ppf(1.0 - significance, RUNS_UP_DOF))
+        assert len(verdict_corpus) >= 2000
+        outcomes = []
+        for values in verdict_corpus:
+            result = runs_up_test(values, significance)
+            assert result.outcome == reference_outcome(values, critical)
+            assert (select_lag(values, significance=significance).lag
+                    == reference_lag(values, critical))
+            outcomes.append(result.outcome)
+        # The corpus decides nothing unless every verdict occurs often.
+        for outcome in (PASS, FAIL, INCONCLUSIVE):
+            assert outcomes.count(outcome) >= 100
+
+    def test_tail_equals_scipy_chi2_sf_on_the_old_level_grid(self):
+        # The parent pinned its critical value to chi2.ppf on these 404
+        # levels; the tail form is held to chi2.sf at the same points.
         from scipy import stats
 
         levels = list(np.linspace(0.5, 0.9999, 400)) + [0.9, 0.95, 0.99, 0.999]
         for level in levels:
-            significance = 1.0 - float(level)
-            assert _runs_up_critical(significance) == float(
-                stats.chi2.ppf(1.0 - significance, RUNS_UP_DOF)
+            critical = float(stats.chi2.ppf(float(level), RUNS_UP_DOF))
+            assert _runs_up_tail(critical) == pytest.approx(
+                float(stats.chi2.sf(critical, RUNS_UP_DOF)), rel=1e-13
             )
 
 
