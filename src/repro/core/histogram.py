@@ -222,8 +222,11 @@ class Histogram:
         np.minimum(indices, self._bins - 1, out=indices)
         counts = self._counts
         block_counts = np.bincount(indices, minlength=self._bins)
-        for index in np.nonzero(block_counts)[0]:
-            counts[index] += int(block_counts[index])
+        occupied = np.nonzero(block_counts)[0]
+        for index, added in zip(
+            occupied.tolist(), block_counts[occupied].tolist()
+        ):
+            counts[index] += added
 
     # -- moments -----------------------------------------------------------
 

@@ -118,6 +118,9 @@ class Experiment:
         self._metric_bindings: list = []
         self._tracer = None
         self._progress = None
+        #: Where the fast path's recurrence stands (clock, queue state),
+        #: so a repeated run() resumes it; None until the fast path runs.
+        self._fastpath_carry = None
         #: Attach an ExperimentTelemetry digest to results even without a
         #: tracer (``repro run --metrics``).
         self.collect_telemetry = False

@@ -14,10 +14,15 @@ them directly:
   each job starts at ``max(arrival, min(core free times))`` — is an
   inherently sequential scan.  Every core count runs the same loop over
   a ``heapq`` of free times, O(log c) per job (queuecomputer's design).
-  It is the only kernel because specializing does not pay: a scan
-  unrolled over c locals measured 94 / 128 / 203 / 360 ns per job at
-  c = 2 / 4 / 8 / 16 against this loop's 98 / 116 / 138 / 147
-  (32 768-job block, best of 7).
+  The recurrence is the only per-job Python: one comprehension whose
+  body is a ``heapreplace``, reading the sample buffers as they are,
+  with the subtraction and the clamp at zero left to numpy — 119 / 131
+  / 150 / 167 ns per job at c = 2 / 4 / 8 / 16, where the same
+  recurrence fed from boxed lists, with an index counter and a
+  preallocated result list, took 152 / 162 / 181 / 202 (32 768-job
+  block, best of 21, the two interleaved call by call).  It is the only
+  kernel because specializing does not pay: a scan unrolled over c
+  locals was O(c) and lost from c = 4 up (``docs/fastpath.md``).
 
 Draws come in blocks from the **same RNG streams** the event engine
 would use (``Distribution.sample_block`` on the source's arrival and
@@ -181,26 +186,31 @@ def _heap_scan(
 
     ``carry`` is ``(clock, free)``: the time of the last arrival so far
     and the core free times as a heap, advanced in place.  Each job
-    starts at ``max(arrival, free[0])`` — the same arithmetic, in the
-    same order, as the reference next-free-server recurrence, so waits
-    are bit-equal to it; which of several equally free cores serves a
-    job does not enter a waiting time.  O(log c) per job.
+    starts at ``max(arrival, free[0])`` and ``heapreplace`` writes its
+    departure back — the same additions, in the same order, as the
+    reference next-free-server recurrence; which of several equally
+    free cores serves a job does not enter a waiting time.  O(log c)
+    per job.
+
+    ``heapreplace`` returns what it pops, so the comprehension emits the
+    smallest free time each job met and numpy finishes the block:
+    ``max(free_min - arrival, 0)`` is the reference's ``start -
+    arrival`` bit for bit (one subtraction when the job waits;
+    otherwise ``+0.0``, as ``x - x`` is).  The draws are read through
+    ``memoryview``, one short-lived float at a time, so the block is
+    never boxed on the way in.
     """
     clock, free = carry
     arrivals = np.cumsum(gaps)
     arrivals += clock
-    waits = [0.0] * gaps.shape[0]
     replace = heapq.heapreplace
-    i = 0
-    for a, s in zip(arrivals.tolist(), services.tolist()):
-        f = free[0]
-        if f > a:
-            waits[i] = f - a
-            replace(free, f + s)
-        else:
-            replace(free, a + s)
-        i += 1
-    return np.array(waits, dtype=float), (float(arrivals[-1]), free)
+    waits = np.array([
+        replace(free, (f if (f := free[0]) > a else a) + s)
+        for a, s in zip(memoryview(arrivals), memoryview(services))
+    ])
+    waits -= arrivals
+    np.maximum(waits, 0.0, out=waits)
+    return waits, (float(arrivals[-1]), free)
 
 
 def _lindley_block(
@@ -240,7 +250,9 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
     engine's: same estimate payloads, ``events_processed`` accounted at
     two events per job (arrival + completion) so ``max_events`` budgets
     bound the same amount of simulated work, ``sim_time`` the time of
-    the last generated arrival.
+    the last generated arrival.  A repeated call resumes where the last
+    one stopped: the budget and every result field but ``wall_time``
+    are cumulative over the experiment.
     """
     # Imported here: experiment.py imports this module lazily from
     # run(), so a top-level import back into it would be circular.
@@ -271,7 +283,6 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
 
     budget = max_events if max_events is not None else experiment.max_events
     jobs_budget = budget // EVENTS_PER_JOB
-    jobs = 0
 
     # Either recurrence maps (gaps, services, carry) to (waits, carry)
     # and keeps the clock — the time of the last arrival — in carry[0].
@@ -279,6 +290,11 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
         block, carry = _lindley_block, (0.0, 0.0, 0.0)
     else:
         block, carry = _heap_scan, (0.0, [0.0] * cores)
+    # The carry and the job count live with the experiment, so a later
+    # run() continues this sample path under a cumulative budget, as on
+    # the event engine.
+    carry = experiment._fastpath_carry or carry
+    jobs = source.generated
 
     stats = experiment.stats
     progress = experiment._progress
@@ -299,7 +315,8 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
         if progress is not None:
             progress.poll(experiment)
 
-    source.generated += jobs
+    source.generated = jobs
+    experiment._fastpath_carry = carry
     wall = time.perf_counter() - started
     return ExperimentResult(
         estimates=stats.report(),

@@ -17,6 +17,7 @@ Three layers of guarantees are pinned here:
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +43,15 @@ from repro.workloads.workload import Workload
 
 
 def build_mm1(engine="event", seed=7, rho=0.6, metric="response",
-              accuracy=0.05, **kwargs):
+              accuracy=0.05, cores=1, **kwargs):
+    """An M/M/c experiment at per-core load ``rho`` (M/M/1 by default)."""
     experiment = Experiment(
         seed=seed, engine=engine, warmup_samples=200,
         calibration_samples=1000, **kwargs,
     )
-    server = Server()
+    server = Server(cores=cores)
     workload = Workload(
-        "mm1", Exponential(rate=rho), Exponential(rate=1.0)
+        "mm1", Exponential(rate=rho * cores), Exponential(rate=1.0)
     )
     experiment.add_source(workload, target=server)
     if metric == "response":
@@ -221,7 +223,10 @@ class TestLindleyBlock:
 
 
 def scalar_ggc(arrivals, services, k):
-    """Reference next-free-server recurrence with an explicit free list."""
+    """Reference next-free-server recurrence with an explicit free list.
+
+    Returns the waits and the free list as the last job left it.
+    """
     free = [0.0] * k
     waits = []
     for arrival, service in zip(arrivals, services):
@@ -229,7 +234,20 @@ def scalar_ggc(arrivals, services, k):
         start = max(arrival, free[index])
         waits.append(start - arrival)
         free[index] = start + service
-    return np.asarray(waits)
+    return np.asarray(waits, dtype=float), free
+
+
+def is_heap(free):
+    return all(free[(j - 1) // 2] <= free[j] for j in range(1, len(free)))
+
+
+#: Gaps and service times for the property test: a small pool of exact
+#: values makes zero gaps (batched arrivals), zero and repeated service
+#: times — ties on free times — common instead of measure-zero.
+DURATIONS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+)
 
 
 class TestGgcKernels:
@@ -239,7 +257,7 @@ class TestGgcKernels:
         n = 2000
         gaps = rng.exponential(1.0 / (0.8 * k), size=n)
         services = rng.exponential(1.0, size=n)
-        expected = scalar_ggc(np.cumsum(gaps), services, k)
+        expected, _ = scalar_ggc(np.cumsum(gaps), services, k)
         waits, (clock, free) = _heap_scan(gaps, services, (0.0, [0.0] * k))
         assert np.array_equal(waits, expected)
         assert clock == np.cumsum(gaps)[-1]
@@ -259,11 +277,10 @@ class TestGgcKernels:
         arrivals = np.concatenate(
             [np.cumsum(gaps[:400]), np.cumsum(gaps[400:]) + carry[0]]
         )
-        expected = scalar_ggc(arrivals, services, k)
+        expected, _ = scalar_ggc(arrivals, services, k)
         # What crosses the boundary is the clock plus a heap-ordered
         # free list, used as it stands by the next block.
-        free = carry[1]
-        assert all(free[(j - 1) // 2] <= free[j] for j in range(1, k))
+        assert is_heap(carry[1])
         waits_two, _ = _heap_scan(gaps[400:], services[400:], carry)
         assert np.array_equal(
             np.concatenate([waits_one, waits_two]), expected
@@ -280,10 +297,60 @@ class TestGgcKernels:
         services = Deterministic(2.0).sample_block(
             np.random.default_rng(0), n
         )
-        expected = scalar_ggc(np.cumsum(gaps), services, k)
+        expected, _ = scalar_ggc(np.cumsum(gaps), services, k)
         waits, (_, free) = _heap_scan(gaps, services, (0.0, [0.0] * k))
         assert np.array_equal(waits, expected)
         assert len(set(free)) < k
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=64),
+        jobs=st.lists(
+            st.tuples(DURATIONS, DURATIONS), min_size=1, max_size=200
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=200), max_size=4),
+    )
+    def test_scan_equals_reference_under_ties_and_any_block_cut(
+        self, k, jobs, cuts
+    ):
+        gaps = np.array([gap for gap, _ in jobs])
+        services = np.array([service for _, service in jobs])
+        carry = (0.0, [0.0] * k)
+        arrivals, waits = [], []
+        for gap_block, service_block in zip(
+            split_blocks(gaps, cuts), split_blocks(services, cuts)
+        ):
+            # The reference gets arrival times summed as the kernel sums
+            # them: a running sum per block, restarted from the clock.
+            arrivals.append(np.cumsum(gap_block) + carry[0])
+            block_waits, carry = _heap_scan(gap_block, service_block, carry)
+            waits.append(block_waits)
+        arrivals, waits = np.concatenate(arrivals), np.concatenate(waits)
+        expected, expected_free = scalar_ggc(arrivals, services, k)
+        assert waits.dtype == np.float64
+        assert np.array_equal(waits, expected)
+        # array_equal holds -0.0 equal to 0.0; a job that does not wait
+        # must wait exactly +0.0.
+        assert not np.signbit(waits).any()
+        clock, free = carry
+        assert clock == arrivals[-1]
+        assert is_heap(free)
+        assert sorted(free) == sorted(expected_free)
+
+    def test_scan_does_not_box_its_inputs(self):
+        # A 32 768-job block peaks at 1.5 MiB: the arrival times, the
+        # free times the comprehension emits and the array made of them.
+        # A boxed copy of an input (tolist()) is another 1 MiB of floats.
+        rng = np.random.default_rng(17)
+        gaps = rng.exponential(1.0 / 3.2, size=fastpath.BLOCK_JOBS)
+        services = rng.exponential(1.0, size=fastpath.BLOCK_JOBS)
+        tracemalloc.start()
+        try:
+            _heap_scan(gaps, services, (0.0, [0.0] * 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 # -- 3. gating and engine selection -------------------------------------------
@@ -526,6 +593,37 @@ class TestStatisticalEquivalence:
         assert result["response_time"].mean == pytest.approx(
             expected, rel=0.1
         )
+
+
+class TestResumedRun:
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_second_run_continues_the_first(self, cores):
+        from repro.engine.report import result_to_dict
+
+        def build():
+            # A target no budget here reaches, so every call runs it out.
+            experiment, _ = build_mm1(
+                engine="fastpath", seed=3, rho=0.8, accuracy=1e-5,
+                cores=cores,
+            )
+            return experiment
+
+        def outcome(result):
+            fields = result_to_dict(result)
+            del fields["wall_time"]
+            return fields
+
+        block_events = fastpath.BLOCK_JOBS * fastpath.EVENTS_PER_JOB
+        expected = outcome(build().run(max_events=3 * block_events))
+        experiment = build()
+        first = experiment.run(max_events=block_events)
+        assert first.events_processed == block_events
+        # Same block partition as the single run, so bit-equal to it.
+        resumed = experiment.run(max_events=3 * block_events)
+        assert outcome(resumed) == expected
+        assert experiment.sources[0].generated == 3 * fastpath.BLOCK_JOBS
+        # The budget is cumulative: once spent, a further call is a no-op.
+        assert outcome(experiment.run(max_events=3 * block_events)) == expected
 
 
 #: ``engine="fastpath"`` outcomes recorded at commit 275bd65, when core
