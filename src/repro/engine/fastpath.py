@@ -20,8 +20,12 @@ them directly:
   / 150 / 167 ns per job at c = 2 / 4 / 8 / 16, where the same
   recurrence fed from boxed lists, with an index counter and a
   preallocated result list, took 152 / 162 / 181 / 202 (32 768-job
-  block, best of 21, the two interleaved call by call).  It is the only
-  kernel because specializing does not pay: a scan unrolled over c
+  block, best of 21, the two interleaved call by call).  The list goes
+  to numpy through ``np.fromiter(list, float, n)``, which is told the
+  type and the length ``np.array(list)`` has to discover: 92 / 107 /
+  122 / 167 against 96 / 115 / 129 / 170 ns (same block, best of 60,
+  interleaved, on a quieter day than the figures before).  It is the
+  only kernel because specializing does not pay: a scan unrolled over c
   locals was O(c) and lost from c = 4 up (``docs/fastpath.md``).
 
 Draws come in blocks from the **same RNG streams** the event engine
@@ -204,10 +208,10 @@ def _heap_scan(
     arrivals = np.cumsum(gaps)
     arrivals += clock
     replace = heapq.heapreplace
-    waits = np.array([
+    waits = np.fromiter([
         replace(free, (f if (f := free[0]) > a else a) + s)
         for a, s in zip(memoryview(arrivals), memoryview(services))
-    ])
+    ], float, len(arrivals))
     waits -= arrivals
     np.maximum(waits, 0.0, out=waits)
     return waits, (float(arrivals[-1]), free)

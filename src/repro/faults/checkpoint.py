@@ -27,11 +27,15 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+
+from repro.core.histogram import BinScheme, HistogramError
 
 #: Bump when the record layout changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -41,55 +45,15 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, truncated, or incompatible checkpoints."""
 
 
-def _pack_counts(counts: List[int]) -> str:
-    """Bin counts as base64 little-endian int64 (the binary payload)."""
-    return base64.b64encode(
-        np.asarray(counts, dtype="<i8").tobytes()
-    ).decode("ascii")
-
-
-def _unpack_counts(packed: str) -> List[int]:
-    """Inverse of :func:`_pack_counts`."""
-    raw = base64.b64decode(packed.encode("ascii"))
-    return [int(v) for v in np.frombuffer(raw, dtype="<i8")]
-
-
-def _encode_float(value: float):
-    """inf/-inf are not JSON; histograms use them as extrema sentinels."""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def _decode_float(value) -> float:
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return float(value)
-
-
-def _encode_merged(payload: dict) -> dict:
-    """Histogram payload with binary counts and JSON-safe extrema."""
-    encoded = dict(payload)
-    encoded["counts"] = _pack_counts(payload["counts"])
-    encoded["min_seen"] = _encode_float(payload["min_seen"])
-    encoded["max_seen"] = _encode_float(payload["max_seen"])
-    return encoded
-
-
-def _decode_merged(encoded: dict) -> dict:
-    payload = dict(encoded)
-    payload["counts"] = _unpack_counts(encoded["counts"])
-    payload["min_seen"] = _decode_float(encoded["min_seen"])
-    payload["max_seen"] = _decode_float(encoded["max_seen"])
-    payload["scheme"] = tuple(encoded["scheme"])
-    return payload
-
-
 @dataclass
 class SlaveCheckpoint:
-    """One slave's restorable state: identity plus its work log."""
+    """One slave's restorable state: identity plus its work log.
+
+    The master's run book keeps these records live and the file's
+    ``slave`` record is these fields in this order, so a per-slave
+    quantity is declared here and nowhere else.  A field with a default
+    may be absent from a file; the others may not.
+    """
 
     slave_id: int
     seed: int
@@ -108,36 +72,6 @@ class SlaveCheckpoint:
     prior_events: int = 0
     prior_accepted: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "record": "slave",
-            "slave_id": self.slave_id,
-            "seed": self.seed,
-            "generation": self.generation,
-            "chunks": list(self.chunks),
-            "owed": self.owed,
-            "events_processed": self.events_processed,
-            "total_accepted": self.total_accepted,
-            "restarts": self.restarts,
-            "prior_events": self.prior_events,
-            "prior_accepted": self.prior_accepted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SlaveCheckpoint":
-        return cls(
-            slave_id=data["slave_id"],
-            seed=data["seed"],
-            generation=data["generation"],
-            chunks=list(data["chunks"]),
-            owed=data.get("owed", 0),
-            events_processed=data.get("events_processed", 0),
-            total_accepted=data.get("total_accepted", 0),
-            restarts=data.get("restarts", 0),
-            prior_events=data.get("prior_events", 0),
-            prior_accepted=data.get("prior_accepted", 0),
-        )
-
 
 @dataclass
 class CheckpointState:
@@ -151,38 +85,129 @@ class CheckpointState:
     delta_reports: bool
     round: int
     master_events: int = 0
+    total_restarts: int = 0
+    version: int = CHECKPOINT_VERSION
     #: metric name -> scheme payload tuple (low, high, bins).
     schemes: Dict[str, tuple] = field(default_factory=dict)
-    #: metric name -> MetricTargets constructor kwargs.
+    #: metric name -> MetricTargets.to_record() dict.
     targets: Dict[str, dict] = field(default_factory=dict)
     #: metric name -> merged Histogram.to_payload() dict.
     merged: Dict[str, dict] = field(default_factory=dict)
+    #: One per slave id, ascending; a dead slave keeps its record.
     slaves: List[SlaveCheckpoint] = field(default_factory=list)
     #: Permanently dead slave ids -> cause code.
     dead: Dict[int, str] = field(default_factory=dict)
     #: Every seed issued so far: [(seed, slave_id, generation), ...].
     lineage: List[Tuple[int, int, int]] = field(default_factory=list)
-    total_restarts: int = 0
-    version: int = CHECKPOINT_VERSION
+
+
+# A record's shape is {key: the type its JSON value must have}, in the
+# order the keys are written.  The ``meta`` record is the state's scalar
+# fields, ``version`` first so a reader can refuse a file before decoding
+# the rest, and the ``slave`` record is SlaveCheckpoint's fields; the
+# other kinds have no class behind them.
+_SCHEME = Tuple[float, float, int]
+_META = {"version": int, **{
+    key: hint
+    for key, hint in get_type_hints(CheckpointState).items()
+    if hint in (int, bool)
+}}
+#: The histogram payload nested in a ``metric`` record.
+_MERGED = {
+    "scheme": _SCHEME, "counts": str,
+    "underflow": int, "overflow": int, "count": int,
+    "sum": float, "sum_sq": float,
+    "min_seen": Union[float, str], "max_seen": Union[float, str],
+}
+#: The kinds between ``meta`` and ``end``.
+_SHAPES = {
+    "metric": {"name": str, "scheme": _SCHEME, "targets": dict, "merged": dict},
+    "slave": get_type_hints(SlaveCheckpoint),
+    "dead": {"slave_id": int, "cause": str},
+    "lineage": {"seeds": List[Tuple[int, int, int]]},
+}
+#: Keys a record may omit: the dataclass fields that carry a default.
+_OPTIONAL = {
+    spec.name
+    for cls in (SlaveCheckpoint, CheckpointState)
+    for spec in fields(cls)
+    if spec.default is not MISSING
+}
+#: inf/-inf are not JSON; histograms use them as extrema sentinels.
+_INFINITIES = {"inf": math.inf, "-inf": -math.inf}
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a decoded JSON value has the shape a type hint names."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (list, tuple):
+        if type(value) is not list:
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(
+                map(_conforms, value, args)
+            )
+        return all(_conforms(item, args[0]) for item in value)
+    if hint is float:  # finite: JSON also admits NaN, Infinity and 1e999
+        return (
+            type(value) in (int, float)
+            and abs(value) <= sys.float_info.max
+        )
+    return type(value) is hint  # so a bool is not an int
+
+
+def _checked(record: dict, shape: dict, where: str) -> dict:
+    """``record`` in ``shape``'s key order, once every key fits it."""
+    unknown = sorted(record.keys() - shape.keys() - {"record"})
+    if unknown:
+        raise CheckpointError(f"{where}: unknown key {unknown[0]!r}")
+    for key, hint in shape.items():
+        if key not in record:
+            if key not in _OPTIONAL:
+                raise CheckpointError(f"{where}: missing key {key!r}")
+        elif not _conforms(record[key], hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise CheckpointError(
+                f"{where}: key {key!r} is not of type {expected}"
+            )
+    return {key: record[key] for key in shape if key in record}
+
+
+def _encode_merged(payload: dict) -> dict:
+    """Histogram payload with the bin counts as base64 little-endian
+    int64 (the binary payload) and JSON-safe extrema."""
+    encoded = dict(payload)
+    encoded["counts"] = base64.b64encode(
+        np.asarray(payload["counts"], dtype="<i8").tobytes()
+    ).decode("ascii")
+    for key in ("min_seen", "max_seen"):
+        if math.isinf(payload[key]):
+            encoded[key] = "inf" if payload[key] > 0 else "-inf"
+    return encoded
+
+
+def _decode_merged(encoded: dict, where: str) -> dict:
+    """Inverse of :func:`_encode_merged`."""
+    payload = _checked(encoded, _MERGED, where)
+    try:
+        raw = base64.b64decode(payload["counts"].encode("ascii"), validate=True)
+        payload["counts"] = [int(v) for v in np.frombuffer(raw, dtype="<i8")]
+        for key in ("min_seen", "max_seen"):
+            if isinstance(payload[key], str):
+                payload[key] = _INFINITIES[payload[key]]
+    except (ValueError, KeyError) as error:
+        raise CheckpointError(f"{where}: undecodable: {error!r}") from error
+    payload["scheme"] = tuple(payload["scheme"])
+    return payload
 
 
 def write_checkpoint(path: Union[str, Path], state: CheckpointState) -> Path:
     """Atomically write ``state`` to ``path`` (temp file + rename)."""
     path = Path(path)
     records: List[dict] = [
-        {
-            "record": "meta",
-            "version": state.version,
-            "master_seed": state.master_seed,
-            "n_slaves": state.n_slaves,
-            "chunk_size": state.chunk_size,
-            "adaptive_chunking": state.adaptive_chunking,
-            "max_chunk_size": state.max_chunk_size,
-            "delta_reports": state.delta_reports,
-            "round": state.round,
-            "master_events": state.master_events,
-            "total_restarts": state.total_restarts,
-        }
+        {"record": "meta", **{key: getattr(state, key) for key in _META}}
     ]
     for name in sorted(state.schemes):
         records.append(
@@ -195,20 +220,15 @@ def write_checkpoint(path: Union[str, Path], state: CheckpointState) -> Path:
             }
         )
     for slave in sorted(state.slaves, key=lambda s: s.slave_id):
-        records.append(slave.to_dict())
+        records.append(
+            {"record": "slave", **{key: getattr(slave, key) for key in _SHAPES["slave"]}}
+        )
     for slave_id in sorted(state.dead):
         records.append(
-            {
-                "record": "dead",
-                "slave_id": slave_id,
-                "cause": state.dead[slave_id],
-            }
+            {"record": "dead", "slave_id": slave_id, "cause": state.dead[slave_id]}
         )
     records.append(
-        {
-            "record": "lineage",
-            "seeds": [list(entry) for entry in state.lineage],
-        }
+        {"record": "lineage", "seeds": [list(entry) for entry in state.lineage]}
     )
     records.append({"record": "end", "records": len(records) + 1})
     tmp = path.with_name(path.name + ".tmp")
@@ -221,75 +241,109 @@ def write_checkpoint(path: Union[str, Path], state: CheckpointState) -> Path:
     return path
 
 
-def read_checkpoint(path: Union[str, Path]) -> CheckpointState:
-    """Read and structurally validate a checkpoint file."""
-    path = Path(path)
+def _read_records(path: Path) -> List[Tuple[str, dict]]:
+    """``[(where, record), ...]``: the file's lines, framing verified."""
     try:
         lines = path.read_text().splitlines()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    records: List[dict] = []
+    records: List[Tuple[str, dict]] = []
     for line_number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # JSONDecodeError, or an absurd integer
             raise CheckpointError(
                 f"{path}:{line_number}: invalid JSON: {error}"
             ) from error
-        if not isinstance(record, dict) or "record" not in record:
+        kind = record.get("record") if isinstance(record, dict) else None
+        if not isinstance(kind, str):
             raise CheckpointError(
                 f"{path}:{line_number}: not a checkpoint record"
             )
-        records.append(record)
-    if not records or records[0].get("record") != "meta":
+        records.append((f"{path}:{line_number}: {kind} record", record))
+    if not records or records[0][1]["record"] != "meta":
         raise CheckpointError(f"{path}: missing meta record")
-    if records[-1].get("record") != "end":
+    end = records[-1][1]
+    if end["record"] != "end":
         raise CheckpointError(
             f"{path}: missing end record (truncated checkpoint?)"
         )
-    if records[-1].get("records") != len(records):
+    if end.get("records") != len(records):
         raise CheckpointError(
-            f"{path}: end record expects {records[-1].get('records')} "
+            f"{path}: end record expects {end.get('records')} "
             f"records, found {len(records)} (truncated checkpoint?)"
         )
-    meta = records[0]
+    return records
+
+
+def read_checkpoint(path: Union[str, Path]) -> CheckpointState:
+    """Read a checkpoint file, or raise :class:`CheckpointError`.
+
+    Nothing is adopted unchecked: every record carries exactly the keys
+    of its kind (bar the optional ones) with values of the declared
+    types, a merged histogram is a sound one on its metric's bin scheme,
+    and there is one ``slave`` record per slave id and one lineage.
+    """
+    # repro.parallel imports this module, so what it owns of the format
+    # (the targets record, the histogram check) is looked up at call time.
+    from repro.parallel.protocol import MetricTargets, validate_report_payload
+
+    path = Path(path)
+    records = _read_records(path)
+    where, meta = records[0]
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint version {meta.get('version')} is not "
             f"supported (expected {CHECKPOINT_VERSION})"
         )
-    state = CheckpointState(
-        master_seed=meta["master_seed"],
-        n_slaves=meta["n_slaves"],
-        chunk_size=meta["chunk_size"],
-        adaptive_chunking=meta["adaptive_chunking"],
-        max_chunk_size=meta["max_chunk_size"],
-        delta_reports=meta["delta_reports"],
-        round=meta["round"],
-        master_events=meta.get("master_events", 0),
-        total_restarts=meta.get("total_restarts", 0),
-        version=meta["version"],
-    )
-    for record in records[1:-1]:
+    state = CheckpointState(**_checked(meta, _META, where))
+    targets_shape = get_type_hints(MetricTargets)
+    del targets_shape["name"]  # the metric record carries it
+    seen = set()
+    for where, record in records[1:-1]:
         kind = record["record"]
+        if kind not in _SHAPES:
+            raise CheckpointError(f"{where}: unknown record type")
+        body = _checked(record, _SHAPES[kind], where)
+        identity = (kind, body.get("name", body.get("slave_id")))
+        if identity in seen:
+            raise CheckpointError(f"{where}: recorded twice")
+        seen.add(identity)
         if kind == "metric":
-            name = record["name"]
-            state.schemes[name] = tuple(record["scheme"])
-            state.targets[name] = dict(record["targets"])
-            state.merged[name] = _decode_merged(record["merged"])
-        elif kind == "slave":
-            state.slaves.append(SlaveCheckpoint.from_dict(record))
-        elif kind == "dead":
-            state.dead[record["slave_id"]] = record["cause"]
-        elif kind == "lineage":
-            state.lineage = [tuple(entry) for entry in record["seeds"]]
-        else:
-            raise CheckpointError(
-                f"{path}: unknown record type {kind!r}"
+            name = body["name"]
+            scheme = state.schemes[name] = tuple(body["scheme"])
+            try:
+                BinScheme(*scheme)
+            except HistogramError as error:
+                raise CheckpointError(f"{where}: {error}") from error
+            state.targets[name] = _checked(
+                body["targets"], targets_shape, f"{where}: targets"
             )
+            merged = _decode_merged(body["merged"], f"{where}: merged")
+            problem = validate_report_payload(merged, scheme)
+            if problem is not None:
+                raise CheckpointError(f"{where}: merged: {problem}")
+            state.merged[name] = merged
+        elif kind == "slave":
+            state.slaves.append(SlaveCheckpoint(**body))
+        elif kind == "dead":
+            state.dead[body["slave_id"]] = body["cause"]
+        else:
+            state.lineage = [tuple(entry) for entry in body["seeds"]]
     if not state.merged:
         raise CheckpointError(f"{path}: checkpoint has no metric records")
+    if ("lineage", None) not in seen:
+        raise CheckpointError(f"{path}: checkpoint has no lineage record")
+    state.slaves.sort(key=lambda slave: slave.slave_id)
+    fleet = [slave.slave_id for slave in state.slaves]
+    if len(fleet) != state.n_slaves or fleet != list(range(len(fleet))):
+        raise CheckpointError(
+            f"{path}: expected one slave record for each of "
+            f"{state.n_slaves} slaves"
+        )
+    if not state.dead.keys() <= set(fleet):
+        raise CheckpointError(f"{path}: dead record for an unknown slave")
     return state

@@ -382,106 +382,101 @@ class ParallelResult:
 
 
 class _RunBook:
-    """Recovery bookkeeping of the round loop.
+    """The master's ledger: the checkpoint's own records, kept live.
 
-    Tracks, per slave id: the current incarnation's seed and
-    generation, its work log (chunk quotas completed *and merged*), the
-    quota it was commanded but never reported (owed to a replacement),
-    cumulative event/accepted accounting across incarnations, respawn
-    counts, and — for slaves currently or permanently dead — the cause
-    code.  One instance is the single source of truth the checkpoint
-    writer serializes and the resume path restores.
+    One :class:`~repro.faults.checkpoint.SlaveCheckpoint` per slave id
+    (the current incarnation's seed and generation, its work log, the
+    quota owed to a replacement, accounting across incarnations, its
+    respawn count), the cause code of every slave that is dead and not
+    replaced, and the seed lineage.  The round loop mutates the
+    records, a checkpoint writes them as they stand and a resume adopts
+    the ones it read.  A dead slave keeps its record: dropping its
+    generation, restart count or owed quota would refill its respawn
+    budget on resume and re-issue a seed the lineage already spent.
     """
 
-    def __init__(self, n_slaves: int, master_seed: int):
+    def __init__(
+        self,
+        n_slaves: int,
+        master_seed: int,
+        resume: Optional[CheckpointState] = None,
+    ):
         self.lineage = SeedLineage(master_seed)
-        self.generation: Dict[int, int] = {}
-        self.seed: Dict[int, int] = {}
-        self.work_log: Dict[int, List[int]] = {}
-        self.owed: Dict[int, int] = {}
         self.causes: Dict[int, str] = {}
-        self.restarts: Dict[int, int] = {}
         self.total_restarts = 0
-        #: Current-incarnation progress (absolute counters from reports).
-        self.events: Dict[int, int] = {}
-        self.accepted: Dict[int, int] = {}
-        #: Accounting inherited from dead predecessor incarnations.
-        self.prior_events: Dict[int, int] = {}
-        self.prior_accepted: Dict[int, int] = {}
-        for slave_id in range(n_slaves):
-            self.generation[slave_id] = 0
-            self.seed[slave_id] = self.lineage.issue(slave_id, 0)
-            self.work_log[slave_id] = []
-            self.owed[slave_id] = 0
-            self.restarts[slave_id] = 0
-            self.events[slave_id] = 0
-            self.accepted[slave_id] = 0
-            self.prior_events[slave_id] = 0
-            self.prior_accepted[slave_id] = 0
+        if resume is None:
+            fleet = [
+                SlaveCheckpoint(slave_id, self.lineage.issue(slave_id), 0)
+                for slave_id in range(n_slaves)
+            ]
+        else:
+            fleet = resume.slaves
+            self.causes.update(resume.dead)
+            self.total_restarts = resume.total_restarts
+            # Re-issue the recorded lineage so post-resume respawns keep
+            # the uniqueness guarantee against pre-interruption seeds.
+            for _seed, slave_id, generation in resume.lineage:
+                if slave_id >= 0:
+                    self.lineage.issue(slave_id, generation)
+            for slave in fleet:  # a seed is derived, never taken on trust
+                slave.seed = self.lineage.issue(
+                    slave.slave_id, slave.generation
+                )
+        self.slaves = {slave.slave_id: slave for slave in fleet}
 
-    @classmethod
-    def from_checkpoint(cls, state: CheckpointState) -> "_RunBook":
-        book = cls(state.n_slaves, state.master_seed)
-        # Re-issue the recorded lineage so post-resume respawns keep the
-        # uniqueness guarantee against pre-interruption seeds.
-        for _seed, slave_id, generation in state.lineage:
-            if slave_id >= 0:
-                book.lineage.issue(slave_id, generation)
-        for slave in state.slaves:
-            i = slave.slave_id
-            book.generation[i] = slave.generation
-            book.seed[i] = book.lineage.issue(i, slave.generation)
-            book.work_log[i] = list(slave.chunks)
-            book.owed[i] = slave.owed
-            book.restarts[i] = slave.restarts
-            book.events[i] = slave.events_processed
-            book.accepted[i] = slave.total_accepted
-            book.prior_events[i] = slave.prior_events
-            book.prior_accepted[i] = slave.prior_accepted
-        book.causes = dict(state.dead)
-        book.total_restarts = state.total_restarts
-        return book
+    @property
+    def dead(self) -> List[int]:
+        """Slaves dead and not replaced, ascending; ``causes`` says why."""
+        return sorted(self.causes)
 
     # -- per-round transitions ----------------------------------------------
 
-    def command_quota(self, slave_id: int, chunk: int) -> int:
-        """This round's quota: the schedule chunk plus any owed backlog."""
-        return chunk + self.owed.get(slave_id, 0)
+    def command(self, slave_id: int, chunk: int) -> int:
+        """This round's quota: the schedule chunk on top of any backlog.
 
-    def on_reported(self, slave_id: int, quota: int, report) -> None:
-        """A report for ``quota`` arrived and was merged."""
-        self.work_log[slave_id].append(quota)
-        self.owed[slave_id] = 0
-        self.events[slave_id] = report.events_processed
-        self.accepted[slave_id] = report.total_accepted
+        It is owed from here until a report covers it — from this
+        incarnation or, should it die first, from a replacement.
+        """
+        slave = self.slaves[slave_id]
+        slave.owed += chunk
+        return slave.owed
 
-    def on_death(self, slave_id: int, cause: str, lost_quota: int) -> None:
-        """Record a death; ``lost_quota`` is owed to the replacement."""
-        self.causes[slave_id] = cause
-        if lost_quota:
-            self.owed[slave_id] = lost_quota
+    def on_reported(self, slave_id: int, report) -> None:
+        """The report for the commanded quota arrived and was merged."""
+        slave = self.slaves[slave_id]
+        slave.chunks.append(slave.owed)
+        slave.owed = 0
+        slave.events_processed = report.events_processed
+        slave.total_accepted = report.total_accepted
 
     def respawn(self, slave_id: int) -> None:
         """Advance to the next generation (its slave is already up)."""
-        self.prior_events[slave_id] += self.events[slave_id]
-        self.prior_accepted[slave_id] += self.accepted[slave_id]
-        self.events[slave_id] = 0
-        self.accepted[slave_id] = 0
-        self.generation[slave_id] += 1
-        self.restarts[slave_id] += 1
+        slave = self.slaves[slave_id]
+        slave.prior_events += slave.events_processed
+        slave.prior_accepted += slave.total_accepted
+        slave.events_processed = slave.total_accepted = 0
+        slave.generation += 1
+        slave.restarts += 1
         self.total_restarts += 1
-        self.work_log[slave_id] = []
-        self.causes.pop(slave_id, None)
-        seed = self.lineage.issue(slave_id, self.generation[slave_id])
-        self.seed[slave_id] = seed
+        slave.chunks = []
+        del self.causes[slave_id]
+        slave.seed = self.lineage.issue(slave_id, slave.generation)
 
     # -- result accounting ---------------------------------------------------
 
-    def events_total(self, slave_id: int) -> int:
-        return self.prior_events[slave_id] + self.events[slave_id]
+    def events_total(self) -> List[int]:
+        """Events per slave id, summed over its incarnations."""
+        return [
+            slave.prior_events + slave.events_processed
+            for slave in self.slaves.values()
+        ]
 
-    def accepted_total(self, slave_id: int) -> int:
-        return self.prior_accepted[slave_id] + self.accepted[slave_id]
+    def accepted_total(self) -> int:
+        """Observations accepted by the whole fleet, dead and alive."""
+        return sum(
+            slave.prior_accepted + slave.total_accepted
+            for slave in self.slaves.values()
+        )
 
 
 class ParallelSimulation:
@@ -716,14 +711,6 @@ class ParallelSimulation:
         return master, schemes, targets
 
     @staticmethod
-    def _empty_merged(schemes: Dict[str, tuple]) -> Dict[str, Histogram]:
-        """The merged histograms before any report: one per metric."""
-        return {
-            name: Histogram(scheme_from_payload(payload))
-            for name, payload in schemes.items()
-        }
-
-    @staticmethod
     def _all_converged(
         merged: Dict[str, Histogram], targets: Dict[str, MetricTargets]
     ) -> bool:
@@ -789,14 +776,14 @@ class ParallelSimulation:
                 return f"{name}: {problem}"
         return None
 
-    def _respawn_candidates(self, book: _RunBook, dead: List[int]) -> List[int]:
+    def _respawn_candidates(self, book: _RunBook) -> List[int]:
         """Dead slaves the policy will replace this round (budget check)."""
         if self.respawn is None:
             return []
         chosen = []
         total = book.total_restarts
-        for slave_id in sorted(dead):
-            if self.respawn.allows(book.restarts[slave_id], total):
+        for slave_id in book.dead:
+            if self.respawn.allows(book.slaves[slave_id].restarts, total):
                 chosen.append(slave_id)
                 total += 1
         return chosen
@@ -862,92 +849,16 @@ class ParallelSimulation:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def _checkpoint_state(
-        self,
-        book: _RunBook,
-        schemes: Dict[str, tuple],
-        targets: Dict[str, MetricTargets],
-        merged: Dict[str, Histogram],
-        round_number: int,
-        dead: List[int],
-    ) -> CheckpointState:
-        # Every slave gets a record, dead ones included: a dead slave's
-        # generation, restart count, owed quota, and accounting must
-        # survive a resume, or a post-resume respawn would reset its
-        # budget and re-issue a seed the lineage already spent on the
-        # dead predecessor — double-counting the draws its reports
-        # contributed to the checkpointed merged histograms.  Which
-        # slaves are (permanently) dead is the separate cause map below.
-        slaves = [
-            SlaveCheckpoint(
-                slave_id=slave_id,
-                seed=book.seed[slave_id],
-                generation=book.generation[slave_id],
-                chunks=list(book.work_log[slave_id]),
-                owed=book.owed.get(slave_id, 0),
-                events_processed=book.events[slave_id],
-                total_accepted=book.accepted[slave_id],
-                restarts=book.restarts[slave_id],
-                prior_events=book.prior_events[slave_id],
-                prior_accepted=book.prior_accepted[slave_id],
-            )
-            for slave_id in range(self.n_slaves)
-        ]
-        return CheckpointState(
-            master_seed=self.master_seed,
-            n_slaves=self.n_slaves,
-            chunk_size=self.chunk_size,
-            adaptive_chunking=True,
-            max_chunk_size=self.max_chunk_size,
-            delta_reports=True,
-            round=round_number,
-            master_events=self._master_events,
-            schemes=dict(schemes),
-            targets={
-                name: {
-                    "mean_accuracy": target.mean_accuracy,
-                    "quantile_targets": [
-                        list(pair) for pair in target.quantile_targets
-                    ],
-                    "confidence": target.confidence,
-                    "min_accepted": target.min_accepted,
-                }
-                for name, target in targets.items()
-            },
-            merged={
-                name: histogram.to_payload()
-                for name, histogram in merged.items()
-            },
-            slaves=slaves,
-            dead={slave_id: book.causes[slave_id] for slave_id in dead},
-            lineage=book.lineage.issued(),
-            total_restarts=book.total_restarts,
-        )
-
-    def _maybe_checkpoint(
-        self, book, schemes, targets, merged, round_number, dead
-    ) -> None:
-        if self.checkpoint_path is None:
-            return
-        if round_number % self.checkpoint_interval != 0:
-            return
-        write_checkpoint(
-            self.checkpoint_path,
-            self._checkpoint_state(
-                book, schemes, targets, merged, round_number, dead
-            ),
-        )
-        self._trace_event("checkpoint", round=round_number)
-
-    def _validate_resume(self, state: CheckpointState) -> None:
-        """A checkpoint must match this run's deterministic schedule.
+    def _schedule(self) -> Dict[str, object]:
+        """What fixes the deterministic chunk schedule, as a checkpoint
+        records it and a resume must find it.
 
         ``adaptive_chunking`` and ``delta_reports`` were options once;
         a file written with either off followed a schedule (or merged a
         report form) this master no longer has, so it is refused rather
         than resumed onto a different one.
         """
-        expected = {
+        return {
             "master_seed": self.master_seed,
             "n_slaves": self.n_slaves,
             "chunk_size": self.chunk_size,
@@ -955,28 +866,33 @@ class ParallelSimulation:
             "max_chunk_size": self.max_chunk_size,
             "delta_reports": True,
         }
-        for key, value in expected.items():
-            found = getattr(state, key)
-            if found != value:
-                raise CheckpointError(
-                    f"checkpoint is incompatible: {key} is {found!r}, "
-                    f"this run is configured with {value!r}"
-                )
 
-    @staticmethod
-    def _restore_targets(state: CheckpointState) -> Dict[str, MetricTargets]:
-        targets = {}
-        for name, fields_ in state.targets.items():
-            targets[name] = MetricTargets(
-                name=name,
-                mean_accuracy=fields_["mean_accuracy"],
-                quantile_targets=tuple(
-                    tuple(pair) for pair in fields_["quantile_targets"]
-                ),
-                confidence=fields_["confidence"],
-                min_accepted=fields_["min_accepted"],
-            )
-        return targets
+    def _maybe_checkpoint(
+        self, book, schemes, targets, merged, round_number
+    ) -> None:
+        if self.checkpoint_path is None:
+            return
+        if round_number % self.checkpoint_interval != 0:
+            return
+        state = CheckpointState(
+            **self._schedule(),
+            round=round_number,
+            master_events=self._master_events,
+            schemes=schemes,
+            targets={
+                name: target.to_record() for name, target in targets.items()
+            },
+            merged={
+                name: histogram.to_payload()
+                for name, histogram in merged.items()
+            },
+            slaves=list(book.slaves.values()),
+            dead=book.causes,
+            lineage=book.lineage.issued(),
+            total_restarts=book.total_restarts,
+        )
+        write_checkpoint(self.checkpoint_path, state)
+        self._trace_event("checkpoint", round=round_number)
 
     # -- running ----------------------------------------------------------------
 
@@ -990,24 +906,69 @@ class ParallelSimulation:
         histograms byte-identical to an uninterrupted run.
         """
         started = time.perf_counter()
-        resume_state = None
+        master_wall = 0.0
         if resume_from is not None:
-            resume_state = read_checkpoint(resume_from)
-            self._validate_resume(resume_state)
-            schemes = dict(resume_state.schemes)
-            targets = self._restore_targets(resume_state)
-            self._master_events = resume_state.master_events
-            master_wall = 0.0
-            self._trace_event("resume", round=resume_state.round)
+            resume = read_checkpoint(resume_from)
+            for key, value in self._schedule().items():
+                found = getattr(resume, key)
+                if found != value:
+                    raise CheckpointError(
+                        f"checkpoint is incompatible: {key} is {found!r}, "
+                        f"this run is configured with {value!r}"
+                    )
+            schemes = resume.schemes
+            targets = {
+                name: MetricTargets.from_record(name, record)
+                for name, record in resume.targets.items()
+            }
+            merged = {
+                name: Histogram.from_payload(payload)
+                for name, payload in resume.merged.items()
+            }
+            self._master_events = resume.master_events
+            self._trace_event("resume", round=resume.round)
         else:
+            resume = None
             master, schemes, targets = self._calibrate_master()
+            merged = {
+                name: Histogram(scheme_from_payload(payload))
+                for name, payload in schemes.items()
+            }
             self._master_events = master.simulation.events_processed
             master_wall = time.perf_counter() - started
-        result = self._run_rounds(schemes, targets, resume_state)
-        result.master_events = self._master_events
-        result.master_wall_time = master_wall
-        result.wall_time = time.perf_counter() - started
-        result.resumed = resume_state is not None
+        book = _RunBook(self.n_slaves, self.master_seed, resume)
+        converged, rounds, reports, deadline_stopped = self._run_rounds(
+            book, schemes, targets, merged, resume.round if resume else 0
+        )
+        dead = book.dead
+        result = ParallelResult(
+            estimates=self._estimates(merged, targets, converged),
+            converged=converged,
+            n_slaves=self.n_slaves,
+            rounds=rounds,
+            master_events=self._master_events,
+            slave_events=book.events_total(),
+            total_accepted=book.accepted_total(),
+            wall_time=time.perf_counter() - started,
+            master_wall_time=master_wall,
+            slave_digests=(
+                [report.digest for report in reports]
+                if any(report.digest is not None for report in reports)
+                else None
+            ),
+            # No policy degrades like the default one: on any unreplaced death.
+            degraded=deadline_stopped or (
+                self.supervision or SupervisionPolicy()
+            ).is_degraded(self.n_slaves - len(dead), len(dead)),
+            dead_slaves=dead,
+            failure_causes={i: book.causes[i] for i in dead},
+            restarts=book.total_restarts,
+            merged_digests={
+                name: payload_digest(histogram.to_payload())
+                for name, histogram in merged.items()
+            },
+            resumed=resume is not None,
+        )
         if self._tracer is not None:
             from repro.observability.telemetry import ExperimentTelemetry
 
@@ -1015,56 +976,6 @@ class ParallelSimulation:
                 result, tracer=self._tracer, dead_slaves=result.dead_slaves
             )
         return result
-
-    def _result(
-        self,
-        book: _RunBook,
-        merged: Dict[str, Histogram],
-        targets: Dict[str, MetricTargets],
-        converged: bool,
-        rounds: int,
-        reports: List[SlaveReport],
-        dead: List[int],
-        force_degraded: bool = False,
-    ) -> ParallelResult:
-        if self.supervision is not None:
-            degraded = force_degraded or self.supervision.is_degraded(
-                self.n_slaves - len(dead), len(dead)
-            )
-        else:
-            degraded = force_degraded or bool(dead)
-        return ParallelResult(
-            estimates=self._estimates(merged, targets, converged),
-            converged=converged,
-            n_slaves=self.n_slaves,
-            rounds=rounds,
-            master_events=0,
-            slave_events=[
-                book.events_total(slave_id)
-                for slave_id in range(self.n_slaves)
-            ],
-            total_accepted=sum(
-                book.accepted_total(slave_id)
-                for slave_id in range(self.n_slaves)
-            ),
-            wall_time=0.0,
-            master_wall_time=0.0,
-            slave_digests=(
-                [report.digest for report in reports]
-                if any(report.digest is not None for report in reports)
-                else None
-            ),
-            degraded=degraded,
-            dead_slaves=sorted(dead),
-            failure_causes={
-                slave_id: book.causes[slave_id] for slave_id in sorted(dead)
-            },
-            restarts=book.total_restarts,
-            merged_digests={
-                name: payload_digest(histogram.to_payload())
-                for name, histogram in merged.items()
-            },
-        )
 
     def _spawn_slave(
         self, transport: Transport, slave_id: int, generation: int,
@@ -1090,8 +1001,13 @@ class ParallelSimulation:
             timeout=self.join_timeout,
         )
 
-    def _run_rounds(self, schemes, targets, resume=None) -> ParallelResult:
-        """Fig. 3's measure/merge rounds, over whatever carries them."""
+    def _run_rounds(self, book: _RunBook, schemes, targets, merged, rounds):
+        """Fig. 3's measure/merge rounds, over whatever carries them.
+
+        Continues from ``rounds`` completed rounds (non-zero on resume),
+        folding reports into ``merged`` and keeping ``book``; returns
+        ``(converged, rounds, last round's reports, deadline_stopped)``.
+        """
         owned = self.backend == "serial" or self.transport is None
         if self.backend == "serial":
             transport = _InlineTransport(self.round_timeout)
@@ -1100,31 +1016,17 @@ class ParallelSimulation:
         if self._tracer is not None:
             transport.attach_tracer(self._tracer)
         transport.start()
-        book = (
-            _RunBook.from_checkpoint(resume)
-            if resume is not None
-            else _RunBook(self.n_slaves, self.master_seed)
-        )
-        dead: List[int] = sorted(resume.dead) if resume is not None else []
-        rounds = resume.round if resume is not None else 0
         slaves: Dict[int, WorkerEndpoint] = {}
         reports: List[SlaveReport] = []
-        merged: Dict[str, Histogram] = self._empty_merged(schemes)
-        if resume is not None:
-            for name, payload in resume.merged.items():
-                merged[name] = Histogram.from_payload(payload)
         # A checkpoint taken on the converged round resumes as a no-op.
-        converged = resume is not None and self._all_converged(
-            merged, targets
-        )
+        converged = rounds > 0 and self._all_converged(merged, targets)
         measure_started = time.monotonic()
         deadline_stopped = False
-        commanded: Dict[int, int] = {}
         dead_this_round: List[int] = []
 
         def lose(slave_id: int, cause: str) -> None:
-            """Record a death; the round's quota is owed to a replacement."""
-            book.on_death(slave_id, cause, commanded[slave_id])
+            """Record a death; the round's quota stays owed to a replacement."""
+            book.causes[slave_id] = cause
             dead_this_round.append(slave_id)
             self._trace_event(
                 "dead",
@@ -1132,25 +1034,24 @@ class ParallelSimulation:
                 slave=slave_id,
                 round=rounds,
                 cause=cause,
-                generation=book.generation[slave_id],
+                generation=book.slaves[slave_id].generation,
             )
 
         try:
             # A fresh run's work logs are empty; a resumed slave replays
             # its log and sends a baseline report, which must land
             # exactly on the checkpoint state.
-            for slave_id in range(self.n_slaves):
-                if slave_id not in dead:
+            for slave_id, slave in book.slaves.items():
+                if slave_id not in book.causes:
                     slaves[slave_id] = self._spawn_slave(
-                        transport, slave_id, book.generation[slave_id],
-                        book.seed[slave_id], schemes,
-                        replay=book.work_log[slave_id], round_offset=rounds,
+                        transport, slave_id, slave.generation, slave.seed,
+                        schemes, replay=slave.chunks, round_offset=rounds,
                     )
-            replayed = [i for i in sorted(slaves) if book.work_log[i]]
+            replayed = [i for i in sorted(slaves) if book.slaves[i].chunks]
             deadline = None
             if replayed and self.round_timeout is not None:
                 deadline = time.monotonic() + self.round_timeout * max(
-                    len(book.work_log[i]) for i in replayed
+                    len(book.slaves[i].chunks) for i in replayed
                 )
             outstanding = {i: (slaves[i], deadline) for i in replayed}
             while outstanding:
@@ -1163,7 +1064,8 @@ class ParallelSimulation:
                             f"slave {slave_id} is gone: died during "
                             f"resume replay ({cause})"
                         )
-                    expected = (book.events[slave_id], book.accepted[slave_id])
+                    slave = book.slaves[slave_id]
+                    expected = (slave.events_processed, slave.total_accepted)
                     found = (baseline.events_processed, baseline.total_accepted)
                     if found != expected:
                         raise ParallelError(
@@ -1179,13 +1081,12 @@ class ParallelSimulation:
                 rounds += 1
                 chunk = self._round_chunk(rounds)
                 self._trace_scheduled_faults(rounds)
-                commanded.clear()
                 dead_this_round.clear()
                 sent: List[int] = []
                 for slave_id in sorted(slaves):
-                    commanded[slave_id] = book.command_quota(slave_id, chunk)
+                    quota = book.command(slave_id, chunk)
                     try:
-                        slaves[slave_id].send(("chunk", commanded[slave_id]))
+                        slaves[slave_id].send(("chunk", quota))
                         sent.append(slave_id)
                     except (BrokenPipeError, OSError) as error:
                         lose(slave_id, disconnect_cause(
@@ -1227,20 +1128,19 @@ class ParallelSimulation:
                         lose(slave_id, f"{CAUSE_CORRUPT_PAYLOAD}: {problem}")
                         continue
                     reports.append(report)
-                    book.on_reported(slave_id, commanded[slave_id], report)
+                    book.on_reported(slave_id, report)
                 for slave_id in dead_this_round:
                     endpoint = slaves.pop(slave_id)
                     endpoint.close()
                     transport.reap(endpoint)
-                    dead.append(slave_id)
                 self._trace_round(rounds, reports)
                 self._merge_round(merged, reports, rounds)
                 converged = self._all_converged(merged, targets)
                 if self._progress is not None:
                     self._progress.parallel_update(rounds, merged, targets)
                 if not converged:
-                    for slave_id in self._respawn_candidates(book, dead):
-                        generation = book.generation[slave_id] + 1
+                    for slave_id in self._respawn_candidates(book):
+                        generation = book.slaves[slave_id].generation + 1
                         seed = slave_seed(
                             self.master_seed, slave_id, generation
                         )
@@ -1271,7 +1171,6 @@ class ParallelSimulation:
                             continue
                         book.respawn(slave_id)
                         slaves[slave_id] = endpoint
-                        dead.remove(slave_id)
                         self._trace_event(
                             "respawn",
                             slave=slave_id,
@@ -1281,16 +1180,11 @@ class ParallelSimulation:
                             backoff=delay,
                         )
                 self._enforce_fleet(len(slaves), rounds)
-                self._maybe_checkpoint(
-                    book, schemes, targets, merged, rounds, dead
-                )
+                self._maybe_checkpoint(book, schemes, targets, merged, rounds)
         finally:
             transport.shutdown(
                 [slaves[i] for i in sorted(slaves)]
             )
             if owned:
                 transport.close()
-        return self._result(
-            book, merged, targets, converged, rounds, reports, dead,
-            force_degraded=deadline_stopped,
-        )
+        return converged, rounds, reports, deadline_stopped

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.histogram import BinScheme
@@ -122,6 +122,20 @@ class MetricTargets:
             confidence=statistic.confidence,
             min_accepted=statistic.min_accepted,
         )
+
+    def to_record(self) -> dict:
+        """The checkpoint's ``targets`` record: every field but the name,
+        which the enclosing ``metric`` record carries."""
+        record = asdict(self)
+        del record["name"]
+        return record
+
+    @classmethod
+    def from_record(cls, name: str, record: dict) -> "MetricTargets":
+        """Inverse of :meth:`to_record` for a record ``read_checkpoint``
+        has checked against these fields (JSON turned the pairs to lists)."""
+        pairs = tuple(tuple(pair) for pair in record["quantile_targets"])
+        return cls(**{**record, "name": name, "quantile_targets": pairs})
 
     @property
     def quantile_dict(self) -> Dict[float, float]:

@@ -239,6 +239,44 @@ class TestSerialBackend:
         ).run()
         assert many.rounds <= few.rounds
 
+    def test_slaves_thin_by_their_own_lag(self):
+        # ROADMAP 1(b): the merged estimate reads accept ratio 1 because
+        # the merge drops the observed count, not because slaves stop
+        # spacing.  Each slave calibrates its own lag (only the bin
+        # scheme is imposed on it) and pays 2 events a job, lag jobs an
+        # accepted observation.
+        kwargs = {"load": 0.8, "accuracy": 0.001}
+        rounds = []
+
+        class Recording(ParallelSimulation):
+            def _merge_round(self, merged, reports, round_number):
+                rounds.append({r.slave_id: r for r in reports})
+                super()._merge_round(merged, reports, round_number)
+
+        simulation = Recording(
+            factory, factory_kwargs=kwargs, n_slaves=3, master_seed=7,
+            backend="serial", chunk_size=1000, max_rounds=3,
+        )
+        estimate = simulation.run()["response_time"]
+        assert estimate.observed == estimate.accepted  # the dropped count
+        master, schemes, _targets = simulation._calibrate_master()
+        lags = set()
+        for slave_id in range(3):
+            alone = build_slave_experiment(
+                factory, kwargs, slave_seed(7, slave_id), schemes
+            )
+            alone.run_until_calibrated()
+            lag = alone.stats["response_time"].lag
+            first, last = rounds[0][slave_id], rounds[-1][slave_id]
+            assert first.lags == last.lags == {"response_time": lag}
+            events = last.events_processed - first.events_processed
+            accepted = last.total_accepted - first.total_accepted
+            assert events / accepted == pytest.approx(2 * lag, rel=0.02)
+            lags.add(lag)
+        # Not one broadcast lag: the fleet disagrees with itself and
+        # with the master's calibration.
+        assert len(lags) > 1 and master.stats["response_time"].lag not in lags
+
 
 class TestMultiMetric:
     def test_all_metrics_merge_and_converge(self):
