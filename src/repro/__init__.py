@@ -21,7 +21,7 @@ Quickstart::
     )
     server = Server(cores=1)
     exp.add_source(workload, target=server)
-    exp.track_response_time(server, mean_accuracy=0.05, quantile=0.95)
+    exp.track_response_time(server, mean_accuracy=0.05, quantiles={0.95: 0.05})
     result = exp.run()
     print(result["response_time"].mean)
 

@@ -6,23 +6,24 @@ draw is seed-deterministic and the serial/parallel and prefetch-on/off
 configurations are step-identical.  This package enforces those
 invariants two ways:
 
-- **simlint** (:mod:`repro.analysis.linter` / :mod:`repro.analysis.rules`)
-  — an AST static-analysis pass run as ``python -m repro.analysis``.  It
+- **simlint** (:mod:`repro.analysis.rules`, driven by
+  :mod:`repro.analysis.project`) — an AST static-analysis pass run as
+  ``python -m repro.analysis``.  It
   checks simulation-correctness rules (no global RNG, no wall-clock in
   hot paths, the ``prefetch_safe`` declaration contract, no event-record
   mutation outside the engine, no float ``==`` on simulated time, no
   lambdas crossing the pickled parallel protocol).  Findings can be
   suppressed per line with ``# simlint: disable=RULE``.
 
-- **the whole-program pass** (``--whole-program``) — a project-wide
-  symbol table (:mod:`repro.analysis.symbols`) and call graph
+- **the whole-program pass** (``--whole-program``) — the same parsed
+  modules indexed into a project-wide symbol table
+  (:mod:`repro.analysis.symbols`) and call graph
   (:mod:`repro.analysis.callgraph`) feed two cross-module analyses:
   RNG/host-clock taint dataflow (:mod:`repro.analysis.dataflow`) and
   slave-reachable shared-state race detection
   (:mod:`repro.analysis.races`).  Production surface: severity levels,
-  a committed baseline (:mod:`repro.analysis.baseline`), SARIF 2.1.0
-  output (:mod:`repro.analysis.sarif`), and an incremental cache
-  keyed by file digests (:mod:`repro.analysis.cache`).
+  a committed baseline (:mod:`repro.analysis.baseline`) and SARIF
+  2.1.0 output (:mod:`repro.analysis.sarif`).
 
 - **the model lint** (:mod:`repro.analysis.modellint`, surfaced as
   ``repro run --lint`` / ``repro sweep --lint``) — static validation
@@ -46,18 +47,14 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.linter import (
-    SEVERITIES,
-    Finding,
-    LintError,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.linter import SEVERITIES, Finding, LintError
 from repro.analysis.project import (
     WHOLE_PROGRAM_RULES,
     all_rule_ids,
     analyze_project,
+    lint_file,
+    lint_paths,
+    lint_source,
 )
 from repro.analysis.rules import RULES, Rule, register_rule
 from repro.analysis.sarif import to_sarif, validate_sarif

@@ -36,43 +36,15 @@ from repro.analysis.symbols import (
 )
 
 
-def dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-@dataclass
-class CallSite:
-    """One resolved call: caller -> callee at a source location."""
-
-    caller: str  # global function name
-    callee: str  # global function name
-    node: ast.AST
-
-
 @dataclass
 class CallGraph:
-    """Adjacency over global function names, plus per-edge call sites."""
+    """Adjacency over global function names."""
 
     index: ProjectIndex
     edges: Dict[str, Set[str]] = field(default_factory=dict)
-    sites: List[CallSite] = field(default_factory=list)
-    #: functions whose *name* escapes as a value (callback references).
-    escaping: Set[str] = field(default_factory=set)
 
-    def add_edge(self, caller: str, callee: str, node: ast.AST) -> None:
+    def add_edge(self, caller: str, callee: str) -> None:
         self.edges.setdefault(caller, set()).add(callee)
-        self.sites.append(CallSite(caller=caller, callee=callee, node=node))
-
-    def callees(self, name: str) -> Set[str]:
-        return self.edges.get(name, set())
 
     def reachable(self, entries: Iterable[str]) -> Set[str]:
         """Every function reachable from ``entries`` (entries included)."""
@@ -104,55 +76,24 @@ class _FunctionScanner(ast.NodeVisitor):
         self.info = info
         self.index = graph.index
 
-    # -- resolution -----------------------------------------------------------
-
-    def _resolve_callee(self, func: ast.AST) -> Optional[str]:
-        name = dotted(func)
-        if name is None:
-            return None
-        head = name.split(".")[0]
-        if head == "self" and self.info.class_name is not None:
-            attr = name.split(".", 1)[1] if "." in name else None
-            if attr is None or "." in attr:
-                return None
-            methods = self.index.mro_methods(
-                self.module, self.info.class_name
-            )
-            target = methods.get(attr)
-            return target.name if target is not None else None
-        resolved = self.index.resolve(self.module, name)
-        if resolved is None:
-            return None
-        target = self.index.function_for(resolved)
-        return target.name if target is not None else None
-
-    def _note_reference(self, node: ast.AST) -> None:
-        """A function name used as a value: edge + escaping mark."""
-        name = dotted(node)
-        if name is None:
-            return
-        resolved = self.index.resolve(self.module, name)
-        if resolved is None:
-            return
-        target = self.index.function_for(resolved)
+    def _edge_to(self, func: ast.AST, class_name: Optional[str]) -> None:
+        target = self.index.callee(self.module, class_name, func)
         if target is not None:
-            self.graph.add_edge(self.info.name, target.name, node)
-            self.graph.escaping.add(target.name)
+            self.graph.add_edge(self.info.name, target.name)
 
     # -- visitors -------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        callee = self._resolve_callee(node.func)
-        if callee is not None:
-            self.graph.add_edge(self.info.name, callee, node)
+        self._edge_to(node.func, self.info.class_name)
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
+            # A function name used as a value exists to be called.
             if isinstance(arg, (ast.Name, ast.Attribute)):
-                self._note_reference(arg)
+                self._edge_to(arg, None)
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if isinstance(node.value, (ast.Name, ast.Attribute)):
-            self._note_reference(node.value)
+            self._edge_to(node.value, None)
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -174,7 +115,7 @@ class _FunctionScanner(ast.NodeVisitor):
             params=[arg.arg for arg in node.args.args],
         )
         self.index.functions.setdefault(nested_name, nested)
-        self.graph.add_edge(self.info.name, nested_name, node)
+        self.graph.add_edge(self.info.name, nested_name)
         scanner = _FunctionScanner(self.graph, self.module, nested)
         for stmt in node.body:
             scanner.visit(stmt)

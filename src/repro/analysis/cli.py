@@ -9,7 +9,6 @@ Usage::
     python -m repro.analysis src --whole-program \\
         --write-baseline .simlint-baseline.json     # (re)accept current state
     python -m repro.analysis src --format sarif --out simlint.sarif
-    python -m repro.analysis src --cache .simlint-cache   # incremental
     python -m repro.analysis --list-rules           # full rule catalog
 
 Exit codes: ``0`` clean (no findings, or every finding baselined),
@@ -30,14 +29,10 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.linter import Finding, LintError, lint_paths
-from repro.analysis.project import (
-    WHOLE_PROGRAM_RULES,
-    all_rule_ids,
-    analyze_project,
-)
-from repro.analysis.rules import RULES
+from repro.analysis.linter import LintError
+from repro.analysis.project import rule_catalog, run_rules, source_rules
 from repro.analysis.sarif import to_sarif, validate_sarif
+from repro.analysis.symbols import load_modules
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="incremental analysis cache directory (keyed by digests)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -121,18 +110,9 @@ def _split_ids(raw):
 
 
 def _list_rules() -> int:
-    from repro.analysis.modellint import MODEL_RULES
-
-    catalog = {rule_id: rule.summary for rule_id, rule in RULES.items()}
-    catalog.update(WHOLE_PROGRAM_RULES)
-    catalog.update(MODEL_RULES)
+    catalog = rule_catalog()
     width = max(len(rule_id) for rule_id in catalog)
-    for rule_id, summary in sorted(catalog.items()):
-        kind = (
-            "whole-program" if rule_id in WHOLE_PROGRAM_RULES
-            else "model-lint" if rule_id not in RULES
-            else "per-file"
-        )
+    for rule_id, (kind, summary) in sorted(catalog.items()):
         print(f"{rule_id:<{width}}  [{kind}] {summary}")
     return 0
 
@@ -152,9 +132,6 @@ def _emit(
         close = True
     try:
         if args.format == "sarif":
-            catalog = {rid: rule.summary for rid, rule in RULES.items()}
-            if args.whole_program:
-                catalog.update(WHOLE_PROGRAM_RULES)
             state = None
             if baselined_active:
                 baselined = {id(f) for f in gate.baselined}
@@ -164,7 +141,11 @@ def _emit(
                     )
                     for position, f in enumerate(findings)
                 }
-            document = to_sarif(findings, rules=catalog, baseline_state=state)
+            document = to_sarif(
+                findings,
+                rules=source_rules(args.whole_program),
+                baseline_state=state,
+            )
             problems = validate_sarif(document)
             if problems:
                 raise LintError(
@@ -195,11 +176,7 @@ def _emit(
                     if baselined_active and id(finding) in baselined
                     else ""
                 )
-                print(
-                    f"{finding.location()}: {finding.severity}: "
-                    f"{finding.rule}: {finding.message}{tag}",
-                    file=out,
-                )
+                print(f"{finding.report_line()}{tag}", file=out)
             noun = "finding" if len(findings) == 1 else "findings"
             summary = (
                 f"simlint: {len(findings)} {noun} in {scanned} "
@@ -218,23 +195,12 @@ def _emit(
 
 
 def _run(args) -> int:
-    if args.whole_program or args.cache is not None:
-        findings, scanned = analyze_project(
-            args.paths,
-            select=_split_ids(args.select),
-            disable=_split_ids(args.disable),
-            cache_dir=args.cache,
-        )
-        if not args.whole_program:
-            findings = [
-                f for f in findings if f.rule not in WHOLE_PROGRAM_RULES
-            ]
-    else:
-        findings, scanned = lint_paths(
-            args.paths,
-            select=_split_ids(args.select),
-            disable=_split_ids(args.disable),
-        )
+    findings, scanned = run_rules(
+        load_modules(args.paths),
+        select=_split_ids(args.select),
+        disable=_split_ids(args.disable),
+        whole_program=args.whole_program,
+    )
 
     if args.write_baseline is not None:
         count = write_baseline(findings, args.write_baseline)

@@ -17,10 +17,11 @@ Taint sources
 Propagation
     Through assignments, arithmetic, attribute access, function
     parameters, and return values — across function and module
-    boundaries via per-function summaries iterated to a fixpoint over
-    the :mod:`~repro.analysis.callgraph`.  Module-level bindings
-    propagate too (a tainted module global read by an importing module
-    stays tainted).
+    boundaries via per-function summaries iterated to a fixpoint, each
+    callee resolved through
+    :meth:`~repro.analysis.symbols.ProjectIndex.callee`.  Module-level
+    bindings propagate too (a tainted module global read by an
+    importing module stays tainted).
 
 Sinks
     - sampling: ``.sample`` / ``.sample_many`` / ``.sample_block``;
@@ -42,9 +43,13 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from repro.analysis.callgraph import CallGraph, dotted
 from repro.analysis.linter import Finding
-from repro.analysis.symbols import FunctionInfo, ModuleInfo, ProjectIndex
+from repro.analysis.symbols import (
+    FunctionInfo,
+    ModuleInfo,
+    ProjectIndex,
+    dotted_name,
+)
 
 #: Fully-resolved callables that create an *unseeded* stream when
 #: called with no arguments.
@@ -143,11 +148,10 @@ class Summary:
 
 
 class TaintAnalysis:
-    """Whole-program taint pass over a built project index + call graph."""
+    """Whole-program taint pass over a built project index."""
 
-    def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
+    def __init__(self, index: ProjectIndex) -> None:
         self.index = index
-        self.graph = graph
         self.summaries: Dict[str, Summary] = {}
         self.module_env: Dict[str, Dict[str, TaintSet]] = {}
         self.findings: List[Finding] = []
@@ -158,7 +162,7 @@ class TaintAnalysis:
     def _resolved_call_name(
         self, module: ModuleInfo, func: ast.AST
     ) -> Optional[str]:
-        name = dotted(func)
+        name = dotted_name(func)
         if name is None:
             return None
         head, _, tail = name.partition(".")
@@ -205,25 +209,6 @@ class TaintAnalysis:
             )
         return None
 
-    def _project_callee(
-        self, module: ModuleInfo, info: FunctionInfo, node: ast.Call
-    ) -> Optional[FunctionInfo]:
-        name = dotted(node.func)
-        if name is None:
-            return None
-        head = name.split(".")[0]
-        if head == "self" and info.class_name is not None:
-            attr = name.split(".", 1)[1] if "." in name else ""
-            if attr and "." not in attr:
-                return self.index.mro_methods(
-                    module, info.class_name
-                ).get(attr)
-            return None
-        resolved = self.index.resolve(module, name)
-        if resolved is None:
-            return None
-        return self.index.function_for(resolved)
-
     # -- findings -------------------------------------------------------------
 
     def _report(
@@ -254,17 +239,7 @@ class TaintAnalysis:
         if key in self._reported:
             return
         self._reported.add(key)
-        line = getattr(node, "lineno", 1)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=module.path,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                end_line=getattr(node, "end_lineno", line) or line,
-            )
-        )
+        self.findings.append(module.finding(rule, node, message))
 
     # -- expression evaluation ------------------------------------------------
 
@@ -331,11 +306,10 @@ class TaintAnalysis:
         if source is not None:
             return frozenset({source})
 
-        func_dotted = dotted(node.func)
         attr = (
             node.func.attr
             if isinstance(node.func, ast.Attribute)
-            else (func_dotted or "")
+            else (dotted_name(node.func) or "")
         )
 
         # Sink: a tainted value handed to a protected method.
@@ -353,15 +327,9 @@ class TaintAnalysis:
                     if isinstance(taint, Taint) and taint.kind == "clock":
                         self._report(module, node, taint, "seed-derivation")
 
-        callee = (
-            self._project_callee(module, info, node)
-            if info is not None
-            else None
+        callee = self.index.callee(
+            module, info.class_name if info is not None else None, node.func
         )
-        if callee is None and func_dotted is not None:
-            resolved = self.index.resolve(module, func_dotted)
-            if resolved is not None:
-                callee = self.index.function_for(resolved)
         if callee is not None:
             summary = self.summaries.get(callee.name, Summary())
             result: Set = set(
@@ -500,7 +468,7 @@ class TaintAnalysis:
             attr = (
                 node.func.attr
                 if isinstance(node.func, ast.Attribute)
-                else (dotted(node.func) or "")
+                else (dotted_name(node.func) or "")
             )
             args = list(node.args) + [kw.value for kw in node.keywords]
             if attr in SINK_METHODS:
@@ -520,7 +488,7 @@ class TaintAnalysis:
                         ),
                         "seed-derivation",
                     )
-            callee = self._project_callee(module, info, node)
+            callee = self.index.callee(module, info.class_name, node.func)
             if callee is not None:
                 summary = self.summaries.get(callee.name)
                 if summary is None or not summary.param_sinks:
@@ -605,6 +573,6 @@ class TaintAnalysis:
         return self.findings
 
 
-def analyze_taint(index: ProjectIndex, graph: CallGraph) -> List[Finding]:
+def analyze_taint(index: ProjectIndex) -> List[Finding]:
     """Run the cross-module taint pass; returns sorted findings."""
-    return TaintAnalysis(index, graph).run()
+    return TaintAnalysis(index).run()

@@ -1,10 +1,14 @@
-"""The simlint driver: parse files, run rules, apply suppressions.
+"""simlint's vocabulary: findings, suppressions, file discovery and scoping.
 
-The linter is deliberately dependency-free (stdlib ``ast`` only) so it
-can run in CI before any simulation dependency is installed.  Rules live
-in :mod:`repro.analysis.rules`; each is a small object with an ``id``,
-a one-line ``summary``, an ``applies(ctx)`` path filter, and a
-``check(ctx)`` generator yielding :class:`Finding`.
+Everything here is what the rest of :mod:`repro.analysis` agrees on:
+what a :class:`Finding` is and how reports order it, which comment
+waives one, which files a path argument names, and which package-
+relative path a rule scopes on.  The loader that reads and parses files
+is :func:`repro.analysis.symbols.load_modules`; the driver that runs
+rules over them (``lint_source`` / ``lint_file`` / ``lint_paths`` /
+``analyze_project``) is :mod:`repro.analysis.project`.  The static
+passes import only the standard library and :mod:`repro.analysis`
+(importing the package itself still imports ``repro``, hence numpy).
 
 **Suppressions.** A finding is discarded when any physical line spanned
 by the flagged statement carries a comment of the form::
@@ -27,11 +31,10 @@ the test tree, and the bare filename otherwise.
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class LintError(RuntimeError):
@@ -66,6 +69,12 @@ class Finding:
         """``path:line:col`` rendering used by the text reporter."""
         return f"{self.path}:{self.line}:{self.col}"
 
+    def report_line(self) -> str:
+        """``path:line:col: severity: rule: message``: a text report's row."""
+        return (
+            f"{self.location()}: {self.severity}: {self.rule}: {self.message}"
+        )
+
     def sort_key(self) -> tuple:
         """The canonical report order: (path, line, col, rule)."""
         return (self.path, self.line, self.col, self.rule)
@@ -80,35 +89,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
         }
-
-
-@dataclass
-class ModuleContext:
-    """Everything a rule needs to inspect one parsed module."""
-
-    path: str  # display path
-    rel: str  # package-relative path, e.g. "engine/simulation.py"
-    tree: ast.AST
-    lines: List[str] = field(default_factory=list)
-
-    def finding(
-        self,
-        rule_id: str,
-        node: ast.AST,
-        message: str,
-        severity: str = "error",
-    ) -> Finding:
-        """Build a finding anchored at ``node``."""
-        line = getattr(node, "lineno", 1)
-        return Finding(
-            rule=rule_id,
-            path=self.path,
-            line=line,
-            col=getattr(node, "col_offset", 0) + 1,
-            message=message,
-            end_line=getattr(node, "end_lineno", line) or line,
-            severity=severity,
-        )
 
 
 def relative_module_path(path: Path) -> str:
@@ -139,87 +119,6 @@ def suppressed_rules(lines: Sequence[str], start: int, end: int) -> set:
     return ids
 
 
-def _active_rules(
-    select: Optional[Iterable[str]], disable: Optional[Iterable[str]]
-) -> List:
-    from repro.analysis.rules import RULES
-
-    selected = set(select) if select else None
-    disabled = set(disable) if disable else set()
-    unknown = (selected or set()) | disabled
-    unknown -= set(RULES)
-    if unknown:
-        raise LintError(
-            f"unknown rule id(s): {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(sorted(RULES))}"
-        )
-    return [
-        rule
-        for rule_id, rule in sorted(RULES.items())
-        if (selected is None or rule_id in selected)
-        and rule_id not in disabled
-    ]
-
-
-def lint_source(
-    source: str,
-    rel: str,
-    path: Optional[str] = None,
-    select: Optional[Iterable[str]] = None,
-    disable: Optional[Iterable[str]] = None,
-) -> List[Finding]:
-    """Lint one module given as a source string.
-
-    ``rel`` is the package-relative path rules scope on (e.g.
-    ``"engine/simulation.py"`` or ``"tests/test_foo.py"``); ``path`` is
-    the display path used in findings (defaults to ``rel``).
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        raise LintError(
-            f"{path or rel}:{error.lineno}: syntax error: {error.msg}"
-        ) from error
-    ctx = ModuleContext(
-        path=path or rel,
-        rel=rel,
-        tree=tree,
-        lines=source.splitlines(),
-    )
-    findings: List[Finding] = []
-    for rule in _active_rules(select, disable):
-        if not rule.applies(ctx):
-            continue
-        for finding in rule.check(ctx):
-            suppressed = suppressed_rules(
-                ctx.lines, finding.line, finding.end_line or finding.line
-            )
-            if finding.rule in suppressed or "all" in suppressed:
-                continue
-            findings.append(finding)
-    findings.sort(key=Finding.sort_key)
-    return findings
-
-
-def lint_file(
-    path: Path,
-    select: Optional[Iterable[str]] = None,
-    disable: Optional[Iterable[str]] = None,
-) -> List[Finding]:
-    """Lint one file on disk."""
-    try:
-        source = Path(path).read_text()
-    except OSError as error:
-        raise LintError(f"cannot read {path}: {error}") from error
-    return lint_source(
-        source,
-        rel=relative_module_path(Path(path)),
-        path=str(path),
-        select=select,
-        disable=disable,
-    )
-
-
 def iter_python_files(paths: Iterable) -> Iterator[Path]:
     """Expand files/directories into a sorted stream of ``*.py`` files."""
     for raw in paths:
@@ -234,31 +133,3 @@ def iter_python_files(paths: Iterable) -> Iterator[Path]:
             yield path
         else:
             raise LintError(f"no such file or directory: {path}")
-
-
-def lint_paths(
-    paths: Iterable,
-    select: Optional[Iterable[str]] = None,
-    disable: Optional[Iterable[str]] = None,
-) -> tuple:
-    """Lint every ``*.py`` file under ``paths``.
-
-    Returns ``(findings, files_scanned)``.  The finding list is sorted
-    globally by ``(path, line, col, rule)`` — not by filesystem
-    iteration order — so text/JSON/SARIF reports and baseline diffs are
-    byte-stable across machines and path-argument orderings.
-    """
-    findings: List[Finding] = []
-    scanned = 0
-    seen: set = set()
-    for path in iter_python_files(paths):
-        # Overlapping path arguments (e.g. `src src/repro`) must not
-        # double-report a file.
-        resolved = Path(path).resolve()
-        if resolved in seen:
-            continue
-        seen.add(resolved)
-        findings.extend(lint_file(path, select=select, disable=disable))
-        scanned += 1
-    findings.sort(key=Finding.sort_key)
-    return findings, scanned

@@ -40,14 +40,17 @@ any simulation runs:
     the run would die with :class:`~repro.engine.fastpath.FastpathError`.
 
 ``spec-error``
-    The document cannot be built at all (malformed workload/metrics,
-    unknown distribution, non-canonicalizable values, …).
+    The document cannot be built at all: every config (every point of a
+    config sweep) is handed to :func:`repro.config.build_experiment`,
+    and its :class:`~repro.config.ConfigError` — unknown key, wrong
+    type, unknown distribution, a value a constructor refuses — is the
+    finding.
 
 Findings reuse :class:`~repro.analysis.linter.Finding` — same severity
 levels, same deterministic ordering, same SARIF emission — but anchor
 to the spec/config *file* (line 1: TOML/JSON decoding drops line
-information).  Heavy domain imports happen inside functions so that
-``repro.analysis`` stays importable without numpy.
+information).  Domain imports happen inside functions: the source
+passes that import :data:`MODEL_RULES` need none of them.
 """
 
 from __future__ import annotations
@@ -133,113 +136,100 @@ def lint_config(
     --engine`` and sweep specs do); ``label`` prefixes messages when the
     config is one point of a sweep.
     """
-    from repro.config.loader import ConfigError, build_workload
-    from repro.theory import utilization
-    from repro.workloads.workload import WorkloadError
+    from repro.config.loader import ConfigError, _pool, build_experiment
 
-    findings: List[Finding] = []
     prefix = f"{label}: " if label else ""
-    if not isinstance(config, dict):
-        return [_finding(
-            path, "spec-error",
-            f"{prefix}config must be an object, got "
-            f"{type(config).__name__}",
-        )]
-
-    server_spec = config.get("servers", {})
-    if not isinstance(server_spec, dict):
-        server_spec = {}
-    total_cores = server_spec.get("count", 1) * server_spec.get("cores", 1)
-    speed = server_spec.get("speed", 1.0)
-    cluster_spec = config.get("cluster")
-    if isinstance(cluster_spec, dict):
-        # Gang-scheduled cluster: the pool is its server count.
-        total_cores = cluster_spec.get("servers", 1)
-        speed = cluster_spec.get("speed", 1.0)
-    balancer_spec = config.get("balancer")
-    clone_factor = 1
-    if isinstance(balancer_spec, dict) and (
-        balancer_spec.get("policy") == "cloning"
-    ):
-        clone_factor = max(1, int(balancer_spec.get("clones", 2)))
-
-    workload_spec = dict(config.get("workload", {}) or {})
-    declared_load = workload_spec.get("load")
-    workload = None
-    if isinstance(declared_load, (int, float)) and declared_load >= 1.0:
-        # at_load would refuse this outright; report it as the model
-        # problem it is rather than a build failure.
+    findings: List[Finding] = []
+    workload_spec = config.get("workload")
+    declared_load = (
+        workload_spec.get("load") if isinstance(workload_spec, dict) else None
+    )
+    overloaded = (
+        isinstance(declared_load, (int, float))
+        and not isinstance(declared_load, bool)
+        and declared_load >= 1.0
+    )
+    if overloaded:
+        # at_load refuses this outright; report it as the model problem
+        # it is and check that the rest of the document builds.
         findings.append(_finding(
             path, "unstable-point",
             f"{prefix}workload.load = {declared_load} gives rho = "
             f"{float(declared_load):.3f} >= 1: no steady state, the "
             "acceptance test cannot converge",
         ))
+        config = dict(config, workload={
+            key: value for key, value in workload_spec.items() if key != "load"
+        })
+    try:
+        experiment = build_experiment(config, engine=engine)
+    except ConfigError as error:
+        findings.append(_finding(
+            path, "spec-error", f"{prefix}experiment does not build: {error}"
+        ))
     else:
-        workload_spec.setdefault("cores_for_load", total_cores)
-        try:
-            workload = build_workload(workload_spec)
-        except (ConfigError, WorkloadError, ValueError) as error:
-            findings.append(_finding(
-                path, "spec-error",
-                f"{prefix}workload does not build: {error}",
-            ))
-        if workload is not None:
-            mean_need = getattr(workload, "mean_servers_needed", 1.0)
-            try:
-                rho = utilization(
-                    workload.arrival_rate,
-                    workload.peak_qps,
-                    max(1, total_cores),
-                ) / max(speed, 1e-12) * mean_need
-            except (ValueError, ZeroDivisionError) as error:
-                findings.append(_finding(
-                    path, "spec-error",
-                    f"{prefix}cannot evaluate offered load: {error}",
-                ))
-            else:
-                if rho >= RHO_UNSTABLE:
-                    findings.append(_finding(
-                        path, "unstable-point",
-                        f"{prefix}offered load rho = {rho:.3f} >= 1 "
-                        f"across {total_cores} core(s): no steady "
-                        "state, the acceptance test cannot converge",
-                    ))
-                elif rho >= RHO_SLOW:
-                    findings.append(_finding(
-                        path, "unstable-point",
-                        f"{prefix}offered load rho = {rho:.3f} is near "
-                        "saturation; convergence will be very slow",
-                        severity="warning",
-                    ))
-                elif clone_factor * rho >= RHO_UNSTABLE:
-                    # Synchronized clone-to-d multiplies every backend's
-                    # offered load by d; a stable-looking rho can still
-                    # saturate the pool once replicated.
-                    findings.append(_finding(
-                        path, "clone-overload",
-                        f"{prefix}clone count {clone_factor} x rho = "
-                        f"{clone_factor * rho:.3f} >= 1: the replicated "
-                        "load saturates the pool; lower the clone count "
-                        "or the offered load",
-                    ))
-            findings.extend(_check_multiserver_fit(
-                workload, cluster_spec, path, prefix
-            ))
-
-    findings.extend(_forecast_fastpath(config, path, engine, prefix))
+        if not overloaded:
+            findings.extend(
+                _check_model(experiment, _pool(config), path, prefix)
+            )
     findings.sort(key=Finding.sort_key)
     return findings
 
 
+def _check_model(experiment, pool, path: str, prefix: str) -> List[Finding]:
+    """Stability, gang fit and engine forecast of a document that builds."""
+    from repro.theory import utilization
+
+    findings: List[Finding] = []
+    workload = experiment.sources[0].workload
+    try:
+        rho = utilization(
+            workload.arrival_rate, workload.peak_qps, pool.cores
+        ) / pool.speed * getattr(workload, "mean_servers_needed", 1.0)
+    except (ValueError, ZeroDivisionError) as error:
+        findings.append(_finding(
+            path, "spec-error",
+            f"{prefix}cannot evaluate offered load: {error}",
+        ))
+    else:
+        if rho >= RHO_UNSTABLE:
+            findings.append(_finding(
+                path, "unstable-point",
+                f"{prefix}offered load rho = {rho:.3f} >= 1 "
+                f"across {pool.cores} core(s): no steady "
+                "state, the acceptance test cannot converge",
+            ))
+        elif rho >= RHO_SLOW:
+            findings.append(_finding(
+                path, "unstable-point",
+                f"{prefix}offered load rho = {rho:.3f} is near "
+                "saturation; convergence will be very slow",
+                severity="warning",
+            ))
+        elif pool.clones * rho >= RHO_UNSTABLE:
+            # Synchronized clone-to-d multiplies every backend's
+            # offered load by d; a stable-looking rho can still
+            # saturate the pool once replicated.
+            findings.append(_finding(
+                path, "clone-overload",
+                f"{prefix}clone count {pool.clones} x rho = "
+                f"{pool.clones * rho:.3f} >= 1: the replicated "
+                "load saturates the pool; lower the clone count "
+                "or the offered load",
+            ))
+    findings.extend(_check_multiserver_fit(workload, pool, path, prefix))
+    findings.extend(_forecast_fastpath(experiment, path, prefix))
+    return findings
+
+
 def _check_multiserver_fit(
-    workload, cluster_spec, path: str, prefix: str
+    workload, pool, path: str, prefix: str
 ) -> List[Finding]:
     """Gang workloads must have a gang-aware station that fits them."""
     need_dist = getattr(workload, "servers_needed", None)
     if need_dist is None:
         return []
-    if not isinstance(cluster_spec, dict):
+    if not pool.clustered:
         return [_finding(
             path, "multiserver-misfit",
             f"{prefix}workload draws servers_needed but there is no "
@@ -247,43 +237,30 @@ def _check_multiserver_fit(
             "the results silently model single-server jobs",
             severity="warning",
         )]
-    n_servers = cluster_spec.get("servers", 1)
     max_value = getattr(need_dist, "max_value", None)
     if not callable(max_value):
         return []
     largest = max_value()
-    if largest > n_servers:
+    if largest > pool.cores:
         return [_finding(
             path, "multiserver-misfit",
             f"{prefix}servers_needed can draw {largest:g} but the "
-            f"cluster has only {n_servers} server(s): such jobs can "
+            f"cluster has only {pool.cores} server(s): such jobs can "
             "never be placed and the run dies at their first arrival",
         )]
     return []
 
 
-def _forecast_fastpath(
-    config: dict, path: str, engine: Optional[str], prefix: str
-) -> List[Finding]:
+def _forecast_fastpath(experiment, path: str, prefix: str) -> List[Finding]:
     """Predict ``qualifies()`` for auto/fastpath engines, statically."""
-    from repro.config.loader import ConfigError, build_experiment
     from repro.engine.fastpath import qualifies
-    from repro.workloads.workload import WorkloadError
 
-    effective = engine if engine is not None else config.get("engine", "event")
-    if effective not in ("auto", "fastpath"):
+    if experiment.engine not in ("auto", "fastpath"):
         return []
-    try:
-        experiment = build_experiment(config, engine=effective)
-    except (ConfigError, WorkloadError, ValueError) as error:
-        return [_finding(
-            path, "spec-error",
-            f"{prefix}experiment does not build: {error}",
-        )]
     outcome = qualifies(experiment)
     if outcome.ok:
         return []
-    if effective == "fastpath":
+    if experiment.engine == "fastpath":
         return [_finding(
             path, "fastpath-forecast",
             f"{prefix}engine = 'fastpath' is forced but the model does "

@@ -1,24 +1,27 @@
-"""The whole-program analysis driver.
+"""The analysis driver: per-file rules and, when asked, cross-module passes.
 
-``analyze_project`` is the single entry point behind
-``python -m repro.analysis --whole-program``: it runs the per-file
-rules over every file (served from the incremental cache when
-unchanged), builds the project symbol table and call graph once, and
-layers the cross-module passes on top:
+Every entry point goes the same way.  :func:`~repro.analysis.symbols.
+load_modules` reads and parses each file once into a
+:class:`~repro.analysis.symbols.ModuleInfo`; the driver runs the active
+per-file rules over those records and — for :func:`analyze_project`,
+i.e. ``python -m repro.analysis --whole-program`` — indexes the same
+records into one symbol table and layers the cross-module passes on
+top:
 
 - :mod:`~repro.analysis.dataflow` — RNG / host-clock taint across
   function and module boundaries;
 - :mod:`~repro.analysis.races` — module-level mutable state mutated
   from slave/worker-reachable code.
 
-Whole-program findings honor the same ``# simlint: disable=RULE``
-per-line suppressions as per-file rules, and the same deterministic
-``(path, line, col, rule)`` report order.
+Per-file and whole-program findings then pass one ``# simlint:
+disable=RULE`` filter and one ``(path, line, col, rule)`` sort.
+:func:`lint_source`, :func:`lint_file` and :func:`lint_paths` are the
+driver without the cross-module passes.
 
 Test modules are excluded from the cross-module passes by default
 (tests legitimately build fixed-seed generators and poke shared
 fixtures); a fixture corpus *of* hazards analyzes itself by passing
-``project_root`` so its files index as library code.
+``project_root`` so its files load as library code.
 """
 
 from __future__ import annotations
@@ -26,20 +29,18 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.cache import AnalysisCache, file_digest
 from repro.analysis.callgraph import build_callgraph, default_worker_entries
 from repro.analysis.dataflow import analyze_taint
-from repro.analysis.linter import (
-    Finding,
-    LintError,
-    iter_python_files,
-    lint_source,
-    relative_module_path,
-    suppressed_rules,
-)
+from repro.analysis.linter import Finding, LintError, suppressed_rules
+from repro.analysis.modellint import MODEL_RULES
 from repro.analysis.races import analyze_races
 from repro.analysis.rules import RULES
-from repro.analysis.symbols import ProjectIndex, parse_module
+from repro.analysis.symbols import (
+    ModuleInfo,
+    ProjectIndex,
+    load_modules,
+    parse_module,
+)
 
 #: Whole-program rule catalog: id -> one-line summary (the analogue of
 #: ``RULES`` for passes that need the full project, not one module).
@@ -59,52 +60,152 @@ WHOLE_PROGRAM_RULES: Dict[str, str] = {
 }
 
 
+def rule_catalog() -> Dict[str, Tuple[str, str]]:
+    """Every rule id -> ``(kind, summary)``, the three registries as one.
+
+    ``kind`` is ``per-file`` (:data:`~repro.analysis.rules.RULES`),
+    ``whole-program`` (:data:`WHOLE_PROGRAM_RULES`) or ``model-lint``
+    (:data:`~repro.analysis.modellint.MODEL_RULES`).
+    """
+    catalog = {
+        rule_id: ("per-file", rule.summary) for rule_id, rule in RULES.items()
+    }
+    for kind, summaries in (
+        ("whole-program", WHOLE_PROGRAM_RULES),
+        ("model-lint", MODEL_RULES),
+    ):
+        for rule_id, summary in summaries.items():
+            catalog[rule_id] = (kind, summary)
+    return catalog
+
+
+def source_rules(whole_program: bool = True) -> Dict[str, str]:
+    """id -> summary of the rules a run over source files can fire.
+
+    This is what ``--select`` / ``--disable`` accept and what a SARIF
+    report lists: the per-file rules, plus the cross-module ones when
+    the run includes them.
+    """
+    kinds = ("per-file", "whole-program") if whole_program else ("per-file",)
+    return {
+        rule_id: summary
+        for rule_id, (kind, summary) in rule_catalog().items()
+        if kind in kinds
+    }
+
+
 def all_rule_ids() -> List[str]:
     """Every known rule id: per-file registry + whole-program passes."""
-    return sorted(set(RULES) | set(WHOLE_PROGRAM_RULES))
+    return sorted(source_rules())
 
 
-def _split_rule_ids(
-    ids: Optional[Iterable[str]],
-) -> Tuple[Optional[List[str]], Optional[List[str]]]:
-    """Split a user rule-id list into (per-file, whole-program) parts.
+def run_rules(
+    modules: Iterable[ModuleInfo],
+    select: Optional[Iterable[str]] = None,
+    disable: Optional[Iterable[str]] = None,
+    whole_program: bool = False,
+    worker_entries: Optional[Iterable[str]] = None,
+    include_tests_in_program: bool = False,
+) -> Tuple[List[Finding], int]:
+    """The driver: active rules over a stream of loaded modules.
 
-    Unknown ids raise :class:`LintError` against the *combined*
-    catalog, so ``--select rng-taint`` is legal even though the id is
-    not in the per-file registry.
+    Returns ``(findings, modules_seen)``, findings suppressed and in
+    report order.  A module is dropped once the per-file rules have
+    seen it unless a cross-module pass is active and will index it.
+    Unknown ids in ``select`` / ``disable`` raise :class:`LintError`
+    against the rules this run can fire, so ``--select rng-taint`` is
+    legal exactly when the cross-module passes run.
     """
-    if ids is None:
-        return None, None
-    ids = list(ids)
-    unknown = [
-        rule_id
-        for rule_id in ids
-        if rule_id not in RULES and rule_id not in WHOLE_PROGRAM_RULES
-    ]
+    known = source_rules(whole_program)
+    selected, disabled = set(select or ()), set(disable or ())
+    unknown = (selected | disabled) - set(known)
     if unknown:
         raise LintError(
             f"unknown rule id(s): {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(all_rule_ids())}"
+            f"known: {', '.join(sorted(known))}"
         )
-    per_file = [rule_id for rule_id in ids if rule_id in RULES]
-    whole = [rule_id for rule_id in ids if rule_id in WHOLE_PROGRAM_RULES]
-    return per_file, whole
+    active = {
+        rule_id
+        for rule_id in known
+        if (not selected or rule_id in selected) and rule_id not in disabled
+    }
+    per_file = [RULES[rule_id] for rule_id in sorted(active & set(RULES))]
+    cross_module = bool(active & set(WHOLE_PROGRAM_RULES))
 
+    findings: List[Finding] = []
+    lines: Dict[str, List[str]] = {}  # display path -> source lines
+    index = ProjectIndex()
+    for module in modules:
+        lines[module.path] = module.lines
+        for rule in per_file:
+            if rule.applies(module):
+                findings.extend(rule.check(module))
+        if cross_module and (
+            include_tests_in_program or not module.rel.startswith("tests/")
+        ):
+            index.add(module)
 
-def _apply_suppressions(
-    findings: List[Finding], index: ProjectIndex
-) -> List[Finding]:
-    kept = []
+    if active & {"rng-taint", "clock-taint"}:
+        findings.extend(f for f in analyze_taint(index) if f.rule in active)
+    if "shared-state-race" in active:
+        graph = build_callgraph(index)
+        entries = (
+            list(worker_entries)
+            if worker_entries is not None
+            else default_worker_entries(index)
+        )
+        findings.extend(analyze_races(index, graph, entries))
+
+    reported = []
     for finding in findings:
-        module = index.by_path.get(finding.path)
-        if module is not None:
-            suppressed = suppressed_rules(
-                module.lines, finding.line, finding.end_line or finding.line
-            )
-            if finding.rule in suppressed or "all" in suppressed:
-                continue
-        kept.append(finding)
-    return kept
+        waived = suppressed_rules(
+            lines[finding.path], finding.line, finding.end_line or finding.line
+        )
+        if finding.rule not in waived and "all" not in waived:
+            reported.append(finding)
+    # Sorted globally by (path, line, col, rule) — not by filesystem
+    # iteration order — so text/JSON/SARIF reports and baseline diffs
+    # are byte-stable across machines and path-argument orderings.
+    reported.sort(key=Finding.sort_key)
+    return reported, len(lines)
+
+
+def lint_source(
+    source: str,
+    rel: str,
+    path: Optional[str] = None,
+    select: Optional[Iterable[str]] = None,
+    disable: Optional[Iterable[str]] = None,
+) -> List[Finding]:
+    """Lint one module given as a source string.
+
+    ``rel`` is the package-relative path rules scope on (e.g.
+    ``"engine/simulation.py"`` or ``"tests/test_foo.py"``); ``path`` is
+    the display path used in findings (defaults to ``rel``).
+    """
+    module = parse_module(source, path or rel, rel)
+    return run_rules([module], select, disable)[0]
+
+
+def lint_file(
+    path: Path,
+    select: Optional[Iterable[str]] = None,
+    disable: Optional[Iterable[str]] = None,
+) -> List[Finding]:
+    """Lint one file on disk."""
+    return run_rules(load_modules([path]), select, disable)[0]
+
+
+def lint_paths(
+    paths: Iterable,
+    select: Optional[Iterable[str]] = None,
+    disable: Optional[Iterable[str]] = None,
+) -> Tuple[List[Finding], int]:
+    """Lint every ``*.py`` file under ``paths`` with the per-file rules.
+
+    Returns ``(findings, files_scanned)``, findings in report order.
+    """
+    return run_rules(load_modules(paths), select, disable)
 
 
 def analyze_project(
@@ -113,126 +214,20 @@ def analyze_project(
     disable: Optional[Iterable[str]] = None,
     project_root: Optional[Path] = None,
     worker_entries: Optional[Iterable[str]] = None,
-    cache_dir: Optional[Path] = None,
     include_tests_in_program: bool = False,
 ) -> Tuple[List[Finding], int]:
     """Run per-file rules plus the whole-program passes.
 
-    Returns ``(findings, files_scanned)`` with findings globally sorted
-    by ``(path, line, col, rule)``.  ``worker_entries`` overrides the
-    race detector's slave/worker roots (global function names); the
-    default is the shipped parallel/pool/sweep entry set.
-    ``cache_dir`` enables the incremental cache.
+    Returns ``(findings, files_scanned)``, findings in report order.
+    ``worker_entries`` overrides the race detector's slave/worker roots
+    (global function names); the default is the shipped
+    parallel/pool/sweep entry set.
     """
-    select_file, select_whole = _split_rule_ids(select)
-    disable_file, disable_whole = _split_rule_ids(disable)
-    disable_whole = set(disable_whole or ())
-
-    cache = (
-        AnalysisCache(cache_dir, rule_ids=all_rule_ids())
-        if cache_dir is not None
-        else None
+    return run_rules(
+        load_modules(paths, project_root),
+        select,
+        disable,
+        whole_program=True,
+        worker_entries=worker_entries,
+        include_tests_in_program=include_tests_in_program,
     )
-
-    findings: List[Finding] = []
-    scanned = 0
-    index = ProjectIndex()
-    digests: Dict[str, str] = {}
-    seen: set = set()
-
-    run_per_file = not (select is not None and not select_file)
-
-    for path in iter_python_files(paths):
-        resolved = Path(path).resolve()
-        if resolved in seen:
-            continue
-        seen.add(resolved)
-        try:
-            raw = Path(path).read_text()
-        except OSError as error:
-            raise LintError(f"cannot read {path}: {error}") from error
-        if project_root is not None:
-            rel = resolved.relative_to(
-                Path(project_root).resolve()
-            ).as_posix()
-        else:
-            rel = relative_module_path(Path(path))
-        digest = file_digest(raw.encode())
-        digests[rel] = digest
-        scanned += 1
-
-        # Per-file rules, cache-served when the file is unchanged.
-        if run_per_file:
-            per_file: Optional[List[Finding]] = None
-            key = None
-            if cache is not None and select is None and disable is None:
-                key = cache.file_key(digest)
-                cached = cache.get(key)
-                if cached is not None:
-                    # Cached findings carry the path they were recorded
-                    # under; re-anchor to the current display path.
-                    per_file = [
-                        Finding(
-                            rule=f.rule,
-                            path=str(path),
-                            line=f.line,
-                            col=f.col,
-                            message=f.message,
-                            end_line=f.end_line,
-                            severity=f.severity,
-                        )
-                        for f in cached
-                    ]
-            if per_file is None:
-                per_file = lint_source(
-                    raw,
-                    rel=rel,
-                    path=str(path),
-                    select=select_file,
-                    disable=disable_file,
-                )
-                if cache is not None and key is not None:
-                    cache.put(key, per_file)
-            findings.extend(per_file)
-
-        # Index for the cross-module passes (tests excluded by default).
-        if include_tests_in_program or not rel.startswith("tests/"):
-            index.add(parse_module(raw, str(path), rel))
-
-    # Whole-program passes.
-    if select is not None:
-        active_whole = set(select_whole or ())
-    else:
-        active_whole = set(WHOLE_PROGRAM_RULES)
-    active_whole -= disable_whole
-
-    whole_findings: List[Finding] = []
-    if active_whole and index.modules:
-        program_key = None
-        cached_whole = None
-        if cache is not None and select is None and disable is None:
-            program_key = cache.project_key(digests)
-            cached_whole = cache.get(program_key)
-        if cached_whole is not None:
-            whole_findings = cached_whole
-        else:
-            graph = build_callgraph(index)
-            if {"rng-taint", "clock-taint"} & active_whole:
-                taint = analyze_taint(index, graph)
-                whole_findings.extend(
-                    f for f in taint if f.rule in active_whole
-                )
-            if "shared-state-race" in active_whole:
-                entries = (
-                    list(worker_entries)
-                    if worker_entries is not None
-                    else default_worker_entries(index)
-                )
-                whole_findings.extend(analyze_races(index, graph, entries))
-            whole_findings = _apply_suppressions(whole_findings, index)
-            if cache is not None and program_key is not None:
-                cache.put(program_key, whole_findings)
-
-    findings.extend(whole_findings)
-    findings.sort(key=Finding.sort_key)
-    return findings, scanned

@@ -30,9 +30,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.analysis.callgraph import CallGraph, dotted
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.linter import Finding
-from repro.analysis.symbols import FunctionInfo, ModuleInfo, ProjectIndex
+from repro.analysis.symbols import (
+    FunctionInfo,
+    ModuleInfo,
+    ProjectIndex,
+    dotted_name,
+)
 
 RULE_ID = "shared-state-race"
 
@@ -106,7 +111,6 @@ class RaceDetector:
         entries: Iterable[str],
     ) -> None:
         self.index = index
-        self.graph = graph
         self.entries = list(entries)
         self.reachable = graph.reachable(self.entries)
         self.findings: List[Finding] = []
@@ -120,17 +124,7 @@ class RaceDetector:
     def _finding(
         self, module: ModuleInfo, node: ast.AST, message: str
     ) -> None:
-        line = getattr(node, "lineno", 1)
-        self.findings.append(
-            Finding(
-                rule=RULE_ID,
-                path=module.path,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                end_line=getattr(node, "end_lineno", line) or line,
-            )
-        )
+        self.findings.append(module.finding(RULE_ID, node, message))
 
     def _shared_target(
         self, module: ModuleInfo, name: str, local: Set[str]
@@ -235,7 +229,7 @@ class RaceDetector:
         # CACHE[key] = value  /  del CACHE[key]  /  CACHE[key] += 1
         if isinstance(target, ast.Subscript):
             base = target.value
-            base_name = dotted(base)
+            base_name = dotted_name(base)
             if base_name is None:
                 return
             shared = self._resolve_mutable(module, base_name, local)
@@ -264,7 +258,7 @@ class RaceDetector:
             return
         # othermod.STATE = ...  — attribute store on an imported module.
         if isinstance(target, ast.Attribute):
-            base_name = dotted(target.value)
+            base_name = dotted_name(target.value)
             if base_name is None:
                 return
             head = base_name.split(".")[0]
@@ -292,7 +286,7 @@ class RaceDetector:
             return
         if func.attr not in MUTATING_METHODS:
             return
-        base_name = dotted(func.value)
+        base_name = dotted_name(func.value)
         if base_name is None:
             return
         shared = self._resolve_mutable(module, base_name, local)

@@ -3,7 +3,10 @@
 Each rule is a tiny object: an ``id`` (the name used in
 ``# simlint: disable=…`` suppressions and ``--select``/``--disable``),
 a one-line ``summary`` shown by ``--list-rules``, an ``applies(ctx)``
-path filter, and a ``check(ctx)`` generator yielding findings.
+path filter, and a ``check(ctx)`` generator yielding findings.  ``ctx``
+is the module's :class:`~repro.analysis.symbols.ModuleInfo` — the same
+record the whole-program passes index — and ``ctx.finding(...)`` is the
+one constructor every finding anchored in source goes through.
 
 Adding a rule is three steps (see docs/analysis.md for a worked
 example):
@@ -21,9 +24,10 @@ prevents.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
-from repro.analysis.linter import Finding, ModuleContext
+from repro.analysis.linter import Finding
+from repro.analysis.symbols import ModuleInfo, dotted_name
 
 #: Registry mapping rule id -> rule instance, in registration order.
 RULES: Dict[str, "Rule"] = {}
@@ -46,25 +50,56 @@ class Rule:
     id: str = ""
     summary: str = ""
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         """Whether this rule runs on the module at ``ctx.rel``."""
         return True
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         """Yield findings for one parsed module."""
         raise NotImplementedError
 
 
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, or None for anything else."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+
+
+def lexical_loops(
+    nodes: Iterable[ast.AST], in_loop: bool = False, guards: Tuple = ()
+) -> Iterator[Tuple[ast.AST, bool, Tuple, bool]]:
+    """Walk statements, tracking "lexically inside a loop".
+
+    Yields ``(node, in_loop, guards, header)`` for every simple
+    statement and every header expression of a compound one: ``guards``
+    are the tests of the enclosing ``if`` statements (either branch: a
+    lexical walk cannot tell ``if x:`` from ``if not x: ... else:``),
+    ``header`` marks a loop's iterable / test or a ``with`` item, which
+    run in the *enclosing* context.  A nested def or class is a fresh
+    scope: where it is *called* from decides its hotness, which a
+    lexical walk cannot see.
+    """
+    for node in nodes:
+        if isinstance(node, _SCOPES):
+            yield from lexical_loops(node.body)
+        elif isinstance(node, _LOOPS):
+            header = node.test if isinstance(node, ast.While) else node.iter
+            yield header, in_loop, guards, True
+            yield from lexical_loops(node.body + node.orelse, True, guards)
+        elif isinstance(node, ast.If):
+            yield node.test, in_loop, guards, False
+            yield from lexical_loops(
+                node.body + node.orelse, in_loop, guards + (node.test,)
+            )
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                yield item.context_expr, in_loop, guards, True
+            yield from lexical_loops(node.body, in_loop, guards)
+        elif isinstance(node, ast.Try):
+            blocks = [node.body, *(h.body for h in node.handlers),
+                      node.orelse, node.finalbody]
+            for block in blocks:
+                yield from lexical_loops(block, in_loop, guards)
+        else:
+            yield node, in_loop, guards, False
 
 
 @register_rule
@@ -97,13 +132,13 @@ class GlobalRngRule(Rule):
     #: np.random attributes that are not entropy sources.
     allowed_calls = ("Generator",)
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return (
             not ctx.rel.startswith("tests/")
             and ctx.rel not in self.whitelist
         )
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -177,10 +212,10 @@ class WallClockRule(Rule):
         }
     )
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return ctx.rel.startswith(("engine/", "datacenter/"))
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 dotted = dotted_name(node.func)
@@ -238,7 +273,7 @@ class PrefetchContractRule(Rule):
         }
     )
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         classes = [
             node
             for node in ast.walk(ctx.tree)
@@ -329,7 +364,7 @@ class EventMutationRule(Rule):
 
     state_names = frozenset({"PENDING", "CANCELLED", "FIRED"})
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return ctx.rel not in self.whitelist
 
     def _is_event_subscript(self, target: ast.AST) -> bool:
@@ -338,7 +373,7 @@ class EventMutationRule(Rule):
         index = target.slice
         return isinstance(index, ast.Name) and index.id.startswith("EV_")
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Assign):
                 hits = any(
@@ -409,7 +444,7 @@ class FloatTimeEqRule(Rule):
                 return True
         return False
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -460,7 +495,7 @@ class TraceInHotLoopRule(Rule):
     #: Variable/attribute names treated as tracer handles.
     tracer_names = frozenset({"tracer", "_tracer"})
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return ctx.rel.startswith(("engine/", "datacenter/", "core/"))
 
     def _is_tracer_call(self, node: ast.Call) -> bool:
@@ -482,70 +517,20 @@ class TraceInHotLoopRule(Rule):
                 return True
         return False
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        findings: list = []
-
-        def scan_expr(node: ast.AST, in_loop: bool, guarded: bool) -> None:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
+        for node, in_loop, guards, _ in lexical_loops(ctx.tree.body):
+            if not in_loop or any(map(self._mentions_tracer, guards)):
+                continue
             for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.Call)
-                    and self._is_tracer_call(sub)
-                    and in_loop
-                    and not guarded
-                ):
-                    findings.append(
-                        ctx.finding(
-                            self.id,
-                            sub,
-                            "unguarded tracer call inside a loop in a "
-                            "simulation layer; wrap it in `if <tracer> "
-                            "is not None:` (zero-cost-when-disabled "
-                            "contract)",
-                        )
+                if isinstance(sub, ast.Call) and self._is_tracer_call(sub):
+                    yield ctx.finding(
+                        self.id,
+                        sub,
+                        "unguarded tracer call inside a loop in a "
+                        "simulation layer; wrap it in `if <tracer> "
+                        "is not None:` (zero-cost-when-disabled "
+                        "contract)",
                     )
-
-        def scan(nodes, in_loop: bool, guarded: bool) -> None:
-            for node in nodes:
-                if isinstance(
-                    node,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                ):
-                    # A nested def is a fresh lexical scope: where it is
-                    # *called* from decides its hotness, which a lexical
-                    # rule cannot see.
-                    scan(node.body, False, False)
-                elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                    if isinstance(node, (ast.For, ast.AsyncFor)):
-                        scan_expr(node.iter, in_loop, guarded)
-                    else:
-                        scan_expr(node.test, in_loop, guarded)
-                    scan(node.body, True, guarded)
-                    scan(node.orelse, True, guarded)
-                elif isinstance(node, ast.If):
-                    scan_expr(node.test, in_loop, guarded)
-                    # Both branches count as guarded: a lexical rule
-                    # cannot tell `if tracer is not None:` from the
-                    # inverted `if tracer is None: ... else: emit`.
-                    branch_guarded = guarded or self._mentions_tracer(
-                        node.test
-                    )
-                    scan(node.body, in_loop, branch_guarded)
-                    scan(node.orelse, in_loop, branch_guarded)
-                elif isinstance(node, (ast.With, ast.AsyncWith)):
-                    for item in node.items:
-                        scan_expr(item.context_expr, in_loop, guarded)
-                    scan(node.body, in_loop, guarded)
-                elif isinstance(node, ast.Try):
-                    scan(node.body, in_loop, guarded)
-                    for handler in node.handlers:
-                        scan(handler.body, in_loop, guarded)
-                    scan(node.orelse, in_loop, guarded)
-                    scan(node.finalbody, in_loop, guarded)
-                else:
-                    scan_expr(node, in_loop, guarded)
-
-        scan(ctx.tree.body, False, False)
-        yield from findings
 
 
 @register_rule
@@ -583,7 +568,7 @@ class SwallowExceptionRule(Rule):
     #: Catch types considered over-broad.
     broad = frozenset({"Exception", "BaseException"})
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return (
             ctx.rel.startswith(("parallel/", "faults/", "sweep/"))
             or ctx.rel == "engine/fastpath.py"
@@ -618,7 +603,7 @@ class SwallowExceptionRule(Rule):
                         return True
         return False
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -668,7 +653,7 @@ class ScalarSampleLoopRule(Rule):
         "draw a block with sample_block/sample_many instead"
     )
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return not ctx.rel.startswith("tests/")
 
     def _scalar_sample(self, node: ast.Call) -> bool:
@@ -686,86 +671,40 @@ class ScalarSampleLoopRule(Rule):
             return False
         return True
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        findings: list = []
-
-        def flag(call: ast.Call) -> None:
-            findings.append(
-                ctx.finding(
-                    self.id,
-                    call,
-                    "per-draw .sample(rng) inside a loop re-pays Python "
-                    "dispatch per value; draw a block with "
-                    "sample_block(rng, n) (or sample_many for draw-order "
-                    "parity) and iterate the array",
-                )
-            )
-
-        def scan_expr(node: ast.AST, in_loop: bool) -> None:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
+        def flagged(node: ast.AST) -> Iterator[Finding]:
             for sub in ast.walk(node):
-                if isinstance(
-                    sub,
-                    (ast.ListComp, ast.SetComp, ast.DictComp,
-                     ast.GeneratorExp),
-                ):
-                    # Walk revisits comprehension bodies below; the
-                    # element expression is per-iteration by definition.
-                    continue
-                if (
-                    in_loop
-                    and isinstance(sub, ast.Call)
-                    and self._scalar_sample(sub)
-                ):
-                    flag(sub)
+                if isinstance(sub, ast.Call) and self._scalar_sample(sub):
+                    yield ctx.finding(
+                        self.id,
+                        sub,
+                        "per-draw .sample(rng) inside a loop re-pays Python "
+                        "dispatch per value; draw a block with "
+                        "sample_block(rng, n) (or sample_many for draw-order "
+                        "parity) and iterate the array",
+                    )
 
-        def scan_comprehension(node) -> None:
-            bodies = (
-                [node.key, node.value]
-                if isinstance(node, ast.DictComp)
-                else [node.elt]
-            )
-            for body in bodies + [
-                comp.iter for comp in node.generators
-            ] + [
-                cond for comp in node.generators for cond in comp.ifs
-            ]:
-                for sub in ast.walk(body):
-                    if isinstance(sub, ast.Call) and self._scalar_sample(sub):
-                        flag(sub)
-
-        def scan(nodes, in_loop: bool) -> None:
-            for node in nodes:
-                if isinstance(
-                    node,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                ):
-                    scan(node.body, False)
-                elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                    scan(node.body, True)
-                    scan(node.orelse, True)
-                elif isinstance(node, ast.If):
-                    scan_expr(node.test, in_loop)
-                    scan(node.body, in_loop)
-                    scan(node.orelse, in_loop)
-                elif isinstance(node, (ast.With, ast.AsyncWith)):
-                    scan(node.body, in_loop)
-                elif isinstance(node, ast.Try):
-                    scan(node.body, in_loop)
-                    for handler in node.handlers:
-                        scan(handler.body, in_loop)
-                    scan(node.orelse, in_loop)
-                    scan(node.finalbody, in_loop)
-                else:
-                    scan_expr(node, in_loop)
-
-        scan(ctx.tree.body, False)
+        # Statements inside a lexical loop.  Loop iterables / tests and
+        # `with` items are not scanned; a comprehension nested in a loop
+        # body is, and is then reported again below.
+        for node, in_loop, _, header in lexical_loops(ctx.tree.body):
+            if in_loop and not header:
+                yield from flagged(node)
+        # A comprehension's element, iterables and conditions are
+        # per-iteration by definition, loop or no loop.
         for node in ast.walk(ctx.tree):
-            if isinstance(
-                node,
-                (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
+            if isinstance(node, ast.DictComp):
+                parts = [node.key, node.value]
+            elif isinstance(
+                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)
             ):
-                scan_comprehension(node)
-        yield from findings
+                parts = [node.elt]
+            else:
+                continue
+            parts += [comp.iter for comp in node.generators]
+            parts += [cond for comp in node.generators for cond in comp.ifs]
+            for part in parts:
+                yield from flagged(part)
 
 
 @register_rule
@@ -786,7 +725,7 @@ class ParallelLambdaRule(Rule):
         "cannot cross the pickled protocol)"
     )
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if ctx.rel.startswith("parallel/"):
             for node in ast.walk(ctx.tree):
                 if isinstance(node, ast.Lambda):
@@ -839,10 +778,10 @@ class BlockingSleepInTransportRule(Rule):
         "condition waits, or timers)"
     )
 
-    def applies(self, ctx: ModuleContext) -> bool:
+    def applies(self, ctx: ModuleInfo) -> bool:
         return ctx.rel.startswith("parallel/")
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Call)

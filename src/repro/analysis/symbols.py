@@ -5,7 +5,9 @@ time, which is exactly the blind spot the bug classes this package
 hunts live in: an unseeded generator constructed in one module and
 *consumed* in another, a worker entry point in ``parallel/pool.py``
 reaching a module-level dict defined three imports away.  This module
-parses every file once and builds the cross-module index the
+reads and parses every file once (:func:`load_modules`; the package's
+only ``ast.parse`` is in :func:`parse_module`) into the
+:class:`ModuleInfo` record that the per-file rules check and that the
 :mod:`~repro.analysis.callgraph`, :mod:`~repro.analysis.dataflow`, and
 :mod:`~repro.analysis.races` passes resolve names against:
 
@@ -19,9 +21,8 @@ parses every file once and builds the cross-module index the
   literals and constructor calls) — the shared-state candidates the
   race detector checks against worker-reachable code.
 
-Everything is stdlib-``ast`` only: like the per-file linter, the
-whole-program pass must run in CI before any simulation dependency is
-installed.
+Like every static pass in the package, this imports only the standard
+library and :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.linter import (
+    Finding,
     LintError,
     iter_python_files,
     relative_module_path,
@@ -49,6 +51,18 @@ MUTABLE_CONSTRUCTORS = frozenset(
         "Counter",
     }
 )
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, or None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 def module_name_for(path: Path) -> str:
@@ -110,7 +124,7 @@ class MutableGlobal:
 
 @dataclass
 class ModuleInfo:
-    """Everything the cross-module passes need about one parsed module."""
+    """One parsed module: what a rule checks and the passes resolve against."""
 
     name: str  # dotted module name
     path: str  # display path (as given by the caller)
@@ -125,6 +139,25 @@ class ModuleInfo:
     mutable_globals: Dict[str, MutableGlobal] = field(default_factory=dict)
     #: every module-level assigned name (mutable or not), for shadowing.
     global_names: set = field(default_factory=set)
+
+    def finding(
+        self,
+        rule_id: str,
+        node: ast.AST,
+        message: str,
+        severity: str = "error",
+    ) -> Finding:
+        """Build a finding anchored at ``node``."""
+        line = getattr(node, "lineno", 1)
+        return Finding(
+            rule=rule_id,
+            path=self.path,
+            line=line,
+            col=getattr(node, "col_offset", 0) + 1,
+            message=message,
+            end_line=getattr(node, "end_lineno", line) or line,
+            severity=severity,
+        )
 
 
 def _mutable_kind(value: ast.AST) -> Optional[str]:
@@ -183,6 +216,37 @@ def parse_module(
     return module
 
 
+def load_modules(
+    paths: Iterable, project_root: Optional[Path] = None
+) -> Iterator[ModuleInfo]:
+    """Read and parse every ``*.py`` file under ``paths``, once each.
+
+    ``project_root``, when given, overrides the package-relative path
+    computation: ``rel`` becomes the path relative to it.  Fixture
+    corpora use this so a tree under ``tests/fixtures`` loads as
+    library code rather than test code.
+    """
+    root = Path(project_root).resolve() if project_root is not None else None
+    seen: set = set()
+    for path in iter_python_files(paths):
+        # Overlapping path arguments (e.g. `src src/repro`) must not
+        # double-report a file.
+        resolved = path.resolve()
+        if resolved in seen:
+            continue
+        seen.add(resolved)
+        try:
+            source = path.read_text()
+        except OSError as error:
+            raise LintError(f"cannot read {path}: {error}") from error
+        rel = (
+            resolved.relative_to(root).as_posix()
+            if root is not None
+            else relative_module_path(path)
+        )
+        yield parse_module(source, str(path), rel)
+
+
 def _index_imports(module: ModuleInfo) -> None:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
@@ -232,26 +296,15 @@ def _index_definitions(module: ModuleInfo) -> None:
                 local_name=node.name,
                 node=node,
                 bases=[
-                    _base_name(base)
+                    dotted_name(base)
                     for base in node.bases
-                    if _base_name(base) is not None
+                    if dotted_name(base) is not None
                 ],
             )
             module.classes[node.name] = info
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     add_function(stmt, info)
-
-
-def _base_name(node: ast.AST) -> Optional[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _index_globals(module: ModuleInfo) -> None:
@@ -277,49 +330,14 @@ def _index_globals(module: ModuleInfo) -> None:
 
 
 class ProjectIndex:
-    """The whole-program symbol table: every module, keyed three ways."""
+    """The whole-program symbol table: every module and function by name."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}  # dotted name -> info
-        self.by_path: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}  # global name -> info
-
-    @classmethod
-    def build(
-        cls,
-        paths: Iterable,
-        project_root: Optional[Path] = None,
-    ) -> "ProjectIndex":
-        """Parse and index every ``*.py`` file under ``paths``.
-
-        ``project_root``, when given, overrides the package-relative
-        path computation: ``rel`` becomes the path relative to it.
-        Fixture corpora use this so a tree under ``tests/fixtures``
-        indexes as library code rather than test code.
-        """
-        index = cls()
-        seen: set = set()
-        for path in iter_python_files(paths):
-            resolved = Path(path).resolve()
-            if resolved in seen:
-                continue
-            seen.add(resolved)
-            if project_root is not None:
-                rel = resolved.relative_to(
-                    Path(project_root).resolve()
-                ).as_posix()
-            else:
-                rel = relative_module_path(Path(path))
-            try:
-                source = Path(path).read_text()
-            except OSError as error:
-                raise LintError(f"cannot read {path}: {error}") from error
-            index.add(parse_module(source, str(path), rel))
-        return index
 
     def add(self, module: ModuleInfo) -> None:
         self.modules[module.name] = module
-        self.by_path[module.path] = module
         for info in module.functions.values():
             self.functions[info.name] = info
 
@@ -340,6 +358,28 @@ class ProjectIndex:
             target = module.imports[head]
             return f"{target}.{tail}" if tail else target
         return None
+
+    def callee(
+        self, module: ModuleInfo, class_name: Optional[str], func: ast.AST
+    ) -> Optional[FunctionInfo]:
+        """The project function a call or reference through ``func`` reaches.
+
+        ``func`` is the expression as written in ``module``, inside
+        class ``class_name`` (None outside a class): ``self.method``
+        resolves through the class's project-known MRO, anything else
+        through :meth:`resolve` and :meth:`function_for`.  None when
+        the AST alone cannot tell.
+        """
+        name = dotted_name(func)
+        if name is None:
+            return None
+        head, _, attr = name.partition(".")
+        if head == "self" and class_name is not None:
+            if not attr or "." in attr:
+                return None
+            return self.mro_methods(module, class_name).get(attr)
+        resolved = self.resolve(module, name)
+        return self.function_for(resolved) if resolved is not None else None
 
     def function_for(self, global_name: str) -> Optional[FunctionInfo]:
         """Look up a function by global name, following import aliases.

@@ -150,29 +150,41 @@ def _report_lint(findings, label: str) -> int:
     from repro.analysis.modellint import has_errors
 
     for finding in findings:
-        print(
-            f"{finding.location()}: {finding.severity}: "
-            f"{finding.rule}: {finding.message}"
-        )
+        print(finding.report_line())
     errors = sum(1 for f in findings if f.severity == "error")
     noun = "finding" if len(findings) == 1 else "findings"
     print(f"lint {label}: {len(findings)} {noun} ({errors} error(s))")
     return 1 if has_errors(findings) else 0
 
 
+def _load_run_config(args: argparse.Namespace):
+    """The document ``repro run`` was given, or None after saying why not.
+
+    Without ``--lint`` (which reports a document that does not build as
+    a finding) it is built once here, so a malformed one is refused
+    before a trace file, a transport or a slave exists.
+    """
+    from repro.config import ConfigError, build_experiment, load_config
+
+    try:
+        config = load_config(args.config)
+        if not args.lint:
+            build_experiment(config, engine=args.engine)
+        return config
+    except (OSError, ConfigError) as error:
+        print(f"run: cannot load {args.config}: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.config import build_experiment, load_config
+    from repro.config import build_experiment
     from repro.engine.report import parallel_result_to_dict, result_to_dict
 
     if args.lint:
         from repro.analysis.modellint import lint_config
-        from repro.config import ConfigError
 
-        try:
-            config = load_config(args.config)
-        except (OSError, ConfigError) as error:
-            print(f"run: cannot load {args.config}: {error}",
-                  file=sys.stderr)
+        config = _load_run_config(args)
+        if config is None:
             return 2
         findings = lint_config(
             config, path=str(args.config), engine=args.engine or None
@@ -205,13 +217,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if misuse is not None:
         print(misuse, file=sys.stderr)
         return 2
+    config = _load_run_config(args)
+    if config is None:
+        return 2
     tracer, progress = _make_observability(args)
     transport = None
     try:
         if args.parallel:
             from repro.parallel.master import ParallelSimulation
 
-            config = load_config(args.config)
             fault_plan, respawn = _build_fault_options(args)
             if args.backend == "remote":
                 transport = _start_remote_transport(args)
@@ -246,10 +260,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 0 if result.converged else 3
 
         if args.sanitize:
-            config = load_config(args.config)
             experiment = build_experiment(config, sanitize=True)
         else:
-            experiment = build_experiment(args.config, engine=args.engine)
+            experiment = build_experiment(config, engine=args.engine)
         if tracer is not None:
             experiment.attach_tracer(tracer)
         if progress is not None:

@@ -22,14 +22,22 @@ Workloads may alternatively be declared from explicit distributions::
       "interarrival": {"type": "exponential", "mean": 0.1},
       "service": {"type": "hyperexponential", "mean": 0.05, "cv": 3.0}
     }
+
+A document is input from outside the program.  Every section is checked
+against its key table before anything is built from it — an unknown key
+or a value of the wrong type is refused, naming the key path — and what
+a constructor then refuses surfaces as a :class:`ConfigError` naming
+the section: never a raw ``TypeError``, never a silently ignored key.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
+from repro.core.statistic import StatisticError
 from repro.datacenter.balancers import (
     CloningBalancer,
     JoinShortestQueue,
@@ -40,7 +48,7 @@ from repro.datacenter.balancers import (
 from repro.datacenter.cluster import ClusterError, MultiserverCluster
 from repro.datacenter.disciplines import FCFSQueue, LIFOQueue, SJFQueue
 from repro.datacenter.processor_sharing import ProcessorSharingServer
-from repro.datacenter.server import Server
+from repro.datacenter.server import Server, ServerError
 from repro.distributions import (
     BoundedPareto,
     Choice,
@@ -56,6 +64,7 @@ from repro.distributions import (
     Weibull,
     fit_mean_cv,
 )
+from repro.engine.events import SimulationError
 from repro.engine.experiment import Experiment
 from repro.workloads import by_name
 from repro.workloads.workload import Workload
@@ -77,96 +86,247 @@ _DISCIPLINES = {
     "sjf": SJFQueue,
 }
 
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+
+#: How an accepted-types entry of the key tables reads in an error.
+_TYPE_NAMES = {
+    int: "an integer",
+    _NUMBER: "a number",
+    _NUMBER_OR_NULL: "a number or null",
+    str: "a string",
+    bool: "true or false",
+    dict: "an object",
+    list: "a list",
+    (str, dict): "a string or an object",
+}
+
+# Key -> accepted value type(s), one table per section.  A key outside
+# its section's table is refused: a misspelt key that silently runs the
+# default model is worse than an error.
+_TOP_KEYS = {
+    "seed": int, "warmup_samples": int, "calibration_samples": int,
+    "confidence": _NUMBER, "max_events": int, "prefetch": bool,
+    "sanitize": bool, "engine": str, "workload": dict, "servers": dict,
+    "cluster": dict, "balancer": (str, dict), "metrics": list,
+}
+_WORKLOAD_KEYS = {
+    "name": str, "empirical": bool, "label": str, "interarrival": dict,
+    "service": dict, "servers_needed": dict, "cores_for_load": int,
+    "load": _NUMBER, "qps": _NUMBER, "service_scale": _NUMBER,
+}
+_SERVER_KEYS = {
+    "count": int, "cores": int, "speed": _NUMBER, "model": str,
+    "discipline": str,
+}
+_CLUSTER_KEYS = {"servers": int, "speed": _NUMBER, "backfill": bool}
+_BALANCER_KEYS = {
+    "policy": str, "clones": int, "synchronized": bool,
+    "threshold": _NUMBER, "max_retries": int,
+}
+_METRIC_KEYS = {
+    "kind": str, "name": str, "mean_accuracy": _NUMBER_OR_NULL,
+    "quantiles": dict,
+}
+
+#: Distribution type -> its accepted forms, each the parameter keys (in
+#: the constructor's positional order) and the constructor they feed.
+_DISTRIBUTIONS = {
+    "exponential": (
+        (("mean",), Exponential.from_mean), (("rate",), Exponential),
+    ),
+    "deterministic": ((("value",), Deterministic),),
+    "uniform": ((("low", "high"), Uniform),),
+    "gamma": (
+        (("mean", "cv"), Gamma.from_mean_cv), (("shape", "scale"), Gamma),
+    ),
+    "erlang": ((("k", "rate"), Erlang),),
+    "lognormal": (
+        (("mean", "cv"), LogNormal.from_mean_cv), (("mu", "sigma"), LogNormal),
+    ),
+    "weibull": (
+        (("mean", "cv"), Weibull.from_mean_cv), (("shape", "scale"), Weibull),
+    ),
+    "pareto": ((("alpha", "xm"), Pareto),),
+    "bounded_pareto": ((("alpha", "low", "high"), BoundedPareto),),
+    "hyperexponential": (
+        (("mean", "cv"), HyperExponential.from_mean_cv),
+        (("p1", "rate1", "rate2"), HyperExponential),
+    ),
+    "fit": ((("mean", "cv"), fit_mean_cv),),
+    "choice": ((("values", "weights"), Choice), (("values",), Choice)),
+    "empirical": ((("path",), EmpiricalDistribution.load),),
+}
+#: Distribution parameters that are not plain numbers.
+_PARAM_TYPES = {"values": list, "weights": list, "path": str}
+
+#: What a constructor raises for a value the document supplied.
+_REFUSALS = (
+    ValueError, ArithmeticError, OSError, StatisticError, ClusterError,
+    ServerError, SimulationError,
+)
+
+
+def _typed(value, types) -> bool:
+    """isinstance, except that a bool is not a number."""
+    return isinstance(value, types) and (
+        types is bool or not isinstance(value, bool)
+    )
+
+
+def _checked(spec, where: str, keys: dict) -> dict:
+    """``spec`` if it is an object holding only ``keys``, each well-typed."""
+    if not isinstance(spec, dict):
+        raise ConfigError(
+            f"{where or 'config'}: must be an object, got {spec!r}"
+        )
+    for key, value in spec.items():
+        path = f"{where}.{key}" if where else key
+        if key not in keys:
+            raise ConfigError(
+                f"{path}: unknown key; known: {', '.join(sorted(keys))}"
+            )
+        if not _typed(value, keys[key]):
+            raise ConfigError(
+                f"{path}: expected {_TYPE_NAMES[keys[key]]}, got {value!r}"
+            )
+    return spec
+
+
+@contextmanager
+def _building(where: str):
+    """A constructor's refusal becomes a ConfigError naming the section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except _REFUSALS as error:
+        raise ConfigError(f"{where} does not build: {error}") from error
+
 
 def load_config(path: Union[str, Path]) -> dict:
     """Read a JSON config file."""
     path = Path(path)
     try:
         with path.open() as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except json.JSONDecodeError as error:
         raise ConfigError(f"{path}: invalid JSON: {error}") from error
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: must hold an object, got {config!r}")
+    return config
 
 
 def build_distribution(spec: dict):
     """Construct a distribution from a ``{"type": ..., ...}`` spec."""
+    return _distribution(spec, "distribution")
+
+
+def _distribution(spec, where: str):
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"distribution spec needs a 'type': {spec!r}")
-    kind = spec["type"].lower()
-    try:
-        if kind == "exponential":
-            if "mean" in spec:
-                return Exponential.from_mean(spec["mean"])
-            return Exponential(rate=spec["rate"])
-        if kind == "deterministic":
-            return Deterministic(spec["value"])
-        if kind == "uniform":
-            return Uniform(spec["low"], spec["high"])
-        if kind == "gamma":
-            if "cv" in spec:
-                return Gamma.from_mean_cv(spec["mean"], spec["cv"])
-            return Gamma(spec["shape"], spec["scale"])
-        if kind == "erlang":
-            return Erlang(spec["k"], spec["rate"])
-        if kind == "lognormal":
-            if "cv" in spec:
-                return LogNormal.from_mean_cv(spec["mean"], spec["cv"])
-            return LogNormal(spec["mu"], spec["sigma"])
-        if kind == "weibull":
-            if "cv" in spec:
-                return Weibull.from_mean_cv(spec["mean"], spec["cv"])
-            return Weibull(spec["shape"], spec["scale"])
-        if kind == "pareto":
-            return Pareto(spec["alpha"], spec["xm"])
-        if kind == "bounded_pareto":
-            return BoundedPareto(spec["alpha"], spec["low"], spec["high"])
-        if kind == "hyperexponential":
-            if "cv" in spec:
-                return HyperExponential.from_mean_cv(spec["mean"], spec["cv"])
-            return HyperExponential(spec["p1"], spec["rate1"], spec["rate2"])
-        if kind == "fit":
-            return fit_mean_cv(spec["mean"], spec["cv"])
-        if kind == "choice":
-            return Choice(spec["values"], spec.get("weights"))
-        if kind == "empirical":
-            return EmpiricalDistribution.load(spec["path"])
-    except KeyError as error:
         raise ConfigError(
-            f"distribution spec {spec!r} missing parameter {error}"
-        ) from None
-    raise ConfigError(f"unknown distribution type {kind!r}")
+            f"{where}: distribution spec needs a 'type': {spec!r}"
+        )
+    kind = spec["type"].lower() if isinstance(spec["type"], str) else None
+    if kind not in _DISTRIBUTIONS:
+        raise ConfigError(
+            f"{where}.type: unknown distribution type {spec['type']!r}"
+        )
+    forms = _DISTRIBUTIONS[kind]
+    params = {key for keys, _ in forms for key in keys}
+    _checked(spec, where, {
+        "type": str, **{key: _PARAM_TYPES.get(key, _NUMBER) for key in params}
+    })
+    for key in ("values", "weights"):
+        if not all(_typed(item, _NUMBER) for item in spec.get(key, ())):
+            raise ConfigError(
+                f"{where}.{key}: expected a list of numbers, got {spec[key]!r}"
+            )
+    for keys, construct in forms:
+        if set(keys) == set(spec) - {"type"}:
+            with _building(where):
+                return construct(*(spec[key] for key in keys))
+    takes = " or ".join("+".join(keys) for keys, _ in forms)
+    raise ConfigError(
+        f"{where}: a {kind} distribution takes {takes}, "
+        f"got {'+'.join(sorted(set(spec) - {'type'})) or 'nothing'}"
+    )
 
 
 def build_workload(spec: dict) -> Workload:
     """Construct a workload from either a shipped name or explicit specs."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"workload spec must be an object, got {spec!r}")
-    if "name" in spec:
-        workload = by_name(spec["name"], empirical=spec.get("empirical", False))
-    elif "interarrival" in spec and "service" in spec:
-        workload = Workload(
-            name=spec.get("label", "configured"),
-            interarrival=build_distribution(spec["interarrival"]),
-            service=build_distribution(spec["service"]),
-        )
-    else:
-        raise ConfigError(
-            "workload spec needs 'name' or 'interarrival'+'service'"
-        )
-    if "servers_needed" in spec:
-        # Applied before load scaling so at_load accounts for E[k]
-        # server-seconds per job.
-        workload = workload.with_servers_needed(
-            build_distribution(spec["servers_needed"])
-        )
-    cores = spec.get("cores_for_load", 1)
-    if "load" in spec:
-        workload = workload.at_load(spec["load"], cores=cores)
-    if "qps" in spec:
-        workload = workload.at_qps(spec["qps"])
-    if "service_scale" in spec:
-        workload = workload.scale_service(spec["service_scale"])
+    _checked(spec, "workload", _WORKLOAD_KEYS)
+    with _building("workload"):
+        if "name" in spec:
+            workload = by_name(
+                spec["name"], empirical=spec.get("empirical", False)
+            )
+        elif "interarrival" in spec and "service" in spec:
+            workload = Workload(
+                name=spec.get("label", "configured"),
+                interarrival=_distribution(
+                    spec["interarrival"], "workload.interarrival"
+                ),
+                service=_distribution(spec["service"], "workload.service"),
+            )
+        else:
+            raise ConfigError(
+                "workload: needs 'name' or 'interarrival'+'service'"
+            )
+        if "servers_needed" in spec:
+            # Applied before load scaling so at_load accounts for E[k]
+            # server-seconds per job.
+            workload = workload.with_servers_needed(_distribution(
+                spec["servers_needed"], "workload.servers_needed"
+            ))
+        cores = spec.get("cores_for_load", 1)
+        if "load" in spec:
+            workload = workload.at_load(spec["load"], cores=cores)
+        if "qps" in spec:
+            workload = workload.at_qps(spec["qps"])
+        if "service_scale" in spec:
+            workload = workload.scale_service(spec["service_scale"])
     return workload
+
+
+class _Pool(NamedTuple):
+    """The capacity a document offers its workload."""
+
+    cores: int  # what workload.load is scaled against
+    speed: float
+    clones: int  # replicas a cloning balancer mints per job, else 1
+    clustered: bool  # a gang-scheduled 'cluster', not 'servers'
+
+
+def _pool(config: dict) -> _Pool:
+    """Check the capacity sections of ``config`` and sum them up.
+
+    The one place that knows the pool is ``cluster.servers``, or else
+    ``servers.count x servers.cores``: :func:`build_experiment` scales
+    the offered load by it and the model lint judges stability by it.
+    """
+    balancer = config.get("balancer")
+    clones = 1
+    if isinstance(balancer, dict):
+        _checked(balancer, "balancer", _BALANCER_KEYS)
+        if balancer.get("policy", "").lower() == "cloning":
+            clones = balancer.get("clones", 2)
+    cluster = config.get("cluster")
+    if cluster is None:
+        servers = _checked(config.get("servers", {}), "servers", _SERVER_KEYS)
+        cores = servers.get("count", 1) * servers.get("cores", 1)
+        return _Pool(cores, servers.get("speed", 1.0), clones, False)
+    # Gang-scheduled multiserver-job cluster replaces the classic
+    # server pool + balancer entry point.
+    _checked(cluster, "cluster", _CLUSTER_KEYS)
+    if "servers" in config or "balancer" in config:
+        raise ConfigError(
+            "'cluster' replaces the 'servers'/'balancer' sections; "
+            "remove them"
+        )
+    return _Pool(
+        cluster.get("servers", 1), cluster.get("speed", 1.0), clones, True
+    )
 
 
 def _build_servers(spec: dict) -> list:
@@ -183,12 +343,13 @@ def _build_servers(spec: dict) -> list:
         ]
     if model != "server":
         raise ConfigError(
-            f"unknown server model {model!r}; use 'server' or 'ps'"
+            f"servers.model: unknown server model {model!r}; "
+            "use 'server' or 'ps'"
         )
     discipline_name = spec.get("discipline", "fcfs").lower()
     if discipline_name not in _DISCIPLINES:
         raise ConfigError(
-            f"unknown discipline {discipline_name!r}; "
+            f"servers.discipline: unknown discipline {discipline_name!r}; "
             f"choose from {sorted(_DISCIPLINES)}"
         )
     return [
@@ -210,35 +371,64 @@ def _build_balancer(spec, servers):
         name = spec.lower()
         if name not in _BALANCERS:
             raise ConfigError(
-                f"unknown balancer {name!r}; choose from {sorted(_BALANCERS)}"
+                f"balancer: unknown balancer {name!r}; "
+                f"choose from {sorted(_BALANCERS)}"
             )
         return _BALANCERS[name](servers)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"balancer must be a string or object, got {spec!r}")
     policy = spec.get("policy", "").lower()
-    try:
-        if policy == "cloning":
-            return CloningBalancer(
-                servers,
-                clones=spec.get("clones", 2),
-                synchronized=spec.get("synchronized", True),
+    if policy == "cloning":
+        return CloningBalancer(
+            servers,
+            clones=spec.get("clones", 2),
+            synchronized=spec.get("synchronized", True),
+        )
+    if policy in ("speculative_retry", "spec_retry"):
+        if "threshold" not in spec:
+            raise ConfigError(
+                "balancer: speculative_retry needs a 'threshold' (seconds)"
             )
-        if policy in ("speculative_retry", "spec_retry"):
-            if "threshold" not in spec:
-                raise ConfigError(
-                    "speculative_retry balancer needs a 'threshold' (seconds)"
-                )
-            return SpeculativeRetryBalancer(
-                servers,
-                threshold=spec["threshold"],
-                max_retries=spec.get("max_retries", 1),
-            )
-    except ValueError as error:
-        raise ConfigError(f"balancer does not build: {error}") from error
+        return SpeculativeRetryBalancer(
+            servers,
+            threshold=spec["threshold"],
+            max_retries=spec.get("max_retries", 1),
+        )
     raise ConfigError(
-        f"unknown balancer policy {policy!r}; "
+        f"balancer.policy: unknown balancer policy {policy!r}; "
         "use 'cloning' or 'speculative_retry'"
     )
+
+
+def _track_metric(experiment: Experiment, entry, metric, where: str) -> None:
+    _checked(metric, where, _METRIC_KEYS)
+    quantiles = {}
+    for q, accuracy in metric.get("quantiles", {}).items():
+        if not _typed(accuracy, _NUMBER):
+            raise ConfigError(
+                f"{where}.quantiles.{q}: expected a number, got {accuracy!r}"
+            )
+        try:
+            quantiles[float(q)] = float(accuracy)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}.quantiles: {q!r} is not a quantile"
+            ) from None
+    kwargs = dict(
+        mean_accuracy=metric.get("mean_accuracy", 0.05),
+        quantiles=quantiles or None,
+    )
+    if "name" in metric:
+        kwargs["name"] = metric["name"]
+    kind = metric.get("kind")
+    with _building(where):
+        if kind == "response_time":
+            experiment.track_response_time(entry, **kwargs)
+        elif kind == "waiting_time":
+            experiment.track_waiting_time(entry, **kwargs)
+        else:
+            raise ConfigError(
+                f"{where}.kind: unknown metric kind {kind!r}; "
+                "use 'response_time' or 'waiting_time'"
+            )
 
 
 def build_experiment(
@@ -256,80 +446,50 @@ def build_experiment(
     """
     if isinstance(config, (str, Path)):
         config = load_config(config)
+    _checked(config, "", _TOP_KEYS)
     if "workload" not in config:
         raise ConfigError("config needs a 'workload' section")
     if "metrics" not in config or not config["metrics"]:
         raise ConfigError("config needs a non-empty 'metrics' list")
+    pool = _pool(config)
 
-    experiment = Experiment(
-        seed=config.get("seed", 0),
-        warmup_samples=config.get("warmup_samples", 1000),
-        calibration_samples=config.get("calibration_samples", 5000),
-        confidence=config.get("confidence", 0.95),
-        max_events=config.get("max_events", 50_000_000),
-        prefetch=config.get("prefetch", True) if prefetch is None else prefetch,
-        sanitize=config.get("sanitize", False) if sanitize is None else sanitize,
-        engine=config.get("engine", "event") if engine is None else engine,
-    )
+    with _building("config"):
+        experiment = Experiment(
+            seed=config.get("seed", 0),
+            warmup_samples=config.get("warmup_samples", 1000),
+            calibration_samples=config.get("calibration_samples", 5000),
+            confidence=config.get("confidence", 0.95),
+            max_events=config.get("max_events", 50_000_000),
+            prefetch=(
+                config.get("prefetch", True) if prefetch is None else prefetch
+            ),
+            sanitize=(
+                config.get("sanitize", False) if sanitize is None else sanitize
+            ),
+            engine=config.get("engine", "event") if engine is None else engine,
+        )
     # Load scaling should account for the total core pool by default.
-    cluster_spec = config.get("cluster")
-    server_spec = dict(config.get("servers", {}))
-    workload_spec = dict(config["workload"])
-    if cluster_spec is not None:
-        # Gang-scheduled multiserver-job cluster replaces the classic
-        # server pool + balancer entry point.
-        if not isinstance(cluster_spec, dict):
-            raise ConfigError(
-                f"'cluster' must be an object, got {cluster_spec!r}"
-            )
-        if "servers" in config or "balancer" in config:
-            raise ConfigError(
-                "'cluster' replaces the 'servers'/'balancer' sections; "
-                "remove them"
-            )
-        n_servers = cluster_spec.get("servers", 1)
-        workload_spec.setdefault("cores_for_load", n_servers)
-        workload = build_workload(workload_spec)
-        try:
+    workload = build_workload(
+        {"cores_for_load": pool.cores, **config["workload"]}
+    )
+    if pool.clustered:
+        with _building("cluster"):
             entry = MultiserverCluster(
-                n_servers=n_servers,
-                speed=cluster_spec.get("speed", 1.0),
-                backfill=cluster_spec.get("backfill", False),
+                n_servers=pool.cores,
+                speed=pool.speed,
+                backfill=config["cluster"].get("backfill", False),
             )
-        except ClusterError as error:
-            raise ConfigError(f"cluster does not build: {error}") from error
     else:
-        total_cores = server_spec.get("count", 1) * server_spec.get("cores", 1)
-        workload_spec.setdefault("cores_for_load", total_cores)
-        workload = build_workload(workload_spec)
-        servers = _build_servers(server_spec)
         balancer_spec = config.get("balancer", "random")
+        with _building("servers"):
+            servers = _build_servers(config.get("servers", {}))
         if len(servers) == 1 and not isinstance(balancer_spec, dict):
             entry = servers[0]
         else:
-            entry = _build_balancer(balancer_spec, servers)
+            with _building("balancer"):
+                entry = _build_balancer(balancer_spec, servers)
 
     experiment.add_source(workload, target=entry)
-
-    for metric in config["metrics"]:
-        kind = metric.get("kind")
-        quantiles = {
-            float(q): float(accuracy)
-            for q, accuracy in metric.get("quantiles", {}).items()
-        } or None
-        kwargs = dict(
-            mean_accuracy=metric.get("mean_accuracy", 0.05),
-            quantiles=quantiles,
-        )
-        if "name" in metric:
-            kwargs["name"] = metric["name"]
-        if kind == "response_time":
-            experiment.track_response_time(entry, **kwargs)
-        elif kind == "waiting_time":
-            experiment.track_waiting_time(entry, **kwargs)
-        else:
-            raise ConfigError(
-                f"unknown metric kind {kind!r}; "
-                "use 'response_time' or 'waiting_time'"
-            )
+    for position, metric in enumerate(config["metrics"]):
+        _track_metric(experiment, entry, metric, f"metrics[{position}]")
     return experiment

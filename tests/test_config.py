@@ -1,9 +1,14 @@
 """Unit tests for the JSON experiment configuration loader."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.modellint import lint_config
+from repro.cli import main as repro_main
 from repro.config import (
     ConfigError,
     build_distribution,
@@ -18,6 +23,7 @@ from repro.distributions import (
     HyperExponential,
     LogNormal,
 )
+from repro.engine.experiment import Experiment
 
 
 class TestBuildDistribution:
@@ -350,3 +356,183 @@ class TestWorkloadClassConfigs:
             build_experiment(
                 self.clone_config({"policy": "cloning", "clones": 9})
             )
+
+
+# -- the trust boundary -------------------------------------------------------
+
+#: Documents that build, between them reaching every section.
+SERVERS_DOC = {
+    "seed": 3,
+    "warmup_samples": 200,
+    "calibration_samples": 1500,
+    "confidence": 0.9,
+    "max_events": 100_000,
+    "prefetch": True,
+    "engine": "event",
+    "workload": {
+        "label": "fuzz",
+        "interarrival": {"type": "exponential", "rate": 4.0},
+        "service": {"type": "gamma", "mean": 0.1, "cv": 0.5},
+        "load": 0.5,
+    },
+    "servers": {"count": 2, "cores": 2, "speed": 1.0, "discipline": "sjf"},
+    "balancer": {"policy": "cloning", "clones": 2, "synchronized": True},
+    "metrics": [
+        {"kind": "response_time", "mean_accuracy": 0.1,
+         "quantiles": {"0.95": 0.1}},
+        {"kind": "waiting_time", "name": "wait", "mean_accuracy": 0.2},
+    ],
+}
+CLUSTER_DOC = {
+    "workload": {
+        "name": "dns",
+        "servers_needed": {"type": "choice", "values": [1, 2],
+                           "weights": [0.5, 0.5]},
+        "qps": 3.0,
+    },
+    "cluster": {"servers": 4, "speed": 2.0, "backfill": True},
+    "metrics": [{"kind": "response_time"}],
+}
+
+#: (keys to overlay on BASE_DOC, the key path the error must name).
+BASE_DOC = {
+    "workload": {"name": "dns", "load": 0.5},
+    "servers": {"count": 1, "cores": 1},
+    "metrics": [{"kind": "response_time"}],
+}
+EXPONENTIAL = {"type": "exponential", "rate": 1.0}
+MALFORMED = [
+    ({"servers": 3}, "servers"),
+    ({"metrics": [3]}, "metrics[0]"),
+    ({"metrics": [{"kind": "response_time", "quantiles": [0.95]}]},
+     "metrics[0].quantiles"),
+    ({"metrics": [{"kind": "response_time", "quantiles": {"0.95": "x"}}]},
+     "metrics[0].quantiles.0.95"),
+    ({"workload": {"name": "dns", "load": "0.5"}}, "workload.load"),
+    ({"servers": {"count": "2"}}, "servers.count"),
+    ({"workload": {"interarrival": {"type": 3}, "service": EXPONENTIAL}},
+     "workload.interarrival.type"),
+    ({"seed": "x"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"workload": {"name": "nope"}}, "workload"),
+    ({"metrics": [{"kind": "response_time", "mean_accuracy": 2}]},
+     "metrics[0]"),
+    # Unknown keys: refused, not silently ignored.
+    ({"warmup_sample": 5}, "warmup_sample"),
+    ({"servers": {"count": 1, "core": 4}}, "servers.core"),
+    ({"workload": {"name": "dns", "laod": 0.5}}, "workload.laod"),
+    ({"servers": None, "cluster": {"server": 4}}, "cluster.server"),
+    ({"balancer": {"policy": "cloning", "clone": 2}}, "balancer.clone"),
+    ({"metrics": [{"kind": "response_time", "quantile": 0.95}]},
+     "metrics[0].quantile"),
+    ({"workload": {"interarrival": dict(EXPONENTIAL, mean=1.0, cv=2.0),
+                   "service": EXPONENTIAL}}, "workload.interarrival.cv"),
+    ({"workload": {"interarrival": dict(EXPONENTIAL, mean=1.0),
+                   "service": EXPONENTIAL}}, "workload.interarrival"),
+]
+
+
+def malformed(overlay):
+    document = {**BASE_DOC, **overlay}
+    return {key: value for key, value in document.items() if value is not None}
+
+
+class TestTrustBoundary:
+    def test_reference_documents_build(self):
+        for document in (SERVERS_DOC, CLUSTER_DOC, BASE_DOC):
+            assert isinstance(build_experiment(document), Experiment)
+
+    @pytest.mark.parametrize("overlay, where", MALFORMED)
+    def test_malformed_document_is_a_config_error(self, overlay, where):
+        with pytest.raises(ConfigError) as refusal:
+            build_experiment(malformed(overlay))
+        assert str(refusal.value).startswith(where)
+
+    @pytest.mark.parametrize("overlay, where", MALFORMED)
+    def test_malformed_document_through_the_cli(
+        self, overlay, where, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(malformed(overlay)))
+        # --lint: a finding and exit 1, not a clean pass.
+        (finding,) = lint_config(malformed(overlay))
+        assert finding.rule == "spec-error" and where in finding.message
+        assert repro_main(["run", str(path), "--lint"]) == 1
+        assert "spec-error" in capsys.readouterr().out
+        # Without it: one line on stderr and exit 2, no traceback.
+        assert repro_main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"run: cannot load {path}: {where}")
+        assert captured.err.count("\n") == 1
+
+    def test_non_object_document_is_refused_at_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps("workload.json"))
+        with pytest.raises(ConfigError, match="must hold an object"):
+            load_config(path)
+
+    def test_lint_agrees_with_the_builder_on_the_pool(self):
+        # The pool is cluster.servers x cluster.speed here; a lint that
+        # re-derived it from `servers` would call this unstable.
+        assert lint_config(CLUSTER_DOC) == []
+
+
+#: Replacement values, at least one of every JSON kind.
+JUNK = [None, True, 0, -1, 3, 0.5, 1e308, "", "x", "0.5", [], [0.95], {},
+        {"a": 1}, [{"kind": "response_time"}]]
+NEW_KEYS = ["core", "warmup_sample", "rate", "type", "name", "servers", "x"]
+
+
+def containers(node, path=()):
+    """Every dict and list in the document, with the path to it."""
+    if isinstance(node, (dict, list)):
+        yield path
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from containers(value, path + (key,))
+
+
+def at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+@st.composite
+def mutated_documents(draw):
+    document = copy.deepcopy(draw(st.sampled_from([SERVERS_DOC, CLUSTER_DOC])))
+    holder = at(document, draw(st.sampled_from(list(containers(document)))))
+    keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
+    what = draw(st.sampled_from(["drop", "add", "swap", "nest"]))
+    if what == "add" and isinstance(holder, dict):
+        holder[draw(st.sampled_from(NEW_KEYS))] = draw(st.sampled_from(JUNK))
+    elif what == "add":
+        holder.append(draw(st.sampled_from(JUNK)))
+    elif keys:
+        key = draw(st.sampled_from(keys))
+        if what == "drop":
+            del holder[key]
+        elif what == "swap":
+            holder[key] = draw(st.sampled_from(JUNK))
+        else:  # nest wrongly: a level too deep, or a sibling's content
+            holder[key] = draw(st.sampled_from([
+                [holder[key]], {key: holder[key]},
+                copy.deepcopy(at(document, draw(st.sampled_from(
+                    list(containers(document))
+                )))),
+            ]))
+    return document
+
+
+class TestFuzz:
+    # The per-example deadline is the time box: a builder that stalls on
+    # some document fails here instead of hanging the suite.
+    @settings(max_examples=400, deadline=2000, derandomize=True)
+    @given(document=mutated_documents())
+    def test_mutated_document_builds_or_is_refused(self, document):
+        try:
+            experiment = build_experiment(document)
+        except ConfigError:
+            return
+        assert isinstance(experiment, Experiment)

@@ -9,6 +9,7 @@ implicitly by the benchmark suite, which runs the same case-study code.
 
 import importlib.util
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,13 @@ class TestExamplesRun:
         """Every example at least parses and imports cleanly."""
         for path in sorted(EXAMPLES_DIR.glob("*.py")):
             load_example(path.stem)
+
+    def test_package_docstring_quickstart(self, capsys):
+        """The block under ``Quickstart::`` in ``repro.__doc__``, as written."""
+        import repro
+
+        block = repro.__doc__.split("Quickstart::", 1)[1]
+        block = block.split("Package map", 1)[0]
+        exec(compile(textwrap.dedent(block), "<repro.__doc__>", "exec"), {})
+        # M/M/1 at lambda = 10, mu = 20: E[T] = 1 / (mu - lambda) = 0.1.
+        assert float(capsys.readouterr().out) == pytest.approx(0.1, rel=0.1)

@@ -753,7 +753,7 @@ class TestEngineKnobPlumbing:
         }
         spec = SweepSpec(
             name="fast", kind="config", engine="fastpath", base=base,
-            axes={"seed_axis": [1]}, max_events=400_000,
+            axes={"warmup_samples": [100]}, max_events=400_000,
         )
         result = SweepRunner(spec, backend="serial").run()
         assert result.points[0].payload["extras"]["engine"] == "fastpath"

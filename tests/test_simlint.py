@@ -676,6 +676,17 @@ class TestCli:
         for rule_id in RULES:
             assert rule_id in out
 
+    def test_docs_catalog_lists_every_rule(self, capsys):
+        assert simlint_main(["--list-rules"]) == 0
+        listed = [
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+        ]
+        assert len(listed) > len(RULES)  # whole-program + model-lint too
+        docs = (REPO_ROOT / "docs" / "analysis.md").read_text()
+        assert [
+            rule_id for rule_id in listed if f"`{rule_id}`" not in docs
+        ] == []
+
     def test_rule_registry_complete(self):
         assert set(RULES) == {
             "global-rng",
@@ -731,7 +742,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("analyzer bug")
 
-        monkeypatch.setattr(cli_module, "lint_paths", boom)
+        monkeypatch.setattr(cli_module, "run_rules", boom)
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
         assert simlint_main([str(target)]) == 2

@@ -20,7 +20,6 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.cache import AnalysisCache, file_digest
 from repro.analysis.callgraph import build_callgraph, default_worker_entries
 from repro.analysis.cli import main as simlint_main
 from repro.analysis.dataflow import analyze_taint
@@ -191,7 +190,7 @@ class TestInterproceduralTaint:
                 "    return dist.sample(wrap())\n"
             ),
         })
-        findings = analyze_taint(index, build_callgraph(index))
+        findings = analyze_taint(index)
         assert [f.rule for f in findings] == ["rng-taint"]
         assert findings[0].path.endswith("b.py")
 
@@ -206,7 +205,7 @@ class TestInterproceduralTaint:
                 "    return dist.sample(make(seed))\n"
             ),
         })
-        assert analyze_taint(index, build_callgraph(index)) == []
+        assert analyze_taint(index) == []
 
     def test_clock_into_seed_derivation_fires(self, tmp_path):
         index = build_index(tmp_path, {
@@ -217,7 +216,7 @@ class TestInterproceduralTaint:
                 "    return derive_seed(int(time.time()), 0)\n"
             ),
         })
-        findings = analyze_taint(index, build_callgraph(index))
+        findings = analyze_taint(index)
         assert [f.rule for f in findings] == ["clock-taint"]
 
     def test_race_requires_reachability(self, tmp_path):
@@ -346,67 +345,6 @@ class TestSarif:
         assert list(validate_sarif(document)) == []
 
 
-# -- incremental cache --------------------------------------------------------
-
-
-class TestIncrementalCache:
-    def test_cache_round_trip_and_digest_keying(self, tmp_path):
-        cache = AnalysisCache(tmp_path / "cache", rule_ids=all_rule_ids())
-        finding = Finding(
-            rule="global-rng", path="a.py", line=1, col=1,
-            message="m", end_line=1, severity="warning",
-        )
-        key = cache.file_key(file_digest(b"import random\n"))
-        assert cache.get(key) is None
-        cache.put(key, [finding])
-        assert cache.get(key) == [finding]
-        assert cache.get(cache.file_key(file_digest(b"x = 1\n"))) is None
-
-    def test_ruleset_change_invalidates(self, tmp_path):
-        root = tmp_path / "cache"
-        a = AnalysisCache(root, rule_ids=["global-rng"])
-        b = AnalysisCache(root, rule_ids=["global-rng", "new-rule"])
-        digest = file_digest(b"x = 1\n")
-        a.put(a.file_key(digest), [])
-        assert b.get(b.file_key(digest)) is None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = AnalysisCache(tmp_path, rule_ids=[])
-        key = cache.file_key(file_digest(b"x"))
-        cache.put(key, [])
-        for entry in tmp_path.glob("*.json"):
-            entry.write_text("{not json")
-        assert cache.get(key) is None
-
-    def test_analyze_project_uses_cache(self, tmp_path):
-        corpus_copy = tmp_path / "proj"
-        for source in CORPUS.glob("*.py"):
-            corpus_copy.mkdir(exist_ok=True)
-            (corpus_copy / source.name).write_text(source.read_text())
-        cache_dir = tmp_path / "cache"
-        first, _ = analyze_project(
-            [corpus_copy], project_root=tmp_path,
-            worker_entries=["proj.worker.worker_main"],
-            cache_dir=cache_dir,
-        )
-        assert list(cache_dir.glob("project-*.json"))
-        second, _ = analyze_project(
-            [corpus_copy], project_root=tmp_path,
-            worker_entries=["proj.worker.worker_main"],
-            cache_dir=cache_dir,
-        )
-        assert [f.to_dict() for f in first] == [f.to_dict() for f in second]
-        # Editing any file invalidates the whole-program key.
-        (corpus_copy / "worker.py").write_text("def worker_main(jobs):\n"
-                                               "    return jobs\n")
-        third, _ = analyze_project(
-            [corpus_copy], project_root=tmp_path,
-            worker_entries=["proj.worker.worker_main"],
-            cache_dir=cache_dir,
-        )
-        assert not [f for f in third if f.rule == "shared-state-race"]
-
-
 # -- the CLI surface ----------------------------------------------------------
 
 
@@ -466,20 +404,6 @@ class TestWholeProgramCli:
             result["ruleId"] == "rng-taint"
             for result in document["runs"][0]["results"]
         )
-
-    def test_cache_flag_round_trips(self, tmp_path, capsys):
-        project = self.make_project(tmp_path)
-        cache_dir = tmp_path / "cache"
-        code_first = simlint_main([
-            str(project), "--whole-program", "--cache", str(cache_dir),
-        ])
-        first = capsys.readouterr().out
-        code_second = simlint_main([
-            str(project), "--whole-program", "--cache", str(cache_dir),
-        ])
-        second = capsys.readouterr().out
-        assert code_first == code_second == 1
-        assert first == second
 
 
 # -- the repository gate ------------------------------------------------------
