@@ -8,7 +8,8 @@ Two studies over the cloud-native workload classes:
   queue), *blocked* time fraction, utilization, and mean response.
   Backfill recovers most of the fragmentation loss without delaying the
   head job (the no-starvation invariant is pinned by
-  ``tests/test_multiserver.py``).
+  ``tests/test_multiserver.py``).  Table:
+  ``benchmarks/results/multiserver_waste.txt``.
 - **tail-vs-clones** — 4 processor-sharing backends behind a
   synchronized clone-to-d balancer with cancel-on-first-complete, at a
   fixed logical arrival rate.  Reports mean/p95/p99 response and the
@@ -16,53 +17,37 @@ Two studies over the cloud-native workload classes:
   service, redundancy multiplies offered load without shortening any
   replica, so the tail inflates — the classic "cloning can hurt"
   regime whose d = 1 and d = n means have closed forms
-  (:mod:`repro.theory.cloning`).
+  (:mod:`repro.theory.cloning`).  Table:
+  ``benchmarks/results/cloning_tail.txt``.
 
-Every run is fully seeded: rerunning this script reproduces the
-committed ``BENCH_multiserver.json`` numbers bit-for-bit on the same
-platform.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_multiserver.py
-    PYTHONPATH=src python benchmarks/bench_multiserver.py --smoke
+Every run is fully seeded: rerunning reproduces the committed tables
+bit-for-bit on the same platform.
 """
 
-from __future__ import annotations
+import numpy as np
 
-import argparse
-import json
-import platform
-import subprocess
-import sys
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from repro.datacenter.balancers import CloningBalancer  # noqa: E402
-from repro.datacenter.cluster import MultiserverCluster  # noqa: E402
-from repro.datacenter.processor_sharing import (  # noqa: E402
-    ProcessorSharingServer,
-)
-from repro.distributions import Choice, Exponential  # noqa: E402
-from repro.engine.experiment import Experiment  # noqa: E402
-from repro.theory.cloning import ps_cloning_response  # noqa: E402
-from repro.workloads.workload import Workload  # noqa: E402
+from conftest import save_rows
+from repro.datacenter.balancers import CloningBalancer
+from repro.datacenter.cluster import MultiserverCluster
+from repro.datacenter.processor_sharing import ProcessorSharingServer
+from repro.distributions import Choice, Exponential
+from repro.engine.experiment import Experiment
+from repro.theory.cloning import ps_cloning_response
+from repro.workloads.workload import Workload
 
 SEED = 0xB165
+MAX_EVENTS = 2_000_000
 N_SERVERS = 8
 MU = 2.0
 NEED = ([1, 2, 4], [0.5, 0.3, 0.2])
+LOADS = (0.3, 0.5, 0.7, 0.85)
 
 CLONE_BACKENDS = 4
 CLONE_MU = 10.0
 CLONE_LAM = 5.0
 
 
-def run_msj_point(rho: float, backfill: bool, max_events: int) -> dict:
+def run_msj_point(rho: float, backfill: bool) -> tuple:
     need = Choice(*NEED)
     lam = rho * N_SERVERS * MU / need.mean()
     workload = Workload(
@@ -74,21 +59,21 @@ def run_msj_point(rho: float, backfill: bool, max_events: int) -> dict:
     )
     experiment.add_source(workload, target=cluster)
     experiment.track_response_time(cluster, mean_accuracy=0.05)
-    result = experiment.run(max_events=max_events)
-    return {
-        "rho": rho,
-        "backfill": backfill,
-        "mean_response": round(result["response_time"].mean, 5),
-        "waste_fraction": round(cluster.waste_fraction(), 5),
-        "blocked_fraction": round(cluster.blocked_fraction(), 5),
-        "utilization": round(cluster.utilization(), 5),
-        "backfilled_jobs": cluster.backfilled_jobs,
-        "completed_jobs": cluster.completed_jobs,
-        "converged": result.converged,
-    }
+    result = experiment.run(max_events=MAX_EVENTS)
+    return (
+        rho,
+        backfill,
+        result["response_time"].mean,
+        cluster.waste_fraction(),
+        cluster.blocked_fraction(),
+        cluster.utilization(),
+        cluster.backfilled_jobs,
+        cluster.completed_jobs,
+        result.converged,
+    )
 
 
-def run_clone_point(clones: int, max_events: int) -> dict:
+def run_clone_point(clones: int) -> tuple:
     servers = [
         ProcessorSharingServer(name=f"ps{i}") for i in range(CLONE_BACKENDS)
     ]
@@ -105,84 +90,50 @@ def run_clone_point(clones: int, max_events: int) -> dict:
         lambda job, station: samples.append(job.finish_time - job.arrival_time)
     )
     experiment.track_response_time(balancer, mean_accuracy=0.05)
-    result = experiment.run(max_events=max_events)
+    result = experiment.run(max_events=MAX_EVENTS)
     values = np.asarray(samples)
     theory = ps_cloning_response(
         CLONE_LAM, CLONE_MU, CLONE_BACKENDS, clones
     )
-    return {
-        "clones": clones,
-        "mean_response": round(float(values.mean()), 5),
-        "p95": round(float(np.quantile(values, 0.95)), 5),
-        "p99": round(float(np.quantile(values, 0.99)), 5),
-        "theory_mean": round(theory, 5) if theory is not None else None,
-        "completed_jobs": balancer.completed_jobs,
-        "cancelled_replicas": balancer.cancelled_replicas,
-        "converged": result.converged,
-    }
+    return (
+        clones,
+        float(values.mean()),
+        float(np.quantile(values, 0.95)),
+        float(np.quantile(values, 0.99)),
+        theory if theory is not None else "-",
+        balancer.completed_jobs,
+        balancer.cancelled_replicas,
+        result.converged,
+    )
 
 
-def _git_commit() -> str:
-    try:
-        return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, text=True, stderr=subprocess.DEVNULL,
-        ).strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def waste_study():
+    return [
+        run_msj_point(rho, backfill)
+        for backfill in (False, True)
+        for rho in LOADS
+    ]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-events", type=int, default=2_000_000,
-                        help="event budget per point (default 2M)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="quick CI mode: small budget")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_multiserver.json")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.max_events = min(args.max_events, 150_000)
-
-    loads = [0.3, 0.5, 0.7, 0.85]
-    waste_study = []
-    print("waste/blocking vs load (8-server gang cluster)")
-    for backfill in (False, True):
-        for rho in loads:
-            point = run_msj_point(rho, backfill, args.max_events)
-            waste_study.append(point)
-            print(
-                f"  rho={rho:4.2f} backfill={str(backfill):5s} "
-                f"waste={point['waste_fraction']:.4f} "
-                f"blocked={point['blocked_fraction']:.4f} "
-                f"E[T]={point['mean_response']:.4f}"
-            )
-
-    clone_study = []
-    print("tail latency vs clone count (4 PS backends, lam fixed)")
-    for clones in (1, 2, 3, 4):
-        point = run_clone_point(clones, args.max_events)
-        clone_study.append(point)
-        theory = (f" theory={point['theory_mean']:.4f}"
-                  if point["theory_mean"] is not None else "")
-        print(
-            f"  d={clones} E[T]={point['mean_response']:.4f} "
-            f"p95={point['p95']:.4f} p99={point['p99']:.4f}{theory}"
-        )
-
-    payload = {
-        "commit": _git_commit(),
-        "python": platform.python_version(),
-        "seed": SEED,
-        "max_events": args.max_events,
-        "waste_vs_load": waste_study,
-        "tail_vs_clones": clone_study,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+def clone_study():
+    return [run_clone_point(clones) for clones in (1, 2, 3, 4)]
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def test_multiserver_waste_vs_load(benchmark):
+    rows = benchmark.pedantic(waste_study, rounds=1, iterations=1)
+    save_rows(
+        "multiserver_waste",
+        ["rho", "backfill", "mean_response", "waste", "blocked",
+         "utilization", "backfilled", "completed", "converged"],
+        rows,
+    )
+
+
+def test_cloning_tail_vs_clones(benchmark):
+    rows = benchmark.pedantic(clone_study, rounds=1, iterations=1)
+    save_rows(
+        "cloning_tail",
+        ["clones", "mean_response", "p95", "p99", "theory_mean",
+         "completed", "cancelled", "converged"],
+        rows,
+    )

@@ -18,34 +18,18 @@ cluster at sizes 2-9, response time on the observed server) through:
 - **pool, warm** — the identical run again: every point must come from
   the cache with bit-identical per-metric histogram digests.
 
-Acceptance bars (checked here, recorded in ``BENCH_sweep.json`` at the
-repo root): pool >= 2x faster than the spawn loop; warm rerun < 5% of
-the cold pool time with identical digests.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_sweep.py
-    PYTHONPATH=src python benchmarks/bench_sweep.py --smoke
+Acceptance bars (asserted here; the table goes to
+``benchmarks/results/sweep_pool.txt``): pool >= 2x faster than the
+spawn loop; warm rerun < 5% of the cold pool time with identical
+digests.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import platform
-import shutil
-import subprocess
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-
-from repro.parallel import ParallelSimulation  # noqa: E402
-from repro.sweep import SweepCache, SweepRunner, SweepSpec  # noqa: E402
+from conftest import save_rows
+from repro.parallel import ParallelSimulation
+from repro.sweep import SweepCache, SweepRunner, SweepSpec
 
 JOBS = 4
 SIZES = (2, 3, 4, 5, 6, 7, 8, 9)  # 8 points
@@ -68,13 +52,13 @@ def sweep_point(seed, n_servers=4, accuracy=0.1):
     return experiment
 
 
-def sweep_spec(smoke: bool = False) -> SweepSpec:
+def sweep_spec() -> SweepSpec:
     return SweepSpec(
         name="bench-sweep",
         kind="factory",
         seed=71,
         factory="bench_sweep:sweep_point",
-        factory_kwargs={"accuracy": 0.2 if smoke else 0.1},
+        factory_kwargs={"accuracy": 0.1},
         axes={"n_servers": list(SIZES)},
         max_events=30_000_000,
     )
@@ -106,77 +90,43 @@ def timed_pool(spec: SweepSpec, cache: SweepCache):
     return time.perf_counter() - started, result
 
 
-def git_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def study():
+    """``(spawn wall, cold wall and result, warm wall and result)``."""
+    spec = sweep_spec()
+    spawn_wall = spawn_loop(spec)
+    with tempfile.TemporaryDirectory(prefix="bench-sweep-cache-") as root:
+        cold_wall, cold = timed_pool(spec, SweepCache(root))
+        warm_wall, warm = timed_pool(spec, SweepCache(root))
+    return spawn_wall, (cold_wall, cold), (warm_wall, warm)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="loose-accuracy points for a quick sanity run")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_sweep.json"))
-    args = parser.parse_args(argv)
+def test_sweep_pool_vs_spawn_loop(benchmark):
+    spawn_wall, (cold_wall, cold), (warm_wall, warm) = benchmark.pedantic(
+        study, rounds=1, iterations=1
+    )
+    points = len(cold.points)
+    identical = warm.digests() == cold.digests()
+    save_rows(
+        "sweep_pool",
+        ["run", "points", "jobs", "wall_s", "vs_cold", "cache_hits",
+         "digests_match_cold"],
+        [
+            ("spawn loop", points, JOBS, spawn_wall, spawn_wall / cold_wall,
+             0, "-"),
+            ("pool, cold", points, JOBS, cold_wall, 1.0, cold.cache_hits,
+             True),
+            ("pool, warm", points, JOBS, warm_wall, warm_wall / cold_wall,
+             warm.cache_hits, identical),
+        ],
+    )
 
-    spec = sweep_spec(smoke=args.smoke)
-    cache_root = Path(tempfile.mkdtemp(prefix="bench-sweep-cache-"))
-    try:
-        print(f"spawn loop: {len(spec.points())} points x {JOBS}-slave "
-              "fleets, fresh per point ...")
-        spawn_wall = spawn_loop(spec)
-
-        print(f"pool, cold cache: {JOBS} persistent workers ...")
-        cold_wall, cold_result = timed_pool(spec, SweepCache(cache_root))
-
-        print("pool, warm cache ...")
-        warm_wall, warm_result = timed_pool(spec, SweepCache(cache_root))
-    finally:
-        shutil.rmtree(cache_root, ignore_errors=True)
-
-    digests = cold_result.digests()
-    speedup = spawn_wall / cold_wall
-    warm_fraction = warm_wall / cold_wall
-    identical = warm_result.digests() == digests
-
-    report = {
-        "commit": git_commit(),
-        "python": platform.python_version(),
-        "smoke": args.smoke,
-        "points": len(spec.points()),
-        "jobs": JOBS,
-        "spawn_loop_wall_seconds": round(spawn_wall, 4),
-        "pool_cold_wall_seconds": round(cold_wall, 4),
-        "pool_warm_wall_seconds": round(warm_wall, 4),
-        "pool_speedup_vs_spawn": round(speedup, 2),
-        "warm_fraction_of_cold": round(warm_fraction, 4),
-        "warm_cache_hits": warm_result.cache_hits,
-        "digests_bit_identical": identical,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-
-    failures = []
-    if not identical:
-        failures.append("histogram digests differ between cold and warm runs")
-    if warm_result.cache_hits != len(spec.points()):
-        failures.append(
-            f"warm run recomputed points ({warm_result.cache_hits} hits)"
-        )
-    if speedup < 2.0:
-        failures.append(f"pool speedup {speedup:.2f}x < 2x")
-    if warm_fraction > 0.05:
-        failures.append(
-            f"warm rerun took {warm_fraction:.1%} of cold (>= 5%)"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert identical, "histogram digests differ between cold and warm runs"
+    assert warm.cache_hits == points, (
+        f"warm run recomputed points ({warm.cache_hits} hits)"
+    )
+    assert spawn_wall / cold_wall >= 2.0, (
+        f"pool speedup {spawn_wall / cold_wall:.2f}x < 2x"
+    )
+    assert warm_wall / cold_wall <= 0.05, (
+        f"warm rerun took {warm_wall / cold_wall:.1%} of cold (>= 5%)"
+    )

@@ -136,19 +136,21 @@ def default_worker_entries(index: ProjectIndex) -> List[str]:
     """The slave/worker entry points of the shipped repro package.
 
     These are the functions that run inside forked slave or pool-worker
-    processes (or, for the slave session, inline under the serial
-    backend), i.e. the roots the race detector's "reachable by parallel
-    code" query starts from.  The session's methods and the fault
-    injector's hooks (which both worker loops run) are listed because
-    the call graph does not follow constructors or calls on locals.
-    Fixture corpora pass their own entry list instead.
+    processes (or inline under the serial backends), i.e. the roots the
+    race detector's "reachable by parallel code" query starts from: the
+    one pipe loop every worker process runs and the two sessions it
+    serves.  The sessions' methods and the fault injector's hooks (which
+    both sessions run) are listed because the call graph does not
+    follow constructors or calls on locals.  Fixture corpora pass their
+    own entry list instead.
     """
     candidates = (
-        "repro.parallel.master._process_slave_main",
+        "repro.parallel.transport._serve_session",
         "repro.parallel.master._SlaveSession.__init__",
         "repro.parallel.master._SlaveSession.step",
         "repro.parallel.master.build_slave_experiment",
-        "repro.parallel.pool._pool_worker_main",
+        "repro.parallel.pool._PoolSession.__init__",
+        "repro.parallel.pool._PoolSession.step",
         "repro.faults.injector.FaultInjector.on_chunk_start",
         "repro.faults.injector.FaultInjector.filter_report",
         "repro.faults.injector.FaultInjector.after_send",

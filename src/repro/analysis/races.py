@@ -5,8 +5,8 @@ on slaves sharing *nothing*: each slave rebuilds its experiment from a
 config document under its own derived seed, and the only channel back
 to the master is the pickled report.  Module-level mutable state breaks
 that argument twice over — on the fork/serial backends it aliases
-between "isolated" slaves, and on the spawn backend it silently
-*doesn't*, so the two backends diverge.
+between "isolated" slaves, and under the ``spawn`` start method it
+silently *doesn't*, so the two diverge.
 
 This pass flags writes to module-level mutable state (and mutations of
 closure-captured state) from any function reachable — per the

@@ -93,13 +93,48 @@ def _wrap_net_chaos(transport, args):
     return ChaosTransport(transport, NetFaultPlan.load(args.net_chaos))
 
 
-def _fleet_flags_set(args) -> bool:
-    """True when --chaos/--respawn/--min-workers/--deadline/--on-degrade
-    ask something of a fleet (any of them is off its default)."""
-    return bool(
-        args.chaos or args.respawn or args.min_workers is not None
-        or args.deadline is not None or args.on_degrade != "abort"
+#: ``(flag, what it needs)`` for the flags ``run`` and ``sweep`` share.
+_FLEET_FLAG_NEEDS = tuple(
+    (flag, "--backend remote") for flag in (
+        "--listen", "--transport-key", "--heartbeat-interval",
+        "--heartbeat-misses", "--join-timeout", "--net-chaos",
     )
+) + (("--backend remote", "--listen"), ("--max-restarts", "--respawn"))
+
+#: Per command, in the order they are checked.
+_FLAG_NEEDS = {
+    "run": tuple(
+        (flag, "--parallel") for flag in (
+            "--backend", "--round-timeout", "--join-timeout",
+            "--checkpoint-interval", "--chaos", "--respawn",
+            "--checkpoint", "--resume", "--net-chaos", "--min-workers",
+            "--deadline", "--on-degrade",
+        )
+    ) + _FLEET_FLAG_NEEDS + (("--checkpoint-interval", "--checkpoint"),),
+    "sweep": _FLEET_FLAG_NEEDS + (("--jobs", "--backend pool or remote"),),
+}
+
+
+def _misused_flag(args):
+    """``"FLAG requires WHAT"`` for the first flag the chosen mode would
+    never read, or None.
+
+    A flag is given when it is off its parser default; a flag with
+    values (``--backend pool or remote``) when it is one of them.
+    """
+    defaults = vars(build_parser().parse_args([args.command, "-"]))
+
+    def given(flag: str) -> bool:
+        option, _, values = flag.partition(" ")
+        dest = option[2:].replace("-", "_")
+        if values:
+            return getattr(args, dest) in values.split(" or ")
+        return getattr(args, dest) != defaults[dest]
+
+    for flag, need in _FLAG_NEEDS[args.command]:
+        if given(flag) and not given(need):
+            return f"{flag} requires {need}"
+    return None
 
 
 def _build_fault_options(args):
@@ -114,15 +149,6 @@ def _build_fault_options(args):
 
         respawn = RespawnPolicy(max_restarts_per_slave=args.max_restarts)
     return fault_plan, respawn
-
-
-def _remote_flag_misuse(args):
-    """Why the remote-backend flags do not fit together, or None."""
-    if args.net_chaos and args.backend != "remote":
-        return "--net-chaos needs the frame layer of --backend remote"
-    if args.backend == "remote" and not args.listen:
-        return "--backend remote requires --listen HOST:PORT"
-    return None
 
 
 def _make_observability(args):
@@ -203,17 +229,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not args.parallel and (
-        args.resume or args.checkpoint or args.net_chaos
-        or _fleet_flags_set(args)
-    ):
-        print(
-            "--chaos/--respawn/--checkpoint/--resume/--net-chaos/"
-            "--min-workers/--deadline/--on-degrade require --parallel N",
-            file=sys.stderr,
-        )
-        return 2
-    misuse = _remote_flag_misuse(args)
+    misuse = _misused_flag(args)
     if misuse is not None:
         print(misuse, file=sys.stderr)
         return 2
@@ -395,17 +411,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         findings = lint_spec(spec, path=str(args.spec))
         return _report_lint(findings, str(args.spec))
-    if args.backend in ("serial", "spawn") and _fleet_flags_set(args):
-        # Those backends have no fleet to fault, respawn or supervise;
-        # running anyway would let a chaos sweep claim coverage it
-        # never had.
-        print(
-            "--chaos/--respawn/--min-workers/--deadline/--on-degrade "
-            "require a worker pool (--backend pool or remote)",
-            file=sys.stderr,
-        )
-        return 2
-    misuse = _remote_flag_misuse(args)
+    misuse = _misused_flag(args)
     if misuse is not None:
         print(misuse, file=sys.stderr)
         return 2
@@ -794,12 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend",
-        choices=("pool", "spawn", "serial", "remote"),
+        choices=("pool", "serial", "remote"),
         default="pool",
         help=(
-            "pool = persistent workers (default); spawn = fresh process "
-            "per point; serial = in-process; remote = persistent "
-            "workers on 'repro agent' hosts (needs --listen)"
+            "pool = persistent workers (default); serial = one worker "
+            "in-process; remote = persistent workers on 'repro agent' "
+            "hosts (needs --listen)"
         ),
     )
     _add_listen_args(sweep)

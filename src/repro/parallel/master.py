@@ -18,10 +18,11 @@ Chunk sizes grow geometrically per round up to ``max_chunk_size``: early
 rounds stay small so convergence is detected promptly on easy targets,
 later rounds amortize the report/merge overhead on hard ones.  The
 master computes the schedule and runs the same loop whatever carries
-the messages — ``backend="serial"`` is the zero-thread inline transport
-below, ``"process"`` forks behind pipes, ``"remote"`` dials agents — so
-every backend sees identical per-round chunk sizes and produces
-identical merged counts.
+the messages — ``backend="serial"`` steps each slave's session on the
+zero-thread inline transport, ``"process"`` forks the one pipe loop
+(:mod:`repro.parallel.transport` hosts both), ``"remote"`` dials
+agents — so every backend sees identical per-round chunk sizes and
+produces identical merged counts.
 
 **Fault tolerance** (see docs/robustness.md).  The master treats slave
 death as an input, not an exception: every recv carries a per-round
@@ -46,7 +47,6 @@ The experiment ``factory`` must be a callable ``factory(seed, **kwargs)
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -75,7 +75,6 @@ from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
     CAUSE_DEADLINE_EXCEEDED,
     CAUSE_FLEET_EXHAUSTED,
-    CAUSE_INJECTED,
     CAUSE_PIPE_CLOSED,
     CAUSE_SEND_FAILED,
     DeltaTracker,
@@ -92,6 +91,8 @@ from repro.parallel.transport import (
     Transport,
     TransportCapacityError,
     WorkerEndpoint,
+    _InlineTransport,
+    _serve_session,
     collect_replies,
     disconnect_cause,
 )
@@ -125,17 +126,6 @@ def build_slave_experiment(
             )
         experiment.stats[name].fixed_scheme = scheme_from_payload(payload)
     return experiment
-
-
-def _chunk_quota(command) -> int:
-    """The size out of one ``("chunk", size)`` command."""
-    if not (
-        isinstance(command, tuple)
-        and len(command) == 2
-        and command[0] == "chunk"
-    ):  # pragma: no cover - protocol guard
-        raise ParallelError(f"unknown command: {command!r}")
-    return command[1]
 
 
 class _SlaveSession:
@@ -198,12 +188,19 @@ class _SlaveSession:
             digest=probe.snapshot() if probe is not None else None,
         )
 
-    def step(self, quota: int, send) -> None:
-        """Measure one chunk of ``quota`` and report it through ``send``."""
+    def step(self, command, send) -> None:
+        """Measure the ``("chunk", quota)`` the master commanded and
+        report it through ``send``."""
+        if not (
+            isinstance(command, tuple)
+            and len(command) == 2
+            and command[0] == "chunk"
+        ):  # pragma: no cover - protocol guard
+            raise ParallelError(f"unknown command: {command!r}")
         self.round_number += 1
         self.injector.on_chunk_start(self.round_number)
         self.experiment.run_until_accepted(
-            quota, max_events=self.max_events_per_chunk
+            command[1], max_events=self.max_events_per_chunk
         )
         report = self.injector.filter_report(self.round_number, self._report())
         # A dropped report skips after_send: there was no send for a
@@ -211,124 +208,6 @@ class _SlaveSession:
         if report is not None:
             send(report)
             self.injector.after_send(self.round_number)
-
-
-def _process_slave_main(conn, *session_args):
-    """Entry point of one slave process: a session served over a pipe.
-
-    Commands arrive as ``("chunk", size)`` tuples (the master owns the
-    chunk schedule) or the string ``"stop"``.
-    """
-    session = _SlaveSession(*session_args)
-    if session.baseline is not None:
-        conn.send(session.baseline)
-    while True:
-        command = conn.recv()
-        if command == "stop":
-            conn.close()
-            return
-        session.step(_chunk_quota(command), conn.send)
-
-
-# -- the serial backend: an inline, zero-thread transport -----------------------
-
-
-class _InjectedDeath(BrokenPipeError):
-    """An inline slave killed by its fault plan: a dead pipe on send and
-    recv alike, which still names its cause."""
-
-    cause = f"{CAUSE_INJECTED}: kill"
-
-
-class _InjectedHang(Exception):
-    """Unwinds an inline slave out of a hang the round deadline outlasts."""
-
-
-class _InlineEndpoint(WorkerEndpoint):
-    """A slave session stepped in the master's own thread.
-
-    ``send`` runs the commanded chunk to completion and queues its
-    report; ``recv`` pops it.  The session's injector exits and sleeps
-    through this endpoint, so a scheduled kill closes the channel the
-    way a dead process closes its pipe and a scheduled hang leaves it
-    open and silent — the round loop sees the shapes it sees on a pipe.
-    Genuine exceptions (a crashing factory, say) propagate to the
-    caller of ``run()``: the point of the serial backend is that
-    debuggers, profilers and the sanitizer see the slaves.
-    """
-
-    def __init__(self, worker_id, generation, session_args, round_timeout):
-        self.worker_id = worker_id
-        self.generation = generation
-        self._round_timeout = round_timeout
-        self._inbox: deque = deque()
-        self._dead = False
-        self._session: Optional[_SlaveSession] = _SlaveSession(
-            *session_args, exiter=self._exit, sleeper=self._sleep
-        )
-        if self._session.baseline is not None:
-            self._inbox.append(self._session.baseline)
-
-    def _exit(self, status) -> None:
-        raise _InjectedDeath(f"inline slave {self.worker_id} was killed")
-
-    def _sleep(self, delay: float) -> None:
-        # Virtual time: a nap the round deadline would sit out costs
-        # nothing; one it would not is silence for the rest of the run.
-        if self._round_timeout is not None and delay >= self._round_timeout:
-            raise _InjectedHang()
-
-    def send(self, message: object) -> None:
-        if self._dead:
-            raise _InjectedDeath(f"inline slave {self.worker_id} is gone")
-        if self._session is None or message == "stop":
-            return  # hung or closed: nobody is reading
-        try:
-            self._session.step(_chunk_quota(message), self._inbox.append)
-        except _InjectedDeath:
-            # Whatever was queued before the exit (a post_report kill's
-            # report) is still delivered; the next send or recv fails.
-            self._dead = True
-            self._session = None
-        except _InjectedHang:
-            self._session = None
-
-    def recv(self) -> object:
-        if self._inbox:
-            return self._inbox.popleft()
-        raise _InjectedDeath(f"inline slave {self.worker_id} is gone")
-
-    def poll(self, timeout: Optional[float] = None) -> bool:
-        return bool(self._inbox) or self._dead
-
-    def close(self) -> None:
-        self._session = None
-
-
-class _InlineTransport(Transport):
-    """``backend="serial"``: no processes, no threads, no waiting."""
-
-    kind = "inline"
-
-    def __init__(self, round_timeout: Optional[float]):
-        super().__init__()
-        self._round_timeout = round_timeout
-
-    def spawn(self, worker_id, generation, entry, args, timeout=None):
-        # ``entry`` is the pipe loop around a session; inline, the
-        # endpoint's ``send`` is that loop.
-        return _InlineEndpoint(
-            worker_id, generation, args, self._round_timeout
-        )
-
-    def wait(self, endpoints, timeout=None):
-        """Whatever is already queued; never sleeps, so a silent slave
-        times out — and a respawn backoff elapses — at once."""
-        return [endpoint for endpoint in endpoints if endpoint.poll()]
-
-    def shutdown(self, endpoints) -> None:
-        for endpoint in endpoints:
-            endpoint.close()
 
 
 @dataclass
@@ -984,8 +863,9 @@ class ParallelSimulation:
         return transport.spawn(
             slave_id,
             generation,
-            _process_slave_main,
+            _serve_session,
             (
+                _SlaveSession,
                 self.factory,
                 self.factory_kwargs,
                 seed,
@@ -1050,7 +930,7 @@ class ParallelSimulation:
             replayed = [i for i in sorted(slaves) if book.slaves[i].chunks]
             deadline = None
             if replayed and self.round_timeout is not None:
-                deadline = time.monotonic() + self.round_timeout * max(
+                deadline = transport._now() + self.round_timeout * max(
                     len(book.slaves[i].chunks) for i in replayed
                 )
             outstanding = {i: (slaves[i], deadline) for i in replayed}
@@ -1093,7 +973,7 @@ class ParallelSimulation:
                             error, f"{CAUSE_SEND_FAILED}: {error}"
                         ))
                 deadline = (
-                    time.monotonic() + self.round_timeout
+                    transport._now() + self.round_timeout
                     if self.round_timeout is not None
                     else None
                 )

@@ -28,9 +28,10 @@ process and its TCP connection:
   alike — reproducing a half-open link only liveness monitoring can
   detect.
 
-Workers run real entry functions (``_process_slave_main``,
-``_pool_worker_main``) against a Connection-like object, so digest
-parity against the process/remote backends is testable end to end.
+Workers run the real entry function — the one pipe loop,
+``transport._serve_session``, around a master slave's or a pool
+worker's session — against a Connection-like object, so digest parity
+against the process/remote backends is testable end to end.
 """
 
 from __future__ import annotations

@@ -16,15 +16,16 @@ on one worker never serializes the rest of the grid behind it.  The
 result of a point is a pure function of its job payload, so scheduling
 order cannot affect results — determinism is preserved by construction.
 
-Workers are reached through a pluggable
+Workers are :class:`_PoolSession` objects behind a pluggable
 :class:`~repro.parallel.transport.Transport`: the default
 :class:`~repro.parallel.transport.LocalPipeTransport` forks them on
-this host (the historical behavior), while a
-:class:`~repro.parallel.transport.RemoteTransport` binds slots offered
-by :mod:`repro.parallel.agent` processes on other machines.  Elastic
-transports let workers join and leave mid-run: a vacated slot returns
-to the join queue instead of permanently degrading the fleet, and new
-agents are admitted between drains up to ``n_workers``.
+this host, a :class:`~repro.parallel.transport.RemoteTransport` binds
+slots offered by :mod:`repro.parallel.agent` processes on other
+machines, and the inline transport (the sweep's serial backend) steps
+one in this thread.  Elastic transports let workers join and leave
+mid-run: a vacated slot returns to the join queue instead of
+permanently degrading the fleet, and new agents are admitted between
+drains up to ``n_workers``.
 
 Fault tolerance mirrors the master's contract and shares its code:
 results are collected by the same turn
@@ -37,7 +38,9 @@ a fresh generation.  What differs from the master on purpose is respawn
 timing: job order is not part of any result, so backoff never blocks
 the scheduling loop — a condemned worker is given a *due time* which is
 folded into the collection turn's wake-up, and healthy workers keep
-reporting while a replacement waits out its backoff.  A seeded
+reporting while a replacement waits out its backoff.  Due times and
+job deadlines are read on the transport's clock, which the inline
+transport moves on instead of sleeping.  A seeded
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
 for chaos tests, executed worker-side by the same
 :class:`~repro.faults.injector.FaultInjector` as a master slave's;
@@ -74,7 +77,9 @@ from repro.parallel.transport import (
     Transport,
     TransportCapacityError,
     WorkerEndpoint,
+    _serve_session,
     collect_replies,
+    disconnect_cause,
 )
 
 
@@ -112,20 +117,25 @@ def corrupt_result(payload: dict) -> dict:
     return mangled
 
 
-def _pool_worker_main(conn, worker_id, runner, faults=()):
-    """One pool slave: configure → run → report, until told to stop.
+class _PoolSession:
+    """One pool worker incarnation: configure → run → report.
 
     ``faults`` is this incarnation's sub-plan, executed by the same
     :class:`~repro.faults.injector.FaultInjector` hooks, in the same
-    order, as a master slave's rounds.
+    order, as a master slave's rounds; ``host`` forwards the
+    ``exiter``/``sleeper`` a host that cannot lose its process gives
+    the injector.  A pool worker sends no baseline.
     """
-    injector = FaultInjector(faults)
-    rounds = 0
-    while True:
-        message = conn.recv()
-        if message == "stop":
-            conn.close()
-            return
+
+    baseline = None
+
+    def __init__(self, runner, faults=(), **host):
+        self.runner = runner
+        self.injector = FaultInjector(faults, **host)
+        self.rounds = 0
+
+    def step(self, message, send) -> None:
+        """Run one ``("configure", job_id, job)`` and report it."""
         if not (
             isinstance(message, tuple)
             and len(message) == 3
@@ -133,20 +143,22 @@ def _pool_worker_main(conn, worker_id, runner, faults=()):
         ):  # pragma: no cover - protocol guard
             raise PoolError(f"unknown pool command: {message!r}")
         _, job_id, job = message
-        rounds += 1
-        injector.on_chunk_start(rounds)
+        self.rounds += 1
+        self.injector.on_chunk_start(self.rounds)
         try:
-            payload = runner(job)
+            payload = self.runner(job)
         except Exception as error:  # simlint: disable=swallow-exception
             # Deliberate boundary: the exception is serialized to the
             # master, which raises PoolJobError with this context.
-            conn.send(("error", job_id, f"{type(error).__name__}: {error}"))
-            continue
-        payload = injector.filter_report(rounds, payload, corrupt_result)
+            send(("error", job_id, f"{type(error).__name__}: {error}"))
+            return
+        payload = self.injector.filter_report(
+            self.rounds, payload, corrupt_result
+        )
         # A dropped result is silent: the master's deadline must catch it.
         if payload is not None:
-            conn.send(("result", job_id, payload))
-            injector.after_send(rounds)
+            send(("result", job_id, payload))
+            self.injector.after_send(self.rounds)
 
 
 # -- master side --------------------------------------------------------------
@@ -179,7 +191,7 @@ class WorkerPool:
     ----------
     runner:
         Module-level (picklable) ``runner(job: dict) -> dict`` executed
-        for every configured job inside the worker process.
+        for every configured job inside the worker.
     n_workers:
         Fleet size (for elastic transports: the cap on concurrently
         bound workers).
@@ -292,9 +304,9 @@ class WorkerPool:
         endpoint = self.transport.spawn(
             worker_id,
             generation,
-            _pool_worker_main,
+            _serve_session,
             (
-                worker_id,
+                _PoolSession,
                 self.runner,
                 self.fault_plan.for_slave(worker_id, generation)
                 if self.fault_plan is not None
@@ -355,7 +367,7 @@ class WorkerPool:
         mid-drain, which is what makes endpoint-identity dispatch in
         :meth:`_drain_ready` airtight.
         """
-        now = time.monotonic()
+        now = self.transport._now()
         for worker_id in sorted(self._respawn_at):
             due, backoff = self._respawn_at[worker_id]
             if now < due:
@@ -403,7 +415,7 @@ class WorkerPool:
         """
         dues = self._respawn_due_times()
         if dues:
-            delay = min(dues) - time.monotonic()
+            delay = min(dues) - self.transport._now()
             if delay > 0:
                 # The fleet is empty, so waiting out the earliest
                 # backoff stalls nobody.
@@ -518,7 +530,9 @@ class WorkerPool:
                     self.master_seed, worker_id, generation + 1
                 ),
             )
-            self._respawn_at[worker_id] = (time.monotonic() + delay, delay)
+            self._respawn_at[worker_id] = (
+                self.transport._now() + delay, delay
+            )
         elif self.transport.elastic:
             # Elastic fleets shrink and re-grow: the slot goes back to
             # the join queue instead of being branded permanently dead.
@@ -603,13 +617,14 @@ class WorkerPool:
                     # The job never started, so it goes straight back to
                     # the queue without counting as a requeue.
                     pending.appendleft(job)
+                    cause = f"{CAUSE_SEND_FAILED}: {error}"
                     self._condemn(
-                        worker_id, f"{CAUSE_SEND_FAILED}: {error}",
+                        worker_id, disconnect_cause(error, cause),
                         pending, busy,
                     )
                     continue
                 deadline = (
-                    time.monotonic() + self.job_timeout
+                    self.transport._now() + self.job_timeout
                     if self.job_timeout is not None
                     else None
                 )
@@ -621,7 +636,7 @@ class WorkerPool:
             # (elastic lobby empty) is polled for, like newly joined
             # agents while the fleet is under strength and there is
             # work they could pull, rather than spun on.
-            now = time.monotonic()
+            now = self.transport._now()
             dues = self._respawn_due_times()
             wakes = [due for due in dues if due > now]
             overdue = len(wakes) < len(dues)

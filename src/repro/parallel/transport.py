@@ -5,8 +5,14 @@ persistent :class:`~repro.parallel.pool.WorkerPool` both used to talk
 to their workers through raw ``multiprocessing`` pipes, which welded
 the fleet to one machine.  This module factors that point-dispatch
 layer into a :class:`Transport` abstraction so the same scheduling
-loops drive either fleet:
+loops drive every fleet.  Every worker, a master's slave or a pool's
+worker, is a *session* (a ``baseline`` to send first, or None, and a
+``step(message, send)`` per command) served by :func:`_serve_session`,
+the one pipe loop every worker process runs, or stepped in the
+caller's thread by :class:`_InlineTransport`:
 
+- :class:`_InlineTransport` — no processes, no threads, no waiting: the
+  serial backends of the master and of a sweep;
 - :class:`LocalPipeTransport` — the historical backend: one forked OS
   process per worker, a duplex pipe per process.  Behavior (spawn cost,
   exception surface, shutdown escalation) is unchanged.
@@ -18,8 +24,8 @@ loops drive either fleet:
   transport is *elastic*); a slot whose agent re-dials after a death
   provides the capacity a respawn claims.
 
-Both transports present the same synchronous, endpoint-oriented
-surface to their caller:
+Every transport presents the same synchronous, endpoint-oriented
+surface to its caller:
 
 - :meth:`Transport.spawn` returns a :class:`WorkerEndpoint` bound to
   one worker incarnation; the endpoint's ``send`` / ``recv`` /
@@ -57,6 +63,7 @@ from typing import Deque, List, Optional, Sequence, Set, Tuple
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_FRAME,
     CAUSE_HEARTBEAT_TIMEOUT,
+    CAUSE_INJECTED,
     CAUSE_LIVENESS_TIMEOUT,
     ParallelError,
 )
@@ -289,8 +296,9 @@ def collect_replies(transport, outstanding, fallback: str,
     order: a delivered message has ``cause`` None; a dead channel has
     the cause its typed error names (liveness timeout, corrupt frame),
     or ``fallback`` for a plain closed/reset pipe.  This is the one
-    receive path of the package — master rounds, resume baselines, the
-    pool and the sweep's spawn backend all collect through here.
+    receive path of the package — master rounds, resume baselines and
+    the pool (every sweep backend) all collect through here, on the
+    transport's own clock (``transport._now()``).
 
     Dispatch is by endpoint identity, never by ``id()`` of an
     underlying connection: readiness for an endpoint that is not the
@@ -315,7 +323,7 @@ def collect_replies(transport, outstanding, fallback: str,
     ready = transport.wait(
         list(owed.values()),
         timeout=(
-            None if until is None else max(0.0, until - time.monotonic())
+            None if until is None else max(0.0, until - transport._now())
         ),
     )
     if not ready:
@@ -527,6 +535,10 @@ class Transport:
         if self._tracer is not None:
             self._tracer.event(name, component="transport", **fields)
 
+    def _now(self) -> float:
+        """The clock reply deadlines and respawn due times are read on."""
+        return time.monotonic()
+
     def start(self) -> None:
         """Bring the transport up (idempotent)."""
 
@@ -576,6 +588,138 @@ class Transport:
         Separate from :meth:`shutdown` so one transport can serve many
         runs; whoever constructed the transport closes it.
         """
+
+
+# -- the two session hosts ----------------------------------------------------
+
+
+def _serve_session(conn, session_type, *args):
+    """Entry point of every worker process: one session over a pipe.
+
+    ``session_type(*args)`` builds the master's slave or the pool's
+    worker; its baseline (if any) goes out first, then each command is
+    one ``step`` until the string ``"stop"``.
+    """
+    session = session_type(*args)
+    if session.baseline is not None:
+        conn.send(session.baseline)
+    while True:
+        message = conn.recv()
+        if message == "stop":
+            conn.close()
+            return
+        session.step(message, conn.send)
+
+
+class _InjectedDeath(BrokenPipeError):
+    """An inline worker killed by its fault plan: a dead pipe on send and
+    recv alike, which still names its cause."""
+
+    cause = f"{CAUSE_INJECTED}: kill"
+
+
+class _InjectedHang(Exception):
+    """Unwinds an inline worker out of a hang its reply deadline outlasts."""
+
+
+class _InlineEndpoint(WorkerEndpoint):
+    """A session stepped in the caller's own thread.
+
+    ``send`` runs the command to completion and queues whatever the
+    session sends; ``recv`` pops it.  The session's fault injector
+    exits and sleeps through this endpoint, so a scheduled kill closes
+    the channel the way a dead process closes its pipe and a scheduled
+    hang leaves it open and silent — the caller sees the shapes it sees
+    on a pipe.  Genuine exceptions (a crashing factory, say) propagate
+    to the caller: debuggers, profilers and the sanitizer see the
+    worker.
+    """
+
+    def __init__(self, worker_id, generation, args, reply_timeout):
+        self.worker_id = worker_id
+        self.generation = generation
+        self._reply_timeout = reply_timeout
+        self._inbox: deque = deque()
+        self._dead = False
+        session_type, *session_args = args
+        self._session = session_type(
+            *session_args, exiter=self._exit, sleeper=self._sleep
+        )
+        if self._session.baseline is not None:
+            self._inbox.append(self._session.baseline)
+
+    def _exit(self, status) -> None:
+        raise _InjectedDeath(f"inline worker {self.worker_id} was killed")
+
+    def _sleep(self, delay: float) -> None:
+        # A nap the reply deadline would sit out costs nothing; one it
+        # would not is silence for the rest of the run.
+        if self._reply_timeout is not None and delay >= self._reply_timeout:
+            raise _InjectedHang()
+
+    def send(self, message: object) -> None:
+        if self._dead:
+            raise _InjectedDeath(f"inline worker {self.worker_id} is gone")
+        if self._session is None or message == "stop":
+            return  # hung or closed: nobody is reading
+        try:
+            self._session.step(message, self._inbox.append)
+        except _InjectedDeath:
+            # Whatever was queued before the exit (a post_report kill's
+            # report) is still delivered; the next send or recv fails.
+            self._dead = True
+            self._session = None
+        except _InjectedHang:
+            self._session = None
+
+    def recv(self) -> object:
+        if self._inbox:
+            return self._inbox.popleft()
+        raise _InjectedDeath(f"inline worker {self.worker_id} is gone")
+
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        return bool(self._inbox) or self._dead
+
+    def close(self) -> None:
+        self._session = None
+
+
+class _InlineTransport(Transport):
+    """No processes, no threads, no waiting: the serial backends.
+
+    ``reply_timeout`` is the caller's per-reply deadline (round or job
+    timeout).  A :meth:`wait` with nothing to return moves this
+    transport's clock (:meth:`_now`) on by its timeout instead of
+    sleeping, so a silent worker times out, and a respawn backoff
+    elapses, at once.
+    """
+
+    kind = "inline"
+
+    def __init__(self, reply_timeout: Optional[float]):
+        super().__init__()
+        self._reply_timeout = reply_timeout
+        self._skipped = 0.0
+
+    def _now(self) -> float:
+        return time.monotonic() + self._skipped
+
+    def spawn(self, worker_id, generation, entry, args, timeout=None):
+        # ``entry`` is the pipe loop around the session ``args`` name;
+        # inline, the endpoint's ``send`` is that loop.
+        return _InlineEndpoint(
+            worker_id, generation, args, self._reply_timeout
+        )
+
+    def wait(self, endpoints, timeout=None):
+        ready = [endpoint for endpoint in endpoints if endpoint.poll()]
+        if not ready and timeout:
+            self._skipped += timeout
+        return ready
+
+    def shutdown(self, endpoints) -> None:
+        for endpoint in endpoints:
+            endpoint.close()
 
 
 # -- local (pipe + fork) transport --------------------------------------------

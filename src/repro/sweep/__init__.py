@@ -9,10 +9,11 @@ pattern into infrastructure:
   callables, or plain task callables; every point gets a seed from the
   :func:`repro.faults.recovery.derive_seed` lineage and a canonical
   content digest.
-- :class:`SweepRunner` — executes the points over a persistent
-  :class:`repro.parallel.pool.WorkerPool` (or a per-point spawn loop,
-  or in-process), serving completed points from a content-addressed
-  :class:`SweepCache` so edits recompute only what changed.
+- :class:`SweepRunner` — executes the points over a
+  :class:`repro.parallel.pool.WorkerPool` (persistent forked or remote
+  workers, or one worker in-process), serving completed points from a
+  content-addressed :class:`SweepCache` so edits recompute only what
+  changed.
 
 See ``docs/sweeps.md`` for the spec format and the caching /
 determinism / fault-tolerance contracts.

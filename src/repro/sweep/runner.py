@@ -6,11 +6,11 @@ The runner turns a :class:`~repro.sweep.spec.SweepSpec` into results:
    (:meth:`~repro.sweep.spec.SweepSpec.point_digest`) and looked up in
    the :class:`~repro.sweep.cache.SweepCache` first — a re-run after
    editing one point recomputes only that point;
-2. cache misses are scheduled across a
-   :class:`~repro.parallel.pool.WorkerPool` of persistent slaves
-   (``backend="pool"``), a fresh process per point
-   (``backend="spawn"`` — the historical per-point loop, kept as the
-   benchmark baseline), or in-process (``backend="serial"``);
+2. cache misses are scheduled by one
+   :meth:`~repro.parallel.pool.WorkerPool.map` whatever the backend;
+   only the transport differs: one worker stepped in-process on the
+   inline transport (``backend="serial"``), persistent forked workers
+   (``"pool"``), or workers on remote agents (``"remote"``);
 3. completed payloads are verified against the point digest, written
    back to the cache, and assembled into a :class:`SweepResult` in
    canonical point order — scheduling order can never leak into
@@ -19,9 +19,10 @@ The runner turns a :class:`~repro.sweep.spec.SweepSpec` into results:
 Observability: with a tracer attached the runner emits one
 ``sweep/point`` event per point (digest, cache status, convergence) and
 ``sweep/cache_*`` counters; with a host-clocked tracer the whole run is
-wrapped in a ``sweep/run`` span.  Fault tolerance on the pool backend
-follows :mod:`repro.parallel.pool`: a dead slave mid-sweep costs one
-point's recompute, not the run.
+wrapped in a ``sweep/run`` span.  Fault tolerance on every backend
+follows :mod:`repro.parallel.pool`: a dead worker mid-sweep costs one
+point's recompute, not the run, and a point that raises is a
+:class:`~repro.parallel.pool.PoolJobError` naming it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.parallel.pool import (
-    PoolError,
-    PoolStats,
-    WorkerPool,
-    _pool_worker_main,
-)
-from repro.parallel.protocol import CAUSE_PIPE_CLOSED
-from repro.parallel.transport import LocalPipeTransport, collect_replies
+from repro.parallel.pool import PoolStats, WorkerPool
+from repro.parallel.transport import _InlineTransport
 from repro.sweep.cache import SweepCache
 from repro.sweep.spec import (
     SweepError,
@@ -50,7 +45,7 @@ from repro.sweep.spec import (
 )
 
 #: Execution backends, cheapest-isolation first.
-BACKENDS = ("serial", "spawn", "pool", "remote")
+BACKENDS = ("serial", "pool", "remote")
 
 
 # -- the unit of work ---------------------------------------------------------
@@ -59,12 +54,12 @@ BACKENDS = ("serial", "spawn", "pool", "remote")
 def run_point(job: dict) -> dict:
     """Execute one point job payload; returns its JSON-safe result.
 
-    This is the single code path every backend runs — in-process, in a
-    fresh spawned process, or inside a persistent pool worker — so the
-    backends cannot diverge on *what* a point computes.  Experiment
-    kinds run to convergence and report the full estimate document plus
-    per-metric histogram digests (the determinism fingerprint); task
-    kinds return their payload under ``"task"``.
+    This is the single code path every backend runs — in-process or
+    inside a forked or remote pool worker — so the backends cannot
+    diverge on *what* a point computes.  Experiment kinds run to
+    convergence and report the full estimate document plus per-metric
+    histogram digests (the determinism fingerprint); task kinds return
+    their payload under ``"task"``.
     """
     kind = job["kind"]
     seed = job["seed"]
@@ -267,17 +262,18 @@ class SweepRunner:
     spec:
         The :class:`SweepSpec` to execute.
     backend:
-        ``"pool"`` (persistent workers, default), ``"spawn"`` (fresh
-        process per point — the historical loop), ``"serial"``
-        (in-process), or ``"remote"`` (persistent workers hosted by
-        :mod:`repro.parallel.agent` processes over a
+        ``"pool"`` (persistent forked workers, default), ``"serial"``
+        (one worker stepped in-process), or ``"remote"`` (persistent
+        workers hosted by :mod:`repro.parallel.agent` processes over a
         :class:`~repro.parallel.transport.RemoteTransport`; requires
-        ``transport``).  Every backend computes each point through the
-        same :func:`run_point`, so results and digests are identical.
+        ``transport``).  Every backend is one
+        :meth:`~repro.parallel.pool.WorkerPool.map` computing each point
+        through the same :func:`run_point`, so results and digests are
+        identical.
     jobs:
         Pool width for the ``pool`` backend (default: up to 4, bounded
         by the machine) and the cap on concurrently bound workers for
-        ``remote`` (default 16); ignored by the sequential backends.
+        ``remote`` (default 16); ignored by ``serial``.
     cache:
         A :class:`SweepCache`, a directory path, or ``None`` to disable
         caching.
@@ -285,13 +281,13 @@ class SweepRunner:
         Recompute every point even on a cache hit (fresh payloads still
         overwrite their entries).
     respawn / fault_plan / job_timeout:
-        Pool-backend fault tolerance, passed through to
+        Fault tolerance on every backend, passed through to
         :class:`~repro.parallel.pool.WorkerPool`.
     supervision:
-        Optional :class:`~repro.faults.SupervisionPolicy` for the pool
-        backends: a fleet floor (abort or continue degraded) and a
-        sweep-wide deadline (always aborts — a partial sweep is not a
-        meaningful result).  Passed through to :class:`WorkerPool`.
+        Optional :class:`~repro.faults.SupervisionPolicy`: a fleet
+        floor (abort or continue degraded) and a sweep-wide deadline
+        (always aborts — a partial sweep is not a meaningful result).
+        Passed through to :class:`WorkerPool`.
     pool:
         An existing started :class:`WorkerPool` to schedule onto (kept
         alive across sweeps); the runner then ignores ``jobs`` /
@@ -378,65 +374,24 @@ class SweepRunner:
         if self.on_point is not None:
             self.on_point(point_result)
 
-    # -- backends ------------------------------------------------------------
+    # -- the one compute path ------------------------------------------------
 
-    def _compute_serial(self, jobs: List[tuple]) -> Dict[str, dict]:
-        results = {}
-        for digest, job in jobs:
-            results[digest] = run_point(job)
-        return results
-
-    def _compute_spawn(self, jobs: List[tuple]) -> Dict[str, dict]:
-        """The historical per-point loop: one fresh process per point."""
-        transport = LocalPipeTransport("fork")
-        results = {}
-        for digest, job in jobs:
-            worker = transport.spawn(0, 0, _pool_worker_main, (0, run_point))
-            try:
-                worker.send(("configure", digest, job))
-                deadline = (
-                    None
-                    if self.job_timeout is None
-                    else time.monotonic() + self.job_timeout
-                )
-                ((_, message, cause),) = collect_replies(
-                    transport, {0: (worker, deadline)}, CAUSE_PIPE_CLOSED
-                )
-            finally:
-                try:
-                    worker.send("stop")
-                except (BrokenPipeError, OSError):
-                    pass
-                worker.close()
-                transport.reap(worker)
-            if cause is not None:
-                raise PoolError(
-                    f"spawned point {job.get('params')} died ({cause})"
-                )
-            tag = message[0] if isinstance(message, tuple) else None
-            if tag == "error":
-                raise PoolError(f"point {message[1]!r} failed: {message[2]}")
-            problem = payload_problem(job, message[2])
-            if problem is not None:
-                raise PoolError(f"point {digest} rejected: {problem}")
-            results[digest] = message[2]
-        return results
-
-    def _compute_pool(self, jobs: List[tuple]):
-        """Persistent-worker backends: local ``pool`` and ``remote``.
-
-        Both schedule onto a :class:`WorkerPool`; the remote flavor
-        hands the pool the caller's transport so its workers live on
-        whatever agents registered with it.
-        """
+    def _compute(self, jobs: List[tuple]):
+        """Every backend: one :meth:`WorkerPool.map`; ``serial`` is one
+        worker on the inline transport, ``pool`` the pool's own forked
+        workers, ``remote`` the caller's transport."""
         pool = self.pool
         owned = pool is None
         if owned:
-            remote = self.backend == "remote"
+            if self.backend == "serial":
+                n_workers, transport = 1, _InlineTransport(self.job_timeout)
+            elif self.backend == "pool":
+                n_workers, transport = self._default_jobs(), None
+            else:
+                n_workers, transport = self.jobs or 16, self.transport
             pool = WorkerPool(
                 run_point,
-                n_workers=(self.jobs or 16) if remote
-                else self._default_jobs(),
+                n_workers=n_workers,
                 master_seed=self.spec.seed,
                 job_timeout=self.job_timeout,
                 respawn=self.respawn,
@@ -444,7 +399,7 @@ class SweepRunner:
                 supervision=self.supervision,
                 validate=payload_problem,
                 tracer=self.tracer,
-                transport=self.transport if remote else None,
+                transport=transport,
                 join_timeout=self.join_timeout,
             )
         try:
@@ -509,15 +464,7 @@ class SweepRunner:
             for point in points
             if point.index not in cached
         ]
-        pool_stats = None
-        if not jobs:
-            computed = {}
-        elif self.backend == "serial":
-            computed = self._compute_serial(jobs)
-        elif self.backend == "spawn":
-            computed = self._compute_spawn(jobs)
-        else:
-            computed, pool_stats = self._compute_pool(jobs)
+        computed, pool_stats = self._compute(jobs) if jobs else ({}, None)
         if self.cache is not None:
             for digest, payload in computed.items():
                 self.cache.put(digest, payload)

@@ -284,27 +284,116 @@ class TestRobustnessFlags:
         assert info.value.cause == CAUSE_DEADLINE_EXCEEDED
 
 
-class TestSweepFleetFlags:
-    """``repro sweep`` refuses fleet flags on backends without a fleet,
-    the way ``repro run`` refuses them without ``--parallel``."""
+def write_task_spec(tmp_path):
+    """A three-point task sweep: cheap on every backend."""
+    from repro.sweep import SweepSpec
 
-    @pytest.mark.parametrize("backend", ["serial", "spawn"])
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--chaos", '{"faults": []}'],
-            ["--respawn"],
-            ["--min-workers", "2"],
-            ["--deadline", "5"],
-            ["--on-degrade", "continue"],
-        ],
+    spec = SweepSpec(
+        name="cli-tasks", kind="task", seed=9,
+        factory="tests.sweep_factories:moment_task", axes={"x": [1, 2, 3]},
     )
-    def test_fleet_flags_require_a_pool_backend(
-        self, backend, flags, capsys
-    ):
-        spec = REPO_ROOT / "examples" / "sweeps" / "mm1_loadcurve.toml"
-        assert main(["sweep", str(spec), "--backend", backend] + flags) == 2
-        assert "--backend pool or remote" in capsys.readouterr().err
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    return path
+
+
+#: One value for each fleet flag that a one-worker fleet can honour.
+FLEET_FLAGS = [
+    ["--chaos", '{"faults": []}'],
+    ["--respawn"],
+    ["--min-workers", "1"],
+    ["--deadline", "600"],
+    ["--on-degrade", "continue"],
+]
+
+
+class TestSweepFleetFlags:
+    """A serial sweep is a one-worker pool: it takes the fleet flags the
+    pool does, and there is no per-point spawn backend any more."""
+
+    @pytest.mark.parametrize("flags", FLEET_FLAGS)
+    def test_serial_accepts_fleet_flags(self, flags, tmp_path, capsys):
+        spec = write_task_spec(tmp_path)
+        assert main(["sweep", str(spec), "--backend", "serial"] + flags) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["pool"]["n_workers"] == 1
+        assert [p["payload"]["task"]["value"] for p in document["points"]] == [
+            1.0, 2.0, 3.0,
+        ]
+
+    def test_serial_honours_the_fleet_floor(self, tmp_path):
+        from repro.faults import SupervisionError
+        from repro.parallel.protocol import CAUSE_FLEET_EXHAUSTED
+
+        spec = write_task_spec(tmp_path)
+        with pytest.raises(SupervisionError) as info:
+            main(["sweep", str(spec), "--backend", "serial",
+                  "--min-workers", "2"])
+        assert info.value.cause == CAUSE_FLEET_EXHAUSTED
+
+    @pytest.mark.parametrize("flags", FLEET_FLAGS)
+    def test_spawn_backend_is_an_argparse_error(self, flags, tmp_path):
+        spec = write_task_spec(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", str(spec), "--backend", "spawn"] + flags)
+        assert info.value.code == 2
+
+
+#: ``repro run`` flags the chosen mode would never read, and the error.
+RUN_MISUSE = [
+    (["--backend", "process"], "--backend requires --parallel"),
+    (["--round-timeout", "5"], "--round-timeout requires --parallel"),
+    (["--join-timeout", "5"], "--join-timeout requires --parallel"),
+    (["--checkpoint-interval", "3"],
+     "--checkpoint-interval requires --parallel"),
+    (["--listen", "127.0.0.1:0"], "--listen requires --backend remote"),
+    (["--transport-key", "k"], "--transport-key requires --backend remote"),
+    (["--heartbeat-interval", "1"],
+     "--heartbeat-interval requires --backend remote"),
+    (["--heartbeat-misses", "5"],
+     "--heartbeat-misses requires --backend remote"),
+    (["--parallel", "2", "--join-timeout", "5"],
+     "--join-timeout requires --backend remote"),
+    (["--parallel", "2", "--max-restarts", "4"],
+     "--max-restarts requires --respawn"),
+    (["--parallel", "2", "--checkpoint-interval", "3"],
+     "--checkpoint-interval requires --checkpoint"),
+]
+
+#: The same for ``repro sweep``.
+SWEEP_MISUSE = [
+    (["--backend", "serial", "--jobs", "2"],
+     "--jobs requires --backend pool or remote"),
+    (["--listen", "127.0.0.1:0"], "--listen requires --backend remote"),
+    (["--transport-key", "k"], "--transport-key requires --backend remote"),
+    (["--heartbeat-interval", "1"],
+     "--heartbeat-interval requires --backend remote"),
+    (["--heartbeat-misses", "5"],
+     "--heartbeat-misses requires --backend remote"),
+    (["--join-timeout", "5"], "--join-timeout requires --backend remote"),
+    (["--max-restarts", "4"], "--max-restarts requires --respawn"),
+]
+
+
+class TestFlagNeeds:
+    """A flag the chosen mode never reads is exit 2 naming the flag and
+    what it needs, never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "flags, message", RUN_MISUSE, ids=[m for _, m in RUN_MISUSE]
+    )
+    def test_run(self, flags, message, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", str(config)] + flags) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize(
+        "flags, message", SWEEP_MISUSE, ids=[m for _, m in SWEEP_MISUSE]
+    )
+    def test_sweep(self, flags, message, tmp_path, capsys):
+        spec = write_task_spec(tmp_path)
+        assert main(["sweep", str(spec)] + flags) == 2
+        assert capsys.readouterr().err.strip() == message
 
 
 class TestAgentFlags:

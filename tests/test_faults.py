@@ -29,14 +29,16 @@ from repro.faults import (
 from repro.faults.checkpoint import SlaveCheckpoint
 from repro.faults.injector import corrupt_payload
 from repro.parallel import ParallelError, ParallelSimulation
-from repro.parallel.master import (
-    _InlineTransport,
-    _process_slave_main,
-    slave_seed,
-)
+from repro.parallel.master import _SlaveSession, slave_seed
 from repro.parallel.memory import InMemoryTransport
+from repro.parallel.pool import _PoolSession
 from repro.parallel.protocol import scheme_payload, validate_report_payload
-from repro.parallel.transport import TransportCapacityError, disconnect_cause
+from repro.parallel.transport import (
+    TransportCapacityError,
+    _InlineTransport,
+    _serve_session,
+    disconnect_cause,
+)
 
 
 def factory(seed, load=0.6, accuracy=0.05):
@@ -184,8 +186,14 @@ class TestFaultInjector:
         assert validate_report_payload(mangled, (0.0, 1.0, 4)) is not None
 
 
+def _double(job):
+    """A pool runner for the inline-endpoint tests."""
+    return {"value": 2 * job["x"]}
+
+
 class TestInlineEndpoint:
-    """The serial backend's transport, driven the way the round loop does."""
+    """The serial backends' one transport, driven the way the master's
+    round loop and the pool's map do, with either session type."""
 
     def _spawn(self, *faults):
         master = factory(seed=7)
@@ -194,10 +202,18 @@ class TestInlineEndpoint:
             statistic.name: scheme_payload(statistic.histogram.scheme)
             for statistic in master.stats
         }
-        transport = _InlineTransport(round_timeout=30.0)
+        transport = _InlineTransport(reply_timeout=30.0)
         endpoint = transport.spawn(
-            0, 0, _process_slave_main,
-            (factory, {}, slave_seed(7, 0), schemes, 10_000_000, 0, faults),
+            0, 0, _serve_session,
+            (_SlaveSession, factory, {}, slave_seed(7, 0), schemes,
+             10_000_000, 0, faults),
+        )
+        return transport, endpoint
+
+    def _spawn_pool_worker(self, *faults):
+        transport = _InlineTransport(reply_timeout=30.0)
+        endpoint = transport.spawn(
+            0, 0, _serve_session, (_PoolSession, _double, faults)
         )
         return transport, endpoint
 
@@ -223,6 +239,39 @@ class TestInlineEndpoint:
         started = time.monotonic()
         endpoint.send(("chunk", 50))
         assert transport.wait([endpoint], timeout=30.0) == []
+        assert time.monotonic() - started < 10.0
+
+    def test_pool_worker_reports_each_configure(self):
+        transport, endpoint = self._spawn_pool_worker()
+        for job_id, x in (("a", 1), ("b", 4)):
+            endpoint.send(("configure", job_id, {"x": x}))
+            assert transport.wait([endpoint], timeout=30.0) == [endpoint]
+            assert endpoint.recv() == ("result", job_id, {"value": 2 * x})
+
+    def test_pool_worker_kill_is_a_dead_pipe_naming_its_cause(self):
+        transport, endpoint = self._spawn_pool_worker(
+            FaultSpec(kind="kill", slave_id=0, round=2, phase="pre_run")
+        )
+        endpoint.send(("configure", "a", {"x": 1}))
+        assert endpoint.recv() == ("result", "a", {"value": 2})
+        endpoint.send(("configure", "b", {"x": 2}))
+        assert transport.wait([endpoint], timeout=30.0) == [endpoint]
+        with pytest.raises(BrokenPipeError) as caught:
+            endpoint.recv()
+        assert disconnect_cause(caught.value, "pipe closed") == (
+            "injected fault: kill"
+        )
+
+    def test_pool_worker_hang_moves_the_clock_not_the_host(self):
+        transport, endpoint = self._spawn_pool_worker(
+            FaultSpec(kind="hang", slave_id=0, round=1, delay=60.0)
+        )
+        started, clock = time.monotonic(), transport._now()
+        endpoint.send(("configure", "a", {"x": 1}))
+        assert transport.wait([endpoint], timeout=45.0) == []
+        # The empty wait stood for its whole timeout on the transport's
+        # clock, so a deadline inside it has passed; the host never slept.
+        assert transport._now() - clock >= 45.0
         assert time.monotonic() - started < 10.0
 
 

@@ -185,18 +185,18 @@ class TestSweepRunner:
         ]
         assert pooled.pool_stats.jobs_completed == 3
 
-    def test_spawn_backend_matches_serial(self):
-        spec = task_spec()
-        serial = SweepRunner(spec, backend="serial").run()
-        spawned = SweepRunner(spec, backend="spawn").run()
-        assert [point.payload["task"] for point in spawned.points] == [
-            point.payload["task"] for point in serial.points
-        ]
-
     def test_deterministic_job_error_surfaces_immediately(self):
         spec = task_spec(factory="tests.sweep_factories:failing_task")
         with pytest.raises(PoolJobError, match="boom"):
             SweepRunner(spec, backend="pool", jobs=2).run()
+
+    def test_job_error_on_serial_is_a_pool_job_error_naming_the_job(self):
+        spec = task_spec(factory="tests.sweep_factories:failing_task")
+        first = spec.point_digest(spec.points()[0])
+        with pytest.raises(PoolJobError, match="boom") as caught:
+            SweepRunner(spec, backend="serial").run()
+        assert caught.value.job_id == first
+        assert repr(first) in str(caught.value)
 
     def test_external_pool_is_reused_and_left_running(self):
         with WorkerPool(run_point, n_workers=2) as pool:

@@ -1,10 +1,12 @@
 """Cross-backend determinism matrix for the sweep engine.
 
-The pool mode joins the repo's determinism contract, it does not weaken
-it: for a fixed seed, the merged histogram digests of every point must
-be bit-identical across {serial, process-per-point, persistent-pool} ×
+Every backend is one ``WorkerPool.map``; only the transport differs.
+For a fixed seed, the merged histogram digests of every point must be
+bit-identical across {serial (one inline worker), persistent pool} ×
 {prefetch on, off} × {fresh, cache-hit, resume}.  The serial/fresh/
 prefetch-on cell is the reference; every other cell is compared to it.
+Serial sweeps take the pool's faults, respawns and supervision too, so
+the serial backend also runs a chaos matrix against the pool backend.
 
 The remote backend joins the same matrix over a loopback TCP fleet
 (:class:`~repro.parallel.transport.RemoteTransport` plus an in-process
@@ -13,10 +15,13 @@ kills one remote worker mid-sweep and requires the respawned fleet to
 reproduce the reference digests bit-for-bit.
 """
 
+import time
+
 import pytest
 
 from repro.faults import FaultPlan, RespawnPolicy
 from repro.parallel.agent import HostAgent
+from repro.parallel.pool import PoolError
 from repro.parallel.transport import RemoteTransport
 from repro.sweep import SweepCache, SweepRunner, SweepSpec
 
@@ -75,11 +80,90 @@ def reference(tmp_path_factory):
 
 @pytest.mark.parametrize("cache_state", ["fresh", "cache-hit", "resume"])
 @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "direct"])
-@pytest.mark.parametrize("backend", ["serial", "spawn", "pool"])
+@pytest.mark.parametrize("backend", ["serial", "pool"])
 def test_matrix_cell_matches_reference(
     backend, prefetch, cache_state, reference, tmp_path
 ):
     assert run_cell(backend, prefetch, cache_state, tmp_path) == reference
+
+
+# -- serial chaos cells -------------------------------------------------------
+
+#: fault -> (kind, spec fields, job timeout).  Drops and hangs are
+#: caught by the job deadline, so theirs is short; a hang is silence
+#: only when it outlasts it.
+CHAOS = {
+    "kill-pre_run": ("kill", {"phase": "pre_run"}, 30.0),
+    "kill-post_report": ("kill", {"phase": "post_report"}, 30.0),
+    "drop_report": ("drop_report", {}, 0.5),
+    "corrupt_payload": ("corrupt_payload", {}, 30.0),
+    "hang": ("hang", {"delay": 1.5}, 0.5),
+}
+
+
+def chaos_cell(backend, fault, respawn):
+    """The reference spec with worker 0's first job faulted, on a fleet
+    of one: serial's only shape, and the pool's at ``jobs=1``."""
+    kind, where, job_timeout = CHAOS[fault]
+    return SweepRunner(
+        spec(prefetch=True),
+        backend=backend,
+        jobs=1,
+        job_timeout=job_timeout,
+        fault_plan=FaultPlan.single(kind, slave_id=0, round=1, **where),
+        respawn=(
+            RespawnPolicy(backoff_base=0.0, jitter=0.0) if respawn else None
+        ),
+    ).run()
+
+
+@pytest.mark.parametrize("fault", sorted(CHAOS))
+def test_serial_chaos_respawn_cell_matches_reference(fault, reference):
+    """A faulted serial sweep recovers to the clean digests and counts
+    the death and the requeue the way the one-worker pool does."""
+    serial = chaos_cell("serial", fault, respawn=True)
+    pool = chaos_cell("pool", fault, respawn=True)
+    assert serial.digests() == pool.digests() == reference
+    assert not serial.degraded
+    found = (serial.pool_stats.deaths, serial.pool_stats.jobs_requeued)
+    expected = (pool.pool_stats.deaths, pool.pool_stats.jobs_requeued)
+    if fault == "kill-post_report":
+        # The result is out before the exit.  Inline, the next send
+        # always finds the worker gone (nothing in flight to requeue);
+        # over a pipe, a failed send or an EOF is the OS's choice.
+        assert found == (1, 0) and expected in ((1, 0), (1, 1))
+    else:
+        assert found == expected == (1, 1)
+    assert serial.pool_stats.restarts == pool.pool_stats.restarts == 1
+
+
+@pytest.mark.parametrize("fault", sorted(CHAOS))
+def test_serial_chaos_degrade_cell_fails_like_the_pool(fault):
+    """Without respawn, losing the only worker ends a one-worker sweep,
+    as it ends a one-worker pool's (``test_sweep.py``): a degraded
+    sweep needs a survivor."""
+    with pytest.raises(PoolError, match=r"every pool worker has died "
+                                        r"\(1 started\)"):
+        chaos_cell("serial", fault, respawn=False)
+
+
+def test_serial_backoff_and_hang_cost_no_wall_time(reference):
+    """On the inline transport a minute-long respawn backoff and an
+    hour-long hang are instants on its clock, not host time."""
+    started = time.monotonic()
+    result = SweepRunner(
+        spec(prefetch=True),
+        backend="serial",
+        fault_plan=FaultPlan.single("hang", slave_id=0, round=1,
+                                    delay=3600.0),
+        respawn=RespawnPolicy(
+            backoff_base=60.0, backoff_cap=60.0, jitter=0.0
+        ),
+    ).run()
+    assert time.monotonic() - started < 30.0
+    assert result.digests() == reference
+    stats = result.pool_stats
+    assert (stats.deaths, stats.jobs_requeued, stats.restarts) == (1, 1, 1)
 
 
 # -- remote loopback fleet cells ----------------------------------------------
@@ -175,7 +259,7 @@ def model_reference(model, tmp_path_factory):
 
 
 @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "direct"])
-@pytest.mark.parametrize("backend", ["serial", "spawn", "pool"])
+@pytest.mark.parametrize("backend", ["serial", "pool"])
 def test_model_cell_matches_reference(
     backend, prefetch, model, model_reference, tmp_path
 ):

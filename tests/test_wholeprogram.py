@@ -161,13 +161,21 @@ class TestSymbolsAndCallgraph:
         # Implicitly exercises the default entry set over real sources;
         # the explicit check: the entries exist in the shipped index.
         index = ProjectIndex()
-        master = REPO_ROOT / "src" / "repro" / "parallel" / "master.py"
-        index.add(parse_module(
-            master.read_text(), str(master), "parallel/master.py",
-            name="repro.parallel.master",
-        ))
+        for module in ("master", "pool", "transport"):
+            path = REPO_ROOT / "src" / "repro" / "parallel" / f"{module}.py"
+            index.add(parse_module(
+                path.read_text(), str(path), f"parallel/{module}.py",
+                name=f"repro.parallel.{module}",
+            ))
         entries = default_worker_entries(index)
-        assert "repro.parallel.master._process_slave_main" in entries
+        # The one pipe loop every worker process runs, and both sessions.
+        assert {
+            "repro.parallel.transport._serve_session",
+            "repro.parallel.master._SlaveSession.__init__",
+            "repro.parallel.master._SlaveSession.step",
+            "repro.parallel.pool._PoolSession.__init__",
+            "repro.parallel.pool._PoolSession.step",
+        } <= set(entries)
 
 
 # -- dataflow / race unit behavior -------------------------------------------
