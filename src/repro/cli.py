@@ -399,11 +399,11 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import SweepRunner, SweepSpec
+    from repro.sweep import SweepError, SweepRunner, SweepSpec
 
     try:
         spec = SweepSpec.load(args.spec)
-    except Exception as error:  # surface as a CLI error, not a traceback
+    except (OSError, SweepError) as error:
         print(f"sweep: cannot load {args.spec}: {error}", file=sys.stderr)
         return 2
     if args.lint:

@@ -24,10 +24,11 @@ Workloads may alternatively be declared from explicit distributions::
     }
 
 A document is input from outside the program.  Every section is checked
-against its key table before anything is built from it — an unknown key
-or a value of the wrong type is refused, naming the key path — and what
-a constructor then refuses surfaces as a :class:`ConfigError` naming
-the section: never a raw ``TypeError``, never a silently ignored key.
+against its key table by :func:`repro.shape.checked` before anything is
+built from it — an unknown key or a value of the wrong type is refused,
+naming the key path — and what a constructor then refuses surfaces as a
+:class:`ConfigError` naming the section: never a raw ``TypeError``,
+never a silently ignored key.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.core.statistic import StatisticError
 from repro.datacenter.balancers import (
@@ -66,6 +67,7 @@ from repro.distributions import (
 )
 from repro.engine.events import SimulationError
 from repro.engine.experiment import Experiment
+from repro.shape import checked
 from repro.workloads import by_name
 from repro.workloads.workload import Workload
 
@@ -86,47 +88,32 @@ _DISCIPLINES = {
     "sjf": SJFQueue,
 }
 
-_NUMBER = (int, float)
-_NUMBER_OR_NULL = (int, float, type(None))
-
-#: How an accepted-types entry of the key tables reads in an error.
-_TYPE_NAMES = {
-    int: "an integer",
-    _NUMBER: "a number",
-    _NUMBER_OR_NULL: "a number or null",
-    str: "a string",
-    bool: "true or false",
-    dict: "an object",
-    list: "a list",
-    (str, dict): "a string or an object",
-}
-
-# Key -> accepted value type(s), one table per section.  A key outside
-# its section's table is refused: a misspelt key that silently runs the
-# default model is worse than an error.
+# Key -> the type hint its value must fit (repro.shape), one table per
+# section.  A key outside its section's table is refused: a misspelt key
+# that silently runs the default model is worse than an error.
 _TOP_KEYS = {
     "seed": int, "warmup_samples": int, "calibration_samples": int,
-    "confidence": _NUMBER, "max_events": int, "prefetch": bool,
+    "confidence": float, "max_events": int, "prefetch": bool,
     "sanitize": bool, "engine": str, "workload": dict, "servers": dict,
-    "cluster": dict, "balancer": (str, dict), "metrics": list,
+    "cluster": dict, "balancer": Union[str, dict], "metrics": List[dict],
 }
 _WORKLOAD_KEYS = {
     "name": str, "empirical": bool, "label": str, "interarrival": dict,
     "service": dict, "servers_needed": dict, "cores_for_load": int,
-    "load": _NUMBER, "qps": _NUMBER, "service_scale": _NUMBER,
+    "load": float, "qps": float, "service_scale": float,
 }
 _SERVER_KEYS = {
-    "count": int, "cores": int, "speed": _NUMBER, "model": str,
+    "count": int, "cores": int, "speed": float, "model": str,
     "discipline": str,
 }
-_CLUSTER_KEYS = {"servers": int, "speed": _NUMBER, "backfill": bool}
+_CLUSTER_KEYS = {"servers": int, "speed": float, "backfill": bool}
 _BALANCER_KEYS = {
     "policy": str, "clones": int, "synchronized": bool,
-    "threshold": _NUMBER, "max_retries": int,
+    "threshold": float, "max_retries": int,
 }
 _METRIC_KEYS = {
-    "kind": str, "name": str, "mean_accuracy": _NUMBER_OR_NULL,
-    "quantiles": dict,
+    "kind": str, "name": str, "mean_accuracy": Optional[float],
+    "quantiles": Dict[str, float],
 }
 
 #: Distribution type -> its accepted forms, each the parameter keys (in
@@ -158,40 +145,13 @@ _DISTRIBUTIONS = {
     "empirical": ((("path",), EmpiricalDistribution.load),),
 }
 #: Distribution parameters that are not plain numbers.
-_PARAM_TYPES = {"values": list, "weights": list, "path": str}
+_PARAM_TYPES = {"values": List[float], "weights": List[float], "path": str}
 
 #: What a constructor raises for a value the document supplied.
 _REFUSALS = (
     ValueError, ArithmeticError, OSError, StatisticError, ClusterError,
     ServerError, SimulationError,
 )
-
-
-def _typed(value, types) -> bool:
-    """isinstance, except that a bool is not a number."""
-    return isinstance(value, types) and (
-        types is bool or not isinstance(value, bool)
-    )
-
-
-def _checked(spec, where: str, keys: dict) -> dict:
-    """``spec`` if it is an object holding only ``keys``, each well-typed."""
-    if not isinstance(spec, dict):
-        raise ConfigError(
-            f"{where or 'config'}: must be an object, got {spec!r}"
-        )
-    for key, value in spec.items():
-        path = f"{where}.{key}" if where else key
-        if key not in keys:
-            raise ConfigError(
-                f"{path}: unknown key; known: {', '.join(sorted(keys))}"
-            )
-        if not _typed(value, keys[key]):
-            raise ConfigError(
-                f"{path}: expected {_TYPE_NAMES[keys[key]]}, got {value!r}"
-            )
-    return spec
-
 
 @contextmanager
 def _building(where: str):
@@ -233,15 +193,9 @@ def _distribution(spec, where: str):
             f"{where}.type: unknown distribution type {spec['type']!r}"
         )
     forms = _DISTRIBUTIONS[kind]
-    params = {key for keys, _ in forms for key in keys}
-    _checked(spec, where, {
-        "type": str, **{key: _PARAM_TYPES.get(key, _NUMBER) for key in params}
-    })
-    for key in ("values", "weights"):
-        if not all(_typed(item, _NUMBER) for item in spec.get(key, ())):
-            raise ConfigError(
-                f"{where}.{key}: expected a list of numbers, got {spec[key]!r}"
-            )
+    checked(spec, {"type": str, **{
+        key: _PARAM_TYPES.get(key, float) for keys, _ in forms for key in keys
+    }}, where, ConfigError)
     for keys, construct in forms:
         if set(keys) == set(spec) - {"type"}:
             with _building(where):
@@ -255,7 +209,7 @@ def _distribution(spec, where: str):
 
 def build_workload(spec: dict) -> Workload:
     """Construct a workload from either a shipped name or explicit specs."""
-    _checked(spec, "workload", _WORKLOAD_KEYS)
+    checked(spec, _WORKLOAD_KEYS, "workload", ConfigError)
     with _building("workload"):
         if "name" in spec:
             workload = by_name(
@@ -308,17 +262,19 @@ def _pool(config: dict) -> _Pool:
     balancer = config.get("balancer")
     clones = 1
     if isinstance(balancer, dict):
-        _checked(balancer, "balancer", _BALANCER_KEYS)
+        checked(balancer, _BALANCER_KEYS, "balancer", ConfigError)
         if balancer.get("policy", "").lower() == "cloning":
             clones = balancer.get("clones", 2)
     cluster = config.get("cluster")
     if cluster is None:
-        servers = _checked(config.get("servers", {}), "servers", _SERVER_KEYS)
+        servers = checked(
+            config.get("servers", {}), _SERVER_KEYS, "servers", ConfigError
+        )
         cores = servers.get("count", 1) * servers.get("cores", 1)
         return _Pool(cores, servers.get("speed", 1.0), clones, False)
     # Gang-scheduled multiserver-job cluster replaces the classic
     # server pool + balancer entry point.
-    _checked(cluster, "cluster", _CLUSTER_KEYS)
+    checked(cluster, _CLUSTER_KEYS, "cluster", ConfigError)
     if "servers" in config or "balancer" in config:
         raise ConfigError(
             "'cluster' replaces the 'servers'/'balancer' sections; "
@@ -399,19 +355,14 @@ def _build_balancer(spec, servers):
 
 
 def _track_metric(experiment: Experiment, entry, metric, where: str) -> None:
-    _checked(metric, where, _METRIC_KEYS)
-    quantiles = {}
-    for q, accuracy in metric.get("quantiles", {}).items():
-        if not _typed(accuracy, _NUMBER):
-            raise ConfigError(
-                f"{where}.quantiles.{q}: expected a number, got {accuracy!r}"
-            )
-        try:
-            quantiles[float(q)] = float(accuracy)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where}.quantiles: {q!r} is not a quantile"
-            ) from None
+    checked(metric, _METRIC_KEYS, where, ConfigError)
+    try:
+        quantiles = {
+            float(q): float(accuracy)
+            for q, accuracy in metric.get("quantiles", {}).items()
+        }
+    except (TypeError, ValueError) as error:
+        raise ConfigError(f"{where}.quantiles: {error}") from None
     kwargs = dict(
         mean_accuracy=metric.get("mean_accuracy", 0.05),
         quantiles=quantiles or None,
@@ -446,11 +397,9 @@ def build_experiment(
     """
     if isinstance(config, (str, Path)):
         config = load_config(config)
-    _checked(config, "", _TOP_KEYS)
-    if "workload" not in config:
-        raise ConfigError("config needs a 'workload' section")
-    if "metrics" not in config or not config["metrics"]:
-        raise ConfigError("config needs a non-empty 'metrics' list")
+    checked(config, _TOP_KEYS, "", ConfigError, {"workload", "metrics"})
+    if not config["metrics"]:
+        raise ConfigError("metrics: must not be empty")
     pool = _pool(config)
 
     with _building("config"):

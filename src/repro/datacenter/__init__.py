@@ -31,7 +31,6 @@ from repro.datacenter.cluster import Cluster, ClusterError, MultiserverCluster, 
 from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.srpt import SRPTServer
 from repro.datacenter.closedloop import ClosedLoopClients, interactive_response_time
-from repro.datacenter.failures import FailureInjector
 from repro.datacenter.network import (
     NetworkError,
     RoutingNetwork,
@@ -80,5 +79,4 @@ __all__ = [
     "NetworkError",
     "RoutingNetwork",
     "traffic_equations",
-    "FailureInjector",
 ]

@@ -27,15 +27,14 @@ import base64
 import json
 import math
 import os
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import Dict, List, Tuple, Union, get_type_hints
 
 import numpy as np
 
 from repro.core.histogram import BinScheme, HistogramError
+from repro.shape import checked
 
 #: Bump when the record layout changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -137,42 +136,11 @@ _OPTIONAL = {
 _INFINITIES = {"inf": math.inf, "-inf": -math.inf}
 
 
-def _conforms(value, hint) -> bool:
-    """Whether a decoded JSON value has the shape a type hint names."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return any(_conforms(value, arg) for arg in args)
-    if origin in (list, tuple):
-        if type(value) is not list:
-            return False
-        if origin is tuple and args[-1] is not Ellipsis:
-            return len(value) == len(args) and all(
-                map(_conforms, value, args)
-            )
-        return all(_conforms(item, args[0]) for item in value)
-    if hint is float:  # finite: JSON also admits NaN, Infinity and 1e999
-        return (
-            type(value) in (int, float)
-            and abs(value) <= sys.float_info.max
-        )
-    return type(value) is hint  # so a bool is not an int
-
-
-def _checked(record: dict, shape: dict, where: str) -> dict:
-    """``record`` in ``shape``'s key order, once every key fits it."""
-    unknown = sorted(record.keys() - shape.keys() - {"record"})
-    if unknown:
-        raise CheckpointError(f"{where}: unknown key {unknown[0]!r}")
-    for key, hint in shape.items():
-        if key not in record:
-            if key not in _OPTIONAL:
-                raise CheckpointError(f"{where}: missing key {key!r}")
-        elif not _conforms(record[key], hint):
-            expected = hint.__name__ if isinstance(hint, type) else hint
-            raise CheckpointError(
-                f"{where}: key {key!r} is not of type {expected}"
-            )
-    return {key: record[key] for key in shape if key in record}
+def _record_fields(record: dict, shape: dict, where: str) -> dict:
+    """``record`` (bar its ``record`` kind) in ``shape``'s key order, once
+    every key fits it."""
+    body = {key: value for key, value in record.items() if key != "record"}
+    return checked(body, shape, where, CheckpointError, shape.keys() - _OPTIONAL)
 
 
 def _encode_merged(payload: dict) -> dict:
@@ -190,7 +158,7 @@ def _encode_merged(payload: dict) -> dict:
 
 def _decode_merged(encoded: dict, where: str) -> dict:
     """Inverse of :func:`_encode_merged`."""
-    payload = _checked(encoded, _MERGED, where)
+    payload = _record_fields(encoded, _MERGED, where)
     try:
         raw = base64.b64decode(payload["counts"].encode("ascii"), validate=True)
         payload["counts"] = [int(v) for v in np.frombuffer(raw, dtype="<i8")]
@@ -299,7 +267,7 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointState:
             f"{path}: checkpoint version {meta.get('version')} is not "
             f"supported (expected {CHECKPOINT_VERSION})"
         )
-    state = CheckpointState(**_checked(meta, _META, where))
+    state = CheckpointState(**_record_fields(meta, _META, where))
     targets_shape = get_type_hints(MetricTargets)
     del targets_shape["name"]  # the metric record carries it
     seen = set()
@@ -307,7 +275,7 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointState:
         kind = record["record"]
         if kind not in _SHAPES:
             raise CheckpointError(f"{where}: unknown record type")
-        body = _checked(record, _SHAPES[kind], where)
+        body = _record_fields(record, _SHAPES[kind], where)
         identity = (kind, body.get("name", body.get("slave_id")))
         if identity in seen:
             raise CheckpointError(f"{where}: recorded twice")
@@ -319,13 +287,13 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointState:
                 BinScheme(*scheme)
             except HistogramError as error:
                 raise CheckpointError(f"{where}: {error}") from error
-            state.targets[name] = _checked(
-                body["targets"], targets_shape, f"{where}: targets"
+            state.targets[name] = _record_fields(
+                body["targets"], targets_shape, f"{where}.targets"
             )
-            merged = _decode_merged(body["merged"], f"{where}: merged")
+            merged = _decode_merged(body["merged"], f"{where}.merged")
             problem = validate_report_payload(merged, scheme)
             if problem is not None:
-                raise CheckpointError(f"{where}: merged: {problem}")
+                raise CheckpointError(f"{where}.merged: {problem}")
             state.merged[name] = merged
         elif kind == "slave":
             state.slaves.append(SlaveCheckpoint(**body))

@@ -13,14 +13,13 @@ detectable-corrupt entry, not a plausible wrong one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.sweep.spec import SweepError, canonical_json
+from repro.sweep.spec import SweepError, content_digest
 
 #: Bumped when the entry layout changes; old entries become misses.
 CACHE_FORMAT = 1
@@ -29,13 +28,6 @@ CACHE_FORMAT = 1
 class CacheError(SweepError):
     """Raised for unusable cache roots (not for bad entries — those
     are recomputed)."""
-
-
-def payload_checksum(payload: dict) -> str:
-    """Checksum over the canonical payload form."""
-    return hashlib.blake2b(
-        canonical_json(payload).encode(), digest_size=16
-    ).hexdigest()
 
 
 class SweepCache:
@@ -86,7 +78,7 @@ class SweepCache:
             if (
                 entry["format"] != CACHE_FORMAT
                 or entry["digest"] != digest
-                or entry["checksum"] != payload_checksum(entry["payload"])
+                or entry["checksum"] != content_digest(entry["payload"])
             ):
                 raise ValueError("verification failed")
             payload = entry["payload"]
@@ -106,7 +98,7 @@ class SweepCache:
         entry = {
             "format": CACHE_FORMAT,
             "digest": digest,
-            "checksum": payload_checksum(payload),
+            "checksum": content_digest(payload),
             "payload": payload,
         }
         handle, tmp_name = tempfile.mkstemp(

@@ -43,14 +43,24 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.engine.experiment import ENGINES
 from repro.faults.recovery import SeedLineage
+from repro.shape import checked
 
 #: Spec kinds a sweep may declare.
 POINT_KINDS = ("config", "factory", "task")
+
+#: The sections of a spec document and the keys of its ``[sweep]`` head
+#: (repro.shape hints), each the :class:`SweepSpec` field of its name.
+_SECTIONS = {"sweep": dict, "base": dict, "factory_kwargs": dict,
+             "axes": Dict[str, list], "grid": List[dict]}
+_HEAD = {"name": str, "kind": str, "seed": int, "max_events": Optional[int],
+         "factory": Optional[str], "engine": str}
 
 
 class SweepError(ValueError):
@@ -238,10 +248,9 @@ class SweepSpec:
             raise SweepError(
                 f"unknown sweep kind {self.kind!r}; expected {POINT_KINDS}"
             )
-        if self.engine not in ("event", "auto", "fastpath"):
+        if self.engine not in ENGINES:
             raise SweepError(
-                f"unknown engine {self.engine!r}; "
-                "expected 'event', 'auto', or 'fastpath'"
+                f"unknown engine {self.engine!r}; expected {ENGINES}"
             )
         if not self.name:
             raise SweepError("sweep needs a non-empty name")
@@ -251,18 +260,15 @@ class SweepSpec:
         if not self.axes and not self.grid:
             raise SweepError("sweep needs a non-empty 'axes' or 'grid'")
         for axis, values in self.axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise SweepError(
-                    f"axis {axis!r} must be a non-empty list, got {values!r}"
-                )
+            if not values:
+                raise SweepError(f"axis {axis!r} must be a non-empty list")
         if self.kind == "config":
             if self.factory is not None:
                 raise SweepError("'config' sweeps take 'base', not 'factory'")
             if not self.base:
                 raise SweepError("'config' sweeps need a 'base' document")
-        else:
-            if self.factory is None:
-                raise SweepError(f"{self.kind!r} sweeps need a 'factory'")
+        elif self.factory is None:
+            raise SweepError(f"{self.kind!r} sweeps need a 'factory'")
 
     # -- identity ------------------------------------------------------------
 
@@ -367,61 +373,29 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         """Build a spec from the plain form TOML/JSON files decode to."""
-        if not isinstance(data, dict) or "sweep" not in data:
-            raise SweepError("spec document needs a [sweep] section")
-        head = data["sweep"]
-        known = {"sweep", "base", "axes", "grid", "factory_kwargs"}
-        unknown = set(data) - known
-        if unknown:
-            raise SweepError(f"unknown spec section(s): {sorted(unknown)}")
-        head_known = {"name", "kind", "seed", "max_events", "factory",
-                      "engine"}
-        head_unknown = set(head) - head_known
-        if head_unknown:
-            raise SweepError(
-                f"unknown [sweep] key(s): {sorted(head_unknown)}"
-            )
-        return cls(
-            name=head.get("name", ""),
-            kind=head.get("kind", "config"),
-            seed=int(head.get("seed", 0)),
-            base=data.get("base", {}),
-            factory=head.get("factory"),
-            factory_kwargs=data.get("factory_kwargs", {}),
-            axes=data.get("axes", {}),
-            grid=tuple(data.get("grid", ())),
-            max_events=head.get("max_events"),
-            engine=head.get("engine", "event"),
-        )
+        sections = checked(data, _SECTIONS, "", SweepError, {"sweep"})
+        head = checked(sections.pop("sweep"), _HEAD, "sweep", SweepError, {"name"})
+        return cls(**head, **sections)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SweepSpec":
         """Read a spec from a ``.toml`` or ``.json`` file."""
         path = Path(path)
-        text = path.read_text()
+        form, decode = "JSON", json.loads
         if path.suffix.lower() == ".toml":
             try:
-                import tomllib
+                from tomllib import loads as decode
             except ImportError as error:  # Python < 3.11
                 raise SweepError(
                     "TOML specs need Python 3.11+ (tomllib); "
                     "use the JSON spec form instead"
                 ) from error
-            try:
-                data = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as error:
-                raise SweepError(f"{path}: invalid TOML: {error}") from error
-        else:
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as error:
-                raise SweepError(f"{path}: invalid JSON: {error}") from error
+            form = "TOML"
+        try:
+            data = decode(path.read_text())
+        except ValueError as error:  # not UTF-8, or not TOML/JSON
+            raise SweepError(f"{path}: invalid {form}: {error}") from error
         return cls.from_dict(data)
 
     def __len__(self) -> int:
-        if self.grid:
-            return len(self.grid)
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        return total
+        return len(self.grid) or math.prod(map(len, self.axes.values()))

@@ -162,33 +162,40 @@ SHORT_COUNTS = base64.b64encode(bytes(8 * 999)).decode("ascii")
 MALFORMED = {
     # A raw KeyError at the parent commit:
     "slave without seed": (
-        drop("slave", "seed"), "slave record: missing key 'seed'"),
+        drop("slave", "seed"), ":3: slave record.seed: required key missing"),
     "meta without chunk_size": (
-        drop("meta", "chunk_size"), "meta record: missing key 'chunk_size'"),
+        drop("meta", "chunk_size"),
+        ":1: meta record.chunk_size: required key missing"),
     "metric without merged": (
-        drop("metric", "merged"), "metric record: missing key 'merged'"),
+        drop("metric", "merged"),
+        ":2: metric record.merged: required key missing"),
     "dead without cause": (
-        drop("dead", "cause"), "dead record: missing key 'cause'"),
+        drop("dead", "cause"), ":6: dead record.cause: required key missing"),
     # Accepted at the parent commit:
     "counts not base64": (
-        put_merged("counts", "!!!"), "merged: undecodable"),
+        put_merged("counts", "!!!"), "metric record.merged: undecodable"),
     "chunks a string": (
-        put("slave", "chunks", "abc"), "slave record: key 'chunks'"),
+        put("slave", "chunks", "abc"),
+        ":3: slave record.chunks: expected a list, got 'abc'"),
     "one-element lineage entry": (
-        put("lineage", "seeds", [[7]]), "lineage record: key 'seeds'"),
+        put("lineage", "seeds", [[7]]),
+        ":7: lineage record.seeds[0]: expected a list of 3, got [7]"),
     # The rest of the shape:
     "counts shorter than bins": (
         put_merged("counts", SHORT_COUNTS),
-        "merged: expected 1000 bin counts, got 999"),
+        "metric record.merged: expected 1000 bin counts, got 999"),
     "fractional chunk quota": (
-        put("slave", "chunks", [400, 1.5]), "slave record: key 'chunks'"),
+        put("slave", "chunks", [400, 1.5]),
+        ":3: slave record.chunks[1]: expected an integer, got 1.5"),
     "unknown key": (
-        put("slave", "observed", 3), "slave record: unknown key 'observed'"),
+        put("slave", "observed", 3),
+        ":3: slave record.observed: unknown key; known: chunks, "),
     "bool for an int": (
         put("meta", "round", True),
-        "meta record: key 'round' is not of type int"),
+        ":1: meta record.round: expected an integer, got True"),
     "NaN moment": (
-        put_merged("sum", float("nan")), "merged: key 'sum'"),
+        put_merged("sum", float("nan")),
+        ":2: metric record.merged.sum: expected a number, got nan"),
     "extremum neither number nor inf": (
         put_merged("max_seen", "big"), "merged: undecodable"),
     "bin masses off count": (
@@ -200,7 +207,7 @@ MALFORMED = {
         "metric record: high (1.0) must exceed low (2.0)"),
     "targets missing a key": (
         lambda records: record_of(records, "metric")["targets"].pop("confidence"),
-        "targets: missing key 'confidence'"),
+        ":2: metric record.targets.confidence: required key missing"),
     # Across records:
     "slave recorded twice": (
         lambda records: records.insert(3, dict(records[2])),

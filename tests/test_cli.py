@@ -67,6 +67,18 @@ class TestRun:
         path.write_text(json.dumps(config))
         assert main(["run", str(path), "--max-events", "10000"]) == 3
 
+    def test_engine_choices_are_the_engine_list(self):
+        # cli.py spells the choices out so that building the parser
+        # imports no engine module; they must still be the one list.
+        from repro.cli import build_parser
+        from repro.engine.experiment import ENGINES
+
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (engine,) = [
+            a for a in commands.choices["run"]._actions if a.dest == "engine"
+        ]
+        assert engine.choices == ENGINES
+
 
 class TestCharacterize:
     def test_distills_trace(self, tmp_path, capsys):

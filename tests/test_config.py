@@ -429,6 +429,8 @@ MALFORMED = [
                    "service": EXPONENTIAL}}, "workload.interarrival.cv"),
     ({"workload": {"interarrival": dict(EXPONENTIAL, mean=1.0),
                    "service": EXPONENTIAL}}, "workload.interarrival"),
+    # Not a finite number: the run used to die mid-way in the histogram.
+    ({"servers": {"speed": float("nan")}}, "servers.speed"),
 ]
 
 
@@ -500,13 +502,16 @@ def at(document, path):
 
 
 @st.composite
-def mutated_documents(draw):
-    document = copy.deepcopy(draw(st.sampled_from([SERVERS_DOC, CLUSTER_DOC])))
+def mutated_documents(draw, documents=(SERVERS_DOC, CLUSTER_DOC),
+                      new_keys=NEW_KEYS):
+    """One of ``documents`` with a key dropped, added or swapped for
+    junk, or a value nested wrongly (tests/test_sweep.py reuses it)."""
+    document = copy.deepcopy(draw(st.sampled_from(list(documents))))
     holder = at(document, draw(st.sampled_from(list(containers(document)))))
     keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
     what = draw(st.sampled_from(["drop", "add", "swap", "nest"]))
     if what == "add" and isinstance(holder, dict):
-        holder[draw(st.sampled_from(NEW_KEYS))] = draw(st.sampled_from(JUNK))
+        holder[draw(st.sampled_from(new_keys))] = draw(st.sampled_from(JUNK))
     elif what == "add":
         holder.append(draw(st.sampled_from(JUNK)))
     elif keys:

@@ -1,8 +1,15 @@
 """Tests for the sweep engine: spec, runner backends, and the pool."""
 
+import json
+import tomllib
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from tests import sweep_factories
+from tests.test_config import mutated_documents
+from repro.cli import main as repro_main
 from repro.faults import FaultPlan, RespawnPolicy
 from repro.faults.recovery import derive_seed
 from repro.observability import Tracer
@@ -119,12 +126,100 @@ class TestSweepSpec:
     def test_unknown_sections_rejected(self):
         data = task_spec().to_dict()
         data["extra"] = {}
-        with pytest.raises(SweepError, match="unknown spec section"):
+        with pytest.raises(SweepError, match="^extra: unknown key"):
             SweepSpec.from_dict(data)
         data.pop("extra")
         data["sweep"]["bogus"] = 1
-        with pytest.raises(SweepError, match=r"unknown \[sweep\] key"):
+        with pytest.raises(SweepError, match=r"^sweep\.bogus: unknown key"):
             SweepSpec.from_dict(data)
+
+
+# -- the spec document as input from outside ----------------------------------
+
+SPEC_DOC = task_spec().to_dict()
+
+
+def spec_doc(head=(), **sections):
+    """SPEC_DOC with ``head`` keys and ``sections`` overlaid; a None
+    value drops the key."""
+    document = {**SPEC_DOC, "sweep": {**SPEC_DOC["sweep"], **dict(head)},
+                **sections}
+    if isinstance(document["sweep"], dict):
+        document["sweep"] = {
+            key: value for key, value in document["sweep"].items()
+            if value is not None
+        }
+    return {key: value for key, value in document.items() if value is not None}
+
+
+#: (spec document, the key path its refusal must start with).
+MALFORMED = [
+    (spec_doc({"seed": 7.9}), "sweep.seed"),  # was truncated to 7
+    (spec_doc({"seed": True}), "sweep.seed"),  # was taken as 1
+    (spec_doc({"max_events": "1e6"}), "sweep.max_events"),
+    (spec_doc({"name": 5}), "sweep.name"),
+    (spec_doc({"name": None}), "sweep.name"),
+    (spec_doc({"bogus": 1}), "sweep.bogus"),
+    (spec_doc(sweep="abc"), "sweep"),  # was "unknown [sweep] key(s): ['a', …"
+    (spec_doc(sweep=None), "sweep"),
+    (spec_doc(extra={}), "extra"),
+    (spec_doc(axes=None, grid={"x": 1}), "grid"),  # [grid], not [[grid]]
+    (spec_doc(axes=None, grid=[{"x": 1}, 3]), "grid[1]"),
+    (spec_doc(axes=[1]), "axes"),  # was a raw AttributeError
+    (spec_doc(axes={"x": 3}), "axes.x"),
+    (spec_doc(factory_kwargs=[]), "factory_kwargs"),
+]
+
+
+class TestSpecDocument:
+    def test_reference_document_loads(self):
+        assert SweepSpec.from_dict(spec_doc()).digest() == task_spec().digest()
+
+    @pytest.mark.parametrize("document, where", MALFORMED)
+    def test_malformed_spec_is_a_sweep_error(self, document, where):
+        with pytest.raises(SweepError) as refusal:
+            SweepSpec.from_dict(document)
+        assert str(refusal.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize("document, where", MALFORMED)
+    def test_malformed_spec_through_the_cli(
+        self, document, where, tmp_path, capsys
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        assert repro_main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sweep: cannot load {path}: {where}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_undecodable_spec_through_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "spec.toml"
+        path.write_bytes(b"\xff\xfe[sweep]")
+        assert repro_main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+SHIPPED_SPECS = [
+    tomllib.loads(path.read_text()) for path in sorted(
+        (Path(__file__).parents[1] / "examples" / "sweeps").glob("*.toml")
+    )
+]
+SPEC_KEYS = ["sweep", "grid", "axes", "name", "seed", "kind", "x"]
+
+
+class TestSpecFuzz:
+    # The moves of test_config.TestFuzz over the shipped specs; the
+    # per-example deadline is the time box.
+    @settings(max_examples=300, deadline=2000, derandomize=True)
+    @given(document=mutated_documents(SHIPPED_SPECS, SPEC_KEYS))
+    def test_mutated_spec_is_refused_or_enumerates(self, document):
+        try:
+            spec = SweepSpec.from_dict(document)
+            assert len(spec.points()) == len(spec)
+            spec.digest()
+        except SweepError:
+            return
 
 
 class TestRunPoint:

@@ -167,6 +167,20 @@ class TestSweepCache:
         assert cache.get(digest) is None
         assert cache.corrupt == 1
 
+    def test_entry_checksum_is_pinned(self, tmp_path):
+        # An entry as written before the checksum became content_digest:
+        # its bytes must still verify, or every existing cache goes cold.
+        payload = {"task": {"seed": 7, "value": 4.0}, "point_digest": "abc",
+                   "converged": True, "metrics": None}
+        cache = SweepCache(tmp_path)
+        digest = content_digest({"point": 4})
+        cache.path(digest).parent.mkdir(parents=True)
+        cache.path(digest).write_text(json.dumps({
+            "format": CACHE_FORMAT, "digest": digest,
+            "checksum": "cd34e6118d7901c195688fa9ed9a02b7", "payload": payload,
+        }))
+        assert cache.get(digest) == payload and cache.hits == 1
+
     def test_evict(self, tmp_path):
         cache = SweepCache(tmp_path)
         digest = content_digest({"point": 3})
