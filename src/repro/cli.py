@@ -83,21 +83,11 @@ def _build_supervision(args):
     )
 
 
-def _wrap_net_chaos(transport, args):
-    """Wrap a started remote transport per --net-chaos, if requested."""
-    if not args.net_chaos:
-        return transport
-    from repro.faults import NetFaultPlan
-    from repro.parallel.chaos import ChaosTransport
-
-    return ChaosTransport(transport, NetFaultPlan.load(args.net_chaos))
-
-
 #: ``(flag, what it needs)`` for the flags ``run`` and ``sweep`` share.
 _FLEET_FLAG_NEEDS = tuple(
     (flag, "--backend remote") for flag in (
         "--listen", "--transport-key", "--heartbeat-interval",
-        "--heartbeat-misses", "--join-timeout", "--net-chaos",
+        "--heartbeat-misses", "--join-timeout",
     )
 ) + (("--backend remote", "--listen"), ("--max-restarts", "--respawn"))
 
@@ -107,8 +97,8 @@ _FLAG_NEEDS = {
         (flag, "--parallel") for flag in (
             "--backend", "--round-timeout", "--join-timeout",
             "--checkpoint-interval", "--chaos", "--respawn",
-            "--checkpoint", "--resume", "--net-chaos", "--min-workers",
-            "--deadline", "--on-degrade",
+            "--checkpoint", "--resume", "--min-workers", "--deadline",
+            "--on-degrade",
         )
     ) + _FLEET_FLAG_NEEDS + (("--checkpoint-interval", "--checkpoint"),),
     "sweep": _FLEET_FLAG_NEEDS + (("--jobs", "--backend pool or remote"),),
@@ -138,12 +128,23 @@ def _misused_flag(args):
 
 
 def _build_fault_options(args):
-    """``(fault_plan, respawn)`` from --chaos/--respawn/--max-restarts."""
+    """``(fault_plan, respawn)`` from --chaos/--respawn/--max-restarts,
+    or None after saying on one line why the plan is refused: it does
+    not load, or it holds frame kinds and there is no wire to act on."""
     fault_plan = respawn = None
     if args.chaos:
-        from repro.faults import FaultPlan
+        from repro.faults import FaultError, FaultPlan
 
-        fault_plan = FaultPlan.load(args.chaos)
+        try:
+            fault_plan = FaultPlan.load(args.chaos)
+            if fault_plan.frame_kinds and args.backend != "remote":
+                raise FaultError(
+                    f"frame faults ({', '.join(fault_plan.frame_kinds)}) "
+                    "need --backend remote"
+                )
+        except (OSError, FaultError) as error:
+            print(f"{args.command}: --chaos: {error}", file=sys.stderr)
+            return None
     if args.respawn:
         from repro.faults import RespawnPolicy
 
@@ -236,13 +237,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     if config is None:
         return 2
+    fault_options = _build_fault_options(args)
+    if fault_options is None:
+        return 2
+    fault_plan, respawn = fault_options
     tracer, progress = _make_observability(args)
     transport = None
     try:
         if args.parallel:
             from repro.parallel.master import ParallelSimulation
 
-            fault_plan, respawn = _build_fault_options(args)
             if args.backend == "remote":
                 transport = _start_remote_transport(args)
             simulation = ParallelSimulation(
@@ -257,7 +261,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 fault_plan=fault_plan,
                 checkpoint_path=args.checkpoint,
                 checkpoint_interval=args.checkpoint_interval,
-                transport=_wrap_net_chaos(transport, args),
+                transport=transport,
                 join_timeout=args.join_timeout,
             )
             if tracer is not None:
@@ -415,7 +419,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if misuse is not None:
         print(misuse, file=sys.stderr)
         return 2
-    fault_plan, respawn = _build_fault_options(args)
+    fault_options = _build_fault_options(args)
+    if fault_options is None:
+        return 2
+    fault_plan, respawn = fault_options
     tracer, progress = _make_observability(args)
 
     def on_point(point):
@@ -442,7 +449,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         supervision=_build_supervision(args),
         job_timeout=args.point_timeout,
-        transport=_wrap_net_chaos(transport, args),
+        transport=transport,
         join_timeout=args.join_timeout,
         tracer=tracer,
         on_point=on_point,
@@ -543,16 +550,7 @@ def _add_listen_args(parser) -> None:
 
 
 def _add_robustness_args(parser, deadline_help: str) -> None:
-    """Flags shared by run/sweep: net chaos, liveness, fleet policy."""
-    parser.add_argument(
-        "--net-chaos", metavar="PLAN", default=None,
-        help=(
-            "inject a seeded network fault plan (delay/drop/duplicate/"
-            "corrupt/partition/agent_crash) at the frame boundary; a "
-            "JSON path or inline JSON (--backend remote only, see "
-            "docs/robustness.md)"
-        ),
-    )
+    """Flags shared by run/sweep: liveness, fleet policy."""
     parser.add_argument(
         "--heartbeat-interval", type=float, metavar="SECONDS",
         default=None,
@@ -679,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "inject a fault plan into a --parallel run: a JSON file "
-            "path or inline JSON (see docs/robustness.md)"
+            "path or inline JSON; its frame kinds need --backend "
+            "remote (see docs/robustness.md)"
         ),
     )
     run.add_argument(
@@ -818,7 +817,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--chaos", metavar="PLAN", default=None,
-        help="inject a fault plan into the pool workers (JSON path or inline)",
+        help=(
+            "inject a fault plan into the pool workers (JSON path or "
+            "inline); its frame kinds need --backend remote"
+        ),
     )
     sweep.add_argument(
         "--respawn", action="store_true",

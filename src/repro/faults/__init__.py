@@ -4,17 +4,18 @@ BigHouse's headline scaling result rests on the master/slave protocol
 surviving long multi-machine runs; this package makes mid-run failure a
 first-class, *testable* input instead of an operational surprise:
 
-- :mod:`~repro.faults.plan` — :class:`FaultPlan`, a seeded,
-  deterministic schedule of injected failures (kill a slave at round N,
-  hang its pipe, drop or corrupt a report) so chaos runs replay
-  bit-identically under the determinism sanitizer;
+- :mod:`~repro.faults.plan` — :class:`FaultPlan`, one deterministic
+  schedule of injected failures so chaos runs replay bit-identically.
+  Its worker kinds break a worker (kill it at round N, hang it, drop or
+  corrupt its report); its frame kinds break the wire to it (delay,
+  drop, duplicate or corrupt a frame, partition the link, crash the
+  agent).  A run takes the one plan through ``fault_plan=`` (CLI:
+  ``--chaos``) and routes each kind itself;
 - :mod:`~repro.faults.injector` — the slave-side hook object that
-  executes a plan inside the slave loop (real ``os._exit`` / sleeps in
-  a slave process; the serial backend's inline transport substitutes
-  its own exit and sleep, and the master cannot tell the difference);
-- :mod:`~repro.faults.netplan` — :class:`NetFaultPlan`, the network
-  sibling of FaultPlan: seeded frame-boundary faults (delay, drop,
-  duplicate, corrupt, half-open partition, agent crash) applied by
+  executes a plan's worker kinds inside the slave loop (real
+  ``os._exit`` / sleeps in a slave process; the serial backend's inline
+  transport substitutes its own exit and sleep, and the master cannot
+  tell the difference).  The frame kinds are applied by
   :class:`~repro.parallel.chaos.ChaosTransport`;
 - :mod:`~repro.faults.recovery` — :class:`RespawnPolicy` (exponential
   backoff + deterministic jitter, per-slave and total restart budgets),
@@ -36,7 +37,6 @@ from repro.faults.checkpoint import (
     write_checkpoint,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.netplan import NET_FAULT_KINDS, NetFaultPlan, NetFaultSpec
 from repro.faults.plan import FAULT_KINDS, FaultError, FaultPlan, FaultSpec
 from repro.faults.recovery import (
     RespawnPolicy,
@@ -49,15 +49,12 @@ from repro.faults.recovery import (
 
 __all__ = [
     "FAULT_KINDS",
-    "NET_FAULT_KINDS",
     "CheckpointError",
     "CheckpointState",
     "FaultError",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "NetFaultPlan",
-    "NetFaultSpec",
     "RespawnPolicy",
     "SeedLineage",
     "SupervisionError",

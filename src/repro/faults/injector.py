@@ -1,4 +1,4 @@
-"""FaultInjector: executes a fault plan inside the worker loop.
+"""FaultInjector: executes a fault plan's worker kinds inside the worker loop.
 
 The injector is the *only* piece of the fault subsystem that lives on
 the worker side of the protocol — the master's slave session and the

@@ -1,11 +1,13 @@
-"""ChaosTransport: seeded network-fault injection at the frame boundary.
+"""ChaosTransport: a fault plan's frame kinds, applied at the frame boundary.
 
-Wraps any framed transport (remote TCP or the in-memory fake) and
-applies a :class:`~repro.faults.netplan.NetFaultPlan` to the frames
+Wraps a framed transport (remote TCP or the in-memory fake) and applies
+the frame kinds of a :class:`~repro.faults.plan.FaultPlan` to the frames
 crossing it — delaying, dropping, duplicating, corrupting, partitioning,
 or tearing down connections exactly where the plan says, and nowhere
-else.  The wrapped transport is untouched for workers the plan does not
-target.
+else.  Nobody outside this package builds one: the master and the pool
+take the plan as ``fault_plan=`` and wrap their transport through
+:func:`with_frame_faults` when it holds frame kinds (its worker kinds
+go to the workers' injectors).
 
 Layering
 --------
@@ -41,7 +43,7 @@ import time
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from repro.faults.netplan import NetFaultPlan, NetFaultSpec
+from repro.faults.plan import FRAME_KINDS, FaultPlan, FaultSpec
 from repro.parallel.transport import (
     CLOSE_CORRUPT,
     FrameError,
@@ -49,6 +51,7 @@ from repro.parallel.transport import (
     Transport,
     TransportError,
     WorkerEndpoint,
+    _FramedTransport,
     is_sequenced,
 )
 
@@ -57,7 +60,7 @@ class ChaosEndpoint(WorkerEndpoint):
     """One worker endpoint with scheduled faults on its frame stream."""
 
     def __init__(self, inner: WorkerEndpoint,
-                 specs: Tuple[NetFaultSpec, ...], trace):
+                 specs: Tuple[FaultSpec, ...], trace):
         self.inner = inner
         self.worker_id = inner.worker_id
         self.generation = inner.generation
@@ -238,23 +241,24 @@ class ChaosEndpoint(WorkerEndpoint):
         return described
 
 
-def _inner(endpoint):
-    """The wrapped transport's own endpoint behind ``endpoint``."""
-    return endpoint.inner if isinstance(endpoint, ChaosEndpoint) else endpoint
-
-
 class ChaosTransport(Transport):
-    """A transport decorator applying a :class:`NetFaultPlan`.
+    """A transport decorator applying a plan's frame kinds.
 
-    Workers the plan targets get a :class:`ChaosEndpoint`; every framed
-    worker is wrapped (raw delivery + chaos-side dedup) so the dedup
-    path under test is identical for faulted and clean workers.
-    Spawning a *targeted* worker on a transport without a frame layer
-    (local pipes) raises :class:`TransportError` — silently skipping
-    scheduled faults would let a chaos run claim coverage it never had.
+    Every worker gets a :class:`ChaosEndpoint` (raw delivery +
+    chaos-side dedup), so the dedup path under test is identical for
+    faulted and clean workers.  Only a framed transport has the frame
+    layer the faults act on: any other is refused at construction, as
+    silently skipping scheduled faults would let a chaos run claim
+    coverage it never had.
     """
 
-    def __init__(self, inner: Transport, plan: NetFaultPlan):
+    def __init__(self, inner: Transport, plan: FaultPlan):
+        if not isinstance(inner, _FramedTransport):
+            raise TransportError(
+                f"frame faults ({', '.join(plan.frame_kinds)}) need the "
+                "remote or memory transport; transport "
+                f"{inner.kind!r} has no frame layer"
+            )
         super().__init__()
         self.inner = inner
         self.plan = plan
@@ -278,15 +282,8 @@ class ChaosTransport(Transport):
         endpoint = self.inner.spawn(
             worker_id, generation, entry, args, timeout=timeout
         )
-        specs = self.plan.for_worker(worker_id, generation)
-        if not endpoint.set_raw_delivery(True):
-            if specs:
-                raise TransportError(
-                    f"net fault plan targets worker {worker_id} but "
-                    f"transport {self.inner.kind!r} has no frame "
-                    "layer; use the remote or memory backend"
-                )
-            return endpoint
+        endpoint.set_raw_delivery(True)
+        specs = self.plan.for_slave(worker_id, generation, FRAME_KINDS)
         return ChaosEndpoint(endpoint, specs, self._trace)
 
     def wait(self, endpoints, timeout=None):
@@ -296,12 +293,9 @@ class ChaosTransport(Transport):
         while True:
             ready = []
             for endpoint in endpoints:
-                if isinstance(endpoint, ChaosEndpoint):
-                    endpoint._pump()
-                    endpoint._release_due()
-                    if endpoint._ready_now():
-                        ready.append(endpoint)
-                elif endpoint.poll(0):
+                endpoint._pump()
+                endpoint._release_due()
+                if endpoint._ready_now():
                     ready.append(endpoint)
             if ready:
                 return ready
@@ -311,16 +305,12 @@ class ChaosTransport(Transport):
                 if remaining <= 0:
                     return []
                 slices.append(remaining)
-            dues = [
-                endpoint._next_due()
-                for endpoint in endpoints
-                if isinstance(endpoint, ChaosEndpoint)
-            ]
+            dues = [endpoint._next_due() for endpoint in endpoints]
             dues = [due for due in dues if due is not None]
             if dues:
                 slices.append(max(min(dues) - time.monotonic(), 0.001))
             self.inner.wait(
-                [_inner(endpoint) for endpoint in endpoints],
+                [endpoint.inner for endpoint in endpoints],
                 timeout=min(slices) if slices else None,
             )
 
@@ -331,10 +321,20 @@ class ChaosTransport(Transport):
         return self.inner.wait_for_capacity(timeout)
 
     def reap(self, endpoint) -> None:
-        self.inner.reap(_inner(endpoint))
+        self.inner.reap(endpoint.inner)
 
     def shutdown(self, endpoints) -> None:
-        self.inner.shutdown([_inner(endpoint) for endpoint in endpoints])
+        self.inner.shutdown([endpoint.inner for endpoint in endpoints])
 
     def close(self) -> None:
         self.inner.close()
+
+
+def with_frame_faults(transport: Transport, plan: Optional[FaultPlan]):
+    """``transport``, or — when ``plan`` holds frame kinds — a
+    :class:`ChaosTransport` applying them around it.  Closing the
+    wrapper closes ``transport``; whoever owns that decides whether to.
+    """
+    if plan is None or not plan.frame_kinds:
+        return transport
+    return ChaosTransport(transport, plan)

@@ -35,9 +35,11 @@ dead slave's unreported quota, so a recovered run converges
 slave reported in earlier rounds stays valid.  Periodic checkpoints
 (:mod:`repro.faults.checkpoint`) record the merged state plus each
 slave's work log; ``run(resume_from=...)`` rebuilds slaves by replaying
-those logs, bit-for-bit.  A seeded
+those logs, bit-for-bit.  A
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
-for chaos testing on every backend.
+for chaos testing: its worker kinds on every backend, its frame kinds
+through a :class:`~repro.parallel.chaos.ChaosTransport` the master
+wraps around a framed transport.
 
 The experiment ``factory`` must be a callable ``factory(seed, **kwargs)
 -> Experiment`` that declares the same metrics every time.  For the
@@ -71,6 +73,7 @@ from repro.faults.recovery import (
     SupervisionPolicy,
     derive_seed,
 )
+from repro.parallel.chaos import with_frame_faults
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
     CAUSE_DEADLINE_EXCEEDED,
@@ -405,7 +408,12 @@ class ParallelSimulation:
         every slave is dead, flag any unreplaced death degraded.
     fault_plan:
         A :class:`~repro.faults.plan.FaultPlan` of injected failures
-        for chaos runs, or ``None``.
+        for chaos runs, or ``None``.  Worker kinds go to each slave's
+        fault injector; frame kinds need a framed ``transport`` (remote
+        or memory), which the run wraps in a
+        :class:`~repro.parallel.chaos.ChaosTransport` (on any other
+        backend the run raises
+        :class:`~repro.parallel.transport.TransportError`).
     checkpoint_path / checkpoint_interval:
         When ``checkpoint_path`` is set, an atomic resumable snapshot
         is written there every ``checkpoint_interval`` rounds; restore
@@ -526,7 +534,9 @@ class ParallelSimulation:
             self._tracer.event(name, component=component, **fields)
 
     def _trace_scheduled_faults(self, round_number: int) -> None:
-        """Emit the plan's entries for this round (chaos audit trail)."""
+        """Emit the plan's worker-kind entries for this round (chaos
+        audit trail; a frame kind is traced as ``transport/net_fault``
+        when it fires)."""
         if self.fault_plan is None or self._tracer is None:
             return
         for spec in self.fault_plan.at_round(round_number):
@@ -535,7 +545,7 @@ class ParallelSimulation:
                 component="faults",
                 slave=spec.slave_id,
                 round=spec.round,
-                kind=spec.kind,
+                fault=spec.kind,
                 generation=spec.generation,
                 phase=spec.phase,
             )
@@ -893,6 +903,7 @@ class ParallelSimulation:
             transport = _InlineTransport(self.round_timeout)
         else:
             transport = self.transport or LocalPipeTransport("fork")
+        transport = with_frame_faults(transport, self.fault_plan)
         if self._tracer is not None:
             transport.attach_tracer(self._tracer)
         transport.start()

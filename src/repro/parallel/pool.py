@@ -40,12 +40,13 @@ the scheduling loop — a condemned worker is given a *due time* which is
 folded into the collection turn's wake-up, and healthy workers keep
 reporting while a replacement waits out its backoff.  Due times and
 job deadlines are read on the transport's clock, which the inline
-transport moves on instead of sleeping.  A seeded
+transport moves on instead of sleeping.  A
 :class:`~repro.faults.plan.FaultPlan` injects deterministic failures
-for chaos tests, executed worker-side by the same
-:class:`~repro.faults.injector.FaultInjector` as a master slave's;
-``round`` in a spec addresses the n-th configure of one worker
-incarnation (1-based).
+for chaos tests: its worker kinds executed worker-side by the same
+:class:`~repro.faults.injector.FaultInjector` as a master slave's
+(``round`` addresses the n-th configure of one worker incarnation), its
+frame kinds by a :class:`~repro.parallel.chaos.ChaosTransport` the pool
+wraps around a framed transport.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.faults.recovery import (
     SupervisionPolicy,
     derive_seed,
 )
+from repro.parallel.chaos import with_frame_faults
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
     CAUSE_DEADLINE_EXCEEDED,
@@ -208,8 +210,11 @@ class WorkerPool:
         is enforced as a per-worker *due time* folded into the wait
         loop, never as a sleep that stalls healthy workers.
     fault_plan:
-        Injected failures for chaos runs; specs address
-        ``(worker id, generation, n-th configure)``.
+        Injected failures for chaos runs.  Worker kinds address
+        ``(worker id, generation, n-th configure)``; frame kinds need a
+        framed ``transport`` (remote or memory), which the pool wraps in
+        a :class:`~repro.parallel.chaos.ChaosTransport` (on any other it
+        raises :class:`~repro.parallel.transport.TransportError`).
     supervision:
         A :class:`~repro.faults.recovery.SupervisionPolicy` for the
         sweep: a fleet floor (counting live workers, scheduled
@@ -269,7 +274,9 @@ class WorkerPool:
         self.validate = validate
         self.tracer = tracer
         self._owns_transport = transport is None
-        self.transport = transport or LocalPipeTransport(context)
+        self.transport = with_frame_faults(
+            transport or LocalPipeTransport(context), fault_plan
+        )
         self.join_timeout = join_timeout
         if tracer is not None:
             self.transport.attach_tracer(tracer)

@@ -468,52 +468,6 @@ class WorkerEndpoint:
         """Trace-friendly description of the far end."""
         raise NotImplementedError
 
-    # -- frame-level hooks (chaos / retry layers) ---------------------------
-    #
-    # ``send`` is ``send_frame(stamp(message))``.  The split exists so a
-    # wrapping layer (ChaosTransport) can stamp a message once and send
-    # the *same* stamped frame twice — exercising receiver-side dedup —
-    # or hold a stamped frame back and deliver it late.  Transports
-    # without wire framing (local pipes) pass messages through
-    # unstamped; ``FrameSequencer.accept`` is a no-op on those.
-
-    def stamp(self, message: object) -> object:
-        """Wrap one outbound message under the next sequence number."""
-        return message
-
-    def send_frame(self, frame: object) -> None:
-        """Send one already-stamped frame verbatim."""
-        self.send(frame)
-
-    def recv_raw(self) -> object:
-        """Receive one frame *without* sequence unwrap/dedup."""
-        return self.recv()
-
-    def set_raw_delivery(self, raw: bool) -> bool:
-        """Route inbound frames to :meth:`recv_raw` undeduplicated.
-
-        Returns False when the transport has no frame layer to expose
-        (local pipes); the caller then skips frame-level faults.
-        """
-        return False
-
-    def set_partition(self, direction: str) -> bool:
-        """Silently blackhole one direction (``"in"`` = worker->master,
-        ``"out"`` = master->worker) *below* the heartbeat layer, so
-        liveness monitoring genuinely detects the half-open link.
-        Returns False when unsupported.
-        """
-        return False
-
-    def inject_close(self, reason: Optional[str] = None) -> bool:
-        """Tear the connection down as an injected fault would.
-
-        ``reason`` becomes the channel close reason (``None`` = plain
-        EOF, like a crashed agent process).  Returns False when
-        unsupported.
-        """
-        return False
-
 
 class Transport:
     """Factory + multiplexer for :class:`WorkerEndpoint` channels."""
@@ -959,7 +913,15 @@ class _FramedChannel:
 
 
 class FramedEndpoint(WorkerEndpoint):
-    """One worker incarnation behind a :class:`_FramedChannel`."""
+    """One worker incarnation behind a :class:`_FramedChannel`.
+
+    Beyond the endpoint surface it has the frame-level hooks a
+    :class:`~repro.parallel.chaos.ChaosTransport` injects faults
+    through.  ``send`` is ``send_frame(stamp(message))``: the split lets
+    the chaos layer stamp a message once and send the *same* stamped
+    frame twice — exercising receiver-side dedup — or hold a stamped
+    frame back and deliver it late.
+    """
 
     def __init__(self, channel: _FramedChannel, worker_id, generation):
         self.channel = channel
@@ -968,9 +930,11 @@ class FramedEndpoint(WorkerEndpoint):
         self._out_sequencer = FrameSequencer()
 
     def stamp(self, message: object) -> object:
+        """Wrap one outbound message under the next sequence number."""
         return self._out_sequencer.stamp(message)
 
     def send_frame(self, frame: object) -> None:
+        """Send one already-stamped frame verbatim."""
         if self.channel.closed:
             raise BrokenPipeError(
                 self.channel.closed_text.format(self.worker_id)
@@ -984,6 +948,7 @@ class FramedEndpoint(WorkerEndpoint):
         return self.recv_raw()
 
     def recv_raw(self) -> object:
+        """Receive one frame; undeduplicated under raw delivery."""
         channel = self.channel
         with channel.cond:
             channel.cond.wait_for(channel.ready)
@@ -995,23 +960,28 @@ class FramedEndpoint(WorkerEndpoint):
         with self.channel.cond:
             return self.channel.cond.wait_for(self.channel.ready, timeout)
 
-    def set_raw_delivery(self, raw: bool) -> bool:
+    def set_raw_delivery(self, raw: bool) -> None:
+        """Leave inbound frames undeduplicated, for a layer that
+        dedups after injecting its faults."""
         with self.channel.cond:
             self.channel.dedup = not raw
-        return True
 
-    def set_partition(self, direction: str) -> bool:
+    def set_partition(self, direction: str) -> None:
+        """Silently blackhole one direction (``"in"`` = worker->master,
+        ``"out"`` = master->worker) *below* the heartbeat layer, so
+        liveness monitoring genuinely detects the half-open link."""
         with self.channel.cond:
             if direction == "in":
                 self.channel.blackhole_in = True
             else:
                 self.channel.blackhole_out = True
-        return True
 
-    def inject_close(self, reason: Optional[str] = None) -> bool:
+    def inject_close(self, reason: Optional[str] = None) -> None:
+        """Tear the connection down as an injected fault would;
+        ``reason`` becomes the close reason (``None`` = plain EOF, like
+        a crashed agent process)."""
         self.channel.mark_closed(reason)
         self.channel.teardown()
-        return True
 
     def close(self) -> None:
         self.channel.teardown()

@@ -245,21 +245,32 @@ class TestRunObservability:
         assert validate_main([str(trace_path)]) == 1
 
 
+#: A plan of frame kinds: it acts on the wire, so only a remote fleet.
+FRAME_PLAN = '{"faults": [{"kind": "drop", "slave_id": 0, "round": 1}]}'
+
+
 class TestRobustnessFlags:
     def test_net_chaos_requires_parallel(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(
-            ["run", str(config), "--net-chaos", "{}"]
+            ["run", str(config), "--chaos", FRAME_PLAN]
         ) == 2
-        assert "--parallel" in capsys.readouterr().err
+        assert capsys.readouterr().err == "--chaos requires --parallel\n"
 
     def test_net_chaos_requires_remote_backend(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        assert main([
-            "run", str(config), "--parallel", "2",
-            "--backend", "process", "--net-chaos", "{}",
-        ]) == 2
-        assert "remote" in capsys.readouterr().err
+        spec = write_task_spec(tmp_path)
+        for argv in (
+            ["run", str(config), "--parallel", "2", "--backend", "process"],
+            ["run", str(config), "--parallel", "2"],
+            ["sweep", str(spec)],
+            ["sweep", str(spec), "--backend", "serial"],
+        ):
+            assert main(argv + ["--chaos", FRAME_PLAN]) == 2
+            assert capsys.readouterr().err == (
+                f"{argv[0]}: --chaos: frame faults (drop) need "
+                "--backend remote\n"
+            )
 
     def test_supervision_flags_require_parallel(self, tmp_path, capsys):
         config = write_config(tmp_path)

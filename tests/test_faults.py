@@ -7,10 +7,13 @@ cause-code attribution, recovery to ``degraded=False``, serial/process
 chaos equivalence, and bit-for-bit checkpoint resume.
 """
 
+import io
+import json
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from repro.faults import (
     CheckpointError,
@@ -39,6 +42,7 @@ from repro.parallel.transport import (
     _serve_session,
     disconnect_cause,
 )
+from tests.test_config import mutated_documents
 
 
 def factory(seed, load=0.6, accuracy=0.05):
@@ -81,7 +85,7 @@ class TestFaultSpec:
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(FaultError, match="unknown FaultSpec key"):
+        with pytest.raises(FaultError, match="^severity: unknown key"):
             FaultSpec.from_dict({"kind": "kill", "severity": 9})
 
 
@@ -100,19 +104,6 @@ class TestFaultPlan:
         assert [s.round for s in plan.for_slave(1, 0)] == [1]
         assert [s.round for s in plan.for_slave(1, 1)] == [2]
         assert plan.for_slave(3) == ()
-
-    def test_random_is_seeded(self):
-        a = FaultPlan.random(seed=5, n_slaves=4, max_round=6, n_faults=3)
-        b = FaultPlan.random(seed=5, n_slaves=4, max_round=6, n_faults=3)
-        assert a.specs == b.specs
-        assert len(a) == 3
-
-    def test_random_raises_instead_of_underdelivering(self):
-        # One slave x one round x one kind is a single slot; asking for
-        # two faults must fail loudly, not silently yield a 1-spec plan.
-        with pytest.raises(FaultError, match="could not place"):
-            FaultPlan.random(seed=0, n_slaves=1, max_round=1,
-                             n_faults=2, kinds=("kill",))
 
     def test_drop_report_conflicts_with_post_report_kill(self):
         # drop_report suppresses the send a post_report kill fires
@@ -136,9 +127,130 @@ class TestFaultPlan:
         )
         assert plan.specs[0].kind == "hang"
 
-    def test_load_rejects_garbage(self):
+    def test_load_rejects_garbage(self, tmp_path):
         with pytest.raises(FaultError, match="invalid fault-plan JSON"):
             FaultPlan.load("{not json")
+        with pytest.raises(FaultError, match="invalid fault-plan JSON"):
+            FaultPlan.load('{"faults": [], "seed": ' + "9" * 5000 + "}")
+        path = tmp_path / "plan.json"
+        path.write_bytes(b'{"faults": ["\xff"]}')
+        with pytest.raises(FaultError, match="invalid fault-plan JSON"):
+            FaultPlan.load(path)
+
+
+#: Every ``--chaos`` plan CI (.github/workflows/ci.yml) and the docs
+#: run, with the specs the reader gave before worker and frame faults
+#: were one plan (``worker_id`` then named ``slave_id``).
+SHIPPED_PLANS = [
+    ({"faults": [{"kind": "kill", "slave_id": 0, "round": 1,
+                  "phase": "pre_run"}]},
+     [{"kind": "kill", "slave_id": 0, "round": 1, "generation": 0,
+       "phase": "pre_run", "delay": 3600.0}]),
+    ({"faults": [{"kind": "kill", "slave_id": 1, "round": 1}]},
+     [{"kind": "kill", "slave_id": 1, "round": 1, "generation": 0,
+       "phase": "pre_report", "delay": 3600.0}]),
+    ({"faults": []}, []),
+    ({"faults": [
+        {"kind": "duplicate", "slave_id": 0, "round": 1, "direction": "in"},
+        {"kind": "duplicate", "slave_id": 1, "round": 1, "direction": "out"},
+        {"kind": "delay", "slave_id": 1, "round": 1, "direction": "in",
+         "delay": 0.3},
+    ]},
+     [{"kind": "duplicate", "slave_id": 0, "round": 1, "generation": 0,
+       "direction": "in", "delay": 0.5},
+      {"kind": "duplicate", "slave_id": 1, "round": 1, "generation": 0,
+       "direction": "out", "delay": 0.5},
+      {"kind": "delay", "slave_id": 1, "round": 1, "generation": 0,
+       "direction": "in", "delay": 0.3}]),
+    ({"faults": [{"kind": "partition", "slave_id": 1, "round": 1,
+                  "direction": "in"}]},
+     [{"kind": "partition", "slave_id": 1, "round": 1, "generation": 0,
+       "direction": "in", "delay": 0.5}]),
+]
+
+#: (plan document, the key path its refusal must start with).
+MALFORMED = [
+    ({"faults": [{"kind": "kill", "slave_id": True, "round": 1}]},
+     "faults[0].slave_id"),
+    ({"faults": [{"kind": "kill", "slave_id": 1, "round": 2.9}]},
+     "faults[0].round"),
+    ({"faults": [{"kind": "hang", "delay": "nan"}]}, "faults[0].delay"),
+    ({"faults": [{"kind": "hang", "delay": "1e999"}]}, "faults[0].delay"),
+    ({"faults": [{"kind": "hang", "delay": float("nan")}]},
+     "faults[0].delay"),
+    ({"faults": [{"kind": "delay", "delay": float("inf")}]},
+     "faults[0].delay"),
+    ({"faults": [{"kind": "delay", "delay": 0}]}, "faults[0].delay"),
+    ({"faults": [], "severity": 9}, "severity"),
+    ({"faults": [], "seed": "x"}, "seed"),
+    ({"faults": [1]}, "faults[0]"),
+    ({"faults": None}, "faults"),
+    ({}, "faults"),
+    ({"net_faults": []}, "net_faults"),
+    ([], "document"),
+    ({"faults": [{"slave_id": 0}]}, "faults[0].kind"),
+    ({"faults": [{"kind": "meteor"}]}, "faults[0].kind"),
+    ({"faults": [{"kind": "kill", "round": 0}]}, "faults[0].round"),
+    ({"faults": [{"kind": "drop", "worker_id": 0}]}, "faults[0].worker_id"),
+    # Each field belongs to its kinds.
+    ({"faults": [{"kind": "kill", "direction": "in"}]},
+     "faults[0].direction"),
+    ({"faults": [{"kind": "drop", "phase": "pre_run"}]}, "faults[0].phase"),
+    ({"faults": [{"kind": "corrupt", "direction": "out"}]},
+     "faults[0].direction"),
+    ({"faults": [{"kind": "drop"}, {"kind": "delay"}]}, "faults[1]"),
+    ({"faults": [{"kind": "kill"}, {"kind": "kill", "phase": "pre_run"}]},
+     "faults[1]"),
+]
+
+
+class TestPlanDocuments:
+    @pytest.mark.parametrize("document, specs", SHIPPED_PLANS)
+    def test_shipped_plans_load_unchanged(self, document, specs):
+        plan = FaultPlan.from_dict(document)
+        assert [spec.to_dict() for spec in plan] == specs
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+    @pytest.mark.parametrize("document, where", MALFORMED)
+    def test_malformed_plan_is_a_fault_error(self, document, where):
+        with pytest.raises(FaultError) as refusal:
+            FaultPlan.from_dict(document)
+        assert str(refusal.value).startswith(f"{where}:")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_malformed_plan_through_the_cli(self, command, tmp_path, capsys):
+        from repro.cli import main
+        from tests.test_cli import write_config, write_task_spec
+
+        target = (write_config(tmp_path) if command == "run"
+                  else write_task_spec(tmp_path))
+        path = tmp_path / "plan.json"
+        for document, where in MALFORMED:
+            path.write_text(json.dumps(document))
+            argv = [command, str(target), "--chaos", str(path)]
+            if command == "run":
+                argv += ["--parallel", "2"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{command}: --chaos: {where}:")
+            assert captured.err.count("\n") == 1
+
+    # A builder that stalls on some document fails on the deadline
+    # instead of hanging the suite.
+    @settings(max_examples=300, deadline=2000, derandomize=True)
+    @given(document=mutated_documents(
+        documents=[document for document, specs in SHIPPED_PLANS if specs],
+        new_keys=["worker_id", "phase", "direction", "delay", "seed",
+                  "faults", "net_faults", "x"],
+    ))
+    def test_mutated_plan_loads_or_is_refused(self, document):
+        try:
+            plan = FaultPlan.from_dict(document)
+        except FaultError:
+            return
+        assert isinstance(plan, FaultPlan)
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
 # -- injector -----------------------------------------------------------------
@@ -446,6 +558,24 @@ class TestDegradedChaos:
         # (merged work is never erased); death before it does not.
         assert post.slave_events[1] > 0
         assert pre.slave_events[1] == 0
+
+    def test_traced_chaos_run_records_the_schedule(self):
+        from repro.observability import Tracer
+
+        sink = io.StringIO()
+        simulation = ParallelSimulation(
+            factory, fault_plan=FaultPlan.single("kill", slave_id=1, round=1),
+            **KW,
+        )
+        simulation.attach_tracer(Tracer(sink))
+        assert simulation.run().dead_slaves == [1]
+        scheduled = [
+            record["fields"]
+            for record in map(json.loads, sink.getvalue().splitlines())
+            if record["name"] == "fault_scheduled"
+        ]
+        assert scheduled == [{"slave": 1, "round": 1, "fault": "kill",
+                              "generation": 0, "phase": "pre_report"}]
 
     def test_result_dict_carries_fault_fields(self):
         from repro.engine.report import parallel_result_to_dict

@@ -2,15 +2,16 @@
 
 Three layers, cheapest first:
 
-1. :class:`NetFaultPlan` / :class:`SupervisionPolicy` — pure-model
-   validation, addressing, and seeded-schedule determinism.
-2. The chaos matrix on the in-memory fake transport — every fault kind
+1. The frame kinds of a :class:`FaultPlan` and :class:`SupervisionPolicy`
+   — pure-model validation and addressing.
+2. The chaos matrix on the in-memory fake transport — every frame kind
    exercised at the endpoint level (socket-free, sub-second), plus
    heartbeat liveness: a half-open partition must be detected inside
    the ``interval * misses`` window while a merely *slow* worker never
    trips a false positive.
 3. Master-level digest parity — a ``backend="remote"`` run over the
-   memory transport, with and without benign chaos, must merge
+   memory transport, with and without benign chaos (``fault_plan=`` on
+   the plain transport; the master wraps it), must merge
    digests bit-identical to the clean process backend; destructive
    faults must surface machine-readable causes, honoring the run-level
    supervision policy (abort vs continue-degraded, fleet floor,
@@ -23,16 +24,17 @@ import pytest
 
 from repro.faults import (
     FaultError,
-    NET_FAULT_KINDS,
-    NetFaultPlan,
-    NetFaultSpec,
+    FaultPlan,
+    FaultSpec,
     RespawnPolicy,
     SupervisionError,
     SupervisionPolicy,
 )
+from repro.faults.plan import FRAME_KINDS
 from repro.parallel.chaos import ChaosEndpoint, ChaosTransport
 from repro.parallel.master import ParallelSimulation
 from repro.parallel.memory import InMemoryTransport
+from repro.parallel.pool import WorkerPool
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_FRAME,
     CAUSE_DEADLINE_EXCEEDED,
@@ -42,6 +44,7 @@ from repro.parallel.protocol import (
 from repro.parallel.transport import (
     FrameError,
     LivenessError,
+    LocalPipeTransport,
     TransportError,
     disconnect_cause,
 )
@@ -77,82 +80,82 @@ def slow_echo_worker(conn, delay):
 
 
 class TestNetFaultSpec:
+    """A FaultSpec of a frame kind."""
+
     def test_unknown_kind_rejected(self):
-        with pytest.raises(FaultError, match="unknown net fault kind"):
-            NetFaultSpec(kind="gremlin", worker_id=0, round=1)
+        with pytest.raises(FaultError, match="unknown fault kind"):
+            FaultSpec(kind="gremlin", slave_id=0, round=1)
 
     def test_bad_round_rejected(self):
         with pytest.raises(FaultError, match="1-based"):
-            NetFaultSpec(kind="drop", worker_id=0, round=0)
+            FaultSpec(kind="drop", slave_id=0, round=0)
 
     def test_fixed_directions_enforced(self):
+        assert FaultSpec(kind="corrupt").direction == "in"
+        assert FaultSpec(kind="agent_crash").direction == "out"
         with pytest.raises(FaultError):
-            NetFaultSpec(
-                kind="corrupt", worker_id=0, round=1, direction="out"
-            )
+            FaultSpec(kind="corrupt", slave_id=0, round=1, direction="out")
         with pytest.raises(FaultError):
-            NetFaultSpec(
-                kind="agent_crash", worker_id=0, round=1, direction="in"
-            )
+            FaultSpec(kind="agent_crash", slave_id=0, round=1, direction="in")
 
     def test_roundtrip(self):
-        spec = NetFaultSpec(
-            kind="delay", worker_id=2, round=3, generation=1,
+        spec = FaultSpec(
+            kind="delay", slave_id=2, round=3, generation=1,
             direction="out", delay=0.25,
         )
-        assert NetFaultSpec.from_dict(spec.to_dict()) == spec
+        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        assert spec.phase is None
 
 
 class TestNetFaultPlan:
+    """A FaultPlan holding frame kinds."""
+
     def test_slot_uniqueness_enforced(self):
-        spec = NetFaultSpec(kind="drop", worker_id=0, round=1)
-        twin = NetFaultSpec(kind="delay", worker_id=0, round=1)
+        spec = FaultSpec(kind="drop", slave_id=0, round=1)
+        twin = FaultSpec(kind="delay", slave_id=0, round=1)
         with pytest.raises(FaultError, match="one frame takes at most"):
-            NetFaultPlan(specs=(spec, twin))
+            FaultPlan(specs=(spec, twin))
+        # A worker kind on the same round holds a different slot.
+        FaultPlan(specs=(spec, FaultSpec(kind="kill", slave_id=0, round=1)))
 
     def test_addressing(self):
-        plan = NetFaultPlan(
+        plan = FaultPlan(
             specs=(
-                NetFaultSpec(kind="drop", worker_id=0, round=1),
-                NetFaultSpec(kind="delay", worker_id=0, round=2,
-                             generation=1),
-                NetFaultSpec(kind="duplicate", worker_id=1, round=2),
+                FaultSpec(kind="drop", slave_id=0, round=1),
+                FaultSpec(kind="delay", slave_id=0, round=2, generation=1),
+                FaultSpec(kind="duplicate", slave_id=1, round=2),
+                FaultSpec(kind="kill", slave_id=0, round=1),
             )
         )
-        assert [s.kind for s in plan.for_worker(0, 0)] == ["drop"]
-        assert [s.kind for s in plan.for_worker(0, 1)] == ["delay"]
-        assert [s.kind for s in plan.at_round(2)] == ["delay", "duplicate"]
-        assert plan.for_worker(5, 0) == ()
+        frames = FRAME_KINDS
+        assert [s.kind for s in plan.for_slave(0, 0, frames)] == ["drop"]
+        assert [s.kind for s in plan.for_slave(0, 1, frames)] == ["delay"]
+        assert plan.for_slave(5, 0, frames) == ()
+        # The injector's sub-plan and the round schedule hold the worker
+        # kinds only.
+        assert [s.kind for s in plan.for_slave(0, 0)] == ["kill"]
+        assert [s.kind for s in plan.at_round(1)] == ["kill"]
+        assert plan.frame_kinds == ("delay", "drop", "duplicate")
 
     def test_roundtrip_and_inline_load(self):
-        plan = NetFaultPlan.random(
-            seed=3, n_workers=4, max_round=6, n_faults=3
-        )
-        clone = NetFaultPlan.from_dict(plan.to_dict())
-        assert clone.specs == plan.specs
         import json
 
-        inline = NetFaultPlan.load(json.dumps(plan.to_dict()))
-        assert inline.specs == plan.specs
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(kind="delay", slave_id=3, round=2, delay=0.1),
+                FaultSpec(kind="partition", slave_id=0, round=6,
+                          direction="out"),
+                FaultSpec(kind="corrupt", slave_id=1, round=1),
+            ),
+            seed=3,
+        )
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert FaultPlan.load(json.dumps(plan.to_dict())) == plan
 
     def test_save_load_path(self, tmp_path):
-        plan = NetFaultPlan.single("partition", worker_id=1, round=2)
+        plan = FaultPlan.single("partition", slave_id=1, round=2)
         path = plan.save(tmp_path / "net.json")
-        assert NetFaultPlan.load(path).specs == plan.specs
-
-    def test_random_is_seed_deterministic(self):
-        a = NetFaultPlan.random(seed=9, n_workers=3, max_round=5,
-                                n_faults=4)
-        b = NetFaultPlan.random(seed=9, n_workers=3, max_round=5,
-                                n_faults=4)
-        c = NetFaultPlan.random(seed=10, n_workers=3, max_round=5,
-                                n_faults=4)
-        assert a.specs == b.specs
-        assert a.specs != c.specs
-        for spec in a.specs:
-            assert spec.kind in NET_FAULT_KINDS
-            assert 0 <= spec.worker_id < 3
-            assert 1 <= spec.round <= 5
+        assert FaultPlan.load(path).specs == plan.specs
 
 
 class TestSupervisionPolicy:
@@ -203,7 +206,7 @@ def chaos_spawn(plan, entry=echo_worker, args=(), memory_kwargs=None):
 
 class TestChaosMatrix:
     def test_untargeted_worker_passes_clean(self, memory):
-        plan = NetFaultPlan.single("drop", worker_id=7, round=1)
+        plan = FaultPlan.single("drop", slave_id=7, round=1)
         transport = ChaosTransport(memory, plan)
         endpoint = transport.spawn(0, 0, echo_worker, (), timeout=5.0)
         assert isinstance(endpoint, ChaosEndpoint)  # uniform dedup path
@@ -213,8 +216,8 @@ class TestChaosMatrix:
         transport.shutdown([endpoint])
 
     def test_delay_in_holds_then_delivers(self):
-        plan = NetFaultPlan.single(
-            "delay", worker_id=0, round=1, direction="in", delay=0.3
+        plan = FaultPlan.single(
+            "delay", slave_id=0, round=1, direction="in", delay=0.3
         )
         transport, endpoint = chaos_spawn(plan)
         try:
@@ -227,8 +230,8 @@ class TestChaosMatrix:
             transport.shutdown([endpoint])
 
     def test_delay_out_does_not_block_sender(self):
-        plan = NetFaultPlan.single(
-            "delay", worker_id=0, round=1, direction="out", delay=0.3
+        plan = FaultPlan.single(
+            "delay", slave_id=0, round=1, direction="out", delay=0.3
         )
         transport, endpoint = chaos_spawn(plan)
         try:
@@ -242,8 +245,8 @@ class TestChaosMatrix:
             transport.shutdown([endpoint])
 
     def test_drop_out_loses_exactly_that_frame(self):
-        plan = NetFaultPlan.single(
-            "drop", worker_id=0, round=1, direction="out"
+        plan = FaultPlan.single(
+            "drop", slave_id=0, round=1, direction="out"
         )
         transport, endpoint = chaos_spawn(plan)
         try:
@@ -256,8 +259,8 @@ class TestChaosMatrix:
             transport.shutdown([endpoint])
 
     def test_duplicate_in_is_deduplicated(self):
-        plan = NetFaultPlan.single(
-            "duplicate", worker_id=0, round=1, direction="in"
+        plan = FaultPlan.single(
+            "duplicate", slave_id=0, round=1, direction="in"
         )
         transport, endpoint = chaos_spawn(plan)
         try:
@@ -272,8 +275,8 @@ class TestChaosMatrix:
             transport.shutdown([endpoint])
 
     def test_duplicate_out_runs_command_once(self):
-        plan = NetFaultPlan.single(
-            "duplicate", worker_id=0, round=1, direction="out"
+        plan = FaultPlan.single(
+            "duplicate", slave_id=0, round=1, direction="out"
         )
         transport, endpoint = chaos_spawn(plan)
         try:
@@ -285,7 +288,7 @@ class TestChaosMatrix:
             transport.shutdown([endpoint])
 
     def test_corrupt_in_raises_frame_error_with_cause(self):
-        plan = NetFaultPlan.single("corrupt", worker_id=0, round=1)
+        plan = FaultPlan.single("corrupt", slave_id=0, round=1)
         transport, endpoint = chaos_spawn(plan)
         endpoint.send("x")
         assert endpoint.poll(timeout=5.0)
@@ -296,8 +299,8 @@ class TestChaosMatrix:
         transport.close()
 
     def test_agent_crash_out_breaks_pipe_immediately(self):
-        plan = NetFaultPlan.single(
-            "agent_crash", worker_id=0, round=2, direction="out"
+        plan = FaultPlan.single(
+            "agent_crash", slave_id=0, round=2, direction="out"
         )
         transport, endpoint = chaos_spawn(plan)
         endpoint.send("first")
@@ -310,8 +313,8 @@ class TestChaosMatrix:
         transport.close()
 
     def test_partition_in_without_heartbeats_is_silent(self):
-        plan = NetFaultPlan.single(
-            "partition", worker_id=0, round=1, direction="in"
+        plan = FaultPlan.single(
+            "partition", slave_id=0, round=1, direction="in"
         )
         transport, endpoint = chaos_spawn(plan)
         endpoint.send("x")
@@ -322,23 +325,19 @@ class TestChaosMatrix:
         transport.close()
 
     def test_plan_on_frameless_transport_is_refused(self):
-        from repro.parallel.transport import LocalPipeTransport
-
-        plan = NetFaultPlan.single("drop", worker_id=0, round=1)
-        transport = ChaosTransport(LocalPipeTransport("fork"), plan)
-        transport.start()
-        try:
-            with pytest.raises(TransportError, match="frame layer"):
-                transport.spawn(0, 0, echo_worker, (), timeout=5.0)
-        finally:
-            transport.close()
+        plan = FaultPlan.single("drop", slave_id=0, round=1)
+        with pytest.raises(TransportError, match="'local' has no frame"):
+            WorkerPool(echo_worker, transport=LocalPipeTransport("fork"),
+                       fault_plan=plan)
+        with pytest.raises(TransportError, match="'inline' has no frame"):
+            ParallelSimulation(factory, fault_plan=plan, **MASTER_KW).run()
 
 
 class TestLiveness:
     def test_partition_detected_within_window(self):
         interval, misses = 0.1, 3
-        plan = NetFaultPlan.single(
-            "partition", worker_id=0, round=1, direction="in"
+        plan = FaultPlan.single(
+            "partition", slave_id=0, round=1, direction="in"
         )
         transport, endpoint = chaos_spawn(
             plan,
@@ -420,47 +419,43 @@ class TestMasterChaosParity:
         # Duplicates and delays both ways on both workers: the run must
         # finish with *bit-identical* digests — dedup ate every copy,
         # delays reordered nothing the protocol cares about.
-        plan = NetFaultPlan(
+        plan = FaultPlan(
             specs=(
-                NetFaultSpec(kind="duplicate", worker_id=0, round=1,
-                             direction="in"),
-                NetFaultSpec(kind="duplicate", worker_id=0, round=1,
-                             direction="out"),
-                NetFaultSpec(kind="delay", worker_id=1, round=1,
-                             direction="in", delay=0.2),
-                NetFaultSpec(kind="delay", worker_id=1, round=1,
-                             direction="out", delay=0.2),
+                FaultSpec(kind="duplicate", slave_id=0, round=1,
+                          direction="in"),
+                FaultSpec(kind="duplicate", slave_id=0, round=1,
+                          direction="out"),
+                FaultSpec(kind="delay", slave_id=1, round=1,
+                          direction="in", delay=0.2),
+                FaultSpec(kind="delay", slave_id=1, round=1,
+                          direction="out", delay=0.2),
             )
         )
-        result = run_memory_master(
-            transport=ChaosTransport(InMemoryTransport(), plan)
-        )
+        result = run_memory_master(fault_plan=plan)
         assert result.converged and not result.degraded
         assert result.merged_digests == clean_process.merged_digests
 
     def test_corrupt_frame_kills_attributed_worker(self):
-        plan = NetFaultPlan.single("corrupt", worker_id=0, round=1)
-        result = run_memory_master(
-            transport=ChaosTransport(InMemoryTransport(), plan)
-        )
+        plan = FaultPlan.single("corrupt", slave_id=0, round=1)
+        result = run_memory_master(fault_plan=plan)
         assert result.converged
         assert result.degraded
         assert result.dead_slaves == [0]
         assert result.failure_causes[0] == CAUSE_CORRUPT_FRAME
 
     def test_fleet_floor_aborts_with_typed_cause(self):
-        plan = NetFaultPlan.single("corrupt", worker_id=0, round=1)
+        plan = FaultPlan.single("corrupt", slave_id=0, round=1)
         with pytest.raises(SupervisionError) as info:
             run_memory_master(
-                transport=ChaosTransport(InMemoryTransport(), plan),
+                fault_plan=plan,
                 supervision=SupervisionPolicy(min_workers=2),
             )
         assert info.value.cause == CAUSE_FLEET_EXHAUSTED
 
     def test_on_exhausted_continue_finishes_degraded(self):
-        plan = NetFaultPlan.single("corrupt", worker_id=0, round=1)
+        plan = FaultPlan.single("corrupt", slave_id=0, round=1)
         result = run_memory_master(
-            transport=ChaosTransport(InMemoryTransport(), plan),
+            fault_plan=plan,
             supervision=SupervisionPolicy(
                 min_workers=2, on_exhausted="continue"
             ),
@@ -472,9 +467,9 @@ class TestMasterChaosParity:
     def test_degrade_below_relaxes_the_flag(self):
         # One unreplaced death out of two, but the policy says one
         # survivor is still full strength.
-        plan = NetFaultPlan.single("corrupt", worker_id=0, round=1)
+        plan = FaultPlan.single("corrupt", slave_id=0, round=1)
         result = run_memory_master(
-            transport=ChaosTransport(InMemoryTransport(), plan),
+            fault_plan=plan,
             supervision=SupervisionPolicy(
                 min_workers=1, degrade_below=1, on_exhausted="continue"
             ),
@@ -503,18 +498,17 @@ class TestMasterChaosParity:
 
         from repro.observability import Tracer
 
-        plan = NetFaultPlan.single(
-            "partition", worker_id=1, round=1, direction="in"
+        plan = FaultPlan.single(
+            "partition", slave_id=1, round=1, direction="in"
         )
-        transport = ChaosTransport(
-            InMemoryTransport(heartbeat_interval=0.2, heartbeat_misses=3),
-            plan,
+        transport = InMemoryTransport(
+            heartbeat_interval=0.2, heartbeat_misses=3
         )
         trace_path = tmp_path / "trace.jsonl"
         tracer = Tracer.to_path(trace_path)
         simulation = ParallelSimulation(
             factory, backend="remote", transport=transport,
-            join_timeout=15.0,
+            join_timeout=15.0, fault_plan=plan,
             respawn=RespawnPolicy(backoff_base=0.0, jitter=0.0),
             **MASTER_KW,
         )

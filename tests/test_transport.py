@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.faults import FaultPlan, RespawnPolicy
+from repro.faults import FaultPlan, FaultSpec, RespawnPolicy
 from repro.parallel.agent import HostAgent
 from repro.parallel.master import ParallelSimulation
 from repro.parallel.memory import InMemoryTransport
@@ -456,17 +456,14 @@ class TestRemoteChaosDeterminism:
     faults and heartbeat traffic must both be digest-invisible."""
 
     def test_benign_chaos_remote_matches_process(self, remote_fleet):
-        from repro.faults import NetFaultPlan, NetFaultSpec
-        from repro.parallel.chaos import ChaosTransport
-
-        plan = NetFaultPlan(
+        plan = FaultPlan(
             specs=(
-                NetFaultSpec(kind="duplicate", worker_id=0, round=1,
-                             direction="in"),
-                NetFaultSpec(kind="duplicate", worker_id=1, round=1,
-                             direction="out"),
-                NetFaultSpec(kind="delay", worker_id=1, round=1,
-                             direction="in", delay=0.2),
+                FaultSpec(kind="duplicate", slave_id=0, round=1,
+                          direction="in"),
+                FaultSpec(kind="duplicate", slave_id=1, round=1,
+                          direction="out"),
+                FaultSpec(kind="delay", slave_id=1, round=1,
+                          direction="in", delay=0.2),
             )
         )
         local = ParallelSimulation(
@@ -475,7 +472,8 @@ class TestRemoteChaosDeterminism:
         remote = ParallelSimulation(
             factory,
             backend="remote",
-            transport=ChaosTransport(remote_fleet, plan),
+            transport=remote_fleet,
+            fault_plan=plan,
             join_timeout=15.0,
             **MASTER_KW,
         ).run()
