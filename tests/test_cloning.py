@@ -13,7 +13,14 @@ Pins for :mod:`repro.datacenter.balancers` redundancy policies:
    to a single M/G/1-PS queue *sample-path exactly* (so any tail
    quantile matches bit-for-bit), and means match the
    :mod:`repro.theory.cloning` closed forms.
+4. **Pinned outcomes** — ``tests/fixtures/redundancy_pins.json`` holds
+   whole seeded runs of every redundancy policy, recorded by an earlier
+   commit; ``PYTHONPATH=src python -m tests.test_cloning`` re-records it,
+   only for a change that is meant to move simulated numbers.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +288,71 @@ class TestSpeculativeRetry:
             )
 
 
+#: Redundancy models pinned by ``redundancy_pins.json``: each builds a
+#: fresh balancer over fresh backends.
+PINNED_CASES = {
+    "clone2-sync-ps": lambda: CloningBalancer(ps_backends(4), clones=2),
+    "clone4-sync-ps": lambda: CloningBalancer(ps_backends(4), clones=4),
+    "clone2-indep-ps": lambda: CloningBalancer(
+        [ProcessorSharingServer(service_distribution=Exponential(rate=10.0),
+                                name=f"ps{i}") for i in range(4)],
+        clones=2, synchronized=False,
+    ),
+    "clone2-sync-fcfs": lambda: CloningBalancer(
+        [Server(name=f"s{i}") for i in range(4)], clones=2
+    ),
+    "spec-retry-ps": lambda: SpeculativeRetryBalancer(
+        ps_backends(3), threshold=0.15, max_retries=1
+    ),
+}
+PINNED_SEEDS = (11, 12)
+PINS_FILE = Path(__file__).parent / "fixtures" / "redundancy_pins.json"
+
+
+def pinned_outcome(case, seed):
+    """Everything a seeded redundancy run must reproduce, as plain data."""
+    from repro.engine.report import result_to_dict
+    from repro.parallel.protocol import payload_digest
+
+    balancer = PINNED_CASES[case]()
+    experiment = Experiment(
+        seed=seed, warmup_samples=200, calibration_samples=1000
+    )
+    experiment.add_source(
+        Workload("clone", Exponential(rate=8.0), Exponential(rate=10.0)),
+        target=balancer,
+    )
+    experiment.track_response_time(
+        balancer, mean_accuracy=0.1, quantiles={0.95: 0.1}
+    )
+    result = result_to_dict(experiment.run(max_events=200_000))
+    del result["wall_time"]
+    outcome = {
+        "case": case,
+        "seed": seed,
+        "result": result,
+        "payload_digests": {
+            statistic.name: payload_digest(statistic.histogram.to_payload())
+            for statistic in experiment.stats
+        },
+        "cancelled_replicas": balancer.cancelled_replicas,
+        "retries_issued": getattr(balancer, "retries_issued", None),
+        "now": experiment.simulation.now,
+    }
+    # Through JSON so tuples and float keys take the fixture's form;
+    # floats round-trip exactly.
+    return json.loads(json.dumps(outcome))
+
+
+class TestPinnedRedundancyRuns:
+    @pytest.mark.parametrize(
+        "pin", json.loads(PINS_FILE.read_text()),
+        ids=lambda pin: f"{pin['case']}-seed{pin['seed']}",
+    )
+    def test_run_equals_recorded_values(self, pin):
+        assert pinned_outcome(pin["case"], pin["seed"]) == pin
+
+
 class TestFastpathCloningGate:
     def test_cloning_balancer_rejected_with_reason(self):
         workload = Workload(
@@ -293,3 +365,11 @@ class TestFastpathCloningGate:
         outcome = qualifies(experiment)
         assert not outcome
         assert "cloning" in outcome.reason.lower()
+
+
+if __name__ == "__main__":  # re-record the fixture (see module docstring)
+    PINS_FILE.write_text(json.dumps(
+        [pinned_outcome(case, seed)
+         for case in PINNED_CASES for seed in PINNED_SEEDS],
+        indent=1,
+    ) + "\n")
