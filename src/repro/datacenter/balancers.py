@@ -19,7 +19,7 @@ import abc
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from repro.datacenter.job import JOB_COUNTER, Job
+from repro.datacenter.job import Job
 from repro.datacenter.server import Server
 from repro.engine.simulation import Simulation, seeded_rng
 from repro.faults.recovery import derive_seed
@@ -171,14 +171,6 @@ class _ReplicatingBalancer(LoadBalancer):
 
     # -- replica plumbing ---------------------------------------------------
 
-    def _mint(self, logical: Job, size: Optional[float]) -> Job:
-        replica = Job(next(JOB_COUNTER), size=size)
-        replica.arrival_time = logical.arrival_time
-        replica.servers_needed = logical.servers_needed
-        replica.job_class = logical.job_class
-        replica.clone_of = logical
-        return replica
-
     def _replica_complete(self, replica: Job, server) -> None:
         logical = replica.clone_of
         if logical is None:
@@ -271,7 +263,7 @@ class CloningBalancer(_ReplicatingBalancer):
             )
         self.dispatched += 1
         size = job.size if self.synchronized else None
-        entry = [(self._mint(job, size), backend) for backend in self._select()]
+        entry = [(job._replica(size), backend) for backend in self._select()]
         self._pending[job.job_id] = entry
         for replica, backend in entry:
             backend.arrive(replica)
@@ -339,7 +331,7 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         self.dispatched += 1
         self._seqno[job.job_id] = self.dispatched
         backend = self._pick(self.dispatched, 0, [])
-        entry = [(self._mint(job, job.size), backend)]
+        entry = [(job._replica(job.size), backend)]
         self._pending[job.job_id] = entry
         self._arm_timer(job)
         backend.arrive(entry[0][0])
@@ -362,7 +354,7 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
             return  # finished just as the timer fired
         used = [backend for _, backend in entry]
         backend = self._pick(self._seqno[logical.job_id], len(entry), used)
-        replica = self._mint(logical, logical.size)
+        replica = logical._replica(logical.size)
         entry.append((replica, backend))
         self.retries_issued += 1
         self._arm_timer(logical)

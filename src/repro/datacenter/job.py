@@ -16,6 +16,8 @@ from typing import Optional
 #: trace replay, cloning balancers) so ids stay globally unique.
 JOB_COUNTER = itertools.count(1)
 
+_new_job = object.__new__
+
 
 class Job:
     """One task flowing through the queuing network.
@@ -32,8 +34,9 @@ class Job:
         Network arrival, first instant of service, and completion.
     """
 
-    # NOTE: Source._emit initializes instances via __new__ + direct slot
-    # stores for speed; keep its field list in sync with these slots.
+    # NOTE: Source._emit and _replica below initialize instances via
+    # __new__ + direct slot stores for speed; keep both field lists in
+    # sync with these slots (tests/test_jobs.py checks them).
     __slots__ = (
         "job_id",
         "size",
@@ -49,6 +52,29 @@ class Job:
         "servers_needed",
         "clone_of",
     )
+
+    def _replica(self, size: Optional[float]) -> "Job":
+        """A replica of this logical job, as redundancy balancers mint them.
+
+        Built without ``__init__`` (no frame, no validation: ``size`` is
+        the logical job's own, or None for the backend to draw); arrival
+        time, class and server need are the logical job's.
+        """
+        replica = _new_job(Job)
+        replica.job_id = next(JOB_COUNTER)
+        replica.size = size
+        replica.remaining = size
+        replica.arrival_time = self.arrival_time
+        replica.start_time = None
+        replica.finish_time = None
+        replica.delay_used = 0.0
+        replica._completion_event = None
+        replica._last_progress = None
+        replica.stages_completed = 0
+        replica.job_class = self.job_class
+        replica.servers_needed = self.servers_needed
+        replica.clone_of = self
+        return replica
 
     def __init__(self, job_id: int, size: Optional[float] = None):
         if size is not None and size < 0:

@@ -12,11 +12,15 @@ Each change (an arrival, a cancellation, a completion) costs one walk of
 the pool, ``_settle``: debit every job its share of the service elapsed
 since the last change, let the one job in or out, and note the smallest
 ``remaining`` on the way; the pending completion event is then cancelled
-and a new one pushed for that job.  A completion runs its listeners
-between the walk and the re-arm, so a listener that re-enters the station
-sees a settled pool and event sequence numbers do not depend on it.  The
-arithmetic is fixed — ``remaining - elapsed * speed / n`` clamped at 0.0,
-``delay = remaining * n / speed``, first admitted wins a tie — and
+and a new one pushed for that job.  Every armed record carries the same
+callback, bound once at ``bind``, which reads the due job off the
+station.  A completion runs its listeners between the walk and the
+re-arm, so a listener that re-enters the station sees a settled pool and
+event sequence numbers do not depend on it.  The re-arm uses the walk's
+soonest job unless a listener did re-enter ``arrive``/``cancel`` (every
+walk bumps a counter); only then does a second walk arm it.  The
+arithmetic is fixed — ``remaining - elapsed * speed / n`` clamped at
+0.0, ``delay = remaining * n / speed``, first admitted wins a tie — and
 ``tests/test_processor_sharing.py`` holds a naive transcription that
 results must equal exactly, not approximately.
 
@@ -28,7 +32,6 @@ simulator's service accounting is exact (a property test pins this).
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappush
 from math import inf
 from typing import Callable, Optional
@@ -59,6 +62,12 @@ class ProcessorSharingServer:
         self._seq = None
         self._jobs: dict[int, Job] = {}
         self._completion_event = None
+        #: The job the pending completion event is for.
+        self._due: Optional[Job] = None
+        #: The callback of every completion record (bound once at bind).
+        self._on_due = None
+        #: Walks so far: a completion compares it across its listeners.
+        self._changes = 0
         self._last_progress = 0.0
         self.completed_jobs = 0
         self._complete_listeners: list[Callable[[Job, "ProcessorSharingServer"], None]] = []
@@ -79,10 +88,11 @@ class ProcessorSharingServer:
         self._cancel_event = sim.events.cancel
         self._heap = sim.events._heap
         self._seq = sim.events._counter
+        self._on_due = self._complete
         if self.service_distribution is not None:
             self._service_rng = sim.spawn_rng()
             self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng
+                self.service_distribution, self._service_rng, probe=sim.probe
             )
 
     def on_complete(self, listener: Callable[[Job, "ProcessorSharingServer"], None]) -> None:
@@ -104,22 +114,25 @@ class ProcessorSharingServer:
 
     # -- mechanics ---------------------------------------------------------------
 
-    def _settle(self, admit: Optional[Job] = None,
-                withdraw: Optional[Job] = None, arm: bool = True) -> None:
+    def _settle(self, admit: Optional[Job], withdraw: Optional[Job],
+                completes: bool) -> None:
         """Bring the pool up to the clock across one membership change.
 
         One walk: every job present since the last settle (``withdraw``
         included, before it leaves) is debited its share of the elapsed
         service, clamped at zero; ``admit`` joins undebited; and the
         smallest ``remaining`` is tracked on the way, the first admitted
-        winning a tie.  Then the pending completion is cancelled and one
-        for that job is armed.  ``arm=False`` stops after the walk:
-        ``_complete`` arms only once its listeners have run.
+        winning a tie.  When the change is ``withdraw`` completing, its
+        finish is recorded and the listeners run next.  Then the pending
+        completion is cancelled and one for the soonest job is armed;
+        but if a listener re-entered ``arrive``/``cancel`` (the walk
+        counter moved), a second walk, with no time elapsed, arms it.
         """
         now = self.sim.now
         jobs = self._jobs
         elapsed = now - self._last_progress
         self._last_progress = now
+        self._changes += 1
         sharers = len(jobs)
         if withdraw is not None:
             del jobs[withdraw.job_id]
@@ -149,8 +162,16 @@ class ProcessorSharingServer:
             if admit.remaining < least:
                 least = admit.remaining
                 soonest = admit
-        if not arm:
-            return
+        if completes:
+            withdraw.remaining = 0.0
+            withdraw.finish_time = now
+            self.completed_jobs += 1
+            changes = self._changes
+            for listener in self._complete_listeners:
+                listener(withdraw, self)
+            if self._changes != changes:
+                self._settle(None, None, False)
+                return
         if self._completion_event is not None:
             self._cancel_event(self._completion_event)
             self._completion_event = None
@@ -159,12 +180,13 @@ class ProcessorSharingServer:
         delay = least * len(jobs) / self.speed
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
+        self._due = soonest
         # The record Simulation.schedule_in would build, pushed directly
         # (layout [time, seq, callback, label, state]).
         event = [
             now + delay,
             next(self._seq),
-            partial(self._complete, soonest),
+            self._on_due,
             f"{self.name}:complete#{soonest.job_id}" if self._traced else "",
             PENDING,
         ]
@@ -186,7 +208,7 @@ class ProcessorSharingServer:
         if job.remaining is None:
             job.remaining = job.size
         job.start_time = self.sim.now  # PS serves immediately (slower)
-        self._settle(admit=job)
+        self._settle(job, None, False)
 
     def cancel(self, job: Job) -> bool:
         """Withdraw a sharing job before it completes (replica
@@ -196,17 +218,9 @@ class ProcessorSharingServer:
             raise ServerError(f"{self.name}: not bound")
         if job.job_id not in self._jobs:
             return False
-        self._settle(withdraw=job)
+        self._settle(None, job, False)
         return True
 
-    def _complete(self, job: Job) -> None:
+    def _complete(self) -> None:
         self._completion_event = None
-        self._settle(withdraw=job, arm=False)
-        job.remaining = 0.0
-        job.finish_time = self.sim.now
-        self.completed_jobs += 1
-        for listener in self._complete_listeners:
-            listener(job, self)
-        # Armed after the listeners, which may re-enter arrive()/cancel():
-        # a second walk, with no time elapsed and nobody joining or leaving.
-        self._settle()
+        self._settle(None, self._due, True)

@@ -126,7 +126,7 @@ class Server:
         if self.service_distribution is not None:
             self._service_rng = sim.spawn_rng()
             self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng
+                self.service_distribution, self._service_rng, probe=sim.probe
             )
         if self.forward_to is not None:
             self.forward_to.bind(sim)

@@ -83,14 +83,13 @@ class Source:
         # opts out, replay every block per-draw to verify the prefetch
         # contract.
         probe = sim.probe
-        verify = probe is not None and probe.verify_prefetch
         self._next_gap = PrefetchSampler(
             self.workload.interarrival, self._arrival_rng, self.prefetch_block,
-            verify=verify, probe=probe,
+            probe=probe,
         )
         self._next_size = PrefetchSampler(
             self.workload.service, self._service_rng, self.prefetch_block,
-            verify=verify, probe=probe,
+            probe=probe,
         )
         # Multiserver-job workloads carry a server-need distribution;
         # the extra stream is spawned only when present so the RNG
@@ -100,7 +99,7 @@ class Source:
             self._need_rng = sim.spawn_rng()
             self._next_need = PrefetchSampler(
                 need_dist, self._need_rng, self.prefetch_block,
-                verify=verify, probe=probe,
+                probe=probe,
             )
         # Descriptive labels cost an f-string per event; only pay when
         # someone is recording them.

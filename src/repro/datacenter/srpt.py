@@ -59,7 +59,7 @@ class SRPTServer:
         if self.service_distribution is not None:
             self._service_rng = sim.spawn_rng()
             self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng
+                self.service_distribution, self._service_rng, probe=sim.probe
             )
 
     def on_complete(self, listener: Callable[[Job, "SRPTServer"], None]) -> None:

@@ -75,7 +75,8 @@ class PrefetchSampler:
     probe:
         Optional :class:`~repro.analysis.sanitizer.DeterminismProbe`;
         when set, each refill records its block size so the sanitizer
-        can pin RNG block boundaries.
+        can pin RNG block boundaries, and verification is on unless the
+        probe opts out (``verify_prefetch=False``).
     """
 
     __slots__ = ("distribution", "rng", "block_size", "it", "_vectorized",
@@ -100,7 +101,7 @@ class PrefetchSampler:
         self.distribution = distribution
         self.rng = rng
         self.block_size = int(block_size)
-        self.verify = verify
+        self.verify = verify or (probe is not None and probe.verify_prefetch)
         self.probe = probe
         self._vectorized = (
             block_size > 1 and getattr(distribution, "prefetch_safe", False)

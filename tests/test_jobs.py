@@ -44,3 +44,59 @@ class TestJob:
 
     def test_zero_size_allowed(self):
         assert Job(7, size=0.0).size == 0.0
+
+
+def slot_values(job, *skip):
+    """Every slot but ``skip``; an unset slot raises AttributeError."""
+    return {
+        slot: getattr(job, slot) for slot in Job.__slots__ if slot not in skip
+    }
+
+
+class TestFastConstructors:
+    """Source._emit and Job._replica build jobs without __init__: each
+    must set every slot, equal to a job built the slow way."""
+
+    def test_source_emitted_job(self):
+        from repro.datacenter.source import Source
+        from repro.distributions import Exponential
+        from repro.engine.simulation import Simulation
+        from repro.workloads.workload import Workload
+
+        emitted = []
+
+        class Sink:
+            def bind(self, sim):
+                pass
+
+            def arrive(self, job):
+                emitted.append(job)
+
+        sim = Simulation(seed=1)
+        Source(
+            Workload("w", Exponential(rate=1.0), Exponential(rate=2.0)),
+            Sink(), max_jobs=1,
+        ).bind(sim)
+        sim.run()
+        (job,) = emitted
+        slow = Job(0, size=job.size)
+        slow.arrival_time = sim.now
+        assert slot_values(job, "job_id") == slot_values(slow, "job_id")
+
+    @pytest.mark.parametrize("size", [2.5, None])
+    def test_replica(self, size):
+        logical = Job(5, size=2.5)
+        logical.arrival_time = 3.0
+        logical.start_time = 4.0
+        logical.delay_used = 0.5
+        logical.job_class = "gold"
+        logical.servers_needed = 2
+        replica = logical._replica(size)
+        slow = Job(0, size=size)
+        slow.arrival_time = 3.0
+        slow.job_class = "gold"
+        slow.servers_needed = 2
+        skip = ("job_id", "clone_of")
+        assert slot_values(replica, *skip) == slot_values(slow, *skip)
+        assert replica.clone_of is logical
+        assert replica.job_id != logical._replica(size).job_id

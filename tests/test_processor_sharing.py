@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Experiment, Workload
+from repro.datacenter.balancers import CloningBalancer
 from repro.datacenter.job import Job
 from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import ServerError
@@ -133,17 +134,27 @@ class NaivePS:
     ``Simulation`` API only.  ``src/`` never imports it, and it shares no
     code with ``ProcessorSharingServer._settle``: the two must agree
     exactly, not approximately.  ``_jobs``, ``_completion_event`` and
-    ``on_complete`` are named as on the station so one driver reads both.
+    ``on_complete`` are named as on the station so the script players
+    below read both,
+    and ``bind``/``cancel`` let a balancer drive it.  A sizeless job draws
+    ``service.sample`` from a stream spawned at bind, as the station's
+    sampler does.
     """
 
-    def __init__(self, sim, speed=1.0):
+    def __init__(self, sim, speed=1.0, service=None):
         self.sim = sim
         self.speed = speed
+        self.service = service
+        self.rng = None
         self._jobs = {}
         self._completion_event = None
         self.last_progress = sim.now
         self.completed_jobs = 0
         self.listeners = []
+
+    def bind(self, sim):
+        if self.service is not None:
+            self.rng = sim.spawn_rng()
 
     def on_complete(self, listener):
         self.listeners.append(listener)
@@ -168,6 +179,8 @@ class NaivePS:
             )
 
     def arrive(self, job):
+        if job.size is None:
+            job.size = job.remaining = self.service.sample(self.rng)
         job.arrival_time = job.start_time = self.sim.now
         self.advance()
         self._jobs[job.job_id] = job
@@ -286,3 +299,100 @@ class TestAgainstNaiveOracle:
         log, completed, _events, _now = real
         assert True in log  # the cancel found its job
         assert completed == 3  # two survivors and the re-admitted job
+
+
+def play_cloning(steps, clones, synchronized, speed, make_station):
+    """Run one script through a clone-to-``clones`` balancer over four
+    stations; returns a snapshot per step and per logical completion."""
+    sim = Simulation(seed=1)
+    service = None if synchronized else Exponential(rate=1.0)
+    balancer = CloningBalancer(
+        [make_station(sim, speed, service) for _ in range(4)],
+        clones=clones, synchronized=synchronized,
+    )
+    balancer.bind(sim)
+    logical = []
+    respawn = {}  # logical id -> size of the job its completion admits
+    log = []
+
+    def admit(size, respawn_size):
+        job = Job(len(logical) + 1, size=size)
+        if respawn_size is not None:
+            respawn[job.job_id] = respawn_size
+        logical.append(job)
+        balancer.arrive(job)
+
+    def snapshot(what):
+        log.append((
+            what, sim.now, sim.events_processed, balancer.cancelled_replicas,
+            [job.finish_time for job in logical],
+            [station._completion_event and station._completion_event[:2]
+             for station in balancer.servers],
+        ))
+
+    def finished(job, _balancer):
+        # Admitted from inside a station's completion listener, so its
+        # replicas may re-enter the very station that is completing.
+        if job.job_id in respawn:
+            admit(respawn.pop(job.job_id), None)
+        snapshot("complete")
+
+    balancer.on_complete(finished)
+    clock = 0.0
+    arrivals = []
+    for gap, size, respawn_size in steps:
+        clock += gap
+        arrivals.append(clock)
+        sim.schedule_at(
+            clock, lambda size=size, again=respawn_size: admit(size, again)
+        )
+    for clock in arrivals:
+        sim.run(until=clock)
+        snapshot("step")
+    sim.run()
+    snapshot("end")
+    return log
+
+
+def real_backend(sim, speed, service):
+    return ProcessorSharingServer(speed=speed, service_distribution=service)
+
+
+def naive_backend(sim, speed, service):
+    return NaivePS(sim, speed, service)
+
+
+class TestBalancerAgainstNaiveOracle:
+    """The oracle again, with a cloning balancer in front: sibling cancels
+    and re-admissions fire from inside completion listeners."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            # (gap, logical size, size of the job its completion admits)
+            st.tuples(GAPS, SIZES, st.none() | SIZES),
+            min_size=1, max_size=25,
+        ),
+        clones=st.integers(1, 4),
+        synchronized=st.booleans(),
+        speed=st.sampled_from([1.0, 0.75, 3.0]),
+    )
+    def test_identical_to_the_three_step_algorithm(
+        self, steps, clones, synchronized, speed
+    ):
+        # ==, not approx: logical finish times, cancelled replicas, events
+        # processed and every backend's pending (time, seq), each step.
+        args = (steps, clones, synchronized, speed)
+        assert play_cloning(*args, real_backend) == play_cloning(
+            *args, naive_backend
+        )
+
+    def test_readmission_into_the_completing_station(self):
+        # Job 1 finishes first on a backend of its own; the job its
+        # completion admits has a replica there, so that station's re-arm
+        # must walk again: a station that re-arms from its first walk
+        # regardless fails here.
+        steps = [(0.0, 0.25, 0.25), (0.0, 0.25, None)]
+        real = play_cloning(steps, 3, True, 1.0, real_backend)
+        assert real == play_cloning(steps, 3, True, 1.0, naive_backend)
+        assert real[-1][4] == [0.25, 0.25, 0.5]

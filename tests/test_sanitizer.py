@@ -19,7 +19,11 @@ from repro.analysis.sanitizer import (
     verify_backend_determinism,
     verify_prefetch_determinism,
 )
+from repro.datacenter.balancers import CloningBalancer
+from repro.datacenter.cluster import MultiserverCluster
+from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import Server
+from repro.datacenter.srpt import SRPTServer
 from repro.distributions import (
     Exponential,
     HyperExponential,
@@ -142,6 +146,38 @@ class TestBackendDeterminism:
 class TestContractEnforcement:
     def test_verifying_run_catches_the_lie(self):
         experiment = evil_factory(seed=2, sanitize=True)
+        with pytest.raises(PrefetchContractError, match="ReversingExponential"):
+            experiment.run(max_events=50_000)
+
+    @pytest.mark.parametrize("station", [
+        lambda: Server(service_distribution=ReversingExponential()),
+        lambda: ProcessorSharingServer(
+            service_distribution=ReversingExponential()
+        ),
+        lambda: SRPTServer(service_distribution=ReversingExponential()),
+        lambda: MultiserverCluster(
+            2, service_distribution=ReversingExponential()
+        ),
+        # Independent clones: every replica's size is a backend draw.
+        lambda: CloningBalancer(
+            [ProcessorSharingServer(
+                service_distribution=ReversingExponential(), name=f"ps{i}"
+            ) for i in range(2)],
+            clones=2, synchronized=False,
+        ),
+    ], ids=["fcfs", "ps", "srpt", "msj", "independent-clones"])
+    def test_verifying_run_catches_a_lying_station(self, station):
+        experiment = Experiment(
+            seed=2, warmup_samples=50, calibration_samples=200,
+            sanitize=True,
+        )
+        target = station()
+        experiment.add_source(
+            Workload(name="w", interarrival=Exponential(rate=0.7),
+                     service=Exponential(rate=1.0)),
+            target=target, draw_sizes=False,
+        )
+        experiment.track_response_time(target, mean_accuracy=0.3)
         with pytest.raises(PrefetchContractError, match="ReversingExponential"):
             experiment.run(max_events=50_000)
 
