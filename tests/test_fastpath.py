@@ -626,47 +626,58 @@ class TestResumedRun:
         assert outcome(experiment.run(max_events=3 * block_events)) == expected
 
 
-#: ``engine="fastpath"`` outcomes recorded at commit 275bd65, when core
-#: counts up to 16 still ran the generated unrolled kernel: everything
-#: ``result_to_dict`` reports except wall time, plus histogram digests.
+#: ``engine="fastpath"`` outcomes: everything ``result_to_dict`` reports
+#: except wall time, plus histogram digests.  The rows at per-core load
+#: 0.8 without a ``rho`` key for c = 2, 4, 16 and 20 were recorded at
+#: commit 275bd65, when core counts up to 16 still ran the generated
+#: unrolled kernel; the c = 8 rows and the ``rho`` = 0.95 rows by the
+#: heap scan, before the lane-parallel kernel existed.
 PINS = json.loads(
     (Path(__file__).parent / "fixtures" / "fastpath_pins.json").read_text()
 )
 
 
-class TestPinnedResults:
-    @pytest.mark.parametrize(
-        "pin", PINS, ids=lambda pin: f"c{pin['cores']}-seed{pin['seed']}"
-    )
-    def test_result_equals_recorded_parent_values(self, pin):
-        from repro.engine.report import result_to_dict
-        from repro.parallel.protocol import payload_digest
+def pin_id(pin):
+    rho = f"-rho{pin['rho']}" if "rho" in pin else ""
+    return f"c{pin['cores']}-seed{pin['seed']}{rho}"
 
-        cores = pin["cores"]
-        experiment = Experiment(
-            seed=pin["seed"], engine="fastpath", warmup_samples=200,
-            calibration_samples=1000,
-        )
-        server = Server(cores=cores)
-        experiment.add_source(
-            Workload(
-                "mmc", Exponential(rate=0.8 * cores), Exponential(rate=1.0)
-            ),
-            target=server,
-        )
-        experiment.track_response_time(
-            server, mean_accuracy=0.02, quantiles={0.95: 0.05}
-        )
-        experiment.track_waiting_time(server, mean_accuracy=0.05)
-        got = result_to_dict(experiment.run())
-        del got["wall_time"]
-        got["histogram_digests"] = {
-            statistic.name: payload_digest(statistic.histogram.to_payload())
-            for statistic in experiment.stats
-        }
-        # Through JSON so tuples and float keys take the fixture's form;
-        # floats round-trip exactly.
-        assert json.loads(json.dumps(got)) == pin["result"]
+
+def pinned_outcome(cores, seed, rho=0.8):
+    """The fixture's ``result`` for one seeded M/M/c run on the fast path."""
+    from repro.engine.report import result_to_dict
+    from repro.parallel.protocol import payload_digest
+
+    experiment = Experiment(
+        seed=seed, engine="fastpath", warmup_samples=200,
+        calibration_samples=1000,
+    )
+    server = Server(cores=cores)
+    experiment.add_source(
+        Workload(
+            "mmc", Exponential(rate=rho * cores), Exponential(rate=1.0)
+        ),
+        target=server,
+    )
+    experiment.track_response_time(
+        server, mean_accuracy=0.02, quantiles={0.95: 0.05}
+    )
+    experiment.track_waiting_time(server, mean_accuracy=0.05)
+    got = result_to_dict(experiment.run())
+    del got["wall_time"]
+    got["histogram_digests"] = {
+        statistic.name: payload_digest(statistic.histogram.to_payload())
+        for statistic in experiment.stats
+    }
+    # Through JSON so tuples and float keys take the fixture's form;
+    # floats round-trip exactly.
+    return json.loads(json.dumps(got))
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("pin", PINS, ids=pin_id)
+    def test_result_equals_recorded_parent_values(self, pin):
+        got = pinned_outcome(pin["cores"], pin["seed"], pin.get("rho", 0.8))
+        assert got == pin["result"]
 
 
 class TestEngineKnobPlumbing:
