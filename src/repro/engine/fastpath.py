@@ -11,22 +11,21 @@ them directly:
   min(-W[1], min_{i<=j} X[i])`` with ``X = cumsum(S[:-1] - T[1:])``,
   which vectorizes to three numpy passes per block.
 - **G/G/c (c >= 2)**: the Kiefer–Wolfowitz next-free-server recurrence —
-  each job starts at ``max(arrival, min(core free times))`` — is an
-  inherently sequential scan.  Every core count runs the same loop over
-  a ``heapq`` of free times, O(log c) per job (queuecomputer's design).
-  The recurrence is the only per-job Python: one comprehension whose
-  body is a ``heapreplace``, reading the sample buffers as they are,
-  with the subtraction and the clamp at zero left to numpy — 119 / 131
-  / 150 / 167 ns per job at c = 2 / 4 / 8 / 16, where the same
-  recurrence fed from boxed lists, with an index counter and a
-  preallocated result list, took 152 / 162 / 181 / 202 (32 768-job
-  block, best of 21, the two interleaved call by call).  The list goes
-  to numpy through ``np.fromiter(list, float, n)``, which is told the
-  type and the length ``np.array(list)`` has to discover: 92 / 107 /
-  122 / 167 against 96 / 115 / 129 / 170 ns (same block, best of 60,
-  interleaved, on a quieter day than the figures before).  It is the
-  only kernel because specializing does not pay: a scan unrolled over c
-  locals was O(c) and lost from c = 4 up (``docs/fastpath.md``).
+  each job starts at ``max(arrival, min(core free times))`` — is
+  sequential along one sample path, and has one scalar body: a
+  comprehension of ``heapreplace`` over a ``heapq`` of free times,
+  O(log c) per job (queuecomputer's design, :func:`_scan_core`).  Two
+  FCFS paths that see the same jobs couple, though: once their free
+  times agree clamped at the current arrival, every later start is the
+  same.  So :func:`_lane_scan` cuts a block into lanes of 128 jobs,
+  runs them side by side as ``(c, K)`` numpy rows — once from an empty
+  system, once from the previous lane's end — keeps each lane whose
+  start state agreed with the truth, and recomputes the others with the
+  scalar body.  Waits are bit-identical either way.  At c = 4, rho =
+  0.8 that cuts the kernel from 178 to 77 ns a job.  Where it
+  does not pay — c > 8, a short block, or a load at which too many
+  lanes need repair — :func:`_ggc_scan` keeps the heap scan
+  (``docs/fastpath.md`` has the crossover table).
 
 Draws come in blocks from the **same RNG streams** the event engine
 would use (``Distribution.sample_block`` on the source's arrival and
@@ -181,20 +180,17 @@ def qualifies(experiment) -> Qualification:
 
 # -- block recurrences --------------------------------------------------------
 
-def _heap_scan(
-    gaps: np.ndarray,
-    services: np.ndarray,
-    carry: Tuple[float, list],
-) -> Tuple[np.ndarray, Tuple[float, list]]:
-    """Waiting times for one G/G/c block (c >= 2), with carry across blocks.
+def _scan_core(
+    arrivals: np.ndarray, services: np.ndarray, free: list
+) -> np.ndarray:
+    """The scalar Kiefer–Wolfowitz recurrence over given arrival times.
 
-    ``carry`` is ``(clock, free)``: the time of the last arrival so far
-    and the core free times as a heap, advanced in place.  Each job
-    starts at ``max(arrival, free[0])`` and ``heapreplace`` writes its
-    departure back — the same additions, in the same order, as the
-    reference next-free-server recurrence; which of several equally
-    free cores serves a job does not enter a waiting time.  O(log c)
-    per job.
+    ``free`` holds the core free times as a heap and is advanced in
+    place.  Each job starts at ``max(arrival, free[0])`` and
+    ``heapreplace`` writes its departure back — the same additions, in
+    the same order, as the reference next-free-server recurrence; which
+    of several equally free cores serves a job does not enter a waiting
+    time.  O(log c) per job.
 
     ``heapreplace`` returns what it pops, so the comprehension emits the
     smallest free time each job met and numpy finishes the block:
@@ -204,9 +200,6 @@ def _heap_scan(
     ``memoryview``, one short-lived float at a time, so the block is
     never boxed on the way in.
     """
-    clock, free = carry
-    arrivals = np.cumsum(gaps)
-    arrivals += clock
     replace = heapq.heapreplace
     waits = np.fromiter([
         replace(free, (f if (f := free[0]) > a else a) + s)
@@ -214,7 +207,190 @@ def _heap_scan(
     ], float, len(arrivals))
     waits -= arrivals
     np.maximum(waits, 0.0, out=waits)
-    return waits, (float(arrivals[-1]), free)
+    return waits
+
+
+def _heap_scan(
+    gaps: np.ndarray,
+    services: np.ndarray,
+    carry: Tuple[float, list],
+) -> Tuple[np.ndarray, Tuple[float, list]]:
+    """Waiting times for one G/G/c block (c >= 2), with carry across blocks.
+
+    ``carry`` is ``(clock, free)``: the time of the last arrival so far
+    and the core free times as a heap, advanced in place by
+    :func:`_scan_core`.
+    """
+    clock, free = carry
+    arrivals = np.cumsum(gaps)
+    arrivals += clock
+    return _scan_core(arrivals, services, free), (float(arrivals[-1]), free)
+
+
+#: Jobs per lane of :func:`_lane_scan`.  A lane started from an empty
+#: system has met the true path by its end in all but 5 % of lanes of
+#: this length at c = 4, rho = 0.8 (9 % at c = 8); lanes of 64 and 256
+#: jobs were no faster there.
+_LANE_JOBS = 128
+
+#: A block takes the lanes only with at least this many lanes per core.
+#: A step costs 2c ufunc calls over all K lanes, a heap scan job O(log c),
+#: and the lanes broke even near 16 lanes a core (c = 4, 8, 12 at rho =
+#: 0.8; ``docs/fastpath.md``).  A full block has 256 lanes, so c > 8
+#: always takes the scalar scan, and so does a short, budget-cut block.
+_LANE_MIN_LANES_PER_CORE = 32
+
+#: When more than this share of a block's lanes needed repair, the next
+#: :data:`_LANE_REPROBE_BLOCKS` blocks take the scalar scan and the one
+#: after them tries the lanes again.  The lanes lost from about 45 % of
+#: lanes repaired at c = 2 and 4 and from 35 % at c = 8.  A probe where
+#: they lose costs up to a quarter more than the heap scan on its block,
+#: so probes are rare: a 20-block run at rho = 0.95 costs what it did on
+#: the heap scan alone, within 1 % (regime table in ``docs/fastpath.md``).
+_LANE_MAX_REPAIRED = 0.3
+_LANE_REPROBE_BLOCKS = 64
+
+
+def _run_lanes(
+    arrivals: np.ndarray, services: np.ndarray, free: np.ndarray,
+    starts: np.ndarray,
+) -> None:
+    """Step every lane through its jobs at once.
+
+    ``arrivals``, ``services`` and ``starts`` are ``(L, K)``: row ``t``
+    holds job ``t`` of each of the K lanes.  ``free`` is ``(c, K)``, each
+    column a lane's free times sorted ascending, advanced in place.  A
+    step starts every lane's job at ``max(free[0], arrival)`` and
+    inserts its departure into the other c - 1 free times by a chain of
+    compare-swaps, so the column stays sorted: 2c ufunc calls a step.
+    """
+    rows = list(free)
+    departure = np.empty(free.shape[1])
+    # Row j-1 takes min(row j, departure) and the departure carries
+    # max(row j, departure) on; the last row keeps what is carried.
+    swaps = [
+        (rows[j], rows[j - 1], departure if j < len(rows) - 1 else rows[j])
+        for j in range(1, len(rows))
+    ]
+    head = rows[0]
+    maximum, minimum, add = np.maximum, np.minimum, np.add
+    for arrival, service, start in zip(arrivals, services, starts):
+        maximum(head, arrival, out=start)
+        add(start, service, out=departure)
+        for row, lower, carried in swaps:
+            minimum(row, departure, out=lower)
+            maximum(row, departure, out=carried)
+
+
+def _lane_scan(
+    gaps: np.ndarray,
+    services: np.ndarray,
+    carry: Tuple[float, list],
+    lane_jobs: int = _LANE_JOBS,
+) -> Tuple[np.ndarray, Tuple[float, list], int]:
+    """:func:`_heap_scan`'s waits and carry, computed as parallel lanes.
+
+    Returns the heap scan's two values and the number of lanes that
+    needed repair.
+
+    The block's arrival times are summed once, as the heap scan sums
+    them, and cut into K lanes of ``lane_jobs`` jobs.  Pass 1 runs lane
+    0 from the carried free times and every other lane from an empty
+    system; pass 2 runs lane k from lane k - 1's pass-1 end.  Two FCFS
+    paths whose free times agree once each is clamped at the current
+    arrival start every later job at the same instant (a free time
+    below the arrival acts as the arrival itself), so lane k's pass-2
+    waits are exact when lane k - 1 is and its two end states agree
+    clamped at lane k's first arrival.  A lane that fails the check is
+    recomputed by :func:`_scan_core` from the true end of the lane
+    before it, and the chain continues from there; the ``n mod
+    lane_jobs`` tail runs scalar too.
+
+    Waits are ``==`` to :func:`_heap_scan`'s.  The carried free list is
+    equal to the heap scan's after clamping at the clock: free times
+    below the clock may differ, and no later wait can see them.
+    """
+    clock, free = carry
+    n = gaps.shape[0]
+    lanes = n // lane_jobs
+    if not lanes:
+        return (*_heap_scan(gaps, services, carry), 0)
+    arrivals = np.cumsum(gaps)
+    arrivals += clock
+    span = lanes * lane_jobs
+    lane_arrivals = arrivals[:span].reshape(lanes, lane_jobs)
+    by_step = lane_arrivals.T.copy()
+    service_steps = services[:span].reshape(lanes, lane_jobs).T.copy()
+    starts = np.empty_like(by_step)
+    start_free = sorted(free)
+
+    ends = np.zeros((len(free), lanes))
+    ends[:, 0] = start_free
+    _run_lanes(by_step, service_steps, ends, starts)
+    exact = np.empty_like(ends)
+    exact[:, 0] = start_free
+    exact[:, 1:] = ends[:, :-1]
+    _run_lanes(by_step, service_steps, exact, starts)
+
+    waits = np.empty(n)
+    np.subtract(
+        starts.T, lane_arrivals, out=waits[:span].reshape(lanes, lane_jobs)
+    )
+
+    # Lane k is exact iff lane k - 1 is and its two ends agree clamped at
+    # lane k's first arrival; a repair re-checks the lane after it.
+    firsts = by_step[0]
+    agree = np.equal(
+        np.maximum(ends[:, :-1], firsts[1:]),
+        np.maximum(exact[:, :-1], firsts[1:]),
+    ).all(axis=0)
+    repaired = settled = 0
+    for lane in (np.flatnonzero(~agree) + 1).tolist():
+        if lane <= settled:
+            continue
+        while True:
+            low, high = lane * lane_jobs, (lane + 1) * lane_jobs
+            state = exact[:, lane - 1].tolist()
+            waits[low:high] = _scan_core(
+                arrivals[low:high], services[low:high], state
+            )
+            state.sort()
+            exact[:, lane] = state
+            repaired += 1
+            lane += 1
+            if lane == lanes or np.array_equal(
+                np.maximum(ends[:, lane - 1], firsts[lane]),
+                np.maximum(exact[:, lane - 1], firsts[lane]),
+            ):
+                break
+        settled = lane
+
+    free = exact[:, -1].tolist()
+    if span < n:
+        waits[span:] = _scan_core(arrivals[span:], services[span:], free)
+    return waits, (float(arrivals[-1]), free), repaired
+
+
+def _ggc_scan(
+    gaps: np.ndarray,
+    services: np.ndarray,
+    carry: Tuple[float, list, int],
+) -> Tuple[np.ndarray, Tuple[float, list, int]]:
+    """One G/G/c block on the lanes or the heap scan, whichever pays.
+
+    ``carry`` is ``(clock, free, scalar_blocks)``: the heap scan's carry
+    plus how many more blocks the guard keeps on the scalar scan.  Both
+    kernels give the same waits, so the choice never moves a result.
+    """
+    clock, free, scalar_blocks = carry
+    lanes = gaps.shape[0] // _LANE_JOBS
+    if scalar_blocks or lanes < _LANE_MIN_LANES_PER_CORE * len(free):
+        waits, (clock, free) = _heap_scan(gaps, services, (clock, free))
+        return waits, (clock, free, max(scalar_blocks - 1, 0))
+    waits, (clock, free), repaired = _lane_scan(gaps, services, (clock, free))
+    if repaired > _LANE_MAX_REPAIRED * lanes:
+        scalar_blocks = _LANE_REPROBE_BLOCKS
+    return waits, (clock, free, scalar_blocks)
 
 
 def _lindley_block(
@@ -293,7 +469,7 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
     if cores == 1:
         block, carry = _lindley_block, (0.0, 0.0, 0.0)
     else:
-        block, carry = _heap_scan, (0.0, [0.0] * cores)
+        block, carry = _ggc_scan, (0.0, [0.0] * cores, 0)
     # The carry and the job count live with the experiment, so a later
     # run() continues this sample path under a cumulative budget, as on
     # the event engine.

@@ -7,8 +7,10 @@ Three layers of guarantees are pinned here:
    exactly the decisions of the scalar ``insert``/``observe`` loops
    (hypothesis property tests over awkward block splits).
 2. **Exactness of the recurrences** — the vectorized Lindley solution
-   reproduces the naive scalar recurrence to fp tolerance and the G/G/c
-   scan reproduces it bit-for-bit, across block boundaries.
+   reproduces the naive scalar recurrence to fp tolerance and both G/G/c
+   kernels, the heap scan and the lane-parallel scan, reproduce it
+   bit-for-bit, across block boundaries and whichever kernel the guard
+   picks for a block.
 3. **Gating** — ``qualifies`` admits exactly the models the recurrences
    are exact for, forced ``engine="fastpath"`` raises on anything else,
    and ``engine="auto"`` fallback is bit-identical to ``engine="event"``
@@ -17,6 +19,7 @@ Three layers of guarantees are pinned here:
 """
 
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -34,12 +37,17 @@ from repro.engine import fastpath
 from repro.engine.experiment import Experiment
 from repro.engine.fastpath import (
     FastpathError,
+    _ggc_scan,
     _heap_scan,
+    _lane_scan,
     _lindley_block,
     qualifies,
     run_fastpath,
 )
 from repro.workloads.workload import Workload
+
+#: ``REPRO_TEST_FULL=1`` widens the G/G/c kernel matrix and property runs.
+FULL_SCALE = os.environ.get("REPRO_TEST_FULL") == "1"
 
 
 def build_mm1(engine="event", seed=7, rho=0.6, metric="response",
@@ -353,6 +361,149 @@ class TestGgcKernels:
         assert peak <= 2 * 2**20
 
 
+def clamped(free, clock):
+    """A free list as the rest of the path can see it."""
+    return sorted(max(f, clock) for f in free)
+
+
+class TestLaneScan:
+    @settings(max_examples=1000 if FULL_SCALE else 150, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=8),
+        lane_jobs=st.integers(min_value=4, max_value=8),
+        jobs=st.lists(
+            st.tuples(DURATIONS, DURATIONS), min_size=16, max_size=300
+        ),
+        load=st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+        cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=4),
+    )
+    def test_lanes_equal_reference_under_ties_and_any_block_cut(
+        self, k, lane_jobs, jobs, load, cuts
+    ):
+        """Lanes of 4 to 8 jobs, and service times scaled by up to 8 (a
+        power of two, so ties stay ties), make repairs and chains of them
+        common.
+
+        The carried free list is compared with the reference's after
+        clamping each entry at the clock.  Every later arrival is at or
+        after the clock, and a job starts at ``max(arrival, min(free))``,
+        so a free time below the clock acts exactly as the clock does: no
+        later start, wait or departure can tell two lists apart that
+        agree once clamped.  The lanes may leave such stale entries (a
+        lane started from an empty system keeps its zeros until used).
+        """
+        gaps = np.array([gap for gap, _ in jobs])
+        services = np.array([service for _, service in jobs]) * load
+        carry = (0.0, [0.0] * k)
+        arrivals, waits = [], []
+        for gap_block, service_block in zip(
+            split_blocks(gaps, cuts), split_blocks(services, cuts)
+        ):
+            arrivals.append(np.cumsum(gap_block) + carry[0])
+            block_waits, carry, _ = _lane_scan(
+                gap_block, service_block, carry, lane_jobs
+            )
+            waits.append(block_waits)
+        arrivals, waits = np.concatenate(arrivals), np.concatenate(waits)
+        expected, expected_free = scalar_ggc(arrivals, services, k)
+        assert waits.dtype == np.float64
+        assert np.array_equal(waits, expected)
+        assert not np.signbit(waits).any()
+        clock, free = carry
+        assert clock == arrivals[-1]
+        assert clamped(free, clock) == clamped(expected_free, clock)
+
+    def test_a_backlog_repairs_every_lane_in_one_chain(self):
+        # Every core busy far past the block: lane 0 and lane 1 (which
+        # starts from lane 0's end) are exact, and every lane after them
+        # started from an empty system that the backlog never empties
+        # into, so each repair fails the next lane's check too.
+        k, n, lane_jobs = 3, 400, 4
+        rng = np.random.default_rng(19)
+        gaps = rng.exponential(1.0, size=n)
+        services = rng.exponential(1.0, size=n)
+        carry = (0.0, [1e4] * k)
+        expected, _ = _heap_scan(gaps, services, (0.0, [1e4] * k))
+        waits, _, repaired = _lane_scan(gaps, services, carry, lane_jobs)
+        assert np.array_equal(waits, expected)
+        assert repaired == n // lane_jobs - 2
+
+    def test_lanes_stay_within_their_memory_bound(self):
+        # A 32 768-job block holds five float arrays of its length beside
+        # the draws (arrivals, two step-major copies of the draws, the
+        # start times and the waits): 1.25 MiB, 1.33 measured.
+        rng = np.random.default_rng(17)
+        gaps = rng.exponential(1.0 / 3.2, size=fastpath.BLOCK_JOBS)
+        services = rng.exponential(1.0, size=fastpath.BLOCK_JOBS)
+        tracemalloc.start()
+        try:
+            _lane_scan(gaps, services, (0.0, [0.0] * 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+
+MATRIX_CORES = [2, 4, 8, 16] + ([32, 64] if FULL_SCALE else [])
+MATRIX_RHOS = [0.5, 0.8, 0.95] + ([0.99] if FULL_SCALE else [])
+MATRIX_BLOCKS = 20 if FULL_SCALE else 3
+
+
+class TestGgcScan:
+    @pytest.mark.parametrize("cores", MATRIX_CORES)
+    @pytest.mark.parametrize("rho", MATRIX_RHOS)
+    def test_blocks_equal_heap_scan(self, cores, rho):
+        rng = np.random.default_rng(cores * 1000 + round(rho * 100))
+        heap_carry = (0.0, [0.0] * cores)
+        carry = (0.0, [0.0] * cores, 0)
+        for _ in range(MATRIX_BLOCKS):
+            gaps = rng.exponential(1.0 / (rho * cores), fastpath.BLOCK_JOBS)
+            services = rng.exponential(1.0, fastpath.BLOCK_JOBS)
+            expected, heap_carry = _heap_scan(gaps, services, heap_carry)
+            waits, carry = _ggc_scan(gaps, services, carry)
+            assert np.array_equal(waits, expected)
+            assert carry[0] == heap_carry[0]
+            assert clamped(carry[1], carry[0]) == clamped(
+                heap_carry[1], heap_carry[0]
+            )
+
+    def test_guard_switches_engines_between_blocks(self, monkeypatch):
+        # At rho = 0.95 about half the lanes need repair, so a lane block
+        # sends the next _LANE_REPROBE_BLOCKS to the heap scan, and the
+        # block after them probes the lanes again.
+        monkeypatch.setattr(fastpath, "_LANE_REPROBE_BLOCKS", 2)
+        engines = []
+
+        def lanes(*args):
+            engines[-1] = "lanes"
+            return _lane_scan(*args)
+
+        monkeypatch.setattr(fastpath, "_lane_scan", lanes)
+        rng = np.random.default_rng(23)
+        heap_carry, carry = (0.0, [0.0] * 4), (0.0, [0.0] * 4, 0)
+        for _ in range(6):
+            gaps = rng.exponential(1.0 / (0.95 * 4), fastpath.BLOCK_JOBS)
+            services = rng.exponential(1.0, fastpath.BLOCK_JOBS)
+            engines.append("heap")
+            expected, heap_carry = _heap_scan(gaps, services, heap_carry)
+            waits, carry = _ggc_scan(gaps, services, carry)
+            assert np.array_equal(waits, expected)
+        assert engines == ["lanes", "heap", "heap"] * 2
+
+    def test_short_blocks_and_many_cores_take_the_heap_scan(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("lanes ran")
+
+        monkeypatch.setattr(fastpath, "_lane_scan", fail)
+        rng = np.random.default_rng(29)
+        for cores, n in ((16, fastpath.BLOCK_JOBS), (4, 1000)):
+            gaps = rng.exponential(1.0 / (0.8 * cores), n)
+            services = rng.exponential(1.0, n)
+            expected, _ = _heap_scan(gaps, services, (0.0, [0.0] * cores))
+            waits, _ = _ggc_scan(gaps, services, (0.0, [0.0] * cores, 0))
+            assert np.array_equal(waits, expected)
+
+
 # -- 3. gating and engine selection -------------------------------------------
 
 
@@ -595,35 +746,49 @@ class TestStatisticalEquivalence:
         )
 
 
+def budget_bound(cores, rho=0.8):
+    """A fast-path M/M/c run whose target no budget here reaches."""
+    experiment, _ = build_mm1(
+        engine="fastpath", seed=3, rho=rho, accuracy=1e-5, cores=cores,
+    )
+    return experiment
+
+
+def outcome(result):
+    from repro.engine.report import result_to_dict
+
+    fields = result_to_dict(result)
+    del fields["wall_time"]
+    return fields
+
+
+BLOCK_EVENTS = fastpath.BLOCK_JOBS * fastpath.EVENTS_PER_JOB
+
+
 class TestResumedRun:
     @pytest.mark.parametrize("cores", [1, 4])
     def test_second_run_continues_the_first(self, cores):
-        from repro.engine.report import result_to_dict
-
-        def build():
-            # A target no budget here reaches, so every call runs it out.
-            experiment, _ = build_mm1(
-                engine="fastpath", seed=3, rho=0.8, accuracy=1e-5,
-                cores=cores,
-            )
-            return experiment
-
-        def outcome(result):
-            fields = result_to_dict(result)
-            del fields["wall_time"]
-            return fields
-
-        block_events = fastpath.BLOCK_JOBS * fastpath.EVENTS_PER_JOB
-        expected = outcome(build().run(max_events=3 * block_events))
-        experiment = build()
-        first = experiment.run(max_events=block_events)
-        assert first.events_processed == block_events
+        expected = outcome(budget_bound(cores).run(max_events=3 * BLOCK_EVENTS))
+        experiment = budget_bound(cores)
+        first = experiment.run(max_events=BLOCK_EVENTS)
+        assert first.events_processed == BLOCK_EVENTS
         # Same block partition as the single run, so bit-equal to it.
-        resumed = experiment.run(max_events=3 * block_events)
+        resumed = experiment.run(max_events=3 * BLOCK_EVENTS)
         assert outcome(resumed) == expected
         assert experiment.sources[0].generated == 3 * fastpath.BLOCK_JOBS
         # The budget is cumulative: once spent, a further call is a no-op.
-        assert outcome(experiment.run(max_events=3 * block_events)) == expected
+        assert outcome(experiment.run(max_events=3 * BLOCK_EVENTS)) == expected
+
+    def test_resume_keeps_the_guard_countdown(self):
+        # At rho = 0.95 the first block's lanes mostly need repair, so the
+        # run stops with the heap scan owed more blocks; the resumed run
+        # must take up both the free list and that countdown.
+        expected = outcome(budget_bound(4, 0.95).run(max_events=4 * BLOCK_EVENTS))
+        experiment = budget_bound(4, 0.95)
+        experiment.run(max_events=2 * BLOCK_EVENTS)
+        assert experiment._fastpath_carry[2] > 0
+        resumed = experiment.run(max_events=4 * BLOCK_EVENTS)
+        assert outcome(resumed) == expected
 
 
 #: ``engine="fastpath"`` outcomes: everything ``result_to_dict`` reports
