@@ -16,9 +16,15 @@ Three layers, cheapest first:
    faults must surface machine-readable causes, honoring the run-level
    supervision policy (abort vs continue-degraded, fleet floor,
    deadline).
+4. Pinned frame-chaos runs — ``tests/fixtures/frame_chaos_pins.json``
+   holds one seeded master run per frame kind and direction (outcome,
+   death causes, digests and the ``transport/net_fault`` records),
+   recorded by an earlier commit.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -534,3 +540,97 @@ class TestMasterChaosParity:
             death["cause"] == CAUSE_LIVENESS_TIMEOUT and death["slave"] == 1
             for death in deaths
         )
+
+
+# -- pinned frame-chaos runs ---------------------------------------------------
+
+
+#: One row per frame kind x direction the plan validator accepts, each a
+#: ``MASTER_KW`` run over the memory transport with respawn on.  A
+#: dropped frame is detected by the round deadline, a partition by
+#: heartbeat liveness; the other kinds need neither.
+PINNED_FRAME_FAULTS = (
+    ("delay", "in"), ("delay", "out"),
+    ("drop", "in"), ("drop", "out"),
+    ("duplicate", "in"), ("duplicate", "out"),
+    ("corrupt", "in"),
+    ("partition", "in"), ("partition", "out"),
+    ("agent_crash", "out"),
+)
+FRAME_PINS_FILE = (
+    Path(__file__).parent / "fixtures" / "frame_chaos_pins.json"
+)
+
+
+def pinned_frame_outcome(kind, direction):
+    """Everything a seeded frame-chaos run must reproduce, as plain data."""
+    from repro.observability import Tracer
+    from repro.observability.schema import strip_host_fields
+
+    extra = {"delay": 0.2} if kind == "delay" else {}
+    plan = FaultPlan.single(
+        kind, slave_id=1, round=1, direction=direction, **extra
+    )
+    heartbeats = (
+        dict(heartbeat_interval=0.2, heartbeat_misses=3)
+        if kind == "partition" else {}
+    )
+    round_timeout = 2.0 if kind == "drop" else MASTER_KW["round_timeout"]
+    tracer = Tracer.to_memory()
+    transport = InMemoryTransport(**heartbeats)
+    simulation = ParallelSimulation(
+        factory, backend="remote", transport=transport,
+        join_timeout=15.0, fault_plan=plan,
+        respawn=RespawnPolicy(backoff_base=0.0, jitter=0.0),
+        **{**MASTER_KW, "round_timeout": round_timeout},
+    )
+    simulation.attach_tracer(tracer)
+    try:
+        result = simulation.run()
+    finally:
+        transport.close()
+    records = tracer.lines()
+    outcome = {
+        "kind": kind,
+        "direction": direction,
+        "converged": result.converged,
+        "degraded": result.degraded,
+        "rounds": result.rounds,
+        "restarts": result.restarts,
+        "dead_slaves": result.dead_slaves,
+        "failure_causes": result.failure_causes,
+        "death_causes": sorted(
+            [record["fields"]["slave"], record["fields"]["generation"],
+             record["fields"]["cause"]]
+            for record in records if record["name"] == "dead"
+        ),
+        "merged_digests": result.merged_digests,
+        "total_accepted": result.total_accepted,
+        "net_faults": [
+            strip_host_fields(record)
+            for record in records if record["name"] == "net_fault"
+        ],
+    }
+    # Through JSON so int keys and tuples take the fixture's form.
+    return json.loads(json.dumps(outcome))
+
+
+class TestPinnedFrameChaos:
+    """Seeded frame-chaos runs recorded by an earlier commit; re-record
+    with ``PYTHONPATH=src python -m tests.test_netfaults``, only for a
+    change that is meant to move a chaos run's outcome."""
+
+    @pytest.mark.parametrize(
+        "pin", json.loads(FRAME_PINS_FILE.read_text()),
+        ids=lambda pin: f"{pin['kind']}-{pin['direction']}",
+    )
+    def test_run_equals_recorded_values(self, pin):
+        assert pinned_frame_outcome(pin["kind"], pin["direction"]) == pin
+
+
+if __name__ == "__main__":  # re-record the fixture (see TestPinnedFrameChaos)
+    FRAME_PINS_FILE.write_text(json.dumps(
+        [pinned_frame_outcome(kind, direction)
+         for kind, direction in PINNED_FRAME_FAULTS],
+        indent=1,
+    ) + "\n")
