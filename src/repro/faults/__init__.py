@@ -15,8 +15,8 @@ first-class, *testable* input instead of an operational surprise:
   executes a plan's worker kinds inside the slave loop (real
   ``os._exit`` / sleeps in a slave process; the serial backend's inline
   transport substitutes its own exit and sleep, and the master cannot
-  tell the difference).  The frame kinds are applied by
-  :class:`~repro.parallel.chaos.ChaosTransport`;
+  tell the difference).  The frame kinds are applied by the framed
+  channel of :mod:`repro.parallel.transport`;
 - :mod:`~repro.faults.recovery` — :class:`RespawnPolicy` (exponential
   backoff + deterministic jitter, per-slave and total restart budgets),
   :class:`SupervisionPolicy` (fleet floor, degradation threshold, and

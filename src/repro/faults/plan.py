@@ -38,9 +38,11 @@ the master numbers its rounds (on a pool worker: its n-th configure).
 Frame kinds
 -----------
 
-A :class:`~repro.parallel.chaos.ChaosTransport` applies them at the
-frame boundary.  The master and the pool wrap one around their framed
-(remote or in-memory) transport themselves when the plan holds any.
+The framed channel of :mod:`repro.parallel.transport` applies them
+where it meets the wire.  The master and the pool wrap their framed
+(remote or in-memory) transport in a
+:class:`~repro.parallel.chaos.ChaosTransport` themselves when the plan
+holds any; its ``spawn`` hands each incarnation's specs to the channel.
 ``round`` counts the incarnation's sequenced data frames on its
 connection, per ``direction``: ``"in"`` (worker to master, the default)
 or ``"out"`` (master to worker).  Heartbeats are unsequenced and never
@@ -78,7 +80,7 @@ from repro.shape import checked
 #: What the worker-side FaultInjector executes.
 WORKER_KINDS = ("kill", "hang", "drop_report", "corrupt_payload")
 
-#: What a ChaosTransport applies at the frame boundary.
+#: What the framed channel applies at the frame boundary.
 FRAME_KINDS = (
     "delay", "drop", "duplicate", "corrupt", "partition", "agent_crash",
 )

@@ -317,6 +317,10 @@ class HostAgent:
 
         loop = asyncio.get_running_loop()
         parent_conn, child_conn = self._context.Pipe()
+        # Workers of this and every other slot must not keep a copy of
+        # the bridge's end: closing it must reach the worker as EOF.
+        fd = parent_conn.fileno()
+        register_fork_unsafe_fd(fd)
         process = fork_safe_process(self._context, entry, child_conn, args)
         process.start()
         child_conn.close()
@@ -337,7 +341,7 @@ class HostAgent:
             except (EOFError, ConnectionError, OSError):
                 worker_eof.set()
 
-        loop.add_reader(parent_conn.fileno(), pipe_readable)
+        loop.add_reader(fd, pipe_readable)
         try:
             socket_pump = asyncio.ensure_future(
                 self._pump_socket_to_pipe(reader, writer, parent_conn)
@@ -365,7 +369,8 @@ class HostAgent:
                     socket_pump, eof_wait, return_exceptions=True
                 )
         finally:
-            loop.remove_reader(parent_conn.fileno())
+            loop.remove_reader(fd)
+            unregister_fork_unsafe_fd(fd)
             self._reap(process, parent_conn)
 
     async def _pump_socket_to_pipe(self, reader, writer, parent_conn) -> None:

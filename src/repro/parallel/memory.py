@@ -4,13 +4,13 @@
 master process behind the very channel, endpoint and ``wait`` the
 remote transport uses (``_FramedChannel`` / ``FramedEndpoint`` /
 ``_FramedTransport`` in :mod:`repro.parallel.transport`): sequence
-stamping and master-side dedup (``set_raw_delivery`` for chaos
-wrappers), close reasons, per-direction blackholes and the liveness
-stamp are that shared code, not a model of it.  So the network-chaos
-and liveness machinery (:mod:`repro.parallel.chaos`, heartbeat
-monitoring) can be exercised in fast, socket-free unit tests with the
-exact schedule a loopback :class:`~repro.parallel.transport.RemoteTransport`
-would see.
+stamping, the one master-side dedup, frame faults (armed by ``spawn``
+before the worker thread starts), close reasons, per-direction
+blackholes and the liveness stamp are that shared code, not a model of
+it.  So the network-chaos and liveness machinery (frame faults,
+heartbeat monitoring) can be exercised in fast, socket-free unit tests
+with the exact schedule a loopback
+:class:`~repro.parallel.transport.RemoteTransport` would see.
 
 What this module adds is the carrier — what stands in for the agent
 process and its TCP connection:
@@ -23,7 +23,7 @@ process and its TCP connection:
   ping loop: a live, un-partitioned channel acks every interval (the
   bridge acks even while the worker is busy — no false positive on a
   slow worker), and a channel silent past ``interval * misses`` closes
-  with reason ``"liveness timeout"``; ``set_partition("in"/"out")``
+  with reason ``"liveness timeout"``; a ``partition`` frame fault
   blackholes one direction *below* that layer — data and acks/pings
   alike — reproducing a half-open link only liveness monitoring can
   detect.
@@ -127,19 +127,15 @@ class _MemoryChannel(_FramedChannel):
             self.conn.deliver(message)
 
     def from_worker(self, obj: object) -> None:
-        """One worker send, bridge-stamped, onto the master inbox.
-
-        A closed channel is a closed socket: the bridge has nowhere to
-        write, so the worker's later sends vanish.
-        """
+        """One worker send, bridge-stamped, onto the master inbox."""
         frame = self.bridge_out.stamp(obj)
         with self.cond:
-            if not (self.blackhole_in or self.closed):
+            if not self.blackhole_in:
                 self.push(frame)
 
     def teardown(self) -> None:
-        self.conn.shut()
         self.mark_closed()
+        self.conn.shut()
 
     def describe(self) -> dict:
         return {"transport": "memory"}
@@ -209,9 +205,11 @@ class InMemoryTransport(_FramedTransport):
 
     # -- Transport surface ---------------------------------------------------
 
-    def spawn(self, worker_id, generation, entry, args, timeout=None):
+    def spawn(self, worker_id, generation, entry, args, timeout=None,
+              faults=()):
         self.start()
         channel = _MemoryChannel(self._cond, worker_id, generation)
+        channel.arm(faults, self._trace, worker_id, generation)
 
         def run_worker():
             try:

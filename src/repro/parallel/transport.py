@@ -58,7 +58,7 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_FRAME,
@@ -352,17 +352,20 @@ def collect_replies(transport, outstanding, fallback: str,
 # A fork()ed worker inherits every open file descriptor of its parent —
 # including the TCP sockets of *other* workers' agent connections (and,
 # when master and agent share one process in tests, the master's
-# accepted sockets).  An inherited duplicate keeps a connection
+# accepted sockets) and the master-side ends of its own and its
+# siblings' pipes.  An inherited duplicate keeps a connection
 # ESTABLISHED in the kernel after both real ends have closed it, so the
-# peer never sees the FIN and a dead worker looks alive until every
-# sibling worker has exited.  Socket owners register their fds here and
-# forked workers close the inherited copies before running their entry.
+# peer never sees the FIN (or the EOF) and a dead or condemned worker
+# looks alive until every sibling worker has exited.  Socket and pipe
+# owners register their fds here and forked workers close the inherited
+# copies before running their entry.
 
 _FORK_UNSAFE_FDS: Set[int] = set()
 
 
 def register_fork_unsafe_fd(fd: int) -> None:
-    """Mark one fd (a live socket) to be closed in forked workers."""
+    """Mark one fd (a live socket or pipe end) to be closed in forked
+    workers."""
     _FORK_UNSAFE_FDS.add(fd)
 
 
@@ -372,7 +375,7 @@ def unregister_fork_unsafe_fd(fd: int) -> None:
 
 
 def scrub_inherited_fds() -> None:
-    """Close every registered socket fd (worker child side, post-fork).
+    """Close every registered fd (worker child side, post-fork).
 
     The child's copy of the registry is the fork-time snapshot, so it
     names exactly the inherited duplicates that must go.
@@ -682,11 +685,20 @@ class _InlineTransport(Transport):
 class LocalEndpoint(WorkerEndpoint):
     """A forked worker process behind a duplex pipe."""
 
-    def __init__(self, worker_id, generation, conn, process):
+    def __init__(self, worker_id, generation, conn, process,
+                 fork_unsafe_fd: Optional[int] = None):
         self.worker_id = worker_id
         self.generation = generation
         self.conn = conn
         self.process = process
+        #: The fd of ``conn`` while it is registered fork-unsafe.
+        self._fork_unsafe_fd = fork_unsafe_fd
+
+    def _forget_fd(self) -> None:
+        """Unregister ``conn``'s fd (before it closes), once."""
+        if self._fork_unsafe_fd is not None:
+            unregister_fork_unsafe_fd(self._fork_unsafe_fd)
+            self._fork_unsafe_fd = None
 
     def send(self, message: object) -> None:
         self.conn.send(message)
@@ -698,6 +710,7 @@ class LocalEndpoint(WorkerEndpoint):
         return self.conn.poll(timeout)
 
     def close(self) -> None:
+        self._forget_fd()
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - already torn down
@@ -726,12 +739,16 @@ class LocalPipeTransport(Transport):
 
     def spawn(self, worker_id, generation, entry, args, timeout=None):
         parent_conn, child_conn = self._context.Pipe()
+        # Neither this worker nor a later sibling may keep a copy of the
+        # master's end: closing it must reach the worker as EOF.
+        fd = parent_conn.fileno()
+        register_fork_unsafe_fd(fd)
         process = fork_safe_process(self._context, entry, child_conn, args)
         process.start()
         child_conn.close()
         self._trace("spawn", backend="local", worker=worker_id,
                     generation=generation, pid=process.pid)
-        return LocalEndpoint(worker_id, generation, parent_conn, process)
+        return LocalEndpoint(worker_id, generation, parent_conn, process, fd)
 
     def wait(self, endpoints, timeout=None):
         from multiprocessing.connection import wait as _wait_ready
@@ -759,6 +776,8 @@ class LocalPipeTransport(Transport):
         reap_process(endpoint.process)
 
     def shutdown(self, endpoints) -> None:
+        for endpoint in endpoints:
+            endpoint._forget_fd()
         shutdown_processes(
             [endpoint.process for endpoint in endpoints],
             [endpoint.conn for endpoint in endpoints],
@@ -837,17 +856,32 @@ def reap_process(process, timeout: float = 5.0) -> None:
 # -- the framed channel (remote and in-memory transports) ---------------------
 
 
+def _after(delay: float, deliver, frame: object) -> None:
+    """``deliver(frame)`` on a timer thread ``delay`` s from now: a
+    delayed frame never blocks the thread that carries it."""
+    timer = threading.Timer(delay, deliver, args=(frame,))
+    timer.daemon = True
+    timer.start()
+
+
 class _FramedChannel:
     """Master-side state of one framed worker connection.
 
     Everything the frame pipeline needs and no carrier detail: the
-    inbox, the closed flag and its reason, inbound dedup, the liveness
-    stamp and the partition blackhole flags.  It lives on both sides of
-    a thread boundary — the carrier's thread pushes inbound frames and
+    inbox, the closed flag and its reason, the one inbound dedup, the
+    liveness stamp, the partition blackhole flags and the frame faults
+    scheduled for the bound incarnation.  It lives on both sides of a
+    thread boundary — the carrier's thread pushes inbound frames and
     flips ``closed``, the scheduling thread pops frames — so every
     field is guarded by ``cond``, the owning transport's condition
     variable.  A carrier subclass says how one frame is transmitted,
     how the connection is torn down, and what the far end is.
+
+    Frame faults (a plan's frame kinds, see :mod:`repro.parallel.chaos`)
+    apply where the channel meets the wire: inbound in :meth:`push`,
+    just before the dedup, outbound in :meth:`FramedEndpoint.send`, just
+    after stamping.  A fault's ``round`` is the ordinal of a sequenced
+    frame, per direction, on this incarnation's channel.
     """
 
     #: Text of the ``BrokenPipeError`` a send on the closed channel
@@ -861,9 +895,6 @@ class _FramedChannel:
         #: Why the channel closed, when more specific than a plain EOF
         #: (see CLOSE_LIVENESS / CLOSE_CORRUPT).
         self.close_reason: Optional[str] = None
-        #: Inbound dedup; disabled (raw delivery) by a chaos wrapper
-        #: that performs its own dedup after injecting faults.
-        self.dedup = True
         self.sequencer = FrameSequencer()
         #: Monotonic time of the last life sign (any inbound frame).
         self.last_ack = time.monotonic()
@@ -873,22 +904,78 @@ class _FramedChannel:
         #: included).  Both sit below the heartbeat layer.
         self.blackhole_in = False
         self.blackhole_out = False
+        #: ``(direction, ordinal) -> FaultSpec`` for the bound
+        #: incarnation, set by :meth:`arm` before the worker can send.
+        self.faults: Dict[Tuple[str, int], object] = {}
+        self.ordinals = {"in": 0, "out": 0}
+        self._trace: Optional[Callable[..., None]] = None
+        self._incarnation: Tuple[int, int] = (-1, -1)
 
     def ready(self) -> bool:
         """A frame (or the end of the channel) can be read right now."""
         return bool(self.inbox) or self.closed
 
+    def arm(self, faults, trace, worker_id: int, generation: int) -> None:
+        """Schedule one incarnation's frame faults on this channel."""
+        self.faults = {(spec.direction, spec.round): spec for spec in faults}
+        self._trace = trace
+        self._incarnation = (worker_id, generation)
+
+    def fault_for(self, direction: str):
+        """The fault scheduled for the next sequenced frame in
+        ``direction`` (traced as ``transport/net_fault``), or None."""
+        if not self.faults:
+            return None
+        self.ordinals[direction] += 1
+        ordinal = self.ordinals[direction]
+        spec = self.faults.get((direction, ordinal))
+        if spec is not None:
+            worker_id, generation = self._incarnation
+            self._trace(
+                "net_fault", fault=spec.kind, direction=direction,
+                worker=worker_id, generation=generation, round=ordinal,
+            )
+        return spec
+
     # Called from the carrier's thread.
     def push(self, frame: object) -> None:
+        """One inbound frame: its scheduled fault, then the dedup.
+
+        A closed channel is a closed socket: whatever the carrier still
+        delivers after the close is lost.
+        """
         with self.cond:
-            if self.dedup:
-                accepted, message = self.sequencer.accept(frame)
-                if not accepted:
-                    return
-                self.inbox.append(message)
-            else:
-                self.inbox.append(frame)
+            if self.closed:
+                return
+            spec = self.fault_for("in") if is_sequenced(frame) else None
+            if spec is None:
+                self._accept(frame)
+            elif spec.kind == "delay":
+                _after(spec.delay, self._accept_late, frame)
+            elif spec.kind == "duplicate":
+                # The copy carries the same sequence number: the dedup
+                # below is what keeps the report from merging twice.
+                self._accept(frame)
+                self._accept(frame)
+            elif spec.kind == "corrupt":
+                self.mark_closed(CLOSE_CORRUPT)
+                self.teardown()
+            elif spec.kind == "partition":
+                self.blackhole_in = True
+            # "drop": the frame vanishes
+
+    def _accept(self, frame: object) -> None:
+        """Dedup one frame onto the inbox (``cond`` held)."""
+        accepted, message = self.sequencer.accept(frame)
+        if accepted:
+            self.inbox.append(message)
             self.cond.notify_all()
+
+    def _accept_late(self, frame: object) -> None:
+        """Deliver an inbound frame held back by a delay fault."""
+        with self.cond:
+            if not self.closed:
+                self._accept(frame)
 
     def mark_closed(self, reason: Optional[str] = None) -> None:
         with self.cond:
@@ -915,12 +1002,12 @@ class _FramedChannel:
 class FramedEndpoint(WorkerEndpoint):
     """One worker incarnation behind a :class:`_FramedChannel`.
 
-    Beyond the endpoint surface it has the frame-level hooks a
-    :class:`~repro.parallel.chaos.ChaosTransport` injects faults
-    through.  ``send`` is ``send_frame(stamp(message))``: the split lets
-    the chaos layer stamp a message once and send the *same* stamped
-    frame twice — exercising receiver-side dedup — or hold a stamped
-    frame back and deliver it late.
+    ``send`` stamps each message under the next sequence number, then
+    applies the outbound fault the channel schedules for that frame, if
+    any (a duplicate sends the *same* stamped frame twice, so the far
+    end's dedup must discard the copy).  ``recv``/``poll`` read the
+    channel's inbox, which holds only frames past its one dedup — a
+    deduplicated duplicate never makes the endpoint look ready.
     """
 
     def __init__(self, channel: _FramedChannel, worker_id, generation):
@@ -929,26 +1016,41 @@ class FramedEndpoint(WorkerEndpoint):
         self.generation = generation
         self._out_sequencer = FrameSequencer()
 
-    def stamp(self, message: object) -> object:
-        """Wrap one outbound message under the next sequence number."""
-        return self._out_sequencer.stamp(message)
+    def send(self, message: object) -> None:
+        frame = self._out_sequencer.stamp(message)
+        channel = self.channel
+        spec = channel.fault_for("out")
+        if spec is None:
+            self._transmit(frame)
+        elif spec.kind == "delay":
+            _after(spec.delay, self._transmit_late, frame)
+        elif spec.kind == "duplicate":
+            self._transmit(frame)
+            self._transmit(frame)
+        elif spec.kind == "partition":
+            with channel.cond:
+                channel.blackhole_out = True
+        elif spec.kind == "agent_crash":
+            channel.teardown()
+            raise BrokenPipeError(
+                f"worker {self.worker_id}: injected agent crash"
+            )
+        # "drop": the sequence number is consumed; the frame vanishes
 
-    def send_frame(self, frame: object) -> None:
-        """Send one already-stamped frame verbatim."""
+    def _transmit(self, frame: object) -> None:
         if self.channel.closed:
             raise BrokenPipeError(
                 self.channel.closed_text.format(self.worker_id)
             )
         self.channel.transmit(frame)
 
-    def send(self, message: object) -> None:
-        self.send_frame(self.stamp(message))
+    def _transmit_late(self, frame: object) -> None:
+        try:
+            self._transmit(frame)
+        except (TransportError, OSError):
+            pass  # the worker died while the frame was in flight
 
     def recv(self) -> object:
-        return self.recv_raw()
-
-    def recv_raw(self) -> object:
-        """Receive one frame; undeduplicated under raw delivery."""
         channel = self.channel
         with channel.cond:
             channel.cond.wait_for(channel.ready)
@@ -959,29 +1061,6 @@ class FramedEndpoint(WorkerEndpoint):
     def poll(self, timeout: Optional[float] = None) -> bool:
         with self.channel.cond:
             return self.channel.cond.wait_for(self.channel.ready, timeout)
-
-    def set_raw_delivery(self, raw: bool) -> None:
-        """Leave inbound frames undeduplicated, for a layer that
-        dedups after injecting its faults."""
-        with self.channel.cond:
-            self.channel.dedup = not raw
-
-    def set_partition(self, direction: str) -> None:
-        """Silently blackhole one direction (``"in"`` = worker->master,
-        ``"out"`` = master->worker) *below* the heartbeat layer, so
-        liveness monitoring genuinely detects the half-open link."""
-        with self.channel.cond:
-            if direction == "in":
-                self.channel.blackhole_in = True
-            else:
-                self.channel.blackhole_out = True
-
-    def inject_close(self, reason: Optional[str] = None) -> None:
-        """Tear the connection down as an injected fault would;
-        ``reason`` becomes the close reason (``None`` = plain EOF, like
-        a crashed agent process)."""
-        self.channel.mark_closed(reason)
-        self.channel.teardown()
 
     def close(self) -> None:
         self.channel.teardown()
@@ -997,7 +1076,13 @@ class FramedEndpoint(WorkerEndpoint):
 class _FramedTransport(Transport):
     """What the framed transports share: the condition variable every
     channel of the transport is guarded by, readiness multiplexing over
-    it, and the heartbeat parameters."""
+    it, and the heartbeat parameters.
+
+    Their ``spawn`` takes one more argument, ``faults``: the frame-kind
+    entries of a fault plan addressed to the incarnation, armed on its
+    channel before the worker can send (see
+    :func:`repro.parallel.chaos.with_frame_faults`).
+    """
 
     def __init__(
         self, heartbeat_interval: Optional[float], heartbeat_misses: int
@@ -1380,7 +1465,8 @@ class RemoteTransport(_FramedTransport):
         with self._cond:
             return self._cond.wait_for(self._lobby_open, timeout)
 
-    def spawn(self, worker_id, generation, entry, args, timeout=None):
+    def spawn(self, worker_id, generation, entry, args, timeout=None,
+              faults=()):
         with self._cond:
             if not self._cond.wait_for(self._lobby_open, timeout or 0.0):
                 raise TransportCapacityError(
@@ -1393,6 +1479,7 @@ class RemoteTransport(_FramedTransport):
             # The liveness window opens at bind: a slot may have sat in
             # the lobby far longer than interval * misses.
             channel.last_ack = time.monotonic()
+            channel.arm(faults, self._trace, worker_id, generation)
         channel.transmit(
             ("spawn", worker_id, generation, entry, tuple(args))
         )

@@ -636,9 +636,11 @@ class TestRecovery:
     ])
     def test_serial_and_process_chaos_agree(self, kind, kwargs):
         plan = FaultPlan.single(kind, slave_id=1, round=1, **kwargs)
-        # The process backend sits out the whole deadline on a hang.
+        # The process backend sits out the whole deadline on a hang
+        # and on a dropped report.
+        quick = kind in ("hang", "drop_report")
         common = dict(fault_plan=plan, respawn=NO_BACKOFF,
-                      round_timeout=2.0 if kind == "hang" else 30.0)
+                      round_timeout=2.0 if quick else 30.0)
         serial = ParallelSimulation(factory, **{**KW, **common}).run()
         process = ParallelSimulation(
             factory, **{**KW, **common, "backend": "process"}

@@ -37,7 +37,7 @@ from repro.faults import (
     SupervisionPolicy,
 )
 from repro.faults.plan import FRAME_KINDS
-from repro.parallel.chaos import ChaosEndpoint, ChaosTransport
+from repro.parallel.chaos import with_frame_faults
 from repro.parallel.master import ParallelSimulation
 from repro.parallel.memory import InMemoryTransport
 from repro.parallel.pool import WorkerPool
@@ -48,6 +48,7 @@ from repro.parallel.protocol import (
     CAUSE_LIVENESS_TIMEOUT,
 )
 from repro.parallel.transport import (
+    FramedEndpoint,
     FrameError,
     LivenessError,
     LocalPipeTransport,
@@ -80,6 +81,13 @@ def slow_echo_worker(conn, delay):
             return
         time.sleep(delay)
         conn.send(("echo", message))
+
+
+def eager_echo_worker(conn):
+    """An echo worker that speaks first, as a resumed slave's baseline
+    does."""
+    conn.send("hello")
+    echo_worker(conn)
 
 
 # -- the plan model ------------------------------------------------------------
@@ -201,8 +209,8 @@ def memory():
 
 
 def chaos_spawn(plan, entry=echo_worker, args=(), memory_kwargs=None):
-    """A started ChaosTransport over a fresh memory transport."""
-    transport = ChaosTransport(
+    """A fresh memory transport, started, with ``plan``'s frame faults."""
+    transport = with_frame_faults(
         InMemoryTransport(**(memory_kwargs or {})), plan
     )
     transport.start()
@@ -213,9 +221,9 @@ def chaos_spawn(plan, entry=echo_worker, args=(), memory_kwargs=None):
 class TestChaosMatrix:
     def test_untargeted_worker_passes_clean(self, memory):
         plan = FaultPlan.single("drop", slave_id=7, round=1)
-        transport = ChaosTransport(memory, plan)
+        transport = with_frame_faults(memory, plan)
         endpoint = transport.spawn(0, 0, echo_worker, (), timeout=5.0)
-        assert isinstance(endpoint, ChaosEndpoint)  # uniform dedup path
+        assert isinstance(endpoint, FramedEndpoint)  # uniform dedup path
         endpoint.send("hi")
         assert endpoint.poll(timeout=5.0)
         assert endpoint.recv() == ("echo", "hi")
@@ -274,8 +282,8 @@ class TestChaosMatrix:
             assert endpoint.poll(timeout=5.0)
             assert endpoint.recv() == ("echo", "once")
             # The duplicated report must not make the endpoint look
-            # ready again — that poll-then-block is the deadlock the
-            # dedup-aware ready queue prevents.
+            # ready again — that poll-then-block is the deadlock a
+            # dedup ahead of the inbox prevents.
             assert not endpoint.poll(timeout=0.3)
         finally:
             transport.shutdown([endpoint])
@@ -329,6 +337,65 @@ class TestChaosMatrix:
         # failure mode the heartbeats exist to kill.
         assert not endpoint.poll(timeout=0.5)
         transport.close()
+
+    def test_fault_on_the_first_frame_a_worker_sends_always_fires(self):
+        # The worker sends before it receives anything: the faults must
+        # be armed on its channel before its thread starts, or the
+        # first frame can slip past them.
+        plan = FaultPlan.single("drop", slave_id=0, round=1, direction="in")
+        for _ in range(20):
+            transport, endpoint = chaos_spawn(plan, entry=eager_echo_worker)
+            try:
+                endpoint.send("x")
+                assert endpoint.poll(timeout=5.0)
+                assert endpoint.recv() == ("echo", "x")  # "hello" dropped
+            finally:
+                transport.shutdown([endpoint])
+                transport.close()
+
+    def test_faulted_channels_deliver_each_reply_once_under_contention(self):
+        # More workers than cores, each with duplicates and delays both
+        # ways firing on worker and timer threads, and a tiny switch
+        # interval: a lost update in the channels' shared state would
+        # lose a reply or let a duplicate through.
+        import sys
+
+        workers, messages = 8, 10
+        plan = FaultPlan(specs=tuple(
+            FaultSpec(kind=kind, slave_id=worker, round=round_number,
+                      direction=direction, **extra)
+            for worker in range(workers)
+            for kind, round_number, direction, extra in (
+                ("duplicate", 1, "in", {}),
+                ("delay", 2, "in", {"delay": 0.02}),
+                ("duplicate", 3, "out", {}),
+                ("delay", 4, "out", {"delay": 0.02}),
+            )
+        ))
+        transport = with_frame_faults(InMemoryTransport(), plan)
+        transport.start()
+        endpoints = [
+            transport.spawn(worker, 0, echo_worker, (), timeout=5.0)
+            for worker in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for message in range(messages):
+                for endpoint in endpoints:
+                    endpoint.send(message)
+                owed = list(endpoints)
+                while owed:
+                    ready = transport.wait(owed, timeout=5.0)
+                    assert ready, f"message {message}: replies lost"
+                    for endpoint in ready:
+                        assert endpoint.recv() == ("echo", message)
+                        owed.remove(endpoint)
+            assert transport.wait(endpoints, timeout=0.1) == []
+        finally:
+            sys.setswitchinterval(interval)
+            transport.shutdown(endpoints)
+            transport.close()
 
     def test_plan_on_frameless_transport_is_refused(self):
         plan = FaultPlan.single("drop", slave_id=0, round=1)

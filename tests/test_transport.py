@@ -68,6 +68,15 @@ def exiting_worker(conn):
         conn.send(("echo", message))
 
 
+def recv_until_eof(conn):
+    """Block in recv until the master's end closes, then return."""
+    try:
+        while True:
+            conn.recv()
+    except EOFError:
+        pass
+
+
 # -- rigs ---------------------------------------------------------------------
 
 
@@ -335,6 +344,61 @@ class TestForkFdHygiene:
                 sibling.send("still here")
                 assert sibling.poll(timeout=10.0)
                 assert sibling.recv() == ("echo", "still here")
+            finally:
+                transport.shutdown([sibling])
+        finally:
+            agent.stop(timeout=10.0)
+            transport.close()
+
+
+class TestPipeFdHygiene:
+    """Closing the master's end of a worker pipe must reach the worker.
+
+    A forked worker inherits the parent's open pipe ends — its own
+    master-side end and those of every earlier sibling.  Unless they are
+    scrubbed, a worker blocked in ``recv`` never sees EOF when its end
+    is closed, and reaping it costs the whole join timeout.
+    """
+
+    @pytest.mark.parametrize("siblings", [0, 1])
+    def test_condemned_local_worker_is_reaped_at_once(self, siblings):
+        transport = LocalPipeTransport("fork")
+        doomed = transport.spawn(0, 0, recv_until_eof, ())
+        # Forked after the doomed worker: these would inherit its end.
+        later = [
+            transport.spawn(1 + i, 0, recv_until_eof, ())
+            for i in range(siblings)
+        ]
+        try:
+            started = time.monotonic()
+            doomed.close()
+            transport.reap(doomed)
+            elapsed = time.monotonic() - started
+            assert elapsed < 1.0, f"reaping took {elapsed:.2f}s"
+            assert doomed.process.exitcode == 0  # left on EOF, not killed
+        finally:
+            transport.shutdown(later)
+
+    def test_condemned_agent_worker_frees_its_slot_at_once(self):
+        transport = RemoteTransport()
+        transport.start()
+        agent = HostAgent(transport.address, slots=2)
+        agent.start()
+        try:
+            assert transport.wait_for_capacity(timeout=10.0)
+            doomed = transport.spawn(
+                0, 0, recv_until_eof, (), timeout=10.0
+            )
+            assert transport.wait_for_capacity(timeout=10.0)
+            # Forked after slot 0's bridge pipe exists.
+            sibling = spawn_echo(transport, 1)
+            try:
+                started = time.monotonic()
+                doomed.close()
+                # The agent reaps the worker, then its slot re-dials.
+                assert transport.wait_for_capacity(timeout=10.0)
+                elapsed = time.monotonic() - started
+                assert elapsed < 3.0, f"slot came back after {elapsed:.2f}s"
             finally:
                 transport.shutdown([sibling])
         finally:
