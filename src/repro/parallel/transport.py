@@ -555,13 +555,17 @@ def _serve_session(conn, session_type, *args):
 
     ``session_type(*args)`` builds the master's slave or the pool's
     worker; its baseline (if any) goes out first, then each command is
-    one ``step`` until the string ``"stop"``.
+    one ``step`` until the string ``"stop"``, or until the master closes
+    its end, which is how a condemned worker is told to go.
     """
     session = session_type(*args)
     if session.baseline is not None:
         conn.send(session.baseline)
     while True:
-        message = conn.recv()
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
         if message == "stop":
             conn.close()
             return

@@ -23,6 +23,7 @@ Three layers, cheapest first:
 """
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -358,8 +359,6 @@ class TestChaosMatrix:
         # ways firing on worker and timer threads, and a tiny switch
         # interval: a lost update in the channels' shared state would
         # lose a reply or let a duplicate through.
-        import sys
-
         workers, messages = 8, 10
         plan = FaultPlan(specs=tuple(
             FaultSpec(kind=kind, slave_id=worker, round=round_number,

@@ -33,6 +33,7 @@ from repro.parallel.transport import (
     RemoteTransport,
     TransportCapacityError,
     TransportError,
+    _serve_session,
     encode_frame,
     parse_address,
     read_frame,
@@ -68,13 +69,13 @@ def exiting_worker(conn):
         conn.send(("echo", message))
 
 
-def recv_until_eof(conn):
-    """Block in recv until the master's end closes, then return."""
-    try:
-        while True:
-            conn.recv()
-    except EOFError:
-        pass
+class EchoSession:
+    """A worker session (no baseline) that echoes every command."""
+
+    baseline = None
+
+    def step(self, message, send):
+        send(("echo", message))
 
 
 # -- rigs ---------------------------------------------------------------------
@@ -357,16 +358,17 @@ class TestPipeFdHygiene:
     A forked worker inherits the parent's open pipe ends — its own
     master-side end and those of every earlier sibling.  Unless they are
     scrubbed, a worker blocked in ``recv`` never sees EOF when its end
-    is closed, and reaping it costs the whole join timeout.
+    is closed, and reaping it costs the whole join timeout.  The workers
+    here run the one pipe loop every worker process runs.
     """
 
     @pytest.mark.parametrize("siblings", [0, 1])
     def test_condemned_local_worker_is_reaped_at_once(self, siblings):
         transport = LocalPipeTransport("fork")
-        doomed = transport.spawn(0, 0, recv_until_eof, ())
+        doomed = transport.spawn(0, 0, _serve_session, (EchoSession,))
         # Forked after the doomed worker: these would inherit its end.
         later = [
-            transport.spawn(1 + i, 0, recv_until_eof, ())
+            transport.spawn(1 + i, 0, _serve_session, (EchoSession,))
             for i in range(siblings)
         ]
         try:
@@ -387,7 +389,7 @@ class TestPipeFdHygiene:
         try:
             assert transport.wait_for_capacity(timeout=10.0)
             doomed = transport.spawn(
-                0, 0, recv_until_eof, (), timeout=10.0
+                0, 0, _serve_session, (EchoSession,), timeout=10.0
             )
             assert transport.wait_for_capacity(timeout=10.0)
             # Forked after slot 0's bridge pipe exists.
