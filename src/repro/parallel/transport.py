@@ -958,7 +958,7 @@ class _FramedChannel:
                 _after(spec.delay, self._accept_late, frame)
             elif spec.kind == "duplicate":
                 # The copy carries the same sequence number: the dedup
-                # below is what keeps the report from merging twice.
+                # in _accept is what keeps a report from merging twice.
                 self._accept(frame)
                 self._accept(frame)
             elif spec.kind == "corrupt":
