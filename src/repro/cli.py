@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 
 def _config_factory(seed, config=None, **overrides):
@@ -83,47 +84,259 @@ def _build_supervision(args):
     )
 
 
-#: ``(flag, what it needs)`` for the flags ``run`` and ``sweep`` share.
-_FLEET_FLAG_NEEDS = tuple(
-    (flag, "--backend remote") for flag in (
-        "--listen", "--transport-key", "--heartbeat-interval",
-        "--heartbeat-misses", "--join-timeout",
-    )
-) + (("--backend remote", "--listen"), ("--max-restarts", "--respawn"))
+class _Need(NamedTuple):
+    """A flag given (off its default), or given one of ``values``."""
 
-#: Per command, in the order they are checked.
-_FLAG_NEEDS = {
-    "run": tuple(
-        (flag, "--parallel") for flag in (
-            "--backend", "--round-timeout", "--join-timeout",
-            "--checkpoint-interval", "--chaos", "--respawn",
-            "--checkpoint", "--resume", "--min-workers", "--deadline",
-            "--on-degrade",
-        )
-    ) + _FLEET_FLAG_NEEDS + (("--checkpoint-interval", "--checkpoint"),),
-    "sweep": _FLEET_FLAG_NEEDS + (("--jobs", "--backend pool or remote"),),
+    option: str
+    values: Tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        if not self.values:
+            return self.option
+        return f"{self.option} {' or '.join(self.values)}"
+
+    def holds(self, args) -> bool:
+        dest = self.option[2:].replace("-", "_")
+        if not hasattr(args, dest):
+            # The command is always in that mode: a sweep is a fleet.
+            return True
+        value = getattr(args, dest)
+        if self.values:
+            return value in self.values
+        return value != _per(_FLAG[self.option].default, args.command)
+
+
+_PARALLEL = _Need("--parallel")
+_REMOTE = _Need("--backend", ("remote",))
+_LISTEN = _Need("--listen")
+_RESPAWN = _Need("--respawn")
+_CHECKPOINT = _Need("--checkpoint")
+_POOL_OR_REMOTE = _Need("--backend", ("pool", "remote"))
+
+#: The order needs are checked in; when several refusals apply, the
+#: first need's wins, and among flags with the same need the first
+#: declared.
+_NEED_ORDER = (
+    _PARALLEL, _REMOTE, _LISTEN, _RESPAWN, _CHECKPOINT, _POOL_OR_REMOTE,
+)
+
+
+class _Flag(NamedTuple):
+    """One ``run``/``sweep`` option, declared once for both commands.
+
+    ``help``, ``default`` and ``choices`` may be ``{command: value}``
+    where the commands differ; a ``False`` default is a switch.  Each
+    entry of ``needs`` is a :class:`_Need` the flag is read under, or a
+    ``(subject, need)`` pair when only some of its values need it.
+    """
+
+    name: str
+    help: Union[str, Dict[str, str]]
+    default: Any = None
+    type: Optional[Callable] = None
+    metavar: Optional[str] = None
+    choices: Any = None
+    needs: tuple = ()
+
+    def rules(self):
+        """``(subject, need)`` for each thing the flag needs."""
+        for need in self.needs:
+            yield (_Need(self.name), need) if isinstance(need, _Need) else need
+
+
+def _per(value, command: str):
+    """``value``, or its entry for ``command`` if it differs by command."""
+    return value[command] if isinstance(value, dict) else value
+
+
+#: Every ``run``/``sweep`` option; those with needs in the order
+#: :func:`_misused_flag` reads them.
+_FLAGS = (
+    _Flag("--backend",
+          choices={"run": ("serial", "process", "remote"),
+                   "sweep": ("pool", "serial", "remote")},
+          default={"run": "serial", "sweep": "pool"},
+          needs=(_PARALLEL, (_REMOTE, _LISTEN)), help={
+              "run": "slave backend for --parallel (default: serial); remote "
+                     "distributes slaves over 'repro agent' hosts and needs "
+                     "--listen",
+              "sweep": "pool = persistent workers (default); serial = one "
+                       "worker in-process; remote = persistent workers on "
+                       "'repro agent' hosts (needs --listen)",
+          }),
+    _Flag("--round-timeout", type=float, metavar="SECONDS", default=600.0,
+          needs=(_PARALLEL,),
+          help="per-round report deadline for the process backend; a silent "
+               "slave is declared dead instead of stalling the master "
+               "(default: 600)"),
+    _Flag("--listen", metavar="HOST:PORT", needs=(_REMOTE,),
+          help="agent-registration address for --backend remote (port 0 "
+               "picks a free port, printed to stderr)"),
+    _Flag("--transport-key", metavar="KEY", needs=(_REMOTE,),
+          help="shared fleet key agents must present (--backend remote)"),
+    _Flag("--heartbeat-interval", type=float, metavar="SECONDS",
+          needs=(_REMOTE,),
+          help="ping remote agents this often so a half-open link is "
+               "declared dead after interval x misses seconds instead of "
+               "the round timeout (--backend remote; default: off)"),
+    _Flag("--heartbeat-misses", type=int, metavar="N", default=3,
+          needs=(_REMOTE,),
+          help="missed heartbeats before a silent link is closed with cause "
+               "'liveness timeout' (default: 3)"),
+    _Flag("--join-timeout", type=float, metavar="SECONDS", default=30.0,
+          needs=(_PARALLEL, _REMOTE), help={
+              "run": "how long to wait for an agent slot when spawning or "
+                     "respawning a remote slave (default: 30)",
+              "sweep": "how long an empty remote fleet waits for an agent to "
+                       "(re)join before the sweep gives up (default: 30)",
+          }),
+    _Flag("--checkpoint-interval", type=int, metavar="ROUNDS", default=1,
+          needs=(_PARALLEL, _CHECKPOINT),
+          help="rounds between checkpoints (default: 1)"),
+    _Flag("--chaos", metavar="PLAN", needs=(_PARALLEL,), help={
+              "run": "inject a fault plan into a --parallel run: a JSON file "
+                     "path or inline JSON; its frame kinds need --backend "
+                     "remote (see docs/robustness.md)",
+              "sweep": "inject a fault plan into the pool workers (JSON path "
+                       "or inline); its frame kinds need --backend remote",
+          }),
+    _Flag("--respawn", default=False, needs=(_PARALLEL,), help={
+              "run": "replace dead slaves (generation-aware seeds, "
+                     "exponential backoff) instead of degrading the run",
+              "sweep": "replace dead pool workers instead of degrading the "
+                       "pool",
+          }),
+    _Flag("--checkpoint", metavar="PATH", needs=(_PARALLEL,),
+          help="write a resumable snapshot to PATH every checkpoint interval"),
+    _Flag("--resume", metavar="PATH", needs=(_PARALLEL,),
+          help="resume a --parallel run from a checkpoint written by "
+               "--checkpoint; the resumed run reproduces the uninterrupted "
+               "result bit-for-bit"),
+    _Flag("--min-workers", type=int, metavar="N", needs=(_PARALLEL,),
+          help="fleet floor: when fewer workers can still contribute, abort "
+               "with a typed cause (default) or press on with --on-degrade "
+               "continue"),
+    _Flag("--deadline", type=float, metavar="SECONDS", needs=(_PARALLEL,),
+          help={
+              "run": "wall-clock budget for the measurement phase; past it "
+                     "the run aborts with a typed cause (default) or, with "
+                     "--on-degrade continue, returns the merged-so-far "
+                     "result flagged degraded",
+              "sweep": "wall-clock budget for the whole sweep; past it the "
+                       "sweep always aborts with a typed cause (a partial "
+                       "sweep is not a meaningful result)",
+          }),
+    _Flag("--on-degrade", choices=("abort", "continue"), default="abort",
+          needs=(_PARALLEL,),
+          help="what a fleet below --min-workers does: abort with a "
+               "machine-readable cause (default) or continue with the "
+               "survivors and flag the result degraded"),
+    _Flag("--max-restarts", type=int, metavar="N", default=2,
+          needs=(_RESPAWN,), help={
+              "run": "per-slave respawn budget for --respawn (default: 2)",
+              "sweep": "per-worker respawn budget for --respawn (default: 2)",
+          }),
+    _Flag("--jobs", type=int, metavar="N", needs=(_POOL_OR_REMOTE,),
+          help="persistent pool width (default: up to 4 workers)"),
+    _Flag("--engine", choices=("event", "auto", "fastpath"),
+          help="simulation engine: 'event' (default) is the discrete-event "
+               "loop, 'fastpath' forces the vectorized Lindley engine "
+               "(errors if the model does not qualify), 'auto' picks the "
+               "fast path when eligible and falls back otherwise"),
+    _Flag("--sanitize", default=False,
+          help="run with the determinism sanitizer: verify prefetch blocks "
+               "per-draw, hash the event stream, and A/B it against a "
+               "prefetch-off twin (exit 4 on mismatch)"),
+    _Flag("--parallel", type=int, metavar="N",
+          help="distribute measurement over N slave replicas (Fig. 3)"),
+    _Flag("--point-timeout", type=float, metavar="SECONDS", default=600.0,
+          help="per-point deadline; a silent worker is declared dead and "
+               "its point requeued (default: 600)"),
+    _Flag("--cache", metavar="DIR",
+          help="content-addressed point cache; re-runs serve unchanged "
+               "points from here and recompute only edited ones"),
+    _Flag("--force", default=False,
+          help="recompute every point even on a cache hit"),
+    _Flag("--trace", metavar="PATH", help={
+              "run": "write a structured JSON-lines trace (engine counters, "
+                     "statistic phase transitions, parallel master records) "
+                     "to PATH; validate with 'python -m repro.observability "
+                     "PATH'",
+              "sweep": "write a JSON-lines trace (per-point events, pool "
+                       "records)",
+          }),
+    _Flag("--metrics", default=False,
+          help="attach an end-of-run telemetry digest to the JSON output"),
+    _Flag("--progress", type=float, metavar="SECONDS", help={
+              "run": "report per-metric convergence progress to stderr at "
+                     "most every SECONDS seconds",
+              "sweep": "report per-point completion to stderr",
+          }),
+    _Flag("--out", metavar="PATH",
+          help="write the sweep result document to PATH instead of stdout"),
+    _Flag("--lint", default=False, help={
+              "run": "model-lint the config instead of running it: "
+                     "offered-load stability, fastpath qualification "
+                     "forecast (exit 1 on errors, 0 clean)",
+              "sweep": "model-lint the spec instead of running it: unstable "
+                       "(rho >= 1) grid points, seed collisions, "
+                       "digest-unstable constructs, fastpath forecasts (exit "
+                       "1 on errors, 0 clean)",
+          }),
+)
+_FLAG = {flag.name: flag for flag in _FLAGS}
+
+#: Each command's options, in ``--help`` order.
+_OPTIONS = {
+    "run": (
+        "--engine", "--sanitize", "--trace", "--metrics", "--progress",
+        "--parallel", "--backend", "--listen", "--transport-key",
+        "--join-timeout", "--chaos", "--respawn", "--max-restarts",
+        "--round-timeout", "--checkpoint", "--checkpoint-interval",
+        "--resume", "--lint", "--heartbeat-interval", "--heartbeat-misses",
+        "--min-workers", "--deadline", "--on-degrade",
+    ),
+    "sweep": (
+        "--jobs", "--cache", "--force", "--backend", "--listen",
+        "--transport-key", "--join-timeout", "--chaos", "--respawn",
+        "--max-restarts", "--point-timeout", "--trace", "--progress",
+        "--out", "--lint", "--heartbeat-interval", "--heartbeat-misses",
+        "--min-workers", "--deadline", "--on-degrade",
+    ),
 }
 
 
+def _add_options(parser, command: str) -> None:
+    """Add ``command``'s declared options to its subparser."""
+    for name in _OPTIONS[command]:
+        flag = _FLAG[name]
+        default = _per(flag.default, command)
+        if default is False:
+            parser.add_argument(
+                name, action="store_true", help=_per(flag.help, command)
+            )
+            continue
+        parser.add_argument(
+            name, type=flag.type, metavar=flag.metavar,
+            choices=_per(flag.choices, command), default=default,
+            help=_per(flag.help, command),
+        )
+
+
 def _misused_flag(args):
-    """``"FLAG requires WHAT"`` for the first flag the chosen mode would
-    never read, or None.
-
-    A flag is given when it is off its parser default; a flag with
-    values (``--backend pool or remote``) when it is one of them.
-    """
-    defaults = vars(build_parser().parse_args([args.command, "-"]))
-
-    def given(flag: str) -> bool:
-        option, _, values = flag.partition(" ")
-        dest = option[2:].replace("-", "_")
-        if values:
-            return getattr(args, dest) in values.split(" or ")
-        return getattr(args, dest) != defaults[dest]
-
-    for flag, need in _FLAG_NEEDS[args.command]:
-        if given(flag) and not given(need):
-            return f"{flag} requires {need}"
+    """``"FLAG requires NEED"`` for the first flag the chosen mode would
+    never read, or None (see ``_NEED_ORDER`` for which comes first)."""
+    rules = sorted(
+        (
+            rule
+            for flag in _FLAGS if flag.name in _OPTIONS[args.command]
+            for rule in flag.rules()
+        ),
+        key=lambda rule: _NEED_ORDER.index(rule[1]),
+    )
+    for subject, need in rules:
+        if subject.holds(args) and not need.holds(args):
+            return f"{subject} requires {need}"
     return None
 
 
@@ -288,7 +501,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if progress is not None:
             experiment.attach_progress(progress)
         experiment.collect_telemetry = args.metrics
-        result = experiment.run(max_events=args.max_events)
+        result = experiment.run()
         if not args.sanitize:
             json.dump(result_to_dict(result), sys.stdout, indent=2)
             sys.stdout.write("\n")
@@ -306,7 +519,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ),
             seed=config.get("seed", 0),
             factory_kwargs={"prefetch": False},
-            max_events=args.max_events,
         )
         matched = (
             result.sanitizer.event_digest == twin.event_digest
@@ -534,61 +746,6 @@ def _add_agent_args(parser) -> None:
     )
 
 
-def _add_listen_args(parser) -> None:
-    """Flags shared by run/sweep: where --backend remote listens."""
-    parser.add_argument(
-        "--listen", metavar="HOST:PORT", default=None,
-        help=(
-            "agent-registration address for --backend remote (port 0 "
-            "picks a free port, printed to stderr)"
-        ),
-    )
-    parser.add_argument(
-        "--transport-key", metavar="KEY", default=None,
-        help="shared fleet key agents must present (--backend remote)",
-    )
-
-
-def _add_robustness_args(parser, deadline_help: str) -> None:
-    """Flags shared by run/sweep: liveness, fleet policy."""
-    parser.add_argument(
-        "--heartbeat-interval", type=float, metavar="SECONDS",
-        default=None,
-        help=(
-            "ping remote agents this often so a half-open link is "
-            "declared dead after interval x misses seconds instead of "
-            "the round timeout (--backend remote; default: off)"
-        ),
-    )
-    parser.add_argument(
-        "--heartbeat-misses", type=int, metavar="N", default=3,
-        help=(
-            "missed heartbeats before a silent link is closed with "
-            "cause 'liveness timeout' (default: 3)"
-        ),
-    )
-    parser.add_argument(
-        "--min-workers", type=int, metavar="N", default=None,
-        help=(
-            "fleet floor: when fewer workers can still contribute, "
-            "abort with a typed cause (default) or press on with "
-            "--on-degrade continue"
-        ),
-    )
-    parser.add_argument(
-        "--deadline", type=float, metavar="SECONDS", default=None,
-        help=deadline_help,
-    )
-    parser.add_argument(
-        "--on-degrade", choices=("abort", "continue"), default="abort",
-        help=(
-            "what a fleet below --min-workers does: abort with a "
-            "machine-readable cause (default) or continue with the "
-            "survivors and flag the result degraded"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -599,155 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="run a JSON-configured experiment")
     run.add_argument("config", help="path to the experiment JSON")
-    run.add_argument("--max-events", type=int, default=None,
-                     help="safety cap on simulated events")
-    run.add_argument(
-        "--engine",
-        choices=("event", "auto", "fastpath"),
-        default=None,
-        help=(
-            "simulation engine: 'event' (default) is the discrete-event "
-            "loop, 'fastpath' forces the vectorized Lindley engine "
-            "(errors if the model does not qualify), 'auto' picks the "
-            "fast path when eligible and falls back otherwise"
-        ),
-    )
-    run.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "run with the determinism sanitizer: verify prefetch blocks "
-            "per-draw, hash the event stream, and A/B it against a "
-            "prefetch-off twin (exit 4 on mismatch)"
-        ),
-    )
-    run.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write a structured JSON-lines trace (engine counters, "
-            "statistic phase transitions, parallel master records) to "
-            "PATH; validate with 'python -m repro.observability PATH'"
-        ),
-    )
-    run.add_argument(
-        "--metrics",
-        action="store_true",
-        help="attach an end-of-run telemetry digest to the JSON output",
-    )
-    run.add_argument(
-        "--progress",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "report per-metric convergence progress to stderr at most "
-            "every SECONDS seconds"
-        ),
-    )
-    run.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        default=None,
-        help="distribute measurement over N slave replicas (Fig. 3)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=("serial", "process", "remote"),
-        default="serial",
-        help=(
-            "slave backend for --parallel (default: serial); remote "
-            "distributes slaves over 'repro agent' hosts and needs "
-            "--listen"
-        ),
-    )
-    _add_listen_args(run)
-    run.add_argument(
-        "--join-timeout", type=float, metavar="SECONDS", default=30.0,
-        help=(
-            "how long to wait for an agent slot when spawning or "
-            "respawning a remote slave (default: 30)"
-        ),
-    )
-    run.add_argument(
-        "--chaos",
-        metavar="PLAN",
-        default=None,
-        help=(
-            "inject a fault plan into a --parallel run: a JSON file "
-            "path or inline JSON; its frame kinds need --backend "
-            "remote (see docs/robustness.md)"
-        ),
-    )
-    run.add_argument(
-        "--respawn",
-        action="store_true",
-        help=(
-            "replace dead slaves (generation-aware seeds, exponential "
-            "backoff) instead of degrading the run"
-        ),
-    )
-    run.add_argument(
-        "--max-restarts",
-        type=int,
-        metavar="N",
-        default=2,
-        help="per-slave respawn budget for --respawn (default: 2)",
-    )
-    run.add_argument(
-        "--round-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=600.0,
-        help=(
-            "per-round report deadline for the process backend; a "
-            "silent slave is declared dead instead of stalling the "
-            "master (default: 600)"
-        ),
-    )
-    run.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="write a resumable snapshot to PATH every checkpoint interval",
-    )
-    run.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        metavar="ROUNDS",
-        default=1,
-        help="rounds between checkpoints (default: 1)",
-    )
-    run.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help=(
-            "resume a --parallel run from a checkpoint written by "
-            "--checkpoint; the resumed run reproduces the uninterrupted "
-            "result bit-for-bit"
-        ),
-    )
-    run.add_argument(
-        "--lint",
-        action="store_true",
-        help=(
-            "model-lint the config instead of running it: offered-load "
-            "stability, fastpath qualification forecast (exit 1 on "
-            "errors, 0 clean)"
-        ),
-    )
-    _add_robustness_args(
-        run,
-        deadline_help=(
-            "wall-clock budget for the measurement phase; past it the "
-            "run aborts with a typed cause (default) or, with "
-            "--on-degrade continue, returns the merged-so-far result "
-            "flagged degraded"
-        ),
-    )
+    _add_options(run, "run")
     run.set_defaults(handler=_cmd_run)
 
     workloads = commands.add_parser(
@@ -782,90 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a parameter sweep over a persistent worker pool",
     )
     sweep.add_argument("spec", help="sweep spec (.toml or .json)")
-    sweep.add_argument(
-        "--jobs", type=int, metavar="N", default=None,
-        help="persistent pool width (default: up to 4 workers)",
-    )
-    sweep.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help=(
-            "content-addressed point cache; re-runs serve unchanged "
-            "points from here and recompute only edited ones"
-        ),
-    )
-    sweep.add_argument(
-        "--force", action="store_true",
-        help="recompute every point even on a cache hit",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=("pool", "serial", "remote"),
-        default="pool",
-        help=(
-            "pool = persistent workers (default); serial = one worker "
-            "in-process; remote = persistent workers on 'repro agent' "
-            "hosts (needs --listen)"
-        ),
-    )
-    _add_listen_args(sweep)
-    sweep.add_argument(
-        "--join-timeout", type=float, metavar="SECONDS", default=30.0,
-        help=(
-            "how long an empty remote fleet waits for an agent to "
-            "(re)join before the sweep gives up (default: 30)"
-        ),
-    )
-    sweep.add_argument(
-        "--chaos", metavar="PLAN", default=None,
-        help=(
-            "inject a fault plan into the pool workers (JSON path or "
-            "inline); its frame kinds need --backend remote"
-        ),
-    )
-    sweep.add_argument(
-        "--respawn", action="store_true",
-        help="replace dead pool workers instead of degrading the pool",
-    )
-    sweep.add_argument(
-        "--max-restarts", type=int, metavar="N", default=2,
-        help="per-worker respawn budget for --respawn (default: 2)",
-    )
-    sweep.add_argument(
-        "--point-timeout", type=float, metavar="SECONDS", default=600.0,
-        help=(
-            "per-point deadline; a silent worker is declared dead and "
-            "its point requeued (default: 600)"
-        ),
-    )
-    sweep.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSON-lines trace (per-point events, pool records)",
-    )
-    sweep.add_argument(
-        "--progress", type=float, metavar="SECONDS", default=None,
-        help="report per-point completion to stderr",
-    )
-    sweep.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the sweep result document to PATH instead of stdout",
-    )
-    sweep.add_argument(
-        "--lint",
-        action="store_true",
-        help=(
-            "model-lint the spec instead of running it: unstable "
-            "(rho >= 1) grid points, seed collisions, digest-unstable "
-            "constructs, fastpath forecasts (exit 1 on errors, 0 clean)"
-        ),
-    )
-    _add_robustness_args(
-        sweep,
-        deadline_help=(
-            "wall-clock budget for the whole sweep; past it the sweep "
-            "always aborts with a typed cause (a partial sweep is not "
-            "a meaningful result)"
-        ),
-    )
+    _add_options(sweep, "sweep")
     sweep.set_defaults(handler=_cmd_sweep)
 
     agent = commands.add_parser(

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -62,10 +63,11 @@ class TestRun:
             "workload": {"name": "dns", "load": 0.5},
             "servers": {"count": 1, "cores": 1},
             "metrics": [{"kind": "response_time", "mean_accuracy": 0.001}],
+            "max_events": 10000,
         }
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
-        assert main(["run", str(path), "--max-events", "10000"]) == 3
+        assert main(["run", str(path)]) == 3
 
     def test_engine_choices_are_the_engine_list(self):
         # cli.py spells the choices out so that building the parser
@@ -78,6 +80,53 @@ class TestRun:
             a for a in commands.choices["run"]._actions if a.dest == "engine"
         ]
         assert engine.choices == ENGINES
+
+
+#: ``(command, dest, owner, parameter)``: each flag whose default is
+#: also the default of the parameter it feeds.
+FED_DEFAULTS = [
+    ("run", "round_timeout", "ParallelSimulation", "round_timeout"),
+    ("run", "join_timeout", "ParallelSimulation", "join_timeout"),
+    ("run", "checkpoint_interval", "ParallelSimulation",
+     "checkpoint_interval"),
+    ("run", "backend", "ParallelSimulation", "backend"),
+    ("sweep", "point_timeout", "SweepRunner", "job_timeout"),
+    ("sweep", "join_timeout", "SweepRunner", "join_timeout"),
+    ("sweep", "backend", "SweepRunner", "backend"),
+    ("sweep", "jobs", "SweepRunner", "jobs"),
+    ("run", "max_restarts", "RespawnPolicy", "max_restarts_per_slave"),
+    ("sweep", "max_restarts", "RespawnPolicy", "max_restarts_per_slave"),
+    ("run", "heartbeat_misses", "RemoteTransport", "heartbeat_misses"),
+    ("sweep", "heartbeat_misses", "RemoteTransport", "heartbeat_misses"),
+    ("run", "on_degrade", "SupervisionPolicy", "on_exhausted"),
+    ("sweep", "on_degrade", "SupervisionPolicy", "on_exhausted"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, dest, owner, parameter", FED_DEFAULTS,
+    ids=[f"{c}-{d}" for c, d, _, _ in FED_DEFAULTS],
+)
+def test_flag_default_is_its_parameter_default(command, dest, owner, parameter):
+    """cli.py spells each default out rather than import its owner, so
+    the two are compared here."""
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.faults import RespawnPolicy, SupervisionPolicy
+    from repro.parallel.master import ParallelSimulation
+    from repro.parallel.transport import RemoteTransport
+    from repro.sweep import SweepRunner
+
+    owners = {
+        cls.__name__: cls for cls in (
+            ParallelSimulation, SweepRunner, RespawnPolicy,
+            RemoteTransport, SupervisionPolicy,
+        )
+    }
+    parsed = build_parser().parse_args([command, "target"])
+    fed = inspect.signature(owners[owner]).parameters[parameter].default
+    assert getattr(parsed, dest) == fed
 
 
 class TestCharacterize:
@@ -423,8 +472,6 @@ class TestAgentFlags:
     def test_repro_agent_and_module_entry_share_one_declaration(
         self, monkeypatch
     ):
-        import os
-
         from repro.cli import build_parser
         from repro.parallel import agent
 
