@@ -38,10 +38,25 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.casestudies` — the paper's Section 3/4 experiments
 """
 
-from repro.engine.experiment import Experiment
-from repro.datacenter.server import Server
-from repro.workloads.workload import Workload
+import importlib
 
 __version__ = "1.0.0"
 
 __all__ = ["Experiment", "Server", "Workload", "__version__"]
+
+#: Where each top-level name lives.  They are imported on first use, so
+#: that ``import repro.cli`` (and ``python -m repro --help``) does not
+#: load numpy and the engine.
+_LAZY = {
+    "Experiment": "repro.engine.experiment",
+    "Server": "repro.datacenter.server",
+    "Workload": "repro.workloads.workload",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value

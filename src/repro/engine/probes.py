@@ -12,10 +12,12 @@ derived per-job quantities (slowdown, per-stage latency, ...).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.datacenter.server import Server
 from repro.engine.simulation import Simulation
+
+if TYPE_CHECKING:  # the datacenter imports the engine package
+    from repro.datacenter.server import Server
 
 
 class PeriodicProbe:

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.simulation import seeded_rng
-
 #: Golden-ratio multiplier shared with the original per-slave seed rule.
 _SEED_STRIDE = 0x9E3779B9
 #: A second odd constant decorrelating the generation axis from the
@@ -112,6 +110,10 @@ def backoff_delay(
         return 0.0
     delay = min(cap, base * (2.0 ** (generation - 1)))
     if jitter > 0.0 and jitter_seed is not None:
+        # Imported here: the engine package imports the datacenter, whose
+        # balancers import this module.
+        from repro.engine.simulation import seeded_rng
+
         fraction = float(seeded_rng(jitter_seed).random())
         delay *= 1.0 + jitter * fraction
     return min(cap, delay)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,22 @@ class TestRun:
             a for a in commands.choices["run"]._actions if a.dest == "engine"
         ]
         assert engine.choices == ENGINES
+
+    def test_building_the_parser_imports_no_engine(self):
+        # A fresh interpreter: this one has long imported everything.
+        probe = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(sorted(m for m in ('numpy', 'repro.engine', "
+            "'repro.parallel') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out == "[]\n"
 
 
 #: ``(command, dest, owner, parameter)``: each flag whose default is
