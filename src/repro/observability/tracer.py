@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
@@ -70,7 +71,10 @@ class Tracer:
         becomes available.  Leave ``None`` inside deterministic layers.
     """
 
-    __slots__ = ("enabled", "_sink", "_clock", "_seq", "_owns_sink", "_summary")
+    __slots__ = (
+        "enabled", "_sink", "_clock", "_seq", "_owns_sink", "_summary",
+        "_lock",
+    )
 
     def __init__(self, sink, clock: Optional[Callable[[], float]] = None):
         if sink is None or not hasattr(sink, "write"):
@@ -83,6 +87,10 @@ class Tracer:
         #: (component, name) -> {kind, emitted, last} running aggregate,
         #: cheap enough to maintain inline and read back via summary().
         self._summary: Dict[tuple, dict] = {}
+        #: Carrier threads (the asyncio loop, the memory monitor, frame
+        #: fault timers) emit too: a record's seq, its line and its
+        #: summary entry are taken together, so lines stay in seq order.
+        self._lock = threading.Lock()
 
     @classmethod
     def to_path(
@@ -116,28 +124,29 @@ class Tracer:
             return
         if kind not in KINDS:
             raise TraceError(f"unknown record kind {kind!r}; expected {KINDS}")
-        self._seq += 1
-        record = {
-            "seq": self._seq,
-            "kind": kind,
-            "name": name,
-            "component": component,
-            "sim_time": sim_time,
-        }
-        if value is not None:
-            record["value"] = value
-        if fields:
-            record["fields"] = fields
-        if host_duration is not None:
-            record["host_duration"] = host_duration
-        if self._clock is not None:
-            record["host_time"] = self._clock()
-        self._sink.write(json.dumps(record, default=_json_default) + "\n")
-        entry = self._summary.setdefault(
-            (component, name), {"kind": kind, "emitted": 0, "last": None}
-        )
-        entry["emitted"] += 1
-        entry["last"] = value
+        with self._lock:
+            self._seq += 1
+            record = {
+                "seq": self._seq,
+                "kind": kind,
+                "name": name,
+                "component": component,
+                "sim_time": sim_time,
+            }
+            if value is not None:
+                record["value"] = value
+            if fields:
+                record["fields"] = fields
+            if host_duration is not None:
+                record["host_duration"] = host_duration
+            if self._clock is not None:
+                record["host_time"] = self._clock()
+            self._sink.write(json.dumps(record, default=_json_default) + "\n")
+            entry = self._summary.setdefault(
+                (component, name), {"kind": kind, "emitted": 0, "last": None}
+            )
+            entry["emitted"] += 1
+            entry["last"] = value
 
     def counter(
         self,

@@ -9,6 +9,8 @@ records once the host-clock keys are stripped.
 import io
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -134,6 +136,30 @@ class TestTracer:
                 tracer.lines()
         finally:
             tracer.close()
+
+    def test_threads_write_records_in_seq_order(self):
+        # The asyncio loop, the memory monitor and frame-fault timers
+        # emit from their own threads; a switch between taking a seq
+        # and writing its line would put the lines out of order.
+        tracer = Tracer.to_memory()
+
+        def emit():
+            for value in range(2000):
+                tracer.counter("n", value, component="test")
+
+        threads = [threading.Thread(target=emit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        seqs = [record["seq"] for record in tracer.lines()]
+        assert seqs == list(range(1, 16001))
+        assert tracer.summary()["test/n"]["emitted"] == 16000
 
 
 class TestSchema:
