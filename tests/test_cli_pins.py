@@ -55,7 +55,6 @@ SAMPLES = {
     "--join-timeout": [["5"]],
     "--lint": [[]],
     "--listen": [["127.0.0.1:0"]],
-    "--max-events": [["10000"]],
     "--max-restarts": [["4"]],
     "--metrics": [[]],
     "--min-workers": [["2"]],
