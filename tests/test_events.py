@@ -2,8 +2,22 @@
 
 import pytest
 
-from repro.engine.events import EV_CALLBACK, EV_TIME, EventQueue, SimulationError
+from repro.datacenter.processor_sharing import ProcessorSharingServer
+from repro.datacenter.server import Server
+from repro.datacenter.srpt import SRPTServer
+from repro.distributions import Exponential
+from repro.engine.events import (
+    CANCELLED,
+    EV_CALLBACK,
+    EV_STATE,
+    EV_TIME,
+    PENDING,
+    EventQueue,
+    SimulationError,
+)
+from repro.engine.experiment import Experiment
 from repro.engine.simulation import Simulation
+from repro.workloads.workload import Workload
 
 
 class TestEventQueue:
@@ -96,6 +110,26 @@ class TestEventQueue:
         while (event := queue.pop()) is not None:
             popped.append(event[EV_TIME])
         assert popped == [e[EV_TIME] for e in live]
+
+
+class TestRecordLayout:
+    def test_inlined_pushes_build_the_queue_record(self):
+        """Source, Server and ProcessorSharingServer push event records
+        straight onto the heap; every entry must have the layout
+        ``EventQueue.schedule`` builds."""
+        experiment = Experiment(seed=5)
+        workload = Workload(
+            "layout", Exponential(rate=8.0), Exponential(rate=10.0)
+        )
+        for station in (Server(cores=2), ProcessorSharingServer(),
+                        SRPTServer()):
+            experiment.add_source(workload, target=station)
+        experiment.simulation.run(max_events=5_000)
+        heap = experiment.simulation.events._heap
+        width = len(EventQueue().schedule(0.0, lambda: None))
+        assert heap
+        assert {len(event) for event in heap} == {width}
+        assert {event[EV_STATE] for event in heap} <= {PENDING, CANCELLED}
 
 
 class TestSimulation:
