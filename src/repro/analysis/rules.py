@@ -344,8 +344,8 @@ class PrefetchContractRule(Rule):
 class EventMutationRule(Rule):
     """Event records may only be mutated by the engine.
 
-    An event record is a five-slot list ``[time, seq, callback, label,
-    state]`` whose lifecycle (PENDING → CANCELLED/FIRED) is owned by
+    An event record is a four-slot list ``[time, seq, callback, state]``
+    whose lifecycle (PENDING → CANCELLED/FIRED) is owned by
     ``engine/events.py``; the inlined event loop in
     ``engine/simulation.py`` is the one sanctioned fast path.  Any other
     code flipping record slots corrupts heap invariants (lazy-deletion

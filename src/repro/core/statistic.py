@@ -496,9 +496,6 @@ class Statistic:
             self.min_accepted,
         )
 
-    def _converged_now(self) -> bool:
-        return self.accepted >= self.required_sample_size()
-
     def achieved_accuracy(self) -> Dict[str, float]:
         """Current relative half-widths per criterion (for Fig. 8-style
         accuracy-vs-events traces).  Keys: ``"mean"`` and ``"q<q>"``."""

@@ -340,11 +340,8 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         attempts = len(self._pending[logical.job_id])
         if attempts > self.max_retries:
             return
-        label = (
-            f"{self.name}:hedge#{logical.job_id}" if self.sim.tracing else ""
-        )
         self._timers[logical.job_id] = self.sim.schedule_in(
-            self.threshold, partial(self._hedge, logical), label
+            self.threshold, partial(self._hedge, logical)
         )
 
     def _hedge(self, logical: Job) -> None:

@@ -56,7 +56,6 @@ class ClosedLoopClients:
         self._service_rng = None
         self._next_think: Optional[PrefetchSampler] = None
         self._next_size: Optional[PrefetchSampler] = None
-        self._label = ""
         self._in_flight: set[int] = set()
         self.completed = 0
         self._complete_listeners: list[Callable[[Job], None]] = []
@@ -70,7 +69,6 @@ class ClosedLoopClients:
         self._service_rng = sim.spawn_rng()
         self._next_think = PrefetchSampler(self.think_time, self._think_rng)
         self._next_size = PrefetchSampler(self.service, self._service_rng)
-        self._label = f"{self.name}:submit" if sim.tracing else ""
         self.target.bind(sim)
         self.target.on_complete(self._handle_complete)
         for _ in range(self.n_clients):
@@ -92,7 +90,7 @@ class ClosedLoopClients:
         return self.completed / self.sim.now
 
     def _schedule_submit(self) -> None:
-        self.sim.schedule_in(self._next_think(), self._submit, self._label)
+        self.sim.schedule_in(self._next_think(), self._submit)
 
     def _submit(self) -> None:
         job = Job(next(_JOB_COUNTER), size=self._next_size())

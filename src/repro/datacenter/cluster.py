@@ -173,7 +173,6 @@ class MultiserverCluster:
         self.sim: Optional[Simulation] = None
         self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
-        self._traced = False
         self.free_servers = self.n_servers
         self._queue: deque[Job] = deque()
         self._running: dict[int, Job] = {}
@@ -197,7 +196,6 @@ class MultiserverCluster:
             raise ClusterError(f"{self.name}: already bound")
         self.sim = sim
         self._last_update = sim.now
-        self._traced = sim.tracing
         if self.service_distribution is not None:
             self._service_rng = sim.spawn_rng()
             self._next_size = PrefetchSampler(
@@ -308,11 +306,8 @@ class MultiserverCluster:
             job.start_time = now
         self.free_servers -= need
         self._running[job.job_id] = job
-        label = (
-            f"{self.name}:complete#{job.job_id}" if self._traced else ""
-        )
         job._completion_event = self.sim.schedule_in(
-            job.remaining / self.speed, partial(self._complete, job), label
+            job.remaining / self.speed, partial(self._complete, job)
         )
 
     def _complete(self, job: Job) -> None:

@@ -141,7 +141,6 @@ class MultiClassSource:
         self._rng = None
         self._arrival_rng = None
         self._next_gap: Optional[PrefetchSampler] = None
-        self._label = ""
 
     def bind(self, sim: Simulation) -> None:
         """Attach and schedule the first arrival."""
@@ -151,14 +150,13 @@ class MultiClassSource:
         self._rng = sim.spawn_rng()
         self._arrival_rng = sim.spawn_rng()
         self._next_gap = PrefetchSampler(self.interarrival, self._arrival_rng)
-        self._label = f"{self.name}:arrival" if sim.tracing else ""
         self.target.bind(sim)
         self._schedule_next()
 
     def _schedule_next(self) -> None:
         if self.max_jobs is not None and self.generated >= self.max_jobs:
             return
-        self.sim.schedule_in(self._next_gap(), self._emit, self._label)
+        self.sim.schedule_in(self._next_gap(), self._emit)
 
     def _emit(self) -> None:
         # Class choice and service demand share self._rng: the two draws

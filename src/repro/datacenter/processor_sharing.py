@@ -56,7 +56,6 @@ class ProcessorSharingServer:
         self.sim: Optional[Simulation] = None
         self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
-        self._traced = False
         self._cancel_event = None
         self._heap = None
         self._seq = None
@@ -82,7 +81,6 @@ class ProcessorSharingServer:
             raise ServerError(f"{self.name}: already bound")
         self.sim = sim
         self._last_progress = sim.now
-        self._traced = sim.tracing
         # Captured once: _settle cancels and pushes completion records
         # straight on the queue.  Safe because heap compaction is in-place.
         self._cancel_event = sim.events.cancel
@@ -182,14 +180,8 @@ class ProcessorSharingServer:
             raise SimulationError(f"negative delay: {delay}")
         self._due = soonest
         # The record Simulation.schedule_in would build, pushed directly
-        # (layout [time, seq, callback, label, state]).
-        event = [
-            now + delay,
-            next(self._seq),
-            self._on_due,
-            f"{self.name}:complete#{soonest.job_id}" if self._traced else "",
-            PENDING,
-        ]
+        # (layout [time, seq, callback, state]).
+        event = [now + delay, next(self._seq), self._on_due, PENDING]
         heappush(self._heap, event)
         self._completion_event = event
 

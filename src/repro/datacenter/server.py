@@ -83,8 +83,6 @@ class Server:
         self.paused = False
         self._running: dict[int, Job] = {}
         self.completed_jobs = 0
-        self._traced = False
-        self._complete_label = ""
         self._heap = None
         self._seq = None
         # Direct deque access when the discipline is exactly FCFS (the
@@ -118,7 +116,6 @@ class Server:
         self.sim = sim
         self._last_busy_update = sim.now
         self._busy_marker_time = sim.now
-        self._traced = sim.tracing
         # Captured once: _start pushes completion records straight onto
         # the heap.  Safe because heap compaction is in-place.
         self._heap = sim.events._heap
@@ -251,7 +248,7 @@ class Server:
 
     def _start(self, job: Job) -> None:
         # Runs once per served job: the completion-event push is inlined
-        # (record layout [time, seq, callback, label, state]) and the
+        # (record layout [time, seq, callback, state]) and the
         # callback is a partial, which dispatches at C level — one Python
         # frame fewer per completion than a lambda trampoline.
         now = self.sim.now
@@ -267,7 +264,6 @@ class Server:
             now + job.remaining / self.speed,
             next(self._seq),
             partial(self._complete, job),
-            f"{self.name}:complete#{job.job_id}" if self._traced else "",
             PENDING,
         ]
         heappush(self._heap, event)
@@ -275,12 +271,8 @@ class Server:
 
     def _schedule_completion(self, job: Job) -> None:
         """Cold-path completion scheduling (set_speed / resume)."""
-        delay = job.remaining / self.speed
-        label = (
-            f"{self.name}:complete#{job.job_id}" if self._traced else ""
-        )
         job._completion_event = self.sim.schedule_in(
-            delay, partial(self._complete, job), label
+            job.remaining / self.speed, partial(self._complete, job)
         )
 
     def _sync_progress(self, job: Job) -> None:

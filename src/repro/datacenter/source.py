@@ -67,7 +67,6 @@ class Source:
         self._next_gap: Optional[PrefetchSampler] = None
         self._next_size: Optional[PrefetchSampler] = None
         self._next_need: Optional[PrefetchSampler] = None
-        self._label = ""
         self._heap = None
         self._seq = None
 
@@ -101,9 +100,6 @@ class Source:
                 need_dist, self._need_rng, self.prefetch_block,
                 probe=probe,
             )
-        # Descriptive labels cost an f-string per event; only pay when
-        # someone is recording them.
-        self._label = f"{self.name}:arrival" if sim.tracing else ""
         # Captured once: a direct heap push in _emit skips the
         # schedule_in frame.  Safe because heap compaction is in-place.
         self._heap = sim.events._heap
@@ -114,7 +110,7 @@ class Source:
     def _schedule_next(self) -> None:
         if self.max_jobs is not None and self.generated >= self.max_jobs:
             return
-        self.sim.schedule_in(self._next_gap(), self._emit, self._label)
+        self.sim.schedule_in(self._next_gap(), self._emit)
 
     def _emit(self) -> None:
         # This method runs once per generated task, so everything is
@@ -160,8 +156,7 @@ class Source:
             if gap is None:
                 gap = sampler.refill()
             heappush(
-                self._heap,
-                [now + gap, next(self._seq), self._emit, self._label, PENDING],
+                self._heap, [now + gap, next(self._seq), self._emit, PENDING]
             )
 
 
@@ -193,11 +188,7 @@ class TraceSource:
         self.sim = sim
         self.target.bind(sim)
         for arrival, size in self.trace:
-            sim.schedule_at(
-                arrival,
-                lambda s=size: self._emit(s),
-                f"{self.name}:arrival",
-            )
+            sim.schedule_at(arrival, lambda s=size: self._emit(s))
 
     def _emit(self, size: float) -> None:
         job = Job(next(_JOB_COUNTER), size=size)

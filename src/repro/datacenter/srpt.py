@@ -38,7 +38,6 @@ class SRPTServer:
         self.sim: Optional[Simulation] = None
         self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
-        self._traced = False
         self._running: Optional[Job] = None
         self._pool: list[tuple[float, int, Job]] = []  # (remaining, tie, job)
         self._tie = itertools.count()
@@ -55,7 +54,6 @@ class SRPTServer:
         if self.sim is not None:
             raise ServerError(f"{self.name}: already bound")
         self.sim = sim
-        self._traced = sim.tracing
         if self.service_distribution is not None:
             self._service_rng = sim.spawn_rng()
             self._next_size = PrefetchSampler(
@@ -96,13 +94,8 @@ class SRPTServer:
             if job.start_time is None:
                 job.start_time = self.sim.now
             job._last_progress = self.sim.now
-            label = (
-                f"{self.name}:complete#{job.job_id}" if self._traced else ""
-            )
             job._completion_event = self.sim.schedule_in(
-                job.remaining / self.speed,
-                lambda j=job: self._complete(j),
-                label,
+                job.remaining / self.speed, lambda j=job: self._complete(j)
             )
 
     def arrive(self, job: Job) -> None:
@@ -133,14 +126,9 @@ class SRPTServer:
             else:
                 # Running job keeps the core; re-arm its completion.
                 running = self._running
-                label = (
-                    f"{self.name}:complete#{running.job_id}"
-                    if self._traced else ""
-                )
                 running._completion_event = self.sim.schedule_in(
                     running.remaining / self.speed,
                     lambda j=running: self._complete(j),
-                    label,
                 )
         heapq.heappush(self._pool, (job.remaining, next(self._tie), job))
         self._dispatch()

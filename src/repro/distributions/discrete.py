@@ -61,11 +61,6 @@ class Choice(Distribution):
         cdf[-1] = 1.0
         self._cdf = cdf
 
-    @classmethod
-    def uniform_over(cls, values) -> "Choice":
-        """Equal-probability choice over ``values``."""
-        return cls(values)
-
     def sample(self, rng: np.random.Generator) -> float:
         u = rng.random()
         return float(self._values_arr[np.searchsorted(self._cdf, u, side="right")])

@@ -6,10 +6,10 @@ which matters because speed-rescaling servers (power capping at every
 one-second epoch across thousands of servers, Section 4.1) cancel and
 re-schedule completion events constantly.
 
-Hot-path design: an event is a plain five-slot list, **not** a class
+Hot-path design: an event is a plain four-slot list, **not** a class
 instance::
 
-    [time, seq, callback, label, state]
+    [time, seq, callback, state]
 
 with ``state`` one of :data:`PENDING` / :data:`CANCELLED` / :data:`FIRED`
 (index constants :data:`EV_TIME` .. :data:`EV_STATE` below).  Building a
@@ -35,12 +35,12 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional
 
 #: Indices into an event record.
-EV_TIME, EV_SEQ, EV_CALLBACK, EV_LABEL, EV_STATE = range(5)
+EV_TIME, EV_SEQ, EV_CALLBACK, EV_STATE = range(4)
 
 #: Event states.
 PENDING, CANCELLED, FIRED = 0, 1, 2
 
-#: Type alias for annotations: an event record (5-slot list, layout above).
+#: Type alias for annotations: an event record (4-slot list, layout above).
 Event = List
 
 
@@ -49,9 +49,15 @@ class SimulationError(RuntimeError):
 
 
 def describe_event(event: Event) -> str:
-    """Human-readable rendering of an event record (debugging aid)."""
+    """Human-readable rendering of an event record (debugging aid).
+
+    Names the callback by its qualified name, looking through a
+    :func:`functools.partial` to the function it wraps.
+    """
+    callback = getattr(event[EV_CALLBACK], "func", event[EV_CALLBACK])
+    name = getattr(callback, "__qualname__", repr(callback))
     state = ("pending", "cancelled", "fired")[event[EV_STATE]]
-    return f"Event({event[EV_LABEL]!r} @ {event[EV_TIME]:.6g}, {state})"
+    return f"Event({name} @ {event[EV_TIME]:.6g}, {state})"
 
 
 class EventQueue:
@@ -74,9 +80,9 @@ class EventQueue:
         """
         return len(self._heap) - self._dead
 
-    def schedule(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule(self, time: float, callback: Callable[[], None]) -> Event:
         """Insert an event; returns a handle usable with :meth:`cancel`."""
-        event = [time, next(self._counter), callback, label, PENDING]
+        event = [time, next(self._counter), callback, PENDING]
         heappush(self._heap, event)
         return event
 

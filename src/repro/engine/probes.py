@@ -57,7 +57,7 @@ class PeriodicProbe:
         if self.sim is not None:
             raise RuntimeError("probe already bound")
         self.sim = sim
-        sim.schedule_periodic(self.period, self._tick, "periodic-probe")
+        sim.schedule_periodic(self.period, self._tick)
 
     def _tick(self) -> None:
         value = self.reader()

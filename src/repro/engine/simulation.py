@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -65,39 +64,9 @@ class Simulation:
         self._seed_sequence = np.random.SeedSequence(seed)
         self._periodics: dict[int, Event] = {}
         self._periodic_counter = 0
-        self._trace: Optional[deque] = None
         self._probe = None
         self._tracer = None
         self._tracer_interval = 4096
-
-    # -- debug tracing -------------------------------------------------------
-
-    def enable_tracing(self, capacity: int = 1000) -> None:
-        """Record the last ``capacity`` processed events for debugging.
-
-        Each entry is ``(time, label)``; inspect with :meth:`trace`.
-        Tracing costs one append per event — leave it off in production
-        runs.
-        """
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self._trace = deque(maxlen=capacity)
-
-    def trace(self) -> list:
-        """The recorded (time, label) pairs, oldest first."""
-        if self._trace is None:
-            raise SimulationError("tracing not enabled; call enable_tracing()")
-        return list(self._trace)
-
-    @property
-    def tracing(self) -> bool:
-        """True when event tracing is enabled.
-
-        Hot-path components consult this once at bind time: descriptive
-        per-event labels (f-strings) are only worth building when someone
-        is recording them.
-        """
-        return self._trace is not None
 
     # -- structured tracing (repro.observability) ----------------------------
 
@@ -151,16 +120,6 @@ class Simulation:
         """The attached determinism probe, or None when not sanitizing."""
         return self._probe
 
-    def state_token(self) -> tuple:
-        """``(events_processed, now)`` — a cheap progress fingerprint.
-
-        Deterministic replay of the same seed and workload lands on the
-        identical token; checkpoint resume uses it to verify a rebuilt
-        slave actually reproduced its predecessor's state before any
-        new observations are merged.
-        """
-        return (self.events_processed, self.now)
-
     # -- randomness --------------------------------------------------------
 
     def spawn_rng(self) -> np.random.Generator:
@@ -176,15 +135,15 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: {time} < now {self.now}"
             )
-        return self.events.schedule(time, callback, label)
+        return self.events.schedule(time, callback)
 
-    def schedule_in(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_in(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` after a non-negative ``delay``.
 
         The queue insert is inlined (rather than delegated to
@@ -194,7 +153,7 @@ class Simulation:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         events = self.events
-        event = [self.now + delay, next(events._counter), callback, label, PENDING]
+        event = [self.now + delay, next(events._counter), callback, PENDING]
         heappush(events._heap, event)
         return event
 
@@ -202,9 +161,7 @@ class Simulation:
         """Cancel a scheduled event (used for completion re-scheduling)."""
         self.events.cancel(event)
 
-    def schedule_periodic(
-        self, period: float, callback: Callable[[], None], label: str = ""
-    ) -> int:
+    def schedule_periodic(self, period: float, callback: Callable[[], None]) -> int:
         """Fire ``callback`` every ``period`` time units until cancelled.
 
         Used by the power-capping budgeting epoch ("budgets are calculated
@@ -224,9 +181,9 @@ class Simulation:
             # Re-arm only if the task survived its own callback (the
             # callback may call cancel_periodic on itself).
             if task_id in periodics:
-                periodics[task_id] = self.schedule_in(period, tick, label)
+                periodics[task_id] = self.schedule_in(period, tick)
 
-        periodics[task_id] = self.schedule_in(period, tick, label)
+        periodics[task_id] = self.schedule_in(period, tick)
         return task_id
 
     def cancel_periodic(self, task_id: int) -> None:
@@ -263,9 +220,8 @@ class Simulation:
         events = self.events
         heap = events._heap
         pop = heappop
-        trace = self._trace
         # Sanitizer hook: one bound method when probing, else None so the
-        # per-event cost is a single local test (same shape as tracing).
+        # per-event cost is a single local test.
         record = self._probe.record_time if self._probe is not None else None
         budget = math.inf if max_events is None else max_events
         # A None horizon folds to +inf so the per-event test is a single
@@ -293,7 +249,7 @@ class Simulation:
                 # -- inline EventQueue.pop (skipping cancelled entries) --
                 while heap:
                     event = pop(heap)
-                    if event[4] == 0:  # PENDING
+                    if event[3] == 0:  # PENDING
                         break
                     events._dead -= 1
                 else:
@@ -307,10 +263,8 @@ class Simulation:
                     heappush(heap, event)
                     now = until
                     return
-                event[4] = 2  # FIRED
+                event[3] = 2  # FIRED
                 self.now = now = time
-                if trace is not None:
-                    trace.append((time, event[3]))
                 if record is not None:
                     record(time)
                 event[2]()

@@ -209,9 +209,7 @@ class DreamWeaver:
         budget = max(0.0, budget)
         if math.isinf(budget):
             return
-        self._wake_timer = self.sim.schedule_in(
-            budget, self._timeout_wake, "dreamweaver:timeout-wake"
-        )
+        self._wake_timer = self.sim.schedule_in(budget, self._timeout_wake)
 
     def _cancel_wake_timer(self) -> None:
         if self._wake_timer is not None:
@@ -235,9 +233,7 @@ class DreamWeaver:
         self._accrual_marker = None
         self._cancel_wake_timer()
         self.state = PolicyState.WAKING
-        self.sim.schedule_in(
-            self.wake_transition, self._finish_wake, "dreamweaver:wake"
-        )
+        self.sim.schedule_in(self.wake_transition, self._finish_wake)
 
     def _finish_wake(self) -> None:
         # Jobs kept waiting through the wake transition also consumed budget.

@@ -67,7 +67,7 @@ class OndemandGovernor:
         if self.sim is not None:
             raise PowerModelError("governor already bound")
         self.sim = sim
-        sim.schedule_periodic(self.epoch, self.run_epoch, "governor-epoch")
+        sim.schedule_periodic(self.epoch, self.run_epoch)
 
     def run_epoch(self) -> None:
         """One governor decision."""

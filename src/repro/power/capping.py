@@ -81,7 +81,7 @@ class PowerCappingController:
         if self.sim is not None:
             raise PowerModelError("capping controller already bound")
         self.sim = sim
-        sim.schedule_periodic(self.epoch, self.run_epoch, "power-capping-epoch")
+        sim.schedule_periodic(self.epoch, self.run_epoch)
 
     # -- one budgeting epoch -------------------------------------------------
 

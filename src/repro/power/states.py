@@ -184,9 +184,7 @@ class PowerStateMachine:
             self._transitioning = True
             self.server.pause()
             self.sim.schedule_in(
-                latency,
-                lambda: self._finish_transition(old, target),
-                f"power-state:{old.name}->{target.name}",
+                latency, lambda: self._finish_transition(old, target)
             )
         else:
             self._finish_transition(old, target)

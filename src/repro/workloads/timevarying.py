@@ -132,7 +132,6 @@ class VariableRateSource:
         self._service_rng = None
         self._next_gap: Optional[PrefetchSampler] = None
         self._next_size: Optional[PrefetchSampler] = None
-        self._label = ""
 
     def bind(self, sim: Simulation) -> None:
         """Attach and schedule the first arrival."""
@@ -147,7 +146,6 @@ class VariableRateSource:
         self._next_size = PrefetchSampler(
             self.workload.service, self._service_rng
         )
-        self._label = f"{self.name}:arrival" if sim.tracing else ""
         self.target.bind(sim)
         self._schedule_next()
 
@@ -155,7 +153,7 @@ class VariableRateSource:
         if self.max_jobs is not None and self.generated >= self.max_jobs:
             return
         gap = self._next_gap() / self.profile.multiplier(self.sim.now)
-        self.sim.schedule_in(gap, self._emit, self._label)
+        self.sim.schedule_in(gap, self._emit)
 
     def _emit(self) -> None:
         job = Job(next(_JOB_COUNTER), size=self._next_size())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datacenter.job import Job
 from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import Server
 from repro.datacenter.srpt import SRPTServer
@@ -33,15 +34,15 @@ class TestEventQueue:
 
     def test_ties_break_by_schedule_order(self):
         queue = EventQueue()
-        first = queue.schedule(1.0, lambda: None, "first")
-        second = queue.schedule(1.0, lambda: None, "second")
+        first = queue.schedule(1.0, lambda: None)
+        second = queue.schedule(1.0, lambda: None)
         assert queue.pop() is first
         assert queue.pop() is second
 
     def test_cancelled_events_skipped(self):
         queue = EventQueue()
-        victim = queue.schedule(1.0, lambda: None, "victim")
-        survivor = queue.schedule(2.0, lambda: None, "survivor")
+        victim = queue.schedule(1.0, lambda: None)
+        survivor = queue.schedule(2.0, lambda: None)
         queue.cancel(victim)
         assert len(queue) == 1
         assert queue.pop() is survivor
@@ -77,14 +78,29 @@ class TestEventQueue:
         corrupt the live-event count (the dead-entry counter used to be
         incremented even though the record had already left the heap)."""
         queue = EventQueue()
-        fired = queue.schedule(1.0, lambda: None, "fired")
-        keeper = queue.schedule(2.0, lambda: None, "keeper")
+        fired = queue.schedule(1.0, lambda: None)
+        keeper = queue.schedule(2.0, lambda: None)
         assert queue.pop() is fired
         with pytest.raises(SimulationError, match="already-fired"):
             queue.cancel(fired)
         assert len(queue) == 1
         assert queue.pop() is keeper
         assert queue.pop() is None
+
+    def test_cancel_error_names_the_callback(self):
+        """An untraced run's cancel error still says which event it is
+        about: the callback's qualified name, through a partial."""
+        sim = Simulation()
+        server = Server()
+        server.bind(sim)
+        job = Job(1, size=1.0)
+        sim.schedule_at(0.0, lambda: server.arrive(job))
+        sim.run(until=0.5)
+        completion = job._completion_event
+        sim.run()
+        with pytest.raises(SimulationError, match="already-fired") as error:
+            sim.cancel(completion)
+        assert "Server._complete" in str(error.value)
 
     def test_cancel_after_fire_via_simulation(self):
         sim = Simulation()
@@ -102,7 +118,7 @@ class TestEventQueue:
         events = [queue.schedule(float(i), lambda: None) for i in range(600)]
         for event in events[::2] + events[1::4]:  # cancel ~75%
             queue.cancel(event)
-        live = [e for e in events if e[4] == 0]  # still PENDING
+        live = [e for e in events if e[3] == 0]  # still PENDING
         assert len(queue) == len(live)
         # Compaction happened in place: the loop's reference is still the heap.
         assert queue._heap is heap_ref
@@ -292,25 +308,3 @@ class TestSimulation:
             sim.schedule_at(t, lambda: None)
         sim.run()
         assert sim.events_processed == 2
-
-    def test_tracing_records_labels(self):
-        sim = Simulation()
-        sim.enable_tracing(capacity=10)
-        sim.schedule_at(1.0, lambda: None, "first")
-        sim.schedule_at(2.0, lambda: None, "second")
-        sim.run()
-        assert sim.trace() == [(1.0, "first"), (2.0, "second")]
-
-    def test_tracing_capacity_bounded(self):
-        sim = Simulation()
-        sim.enable_tracing(capacity=3)
-        for t in range(1, 8):
-            sim.schedule_at(float(t), lambda: None, f"e{t}")
-        sim.run()
-        assert [label for _, label in sim.trace()] == ["e5", "e6", "e7"]
-
-    def test_trace_requires_enable(self):
-        with pytest.raises(SimulationError):
-            Simulation().trace()
-        with pytest.raises(SimulationError):
-            Simulation().enable_tracing(capacity=0)

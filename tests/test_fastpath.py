@@ -595,7 +595,7 @@ class TestQualification:
 
     def test_extra_scheduled_event_disqualifies(self):
         experiment, _ = build_mm1()
-        experiment.simulation.schedule_at(10.0, lambda: None, "governor")
+        experiment.simulation.schedule_at(10.0, lambda: None)
         verdict = qualifies(experiment)
         assert not verdict and "event queue" in verdict.reason
 
