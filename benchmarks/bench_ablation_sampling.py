@@ -24,7 +24,7 @@ import pytest
 from conftest import save_rows
 from repro import Experiment, Server, Workload
 from repro.core.batch_means import BatchMeansEstimator, calibrate_batch_size
-from repro.core.confidence import mean_confidence_interval
+from repro.core.convergence import mean_confidence_interval
 from repro.core.runs_test import find_lag
 from repro.distributions import Exponential
 from repro.theory import mm1_mean_response

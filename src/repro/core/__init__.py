@@ -15,23 +15,15 @@ sequence of Fig. 2:
 3. **Measurement** — only every ``l``-th observation is accepted into the
    histogram (inflating simulated events by a factor of ``l``).
 4. **Convergence** — the metric converges once the accepted sample size
-   reaches ``max(Nm, Nq)`` (Eqs. 2–3); the simulation stops when every
+   reaches ``max(Nm, Nq)`` (Eqs. 2–3), as :func:`judge` decides against
+   the metric's :class:`MetricTargets`; the simulation stops when every
    metric has converged.
 """
 
 from repro.core.histogram import BinScheme, Histogram, HistogramError
 from repro.core.runs_test import runs_up_counts, runs_up_statistic, runs_up_passes, find_lag
-from repro.core.confidence import (
-    z_value,
-    mean_sample_size,
-    quantile_sample_size,
-    mean_confidence_interval,
-)
-from repro.core.convergence import (
-    required_sample_size,
-    is_converged,
-    summarize_histogram,
-)
+from repro.core.confidence import z_value, mean_sample_size, quantile_sample_size
+from repro.core.convergence import MetricTargets, judge, mean_confidence_interval
 from repro.core.statistic import Phase, Statistic, Estimate, StatisticError
 from repro.core.collection import StatisticsCollection
 from repro.core.batch_means import BatchMeansEstimator, calibrate_batch_size
@@ -49,9 +41,8 @@ __all__ = [
     "mean_sample_size",
     "quantile_sample_size",
     "mean_confidence_interval",
-    "required_sample_size",
-    "is_converged",
-    "summarize_histogram",
+    "MetricTargets",
+    "judge",
     "Phase",
     "Statistic",
     "Estimate",

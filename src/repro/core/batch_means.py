@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.core.confidence import z_value
+from repro.core.convergence import mean_half_width
 from repro.core.runs_test import MIN_RUNS_SAMPLE, runs_up_passes
 
 
@@ -40,7 +40,6 @@ class BatchMeansEstimator:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = int(batch_size)
         self.confidence = confidence
-        self._z = z_value(confidence)
         self._current_sum = 0.0
         self._current_count = 0
         self.batch_means: list[float] = []
@@ -78,8 +77,9 @@ class BatchMeansEstimator:
 
     def confidence_halfwidth(self) -> float:
         """CI half-width on the grand mean (CLT over batch means)."""
-        n = len(self.batch_means)
-        return self._z * self.std_of_batch_means() / math.sqrt(n)
+        return mean_half_width(
+            self.std_of_batch_means(), len(self.batch_means), self.confidence
+        )
 
     def relative_accuracy(self) -> float:
         """Achieved E = half-width / |mean| (Eq. 1 analogue)."""

@@ -139,12 +139,3 @@ def quantile_sample_size(
     z = z_value(confidence)
     return z * z * q * (1.0 - q) / (epsilon_p * epsilon_p)
 
-
-def mean_confidence_interval(
-    mean: float, std: float, n: int, confidence: float = 0.95
-) -> tuple[float, float]:
-    """CLT confidence interval for a mean from n i.i.d. observations."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    half = z_value(confidence) * std / math.sqrt(n)
-    return mean - half, mean + half

@@ -25,8 +25,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.confidence import z_value
-from repro.core.convergence import required_sample_size, summarize_histogram
+from repro.core.convergence import MetricTargets, Verdict, judge
 from repro.core.histogram import BinScheme, Histogram
 from repro.core.runs_test import LagSelection, select_lag
 
@@ -64,13 +63,34 @@ class Estimate:
         """Quantile estimate for a tracked q (KeyError if not tracked)."""
         return self.quantiles[q]
 
+    @classmethod
+    def from_verdict(
+        cls, verdict: Verdict, phase: Phase, lag: Optional[int], observed: int
+    ) -> "Estimate":
+        """The report of a judged histogram: a Statistic's own, or the
+        master's for a merged one."""
+        return cls(
+            name=verdict.targets.name,
+            phase=phase,
+            converged=phase is Phase.CONVERGED,
+            lag=lag,
+            accepted=verdict.count,
+            observed=observed,
+            mean=verdict.mean,
+            std=verdict.std,
+            quantiles=verdict.quantiles,
+            mean_ci=verdict.mean_ci,
+            quantile_ci=verdict.quantile_ci,
+        )
+
 
 def _normalize_quantiles(
     quantiles: Union[None, Mapping[float, float], Iterable]
-) -> Dict[float, float]:
-    """Accept {q: accuracy}, [(q, accuracy), ...], or [q, ...] forms."""
+) -> Tuple[Tuple[float, float], ...]:
+    """Accept {q: accuracy}, [(q, accuracy), ...], or [q, ...] forms;
+    return ``(q, accuracy)`` pairs in ascending ``q``."""
     if quantiles is None:
-        return {}
+        return ()
     if isinstance(quantiles, Mapping):
         items = list(quantiles.items())
     else:
@@ -89,7 +109,7 @@ def _normalize_quantiles(
                 f"quantile accuracy must be in (0, 1), got {accuracy}"
             )
         normalized[float(q)] = float(accuracy)
-    return normalized
+    return tuple(sorted(normalized.items()))
 
 
 class Statistic:
@@ -151,21 +171,23 @@ class Statistic:
                 f"calibration_samples must be >= 2: {calibration_samples}"
             )
         self.name = name
-        self.mean_accuracy = mean_accuracy
-        self.quantile_targets = _normalize_quantiles(quantiles)
-        if mean_accuracy is None and not self.quantile_targets:
+        quantile_targets = _normalize_quantiles(quantiles)
+        if mean_accuracy is None and not quantile_targets:
             raise StatisticError(
                 f"statistic {name!r} has no convergence criterion: "
                 "set mean_accuracy and/or quantiles"
             )
-        self.confidence = confidence
-        self._z = z_value(confidence)
+        #: The metric's Eq. 1-3 targets, which
+        #: :func:`repro.core.convergence.judge` holds its histogram to.
+        self.targets = MetricTargets(
+            name, mean_accuracy, quantile_targets, confidence,
+            int(min_accepted),
+        )
         self.warmup_samples = int(warmup_samples)
         self.calibration_samples = int(calibration_samples)
         self.bins = int(bins)
         self.max_lag = int(max_lag)
         self.fixed_scheme = fixed_scheme
-        self.min_accepted = int(min_accepted)
         self.significance = significance
         self.convergence_check_interval = int(convergence_check_interval)
 
@@ -279,7 +301,8 @@ class Statistic:
         """
         accepted = self.accepted
         self.convergence_checks += 1
-        required = self.required_sample_size()
+        verdict = judge(self.histogram, self.targets)
+        required = verdict.required
         if self._tracer is not None:
             self._tracer.gauge(
                 "convergence",
@@ -289,13 +312,9 @@ class Statistic:
                 required=(
                     None if required == math.inf else required
                 ),
-                fraction=(
-                    min(1.0, accepted / required)
-                    if required not in (0, math.inf)
-                    else None
-                ),
+                fraction=verdict.fraction_done,
             )
-        if accepted >= required:
+        if verdict.converged:
             self.phase = Phase.CONVERGED
             if self._tracer is not None:
                 self._tracer.event(
@@ -435,8 +454,6 @@ class Statistic:
                 to="calibration",
                 observed=self.observed,
             )
-        if self.calibration_samples == 0:  # pragma: no cover - guarded in init
-            self._finish_calibration()
 
     def _finish_calibration(self) -> None:
         """Runs-up lag search + histogram bin determination (Fig. 2, step 2).
@@ -460,7 +477,9 @@ class Statistic:
         self.histogram = Histogram(scheme)
         self._calibration = []
         self._since_accept = 0
-        self._next_check = max(self.min_accepted, self.convergence_check_interval)
+        self._next_check = max(
+            self.targets.min_accepted, self.convergence_check_interval
+        )
         self.phase = Phase.MEASUREMENT
         if self._tracer is not None:
             self._tracer.event(
@@ -486,57 +505,16 @@ class Statistic:
         Infinite while an estimate needed by a criterion is still
         undefined (e.g. zero density at a quantile early on).
         """
-        if self.histogram is None:
-            return math.inf
-        return required_sample_size(
-            self.histogram,
-            self.mean_accuracy,
-            self.quantile_targets,
-            self.confidence,
-            self.min_accepted,
-        )
-
-    def achieved_accuracy(self) -> Dict[str, float]:
-        """Current relative half-widths per criterion (for Fig. 8-style
-        accuracy-vs-events traces).  Keys: ``"mean"`` and ``"q<q>"``."""
-        out: Dict[str, float] = {}
-        hist = self.histogram
-        if hist is None or hist.count < 2:
-            return out
-        n = hist.count
-        if self.mean_accuracy is not None and hist.mean != 0:
-            out["mean"] = self._z * hist.std / math.sqrt(n) / abs(hist.mean)
-        for q in self.quantile_targets:
-            x_q = hist.quantile(q)
-            density = hist.density_at_quantile(q)
-            if density > 0 and x_q != 0:
-                half_p = self._z * math.sqrt(q * (1 - q) / n)
-                out[f"q{q:g}"] = half_p / density / abs(x_q)
-        return out
+        return judge(self.histogram, self.targets).required
 
     # -- reporting --------------------------------------------------------------
 
     def estimate(self) -> Estimate:
         """Snapshot of all estimates with confidence intervals."""
-        est = Estimate(
-            name=self.name,
-            phase=self.phase,
-            converged=self.converged,
-            lag=self.lag,
-            accepted=self.accepted,
-            observed=self.observed,
+        return Estimate.from_verdict(
+            judge(self.histogram, self.targets), self.phase, self.lag,
+            self.observed,
         )
-        hist = self.histogram
-        if hist is None or hist.count == 0:
-            return est
-        (
-            est.mean,
-            est.std,
-            est.quantiles,
-            est.mean_ci,
-            est.quantile_ci,
-        ) = summarize_histogram(hist, self.quantile_targets, self.confidence)
-        return est
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,12 +10,12 @@ the result is flagged unconverged rather than silently wrong.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Union
 
 from repro.core.collection import StatisticsCollection
+from repro.core.convergence import judge
 from repro.core.statistic import Estimate, Statistic
 from repro.datacenter.source import Source, TraceSource
 from repro.engine.simulation import Simulation
@@ -327,19 +327,17 @@ class Experiment:
         """
         snapshot: Dict[str, Dict[str, float]] = {}
         for statistic in self.stats:
-            required = statistic.required_sample_size()
+            verdict = judge(statistic.histogram, statistic.targets)
             entry = {
                 "phase": statistic.phase.value,
                 "observed": statistic.observed,
                 "accepted": statistic.accepted,
-                "required": required,
+                "required": verdict.required,
                 "lag": statistic.lag,
             }
-            if required not in (0, math.inf):
-                entry["fraction_done"] = min(
-                    1.0, statistic.accepted / required
-                )
-            entry.update(statistic.achieved_accuracy())
+            if verdict.fraction_done is not None:
+                entry["fraction_done"] = verdict.fraction_done
+            entry.update(verdict.accuracy)
             snapshot[statistic.name] = entry
         return snapshot
 

@@ -33,6 +33,7 @@ from typing import Dict, List, Tuple, Union, get_type_hints
 
 import numpy as np
 
+from repro.core.convergence import MetricTargets
 from repro.core.histogram import BinScheme, HistogramError
 from repro.shape import checked
 
@@ -255,9 +256,9 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointState:
     types, a merged histogram is a sound one on its metric's bin scheme,
     and there is one ``slave`` record per slave id and one lineage.
     """
-    # repro.parallel imports this module, so what it owns of the format
-    # (the targets record, the histogram check) is looked up at call time.
-    from repro.parallel.protocol import MetricTargets, validate_report_payload
+    # repro.parallel imports this module, so the histogram check it owns
+    # is looked up at call time.
+    from repro.parallel.protocol import validate_report_payload
 
     path = Path(path)
     records = _read_records(path)

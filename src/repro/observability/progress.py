@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Callable, Dict, Mapping, Optional
 
-from repro.core.convergence import required_sample_size
+from repro.core.convergence import judge
 
 
 def convergence_fractions(
@@ -36,21 +36,10 @@ def convergence_fractions(
     accepted count over the current Eq. 2-3 requirement, clamped to 1.
     An undefined requirement (early rounds) reports 0.
     """
-    fractions: Dict[str, float] = {}
-    for name, target in targets.items():
-        histogram = merged[name]
-        required = required_sample_size(
-            histogram,
-            target.mean_accuracy,
-            target.quantile_dict,
-            target.confidence,
-            target.min_accepted,
-        )
-        if required in (0, math.inf):
-            fractions[name] = 0.0
-        else:
-            fractions[name] = min(1.0, histogram.count / required)
-    return fractions
+    return {
+        name: judge(merged[name], target).fraction_done or 0.0
+        for name, target in targets.items()
+    }
 
 
 class ProgressReporter:

@@ -18,6 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
+#: The keys of an ``Experiment.progress()`` entry that telemetry keeps
+#: as they are; every other key is an achieved relative half-width.
+_PROGRESS_KEYS = ("phase", "observed", "accepted", "required", "lag",
+                  "fraction_done")
+
+
 def _json_number(value: float):
     """inf/nan are not JSON; encode them as strings."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -48,33 +54,18 @@ class ExperimentTelemetry:
             events_processed=simulation.events_processed,
             sim_time=simulation.now,
         )
-        for statistic in experiment.stats:
-            required = statistic.required_sample_size()
-            selection = getattr(statistic, "lag_selection", None)
-            entry = {
-                "phase": statistic.phase.value,
-                "observed": statistic.observed,
-                "accepted": statistic.accepted,
-                "required": _json_number(required),
-                "lag": statistic.lag,
-                "convergence_checks": getattr(
-                    statistic, "convergence_checks", 0
-                ),
+        for name, entry in experiment.progress().items():
+            statistic = experiment.stats[name]
+            metric = telemetry.metrics[name] = {
+                key if key in _PROGRESS_KEYS else f"halfwidth_{key}": value
+                for key, value in entry.items()
             }
+            metric["required"] = _json_number(metric["required"])
+            metric["convergence_checks"] = statistic.convergence_checks
+            selection = statistic.lag_selection
             if selection is not None:
-                entry["lag_conclusive"] = selection.conclusive
-                entry["lag_reason"] = selection.reason
-            if required not in (0, math.inf):
-                entry["fraction_done"] = min(
-                    1.0, statistic.accepted / required
-                )
-            entry.update(
-                {
-                    f"halfwidth_{key}": value
-                    for key, value in statistic.achieved_accuracy().items()
-                }
-            )
-            telemetry.metrics[statistic.name] = entry
+                metric["lag_conclusive"] = selection.conclusive
+                metric["lag_reason"] = selection.reason
         if tracer is not None:
             telemetry.trace = tracer.summary()
         return telemetry
@@ -94,11 +85,11 @@ class ExperimentTelemetry:
                 "n_slaves": result.n_slaves,
                 "rounds": result.rounds,
                 "converged": result.converged,
-                "degraded": getattr(result, "degraded", False),
+                "degraded": result.degraded,
                 "dead_slaves": list(dead_slaves or []),
-                "failure_causes": dict(getattr(result, "failure_causes", {})),
-                "restarts": getattr(result, "restarts", 0),
-                "resumed": getattr(result, "resumed", False),
+                "failure_causes": dict(result.failure_causes),
+                "restarts": result.restarts,
+                "resumed": result.resumed,
                 "slave_events": list(result.slave_events),
                 "total_accepted": result.total_accepted,
             },

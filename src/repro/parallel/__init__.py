@@ -28,7 +28,6 @@ sweep; the pool schedules over either transport.
 
 from repro.parallel.protocol import (
     DeltaTracker,
-    MetricTargets,
     ParallelError,
     SlaveReport,
     histogram_delta,
@@ -52,7 +51,6 @@ from repro.parallel.transport import (
 __all__ = [
     "DeltaTracker",
     "histogram_delta",
-    "MetricTargets",
     "SlaveReport",
     "ParallelError",
     "ParallelResult",

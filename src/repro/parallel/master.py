@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.convergence import is_converged, summarize_histogram
+from repro.core.convergence import MetricTargets, judge
 from repro.core.histogram import Histogram
 from repro.core.statistic import Estimate, Phase
 from repro.engine.experiment import Experiment
@@ -81,7 +81,6 @@ from repro.parallel.protocol import (
     CAUSE_PIPE_CLOSED,
     CAUSE_SEND_FAILED,
     DeltaTracker,
-    MetricTargets,
     ParallelError,
     SlaveReport,
     payload_digest,
@@ -594,8 +593,7 @@ class ParallelSimulation:
             for statistic in master.stats
         }
         targets = {
-            statistic.name: MetricTargets.from_statistic(statistic)
-            for statistic in master.stats
+            statistic.name: statistic.targets for statistic in master.stats
         }
         return master, schemes, targets
 
@@ -604,13 +602,7 @@ class ParallelSimulation:
         merged: Dict[str, Histogram], targets: Dict[str, MetricTargets]
     ) -> bool:
         return all(
-            is_converged(
-                merged[name],
-                target.mean_accuracy,
-                target.quantile_dict,
-                target.confidence,
-                target.min_accepted,
-            )
+            judge(merged[name], target).converged
             for name, target in targets.items()
         )
 
@@ -620,29 +612,13 @@ class ParallelSimulation:
         targets: Dict[str, MetricTargets],
         converged: bool,
     ) -> Dict[str, Estimate]:
-        estimates = {}
-        for name, target in targets.items():
-            histogram = merged[name]
-            estimate = Estimate(
-                name=name,
-                phase=Phase.CONVERGED if converged else Phase.MEASUREMENT,
-                converged=converged,
-                lag=None,
-                accepted=histogram.count,
-                observed=histogram.count,
+        phase = Phase.CONVERGED if converged else Phase.MEASUREMENT
+        return {
+            name: Estimate.from_verdict(
+                judge(merged[name], target), phase, None, merged[name].count
             )
-            if histogram.count:
-                (
-                    estimate.mean,
-                    estimate.std,
-                    estimate.quantiles,
-                    estimate.mean_ci,
-                    estimate.quantile_ci,
-                ) = summarize_histogram(
-                    histogram, target.quantile_dict, target.confidence
-                )
-            estimates[name] = estimate
-        return estimates
+            for name, target in targets.items()
+        }
 
     # -- report validation / fault handling -------------------------------------
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.histogram import BinScheme
-from repro.core.statistic import Statistic
 
 
 class ParallelError(RuntimeError):
@@ -100,47 +99,6 @@ def validate_report_payload(
     except (KeyError, TypeError, ValueError) as error:
         return f"malformed payload: {error!r}"
     return None
-
-
-@dataclass(frozen=True)
-class MetricTargets:
-    """Convergence targets for one metric, detached from its Statistic."""
-
-    name: str
-    mean_accuracy: Optional[float]
-    quantile_targets: Tuple[Tuple[float, float], ...]
-    confidence: float
-    min_accepted: int
-
-    @classmethod
-    def from_statistic(cls, statistic: Statistic) -> "MetricTargets":
-        """Snapshot the targets of a live statistic."""
-        return cls(
-            name=statistic.name,
-            mean_accuracy=statistic.mean_accuracy,
-            quantile_targets=tuple(sorted(statistic.quantile_targets.items())),
-            confidence=statistic.confidence,
-            min_accepted=statistic.min_accepted,
-        )
-
-    def to_record(self) -> dict:
-        """The checkpoint's ``targets`` record: every field but the name,
-        which the enclosing ``metric`` record carries."""
-        record = asdict(self)
-        del record["name"]
-        return record
-
-    @classmethod
-    def from_record(cls, name: str, record: dict) -> "MetricTargets":
-        """Inverse of :meth:`to_record` for a record ``read_checkpoint``
-        has checked against these fields (JSON turned the pairs to lists)."""
-        pairs = tuple(tuple(pair) for pair in record["quantile_targets"])
-        return cls(**{**record, "name": name, "quantile_targets": pairs})
-
-    @property
-    def quantile_dict(self) -> Dict[float, float]:
-        """Targets as the mapping form the convergence functions expect."""
-        return dict(self.quantile_targets)
 
 
 @dataclass

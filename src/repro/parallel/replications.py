@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.confidence import z_value
+from repro.core.convergence import mean_confidence_interval
 from repro.engine.experiment import Experiment
 from repro.faults.recovery import derive_seed
 
@@ -54,10 +54,10 @@ class ReplicatedEstimate:
     @property
     def confidence_interval(self) -> tuple:
         """CI on the grand mean from across-replication variance."""
-        half = z_value(self.confidence) * self.std / math.sqrt(
-            len(self.values)
+        std = self.std  # refuses fewer than two replications first
+        return mean_confidence_interval(
+            self.mean, std, len(self.values), self.confidence
         )
-        return (self.mean - half, self.mean + half)
 
 
 @dataclass

@@ -10,11 +10,11 @@ import pytest
 
 from repro.core.confidence import (
     _ndtri,
-    mean_confidence_interval,
     mean_sample_size,
     quantile_sample_size,
     z_value,
 )
+from repro.core.convergence import mean_confidence_interval
 
 
 class TestZValue:

@@ -162,7 +162,8 @@ class TestBuildExperiment:
             metrics=[{"kind": "response_time", "quantiles": {"0.9": 0.1}}]
         )
         experiment = build_experiment(config)
-        assert experiment.stats["response_time"].quantile_targets == {0.9: 0.1}
+        targets = experiment.stats["response_time"].targets
+        assert targets.quantile_targets == ((0.9, 0.1),)
 
     def test_config_from_file(self, tmp_path):
         path = tmp_path / "exp.json"

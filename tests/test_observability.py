@@ -353,7 +353,7 @@ class TestProgressReporter:
 
     def test_convergence_fractions_clamped(self):
         from repro.core.histogram import BinScheme, Histogram
-        from repro.parallel.master import MetricTargets
+        from repro.core.convergence import MetricTargets
 
         histogram = Histogram(BinScheme(0.0, 10.0, 32))
         for value in (1.0, 2.0, 3.0):

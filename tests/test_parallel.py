@@ -6,7 +6,6 @@ import pytest
 from repro.core.histogram import BinScheme, Histogram
 from repro.parallel import (
     DeltaTracker,
-    MetricTargets,
     ParallelError,
     ParallelSimulation,
     histogram_delta,
@@ -68,11 +67,10 @@ class TestProtocolPieces:
 
     def test_metric_targets_snapshot(self):
         experiment = factory(seed=1)
-        statistic = experiment.stats["response_time"]
-        targets = MetricTargets.from_statistic(statistic)
+        targets = experiment.stats["response_time"].targets
         assert targets.name == "response_time"
         assert targets.mean_accuracy == 0.05
-        assert targets.quantile_dict == {0.95: 0.1}
+        assert targets.quantile_targets == ((0.95, 0.1),)
 
     def test_build_slave_applies_schemes(self):
         scheme = BinScheme(low=0.0, high=50.0, bins=64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.convergence import judge
 from repro.core.histogram import BinScheme
 from repro.core.statistic import Phase, Statistic, StatisticError
 
@@ -40,9 +41,13 @@ class TestConfiguration:
             Statistic("x", quantiles={1.5: 0.05})
 
     def test_quantile_spec_forms(self):
-        assert Statistic("a", quantiles={0.9: 0.1}).quantile_targets == {0.9: 0.1}
-        assert Statistic("b", quantiles=[(0.9, 0.1)]).quantile_targets == {0.9: 0.1}
-        assert Statistic("c", quantiles=[0.9]).quantile_targets == {0.9: 0.05}
+        def pairs(quantiles):
+            return Statistic("x", quantiles=quantiles).targets.quantile_targets
+
+        assert pairs({0.9: 0.1}) == ((0.9, 0.1),)
+        assert pairs([(0.9, 0.1)]) == ((0.9, 0.1),)
+        assert pairs([0.9]) == ((0.9, 0.05),)
+        assert pairs({0.99: 0.1, 0.5: 0.2}) == ((0.5, 0.2), (0.99, 0.1))
 
     def test_rejects_negative_warmup(self):
         with pytest.raises(StatisticError):
@@ -139,7 +144,7 @@ class TestConvergence:
         for _ in range(50 + 200 + 200):
             statistic.observe(1.0)
         assert statistic.phase is Phase.CONVERGED
-        assert statistic.accepted <= 2 * statistic.min_accepted
+        assert statistic.accepted <= 2 * statistic.targets.min_accepted
 
     def test_high_variance_needs_more_samples(self, rng):
         tight = make_stat(quantiles=None, mean_accuracy=0.02)
@@ -177,9 +182,9 @@ class TestConvergence:
     def test_achieved_accuracy_shrinks(self, rng):
         statistic = make_stat(mean_accuracy=0.01, quantiles=None)
         feed_iid(statistic, rng, 2000)
-        early = statistic.achieved_accuracy()["mean"]
+        early = judge(statistic.histogram, statistic.targets).accuracy["mean"]
         feed_iid(statistic, rng, 50_000)
-        late = statistic.achieved_accuracy()["mean"]
+        late = judge(statistic.histogram, statistic.targets).accuracy["mean"]
         assert late < early
 
 
