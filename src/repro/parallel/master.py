@@ -608,17 +608,19 @@ class ParallelSimulation:
 
     @staticmethod
     def _estimates(
-        merged: Dict[str, Histogram],
-        targets: Dict[str, MetricTargets],
-        converged: bool,
+        merged: Dict[str, Histogram], targets: Dict[str, MetricTargets]
     ) -> Dict[str, Estimate]:
-        phase = Phase.CONVERGED if converged else Phase.MEASUREMENT
-        return {
-            name: Estimate.from_verdict(
-                judge(merged[name], target), phase, None, merged[name].count
+        """Each metric's report, judged on its own merged histogram: a
+        metric that met its target says so even when the run stopped
+        before every metric did."""
+        estimates = {}
+        for name, target in targets.items():
+            verdict = judge(merged[name], target)
+            phase = Phase.CONVERGED if verdict.converged else Phase.MEASUREMENT
+            estimates[name] = Estimate.from_verdict(
+                verdict, phase, None, verdict.count
             )
-            for name, target in targets.items()
-        }
+        return estimates
 
     # -- report validation / fault handling -------------------------------------
 
@@ -807,7 +809,7 @@ class ParallelSimulation:
         )
         dead = book.dead
         result = ParallelResult(
-            estimates=self._estimates(merged, targets, converged),
+            estimates=self._estimates(merged, targets),
             converged=converged,
             n_slaves=self.n_slaves,
             rounds=rounds,

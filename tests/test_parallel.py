@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.histogram import BinScheme, Histogram
+from repro.core.statistic import Phase
 from repro.parallel import (
     DeltaTracker,
     ParallelError,
@@ -52,6 +53,20 @@ def two_metric_factory(seed):
     experiment.add_source(web().at_load(0.6), target=server)
     experiment.track_response_time(server, mean_accuracy=0.05)
     experiment.track_waiting_time(server, mean_accuracy=0.1)
+    return experiment
+
+
+def easy_and_hard_factory(seed):
+    """An easy metric (E 0.2) beside one that takes far longer (E 0.005)."""
+    from repro import Experiment, Server
+    from repro.workloads import web
+
+    experiment = Experiment(seed=seed, warmup_samples=300,
+                            calibration_samples=2000)
+    server = Server(cores=1)
+    experiment.add_source(web().at_load(0.6), target=server)
+    experiment.track_response_time(server, mean_accuracy=0.2)
+    experiment.track_waiting_time(server, mean_accuracy=0.005)
     return experiment
 
 
@@ -277,6 +292,18 @@ class TestSerialBackend:
 
 
 class TestMultiMetric:
+    def test_each_metric_is_judged_on_its_own(self):
+        # A run stopped by max_rounds is unconverged as a whole, but a
+        # metric whose merged sample meets its own target says so.
+        result = ParallelSimulation(
+            easy_and_hard_factory, n_slaves=2, master_seed=5,
+            backend="serial", chunk_size=2000, max_rounds=2,
+        ).run()
+        assert not result.converged
+        easy, hard = result["response_time"], result["waiting_time"]
+        assert (easy.converged, easy.phase) == (True, Phase.CONVERGED)
+        assert (hard.converged, hard.phase) == (False, Phase.MEASUREMENT)
+
     def test_all_metrics_merge_and_converge(self):
         simulation = ParallelSimulation(
             two_metric_factory, n_slaves=3, master_seed=17,
