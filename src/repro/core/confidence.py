@@ -17,7 +17,8 @@ where Eq. 3's ``epsilon_p`` is the half-width in *probability* units.  To
 target a half-width of ``E * x_q`` in value units, we convert through the
 density at the quantile (the delta method used by Chen & Kelton):
 ``epsilon_p = E * x_q * f(x_q)``, with ``f`` estimated from the metric's
-histogram.
+histogram.  The intervals these sizes promise are built, and judged,
+in :mod:`repro.core.convergence`.
 """
 
 from __future__ import annotations

@@ -78,7 +78,7 @@ class MetricTargets:
         return cls(**{**record, "name": name, "quantile_targets": pairs})
 
 
-@dataclass(frozen=True)
+@dataclass
 class Verdict:
     """One histogram judged against one metric's targets (:func:`judge`).
 
