@@ -97,63 +97,63 @@ DOCUMENTED = [
      ["sweep", "examples/sweeps/multiserver_misfit_demo.toml", "--lint"]),
     ("ci.yml:164", ["run", "/tmp/mm1.json", "--trace", "/tmp/trace.jsonl",
                     "--metrics"]),
-    ("ci.yml:182", ["run", "/tmp/mm1.json", "--parallel", "2", "--metrics",
-                    "--progress", "0"]),
-    ("ci.yml:296", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:281", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--jobs", "2", "--cache", "/tmp/sweep-cache",
                     "--out", "/tmp/cold.json"]),
-    ("ci.yml:298", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:283", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--jobs", "2", "--cache", "/tmp/sweep-cache",
                     "--out", "/tmp/warm.json"]),
-    ("ci.yml:321", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:306", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "serial", "--respawn", "--chaos",
                     '{"faults": [{"kind": "kill", "slave_id": 0, '
                     '"round": 1, "phase": "pre_run"}]}',
                     "--trace", "/tmp/serial_chaos.jsonl",
                     "--out", "/tmp/serial_chaos.json"]),
-    ("ci.yml:360", ["sweep", "/tmp/bad_grid.toml"]),
-    ("ci.yml:408", ["sweep", "examples/sweeps/cloning_tail.toml",
+    ("ci.yml:345", ["sweep", "/tmp/bad_grid.toml"]),
+    ("ci.yml:393", ["sweep", "examples/sweeps/cloning_tail.toml",
                     "--jobs", "2", "--cache", "/tmp/clone-cache",
                     "--out", "/tmp/clone_cold.json"]),
-    ("ci.yml:410", ["sweep", "examples/sweeps/cloning_tail.toml",
+    ("ci.yml:395", ["sweep", "examples/sweeps/cloning_tail.toml",
                     "--jobs", "2", "--cache", "/tmp/clone-cache",
                     "--out", "/tmp/clone_warm.json"]),
-    ("ci.yml:450", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:435", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "pool", "--jobs", "2",
                     "--out", "/tmp/pool.json"]),
-    ("ci.yml:454", ["agent", "127.0.0.1:9751", "--slots", "2",
+    ("ci.yml:439", ["agent", "127.0.0.1:9751", "--slots", "2",
                     "--idle-exit", "20"]),
-    ("ci.yml:456", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:441", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "remote", "--listen", "127.0.0.1:9751",
                     "--jobs", "2", "--out", "/tmp/remote.json"]),
-    ("ci.yml:465", ["agent", "127.0.0.1:9752", "--slots", "2",
+    ("ci.yml:450", ["agent", "127.0.0.1:9752", "--slots", "2",
                     "--idle-exit", "20"]),
-    ("ci.yml:467", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:452", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "remote", "--listen", "127.0.0.1:9752",
                     "--jobs", "2", "--chaos",
                     '{"faults": [{"kind": "kill", "slave_id": 0, '
                     '"round": 1, "phase": "pre_run"}]}',
                     "--respawn", "--out", "/tmp/remote_chaos.json"]),
-    ("ci.yml:559", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:544", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--chaos", '{"faults":[1]}']),
-    ("ci.yml:568", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:553", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--backend", "process"]),
-    ("ci.yml:572", ["agent", "127.0.0.1:9761", "--slots", "2",
+    ("ci.yml:557", ["agent", "127.0.0.1:9761", "--slots", "2",
                     "--idle-exit", "30"]),
-    ("ci.yml:574", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:559", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--backend", "remote", "--listen", "127.0.0.1:9761",
                     "--chaos", "/tmp/netplan.json",
                     "--heartbeat-interval", "0.5",
                     "--heartbeat-misses", "3"]),
-    ("ci.yml:586", ["agent", "127.0.0.1:9762", "--slots", "2",
+    ("ci.yml:571", ["agent", "127.0.0.1:9762", "--slots", "2",
                     "--idle-exit", "40"]),
-    ("ci.yml:589", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:574", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--backend", "remote", "--listen", "127.0.0.1:9762",
                     "--chaos",
                     '{"faults": [{"kind": "partition", "slave_id": 1, '
                     '"round": 1, "direction": "in"}]}',
                     "--heartbeat-interval", "0.5",
                     "--heartbeat-misses", "3", "--round-timeout", "120"]),
+    ("ci.yml:729", ["run", "/tmp/mm1.json", "--parallel", "2", "--metrics",
+                    "--progress", "0"]),
     ("README.md:123", ["workloads"]),
     ("README.md:124", ["run", "experiment.json"]),
     ("README.md:125", ["run", "experiment.json", "--sanitize"]),
