@@ -10,8 +10,9 @@ serial backend and asserts each structural step.
 import pytest
 
 from conftest import save_rows
+from repro.faults.recovery import derive_seed
 from repro.parallel import ParallelSimulation
-from repro.parallel.master import build_slave_experiment, slave_seed
+from repro.parallel.master import build_slave_experiment
 
 
 def factory(seed, accuracy=0.05):
@@ -47,7 +48,7 @@ def test_fig3_protocol_steps(benchmark):
     assert master.stats["response_time"].histogram is not None
 
     # 3-4) Slaves get unique seeds and the master's scheme imposed.
-    seeds = [slave_seed(11, i) for i in range(4)]
+    seeds = [derive_seed(11, i) for i in range(4)]
     assert len(set(seeds)) == 4
     slave = build_slave_experiment(factory, {}, seeds[0], schemes)
     assert slave.stats["response_time"].fixed_scheme is not None

@@ -696,9 +696,8 @@ def _cmd_agent(args: argparse.Namespace) -> int:
 
 
 def _add_agent_args(parser) -> None:
-    """The agent's flags, for ``repro agent`` and for
-    ``python -m repro.parallel.agent`` alike; declared here so that
-    building the parser does not import :mod:`repro.parallel`."""
+    """The flags of ``repro agent``; declared here so that building the
+    parser does not import :mod:`repro.parallel`."""
     parser.add_argument(
         "address", help="master transport address, HOST:PORT"
     )

@@ -381,16 +381,7 @@ class Histogram:
                     "this histogram's scheme"
                 )
             other = other.rebin_to(self.scheme)
-        counts = self._counts
-        for index, extra in enumerate(other._counts):
-            counts[index] += extra
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self.count += other.count
-        self._sum += other._sum
-        self._sum_sq += other._sum_sq
-        self.min_seen = min(self.min_seen, other.min_seen)
-        self.max_seen = max(self.max_seen, other.max_seen)
+        self.merge_payload(other.to_payload())
 
     def merge_payload(self, payload: dict) -> None:
         """Fold a payload dict (full or delta form) into this histogram.

@@ -29,6 +29,9 @@ from repro.core.convergence import MetricTargets, Verdict, judge
 from repro.core.histogram import BinScheme, Histogram
 from repro.core.runs_test import LagSelection, select_lag
 
+#: Fewest accepted observations between two convergence checks.
+_CHECK_FLOOR = 32
+
 
 class StatisticError(RuntimeError):
     """Raised for invalid statistic configuration or use."""
@@ -158,7 +161,6 @@ class Statistic:
         fixed_scheme: Optional[BinScheme] = None,
         min_accepted: int = 100,
         significance: float = 0.05,
-        convergence_check_interval: int = 32,
     ):
         if mean_accuracy is not None and not 0.0 < mean_accuracy < 1.0:
             raise StatisticError(
@@ -189,7 +191,6 @@ class Statistic:
         self.max_lag = int(max_lag)
         self.fixed_scheme = fixed_scheme
         self.significance = significance
-        self.convergence_check_interval = int(convergence_check_interval)
 
         self.phase = Phase.WARMUP
         self.lag: Optional[int] = None
@@ -334,9 +335,7 @@ class Statistic:
             gap = accepted
         else:
             gap = int((required - accepted) * 0.05)
-        self._next_check = accepted + max(
-            self.convergence_check_interval, gap
-        )
+        self._next_check = accepted + max(_CHECK_FLOOR, gap)
         return False
 
     def observe_block(self, values) -> None:
@@ -477,9 +476,7 @@ class Statistic:
         self.histogram = Histogram(scheme)
         self._calibration = []
         self._since_accept = 0
-        self._next_check = max(
-            self.targets.min_accepted, self.convergence_check_interval
-        )
+        self._next_check = max(self.targets.min_accepted, _CHECK_FLOOR)
         self.phase = Phase.MEASUREMENT
         if self._tracer is not None:
             self._tracer.event(

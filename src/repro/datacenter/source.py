@@ -52,13 +52,13 @@ class Source:
 
     def __init__(self, workload, target, draw_sizes: bool = True,
                  max_jobs: Optional[int] = None, name: str = "source",
-                 prefetch: bool = True, prefetch_block: int = DEFAULT_BLOCK):
+                 prefetch: bool = True):
         self.workload = workload
         self.target = target
         self.draw_sizes = draw_sizes
         self.max_jobs = max_jobs
         self.name = name
-        self.prefetch_block = prefetch_block if prefetch else 1
+        self.prefetch_block = DEFAULT_BLOCK if prefetch else 1
         self.generated = 0
         self.sim: Optional[Simulation] = None
         self._arrival_rng = None

@@ -87,7 +87,6 @@ class Truncated(Distribution):
         base: Distribution,
         low: float = 0.0,
         high: float = float("inf"),
-        moment_seed: int = 0x5EED,
     ):
         if high <= low:
             raise DistributionError(f"high ({high}) must exceed low ({low})")
@@ -96,7 +95,7 @@ class Truncated(Distribution):
         self.high = float(high)
         # Fixed-seed one-off moment estimation at construction time —
         # deliberately independent of any simulation's streams.
-        rng = np.random.default_rng(moment_seed)  # simlint: disable=global-rng
+        rng = np.random.default_rng(0x5EED)  # simlint: disable=global-rng
         draws = self._clip(base.sample_many(rng, self._MOMENT_SAMPLE))
         self._mean = float(np.mean(draws))
         self._variance = float(np.var(draws))

@@ -92,7 +92,6 @@ class Experiment:
         max_lag: int = 50,
         max_events: int = 50_000_000,
         max_sim_time: Optional[float] = None,
-        convergence_check_interval: int = 256,
         prefetch: bool = True,
         sanitize: bool = False,
         engine: str = "event",
@@ -111,7 +110,6 @@ class Experiment:
         self.max_lag = max_lag
         self.max_events = max_events
         self.max_sim_time = max_sim_time
-        self.convergence_check_interval = convergence_check_interval
         self.prefetch_default = prefetch
         self.engine = engine
         self.sources: list = []
@@ -259,7 +257,7 @@ class Experiment:
         """Attach a :class:`repro.observability.ProgressReporter`.
 
         The reporter is polled from the convergence-check path (every
-        ``convergence_check_interval`` events; once per block on the
+        256 events; once per block on the
         vectorized fast path) and throttles itself by its own wall-clock
         interval, so it costs nothing on the per-event path.
         """
@@ -282,8 +280,9 @@ class Experiment:
     ) -> ExperimentResult:
         """Drive the event engine until ``stop_when()`` or a bound trips.
 
-        ``stop_when`` is evaluated every ``convergence_check_interval``
-        events, after the attached progress reporter (if any) is polled.
+        ``stop_when`` is evaluated every 256 events (the simulation's
+        ``stop_check_interval``), after the attached progress reporter
+        (if any) is polled.
         """
         progress = self._progress
         if progress is None:
@@ -303,7 +302,6 @@ class Experiment:
                 until=horizon,
                 max_events=remaining,
                 stop_when=polled,
-                stop_check_interval=self.convergence_check_interval,
             )
         wall = time.perf_counter() - started
         probe = simulation.probe

@@ -26,14 +26,12 @@ class PeriodicProbe:
     Parameters
     ----------
     reader:
-        Zero-argument callable returning the current value.
+        Zero-argument callable returning the current value, or ``None``
+        for "no sample this epoch" (dropped).
     record:
         Sink, e.g. ``lambda v: experiment.record("power", v)``.
     period:
         Sampling interval in simulated seconds.
-    skip_none:
-        When True, a ``None`` reading is silently dropped (lets readers
-        signal "no sample this epoch").
     """
 
     def __init__(
@@ -41,14 +39,12 @@ class PeriodicProbe:
         reader: Callable[[], Optional[float]],
         record: Callable[[float], None],
         period: float,
-        skip_none: bool = True,
     ):
         if period <= 0:
             raise ValueError(f"period must be > 0, got {period}")
         self.reader = reader
         self.record = record
         self.period = float(period)
-        self.skip_none = skip_none
         self.samples_taken = 0
         self.sim: Optional[Simulation] = None
 
@@ -61,7 +57,7 @@ class PeriodicProbe:
 
     def _tick(self) -> None:
         value = self.reader()
-        if value is None and self.skip_none:
+        if value is None:
             return
         self.samples_taken += 1
         self.record(float(value))

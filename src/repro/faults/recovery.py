@@ -36,7 +36,7 @@ _SEED_MASK = 0x7FFFFFFF
 def derive_seed(master_seed: int, slave_id: int, generation: int = 0) -> int:
     """Deterministic seed for one slave incarnation.
 
-    Generation 0 reproduces the historical ``slave_seed`` value exactly
+    Generation 0 reproduces the original per-slave seed rule exactly
     (so healthy runs are bit-compatible with checkpoints and results
     recorded before fault tolerance existed); respawns mix in the
     generation along an independent stride.

@@ -54,6 +54,10 @@ from repro.parallel.transport import (
 )
 
 
+#: Fraction of a re-dial delay added as seeded jitter.
+_RECONNECT_JITTER = 0.1
+
+
 def _wake_loop() -> None:
     """No-op scheduled on the agent loop so a stop request wakes it."""
 
@@ -74,15 +78,15 @@ class HostAgent:
     reconnect_delay:
         Base delay of the re-dial backoff.  Consecutive failed dials
         back off exponentially from this base (capped at
-        ``reconnect_cap``, stretched by up to ``reconnect_jitter`` of
-        seeded noise), so a dead or partitioned master is probed a few
-        times a minute instead of hammered at 5 Hz forever.  A
-        successfully hosted worker resets the backoff.
-    reconnect_cap / reconnect_jitter / backoff_seed:
-        Backoff tuning: the delay ceiling, the fractional jitter, and
-        the seed the jitter derives from (per slot and attempt, so two
-        agents with different seeds never dial in lockstep while one
-        agent replays identical delays run-to-run).
+        ``reconnect_cap``, stretched by up to a tenth of seeded noise),
+        so a dead or partitioned master is probed a few times a minute
+        instead of hammered at 5 Hz forever.  A successfully hosted
+        worker resets the backoff.
+    reconnect_cap / backoff_seed:
+        Backoff tuning: the delay ceiling and the seed the jitter
+        derives from (per slot and attempt, so two agents with
+        different seeds never dial in lockstep while one agent replays
+        identical delays run-to-run).
     max_redial:
         Budget of *consecutive* failed dial attempts per slot; when
         exhausted the slot gives up (the agent exits once every slot
@@ -101,7 +105,6 @@ class HostAgent:
         context: str = "fork",
         reconnect_delay: float = 0.2,
         reconnect_cap: float = 30.0,
-        reconnect_jitter: float = 0.1,
         backoff_seed: int = 0,
         max_redial: Optional[int] = None,
         idle_exit: Optional[float] = None,
@@ -113,7 +116,6 @@ class HostAgent:
         self.key = key
         self.reconnect_delay = float(reconnect_delay)
         self.reconnect_cap = float(reconnect_cap)
-        self.reconnect_jitter = float(reconnect_jitter)
         self.backoff_seed = int(backoff_seed)
         self.max_redial = max_redial
         self.idle_exit = idle_exit
@@ -226,7 +228,7 @@ class HostAgent:
             failures,
             self.reconnect_delay,
             self.reconnect_cap,
-            self.reconnect_jitter,
+            _RECONNECT_JITTER,
             jitter_seed=derive_seed(self.backoff_seed, slot, failures),
         )
         self.backoff_history.append((slot, failures, delay))
@@ -450,21 +452,3 @@ def run_agent(options: argparse.Namespace) -> int:
     )
     return 0
 
-
-def main(argv=None) -> int:
-    """``python -m repro.parallel.agent`` entry."""
-    parser = argparse.ArgumentParser(
-        prog="repro agent",
-        description=(
-            "Host remote workers for a repro master "
-            "(--backend remote)."
-        ),
-    )
-    from repro.cli import _add_agent_args
-
-    _add_agent_args(parser)
-    return run_agent(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

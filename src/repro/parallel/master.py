@@ -100,19 +100,6 @@ from repro.parallel.transport import (
 )
 
 
-def slave_seed(master_seed: int, slave_id: int, generation: int = 0) -> int:
-    """Deterministic, distinct seed for each slave incarnation.
-
-    Generation 0 (the original fleet) reproduces the historical
-    unique-seed rule bit-for-bit; respawned replacements mix the
-    generation along an independent stride so a replacement never
-    replays its dead predecessor's stream (which would double-count the
-    partial draws already merged from it).  Uniqueness across a run is
-    enforced by :class:`~repro.faults.recovery.SeedLineage`.
-    """
-    return derive_seed(master_seed, slave_id, generation)
-
-
 def build_slave_experiment(
     factory: Callable[..., Experiment],
     factory_kwargs: dict,
@@ -1010,7 +997,7 @@ class ParallelSimulation:
                 if not converged:
                     for slave_id in self._respawn_candidates(book):
                         generation = book.slaves[slave_id].generation + 1
-                        seed = slave_seed(
+                        seed = derive_seed(
                             self.master_seed, slave_id, generation
                         )
                         delay = self.respawn.delay(

@@ -41,8 +41,8 @@ import time
 from collections import deque
 from typing import Deque, List, Optional
 
+from repro.parallel.protocol import CAUSE_LIVENESS_TIMEOUT
 from repro.parallel.transport import (
-    CLOSE_LIVENESS,
     FramedEndpoint,
     FrameSequencer,
     _FramedChannel,
@@ -195,7 +195,7 @@ class InMemoryTransport(_FramedTransport):
                     channel.last_ack = now
                 elif now - channel.last_ack > window:
                     channel.conn.shut()
-                    channel.mark_closed(CLOSE_LIVENESS)
+                    channel.mark_closed(CAUSE_LIVENESS_TIMEOUT)
                     self._trace(
                         "liveness_timeout",
                         worker=channel.worker_id,

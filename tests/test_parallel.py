@@ -5,13 +5,14 @@ import pytest
 
 from repro.core.histogram import BinScheme, Histogram
 from repro.core.statistic import Phase
+from repro.faults.recovery import derive_seed
 from repro.parallel import (
     DeltaTracker,
     ParallelError,
     ParallelSimulation,
     histogram_delta,
 )
-from repro.parallel.master import build_slave_experiment, slave_seed
+from repro.parallel.master import build_slave_experiment
 from repro.parallel.protocol import scheme_from_payload, scheme_payload
 from repro.parallel.transport import shutdown_processes
 
@@ -76,7 +77,7 @@ class TestProtocolPieces:
         assert scheme_from_payload(scheme_payload(scheme)) == scheme
 
     def test_slave_seeds_unique(self):
-        seeds = [slave_seed(42, i) for i in range(64)]
+        seeds = [derive_seed(42, i) for i in range(64)]
         assert len(set(seeds)) == 64
         assert 42 not in seeds
 
@@ -276,7 +277,7 @@ class TestSerialBackend:
         lags = set()
         for slave_id in range(3):
             alone = build_slave_experiment(
-                factory, kwargs, slave_seed(7, slave_id), schemes
+                factory, kwargs, derive_seed(7, slave_id), schemes
             )
             alone.run_until_calibrated()
             lag = alone.stats["response_time"].lag
@@ -355,10 +356,10 @@ class TestProcessBackend:
         assert process.slave_events == serial.slave_events
 
     def test_slave_seeds_identical_across_backends(self):
-        """slave_seed is pure arithmetic on (master_seed, slave_id), so
+        """derive_seed is pure arithmetic on (master_seed, slave_id), so
         both backends hand replica i the same stream."""
-        seeds = [slave_seed(9, i) for i in range(4)]
-        assert seeds == [slave_seed(9, i) for i in range(4)]
+        seeds = [derive_seed(9, i) for i in range(4)]
+        assert seeds == [derive_seed(9, i) for i in range(4)]
         assert len(set(seeds)) == 4
 
     def test_dead_slave_raises_instead_of_hanging(self):
@@ -377,7 +378,7 @@ def one_dead_factory(seed, master_seed=11):
 
     Module-level (picklable) so the process backend can fork it.
     """
-    if seed == slave_seed(master_seed, 1):
+    if seed == derive_seed(master_seed, 1):
         raise RuntimeError("slave 1 crashed")
     return factory(seed, accuracy=0.1)
 
