@@ -674,19 +674,19 @@ class ParallelSimulation:
             min_workers=policy.min_workers,
         )
 
-    def _deadline_exceeded(self, measure_started: float, rounds: int) -> bool:
+    def _deadline_exceeded(self, elapsed: float, rounds: int) -> bool:
         """Whether the supervision deadline has passed (and abort if so).
 
         Returns True to tell the caller to stop cleanly (``"continue"``:
         finish with the merged-so-far state flagged degraded); raises
-        :class:`SupervisionError` under ``"abort"``.  The clock starts
-        at the measurement phase, so calibration cost never eats the
-        budget.
+        :class:`SupervisionError` under ``"abort"``.  ``elapsed`` is
+        read on the transport's clock from the start of the measurement
+        phase, so calibration cost never eats the budget and reply
+        waits the inline transport skips count as on any backend.
         """
         policy = self.supervision
         if policy is None or policy.deadline is None:
             return False
-        elapsed = time.monotonic() - measure_started
         if elapsed <= policy.deadline:
             return False
         if policy.on_exhausted == "abort":
@@ -876,7 +876,7 @@ class ParallelSimulation:
         reports: List[SlaveReport] = []
         # A checkpoint taken on the converged round resumes as a no-op.
         converged = rounds > 0 and self._all_converged(merged, targets)
-        measure_started = time.monotonic()
+        measure_started = transport._now()
         deadline_stopped = False
         dead_this_round: List[int] = []
 
@@ -931,7 +931,9 @@ class ParallelSimulation:
                             "workload is not deterministic in the seed"
                         )
             while rounds < self.max_rounds and not converged:
-                if self._deadline_exceeded(measure_started, rounds):
+                if self._deadline_exceeded(
+                    transport._now() - measure_started, rounds
+                ):
                     deadline_stopped = True
                     break
                 rounds += 1

@@ -51,7 +51,6 @@ wraps around a framed transport.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -444,14 +443,16 @@ class WorkerPool:
     def _enforce_supervision(self, map_started: float) -> None:
         """Deadline and fleet-floor checks, once per scheduling turn.
 
-        A raised :class:`SupervisionError` leaves in-flight reports
+        ``map_started`` and the deadline are read on the transport's
+        clock, so reply waits the inline transport skips count as on
+        any backend.  A raised :class:`SupervisionError` leaves in-flight reports
         undrained — call :meth:`shutdown` before reusing the pool.
         """
         policy = self.supervision
         if policy is None:
             return
         if policy.deadline is not None:
-            elapsed = time.monotonic() - map_started
+            elapsed = self.transport._now() - map_started
             if elapsed > policy.deadline:
                 raise SupervisionError(
                     f"sweep exceeded its deadline ({elapsed:.1f}s > "
@@ -591,7 +592,7 @@ class WorkerPool:
         pending: deque = deque(jobs)
         busy: Dict[int, tuple] = {}  # worker -> ((job_id, payload), deadline)
         results: Dict[object, dict] = {}
-        map_started = time.monotonic()
+        map_started = self.transport._now()
         while pending or busy:
             self._admit_capacity()
             self._enforce_supervision(map_started)

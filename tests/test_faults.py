@@ -10,6 +10,7 @@ chaos equivalence, and bit-for-bit checkpoint resume.
 import io
 import json
 import os
+import re
 import time
 
 import pytest
@@ -24,6 +25,8 @@ from repro.faults import (
     FaultSpec,
     RespawnPolicy,
     SeedLineage,
+    SupervisionError,
+    SupervisionPolicy,
     backoff_delay,
     derive_seed,
     read_checkpoint,
@@ -672,6 +675,24 @@ class TestRecovery:
         assert result.degraded
         assert result.dead_slaves == [2]
         assert result.failure_causes[2] == "heartbeat timeout"
+
+    def test_supervision_deadline_reads_the_transport_clock(self):
+        # Slave 0 hangs through round 1: the process backend waits out
+        # the 1.5 s reply deadline, the inline transport moves its clock
+        # past it.  Either way the 1 s run deadline has passed, and both
+        # backends must stop on it after the same round.
+        plan = FaultPlan.single("hang", slave_id=0, round=1)
+        outcomes = []
+        for backend in ("serial", "process"):
+            with pytest.raises(SupervisionError) as info:
+                ParallelSimulation(
+                    factory, n_slaves=2, master_seed=7, backend=backend,
+                    fault_plan=plan, respawn=NO_BACKOFF, round_timeout=1.5,
+                    supervision=SupervisionPolicy(deadline=1.0),
+                ).run()
+            rounds = re.search(r"after (\d+) round", str(info.value))
+            outcomes.append((info.value.cause, rounds and rounds.group(1)))
+        assert outcomes == [("deadline exceeded", "1")] * 2
 
     def test_hung_slave_does_not_starve_survivors(self):
         # The master waits on all outstanding pipes concurrently: slave

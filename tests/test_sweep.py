@@ -1,6 +1,7 @@
 """Tests for the sweep engine: spec, runner backends, and the pool."""
 
 import json
+import re
 import tomllib
 from pathlib import Path
 
@@ -455,6 +456,35 @@ class TestSweepSupervision:
         with pytest.raises(SupervisionError) as info:
             runner.run()
         assert info.value.cause == CAUSE_DEADLINE_EXCEEDED
+
+    def test_deadline_reads_the_transport_clock(self):
+        from repro.faults import SupervisionError, SupervisionPolicy
+
+        # Worker 0 hangs on its first job: the pool waits out the 1.5 s
+        # job deadline, the inline worker moves its clock past it.
+        # Either way the 1 s sweep deadline has passed, and both
+        # backends must stop on it with the same jobs done.
+        spec = task_spec(
+            factory="tests.sweep_factories:napping_task",
+            factory_kwargs={"delay": 0.0},
+            axes={"x": [1, 2, 3]},
+        )
+        outcomes = []
+        for backend in ("serial", "pool"):
+            runner = SweepRunner(
+                spec,
+                backend=backend,
+                jobs=1,
+                fault_plan=FaultPlan.single("hang", slave_id=0, round=1),
+                respawn=RespawnPolicy(backoff_base=0.0, jitter=0.0),
+                job_timeout=1.5,
+                supervision=SupervisionPolicy(deadline=1.0),
+            )
+            with pytest.raises(SupervisionError) as info:
+                runner.run()
+            done = re.search(r"with (\d+) job", str(info.value))
+            outcomes.append((info.value.cause, done and done.group(1)))
+        assert outcomes == [("deadline exceeded", "0")] * 2
 
     def test_fleet_floor_aborts_pool_map(self):
         from repro.faults import SupervisionError, SupervisionPolicy
