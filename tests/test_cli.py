@@ -490,11 +490,11 @@ class TestAgentFlags:
     def test_repro_agent_and_module_entry_share_one_declaration(self):
         from repro.cli import build_parser
 
-        via_cli = vars(build_parser().parse_args(
+        parsed = build_parser().parse_args(
             ["agent", "h:1", "--slots", "3", "--transport-key", "k",
              "--max-redial", "4", "--idle-exit", "2.5"]
-        ))
-        assert via_cli["slots"] == 3
+        )
+        assert parsed.slots == 3
         defaults = build_parser().parse_args(["agent", "h:1"])
         assert defaults.slots == (os.cpu_count() or 1)
         assert (defaults.context, defaults.reconnect_delay,
