@@ -572,6 +572,55 @@ class TestRemoteChaosDeterminism:
             agent.stop(timeout=10.0)
             transport.close()
 
+    @pytest.mark.parametrize("direction", ["in", "out"])
+    def test_partition_heals_alike_in_memory_and_over_loopback(
+        self, direction
+    ):
+        # A half-open link on slave 1: only liveness can see it, and
+        # both carriers must see it the same way and respawn the slave.
+        from repro.observability import Tracer
+
+        plan = FaultPlan.single(
+            "partition", slave_id=1, round=1, direction=direction
+        )
+        heartbeats = dict(heartbeat_interval=0.2, heartbeat_misses=3)
+        outcomes = []
+        for carrier in ("memory", "remote"):
+            agent = None
+            if carrier == "memory":
+                transport = InMemoryTransport(**heartbeats)
+            else:
+                transport = RemoteTransport(**heartbeats)
+                transport.start()
+                agent = HostAgent(transport.address, slots=3)
+                agent.start()
+                assert transport.wait_for_capacity(timeout=10.0)
+            tracer = Tracer.to_memory()
+            simulation = ParallelSimulation(
+                factory, backend="remote", transport=transport,
+                join_timeout=15.0, fault_plan=plan,
+                respawn=RespawnPolicy(backoff_base=0.0, jitter=0.0),
+                **MASTER_KW,
+            )
+            simulation.attach_tracer(tracer)
+            try:
+                result = simulation.run()
+            finally:
+                if agent is not None:
+                    agent.stop(timeout=10.0)
+                transport.close()
+            deaths = sorted(
+                [record["fields"]["slave"], record["fields"]["generation"],
+                 record["fields"]["cause"]]
+                for record in tracer.lines() if record["name"] == "dead"
+            )
+            assert deaths == [[1, 0, "liveness timeout"]], carrier
+            outcomes.append((
+                result.converged, result.rounds, result.restarts,
+                result.merged_digests,
+            ))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestAgentRedialBackoff:
     """The agent's re-dial loop: exponential, seeded-jitter, bounded."""
