@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import socket
 import struct
 import threading
 import time
@@ -1271,12 +1272,23 @@ class RemoteTransport(_FramedTransport):
 
     @staticmethod
     def _close_writer(writer) -> None:
-        """Unregister the writer's fd, then close it.
+        """Shut the writer's socket down, unregister its fd, then close it.
 
-        Unregister *before* close: once the fd number is freed the OS
-        may hand it to an unrelated socket, and a stale registry entry
-        would make a forked worker close that newcomer.
+        Shut down first: asyncio closes the socket only on a later loop
+        iteration, and a worker forked in between (an in-process agent
+        forks on its own thread) inherits a copy of the fd that would
+        hold the connection open; a shutdown ends the connection itself,
+        whatever copies of the fd exist.  Unregister *before* close:
+        once the fd number is freed the OS may hand it to an unrelated
+        socket, and a stale registry entry would make a forked worker
+        close that newcomer.
         """
+        sock = writer.get_extra_info("socket")
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         fd = _writer_fd(writer)
         if fd is not None:
             unregister_fork_unsafe_fd(fd)
