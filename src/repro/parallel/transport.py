@@ -850,8 +850,13 @@ def _stop_process(process, join_timeout, escalation_timeout) -> Optional[str]:
 
 
 def reap_process(process, timeout: float = 5.0) -> None:
-    """Ensure one dead-or-condemned worker process is truly gone."""
-    _stop_process(process, timeout if process.is_alive() else 0.0, timeout)
+    """Ensure one dead-or-condemned worker process is truly gone.
+
+    A worker whose pipe is closed leaves on EOF at once, so it gets one
+    second to do so; only a hung one is left, and it is terminated, then
+    killed, ``timeout`` apart.
+    """
+    _stop_process(process, 1.0 if process.is_alive() else 0.0, timeout)
 
 
 # -- the framed channel (remote and in-memory transports) ---------------------
