@@ -39,13 +39,12 @@ from typing import Optional
 
 from repro.faults.recovery import backoff_delay, derive_seed
 from repro.parallel.transport import (
-    HEARTBEAT_ACK_TAG,
     FrameSequencer,
+    LocalPipeTransport,
+    _bridge_frame,
     _writer_fd,
     close_event_loop,
     encode_frame,
-    fork_safe_process,
-    is_heartbeat,
     parse_address,
     read_frame,
     reap_process,
@@ -109,8 +108,6 @@ class HostAgent:
         max_redial: Optional[int] = None,
         idle_exit: Optional[float] = None,
     ):
-        from multiprocessing import get_context
-
         self.address = tuple(address)
         self.slots = int(slots)
         self.key = key
@@ -120,7 +117,8 @@ class HostAgent:
         self.max_redial = max_redial
         self.idle_exit = idle_exit
         self.name = f"{socket.gethostname()}:{os.getpid()}"
-        self._context = get_context(context)
+        #: Forks each hosted worker behind its pipe.
+        self._local = LocalPipeTransport(context)
         self._thread: Optional[threading.Thread] = None
         self._loop = None
         self._stop_event: Optional[threading.Event] = None
@@ -246,6 +244,9 @@ class HostAgent:
         fd = _writer_fd(writer)
         if fd is not None:
             register_fork_unsafe_fd(fd)
+        # The bridge's one sequencer: dedup of master frames, stamping
+        # of worker sends.
+        sequencer = FrameSequencer()
         try:
             writer.write(
                 encode_frame(
@@ -263,11 +264,12 @@ class HostAgent:
             await writer.drain()
             while True:
                 frame = await self._read_or_stop(reader)
-                if not is_heartbeat(frame):
+                _, frame, reply = _bridge_frame(sequencer, frame)
+                if reply is None:
                     break
                 # A ping can race the spawn frame right after the master
                 # binds this slot; ack it and keep waiting.
-                writer.write(encode_frame((HEARTBEAT_ACK_TAG, frame[1])))
+                writer.write(encode_frame(reply))
                 await writer.drain()
             if frame is None:
                 return False
@@ -283,7 +285,8 @@ class HostAgent:
                 return False
             _, worker_id, generation, entry, args = frame
             await self._host_worker(
-                reader, writer, worker_id, generation, entry, args
+                reader, writer, sequencer,
+                self._local.spawn(worker_id, generation, entry, args),
             )
             self.workers_hosted += 1
             return True
@@ -311,42 +314,28 @@ class HostAgent:
         except asyncio.CancelledError:  # pragma: no cover
             return None
 
-    async def _host_worker(
-        self, reader, writer, worker_id, generation, entry, args
-    ) -> None:
-        """Fork ``entry(conn, *args)`` and bridge pipe <-> socket."""
+    async def _host_worker(self, reader, writer, sequencer, endpoint) -> None:
+        """Bridge the forked worker's pipe <-> the socket until it ends."""
         import asyncio
 
         loop = asyncio.get_running_loop()
-        parent_conn, child_conn = self._context.Pipe()
-        # Workers of this and every other slot must not keep a copy of
-        # the bridge's end: closing it must reach the worker as EOF.
-        fd = parent_conn.fileno()
-        register_fork_unsafe_fd(fd)
-        process = fork_safe_process(self._context, entry, child_conn, args)
-        process.start()
-        child_conn.close()
-
+        conn = endpoint.conn
         worker_eof = asyncio.Event()
-        # Worker -> master frames are sequence-stamped here, at the
-        # bridge, so master-side dedup can discard a duplicated or
-        # retried frame; the worker itself never sees sequence numbers.
-        out_sequencer = FrameSequencer()
 
         def pipe_readable() -> None:
             # Called by the loop whenever the worker's pipe has data
-            # (or EOF).  Forward every pending message to the socket.
+            # (or EOF).  Forward every pending message to the socket,
+            # stamped so master-side dedup can discard a duplicate.
             try:
-                while parent_conn.poll(0):
-                    message = parent_conn.recv()
-                    writer.write(encode_frame(out_sequencer.stamp(message)))
+                while conn.poll(0):
+                    writer.write(encode_frame(sequencer.stamp(conn.recv())))
             except (EOFError, ConnectionError, OSError):
                 worker_eof.set()
 
-        loop.add_reader(fd, pipe_readable)
+        loop.add_reader(conn.fileno(), pipe_readable)
         try:
             socket_pump = asyncio.ensure_future(
-                self._pump_socket_to_pipe(reader, writer, parent_conn)
+                self._pump_socket_to_pipe(reader, writer, sequencer, conn)
             )
             eof_wait = asyncio.ensure_future(worker_eof.wait())
             try:
@@ -358,7 +347,7 @@ class HostAgent:
                     )
                     if done or self._stop_event.is_set():
                         break
-                    if not process.is_alive() and not parent_conn.poll(0):
+                    if not endpoint.process.is_alive() and not conn.poll(0):
                         break
                 try:
                     await writer.drain()
@@ -371,48 +360,34 @@ class HostAgent:
                     socket_pump, eof_wait, return_exceptions=True
                 )
         finally:
-            loop.remove_reader(fd)
-            unregister_fork_unsafe_fd(fd)
-            self._reap(process, parent_conn)
+            loop.remove_reader(conn.fileno())
+            endpoint.close()
+            reap_process(endpoint.process, timeout=10.0)
 
-    async def _pump_socket_to_pipe(self, reader, writer, parent_conn) -> None:
+    async def _pump_socket_to_pipe(self, reader, writer, sequencer,
+                                   conn) -> None:
         """Forward master frames ("chunk"/"configure" commands, "stop")
-        to the worker.
+        to the worker, through the bridge.
 
-        Heartbeat pings are echoed straight back on the socket — the
-        worker pipe never carries them, so a busy (slow-but-alive)
-        worker still acks and liveness monitoring raises no false
-        positive.  Sequenced frames are deduplicated here so a
-        chaos-duplicated command can never run a chunk twice.
+        Heartbeat pings are acked straight back on the socket, so a
+        busy (slow-but-alive) worker still acks and liveness monitoring
+        raises no false positive; a duplicated command is dropped, so it
+        can never run a chunk twice.
         """
-        in_sequencer = FrameSequencer()
         while True:
-            frame = await read_frame(reader)
-            if is_heartbeat(frame):
-                try:
-                    writer.write(
-                        encode_frame((HEARTBEAT_ACK_TAG, frame[1]))
-                    )
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    return
-                continue
-            accepted, message = in_sequencer.accept(frame)
-            if not accepted:
-                continue
+            deliver, message, reply = _bridge_frame(
+                sequencer, await read_frame(reader)
+            )
             try:
-                parent_conn.send(message)
-            except (BrokenPipeError, OSError):
+                if reply is not None:
+                    writer.write(encode_frame(reply))
+                    await writer.drain()
+                elif deliver:
+                    conn.send(message)
+            except OSError:
                 return
             if message == "stop":
                 return
-
-    def _reap(self, process, parent_conn) -> None:
-        try:
-            parent_conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        reap_process(process, timeout=10.0)
 
 
 def run_agent(options: argparse.Namespace) -> int:

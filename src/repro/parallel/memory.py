@@ -1,32 +1,27 @@
 """The in-memory transport: the remote frame pipeline without sockets.
 
 :class:`InMemoryTransport` runs workers as daemon *threads* inside the
-master process behind the very channel, endpoint and ``wait`` the
-remote transport uses (``_FramedChannel`` / ``FramedEndpoint`` /
-``_FramedTransport`` in :mod:`repro.parallel.transport`): sequence
-stamping, the one master-side dedup, frame faults (armed by ``spawn``
-before the worker thread starts), close reasons, per-direction
-blackholes and the liveness stamp are that shared code, not a model of
-it.  So the network-chaos and liveness machinery (frame faults,
-heartbeat monitoring) can be exercised in fast, socket-free unit tests
-with the exact schedule a loopback
+master process behind the very channel, endpoint, ``wait`` and
+heartbeat rule the remote transport uses (``_FramedChannel`` /
+``FramedEndpoint`` / ``_FramedTransport`` in
+:mod:`repro.parallel.transport`), and behind the agent's own bridge
+(``transport._bridge_frame``): sequence stamping, both dedups, frame
+faults (armed by ``spawn`` before the worker thread starts), close
+reasons, per-direction blackholes, heartbeat acks and the liveness rule
+are that shared code, not a model of it.  So the network-chaos and
+liveness machinery can be exercised in fast, socket-free unit tests
+with the schedule a loopback
 :class:`~repro.parallel.transport.RemoteTransport` would see.
 
-What this module adds is the carrier — what stands in for the agent
-process and its TCP connection:
-
-- an emulated agent bridge: worker -> master messages are
-  sequence-stamped, master -> worker frames pass bridge-side dedup
-  before reaching the worker's connection, so a duplicated command
-  never runs twice;
-- with ``heartbeat_interval`` set, a monitor thread plays the master's
-  ping loop: a live, un-partitioned channel acks every interval (the
-  bridge acks even while the worker is busy — no false positive on a
-  slow worker), and a channel silent past ``interval * misses`` closes
-  with reason ``"liveness timeout"``; a ``partition`` frame fault
-  blackholes one direction *below* that layer — data and acks/pings
-  alike — reproducing a half-open link only liveness monitoring can
-  detect.
+This module only carries the bytes, in place of the agent process and
+its TCP connection: a master frame reaches the bridge at once, and the
+bridge's reply (a heartbeat ack) or the worker's stamped send reaches
+the channel's inbound path at once.  So a live, un-partitioned channel
+answers every ping in the tick that sends it, busy worker or not, and
+only a ``partition`` frame fault — which blackholes one direction,
+data and pings/acks alike — leaves a channel silent until liveness
+closes it.  With ``heartbeat_interval`` set, a monitor thread calls the
+shared rule every interval; it reads the transport clock.
 
 Workers run the real entry function — the one pipe loop,
 ``transport._serve_session``, around a master slave's or a pool
@@ -37,14 +32,13 @@ against the process/remote backends is testable end to end.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
-from repro.parallel.protocol import CAUSE_LIVENESS_TIMEOUT
 from repro.parallel.transport import (
     FramedEndpoint,
     FrameSequencer,
+    _bridge_frame,
     _FramedChannel,
     _FramedTransport,
 )
@@ -98,40 +92,36 @@ class _WorkerConn:
 
 
 class _MemoryChannel(_FramedChannel):
-    """One worker thread behind the emulated agent bridge.
+    """One worker thread behind the agent's bridge, without a socket.
 
-    The carrier half of the channel: the bridge's own sequencers
-    (out-stamping of worker sends, in-dedup of master commands) and the
-    worker's connection.  Inbox, dedup, close reasons and blackhole
-    flags are the shared :class:`_FramedChannel`.
+    The carrier half of the channel: the bridge's sequencer (stamping
+    worker sends, dedup of master commands) and the worker's
+    connection.  Inbox, dedup, liveness stamp, close reasons and
+    blackhole flags are the shared :class:`_FramedChannel`.
     """
 
     closed_text = "in-memory worker {} channel is closed"
 
-    def __init__(self, cond: threading.Condition, worker_id: int,
-                 generation: int):
-        super().__init__(cond)
-        self.worker_id = worker_id
-        self.generation = generation
-        self.bridge_out = FrameSequencer()      # bridge stamps worker sends
-        self.bridge_in = FrameSequencer()       # bridge dedups commands
+    def __init__(self, transport: "InMemoryTransport"):
+        super().__init__(transport)
+        self.bridge = FrameSequencer()
         self.conn = _WorkerConn(self)
         self.thread: Optional[threading.Thread] = None
 
     def transmit(self, frame: object) -> None:
-        """One master->worker frame through the emulated bridge."""
+        """One master->worker frame through the bridge; a ping's ack
+        comes straight back."""
         if self.blackhole_out:
             return
-        accepted, message = self.bridge_in.accept(frame)
-        if accepted:
+        deliver, message, reply = _bridge_frame(self.bridge, frame)
+        if reply is not None:
+            self.receive(reply)
+        elif deliver:
             self.conn.deliver(message)
 
     def from_worker(self, obj: object) -> None:
-        """One worker send, bridge-stamped, onto the master inbox."""
-        frame = self.bridge_out.stamp(obj)
-        with self.cond:
-            if not self.blackhole_in:
-                self.push(frame)
+        """One worker send, bridge-stamped, onto the master's side."""
+        self.receive(self.bridge.stamp(obj))
 
     def teardown(self) -> None:
         self.mark_closed()
@@ -142,16 +132,14 @@ class _MemoryChannel(_FramedChannel):
 
 
 class InMemoryTransport(_FramedTransport):
-    """Thread-backed fake of the remote transport's frame pipeline.
+    """Thread-backed carrier of the remote transport's frame pipeline.
 
     Parameters
     ----------
     heartbeat_interval / heartbeat_misses:
         Same contract as :class:`~repro.parallel.transport.RemoteTransport`:
-        when the interval is set, a monitor thread acks every live
-        un-partitioned channel each interval and closes a channel
-        silent past ``interval * misses`` with reason
-        ``"liveness timeout"``.
+        when the interval is set, a monitor thread runs the shared
+        heartbeat rule every interval.
     """
 
     kind = "memory"
@@ -163,7 +151,6 @@ class InMemoryTransport(_FramedTransport):
         heartbeat_misses: int = 3,
     ):
         super().__init__(heartbeat_interval, heartbeat_misses)
-        self._channels: List[_MemoryChannel] = []
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
 
@@ -179,36 +166,15 @@ class InMemoryTransport(_FramedTransport):
             self._monitor.start()
 
     def _monitor_loop(self) -> None:
-        """The master's heartbeat loop, played against fake bridges."""
-        window = self.heartbeat_interval * self.heartbeat_misses
         while not self._stopping.wait(self.heartbeat_interval):
-            now = time.monotonic()
-            with self._cond:
-                channels = [c for c in self._channels if not c.closed]
-            for channel in channels:
-                if not channel.blackhole_out and not channel.blackhole_in:
-                    # Ping delivered and ack returned: the emulated
-                    # bridge answers whether or not the worker thread
-                    # is busy, exactly like the real agent bridge — so
-                    # an ack-capable channel can never time out, even
-                    # when this thread's own tick arrives late.
-                    channel.last_ack = now
-                elif now - channel.last_ack > window:
-                    channel.conn.shut()
-                    channel.mark_closed(CAUSE_LIVENESS_TIMEOUT)
-                    self._trace(
-                        "liveness_timeout",
-                        worker=channel.worker_id,
-                        generation=channel.generation,
-                        silent_for=now - channel.last_ack,
-                    )
+            self._beat()
 
     # -- Transport surface ---------------------------------------------------
 
     def spawn(self, worker_id, generation, entry, args, timeout=None,
               faults=()):
         self.start()
-        channel = _MemoryChannel(self._cond, worker_id, generation)
+        channel = _MemoryChannel(self)
         channel.arm(faults, self._trace, worker_id, generation)
 
         def run_worker():

@@ -245,6 +245,22 @@ class FrameSequencer:
         return True, frame[2]
 
 
+def _bridge_frame(sequencer: FrameSequencer, frame: object):
+    """The worker-side bridge's rule for one master->worker frame.
+
+    ``(deliver, message, reply)``: a heartbeat ping is answered with an
+    ack (``reply``) and never reaches the worker, whatever the worker
+    is doing; any other frame passes ``sequencer``'s dedup and, unless
+    it is a duplicate, is delivered as ``message``.  The agent bridge
+    and the in-memory carrier both run it, and both stamp worker sends
+    with ``sequencer.stamp``.
+    """
+    if is_heartbeat(frame):
+        return False, None, (HEARTBEAT_ACK_TAG, frame[1])
+    deliver, message = sequencer.accept(frame)
+    return deliver, message, None
+
+
 def raise_for_close(close_reason: Optional[str], worker_id: int) -> None:
     """Raise the typed end-of-channel error for a closed channel.
 
@@ -881,7 +897,8 @@ class _FramedChannel:
     flips ``closed``, the scheduling thread pops frames — so every
     field is guarded by ``cond``, the owning transport's condition
     variable.  A carrier subclass says how one frame is transmitted,
-    how the connection is torn down, and what the far end is.
+    how the connection is torn down, and what the far end is; it hands
+    every frame it carries in to :meth:`receive`.
 
     Frame faults (a plan's frame kinds, see :mod:`repro.parallel.chaos`)
     apply where the channel meets the wire: inbound in :meth:`push`,
@@ -894,16 +911,18 @@ class _FramedChannel:
     #: raises; it ends up in ``send failed: ...`` cause codes.
     closed_text = "worker {} connection is closed"
 
-    def __init__(self, cond: threading.Condition):
-        self.cond = cond
+    def __init__(self, transport: "_FramedTransport"):
+        self.cond = transport._cond
+        self._clock = transport._now
         self.inbox: Deque[object] = deque()
         self.closed = False
         #: Why the channel closed, when more specific than a plain EOF
         #: (``CAUSE_LIVENESS_TIMEOUT`` / ``CAUSE_CORRUPT_FRAME``).
         self.close_reason: Optional[str] = None
+        #: Stamps outbound and dedups inbound frames (separate counters).
         self.sequencer = FrameSequencer()
-        #: Monotonic time of the last life sign (any inbound frame).
-        self.last_ack = time.monotonic()
+        #: Transport-clock time of the last life sign (any inbound frame).
+        self.last_ack = self._clock()
         #: Half-open partition injection: ``blackhole_in`` silently
         #: discards everything the worker side sends (acks included);
         #: ``blackhole_out`` discards everything written to it (pings
@@ -915,17 +934,20 @@ class _FramedChannel:
         self.faults: Dict[Tuple[str, int], object] = {}
         self.ordinals = {"in": 0, "out": 0}
         self._trace: Optional[Callable[..., None]] = None
-        self._incarnation: Tuple[int, int] = (-1, -1)
+        #: ``(worker_id, generation)`` once bound, else None (a lobby slot).
+        self.bound: Optional[Tuple[int, int]] = None
 
     def ready(self) -> bool:
         """A frame (or the end of the channel) can be read right now."""
         return bool(self.inbox) or self.closed
 
     def arm(self, faults, trace, worker_id: int, generation: int) -> None:
-        """Schedule one incarnation's frame faults on this channel."""
+        """Bind one incarnation: schedule its frame faults and open the
+        liveness window (a slot may have sat unbound far longer than it)."""
         self.faults = {(spec.direction, spec.round): spec for spec in faults}
         self._trace = trace
-        self._incarnation = (worker_id, generation)
+        self.bound = (worker_id, generation)
+        self.last_ack = self._clock()
 
     def fault_for(self, direction: str):
         """The fault scheduled for the next sequenced frame in
@@ -936,7 +958,7 @@ class _FramedChannel:
         ordinal = self.ordinals[direction]
         spec = self.faults.get((direction, ordinal))
         if spec is not None:
-            worker_id, generation = self._incarnation
+            worker_id, generation = self.bound
             self._trace(
                 "net_fault", fault=spec.kind, direction=direction,
                 worker=worker_id, generation=generation, round=ordinal,
@@ -944,6 +966,18 @@ class _FramedChannel:
         return spec
 
     # Called from the carrier's thread.
+    def receive(self, frame: object) -> None:
+        """One frame off the carrier: a life sign, then data for :meth:`push`.
+
+        An inbound partition drops everything, acks included, below
+        this layer, exactly like a silently dropped route.
+        """
+        if self.blackhole_in:
+            return
+        self.last_ack = self._clock()
+        if not is_heartbeat_ack(frame):
+            self.push(frame)
+
     def push(self, frame: object) -> None:
         """One inbound frame: its scheduled fault, then the dedup.
 
@@ -1020,11 +1054,10 @@ class FramedEndpoint(WorkerEndpoint):
         self.channel = channel
         self.worker_id = worker_id
         self.generation = generation
-        self._out_sequencer = FrameSequencer()
 
     def send(self, message: object) -> None:
-        frame = self._out_sequencer.stamp(message)
         channel = self.channel
+        frame = channel.sequencer.stamp(message)
         spec = channel.fault_for("out")
         if spec is None:
             self._transmit(frame)
@@ -1082,7 +1115,8 @@ class FramedEndpoint(WorkerEndpoint):
 class _FramedTransport(Transport):
     """What the framed transports share: the condition variable every
     channel of the transport is guarded by, readiness multiplexing over
-    it, and the heartbeat parameters.
+    it, and the heartbeat rule (:meth:`_beat`), which the carrier calls
+    every ``heartbeat_interval`` when one is set.
 
     Their ``spawn`` takes one more argument, ``faults``: the frame-kind
     entries of a fault plan addressed to the incarnation, armed on its
@@ -1106,6 +1140,8 @@ class _FramedTransport(Transport):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
         self._cond = threading.Condition()
+        self._channels: List[_FramedChannel] = []
+        self._beats = 0
 
     def wait(self, endpoints, timeout=None):
         def ready():
@@ -1113,6 +1149,43 @@ class _FramedTransport(Transport):
 
         with self._cond:
             return self._cond.wait_for(ready, timeout)
+
+    def _beat(self) -> None:
+        """One heartbeat: ping every bound, open channel, then close the
+        ones silent for longer than ``interval * misses``.
+
+        Pings are addressed only to bound channels (lobby slots are idle
+        by design).  Pinging first means a bridge that acks at once is
+        never found silent, however late this tick runs.  A silent
+        channel closes with reason ``"liveness timeout"``, which recv
+        maps to :class:`LivenessError`, so a half-open connection
+        (packets dropped one way, no FIN ever) surfaces within the
+        window instead of stalling a round to its deadline.
+        """
+        self._beats += 1
+        with self._cond:
+            bound = [
+                channel for channel in self._channels
+                if not channel.closed and channel.bound is not None
+            ]
+        for channel in bound:
+            try:
+                channel.transmit((HEARTBEAT_TAG, self._beats))
+            except BrokenPipeError:  # the transport is shutting down
+                return
+        now = self._now()
+        window = self.heartbeat_interval * self.heartbeat_misses
+        for channel in bound:
+            silent_for = now - channel.last_ack
+            if channel.closed or silent_for <= window:
+                continue
+            channel.mark_closed(CAUSE_LIVENESS_TIMEOUT)
+            channel.teardown()
+            worker_id, generation = channel.bound
+            self._trace(
+                "liveness_timeout", worker=worker_id, generation=generation,
+                silent_for=silent_for, **channel.describe(),
+            )
 
 
 # -- remote (asyncio TCP) transport -------------------------------------------
@@ -1124,13 +1197,11 @@ class _AgentChannel(_FramedChannel):
     closed_text = "remote worker {} connection is closed"
 
     def __init__(self, reader, writer, info: dict, transport):
-        super().__init__(transport._cond)
+        super().__init__(transport)
         self.reader = reader
         self.writer = writer
         self.info = dict(info)
         self.transport = transport
-        #: (worker_id, generation) once bound, else None (in the lobby).
-        self.bound: Optional[Tuple[int, int]] = None
 
     def transmit(self, frame: object) -> None:
         """Queue one outbound frame from the scheduling thread."""
@@ -1216,7 +1287,6 @@ class RemoteTransport(_FramedTransport):
         #: (host, port) actually bound, set by :meth:`start`.
         self.address: Optional[Tuple[str, int]] = None
         self._lobby: Deque[_AgentChannel] = deque()
-        self._channels: List[_AgentChannel] = []
         self._loop = None
         self._thread: Optional[threading.Thread] = None
         self._server = None
@@ -1374,16 +1444,7 @@ class RemoteTransport(_FramedTransport):
         )
         try:
             while True:
-                frame = await read_frame(reader)
-                if channel.blackhole_in:
-                    # Injected half-open partition: the agent's bytes
-                    # (data and heartbeat acks alike) vanish without a
-                    # FIN, exactly like a silently dropped route.
-                    continue
-                channel.last_ack = time.monotonic()
-                if is_heartbeat_ack(frame):
-                    continue
-                channel.push(frame)
+                channel.receive(await read_frame(reader))
         except FrameError as error:
             # Attribute the corruption to the bound worker before the
             # generic close path runs: recv surfaces it as a typed
@@ -1426,44 +1487,12 @@ class RemoteTransport(_FramedTransport):
             channel.mark_closed()
 
     async def _heartbeat_loop(self) -> None:
-        """Ping bound channels; declare the silent ones dead.
-
-        Runs on the transport's asyncio loop.  Pings are addressed only
-        to *bound* channels (lobby slots are idle by design), and a
-        channel whose last life sign — ack or any data frame — is older
-        than ``interval * misses`` is closed with reason
-        ``"liveness timeout"``, which recv maps to
-        :class:`LivenessError`.
-        """
+        """:meth:`_beat` every interval, on the transport's asyncio loop."""
         import asyncio
 
-        sequence = 0
-        window = self.heartbeat_interval * self.heartbeat_misses
         while True:
             await asyncio.sleep(self.heartbeat_interval)
-            sequence += 1
-            now = time.monotonic()
-            with self._cond:
-                bound = [
-                    channel
-                    for channel in self._channels
-                    if not channel.closed and channel.bound is not None
-                ]
-            for channel in bound:
-                if now - channel.last_ack > window:
-                    channel.mark_closed(CAUSE_LIVENESS_TIMEOUT)
-                    self._close_writer(channel.writer)
-                    self._trace(
-                        "liveness_timeout",
-                        agent=channel.info.get("agent"),
-                        slot=channel.info.get("slot"),
-                        bound=channel.bound,
-                        silent_for=now - channel.last_ack,
-                    )
-                else:
-                    await self._write_channel(
-                        channel, (HEARTBEAT_TAG, sequence)
-                    )
+            self._beat()
 
     # -- Transport surface ---------------------------------------------------
 
@@ -1492,10 +1521,6 @@ class RemoteTransport(_FramedTransport):
                     f"'repro agent {self._address_hint()}')"
                 )
             channel = self._lobby.popleft()
-            channel.bound = (worker_id, generation)
-            # The liveness window opens at bind: a slot may have sat in
-            # the lobby far longer than interval * misses.
-            channel.last_ack = time.monotonic()
             channel.arm(faults, self._trace, worker_id, generation)
         channel.transmit(
             ("spawn", worker_id, generation, entry, tuple(args))
