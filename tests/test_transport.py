@@ -408,6 +408,46 @@ class TestPipeFdHygiene:
             transport.close()
 
 
+class TestSpawnStartMethod:
+    """A ``spawn``-started worker inherits no fds, so it runs its entry
+    without the scrub; the pipe transport and the agent start workers
+    the one same way, so both must serve a session under it."""
+
+    @staticmethod
+    def _echo_once(endpoint):
+        endpoint.send("ping")
+        assert endpoint.poll(timeout=30.0)
+        assert endpoint.recv() == ("echo", "ping")
+
+    def test_local_pipe_transport_serves_a_session(self):
+        transport = LocalPipeTransport("spawn")
+        endpoint = transport.spawn(0, 0, _serve_session, (EchoSession,))
+        try:
+            self._echo_once(endpoint)
+        finally:
+            transport.shutdown([endpoint])
+        assert endpoint.process.exitcode == 0
+
+    def test_host_agent_serves_a_session(self):
+        transport = RemoteTransport()
+        transport.start()
+        agent = HostAgent(transport.address, slots=1, context="spawn")
+        agent.start()
+        try:
+            assert transport.wait_for_capacity(timeout=10.0)
+            endpoint = transport.spawn(
+                0, 0, _serve_session, (EchoSession,), timeout=10.0
+            )
+            try:
+                self._echo_once(endpoint)
+            finally:
+                transport.shutdown([endpoint])
+        finally:
+            agent.stop(timeout=10.0)
+            transport.close()
+        assert agent.workers_hosted == 1
+
+
 # -- master-level determinism contract (remote vs process) --------------------
 
 
