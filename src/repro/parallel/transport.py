@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import socket
 import struct
 import threading
 import time
@@ -1358,6 +1357,8 @@ class RemoteTransport(_FramedTransport):
         socket, and a stale registry entry would make a forked worker
         close that newcomer.
         """
+        import socket
+
         sock = writer.get_extra_info("socket")
         if sock is not None:
             try:
