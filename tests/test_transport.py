@@ -411,7 +411,7 @@ class TestPipeFdHygiene:
 class TestSpawnStartMethod:
     """A ``spawn``-started worker inherits no fds, so it runs its entry
     without the scrub; the pipe transport and the agent start workers
-    the one same way, so both must serve a session under it."""
+    the same way, so both must serve a session under it."""
 
     @staticmethod
     def _echo_once(endpoint):
