@@ -27,7 +27,7 @@ def build(sample, calibration, bins, tail_padding=0.5):
     scheme = BinScheme.from_sample(calibration, bins=bins,
                                    tail_padding=tail_padding)
     histogram = Histogram(scheme)
-    histogram.insert_many(sample)
+    histogram.insert_block(sample)
     return histogram
 
 

@@ -15,13 +15,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 class HistogramError(ValueError):
     """Raised for invalid bin schemes or incompatible merges."""
+
+
+def _bin_counts(values, bins: int) -> np.ndarray:
+    """``values`` as a fresh int64 array of ``bins`` bin counts, refusing
+    any count that is not an ``int`` (bools too), which a cast would
+    truncate silently."""
+    if len(values) != bins:
+        raise HistogramError(f"expected {bins} bin counts, got {len(values)}")
+    if isinstance(values, np.ndarray):
+        integral = values.shape == (bins,) and values.dtype.kind == "i"
+    else:
+        integral = set(map(type, values)) == {int}
+    if not integral:
+        raise HistogramError("bin counts must be ints, one per bin")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as error:
+        raise HistogramError(f"bin count out of range: {error}") from None
+
+
+def _payload_counts(payload: dict, bins: int) -> np.ndarray:
+    """A payload's bin counts as an int64 array, once its masses are ints,
+    non-negative (counts only grow, so even a delta is) and total ``count``.
+
+    The reject-before-mutate check :meth:`Histogram.merge_payload` and the
+    parallel master's report validator share.
+    """
+    counts = _bin_counts(payload["counts"], bins)
+    masses = (payload["underflow"], payload["overflow"], payload["count"])
+    if set(map(type, masses)) != {int}:
+        raise HistogramError("underflow, overflow and count must be ints")
+    underflow, overflow, count = masses
+    if underflow < 0 or overflow < 0 or counts.min() < 0:
+        raise HistogramError("negative bin mass")
+    total = int(counts.sum()) + underflow + overflow
+    if total != count:
+        raise HistogramError(
+            f"count invariant violated: bins+underflow+overflow = {total} "
+            f"but count = {count}"
+        )
+    return counts
 
 
 @dataclass(frozen=True)
@@ -90,15 +131,17 @@ class Histogram:
     min/max) are tracked exactly from the raw stream; only the *quantiles*
     go through the binned approximation.
 
-    Bin counts live in a plain Python list: incrementing one numpy int64
-    element costs ~6x a list-element increment, and :meth:`insert` runs
-    for every accepted observation.  The :attr:`counts` property presents
-    the familiar numpy view for analysis, merging, and tests.
+    Bin counts live in one int64 array.  An event-engine replication
+    makes ~9-21 k scalar :meth:`insert` calls, each ~200 ns dearer on an
+    array element than on a list element (2-core Xeon), against ~70-180
+    quantile reads that each save ~20 us by using the array as it is
+    instead of copying a 1000-bin list into one; block inserts and merges
+    add whole arrays.  The :attr:`counts` property hands out a copy.
     """
 
     def __init__(self, scheme: BinScheme):
         self.scheme = scheme
-        self._counts: list[int] = [0] * scheme.bins
+        self._counts = np.zeros(scheme.bins, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
         self.count = 0
@@ -115,17 +158,12 @@ class Histogram:
 
     @property
     def counts(self) -> np.ndarray:
-        """Regular-bin counts as an array (copy; mutate via insert/merge)."""
-        return np.asarray(self._counts, dtype=np.int64)
+        """Regular-bin counts (a copy; mutate via insert/merge)."""
+        return self._counts.copy()
 
     @counts.setter
     def counts(self, values) -> None:
-        counts = [int(v) for v in values]
-        if len(counts) != self._bins:
-            raise HistogramError(
-                f"expected {self._bins} bin counts, got {len(counts)}"
-            )
-        self._counts = counts
+        self._counts = _bin_counts(values, self._bins)
 
     # -- insertion ---------------------------------------------------------
 
@@ -158,11 +196,6 @@ class Histogram:
             if index >= self._bins:
                 index = self._bins - 1
             self._counts[index] += 1
-
-    def insert_many(self, values: Iterable[float]) -> None:
-        """Record a batch of observations."""
-        for value in values:
-            self.insert(value)
 
     def insert_block(self, values: np.ndarray) -> None:
         """Record a block of observations, bit-identical to an
@@ -220,13 +253,7 @@ class Histogram:
             fraction = (mid - self._low) / (self._high - self._low)
             indices = (fraction * self._bins).astype(np.int64)
         np.minimum(indices, self._bins - 1, out=indices)
-        counts = self._counts
-        block_counts = np.bincount(indices, minlength=self._bins)
-        occupied = np.nonzero(block_counts)[0]
-        for index, added in zip(
-            occupied.tolist(), block_counts[occupied].tolist()
-        ):
-            counts[index] += added
+        self._counts += np.bincount(indices, minlength=self._bins)
 
     # -- moments -----------------------------------------------------------
 
@@ -277,9 +304,8 @@ class Histogram:
         # Vectorized cumulative scan: convergence checks call this every
         # few dozen accepted samples, and a Python loop over ~1000 bins
         # dominated check cost.
-        counts = np.asarray(self._counts, dtype=np.int64)
-        cumulative = counts.cumsum()
-        inner = cumulative[-1] if counts.size else 0
+        cumulative = self._counts.cumsum()
+        inner = cumulative[-1]
         inner_target = target - self.underflow
         if inner and inner_target <= inner:
             if inner_target > 0:
@@ -288,7 +314,7 @@ class Histogram:
                 # q at (or below) the underflow boundary: the left edge of
                 # the first occupied bin, matching the scan semantics.
                 index = int(np.searchsorted(cumulative, 0, "right"))
-            bin_count = float(counts[index])
+            bin_count = float(self._counts[index])
             before = float(cumulative[index]) - bin_count
             left = scheme.low + index * scheme.width
             fraction = (inner_target - before) / bin_count
@@ -336,32 +362,27 @@ class Histogram:
         target.min_seen = self.min_seen
         target.max_seen = self.max_seen
 
-        def deposit(value: float, mass: int) -> None:
-            if not mass:
-                return
-            if value < scheme.low:
-                target.underflow += mass
-            elif value >= scheme.high:
-                target.overflow += mass
-            else:
-                index = min(
-                    int((value - scheme.low) / scheme.width), scheme.bins - 1
-                )
-                target._counts[index] += mass
-
         source = self.scheme
-        for index, mass in enumerate(self._counts):
-            deposit(source.low + (index + 0.5) * source.width, mass)
-        if self.underflow:
-            lo = self.min_seen if math.isfinite(self.min_seen) else source.low
-            deposit((lo + source.low) / 2.0, self.underflow)
-        if self.overflow:
-            hi = (
-                max(self.max_seen, source.high)
-                if math.isfinite(self.max_seen)
-                else source.high
-            )
-            deposit((source.high + hi) / 2.0, self.overflow)
+        lo = self.min_seen if math.isfinite(self.min_seen) else source.low
+        hi = (
+            max(self.max_seen, source.high)
+            if math.isfinite(self.max_seen)
+            else source.high
+        )
+        values = np.concatenate((
+            source.low + (np.arange(source.bins) + 0.5) * source.width,
+            [(lo + source.low) / 2.0, (source.high + hi) / 2.0],
+        ))
+        masses = np.append(self._counts, [self.underflow, self.overflow])
+        under = values < scheme.low
+        over = values >= scheme.high
+        target.underflow = int(masses[under].sum())
+        target.overflow = int(masses[over].sum())
+        inside = ~(under | over)
+        scaled = (values[inside] - scheme.low) / scheme.width
+        indices = scaled.astype(np.int64)
+        np.minimum(indices, scheme.bins - 1, out=indices)
+        np.add.at(target._counts, indices, masses[inside])
         return target
 
     def merge(self, other: "Histogram", rebin: bool = False) -> None:
@@ -392,11 +413,11 @@ class Histogram:
         always absolute running extrema (min/max are not delta-able) and
         merge idempotently.
 
-        Malformed payloads are rejected *before* any state is touched —
-        the same contract as the full-report path
-        (:meth:`from_payload`): a wrong-length ``counts`` list or a
-        count total that disagrees with the bin masses raises
-        :class:`HistogramError` instead of silently merging a prefix.
+        Malformed payloads are rejected *before* any state is touched:
+        a wrong-length ``counts`` list, a mass that is not an int or is
+        negative, or a count total that disagrees with the bin masses
+        raises :class:`HistogramError` instead of silently merging a
+        prefix or truncating a fraction.
         """
         low, high, bins = payload["scheme"]
         scheme = self.scheme
@@ -405,21 +426,7 @@ class Histogram:
                 f"cannot merge payload with scheme {payload['scheme']} "
                 f"into {scheme}; rebin slave-side or recalibrate"
             )
-        extra_counts = payload["counts"]
-        if len(extra_counts) != self._bins:
-            raise HistogramError(
-                f"payload carries {len(extra_counts)} bin counts, scheme "
-                f"expects {self._bins}; refusing a partial merge"
-            )
-        total = sum(extra_counts) + payload["underflow"] + payload["overflow"]
-        if total != payload["count"]:
-            raise HistogramError(
-                f"payload count invariant violated: bins+underflow+overflow "
-                f"= {total} but count = {payload['count']}"
-            )
-        counts = self._counts
-        for index, extra in enumerate(extra_counts):
-            counts[index] += extra
+        self._counts += _payload_counts(payload, self._bins)
         self.underflow += payload["underflow"]
         self.overflow += payload["overflow"]
         self.count += payload["count"]
@@ -434,7 +441,7 @@ class Histogram:
         """Plain-dict form for pickling/IPC to the parallel master."""
         return {
             "scheme": (self.scheme.low, self.scheme.high, self.scheme.bins),
-            "counts": list(self._counts),
+            "counts": self._counts.tolist(),
             "underflow": self.underflow,
             "overflow": self.overflow,
             "count": self.count,
@@ -446,15 +453,9 @@ class Histogram:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Histogram":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload`: an empty histogram with the
+        payload merged in, so a malformed payload is refused the same way."""
         low, high, bins = payload["scheme"]
         histogram = cls(BinScheme(low=low, high=high, bins=bins))
-        histogram.counts = payload["counts"]
-        histogram.underflow = payload["underflow"]
-        histogram.overflow = payload["overflow"]
-        histogram.count = payload["count"]
-        histogram._sum = payload["sum"]
-        histogram._sum_sq = payload["sum_sq"]
-        histogram.min_seen = payload["min_seen"]
-        histogram.max_seen = payload["max_seen"]
+        histogram.merge_payload(payload)
         return histogram

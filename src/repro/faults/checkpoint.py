@@ -162,7 +162,7 @@ def _decode_merged(encoded: dict, where: str) -> dict:
     payload = _record_fields(encoded, _MERGED, where)
     try:
         raw = base64.b64decode(payload["counts"].encode("ascii"), validate=True)
-        payload["counts"] = [int(v) for v in np.frombuffer(raw, dtype="<i8")]
+        payload["counts"] = np.frombuffer(raw, dtype="<i8").tolist()
         for key in ("min_seen", "max_seen"):
             if isinstance(payload[key], str):
                 payload[key] = _INFINITIES[payload[key]]

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.histogram import BinScheme
+from repro.core.histogram import BinScheme, HistogramError, _payload_counts
 
 
 class ParallelError(RuntimeError):
@@ -73,29 +73,17 @@ def validate_report_payload(
     The master calls this *before* folding a report so that a corrupt
     payload is attributed to its slave (cause ``corrupt payload``) and
     excluded, instead of surfacing later as an unattributed
-    :class:`~repro.core.histogram.HistogramError` mid-merge.  Checks
-    mirror ``Histogram.merge_payload``'s reject-before-mutate contract:
-    scheme identity, counts length, non-negative masses (cumulative bin
-    counts can only grow, so even a *delta* payload is non-negative),
-    and the count invariant.
+    :class:`~repro.core.histogram.HistogramError` mid-merge.  Past the
+    scheme identity it runs ``Histogram.merge_payload``'s own
+    reject-before-mutate check: counts length, int masses, non-negative
+    masses and the count invariant.
     """
     try:
         if tuple(payload["scheme"]) != tuple(scheme):
             return f"scheme mismatch: {payload['scheme']} vs {scheme}"
-        counts = payload["counts"]
-        if len(counts) != scheme[2]:
-            return (
-                f"expected {scheme[2]} bin counts, got {len(counts)}"
-            )
-        underflow, overflow = payload["underflow"], payload["overflow"]
-        if underflow < 0 or overflow < 0 or any(c < 0 for c in counts):
-            return "negative bin mass"
-        total = sum(counts) + underflow + overflow
-        if total != payload["count"]:
-            return (
-                f"count invariant violated: bins+under+over = {total} "
-                f"but count = {payload['count']}"
-            )
+        _payload_counts(payload, scheme[2])
+    except HistogramError as error:
+        return str(error)
     except (KeyError, TypeError, ValueError) as error:
         return f"malformed payload: {error!r}"
     return None

@@ -15,21 +15,21 @@ class TestHistogramEdges:
     def test_density_in_overflow_region(self):
         scheme = BinScheme(low=0.0, high=1.0, bins=10)
         histogram = Histogram(scheme)
-        histogram.insert_many([0.5] * 50 + [10.0] * 50)
+        histogram.insert_block([0.5] * 50 + [10.0] * 50)
         density = histogram.density_at_quantile(0.99)
         assert density > 0.0
 
     def test_density_in_underflow_region(self):
         scheme = BinScheme(low=10.0, high=20.0, bins=10)
         histogram = Histogram(scheme)
-        histogram.insert_many([1.0] * 50 + [15.0] * 50)
+        histogram.insert_block([1.0] * 50 + [15.0] * 50)
         density = histogram.density_at_quantile(0.01)
         assert density > 0.0
 
     def test_all_mass_in_one_bin(self):
         scheme = BinScheme(low=0.0, high=10.0, bins=10)
         histogram = Histogram(scheme)
-        histogram.insert_many([5.0] * 100)
+        histogram.insert_block([5.0] * 100)
         assert histogram.quantile(0.5) == pytest.approx(5.0, abs=1.0)
         assert histogram.std == 0.0
 
@@ -42,7 +42,7 @@ class TestHistogramEdges:
     def test_merge_empty_into_filled(self):
         scheme = BinScheme(low=0.0, high=1.0, bins=4)
         filled = Histogram(scheme)
-        filled.insert_many([0.1, 0.2, 0.3])
+        filled.insert_block([0.1, 0.2, 0.3])
         filled.merge(Histogram(scheme))
         assert filled.count == 3
 

@@ -102,7 +102,7 @@ class TestInsertBlockEquivalence:
         for chunk in split_blocks(values, cuts):
             block.insert_block(chunk)
         assert block.count == scalar.count
-        assert block._counts == scalar._counts
+        assert np.array_equal(block.counts, scalar.counts)
         assert block.underflow == scalar.underflow
         assert block.overflow == scalar.overflow
         assert block._sum == scalar._sum

@@ -1,5 +1,7 @@
 """Unit tests for the streaming histogram (Chen & Kelton quantiles)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ def filled(values, scheme=None, bins=100):
     if scheme is None:
         scheme = BinScheme.from_sample(values, bins=bins)
     histogram = Histogram(scheme)
-    histogram.insert_many(values)
+    histogram.insert_block(values)
     return histogram
 
 
@@ -114,14 +116,14 @@ class TestQuantiles:
     def test_overflow_region_interpolates(self):
         scheme = BinScheme(low=0.0, high=1.0, bins=10)
         histogram = Histogram(scheme)
-        histogram.insert_many([0.5] * 90 + [5.0] * 10)
+        histogram.insert_block([0.5] * 90 + [5.0] * 10)
         q99 = histogram.quantile(0.99)
         assert 1.0 <= q99 <= 5.0
 
     def test_underflow_region_interpolates(self):
         scheme = BinScheme(low=1.0, high=2.0, bins=10)
         histogram = Histogram(scheme)
-        histogram.insert_many([0.2] * 10 + [1.5] * 90)
+        histogram.insert_block([0.2] * 10 + [1.5] * 90)
         q05 = histogram.quantile(0.05)
         assert 0.2 <= q05 <= 1.0
 
@@ -256,7 +258,9 @@ class TestMergeConsistency:
         ).to_payload()
         payload["counts"] = payload["counts"][:-3]
         before = histogram.to_payload()
-        with pytest.raises(HistogramError, match="partial merge"):
+        with pytest.raises(
+            HistogramError, match="expected 100 bin counts, got 97"
+        ):
             histogram.merge_payload(payload)
         assert histogram.to_payload() == before  # rejected before mutation
 
@@ -302,3 +306,99 @@ class TestMergeConsistency:
         assert permuted.std == pytest.approx(base.std, rel=1e-9)
         assert permuted.min_seen == base.min_seen
         assert permuted.max_seen == base.max_seen
+
+
+#: Payload edits whose masses are not ints: each one merged at the
+#: parent commit, and an int64 cast would truncate the first silently.
+NON_INT_MASSES = {
+    "fractional counts": {"counts": [0.5] * 4, "count": 2},
+    "bool counts": {"counts": [True, True, False, False], "count": 2},
+    "one bool count": {"counts": [True, 1, 0, 0], "count": 2},
+    "float count": {"count": 2.0},
+    "bool underflow": {"underflow": False},
+    "float overflow": {"overflow": 0.0},
+}
+
+
+def four_bin_payload(**edits):
+    """A clean four-bin payload (two observations) with ``edits`` applied."""
+    histogram = Histogram(BinScheme(low=0.0, high=1.0, bins=4))
+    histogram.insert_block(np.array([0.1, 0.4]))
+    return {**histogram.to_payload(), **edits}
+
+
+class TestIntegerMasses:
+    """Every mass that reaches the int64 counts is an int, never a bool."""
+
+    @pytest.mark.parametrize("case", sorted(NON_INT_MASSES))
+    def test_merge_payload_refuses_before_mutation(self, case):
+        histogram = Histogram(BinScheme(low=0.0, high=1.0, bins=4))
+        histogram.insert(0.7)
+        before = histogram.to_payload()
+        with pytest.raises(HistogramError, match="must be ints"):
+            histogram.merge_payload(four_bin_payload(**NON_INT_MASSES[case]))
+        assert histogram.to_payload() == before
+
+    def test_merge_payload_refuses_negative_mass(self):
+        histogram = Histogram(BinScheme(low=0.0, high=1.0, bins=4))
+        with pytest.raises(HistogramError, match="negative bin mass"):
+            histogram.merge_payload(
+                four_bin_payload(counts=[3, -1, 0, 0], count=2)
+            )
+        assert histogram.count == 0
+
+    @pytest.mark.parametrize("counts", [
+        [0.5, 0.5, 0.5, 0.5],
+        [True, False, False, False],
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        np.array([True, False, False, False]),
+        np.zeros((4, 2), dtype=np.int64),
+    ], ids=["fractions", "bools", "float array", "bool array", "2-D array"])
+    def test_counts_setter_refuses_non_int_counts(self, counts):
+        histogram = Histogram(BinScheme(low=0.0, high=1.0, bins=4))
+        with pytest.raises(HistogramError, match="must be ints"):
+            histogram.counts = counts
+        assert histogram.counts.tolist() == [0, 0, 0, 0]
+
+    def test_counts_setter_checks_the_length(self):
+        histogram = Histogram(BinScheme(low=0.0, high=1.0, bins=4))
+        with pytest.raises(HistogramError, match="expected 4 bin counts"):
+            histogram.counts = [1, 2, 3]
+
+    def test_count_beyond_int64_is_refused(self):
+        histogram = Histogram(BinScheme(low=0.0, high=1.0, bins=4))
+        with pytest.raises(HistogramError, match="out of range"):
+            histogram.counts = [2**63, 0, 0, 0]
+
+
+class TestPayloadBoundary:
+    """Inside, the counts are one int64 array; on the wire, plain ints."""
+
+    def test_payload_counts_are_python_ints(self, rng):
+        payload = filled(rng.exponential(size=500)).to_payload()
+        assert {type(count) for count in payload["counts"]} == {int}
+        json.dumps(payload)  # what payload_digest hashes
+        payload["counts"][0] = np.int64(payload["counts"][0])
+        with pytest.raises(TypeError):
+            json.dumps(payload)
+
+    def test_counts_is_a_copy(self, rng):
+        histogram = filled(rng.exponential(size=500))
+        before = histogram.to_payload()
+        counts = histogram.counts
+        counts += 1
+        assert histogram.to_payload() == before
+
+    def test_from_payload_round_trips_the_wire_list(self, rng):
+        payload = filled(rng.exponential(size=500)).to_payload()
+        assert Histogram.from_payload(payload).to_payload() == payload
+
+    def test_from_payload_round_trips_a_little_endian_buffer(self, rng):
+        # The checkpoint stores the counts as base64 of "<i8" bytes.
+        payload = filled(rng.exponential(size=500)).to_payload()
+        raw = np.asarray(payload["counts"], dtype="<i8").tobytes()
+        buffered = {**payload, "counts": np.frombuffer(raw, dtype="<i8")}
+        histogram = Histogram.from_payload(buffered)
+        assert histogram.to_payload() == payload
+        histogram.insert(histogram.min_seen)  # writable, not the buffer
+        assert histogram.count == payload["count"] + 1

@@ -13,8 +13,13 @@ from repro.parallel import (
     histogram_delta,
 )
 from repro.parallel.master import build_slave_experiment
-from repro.parallel.protocol import scheme_from_payload, scheme_payload
+from repro.parallel.protocol import (
+    scheme_from_payload,
+    scheme_payload,
+    validate_report_payload,
+)
 from repro.parallel.transport import shutdown_processes
+from tests.test_histogram import NON_INT_MASSES, four_bin_payload
 
 
 def crashing_factory(seed, master_seed=3):
@@ -179,6 +184,26 @@ class TestDeltaProtocol:
         assert merged_payload["sum_sq"] == pytest.approx(
             direct_payload["sum_sq"], rel=1e-12
         )
+
+
+class TestReportValidation:
+    """The master's pre-merge check refuses what merge_payload refuses."""
+
+    SCHEME = (0.0, 1.0, 4)
+
+    @pytest.mark.parametrize("case", sorted(NON_INT_MASSES))
+    def test_non_int_masses_are_refused(self, case):
+        payload = four_bin_payload(**NON_INT_MASSES[case])
+        problem = validate_report_payload(payload, self.SCHEME)
+        assert problem is not None and "must be ints" in problem
+
+    @pytest.mark.parametrize("edits, problem", [
+        ({"counts": [3, -1, 0, 0]}, "negative bin mass"),
+        ({"counts": None}, "malformed payload"),
+    ])
+    def test_malformed_payloads_name_their_problem(self, edits, problem):
+        found = validate_report_payload(four_bin_payload(**edits), self.SCHEME)
+        assert found is not None and problem in found
 
 
 class TestChunkSchedule:
