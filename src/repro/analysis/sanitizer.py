@@ -16,11 +16,12 @@ assumption checkable at run time:
   fell, so it is only comparable between runs with the same prefetch
   configuration.
 
-- while a probe with ``verify_prefetch`` is attached, every
-  :class:`~repro.distributions.prefetch.PrefetchSampler` refill is
-  cross-checked: the block draw is replayed per-draw from a clone of
-  the generator state and must consume the generator bit-identically
-  and produce the same values, else
+- while a probe with ``verify_prefetch`` is attached, every refill of
+  every sampler a component builds through
+  :meth:`~repro.engine.simulation.Simulation.sampler` is cross-checked:
+  the block draw is replayed per-draw from a clone of the generator
+  state and must consume the generator bit-identically and produce the
+  same values, else
   :class:`~repro.distributions.prefetch.PrefetchContractError` is
   raised naming the offending distribution.
 

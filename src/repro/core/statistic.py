@@ -218,7 +218,6 @@ class Statistic:
         #: fraction of the estimated remaining gap ahead — O(log) checks
         #: over a run instead of O(accepted / interval).
         self._next_check = math.inf
-        self._required_cache: Optional[float] = None
         #: Structured tracer (repro.observability), or None.  Hooks fire
         #: only at phase transitions and convergence checks — never on
         #: the per-observation fast path.

@@ -52,8 +52,6 @@ class ClosedLoopClients:
         self.target = target
         self.name = name
         self.sim: Optional[Simulation] = None
-        self._think_rng = None
-        self._service_rng = None
         self._next_think: Optional[PrefetchSampler] = None
         self._next_size: Optional[PrefetchSampler] = None
         self._in_flight: set[int] = set()
@@ -65,10 +63,8 @@ class ClosedLoopClients:
         if self.sim is not None:
             raise RuntimeError(f"{self.name}: already bound")
         self.sim = sim
-        self._think_rng = sim.spawn_rng()
-        self._service_rng = sim.spawn_rng()
-        self._next_think = PrefetchSampler(self.think_time, self._think_rng)
-        self._next_size = PrefetchSampler(self.service, self._service_rng)
+        self._next_think = sim.sampler(self.think_time)
+        self._next_size = sim.sampler(self.service)
         self.target.bind(sim)
         self.target.on_complete(self._handle_complete)
         for _ in range(self.n_clients):

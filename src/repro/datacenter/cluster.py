@@ -171,7 +171,6 @@ class MultiserverCluster:
         self.name = name
 
         self.sim: Optional[Simulation] = None
-        self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
         self.free_servers = self.n_servers
         self._queue: deque[Job] = deque()
@@ -197,10 +196,7 @@ class MultiserverCluster:
         self.sim = sim
         self._last_update = sim.now
         if self.service_distribution is not None:
-            self._service_rng = sim.spawn_rng()
-            self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng, probe=sim.probe
-            )
+            self._next_size = sim.sampler(self.service_distribution)
 
     def on_complete(self, listener: Callable[[Job, "MultiserverCluster"], None]) -> None:
         """Call ``listener(job, cluster)`` whenever a gang job finishes."""

@@ -139,7 +139,6 @@ class MultiClassSource:
         self.generated_by_class: Dict[str, int] = {n: 0 for n in names}
         self.sim: Optional[Simulation] = None
         self._rng = None
-        self._arrival_rng = None
         self._next_gap: Optional[PrefetchSampler] = None
 
     def bind(self, sim: Simulation) -> None:
@@ -148,8 +147,7 @@ class MultiClassSource:
             raise RuntimeError(f"{self.name}: already bound")
         self.sim = sim
         self._rng = sim.spawn_rng()
-        self._arrival_rng = sim.spawn_rng()
-        self._next_gap = PrefetchSampler(self.interarrival, self._arrival_rng)
+        self._next_gap = sim.sampler(self.interarrival)
         self.target.bind(sim)
         self._schedule_next()
 

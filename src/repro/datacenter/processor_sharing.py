@@ -54,7 +54,6 @@ class ProcessorSharingServer:
         self.service_distribution = service_distribution
         self.name = name
         self.sim: Optional[Simulation] = None
-        self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
         self._cancel_event = None
         self._heap = None
@@ -88,10 +87,7 @@ class ProcessorSharingServer:
         self._seq = sim.events._counter
         self._on_due = self._complete
         if self.service_distribution is not None:
-            self._service_rng = sim.spawn_rng()
-            self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng, probe=sim.probe
-            )
+            self._next_size = sim.sampler(self.service_distribution)
 
     def on_complete(self, listener: Callable[[Job, "ProcessorSharingServer"], None]) -> None:
         """Call ``listener(job, server)`` on every completion."""

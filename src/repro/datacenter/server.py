@@ -78,7 +78,6 @@ class Server:
         self.name = name
 
         self.sim: Optional[Simulation] = None
-        self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
         self.paused = False
         self._running: dict[int, Job] = {}
@@ -121,10 +120,7 @@ class Server:
         self._heap = sim.events._heap
         self._seq = sim.events._counter
         if self.service_distribution is not None:
-            self._service_rng = sim.spawn_rng()
-            self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng, probe=sim.probe
-            )
+            self._next_size = sim.sampler(self.service_distribution)
         if self.forward_to is not None:
             self.forward_to.bind(sim)
 

@@ -15,7 +15,7 @@ from heapq import heappush
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.datacenter.job import JOB_COUNTER, Job
-from repro.distributions.prefetch import DEFAULT_BLOCK, PrefetchSampler
+from repro.distributions.prefetch import PrefetchSampler
 from repro.engine.events import PENDING
 from repro.engine.simulation import Simulation
 
@@ -44,26 +44,21 @@ class Source:
         server draws from its own service distribution (multi-tier use).
     max_jobs:
         Optional cap on generated jobs (for bounded runs/tests).
-    prefetch:
-        When True (default) gaps and sizes are served through a
-        :class:`PrefetchSampler` block; draw order per stream is
-        identical either way (bit-reproducible A/B).
+
+    Gaps, sizes and server needs are each served by a
+    :meth:`Simulation.sampler`, so the simulation's prefetch mode and
+    determinism probe apply to them.
     """
 
     def __init__(self, workload, target, draw_sizes: bool = True,
-                 max_jobs: Optional[int] = None, name: str = "source",
-                 prefetch: bool = True):
+                 max_jobs: Optional[int] = None, name: str = "source"):
         self.workload = workload
         self.target = target
         self.draw_sizes = draw_sizes
         self.max_jobs = max_jobs
         self.name = name
-        self.prefetch_block = DEFAULT_BLOCK if prefetch else 1
         self.generated = 0
         self.sim: Optional[Simulation] = None
-        self._arrival_rng = None
-        self._service_rng = None
-        self._need_rng = None
         self._next_gap: Optional[PrefetchSampler] = None
         self._next_size: Optional[PrefetchSampler] = None
         self._next_need: Optional[PrefetchSampler] = None
@@ -75,31 +70,14 @@ class Source:
         if self.sim is not None:
             raise RuntimeError(f"{self.name}: already bound")
         self.sim = sim
-        self._arrival_rng = sim.spawn_rng()
-        self._service_rng = sim.spawn_rng()
-        # When a determinism probe is attached (Experiment(sanitize=True))
-        # the samplers record their block boundaries and, unless the probe
-        # opts out, replay every block per-draw to verify the prefetch
-        # contract.
-        probe = sim.probe
-        self._next_gap = PrefetchSampler(
-            self.workload.interarrival, self._arrival_rng, self.prefetch_block,
-            probe=probe,
-        )
-        self._next_size = PrefetchSampler(
-            self.workload.service, self._service_rng, self.prefetch_block,
-            probe=probe,
-        )
+        self._next_gap = sim.sampler(self.workload.interarrival)
+        self._next_size = sim.sampler(self.workload.service)
         # Multiserver-job workloads carry a server-need distribution;
         # the extra stream is spawned only when present so the RNG
         # lineage of every pre-existing model is unchanged.
         need_dist = getattr(self.workload, "servers_needed", None)
         if need_dist is not None:
-            self._need_rng = sim.spawn_rng()
-            self._next_need = PrefetchSampler(
-                need_dist, self._need_rng, self.prefetch_block,
-                probe=probe,
-            )
+            self._next_need = sim.sampler(need_dist)
         # Captured once: a direct heap push in _emit skips the
         # schedule_in frame.  Safe because heap compaction is in-place.
         self._heap = sim.events._heap

@@ -36,7 +36,6 @@ class SRPTServer:
         self.service_distribution = service_distribution
         self.name = name
         self.sim: Optional[Simulation] = None
-        self._service_rng = None
         self._next_size: Optional[PrefetchSampler] = None
         self._running: Optional[Job] = None
         self._pool: list[tuple[float, int, Job]] = []  # (remaining, tie, job)
@@ -55,10 +54,7 @@ class SRPTServer:
             raise ServerError(f"{self.name}: already bound")
         self.sim = sim
         if self.service_distribution is not None:
-            self._service_rng = sim.spawn_rng()
-            self._next_size = PrefetchSampler(
-                self.service_distribution, self._service_rng, probe=sim.probe
-            )
+            self._next_size = sim.sampler(self.service_distribution)
 
     def on_complete(self, listener: Callable[[Job, "SRPTServer"], None]) -> None:
         """Call ``listener(job, server)`` on every completion."""

@@ -74,8 +74,9 @@ class Experiment:
     - ``confidence`` (1 - alpha, default 95%),
     - ``bins`` / ``max_lag`` for calibration,
     - ``max_events`` / ``max_sim_time`` as safety bounds,
-    - ``prefetch`` as the default sampling mode for sources added via
-      :meth:`add_source`,
+    - ``prefetch`` as the sampling mode of the :class:`Simulation`, so of
+      every sampler a component builds through
+      :meth:`Simulation.sampler` (False is the A/B "off" configuration),
     - ``sanitize`` to attach a determinism probe (see
       :mod:`repro.analysis.sanitizer`): event timestamps are hashed,
       prefetched blocks are verified per-draw, and the resulting digest
@@ -100,7 +101,7 @@ class Experiment:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
             )
-        self.simulation = Simulation(seed)
+        self.simulation = Simulation(seed, prefetch=prefetch)
         self.stats = StatisticsCollection()
         self.seed = seed
         self.warmup_samples = warmup_samples
@@ -110,7 +111,6 @@ class Experiment:
         self.max_lag = max_lag
         self.max_events = max_events
         self.max_sim_time = max_sim_time
-        self.prefetch_default = prefetch
         self.engine = engine
         self.sources: list = []
         self._metric_bindings: list = []
@@ -123,8 +123,8 @@ class Experiment:
         #: tracer (``repro run --metrics``).
         self.collect_telemetry = False
         if sanitize:
-            # Must happen before any add_source: samplers capture the
-            # probe at bind time.
+            # Must happen before any component binds: samplers capture
+            # the probe when they are built.
             self.simulation.enable_sanitizer()
 
     # -- topology -----------------------------------------------------------
@@ -136,19 +136,14 @@ class Experiment:
         draw_sizes: bool = True,
         max_jobs: Optional[int] = None,
         name: Optional[str] = None,
-        prefetch: Optional[bool] = None,
     ) -> Source:
-        """Create and bind an open-loop source feeding ``target``.
-
-        ``prefetch=None`` inherits the experiment-level default.
-        """
+        """Create and bind an open-loop source feeding ``target``."""
         source = Source(
             workload,
             target,
             draw_sizes=draw_sizes,
             max_jobs=max_jobs,
             name=name or f"source-{len(self.sources)}",
-            prefetch=self.prefetch_default if prefetch is None else prefetch,
         )
         source.bind(self.simulation)
         self.sources.append(source)

@@ -451,8 +451,8 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
     speed = station.speed
     interarrival = source.workload.interarrival
     service = source.workload.service
-    arrival_rng = source._arrival_rng
-    service_rng = source._service_rng
+    arrival_rng = source._next_gap.rng
+    service_rng = source._next_size.rng
 
     # One (observe_block, kind) feed per tracked metric.
     feeds: List[Tuple[Callable, str]] = [

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.distributions.prefetch import DEFAULT_BLOCK, PrefetchSampler
 from repro.engine.events import (
     EV_STATE,
     PENDING,
@@ -51,14 +52,20 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 class Simulation:
-    """Virtual clock, event queue, and deterministic RNG streams."""
+    """Virtual clock, event queue, and deterministic RNG streams.
 
-    def __init__(self, seed: int = 0):
+    ``prefetch`` is the sampling mode of every sampler built through
+    :meth:`sampler`: blocks of ``DEFAULT_BLOCK`` draws when True, one
+    draw at a time when False (the A/B "off" configuration).
+    """
+
+    def __init__(self, seed: int = 0, prefetch: bool = True):
         self.now: float = 0.0
         #: The root seed, retained so checkpoints and seed-lineage
         #: audits can identify this clock's stream family without
         #: reaching into the SeedSequence internals.
         self.seed = seed
+        self.prefetch = prefetch
         self.events = EventQueue()
         self.events_processed: int = 0
         self._seed_sequence = np.random.SeedSequence(seed)
@@ -99,11 +106,11 @@ class Simulation:
         """Attach a determinism probe (see :mod:`repro.analysis.sanitizer`).
 
         From then on every dispatched event's timestamp is folded into
-        the probe's event digest, components that consult
-        :attr:`probe` record their RNG block boundaries, and prefetch
-        samplers bound afterwards run in verify mode (per-draw replay of
-        every block) unless the probe opts out.  Must be attached before
-        sources bind — samplers capture the probe at bind time.
+        the probe's event digest, and every sampler built afterwards by
+        :meth:`sampler` records its RNG block boundaries and runs in
+        verify mode (per-draw replay of every block) unless the probe
+        opts out.  Must be attached before components bind — samplers
+        capture the probe when they are built.
         Returns the probe.
         """
         if probe is None:
@@ -132,6 +139,21 @@ class Simulation:
         """
         (child,) = self._seed_sequence.spawn(1)
         return np.random.default_rng(child)
+
+    def sampler(self, distribution) -> PrefetchSampler:
+        """Single draws of ``distribution`` from a fresh stream.
+
+        The one place a component's draws are wired: the stream comes
+        from :meth:`spawn_rng`, the block size from :attr:`prefetch`,
+        and the attached determinism probe (if any) records and
+        verifies every block.
+        """
+        return PrefetchSampler(
+            distribution,
+            self.spawn_rng(),
+            DEFAULT_BLOCK if self.prefetch else 1,
+            probe=self._probe,
+        )
 
     # -- scheduling ---------------------------------------------------------
 

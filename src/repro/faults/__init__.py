@@ -12,11 +12,11 @@ first-class, *testable* input instead of an operational surprise:
   agent).  A run takes the one plan through ``fault_plan=`` (CLI:
   ``--chaos``) and routes each kind itself;
 - :mod:`~repro.faults.injector` — the slave-side hook object that
-  executes a plan's worker kinds inside the slave loop (real
-  ``os._exit`` / sleeps in a slave process; the serial backend's inline
-  transport substitutes its own exit and sleep, and the master cannot
-  tell the difference).  The frame kinds are applied by the framed
-  channel of :mod:`repro.parallel.transport`;
+  executes a plan's worker kinds inside the slave loop (a kill raises
+  ``SystemExit``, which ends only the worker process or thread; the
+  serial backend's inline transport catches it and substitutes its own
+  sleep, and the master cannot tell the difference).  The frame kinds
+  are applied by the framed channel of :mod:`repro.parallel.transport`;
 - :mod:`~repro.faults.recovery` — :class:`RespawnPolicy` (exponential
   backoff + deterministic jitter, per-slave and total restart budgets),
   :class:`SupervisionPolicy` (fleet floor, degradation threshold, and

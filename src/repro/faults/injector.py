@@ -15,19 +15,18 @@ points in every round (for a pool worker: every configure):
 3. :meth:`after_send` — immediately after a successful send
    (``kill``/``post_report`` fires here).
 
-There is one execution mode.  ``kill`` calls ``exiter`` (default
-``os._exit``: the OS reclaims the process without running any cleanup —
-the closest in-repo stand-in for a SIGKILL'd machine) and ``hang`` calls
-``sleeper`` (default ``time.sleep``: silent with the pipe held open,
-exercising the master's recv deadline).  A host that cannot afford to
-lose its process — the serial backend's inline transport, unit tests —
-passes its own ``exiter``/``sleeper``; the schedule logic never learns
-which it got.
+There is one execution mode.  ``kill`` raises
+``SystemExit(KILL_EXIT_STATUS)``, which ends only the worker: a worker
+process exits with that status, an in-memory worker thread ends, and
+the serial backend's inline endpoint catches it as the death it
+models.  ``hang`` calls ``sleeper`` (default ``time.sleep``: silent
+with the pipe held open, exercising the master's recv deadline); a
+host that cannot afford to sleep — the inline transport, unit tests —
+passes its own, and the schedule logic never learns which it got.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Iterable, Optional
 
@@ -72,20 +71,14 @@ class FaultInjector:
     ----------
     specs:
         The picklable sub-plan for this ``(slave_id, generation)``.
-    sleeper / exiter:
-        What ``hang`` and ``kill`` call: default to ``time.sleep`` and
-        ``os._exit`` (see module docstring).
+    sleeper:
+        What ``hang`` calls: defaults to ``time.sleep`` (see module
+        docstring).  ``kill`` always raises ``SystemExit``.
     """
 
-    def __init__(
-        self,
-        specs: Iterable[FaultSpec] = (),
-        sleeper=time.sleep,
-        exiter=os._exit,
-    ):
+    def __init__(self, specs: Iterable[FaultSpec] = (), sleeper=time.sleep):
         self._specs = tuple(specs)
         self._sleep = sleeper
-        self._exit = exiter
 
     def _find(self, round_number: int, kind: str,
               phase: Optional[str] = None) -> Optional[FaultSpec]:
@@ -99,7 +92,7 @@ class FaultInjector:
 
     def _kill_at(self, round_number: int, phase: str) -> None:
         if self._find(round_number, "kill", phase=phase) is not None:
-            self._exit(KILL_EXIT_STATUS)
+            raise SystemExit(KILL_EXIT_STATUS)
 
     # -- hooks ---------------------------------------------------------------
 

@@ -16,13 +16,13 @@ them, on every backend.  ``round`` counts the incarnation's commands as
 the master numbers its rounds (on a pool worker: its n-th configure).
 
 ``kill``
-    The worker dies (``os._exit`` in a worker process; the inline
-    endpoint closes the way a dead pipe does).  ``phase`` selects *when*
-    within the round: before the chunk runs (``"pre_run"``), after the
-    chunk but before the report is sent (``"pre_report"``, the
-    default), or immediately after the report is sent
-    (``"post_report"``) — the three windows a real crash can land in,
-    with different work-loss consequences.
+    The worker dies (``SystemExit``: a worker process exits, an
+    in-memory worker thread ends, the inline endpoint closes the way a
+    dead pipe does).  ``phase`` selects *when* within the round: before
+    the chunk runs (``"pre_run"``), after the chunk but before the
+    report is sent (``"pre_report"``, the default), or immediately
+    after the report is sent (``"post_report"``) — the three windows a
+    real crash can land in, with different work-loss consequences.
 ``hang``
     The worker stops responding without closing its channel (sleeps
     ``delay`` seconds, default 3600: effectively forever).  Exercises

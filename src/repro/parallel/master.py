@@ -126,8 +126,8 @@ class _SlaveSession:
     this incarnation's picklable fault sub-plan; ``round_offset`` maps
     local command numbering onto master rounds so fault specs address
     the same round on every backend.  ``host`` forwards the
-    ``exiter``/``sleeper`` a host that cannot lose its process gives
-    the :class:`~repro.faults.injector.FaultInjector`.
+    ``sleeper`` that a host which must not sleep gives the
+    :class:`~repro.faults.injector.FaultInjector`.
     """
 
     def __init__(

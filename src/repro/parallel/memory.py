@@ -180,7 +180,8 @@ class InMemoryTransport(_FramedTransport):
         def run_worker():
             try:
                 entry(channel.conn, *args)
-            except EOFError:
+            except (EOFError, SystemExit):
+                # A scheduled kill ends this thread, not the master.
                 pass
             finally:
                 channel.mark_closed()

@@ -124,8 +124,8 @@ class _PoolSession:
     ``faults`` is this incarnation's sub-plan, executed by the same
     :class:`~repro.faults.injector.FaultInjector` hooks, in the same
     order, as a master slave's rounds; ``host`` forwards the
-    ``exiter``/``sleeper`` a host that cannot lose its process gives
-    the injector.  A pool worker sends no baseline.
+    ``sleeper`` that a host which must not sleep gives the injector.
+    A pool worker sends no baseline.
     """
 
     baseline = None

@@ -599,13 +599,13 @@ class _InlineEndpoint(WorkerEndpoint):
     """A session stepped in the caller's own thread.
 
     ``send`` runs the command to completion and queues whatever the
-    session sends; ``recv`` pops it.  The session's fault injector
-    exits and sleeps through this endpoint, so a scheduled kill closes
-    the channel the way a dead process closes its pipe and a scheduled
-    hang leaves it open and silent — the caller sees the shapes it sees
-    on a pipe.  Genuine exceptions (a crashing factory, say) propagate
-    to the caller: debuggers, profilers and the sanitizer see the
-    worker.
+    session sends; ``recv`` pops it.  A scheduled kill's ``SystemExit``
+    is caught here and closes the channel the way a dead process closes
+    its pipe, and the injector sleeps through this endpoint, so a
+    scheduled hang leaves it open and silent — the caller sees the
+    shapes it sees on a pipe.  Genuine exceptions (a crashing factory,
+    say) propagate to the caller: debuggers, profilers and the
+    sanitizer see the worker.
     """
 
     def __init__(self, worker_id, generation, args, reply_timeout):
@@ -615,14 +615,9 @@ class _InlineEndpoint(WorkerEndpoint):
         self._inbox: deque = deque()
         self._dead = False
         session_type, *session_args = args
-        self._session = session_type(
-            *session_args, exiter=self._exit, sleeper=self._sleep
-        )
+        self._session = session_type(*session_args, sleeper=self._sleep)
         if self._session.baseline is not None:
             self._inbox.append(self._session.baseline)
-
-    def _exit(self, status) -> None:
-        raise _InjectedDeath(f"inline worker {self.worker_id} was killed")
 
     def _sleep(self, delay: float) -> None:
         # A nap the reply deadline would sit out costs nothing; one it
@@ -637,7 +632,7 @@ class _InlineEndpoint(WorkerEndpoint):
             return  # hung or closed: nobody is reading
         try:
             self._session.step(message, self._inbox.append)
-        except _InjectedDeath:
+        except SystemExit:
             # Whatever was queued before the exit (a post_report kill's
             # report) is still delivered; the next send or recv fails.
             self._dead = True

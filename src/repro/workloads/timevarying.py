@@ -128,8 +128,6 @@ class VariableRateSource:
         self.name = name
         self.generated = 0
         self.sim: Optional[Simulation] = None
-        self._arrival_rng = None
-        self._service_rng = None
         self._next_gap: Optional[PrefetchSampler] = None
         self._next_size: Optional[PrefetchSampler] = None
 
@@ -138,14 +136,8 @@ class VariableRateSource:
         if self.sim is not None:
             raise RuntimeError(f"{self.name}: already bound")
         self.sim = sim
-        self._arrival_rng = sim.spawn_rng()
-        self._service_rng = sim.spawn_rng()
-        self._next_gap = PrefetchSampler(
-            self.workload.interarrival, self._arrival_rng
-        )
-        self._next_size = PrefetchSampler(
-            self.workload.service, self._service_rng
-        )
+        self._next_gap = sim.sampler(self.workload.interarrival)
+        self._next_size = sim.sampler(self.workload.service)
         self.target.bind(sim)
         self._schedule_next()
 

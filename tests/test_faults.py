@@ -11,7 +11,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -265,14 +268,11 @@ class TestFaultInjector:
         return FaultSpec(**{**base, **kwargs})
 
     def test_process_kill_exits(self):
-        exits = []
-        injector = FaultInjector(
-            (self._spec(phase="pre_run"),), exiter=exits.append
-        )
+        injector = FaultInjector((self._spec(phase="pre_run"),))
         injector.on_chunk_start(1)
-        assert exits == []
-        injector.on_chunk_start(2)
-        assert exits == [86]
+        with pytest.raises(SystemExit) as exit_info:
+            injector.on_chunk_start(2)
+        assert exit_info.value.code == 86
 
     def test_hang_sleeps(self):
         naps = []
@@ -593,6 +593,47 @@ class TestDegradedChaos:
         assert payload["restarts"] == 0
         assert payload["resumed"] is False
         assert "response_time" in payload["merged_digests"]
+
+
+#: Kills slave 0 of a run on the in-memory transport, whose workers are
+#: threads of this process, and prints what the run reports.
+IN_MEMORY_KILL = """
+import json
+from repro.faults import FaultPlan
+from repro.parallel import ParallelSimulation
+from repro.parallel.memory import InMemoryTransport
+from tests.test_faults import factory
+
+transport = InMemoryTransport()
+try:
+    result = ParallelSimulation(
+        factory, n_slaves=2, master_seed=7, chunk_size=1500,
+        backend="remote", transport=transport, join_timeout=15.0,
+        fault_plan=FaultPlan.single("kill", slave_id=0, round=1),
+    ).run()
+finally:
+    transport.close()
+print(json.dumps([result.converged, result.dead_slaves,
+                  result.failure_causes[0]]))
+"""
+
+
+class TestInMemoryKill:
+    def test_kill_ends_the_worker_thread_not_the_master(self):
+        # In a child interpreter: a kill that took the whole process
+        # down would otherwise take the test session with it.
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", IN_MEMORY_KILL],
+            cwd=root, capture_output=True, text=True, timeout=300,
+            env={**os.environ,
+                 "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"},
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        converged, dead, cause = json.loads(done.stdout.splitlines()[-1])
+        assert converged
+        assert dead == [0]
+        assert cause == "pipe closed"
 
 
 class TestRecovery:

@@ -21,8 +21,17 @@ import math
 import numpy as np
 import pytest
 
+from repro import Experiment, Server
+from repro.analysis.sanitizer import verify_prefetch_determinism
+from repro.datacenter.closedloop import ClosedLoopClients
+from repro.datacenter.cluster import MultiserverCluster
+from repro.datacenter.multiclass import JobClass, MultiClassSource
+from repro.datacenter.processor_sharing import ProcessorSharingServer
+from repro.datacenter.source import Source
+from repro.datacenter.srpt import SRPTServer
 from repro.distributions import (
     BoundedPareto,
+    Choice,
     Deterministic,
     DistributionError,
     EmpiricalDistribution,
@@ -40,6 +49,8 @@ from repro.distributions import (
     Uniform,
     Weibull,
 )
+from repro.workloads import Workload
+from repro.workloads.timevarying import RateProfile, VariableRateSource
 
 #: name -> zero-arg constructor; every exported distribution appears.
 DISTRIBUTIONS = {
@@ -185,9 +196,6 @@ class TestSamplerMechanics:
         """End-to-end A/B: a full experiment with prefetch on vs off must
         produce the same estimates.  An M/M/1 workload uses only the
         exponential transform, so the match is bit-exact."""
-        from repro import Experiment, Server
-        from repro.workloads import Workload
-
         def run(prefetch):
             workload = Workload(
                 name="mm1",
@@ -195,10 +203,11 @@ class TestSamplerMechanics:
                 service=Exponential(rate=1.0),
             )
             experiment = Experiment(
-                seed=42, warmup_samples=300, calibration_samples=2000
+                seed=42, warmup_samples=300, calibration_samples=2000,
+                prefetch=prefetch,
             )
             server = Server(cores=1)
-            experiment.add_source(workload, target=server, prefetch=prefetch)
+            experiment.add_source(workload, target=server)
             experiment.track_response_time(server, mean_accuracy=0.08)
             return experiment.run()["response_time"]
 
@@ -211,17 +220,15 @@ class TestSamplerMechanics:
     def test_ab_experiment_hyperexponential_workload(self):
         """Same A/B with a high-CV workload (hyperexponential transforms
         carry the 1-2 ulp SIMD slack): estimates agree to float tolerance."""
-        from repro import Experiment, Server
         from repro.workloads import web
 
         def run(prefetch):
             experiment = Experiment(
-                seed=7, warmup_samples=300, calibration_samples=2000
+                seed=7, warmup_samples=300, calibration_samples=2000,
+                prefetch=prefetch,
             )
             server = Server(cores=1)
-            experiment.add_source(
-                web().at_load(0.6), target=server, prefetch=prefetch
-            )
+            experiment.add_source(web().at_load(0.6), target=server)
             experiment.track_response_time(server, mean_accuracy=0.08)
             return experiment.run()["response_time"]
 
@@ -242,3 +249,81 @@ class TestSamplerMechanics:
         assert [sampler() for _ in range(40)] == direct
         # Never buffers: the per-draw fallback is transparent.
         assert sampler.pending == 0
+
+
+# -- the experiment's prefetch mode reaches every component -------------------
+
+
+def _sampling_component(name):
+    """One component that builds its own samplers, by name."""
+    service = Exponential(rate=2.0)
+    workload = Workload(
+        "w", interarrival=Exponential(rate=1.0), service=service
+    )
+    builders = {
+        "source": lambda: Source(
+            workload.with_servers_needed(Choice([1, 2], [0.5, 0.5])),
+            MultiserverCluster(2),
+        ),
+        "fcfs": lambda: Server(service_distribution=service),
+        "ps": lambda: ProcessorSharingServer(service_distribution=service),
+        "srpt": lambda: SRPTServer(service_distribution=service),
+        "msj": lambda: MultiserverCluster(2, service_distribution=service),
+        "variable-rate": lambda: VariableRateSource(
+            workload, RateProfile([(0.0, 0.5), (10.0, 1.0)], period=20.0),
+            Server(),
+        ),
+        "closed-loop": lambda: ClosedLoopClients(
+            3, Exponential(rate=1.0), service, Server()
+        ),
+        "multiclass": lambda: MultiClassSource(
+            Exponential(rate=1.0),
+            [JobClass("only", priority=0, service=service)],
+            Server(),
+        ),
+    }
+    return builders[name]()
+
+
+class TestExperimentPrefetchMode:
+    @pytest.mark.parametrize("name", [
+        "source", "fcfs", "ps", "srpt", "msj", "variable-rate",
+        "closed-loop", "multiclass",
+    ])
+    @pytest.mark.parametrize("prefetch, block", [(True, 4096), (False, 1)])
+    def test_every_sampler_takes_the_mode(self, name, prefetch, block):
+        """``Experiment(prefetch=False)`` turns off every component's
+        prefetch, not only the sources ``add_source`` builds."""
+        experiment = Experiment(seed=3, prefetch=prefetch)
+        component = _sampling_component(name)
+        experiment.bind(component)
+        samplers = [
+            value for value in vars(component).values()
+            if isinstance(value, PrefetchSampler)
+        ]
+        assert samplers
+        assert [s.block_size for s in samplers] == [block] * len(samplers)
+
+    def test_closed_loop_ab_streams_identical(self):
+        """The A/B check covers a closed-loop model: the prefetch-off
+        twin draws one value at a time and still dispatches the same
+        events."""
+        check = verify_prefetch_determinism(
+            closed_loop_factory, seed=4, max_events=60_000
+        )
+        assert check.matched, check.details
+        assert check.digests["prefetch-on"].rng_blocks > 0
+        assert check.digests["prefetch-off"].rng_blocks == 0
+
+
+def closed_loop_factory(seed, prefetch=True, sanitize=False):
+    experiment = Experiment(
+        seed=seed, warmup_samples=100, calibration_samples=500,
+        prefetch=prefetch, sanitize=sanitize,
+    )
+    server = Server(cores=1)
+    experiment.bind(ClosedLoopClients(
+        6, Exponential.from_mean(1.0), Exponential.from_mean(0.1), server
+    ))
+    experiment.track_response_time(server, mean_accuracy=0.2)
+    return experiment

@@ -20,7 +20,9 @@ from repro.analysis.sanitizer import (
     verify_prefetch_determinism,
 )
 from repro.datacenter.balancers import CloningBalancer
+from repro.datacenter.closedloop import ClosedLoopClients
 from repro.datacenter.cluster import MultiserverCluster
+from repro.datacenter.multiclass import JobClass, MultiClassSource
 from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import Server
 from repro.datacenter.srpt import SRPTServer
@@ -34,6 +36,7 @@ from repro.distributions.base import Distribution
 from repro.engine.experiment import Experiment
 from repro.engine.report import result_to_dict
 from repro.engine.simulation import SimulationError, seeded_rng
+from repro.workloads.timevarying import RateProfile, VariableRateSource
 from repro.workloads.workload import Workload
 
 
@@ -86,6 +89,28 @@ class ReversingExponential(Distribution):
 
 def evil_factory(seed, prefetch=True, sanitize=False):
     return _experiment(ReversingExponential(), seed, prefetch, sanitize)
+
+
+def _fed_honestly(make_station):
+    """A lying station fed by an honest source; returns the station."""
+    def build(experiment):
+        station = make_station()
+        experiment.add_source(
+            Workload(name="w", interarrival=Exponential(rate=0.7),
+                     service=Exponential(rate=1.0)),
+            target=station, draw_sizes=False,
+        )
+        return station
+    return build
+
+
+def _lying_source(make_source):
+    """A lying source feeding an honest server; returns the server."""
+    def build(experiment):
+        server = Server(cores=1)
+        experiment.bind(make_source(server))
+        return server
+    return build
 
 
 class TestPrefetchDeterminism:
@@ -149,36 +174,50 @@ class TestContractEnforcement:
         with pytest.raises(PrefetchContractError, match="ReversingExponential"):
             experiment.run(max_events=50_000)
 
-    @pytest.mark.parametrize("station", [
-        lambda: Server(service_distribution=ReversingExponential()),
-        lambda: ProcessorSharingServer(
+    @pytest.mark.parametrize("build", [
+        _fed_honestly(lambda: Server(
             service_distribution=ReversingExponential()
-        ),
-        lambda: SRPTServer(service_distribution=ReversingExponential()),
-        lambda: MultiserverCluster(
+        )),
+        _fed_honestly(lambda: ProcessorSharingServer(
+            service_distribution=ReversingExponential()
+        )),
+        _fed_honestly(lambda: SRPTServer(
+            service_distribution=ReversingExponential()
+        )),
+        _fed_honestly(lambda: MultiserverCluster(
             2, service_distribution=ReversingExponential()
-        ),
+        )),
         # Independent clones: every replica's size is a backend draw.
-        lambda: CloningBalancer(
+        _fed_honestly(lambda: CloningBalancer(
             [ProcessorSharingServer(
                 service_distribution=ReversingExponential(), name=f"ps{i}"
             ) for i in range(2)],
             clones=2, synchronized=False,
-        ),
-    ], ids=["fcfs", "ps", "srpt", "msj", "independent-clones"])
-    def test_verifying_run_catches_a_lying_station(self, station):
+        )),
+        _lying_source(lambda server: ClosedLoopClients(
+            4, ReversingExponential(), Exponential(rate=2.0), server
+        )),
+        _lying_source(lambda server: VariableRateSource(
+            Workload(name="w", interarrival=ReversingExponential(),
+                     service=Exponential(rate=2.0)),
+            RateProfile([(0.0, 0.5), (10.0, 1.0)], period=20.0),
+            server,
+        )),
+        _lying_source(lambda server: MultiClassSource(
+            ReversingExponential(),
+            [JobClass("only", priority=0, service=Exponential(rate=2.0))],
+            server,
+        )),
+    ], ids=["fcfs", "ps", "srpt", "msj", "independent-clones",
+            "closed-loop", "variable-rate", "multiclass"])
+    def test_verifying_run_catches_a_lying_station(self, build):
         experiment = Experiment(
             seed=2, warmup_samples=50, calibration_samples=200,
             sanitize=True,
         )
-        target = station()
-        experiment.add_source(
-            Workload(name="w", interarrival=Exponential(rate=0.7),
-                     service=Exponential(rate=1.0)),
-            target=target, draw_sizes=False,
-        )
-        experiment.track_response_time(target, mean_accuracy=0.3)
         with pytest.raises(PrefetchContractError, match="ReversingExponential"):
+            station = build(experiment)
+            experiment.track_response_time(station, mean_accuracy=0.3)
             experiment.run(max_events=50_000)
 
     def test_sampler_catches_overconsumption(self):
