@@ -87,9 +87,9 @@ class Tracer:
         #: (component, name) -> {kind, emitted, last} running aggregate,
         #: cheap enough to maintain inline and read back via summary().
         self._summary: Dict[tuple, dict] = {}
-        #: Carrier threads (the asyncio loop, the memory monitor, frame
-        #: fault timers) emit too: a record's seq, its line and its
-        #: summary entry are taken together, so lines stay in seq order.
+        #: Carrier threads (socket readers, the heartbeat, frame fault
+        #: timers) emit too: a record's seq, its line and its summary
+        #: entry are taken together, so lines stay in seq order.
         self._lock = threading.Lock()
 
     @classmethod

@@ -2,13 +2,15 @@
 
 One agent process per machine.  It dials the master's
 :class:`~repro.parallel.transport.RemoteTransport` and registers
-``slots`` worker slots; each slot independently:
+``slots`` worker slots; each slot runs on a thread of its own, on a
+blocking socket, and independently:
 
 1. connects and sends ``("hello", {...})``;
 2. waits for a ``("spawn", worker_id, generation, entry, args)`` frame;
 3. forks a local worker process running ``entry(pipe_conn, *args)``
    and bridges the pipe to the socket in both directions (the worker
-   never knows it is remote);
+   never knows it is remote), waiting on the pipe, the socket and the
+   worker's exit at once;
 4. when the worker exits — job done, ``stop`` received, killed by
    chaos injection — tears the bridge down and re-dials, offering the
    master fresh capacity for a respawn or an elastic join.
@@ -41,24 +43,20 @@ from repro.faults.recovery import backoff_delay, derive_seed
 from repro.parallel.transport import (
     FrameSequencer,
     LocalPipeTransport,
+    TransportError,
     _bridge_frame,
-    _writer_fd,
-    close_event_loop,
+    close_socket,
     encode_frame,
     parse_address,
     read_frame,
     reap_process,
     register_fork_unsafe_fd,
-    unregister_fork_unsafe_fd,
+    shut_socket,
 )
 
 
 #: Fraction of a re-dial delay added as seeded jitter.
 _RECONNECT_JITTER = 0.1
-
-
-def _wake_loop() -> None:
-    """No-op scheduled on the agent loop so a stop request wakes it."""
 
 
 class HostAgent:
@@ -120,8 +118,12 @@ class HostAgent:
         #: Forks each hosted worker behind its pipe.
         self._local = LocalPipeTransport(context)
         self._thread: Optional[threading.Thread] = None
-        self._loop = None
         self._stop_event: Optional[threading.Event] = None
+        #: Guards every fork, every registration of a new socket, every
+        #: close of a worker's pipe and the set of open slot sockets
+        #: :meth:`stop` shuts down.
+        self._lock = threading.Lock()
+        self._sockets: set = set()
         self._done = threading.Event()
         self.workers_hosted = 0
         #: ``(slot, consecutive_failures, delay)`` per backoff taken —
@@ -145,16 +147,19 @@ class HostAgent:
         self._thread.start()
 
     def stop(self, timeout: float = 10.0) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-        if self._loop is not None and not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(_wake_loop)
-            except RuntimeError:  # pragma: no cover - loop raced shut
-                pass
+        self._halt()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
+
+    def _halt(self) -> None:
+        """Ask every slot to end, and wake the ones blocked on a socket."""
+        with self._lock:
+            if self._stop_event is not None:
+                self._stop_event.set()
+            sockets = list(self._sockets)
+        for sock in sockets:
+            shut_socket(sock)
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for the agent to finish on its own (idle_exit)."""
@@ -162,32 +167,27 @@ class HostAgent:
 
     def run(self) -> None:
         """Drive all slots to completion (blocking; the CLI entry)."""
-        import asyncio
-
         if self._stop_event is None:
             self._stop_event = threading.Event()
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+        slots = [
+            threading.Thread(
+                target=self._slot_loop, args=(slot,),
+                name=f"repro-agent-slot-{slot}", daemon=True,
+            )
+            for slot in range(self.slots)
+        ]
+        for thread in slots:
+            thread.start()
         try:
-            loop.run_until_complete(self._run_slots())
+            for thread in slots:
+                thread.join()
         finally:
-            close_event_loop(loop)
-            self._loop = None
+            self._halt()
             self._done.set()
-
-    async def _run_slots(self) -> None:
-        import asyncio
-
-        await asyncio.gather(
-            *(self._slot_loop(slot) for slot in range(self.slots))
-        )
 
     # -- one slot ------------------------------------------------------------
 
-    async def _slot_loop(self, slot: int) -> None:
-        import asyncio
-
+    def _slot_loop(self, slot: int) -> None:
         idle_since = time.monotonic()
         failures = 0
         while not self._stop_event.is_set():
@@ -197,8 +197,10 @@ class HostAgent:
             ):
                 return
             try:
-                hosted = await self._serve_once(slot)
-            except (ConnectionError, OSError, EOFError):
+                hosted = self._serve_once(slot)
+            except (TransportError, OSError, EOFError):
+                # A dropped connection or a corrupt frame from the
+                # master: this slot re-dials, the others never notice.
                 hosted = False
             if hosted:
                 idle_since = time.monotonic()
@@ -208,7 +210,7 @@ class HostAgent:
                 if self.max_redial is not None and failures >= self.max_redial:
                     return
             if not self._stop_event.is_set():
-                await asyncio.sleep(self._redial_delay(slot, failures))
+                self._stop_event.wait(self._redial_delay(slot, failures))
 
     def _redial_delay(self, slot: int, failures: int) -> float:
         """Pause before the next dial.
@@ -232,23 +234,44 @@ class HostAgent:
         self.backoff_history.append((slot, failures, delay))
         return delay
 
-    async def _serve_once(self, slot: int) -> bool:
-        """Dial, register, host at most one worker.  True if one ran."""
-        import asyncio
+    def _dial(self):
+        """A socket connected to the master, woken by :meth:`stop`.
 
-        reader, writer = await asyncio.open_connection(*self.address)
-        # Workers this agent forks (for *any* slot) must not inherit
-        # this slot's socket: a duplicate fd in a sibling worker keeps
-        # the connection established after we close it, so the master
-        # never sees the FIN and a dead worker looks alive.
-        fd = _writer_fd(writer)
-        if fd is not None:
-            register_fork_unsafe_fd(fd)
+        It is made and its fd registered under the agent's lock, which
+        every fork of this agent holds too: a worker forked for another
+        slot can never inherit it unregistered.  (Closing needs no lock:
+        :func:`close_socket` shuts the connection down first.)
+        """
+        family, kind, proto, _, address = socket.getaddrinfo(
+            *self.address, type=socket.SOCK_STREAM
+        )[0]
+        with self._lock:
+            if self._stop_event.is_set():
+                raise ConnectionAbortedError("agent is stopping")
+            sock = socket.socket(family, kind, proto)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            register_fork_unsafe_fd(sock.fileno())
+            self._sockets.add(sock)
+        try:
+            sock.connect(address)
+        except OSError:
+            self._release(sock)
+            raise
+        return sock
+
+    def _release(self, sock) -> None:
+        with self._lock:
+            self._sockets.discard(sock)
+        close_socket(sock)
+
+    def _serve_once(self, slot: int) -> bool:
+        """Dial, register, host at most one worker.  True if one ran."""
+        sock = self._dial()
         # The bridge's one sequencer: dedup of master frames, stamping
         # of worker sends.
         sequencer = FrameSequencer()
         try:
-            writer.write(
+            sock.sendall(
                 encode_frame(
                     (
                         "hello",
@@ -261,21 +284,16 @@ class HostAgent:
                     )
                 )
             )
-            await writer.drain()
             while True:
-                frame = await self._read_or_stop(reader)
-                _, frame, reply = _bridge_frame(sequencer, frame)
+                _, frame, reply = _bridge_frame(sequencer, read_frame(sock))
                 if reply is None:
                     break
                 # A ping can race the spawn frame right after the master
                 # binds this slot; ack it and keep waiting.
-                writer.write(encode_frame(reply))
-                await writer.drain()
-            if frame is None:
-                return False
+                sock.sendall(encode_frame(reply))
             if isinstance(frame, tuple) and frame[0] == "reject":
                 self.rejected = str(frame[1])
-                self._stop_event.set()
+                self._halt()
                 return False
             if not (
                 isinstance(frame, tuple)
@@ -284,110 +302,63 @@ class HostAgent:
             ):
                 return False
             _, worker_id, generation, entry, args = frame
-            await self._host_worker(
-                reader, writer, sequencer,
-                self._local.spawn(worker_id, generation, entry, args),
-            )
-            self.workers_hosted += 1
+            # One fork at a time: a sibling forked while this worker's
+            # pipe is half set up would inherit its ends and hide its
+            # death until the sibling exits.
+            with self._lock:
+                endpoint = self._local.spawn(
+                    worker_id, generation, entry, args
+                )
+            self._host_worker(sock, sequencer, endpoint)
+            with self._lock:
+                self.workers_hosted += 1
             return True
         finally:
-            if fd is not None:
-                unregister_fork_unsafe_fd(fd)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            self._release(sock)
 
-    async def _read_or_stop(self, reader):
-        """Next frame, or None when asked to stop while waiting."""
-        import asyncio
+    def _host_worker(self, sock, sequencer, endpoint) -> None:
+        """Bridge the forked worker's pipe <-> the socket until it ends.
 
-        read = asyncio.ensure_future(read_frame(reader))
-        try:
-            while not read.done():
-                if self._stop_event.is_set():
-                    read.cancel()
-                    return None
-                await asyncio.wait({read}, timeout=0.2)
-            return read.result()
-        except asyncio.CancelledError:  # pragma: no cover
-            return None
-
-    async def _host_worker(self, reader, writer, sequencer, endpoint) -> None:
-        """Bridge the forked worker's pipe <-> the socket until it ends."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        conn = endpoint.conn
-        worker_eof = asyncio.Event()
-
-        def pipe_readable() -> None:
-            # Called by the loop whenever the worker's pipe has data
-            # (or EOF).  Forward every pending message to the socket,
-            # stamped so master-side dedup can discard a duplicate.
-            try:
-                while conn.poll(0):
-                    writer.write(encode_frame(sequencer.stamp(conn.recv())))
-            except (EOFError, ConnectionError, OSError):
-                worker_eof.set()
-
-        loop.add_reader(conn.fileno(), pipe_readable)
-        try:
-            socket_pump = asyncio.ensure_future(
-                self._pump_socket_to_pipe(reader, writer, sequencer, conn)
-            )
-            eof_wait = asyncio.ensure_future(worker_eof.wait())
-            try:
-                while True:
-                    done, _ = await asyncio.wait(
-                        {socket_pump, eof_wait},
-                        timeout=0.2,
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    if done or self._stop_event.is_set():
-                        break
-                    if not endpoint.process.is_alive() and not conn.poll(0):
-                        break
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-            finally:
-                for task in (socket_pump, eof_wait):
-                    task.cancel()
-                await asyncio.gather(
-                    socket_pump, eof_wait, return_exceptions=True
-                )
-        finally:
-            loop.remove_reader(conn.fileno())
-            endpoint.close()
-            reap_process(endpoint.process, timeout=10.0)
-
-    async def _pump_socket_to_pipe(self, reader, writer, sequencer,
-                                   conn) -> None:
-        """Forward master frames ("chunk"/"configure" commands, "stop")
-        to the worker, through the bridge.
-
-        Heartbeat pings are acked straight back on the socket, so a
-        busy (slow-but-alive) worker still acks and liveness monitoring
-        raises no false positive; a duplicated command is dropped, so it
-        can never run a chunk twice.
+        Worker sends go out stamped, so master-side dedup can discard a
+        duplicate.  Master frames ("chunk"/"configure" commands, "stop")
+        reach the worker through the bridge: a heartbeat ping is acked
+        straight back, so a busy (slow-but-alive) worker still acks and
+        liveness monitoring raises no false positive, and a duplicated
+        command is dropped, so it can never run a chunk twice.  The
+        bridge ends when the worker closes its pipe or exits, when the
+        master closes the connection or sends "stop", or when
+        :meth:`stop` shuts the socket down.
         """
-        while True:
-            deliver, message, reply = _bridge_frame(
-                sequencer, await read_frame(reader)
-            )
-            try:
-                if reply is not None:
-                    writer.write(encode_frame(reply))
-                    await writer.drain()
-                elif deliver:
-                    conn.send(message)
-            except OSError:
-                return
-            if message == "stop":
-                return
+        from multiprocessing.connection import wait
+
+        conn = endpoint.conn
+        sentinel = endpoint.process.sentinel
+        try:
+            while True:
+                ready = wait([conn, sock, sentinel])
+                if conn in ready:
+                    while conn.poll(0):
+                        sock.sendall(
+                            encode_frame(sequencer.stamp(conn.recv()))
+                        )
+                if sock in ready:
+                    deliver, message, reply = _bridge_frame(
+                        sequencer, read_frame(sock)
+                    )
+                    if reply is not None:
+                        sock.sendall(encode_frame(reply))
+                    elif deliver:
+                        conn.send(message)
+                    if message == "stop":
+                        return
+                elif sentinel in ready and not conn.poll(0):
+                    return
+        except (TransportError, EOFError, OSError):
+            return
+        finally:
+            with self._lock:  # no fork may catch the pipe end unregistered
+                endpoint.close()
+            reap_process(endpoint.process, timeout=10.0)
 
 
 def run_agent(options: argparse.Namespace) -> int:

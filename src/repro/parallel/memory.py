@@ -20,8 +20,9 @@ the channel's inbound path at once.  So a live, un-partitioned channel
 answers every ping in the tick that sends it, busy worker or not, and
 only a ``partition`` frame fault — which blackholes one direction,
 data and pings/acks alike — leaves a channel silent until liveness
-closes it.  With ``heartbeat_interval`` set, a monitor thread calls the
-shared rule every interval; it reads the transport clock.
+closes it.  With ``heartbeat_interval`` set, the shared heartbeat
+thread of ``_FramedTransport`` applies the rule every interval; it
+reads the transport clock.
 
 Workers run the real entry function — the one pipe loop,
 ``transport._serve_session``, around a master slave's or a pool
@@ -134,40 +135,13 @@ class _MemoryChannel(_FramedChannel):
 class InMemoryTransport(_FramedTransport):
     """Thread-backed carrier of the remote transport's frame pipeline.
 
-    Parameters
-    ----------
-    heartbeat_interval / heartbeat_misses:
-        Same contract as :class:`~repro.parallel.transport.RemoteTransport`:
-        when the interval is set, a monitor thread runs the shared
-        heartbeat rule every interval.
+    Takes the ``heartbeat_interval`` / ``heartbeat_misses`` of
+    :class:`~repro.parallel.transport.RemoteTransport`, with the same
+    contract.
     """
 
     kind = "memory"
     elastic = False
-
-    def __init__(
-        self,
-        heartbeat_interval: Optional[float] = None,
-        heartbeat_misses: int = 3,
-    ):
-        super().__init__(heartbeat_interval, heartbeat_misses)
-        self._monitor: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        if self.heartbeat_interval is not None and self._monitor is None:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop,
-                name="repro-memory-heartbeat",
-                daemon=True,
-            )
-            self._monitor.start()
-
-    def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.heartbeat_interval):
-            self._beat()
 
     # -- Transport surface ---------------------------------------------------
 
@@ -223,14 +197,3 @@ class InMemoryTransport(_FramedTransport):
             if thread is not None:
                 thread.join(timeout=10.0)
             endpoint.close()
-
-    def close(self) -> None:
-        self._stopping.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-            self._monitor = None
-        with self._cond:
-            channels = list(self._channels)
-            self._channels.clear()
-        for channel in channels:
-            channel.teardown()

@@ -16,7 +16,8 @@ caller's thread by :class:`_InlineTransport`:
 - :class:`LocalPipeTransport` — the historical backend: one forked OS
   process per worker, a duplex pipe per process.  Behavior (spawn cost,
   exception surface, shutdown escalation) is unchanged.
-- :class:`RemoteTransport` — an asyncio TCP server the master owns.
+- :class:`RemoteTransport` — a TCP server the master owns, on blocking
+  sockets: one accept thread and one reader thread per connection.
   :mod:`repro.parallel.agent` host processes dial in and register
   worker *slots*; binding a slot ships the picklable worker entry point
   over the wire and the agent forks the worker locally, bridging its
@@ -148,32 +149,43 @@ def decode_payload(payload: bytes, worker_id: Optional[int] = None) -> object:
         ) from None
 
 
-async def read_frame(reader) -> object:
-    """Read one length-prefixed pickle frame from an asyncio stream.
+def _recv_exactly(sock, size: int) -> bytearray:
+    """Up to ``size`` bytes off ``sock``; fewer only at end of stream.
+
+    Read in chunks, so a corrupt length prefix under the frame bound
+    costs memory only for the bytes that really arrive.
+    """
+    data = bytearray()
+    while len(data) < size:
+        chunk = sock.recv(min(size - len(data), 1 << 20))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def read_frame(sock) -> object:
+    """Read one length-prefixed pickle frame off a blocking socket.
 
     Raises ``EOFError`` on a cleanly closed stream and
     :class:`FrameError` on any of the three corruption shapes: a
     length prefix beyond the frame bound, a truncated header/payload,
     or a payload that does not decode.
     """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            raise EOFError("stream closed") from None
-        raise FrameError("truncated frame header") from None
+    header = _recv_exactly(sock, FRAME_HEADER.size)
+    if not header:
+        raise EOFError("stream closed")
+    if len(header) < FRAME_HEADER.size:
+        raise FrameError("truncated frame header")
     (length,) = FRAME_HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte bound (corrupt prefix?)"
         )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise FrameError("truncated frame payload") from None
+    payload = _recv_exactly(sock, length)
+    if len(payload) < length:
+        raise FrameError("truncated frame payload")
     return decode_payload(payload)
 
 
@@ -424,30 +436,33 @@ def fork_safe_process(context, entry, conn, args):
     )
 
 
-def close_event_loop(loop) -> None:
-    """Cancel whatever still runs on ``loop``, let it unwind, close it."""
-    import asyncio
+def shut_socket(sock) -> None:
+    """End the connection behind ``sock``, whatever copies of its fd
+    exist (a worker forked in between holds one); a thread blocked
+    reading ``sock`` wakes at end of stream, and one blocked in
+    ``accept`` on a listener wakes with an error."""
+    import socket
 
-    to_cancel = asyncio.all_tasks(loop)
-    for task in to_cancel:
-        task.cancel()
-    if to_cancel:
-        loop.run_until_complete(
-            asyncio.gather(*to_cancel, return_exceptions=True)
-        )
-    loop.close()
-
-
-def _writer_fd(writer) -> Optional[int]:
-    """The live socket fd behind an asyncio writer, or None."""
-    sock = writer.get_extra_info("socket")
-    if sock is None:
-        return None
     try:
-        fd = sock.fileno()
-    except (OSError, ValueError):  # pragma: no cover - torn down
-        return None
-    return fd if fd >= 0 else None
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
+def close_socket(sock) -> None:
+    """Shut ``sock`` down, unregister its fd, then close it.
+
+    Only the thread that reads ``sock`` closes it; any other thread
+    wakes that one with :func:`shut_socket`.  Unregister *before*
+    close: once the fd number is freed the OS may hand it to an
+    unrelated socket, and a stale registry entry would make a forked
+    worker close that newcomer.
+    """
+    shut_socket(sock)
+    fd = sock.fileno()
+    if fd >= 0:
+        unregister_fork_unsafe_fd(fd)
+    sock.close()
 
 
 # -- the abstraction ----------------------------------------------------------
@@ -1109,8 +1124,9 @@ class FramedEndpoint(WorkerEndpoint):
 class _FramedTransport(Transport):
     """What the framed transports share: the condition variable every
     channel of the transport is guarded by, readiness multiplexing over
-    it, and the heartbeat rule (:meth:`_beat`), which the carrier calls
-    every ``heartbeat_interval`` when one is set.
+    it, and the heartbeat: when ``heartbeat_interval`` is set,
+    :meth:`start` runs a thread that applies the rule (:meth:`_beat`)
+    every interval, and :meth:`close` stops it.
 
     Their ``spawn`` takes one more argument, ``faults``: the frame-kind
     entries of a fault plan addressed to the incarnation, armed on its
@@ -1119,7 +1135,9 @@ class _FramedTransport(Transport):
     """
 
     def __init__(
-        self, heartbeat_interval: Optional[float], heartbeat_misses: int
+        self,
+        heartbeat_interval: Optional[float] = None,
+        heartbeat_misses: int = 3,
     ):
         super().__init__()
         if heartbeat_interval is not None and heartbeat_interval <= 0:
@@ -1136,6 +1154,33 @@ class _FramedTransport(Transport):
         self._cond = threading.Condition()
         self._channels: List[_FramedChannel] = []
         self._beats = 0
+        self._heart: Optional[threading.Thread] = None
+        self._heart_stop = threading.Event()
+
+    def start(self) -> None:
+        if self.heartbeat_interval is not None and self._heart is None:
+            self._heart_stop = threading.Event()
+            self._heart = threading.Thread(
+                target=self._heartbeat, args=(self._heart_stop,),
+                name="repro-heartbeat", daemon=True,
+            )
+            self._heart.start()
+
+    def _heartbeat(self, stop: threading.Event) -> None:
+        while not stop.wait(self.heartbeat_interval):
+            self._beat()
+
+    def close(self) -> None:
+        """Stop the heartbeat, then tear every channel down."""
+        if self._heart is not None:
+            self._heart_stop.set()
+            self._heart.join(timeout=5.0)
+            self._heart = None
+        with self._cond:
+            channels = list(self._channels)
+            self._channels.clear()
+        for channel in channels:
+            channel.teardown()
 
     def wait(self, endpoints, timeout=None):
         def ready():
@@ -1163,10 +1208,7 @@ class _FramedTransport(Transport):
                 if not channel.closed and channel.bound is not None
             ]
         for channel in bound:
-            try:
-                channel.transmit((HEARTBEAT_TAG, self._beats))
-            except BrokenPipeError:  # the transport is shutting down
-                return
+            channel.transmit((HEARTBEAT_TAG, self._beats))
         now = self._now()
         window = self.heartbeat_interval * self.heartbeat_misses
         for channel in bound:
@@ -1182,46 +1224,44 @@ class _FramedTransport(Transport):
             )
 
 
-# -- remote (asyncio TCP) transport -------------------------------------------
+# -- remote (TCP) transport ---------------------------------------------------
+#
+# Blocking sockets on threads: one accept thread, and one reader thread
+# per agent connection that owns its socket — it reads the hello, then
+# every frame, and closes the socket when the connection ends.  Any
+# other thread ends a connection with ``shut_socket``, which wakes the
+# reader at end of stream.
 
 
 class _AgentChannel(_FramedChannel):
-    """One agent connection (one worker slot) on the asyncio carrier."""
+    """One agent connection (one worker slot) on a blocking socket."""
 
     closed_text = "remote worker {} connection is closed"
 
-    def __init__(self, reader, writer, info: dict, transport):
+    def __init__(self, sock, info: dict, transport):
         super().__init__(transport)
-        self.reader = reader
-        self.writer = writer
+        self.sock = sock
         self.info = dict(info)
-        self.transport = transport
+        #: Commands, pings and delayed frames come from different
+        #: threads; one frame goes out whole before the next.
+        self._send_lock = threading.Lock()
 
     def transmit(self, frame: object) -> None:
-        """Queue one outbound frame from the scheduling thread."""
-        import asyncio
-
-        transport = self.transport
-        if transport._loop is None:
-            raise BrokenPipeError("transport is not started")
+        """Send one frame; a dead socket marks the channel closed."""
+        if self.blackhole_out:
+            # Injected half-open partition, outbound leg: frames (and
+            # heartbeat pings) are dropped on the floor, never erroring.
+            return
+        data = encode_frame(frame)
         try:
-            asyncio.run_coroutine_threadsafe(
-                transport._write_channel(self, frame), transport._loop
-            )
-        except RuntimeError:  # loop already closed
-            raise BrokenPipeError("transport is shut down") from None
+            with self._send_lock:
+                self.sock.sendall(data)
+        except OSError:
+            self.mark_closed()
 
     def teardown(self) -> None:
         self.mark_closed()
-        transport = self.transport
-        if transport._loop is None or transport._loop.is_closed():
-            return
-        try:
-            transport._loop.call_soon_threadsafe(
-                transport._close_writer, self.writer
-            )
-        except RuntimeError:  # pragma: no cover - loop raced shut
-            pass
+        shut_socket(self.sock)
 
     def describe(self) -> dict:
         return {
@@ -1281,131 +1321,130 @@ class RemoteTransport(_FramedTransport):
         #: (host, port) actually bound, set by :meth:`start`.
         self.address: Optional[Tuple[str, int]] = None
         self._lobby: Deque[_AgentChannel] = deque()
-        self._loop = None
-        self._thread: Optional[threading.Thread] = None
-        self._server = None
-        self._startup_error: Optional[BaseException] = None
+        self._listener = None
+        self._acceptor: Optional[threading.Thread] = None
+        #: ``(reader thread, its socket)`` per connection still open.
+        self._readers: List[tuple] = []
         self._stopping = False
 
     # -- lifecycle (called from the scheduling thread) -----------------------
 
     def start(self) -> None:
-        if self._thread is not None:
+        if self._listener is not None:
             return
-        import asyncio
-
-        started = threading.Event()
-
-        def run_loop():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-
-            async def serve():
-                try:
-                    self._server = await asyncio.start_server(
-                        self._on_client, self.host, self.port
-                    )
-                    sock = self._server.sockets[0]
-                    self.address = sock.getsockname()[:2]
-                    for listener in self._server.sockets:
-                        register_fork_unsafe_fd(listener.fileno())
-                    if self.heartbeat_interval is not None:
-                        loop.create_task(self._heartbeat_loop())
-                except BaseException as error:
-                    self._startup_error = error
-                finally:
-                    started.set()
-
-            loop.run_until_complete(serve())
-            if self._startup_error is None:
-                try:
-                    loop.run_forever()
-                finally:
-                    close_event_loop(loop)
-
-        self._thread = threading.Thread(
-            target=run_loop, name="repro-remote-transport", daemon=True
-        )
-        self._thread.start()
-        if not started.wait(30.0):  # pragma: no cover - pathological host
-            raise TransportError("remote transport server failed to start")
-        if self._startup_error is not None:
-            raise TransportError(
-                f"cannot listen on {self.host}:{self.port}: "
-                f"{self._startup_error}"
-            )
-        self._trace("listen", host=self.address[0], port=self.address[1])
-
-    # -- asyncio side --------------------------------------------------------
-
-    @staticmethod
-    def _close_writer(writer) -> None:
-        """Shut the writer's socket down, unregister its fd, then close it.
-
-        Shut down first: asyncio closes the socket only on a later loop
-        iteration, and a worker forked in between (an in-process agent
-        forks on its own thread) inherits a copy of the fd that would
-        hold the connection open; a shutdown ends the connection itself,
-        whatever copies of the fd exist.  Unregister *before* close:
-        once the fd number is freed the OS may hand it to an unrelated
-        socket, and a stale registry entry would make a forked worker
-        close that newcomer.
-        """
         import socket
 
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        fd = _writer_fd(writer)
-        if fd is not None:
-            unregister_fork_unsafe_fd(fd)
         try:
-            writer.close()
-        except OSError:  # pragma: no cover
-            pass
+            family = socket.getaddrinfo(
+                self.host, self.port, type=socket.SOCK_STREAM
+            )[0][0]
+            listener = socket.create_server(
+                (self.host, self.port), family=family
+            )
+        except OSError as error:
+            raise TransportError(
+                f"cannot listen on {self.host}:{self.port}: {error}"
+            ) from None
+        register_fork_unsafe_fd(listener.fileno())
+        self._listener = listener
+        self.address = listener.getsockname()[:2]
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(listener,),
+            name="repro-remote-accept", daemon=True,
+        )
+        self._acceptor.start()
+        super().start()
+        self._trace("listen", host=self.address[0], port=self.address[1])
 
-    async def _on_client(self, reader, writer) -> None:
-        import asyncio
+    def close(self) -> None:
+        """Stop accepting, drop every connection and join every carrier
+        thread: nothing of this transport runs once it returns."""
+        with self._cond:
+            self._stopping = True
+            self._lobby.clear()
+            self._cond.notify_all()
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            shut_socket(listener)
+            self._acceptor.join(timeout=10.0)
+            self._acceptor = None
+        super().close()
+        with self._cond:
+            readers, self._readers = self._readers, []
+        for thread, sock in readers:
+            shut_socket(sock)
+            thread.join(timeout=10.0)
 
-        fd = _writer_fd(writer)
-        if fd is not None:
-            register_fork_unsafe_fd(fd)
+    # -- carrier threads -----------------------------------------------------
+
+    def _accept(self, listener) -> None:
+        """Hand every incoming connection to a reader thread of its own."""
+        import socket
+
         try:
-            hello = await asyncio.wait_for(read_frame(reader), timeout=30.0)
-        except (asyncio.TimeoutError, asyncio.CancelledError, EOFError,
-                TransportError, ConnectionError, OSError):
-            # CancelledError: listener teardown raced this handshake;
-            # finish the task cleanly so the loop does not log it.
-            self._close_writer(writer)
-            return
+            while True:
+                try:
+                    sock, _ = listener.accept()
+                except OSError:  # shut down by close()
+                    return
+                register_fork_unsafe_fd(sock.fileno())
+                # Frames are whole messages: send each at once.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                reader = threading.Thread(
+                    target=self._serve, args=(sock,),
+                    name="repro-remote-reader", daemon=True,
+                )
+                with self._cond:
+                    self._readers = [
+                        entry for entry in self._readers
+                        if entry[0].is_alive()
+                    ]
+                    self._readers.append((reader, sock))
+                reader.start()
+        finally:
+            close_socket(listener)
+
+    def _serve(self, sock) -> None:
+        """One connection, start to end: hello, then every frame."""
+        try:
+            self._serve_frames(sock)
+        finally:
+            close_socket(sock)
+
+    def _hello(self, sock) -> Optional[dict]:
+        """The agent's registration, or None for a connection to drop."""
+        try:
+            sock.settimeout(30.0)
+            hello = read_frame(sock)
+            sock.settimeout(None)
+        except (EOFError, TransportError, OSError):  # OSError: timed out
+            return None
         if not (
             isinstance(hello, tuple)
             and len(hello) == 2
             and hello[0] == "hello"
             and isinstance(hello[1], dict)
         ):
-            self._close_writer(writer)
-            return
+            return None
         info = hello[1]
         if self.key is not None and info.get("key") != self.key:
             try:
-                writer.write(encode_frame(("reject", "bad key")))
-                await writer.drain()
-            except (ConnectionError, OSError):  # pragma: no cover
+                sock.sendall(encode_frame(("reject", "bad key")))
+            except OSError:  # pragma: no cover
                 pass
-            self._close_writer(writer)
             self._trace("register_rejected", agent=info.get("agent"))
+            return None
+        return info
+
+    def _serve_frames(self, sock) -> None:
+        info = self._hello(sock)
+        if info is None:
             return
-        channel = _AgentChannel(reader, writer, info, self)
+        channel = _AgentChannel(sock, info, self)
         slot_key = (info.get("agent"), info.get("slot"))
         stale: List[_AgentChannel] = []
         with self._cond:
             if self._stopping:
-                self._close_writer(writer)
                 return
             # One connection per (agent, slot): an agent slot only
             # re-dials after tearing down its previous connection, so
@@ -1428,7 +1467,7 @@ class RemoteTransport(_FramedTransport):
             self._lobby.append(channel)
             self._cond.notify_all()
         for old in stale:
-            self._close_writer(old.writer)
+            old.teardown()
             self._trace(
                 "supersede",
                 agent=slot_key[0],
@@ -1440,7 +1479,7 @@ class RemoteTransport(_FramedTransport):
         )
         try:
             while True:
-                channel.receive(await read_frame(reader))
+                channel.receive(read_frame(sock))
         except FrameError as error:
             # Attribute the corruption to the bound worker before the
             # generic close path runs: recv surfaces it as a typed
@@ -1452,43 +1491,18 @@ class RemoteTransport(_FramedTransport):
                 bound=channel.bound,
                 error=str(error),
             )
-        except (EOFError, TransportError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Listener teardown cancelled the reader mid-await: end the
-            # task normally (the finally below closes the channel) so
-            # asyncio's stream callback does not log the cancellation.
+        except (EOFError, TransportError, OSError):
             pass
         finally:
             channel.mark_closed()
             with self._cond:
                 if channel in self._lobby:
                     self._lobby.remove(channel)
-            self._close_writer(writer)
             self._trace(
                 "leave",
                 agent=channel.info.get("agent"),
                 bound=channel.bound,
             )
-
-    async def _write_channel(self, channel: _AgentChannel, message) -> None:
-        if channel.blackhole_out:
-            # Injected half-open partition, outbound leg: frames (and
-            # heartbeat pings) are dropped on the floor, never erroring.
-            return
-        try:
-            channel.writer.write(encode_frame(message))
-            await channel.writer.drain()
-        except (ConnectionError, OSError):
-            channel.mark_closed()
-
-    async def _heartbeat_loop(self) -> None:
-        """:meth:`_beat` every interval, on the transport's asyncio loop."""
-        import asyncio
-
-        while True:
-            await asyncio.sleep(self.heartbeat_interval)
-            self._beat()
 
     # -- Transport surface ---------------------------------------------------
 
@@ -1549,39 +1563,6 @@ class RemoteTransport(_FramedTransport):
         for endpoint in endpoints:
             endpoint.poll(max(0.0, stop_deadline - time.monotonic()))
             endpoint.close()
-
-    def close(self) -> None:
-        """Stop the server loop and drop every connection."""
-        with self._cond:
-            self._stopping = True
-            channels = list(self._channels)
-            self._lobby.clear()
-            self._cond.notify_all()
-        loop, self._loop = self._loop, None
-        if loop is None or loop.is_closed():
-            return
-
-        def stop():
-            for channel in channels:
-                self._close_writer(channel.writer)
-            if self._server is not None:
-                for listener in self._server.sockets:
-                    try:
-                        unregister_fork_unsafe_fd(listener.fileno())
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-                self._server.close()
-            loop.stop()
-
-        try:
-            loop.call_soon_threadsafe(stop)
-        except RuntimeError:  # pragma: no cover - loop raced shut
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        for channel in channels:
-            channel.mark_closed()
 
 
 def parse_address(address: str) -> Tuple[str, int]:

@@ -138,8 +138,8 @@ class TestTracer:
             tracer.close()
 
     def test_threads_write_records_in_seq_order(self):
-        # The asyncio loop, the memory monitor and frame-fault timers
-        # emit from their own threads; a switch between taking a seq
+        # Socket readers, the heartbeat and frame-fault timers emit
+        # from their own threads; a switch between taking a seq
         # and writing its line would put the lines out of order.
         tracer = Tracer.to_memory()
 

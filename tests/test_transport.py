@@ -16,16 +16,19 @@ must be bit-identical to ``backend="process"``, including a mid-run
 worker kill recovered by respawn.
 """
 
-import asyncio
 import os
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, RespawnPolicy
+from repro.observability import Tracer
 from repro.parallel.agent import HostAgent
 from repro.parallel.master import ParallelSimulation
 from repro.parallel.memory import InMemoryTransport
+from repro.parallel.protocol import CAUSE_PIPE_CLOSED
 from repro.parallel.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -76,6 +79,15 @@ class EchoSession:
 
     def step(self, message, send):
         send(("echo", message))
+
+
+class PidSession:
+    """A worker session (no baseline) that answers with its process id."""
+
+    baseline = None
+
+    def step(self, message, send):
+        send(("pid", os.getpid()))
 
 
 # -- rigs ---------------------------------------------------------------------
@@ -177,13 +189,12 @@ class TestTransportConformance:
 
 
 def decode_frame(data: bytes):
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_frame(reader)
-
-    return asyncio.run(go())
+    """``read_frame`` over a socket that carries ``data``, then EOF."""
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        sender.sendall(data)
+        sender.shutdown(socket.SHUT_WR)
+        return read_frame(receiver)
 
 
 class TestFraming:
@@ -492,12 +503,13 @@ class TestRemoteMasterDeterminism:
             "kill", slave_id=1, round=1, phase="pre_report"
         )
         policy = RespawnPolicy(backoff_base=0.0, jitter=0.0)
+        tracer = Tracer.to_memory()
         runs = {}
         for backend, transport in (
             ("process", None),
             ("remote", remote_fleet),
         ):
-            runs[backend] = ParallelSimulation(
+            simulation = ParallelSimulation(
                 factory,
                 backend=backend,
                 transport=transport,
@@ -505,13 +517,26 @@ class TestRemoteMasterDeterminism:
                 fault_plan=plan,
                 respawn=policy,
                 **MASTER_KW,
-            ).run()
+            )
+            if backend == "remote":
+                simulation.attach_tracer(tracer)
+            runs[backend] = simulation.run()
             assert runs[backend].converged
             assert not runs[backend].degraded
             assert runs[backend].restarts == 1
         assert (
             runs["process"].merged_digests == runs["remote"].merged_digests
         )
+        # The death is seen when the killed worker's socket closes, not
+        # at the round deadline: a sibling forked while the worker's
+        # pipe was half set up would hold it open and hide the death
+        # until then.
+        deaths = [
+            (record["fields"]["slave"], record["fields"]["cause"])
+            for record in tracer.lines()
+            if (record["component"], record["name"]) == ("slave", "dead")
+        ]
+        assert deaths == [(1, CAUSE_PIPE_CLOSED)]
 
 
 # -- frame corruption shapes (the typed FrameError contract) ------------------
@@ -667,8 +692,6 @@ class TestAgentRedialBackoff:
 
     @staticmethod
     def _dead_port():
-        import socket
-
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -698,3 +721,105 @@ class TestAgentRedialBackoff:
         assert all(delay <= 0.05 * 1.1 for _, _, delay in first)
         assert first == twin            # same seed, same schedule
         assert first != other           # different seed spreads probes
+
+    def test_corrupt_frame_before_spawn_redials(self):
+        # A master that answers every hello with a frame that does not
+        # decode: each slot re-dials, and the budget ends the agent.
+        listener = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def fake_master():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                with conn:
+                    hellos.append(read_frame(conn))
+                    conn.sendall(b"\x00\x00\x00\x05junk!")
+
+        server = threading.Thread(target=fake_master, daemon=True)
+        server.start()
+        agent = HostAgent(
+            listener.getsockname()[:2], slots=2, reconnect_delay=0.01,
+            reconnect_cap=0.05, max_redial=2,
+        )
+        try:
+            agent.run()  # must return, not raise FrameError
+        finally:
+            listener.shutdown(socket.SHUT_RDWR)
+            server.join(timeout=10.0)
+            listener.close()
+        assert len(hellos) == 4         # two dials per slot
+        assert all(hello[0] == "hello" for hello in hellos)
+        assert sorted(slot for slot, _, _ in agent.backoff_history) == [0, 1]
+        assert agent.workers_hosted == 0
+
+
+# -- carrier threads -----------------------------------------------------------
+
+
+class TestCarrierThreads:
+    """The blocking carriers end their threads when told to, at once."""
+
+    def test_agent_stop_ends_waiting_and_hosting_slots(self):
+        transport = RemoteTransport()
+        transport.start()
+        agent = HostAgent(transport.address, slots=2)
+        agent.start()
+        try:
+            assert transport.wait_for_capacity(timeout=10.0)
+            endpoint = transport.spawn(
+                0, 0, _serve_session, (PidSession,), timeout=10.0
+            )
+            endpoint.send("pid?")
+            assert endpoint.poll(timeout=10.0)
+            _, pid = endpoint.recv()
+            # The other slot is registered: it waits for a spawn frame.
+            assert transport.wait_for_capacity(timeout=10.0)
+            started = time.monotonic()
+            agent.stop(timeout=10.0)
+            elapsed = time.monotonic() - started
+            assert agent.join(0), "a slot thread outlived stop()"
+            assert elapsed < 5.0, f"stop took {elapsed:.2f}s"
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)         # the hosted worker was reaped
+            assert transport.wait([endpoint], timeout=10.0) == [endpoint]
+            with pytest.raises(EOFError):
+                endpoint.recv()
+        finally:
+            agent.stop(timeout=10.0)
+            transport.close()
+
+    def test_no_transport_record_after_close(self):
+        tracer = Tracer.to_memory()
+        transport = RemoteTransport(heartbeat_interval=0.05)
+        transport.attach_tracer(tracer)
+        transport.start()
+        agent = HostAgent(transport.address, slots=2)
+        agent.start()
+        try:
+            assert transport.wait_for_capacity(timeout=10.0)
+            endpoint = spawn_echo(transport, 0)
+            endpoint.send("ping")
+            assert endpoint.poll(timeout=10.0)
+            assert endpoint.recv() == ("echo", "ping")
+            assert transport.wait_for_capacity(timeout=10.0)
+            transport.close()           # both connections still open
+
+            def transport_records():
+                return [
+                    record["name"] for record in tracer.lines()
+                    if record["component"] == "transport"
+                ]
+
+            at_close = transport_records()
+            # close() joined every reader: each connection has left.
+            assert at_close.count("register") == 2
+            assert at_close.count("leave") == 2
+            agent.stop(timeout=10.0)    # the agent's sockets close now
+            assert agent.join(0)
+            assert transport_records() == at_close
+        finally:
+            agent.stop(timeout=10.0)
+            transport.close()
