@@ -17,15 +17,16 @@ them directly:
   O(log c) per job (queuecomputer's design, :func:`_scan_core`).  Two
   FCFS paths that see the same jobs couple, though: once their free
   times agree clamped at the current arrival, every later start is the
-  same.  So :func:`_lane_scan` cuts a block into lanes of 128 jobs,
-  runs them side by side as ``(c, K)`` numpy rows — once from an empty
-  system, once from the previous lane's end — keeps each lane whose
-  start state agreed with the truth, and recomputes the others with the
-  scalar body.  Waits are bit-identical either way.  At c = 4, rho =
-  0.8 that cuts the kernel from 178 to 77 ns a job.  Where it
-  does not pay — c > 8, a short block, or a load at which too many
-  lanes need repair — :func:`_ggc_scan` keeps the heap scan
-  (``docs/fastpath.md`` has the crossover table).
+  same.  So :func:`_lane_scan` cuts up to three blocks into lanes of
+  128 jobs, runs them side by side as ``(c, K)`` numpy rows — once from
+  an empty system, once from the previous lane's end — keeps each lane
+  whose start state agreed with the truth, and recomputes the others
+  with the scalar body.  Waits are bit-identical either way.  At c = 4,
+  rho = 0.8 the kernel costs 80 ns a job on three blocks a call (122 on
+  one) against the heap scan's 300.  Where it does not pay — c > 8, a
+  short block, or a load at which too many lanes need repair —
+  :func:`_ggc_scan` keeps the heap scan (``docs/fastpath.md`` has the
+  crossover table).
 
 Draws come in blocks from the **same RNG streams** the event engine
 would use (``Distribution.sample_block`` on the source's arrival and
@@ -45,10 +46,11 @@ engine (bit-identical to today) whenever a model does not qualify.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -233,6 +235,12 @@ def _heap_scan(
 #: jobs were no faster there.
 _LANE_JOBS = 128
 
+#: Blocks one :func:`_lane_scan` call steps side by side.  A step costs
+#: 2c ufunc calls however many lanes it spans, and a block is only 256
+#: lanes: at c = 4, rho = 0.8 the kernel cost 102 ns a job at 256 lanes
+#: a step, 76 at 512 and 63 at 1 024 (``docs/fastpath.md``).
+_LANE_GROUP_BLOCKS = 3
+
 #: A block takes the lanes only with at least this many lanes per core.
 #: A step costs 2c ufunc calls over all K lanes, a heap scan job O(log c),
 #: and the lanes broke even near 16 lanes a core (c = 4, 8, 12 at rho =
@@ -249,6 +257,20 @@ _LANE_MIN_LANES_PER_CORE = 32
 #: the heap scan alone, within 1 % (regime table in ``docs/fastpath.md``).
 _LANE_MAX_REPAIRED = 0.3
 _LANE_REPROBE_BLOCKS = 64
+
+
+def _lanes_pay(n: int, cores: int) -> bool:
+    """Whether a block of ``n`` jobs has lanes enough for ``cores``."""
+    return n // _LANE_JOBS >= _LANE_MIN_LANES_PER_CORE * cores
+
+
+def _lane_buffers(
+    lanes: int = _LANE_GROUP_BLOCKS * BLOCK_JOBS // _LANE_JOBS,
+    lane_jobs: int = _LANE_JOBS,
+) -> np.ndarray:
+    """The step-major arrival, service and start-time buffers of
+    :func:`_lane_scan`, as one ``(3, lane_jobs, lanes)`` array."""
+    return np.empty((3, lane_jobs, lanes))
 
 
 def _run_lanes(
@@ -283,80 +305,101 @@ def _run_lanes(
 
 
 def _lane_scan(
-    gaps: np.ndarray,
-    services: np.ndarray,
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
     carry: Tuple[float, list],
-    lane_jobs: int = _LANE_JOBS,
-) -> Tuple[np.ndarray, Tuple[float, list], int]:
-    """:func:`_heap_scan`'s waits and carry, computed as parallel lanes.
+    buffers: np.ndarray,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[float, list], int]]:
+    """:func:`_heap_scan`'s waits and carry for consecutive blocks,
+    computed as parallel lanes.
 
-    Returns the heap scan's two values and the number of lanes that
-    needed repair.
+    ``blocks`` gives each block's ``(gaps, services)``; ``buffers`` is
+    :func:`_lane_buffers`' array, wide enough for every lane of them.
+    Yields, block by block, ``(waits, services, carry, repaired)``: the
+    heap scan's two values, the block's services in job order, and how
+    many of its lanes needed repair.
 
-    The block's arrival times are summed once, as the heap scan sums
-    them, and cut into K lanes of ``lane_jobs`` jobs.  Pass 1 runs lane
-    0 from the carried free times and every other lane from an empty
-    system; pass 2 runs lane k from lane k - 1's pass-1 end.  Two FCFS
-    paths whose free times agree once each is clamped at the current
-    arrival start every later job at the same instant (a free time
-    below the arrival acts as the arrival itself), so lane k's pass-2
-    waits are exact when lane k - 1 is and its two end states agree
-    clamped at lane k's first arrival.  A lane that fails the check is
-    recomputed by :func:`_scan_core` from the true end of the lane
-    before it, and the chain continues from there; the ``n mod
-    lane_jobs`` tail runs scalar too.
+    Each block's arrival times are summed on their own, as the heap scan
+    sums them, cut into lanes of ``lane_jobs = buffers.shape[1]`` jobs
+    and scattered, with the services, into the step-major buffers after
+    the lanes of the blocks before it: row ``t`` holds job ``t`` of every
+    lane, so one step of :func:`_run_lanes` spans every block.  The draws
+    are dropped as soon as they are scattered.  Pass 1 runs lane 0 from
+    the carried free times and every other lane from an empty system;
+    pass 2 runs lane k from lane k - 1's pass-1 end; the start times
+    then become waits in place.  Two FCFS paths whose free times agree
+    once each is clamped at the current arrival start every later job at
+    the same instant (a free time below the arrival acts as the arrival
+    itself), so lane k's pass-2 waits are exact when lane k - 1 is and
+    its two end states agree clamped at lane k's first arrival.  A lane
+    that fails the check is recomputed by :func:`_scan_core` from the
+    true end of the lane before it, and the chain continues from there.
+    Every block but the last must be a whole number of lanes; the last
+    one's ``n mod lane_jobs`` tail runs scalar.
 
-    Waits are ``==`` to :func:`_heap_scan`'s.  The carried free list is
+    Waits are ``==`` to :func:`_heap_scan`'s.  Each carried free list is
     equal to the heap scan's after clamping at the clock: free times
     below the clock may differ, and no later wait can see them.
     """
     clock, free = carry
-    n = gaps.shape[0]
-    lanes = n // lane_jobs
-    if not lanes:
-        return (*_heap_scan(gaps, services, carry), 0)
-    arrivals = np.cumsum(gaps)
-    arrivals += clock
-    span = lanes * lane_jobs
-    lane_arrivals = arrivals[:span].reshape(lanes, lane_jobs)
-    by_step = lane_arrivals.T.copy()
-    service_steps = services[:span].reshape(lanes, lane_jobs).T.copy()
-    starts = np.empty_like(by_step)
+    arrivals_at, services_at, starts_at = buffers
+    lane_jobs = buffers.shape[1]
+    # (jobs, first lane, end lane, clock) of each block.
+    cuts = []
+    tail = None
+    lanes = 0
+    for gaps, services in blocks:
+        if tail is not None and tail[0].size:
+            raise ValueError("only the last block may end mid-lane")
+        n = gaps.shape[0]
+        span = n - n % lane_jobs
+        end = lanes + span // lane_jobs
+        services_at[:, lanes:end] = services[:span].reshape(-1, lane_jobs).T
+        # No start time is written before the passes, so each block's
+        # arrival times are summed in the start-time buffer.
+        arrivals = np.cumsum(gaps, out=starts_at.reshape(-1)[:n])
+        arrivals += clock
+        clock = float(arrivals[-1])
+        arrivals_at[:, lanes:end] = arrivals[:span].reshape(-1, lane_jobs).T
+        tail = arrivals[span:].copy(), services[span:].copy()
+        cuts.append((n, lanes, end, clock))
+        lanes = end
+        # Dropped before the next block is drawn.
+        del gaps, services
+
+    arrivals = arrivals_at[:, :lanes]
+    services = services_at[:, :lanes]
+    starts = starts_at[:, :lanes]
     start_free = sorted(free)
-
     ends = np.zeros((len(free), lanes))
-    ends[:, 0] = start_free
-    _run_lanes(by_step, service_steps, ends, starts)
     exact = np.empty_like(ends)
-    exact[:, 0] = start_free
-    exact[:, 1:] = ends[:, :-1]
-    _run_lanes(by_step, service_steps, exact, starts)
-
-    waits = np.empty(n)
-    np.subtract(
-        starts.T, lane_arrivals, out=waits[:span].reshape(lanes, lane_jobs)
-    )
+    if lanes:
+        ends[:, 0] = start_free
+        _run_lanes(arrivals, services, ends, starts)
+        exact[:, 0] = start_free
+        exact[:, 1:] = ends[:, :-1]
+        _run_lanes(arrivals, services, exact, starts)
+        np.subtract(starts, arrivals, out=starts)
 
     # Lane k is exact iff lane k - 1 is and its two ends agree clamped at
     # lane k's first arrival; a repair re-checks the lane after it.
-    firsts = by_step[0]
+    firsts = arrivals[0]
     agree = np.equal(
         np.maximum(ends[:, :-1], firsts[1:]),
         np.maximum(exact[:, :-1], firsts[1:]),
     ).all(axis=0)
-    repaired = settled = 0
+    repaired = np.zeros(lanes, dtype=bool)
+    settled = 0
     for lane in (np.flatnonzero(~agree) + 1).tolist():
         if lane <= settled:
             continue
         while True:
-            low, high = lane * lane_jobs, (lane + 1) * lane_jobs
             state = exact[:, lane - 1].tolist()
-            waits[low:high] = _scan_core(
-                arrivals[low:high], services[low:high], state
+            starts[:, lane] = _scan_core(
+                arrivals[:, lane], services[:, lane], state
             )
             state.sort()
             exact[:, lane] = state
-            repaired += 1
+            repaired[lane] = True
             lane += 1
             if lane == lanes or np.array_equal(
                 np.maximum(ends[:, lane - 1], firsts[lane]),
@@ -365,32 +408,70 @@ def _lane_scan(
                 break
         settled = lane
 
-    free = exact[:, -1].tolist()
-    if span < n:
-        waits[span:] = _scan_core(arrivals[span:], services[span:], free)
-    return waits, (float(arrivals[-1]), free), repaired
+    for n, low, high, clock in cuts:
+        span = (high - low) * lane_jobs
+        waits = np.empty(n)
+        block_services = np.empty(n)
+        np.copyto(waits[:span].reshape(-1, lane_jobs), starts[:, low:high].T)
+        np.copyto(
+            block_services[:span].reshape(-1, lane_jobs),
+            services[:, low:high].T,
+        )
+        free = exact[:, high - 1].tolist() if high else start_free
+        if span < n:
+            tail_arrivals, tail_services = tail
+            waits[span:] = _scan_core(tail_arrivals, tail_services, free)
+            block_services[span:] = tail_services
+        yield (
+            waits, block_services, (clock, free),
+            int(np.count_nonzero(repaired[low:high])),
+        )
+        # Not held while the next block's are made.
+        del waits, block_services
 
 
 def _ggc_scan(
-    gaps: np.ndarray,
-    services: np.ndarray,
+    draw: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+    jobs: int,
     carry: Tuple[float, list, int],
-) -> Tuple[np.ndarray, Tuple[float, list, int]]:
-    """One G/G/c block on the lanes or the heap scan, whichever pays.
+    buffers: Optional[np.ndarray],
+) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[float, list, int]]]:
+    """The next one to three G/G/c blocks, on the lanes or the heap scan,
+    whichever pays.
 
-    ``carry`` is ``(clock, free, scalar_blocks)``: the heap scan's carry
-    plus how many more blocks the guard keeps on the scalar scan.  Both
-    kernels give the same waits, so the choice never moves a result.
+    ``draw(n)`` returns a block's gaps and services, and ``jobs`` is what
+    is left of the budget.  Yields ``(waits, services, carry)`` block by
+    block.  ``carry`` is ``(clock, free, hold)``: the heap scan's carry
+    plus the guard's state.  With ``hold`` above 1 a block takes the heap
+    scan and counts it down; at 1 a block probes the lanes on its own; at
+    0, once a lane block has passed, :data:`_LANE_GROUP_BLOCKS` full
+    blocks step together through ``buffers``, as many as the budget
+    holds whole (a group needs two).  A lane block with more than
+    :data:`_LANE_MAX_REPAIRED` of its lanes repaired sets ``hold`` to
+    :data:`_LANE_REPROBE_BLOCKS` + 1; the blocks after it in its group
+    keep their lanes, which are paid for, and count the hold down as the
+    heap scan would.  Every kernel gives the same waits, so neither the
+    choice nor the group size ever moves a result.
     """
-    clock, free, scalar_blocks = carry
-    lanes = gaps.shape[0] // _LANE_JOBS
-    if scalar_blocks or lanes < _LANE_MIN_LANES_PER_CORE * len(free):
+    clock, free, hold = carry
+    n = min(jobs, BLOCK_JOBS)
+    if hold > 1 or not _lanes_pay(n, len(free)):
+        gaps, services = draw(n)
         waits, (clock, free) = _heap_scan(gaps, services, (clock, free))
-        return waits, (clock, free, max(scalar_blocks - 1, 0))
-    waits, (clock, free), repaired = _lane_scan(gaps, services, (clock, free))
-    if repaired > _LANE_MAX_REPAIRED * lanes:
-        scalar_blocks = _LANE_REPROBE_BLOCKS
-    return waits, (clock, free, scalar_blocks)
+        yield waits, services, (clock, free, hold - 1 if hold > 1 else hold)
+        return
+    full = jobs // BLOCK_JOBS
+    count = min(_LANE_GROUP_BLOCKS, full) if not hold and full > 1 else 1
+    for waits, services, (clock, free), repaired in _lane_scan(
+        (draw(n) for _ in range(count)), (clock, free), buffers
+    ):
+        if hold > 1:
+            hold -= 1
+        elif repaired > _LANE_MAX_REPAIRED * (waits.shape[0] // _LANE_JOBS):
+            hold = _LANE_REPROBE_BLOCKS + 1
+        else:
+            hold = 0
+        yield waits, services, (clock, free, hold)
 
 
 def _lindley_block(
@@ -419,6 +500,17 @@ def _lindley_block(
     return waits, (
         clock + float(gaps.sum()), float(waits[-1]), float(services[-1])
     )
+
+
+def _lindley_scan(
+    draw: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+    jobs: int,
+    carry: Tuple[float, float, float],
+) -> Iterator[Tuple[np.ndarray, np.ndarray, Tuple[float, float, float]]]:
+    """The next G/G/1 block, yielded as :func:`_ggc_scan` yields blocks."""
+    gaps, services = draw(min(jobs, BLOCK_JOBS))
+    waits, carry = _lindley_block(gaps, services, carry)
+    yield waits, services, carry
 
 
 # -- the engine ---------------------------------------------------------------
@@ -464,17 +556,34 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
     budget = max_events if max_events is not None else experiment.max_events
     jobs_budget = budget // EVENTS_PER_JOB
 
-    # Either recurrence maps (gaps, services, carry) to (waits, carry)
-    # and keeps the clock — the time of the last arrival — in carry[0].
+    # Either kernel maps (draw, jobs left, carry) to the next blocks'
+    # (waits, services, carry) and keeps the clock — the time of the last
+    # arrival — in carry[0].
     if cores == 1:
-        block, carry = _lindley_block, (0.0, 0.0, 0.0)
+        kernel, carry = _lindley_scan, (0.0, 0.0, 0.0)
     else:
-        block, carry = _ggc_scan, (0.0, [0.0] * cores, 0)
+        buffers = _lane_buffers() if _lanes_pay(BLOCK_JOBS, cores) else None
+        kernel = functools.partial(_ggc_scan, buffers=buffers)
+        carry = (0.0, [0.0] * cores, 1)
     # The carry and the job count live with the experiment, so a later
     # run() continues this sample path under a cumulative budget, as on
     # the event engine.
     carry = experiment._fastpath_carry or carry
     jobs = source.generated
+
+    # Both streams' states before each block the kernel draws: a group
+    # drawn past the block that converged rewinds to the next one's.
+    snapshots: List[Tuple[dict, dict]] = []
+
+    def draw(n: int) -> Tuple[np.ndarray, np.ndarray]:
+        snapshots.append(
+            (arrival_rng.bit_generator.state, service_rng.bit_generator.state)
+        )
+        gaps = interarrival.sample_block(arrival_rng, n)
+        services = service.sample_block(service_rng, n)
+        if speed != 1.0:
+            services = services / speed
+        return gaps, services
 
     stats = experiment.stats
     progress = experiment._progress
@@ -482,18 +591,26 @@ def run_fastpath(experiment, max_events: Optional[int] = None):
         remaining = jobs_budget - jobs
         if remaining <= 0:
             break
-        n = BLOCK_JOBS if BLOCK_JOBS < remaining else remaining
-        gaps = interarrival.sample_block(arrival_rng, n)
-        services = service.sample_block(service_rng, n)
-        if speed != 1.0:
-            services = services / speed
-        waits, carry = block(gaps, services, carry)
-        responses = waits + services if wants_response else None
-        for feed, kind in feeds:
-            feed(responses if kind == "response" else waits)
-        jobs += n
-        if progress is not None:
-            progress.poll(experiment)
+        snapshots.clear()
+        for fed, (waits, services, carry) in enumerate(
+            kernel(draw, remaining, carry), 1
+        ):
+            # The kernels hand over services no one else holds.
+            responses = (
+                np.add(waits, services, out=services) if wants_response
+                else None
+            )
+            for feed, kind in feeds:
+                feed(responses if kind == "response" else waits)
+            jobs += waits.shape[0]
+            if progress is not None:
+                progress.poll(experiment)
+            if stats.all_converged:
+                break
+        if fed < len(snapshots):
+            arrival_state, service_state = snapshots[fed]
+            arrival_rng.bit_generator.state = arrival_state
+            service_rng.bit_generator.state = service_state
 
     source.generated = jobs
     experiment._fastpath_carry = carry

@@ -91,7 +91,9 @@ class HostAgent:
     idle_exit:
         When set, a slot that cannot reach the master (or sits unbound)
         for this many seconds gives up; the agent stops once every slot
-        has given up.  Keeps CI smoke jobs from leaking processes.
+        has given up.  Keeps CI smoke jobs from leaking processes.  Once
+        the agent has hosted a worker, a refused dial means the master
+        has closed: the slot gives up at once.
     """
 
     def __init__(
@@ -198,6 +200,10 @@ class HostAgent:
                 return
             try:
                 hosted = self._serve_once(slot)
+            except ConnectionRefusedError:
+                if self.idle_exit is not None and self.workers_hosted:
+                    return
+                hosted = False
             except (TransportError, OSError, EOFError):
                 # A dropped connection or a corrupt frame from the
                 # master: this slot re-dials, the others never notice.

@@ -366,6 +366,32 @@ def clamped(free, clock):
     return sorted(max(f, clock) for f in free)
 
 
+def lane_calls(table, cuts, inner, group, lane_jobs):
+    """Cut the ``(gap, service)`` rows of ``table`` into :func:`_lane_scan`
+    calls of one to ``group`` blocks each.
+
+    The calls are cut at ``cuts``, anywhere.  Inside a call the blocks
+    are cut at whole lanes (``inner`` counts them) so that only a call's
+    last block may end mid-lane, as the kernel requires.
+    """
+    n = len(table)
+    bounds = sorted({min(max(cut, 0), n) for cut in cuts} - {0, n})
+    for low, high in zip([0] + bounds, bounds + [n]):
+        call = table[low:high]
+        lanes = len(call) // lane_jobs
+        inside = sorted(
+            {min(cut, lanes) * lane_jobs for cut in inner[:group - 1]}
+            - {0, len(call)}
+        )
+        yield [
+            (
+                np.ascontiguousarray(call[start:end, 0]),
+                np.ascontiguousarray(call[start:end, 1]),
+            )
+            for start, end in zip([0] + inside, inside + [len(call)])
+        ]
+
+
 class TestLaneScan:
     @settings(max_examples=1000 if FULL_SCALE else 150, deadline=None)
     @given(
@@ -376,15 +402,18 @@ class TestLaneScan:
         ),
         load=st.sampled_from([1.0, 2.0, 4.0, 8.0]),
         cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=4),
+        group=st.integers(min_value=1, max_value=3),
+        inner=st.lists(st.integers(min_value=0, max_value=40), max_size=2),
     )
     def test_lanes_equal_reference_under_ties_and_any_block_cut(
-        self, k, lane_jobs, jobs, load, cuts
+        self, k, lane_jobs, jobs, load, cuts, group, inner
     ):
-        """Lanes of 4 to 8 jobs, and service times scaled by up to 8 (a
-        power of two, so ties stay ties), make repairs and chains of them
-        common.
+        """Calls of one to three blocks, cut anywhere, against the heap
+        scan block by block.  Lanes of 4 to 8 jobs, and service times
+        scaled by up to 8 (a power of two, so ties stay ties), make
+        repairs and chains of them common, across a block's end too.
 
-        The carried free list is compared with the reference's after
+        Each carried free list is compared with the heap scan's after
         clamping each entry at the clock.  Every later arrival is at or
         after the clock, and a job starts at ``max(arrival, min(free))``,
         so a free time below the clock acts exactly as the clock does: no
@@ -392,52 +421,74 @@ class TestLaneScan:
         agree once clamped.  The lanes may leave such stale entries (a
         lane started from an empty system keeps its zeros until used).
         """
-        gaps = np.array([gap for gap, _ in jobs])
-        services = np.array([service for _, service in jobs]) * load
-        carry = (0.0, [0.0] * k)
-        arrivals, waits = [], []
-        for gap_block, service_block in zip(
-            split_blocks(gaps, cuts), split_blocks(services, cuts)
-        ):
-            arrivals.append(np.cumsum(gap_block) + carry[0])
-            block_waits, carry, _ = _lane_scan(
-                gap_block, service_block, carry, lane_jobs
-            )
-            waits.append(block_waits)
-        arrivals, waits = np.concatenate(arrivals), np.concatenate(waits)
-        expected, expected_free = scalar_ggc(arrivals, services, k)
-        assert waits.dtype == np.float64
-        assert np.array_equal(waits, expected)
-        assert not np.signbit(waits).any()
-        clock, free = carry
-        assert clock == arrivals[-1]
-        assert clamped(free, clock) == clamped(expected_free, clock)
+        table = np.array(jobs) * [1.0, load]
+        # Room for every lane of the table and for its longest block.
+        lanes = len(table) // lane_jobs + 1
+        buffers = fastpath._lane_buffers(lanes, lane_jobs)
+        carry = heap_carry = (0.0, [0.0] * k)
+        for blocks in lane_calls(table, cuts, inner, group, lane_jobs):
+            scanned = list(_lane_scan(blocks, carry, buffers))
+            assert len(scanned) == len(blocks)
+            for (gaps, services), (waits, block_services, carry, _) in zip(
+                blocks, scanned
+            ):
+                expected, heap_carry = _heap_scan(gaps, services, heap_carry)
+                assert waits.dtype == np.float64
+                assert np.array_equal(waits, expected)
+                assert not np.signbit(waits).any()
+                assert np.array_equal(block_services, services)
+                clock, free = carry
+                assert clock == heap_carry[0]
+                assert clamped(free, clock) == clamped(heap_carry[1], clock)
 
     def test_a_backlog_repairs_every_lane_in_one_chain(self):
-        # Every core busy far past the block: lane 0 and lane 1 (which
+        # Every core busy far past the group: lane 0 and lane 1 (which
         # starts from lane 0's end) are exact, and every lane after them
         # started from an empty system that the backlog never empties
-        # into, so each repair fails the next lane's check too.
-        k, n, lane_jobs = 3, 400, 4
+        # into, so each repair fails the next lane's check too, into and
+        # through the second block.
+        k, n, lane_jobs = 3, 200, 4
         rng = np.random.default_rng(19)
-        gaps = rng.exponential(1.0, size=n)
-        services = rng.exponential(1.0, size=n)
-        carry = (0.0, [1e4] * k)
-        expected, _ = _heap_scan(gaps, services, (0.0, [1e4] * k))
-        waits, _, repaired = _lane_scan(gaps, services, carry, lane_jobs)
-        assert np.array_equal(waits, expected)
-        assert repaired == n // lane_jobs - 2
+        blocks = [
+            (rng.exponential(1.0, size=n), rng.exponential(1.0, size=n))
+            for _ in range(2)
+        ]
+        heap_carry = (0.0, [1e4] * k)
+        buffers = fastpath._lane_buffers(2 * n // lane_jobs, lane_jobs)
+        scanned = _lane_scan(blocks, (0.0, [1e4] * k), buffers)
+        repaired = []
+        for (gaps, services), (waits, _, _, count) in zip(blocks, scanned):
+            expected, heap_carry = _heap_scan(gaps, services, heap_carry)
+            assert np.array_equal(waits, expected)
+            repaired.append(count)
+        assert repaired == [n // lane_jobs - 2, n // lane_jobs]
+
+    def test_inner_blocks_must_be_whole_lanes(self):
+        blocks = [(np.ones(10), np.ones(10)), (np.ones(8), np.ones(8))]
+        buffers = fastpath._lane_buffers(8, 4)
+        with pytest.raises(ValueError, match="mid-lane"):
+            next(_lane_scan(blocks, (0.0, [0.0] * 2), buffers))
 
     def test_lanes_stay_within_their_memory_bound(self):
-        # A 32 768-job block holds five float arrays of its length beside
-        # the draws (arrivals, two step-major copies of the draws, the
-        # start times and the waits): 1.25 MiB, 1.33 measured.
+        # One group of three 32 768-job blocks: the (3, 128, 768) buffers
+        # (2.25 MiB), one block's draws at a time (0.5 MiB: each block's
+        # arrival times are summed in the start-time buffer) and each
+        # block's waits and services as the scan hands them over.
         rng = np.random.default_rng(17)
-        gaps = rng.exponential(1.0 / 3.2, size=fastpath.BLOCK_JOBS)
-        services = rng.exponential(1.0, size=fastpath.BLOCK_JOBS)
+
+        def draws():
+            for _ in range(fastpath._LANE_GROUP_BLOCKS):
+                yield (
+                    rng.exponential(1.0 / 3.2, size=fastpath.BLOCK_JOBS),
+                    rng.exponential(1.0, size=fastpath.BLOCK_JOBS),
+                )
+
         tracemalloc.start()
         try:
-            _lane_scan(gaps, services, (0.0, [0.0] * 4))
+            buffers = fastpath._lane_buffers()
+            scanned = _lane_scan(draws(), (0.0, [0.0] * 4), buffers)
+            for block in scanned:
+                del block
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -449,18 +500,73 @@ MATRIX_RHOS = [0.5, 0.8, 0.95] + ([0.99] if FULL_SCALE else [])
 MATRIX_BLOCKS = 20 if FULL_SCALE else 3
 
 
+def mmc_draw(rng, cores, rho):
+    """A block drawer for :func:`_ggc_scan`: gaps, then services."""
+    def draw(n):
+        return (
+            rng.exponential(1.0 / (rho * cores), n), rng.exponential(1.0, n)
+        )
+    return draw
+
+
+def ggc_blocks(cores, rho, blocks, seed, jobs=None):
+    """Drive :func:`_ggc_scan` as ``run_fastpath`` does, through
+    ``blocks`` full blocks (or ``jobs`` jobs); yields ``(waits, carry)``
+    block by block."""
+    draw = mmc_draw(np.random.default_rng(seed), cores, rho)
+    buffers = fastpath._lane_buffers()
+    carry = (0.0, [0.0] * cores, 1)
+    left = blocks * fastpath.BLOCK_JOBS if jobs is None else jobs
+    while left:
+        for waits, _, carry in _ggc_scan(draw, left, carry, buffers):
+            left -= waits.shape[0]
+            yield waits, carry
+
+
+def heap_blocks(cores, rho, blocks, seed, jobs=None):
+    """The heap scan's ``(waits, carry)`` over the same draws."""
+    draw = mmc_draw(np.random.default_rng(seed), cores, rho)
+    carry = (0.0, [0.0] * cores)
+    left = blocks * fastpath.BLOCK_JOBS if jobs is None else jobs
+    while left:
+        waits, carry = _heap_scan(
+            *draw(min(left, fastpath.BLOCK_JOBS)), carry
+        )
+        left -= waits.shape[0]
+        yield waits, carry
+
+
+def spy_kernels(monkeypatch):
+    """Record the kernel each block takes and the blocks of each lane call."""
+    kernels, groups = [], []
+    lane_scan, heap_scan = fastpath._lane_scan, fastpath._heap_scan
+
+    def lanes(blocks, carry, buffers):
+        blocks = list(blocks)
+        groups.append(len(blocks))
+        for scanned in lane_scan(blocks, carry, buffers):
+            kernels.append("lanes")
+            yield scanned
+
+    def heap(*args):
+        kernels.append("heap")
+        return heap_scan(*args)
+
+    monkeypatch.setattr(fastpath, "_lane_scan", lanes)
+    monkeypatch.setattr(fastpath, "_heap_scan", heap)
+    return kernels, groups
+
+
 class TestGgcScan:
     @pytest.mark.parametrize("cores", MATRIX_CORES)
     @pytest.mark.parametrize("rho", MATRIX_RHOS)
     def test_blocks_equal_heap_scan(self, cores, rho):
-        rng = np.random.default_rng(cores * 1000 + round(rho * 100))
-        heap_carry = (0.0, [0.0] * cores)
-        carry = (0.0, [0.0] * cores, 0)
-        for _ in range(MATRIX_BLOCKS):
-            gaps = rng.exponential(1.0 / (rho * cores), fastpath.BLOCK_JOBS)
-            services = rng.exponential(1.0, fastpath.BLOCK_JOBS)
-            expected, heap_carry = _heap_scan(gaps, services, heap_carry)
-            waits, carry = _ggc_scan(gaps, services, carry)
+        seed = cores * 1000 + round(rho * 100)
+        pairs = zip(
+            ggc_blocks(cores, rho, MATRIX_BLOCKS, seed),
+            heap_blocks(cores, rho, MATRIX_BLOCKS, seed),
+        )
+        for (waits, carry), (expected, heap_carry) in pairs:
             assert np.array_equal(waits, expected)
             assert carry[0] == heap_carry[0]
             assert clamped(carry[1], carry[0]) == clamped(
@@ -470,38 +576,82 @@ class TestGgcScan:
     def test_guard_switches_engines_between_blocks(self, monkeypatch):
         # At rho = 0.95 about half the lanes need repair, so a lane block
         # sends the next _LANE_REPROBE_BLOCKS to the heap scan, and the
-        # block after them probes the lanes again.
+        # block after them probes the lanes again, alone: each block
+        # takes the kernel it took before lane blocks stepped in groups.
+        # c = 16 never takes the lanes; at rho = 0.8 the probe passes and
+        # the blocks after it step three at a time.
         monkeypatch.setattr(fastpath, "_LANE_REPROBE_BLOCKS", 2)
-        engines = []
+        kernels, groups = spy_kernels(monkeypatch)
+        cases = [
+            (4, 0.95, ["lanes", "heap", "heap"] * 2, [1, 1]),
+            (16, 0.95, ["heap"] * 6, []),
+            (16, 0.8, ["heap"] * 6, []),
+            (4, 0.8, ["lanes"] * 6, [1, 3, 2]),
+        ]
+        for cores, rho, expected_kernels, expected_groups in cases:
+            del kernels[:], groups[:]
+            pairs = zip(
+                ggc_blocks(cores, rho, 6, 23),
+                heap_blocks(cores, rho, 6, 23),
+            )
+            for (waits, _), (expected, _) in pairs:
+                assert np.array_equal(waits, expected)
+            assert kernels == expected_kernels, (cores, rho)
+            assert groups == expected_groups, (cores, rho)
 
-        def lanes(*args):
-            engines[-1] = "lanes"
-            return _lane_scan(*args)
+    def test_a_failing_block_holds_the_rest_of_its_group(self, monkeypatch):
+        # A probe at rho = 0.5 passes; in the group after it the first
+        # block is overloaded (services x 4), so most of its lanes need
+        # repair.  The two blocks after it keep their lanes but count the
+        # hold down as the heap scan does one block at a time, so the
+        # carries agree block by block.
+        def run():
+            rng = np.random.default_rng(31)
+            scales = iter([1.0, 4.0, 1.0, 1.0])
 
-        monkeypatch.setattr(fastpath, "_lane_scan", lanes)
-        rng = np.random.default_rng(23)
-        heap_carry, carry = (0.0, [0.0] * 4), (0.0, [0.0] * 4, 0)
-        for _ in range(6):
-            gaps = rng.exponential(1.0 / (0.95 * 4), fastpath.BLOCK_JOBS)
-            services = rng.exponential(1.0, fastpath.BLOCK_JOBS)
-            engines.append("heap")
-            expected, heap_carry = _heap_scan(gaps, services, heap_carry)
-            waits, carry = _ggc_scan(gaps, services, carry)
-            assert np.array_equal(waits, expected)
-        assert engines == ["lanes", "heap", "heap"] * 2
+            def draw(n):
+                gaps = rng.exponential(1.0 / 2.0, n)
+                return gaps, rng.exponential(next(scales), n)
+
+            buffers = fastpath._lane_buffers()
+            carry, left, out = (0.0, [0.0] * 4, 1), 4 * fastpath.BLOCK_JOBS, []
+            while left:
+                for waits, _, carry in _ggc_scan(draw, left, carry, buffers):
+                    left -= waits.shape[0]
+                    clock, free, hold = carry
+                    out.append((waits, clock, clamped(free, clock), hold))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "_LANE_GROUP_BLOCKS", 1)
+            kernels, _ = spy_kernels(patch)
+            expected = run()
+        assert kernels == ["lanes", "lanes", "heap", "heap"]
+        kernels, groups = spy_kernels(monkeypatch)
+        got = run()
+        assert kernels == ["lanes"] * 4 and groups == [1, 3]
+        holds = [hold for *_, hold in got]
+        assert holds == [0, fastpath._LANE_REPROBE_BLOCKS + 1,
+                         fastpath._LANE_REPROBE_BLOCKS,
+                         fastpath._LANE_REPROBE_BLOCKS - 1]
+        for (waits, *state), (expected_waits, *expected_state) in zip(
+            got, expected
+        ):
+            assert np.array_equal(waits, expected_waits)
+            assert state == expected_state
 
     def test_short_blocks_and_many_cores_take_the_heap_scan(self, monkeypatch):
         def fail(*args):
             raise AssertionError("lanes ran")
 
         monkeypatch.setattr(fastpath, "_lane_scan", fail)
-        rng = np.random.default_rng(29)
         for cores, n in ((16, fastpath.BLOCK_JOBS), (4, 1000)):
-            gaps = rng.exponential(1.0 / (0.8 * cores), n)
-            services = rng.exponential(1.0, n)
-            expected, _ = _heap_scan(gaps, services, (0.0, [0.0] * cores))
-            waits, _ = _ggc_scan(gaps, services, (0.0, [0.0] * cores, 0))
-            assert np.array_equal(waits, expected)
+            pairs = zip(
+                ggc_blocks(cores, 0.8, 0, 29, jobs=n),
+                heap_blocks(cores, 0.8, 0, 29, jobs=n),
+            )
+            for (waits, _), (expected, _) in pairs:
+                assert np.array_equal(waits, expected)
 
 
 # -- 3. gating and engine selection -------------------------------------------
@@ -789,6 +939,81 @@ class TestResumedRun:
         assert experiment._fastpath_carry[2] > 0
         resumed = experiment.run(max_events=4 * BLOCK_EVENTS)
         assert outcome(resumed) == expected
+
+
+def path_state(experiment):
+    """What a run leaves for the next one: the job count, both streams'
+    states, and the carry, its free list clamped at the clock."""
+    source = experiment.sources[0]
+    clock, free, hold = experiment._fastpath_carry
+    return {
+        "generated": source.generated,
+        "observed": [statistic.observed for statistic in experiment.stats],
+        "arrival_rng": source._next_gap.rng.bit_generator.state,
+        "service_rng": source._next_size.rng.bit_generator.state,
+        "carry": (clock, clamped(free, clock), hold),
+    }
+
+
+class TestLaneGroups:
+    """Lane blocks step in groups; every result is what a run that steps
+    one block at a time (the group size patched to 1) leaves."""
+
+    @staticmethod
+    def block_at_a_time(monkeypatch, run):
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "_LANE_GROUP_BLOCKS", 1)
+            return run()
+
+    @pytest.mark.parametrize(
+        "seed, accuracy, position",
+        [(3, 0.008, 0), (5, 0.008, 1), (5, 0.006, 0), (3, 0.004, 1)],
+        ids=["first-of-first", "second-of-first", "first-of-second",
+             "second-of-second"],
+    )
+    def test_convergence_mid_group_rewinds_the_streams(
+        self, monkeypatch, seed, accuracy, position
+    ):
+        def run():
+            experiment, _ = build_mm1(
+                engine="fastpath", seed=seed, rho=0.8, accuracy=accuracy,
+                cores=4,
+            )
+            result = experiment.run()
+            return experiment, result
+
+        reference, expected = self.block_at_a_time(monkeypatch, run)
+        experiment, result = run()
+        # Block 0 probes the lanes alone and groups start at block 1: the
+        # run converged at the given position of a three-block group.
+        blocks = expected.events_processed // BLOCK_EVENTS
+        assert expected.converged and (blocks - 2) % 3 == position
+        assert outcome(result) == outcome(expected)
+        assert path_state(experiment) == path_state(reference)
+
+    def test_budget_cut_runs_equal_block_at_a_time(self, monkeypatch):
+        # Budgets that end mid-block: the first run ends on a lane block
+        # of 20 000 jobs (156 lanes and a 32-job scalar tail), the second
+        # on a heap scan block of 13 545 jobs after two groups of three.
+        budgets = [
+            2 * (2 * fastpath.BLOCK_JOBS + 20000),
+            2 * (9 * fastpath.BLOCK_JOBS + 777),
+        ]
+
+        def run():
+            experiment = budget_bound(4)
+            return experiment, [
+                (outcome(experiment.run(max_events=budget)),
+                 path_state(experiment))
+                for budget in budgets
+            ]
+
+        _, expected = self.block_at_a_time(monkeypatch, run)
+        kernels, groups = spy_kernels(monkeypatch)
+        _, got = run()
+        assert got == expected
+        assert groups == [1, 1, 1, 3, 3]
+        assert kernels == ["lanes"] * 9 + ["heap"]
 
 
 #: ``engine="fastpath"`` outcomes: everything ``result_to_dict`` reports

@@ -59,18 +59,23 @@ class TestMoments:
         agrees with the two-pass variance to about 1e-13, so it cannot be
         what makes a confidence interval too narrow."""
         from repro.distributions import Exponential
-        from repro.engine.fastpath import BLOCK_JOBS, _ggc_scan
+        from repro.engine.fastpath import BLOCK_JOBS, _ggc_scan, _lane_buffers
 
         rng = np.random.default_rng(4242)
         histogram = Histogram(BinScheme(0.0, 20.0, 1000))
-        carry = (0.0, [0.0] * 4, 0)
+
+        def draw(n):
+            gaps = Exponential(rate=3.2).sample_block(rng, n)
+            return gaps, Exponential(rate=1.0).sample_block(rng, n)
+
+        carry, buffers = (0.0, [0.0] * 4, 1), _lane_buffers()
         blocks = []
-        for _ in range(32):
-            gaps = Exponential(rate=3.2).sample_block(rng, BLOCK_JOBS)
-            services = Exponential(rate=1.0).sample_block(rng, BLOCK_JOBS)
-            waits, carry = _ggc_scan(gaps, services, carry)
-            blocks.append(waits + services)
-            histogram.insert_block(blocks[-1])
+        while len(blocks) < 32:
+            left = (32 - len(blocks)) * BLOCK_JOBS
+            scanned = _ggc_scan(draw, left, carry, buffers)
+            for waits, services, carry in scanned:
+                blocks.append(waits + services)
+                histogram.insert_block(blocks[-1])
         values = np.concatenate(blocks)
         assert histogram.count == values.size >= 2**20
         two_pass = np.mean((values - values.mean()) ** 2)

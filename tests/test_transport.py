@@ -722,6 +722,31 @@ class TestAgentRedialBackoff:
         assert first == twin            # same seed, same schedule
         assert first != other           # different seed spreads probes
 
+    def test_idle_exit_agent_leaves_with_its_closed_master(self):
+        # Once the agent has hosted a worker, a refused dial means the
+        # master has gone: each slot gives up at once instead of
+        # re-dialing the closed port until the idle clock runs out.
+        transport = RemoteTransport()
+        transport.start()
+        agent = HostAgent(transport.address, slots=2, idle_exit=60)
+        agent.start()
+        try:
+            assert transport.wait_for_capacity(timeout=10.0)
+            result = ParallelSimulation(
+                factory,
+                backend="remote",
+                transport=transport,
+                join_timeout=15.0,
+                **MASTER_KW,
+            ).run()
+            assert result.converged
+            transport.close()
+            assert agent.join(timeout=5.0), "agent outlived its master"
+            assert agent.workers_hosted == 2
+        finally:
+            agent.stop(timeout=10.0)
+            transport.close()
+
     def test_corrupt_frame_before_spawn_redials(self):
         # A master that answers every hello with a frame that does not
         # decode: each slot re-dials, and the budget ends the agent.
