@@ -53,7 +53,11 @@ def test_fig2_phase_sequence(benchmark):
     assert statistic.phase is Phase.CONVERGED
 
     # Warm-up and calibration observations never reach the histogram.
-    expected_accepted = (statistic.observed - 500 - 3000) // statistic.lag
+    # Counted at the transition: the run stops at its next stop check,
+    # and `observed` keeps counting until then.
+    expected_accepted = (
+        transitions["converged"] - 500 - 3000
+    ) // statistic.lag
     assert statistic.accepted == pytest.approx(expected_accepted, abs=2)
 
     # Convergence happened at the Eq. 2-3 requirement.

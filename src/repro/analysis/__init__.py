@@ -12,8 +12,9 @@ invariants two ways:
   checks simulation-correctness rules (no global RNG, no wall-clock in
   hot paths, the ``prefetch_safe`` declaration contract, no event-record
   mutation outside the engine, no float ``==`` on simulated time, no
-  lambdas crossing the pickled parallel protocol).  Findings can be
-  suppressed per line with ``# simlint: disable=RULE``.
+  lambdas crossing the pickled parallel protocol, no name used outside
+  the modules that own it).  Findings can be suppressed per line with
+  ``# simlint: disable=RULE``.
 
 - **the whole-program pass** (``--whole-program``) — the same parsed
   modules indexed into a project-wide symbol table
@@ -21,9 +22,7 @@ invariants two ways:
   (:mod:`repro.analysis.callgraph`) feed two cross-module analyses:
   RNG/host-clock taint dataflow (:mod:`repro.analysis.dataflow`) and
   slave-reachable shared-state race detection
-  (:mod:`repro.analysis.races`).  Production surface: severity levels,
-  a committed baseline (:mod:`repro.analysis.baseline`) and SARIF
-  2.1.0 output (:mod:`repro.analysis.sarif`).
+  (:mod:`repro.analysis.races`).
 
 - **the model lint** (:mod:`repro.analysis.modellint`, surfaced as
   ``repro run --lint`` / ``repro sweep --lint``) — static validation
@@ -41,12 +40,6 @@ invariants two ways:
 See ``docs/analysis.md`` for the rule catalog and extension guide.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    fingerprints,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.linter import SEVERITIES, Finding, LintError
 from repro.analysis.project import (
     WHOLE_PROGRAM_RULES,
@@ -57,7 +50,6 @@ from repro.analysis.project import (
     lint_source,
 )
 from repro.analysis.rules import RULES, Rule, register_rule
-from repro.analysis.sarif import to_sarif, validate_sarif
 
 __all__ = [
     "Finding",
@@ -72,10 +64,4 @@ __all__ = [
     "WHOLE_PROGRAM_RULES",
     "all_rule_ids",
     "analyze_project",
-    "apply_baseline",
-    "fingerprints",
-    "load_baseline",
-    "write_baseline",
-    "to_sarif",
-    "validate_sarif",
 ]

@@ -4,17 +4,12 @@ Usage::
 
     python -m repro.analysis src tests              # per-file rules
     python -m repro.analysis src --whole-program    # + cross-module passes
-    python -m repro.analysis src --whole-program \\
-        --baseline .simlint-baseline.json           # gate on NEW findings
-    python -m repro.analysis src --whole-program \\
-        --write-baseline .simlint-baseline.json     # (re)accept current state
-    python -m repro.analysis src --format sarif --out simlint.sarif
     python -m repro.analysis --list-rules           # full rule catalog
 
-Exit codes: ``0`` clean (no findings, or every finding baselined),
-``1`` at least one new non-suppressed finding, ``2`` usage, I/O, or
-internal analyzer error.  Exit 2 is load-bearing for CI: a crash must
-not be mistaken for a clean pass.
+Exit codes: ``0`` clean (no findings), ``1`` at least one
+non-suppressed finding, ``2`` usage, I/O, or internal analyzer error.
+Exit 2 is load-bearing for CI: a crash must not be mistaken for a
+clean pass.
 """
 
 from __future__ import annotations
@@ -23,15 +18,8 @@ import argparse
 import json
 import sys
 
-from repro.analysis.baseline import (
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.linter import LintError
-from repro.analysis.project import rule_catalog, run_rules, source_rules
-from repro.analysis.sarif import to_sarif, validate_sarif
+from repro.analysis.project import rule_catalog, run_rules
 from repro.analysis.symbols import load_modules
 
 
@@ -60,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -79,21 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--disable",
         default=None,
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline file: findings recorded there are reported but "
-            "do not fail the gate"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -117,13 +90,7 @@ def _list_rules() -> int:
     return 0
 
 
-def _emit(
-    args,
-    findings,
-    scanned: int,
-    gate: BaselineResult,
-    baselined_active: bool,
-) -> None:
+def _emit(args, findings, scanned: int) -> None:
     """Render the report in the requested format to stdout or --out."""
     out = sys.stdout
     close = False
@@ -131,64 +98,26 @@ def _emit(
         out = open(args.out, "w")
         close = True
     try:
-        if args.format == "sarif":
-            state = None
-            if baselined_active:
-                baselined = {id(f) for f in gate.baselined}
-                state = {
-                    position: (
-                        "unchanged" if id(f) in baselined else "new"
-                    )
-                    for position, f in enumerate(findings)
-                }
-            document = to_sarif(
-                findings,
-                rules=source_rules(args.whole_program),
-                baseline_state=state,
-            )
-            problems = validate_sarif(document)
-            if problems:
-                raise LintError(
-                    "internal error: emitted SARIF failed validation: "
-                    + "; ".join(problems)
-                )
-            json.dump(document, out, indent=2, sort_keys=True)
-            out.write("\n")
-        elif args.format == "json":
+        if args.format == "json":
             json.dump(
                 {
                     "version": 1,
                     "files_scanned": scanned,
                     "findings": [f.to_dict() for f in findings],
-                    "new": len(gate.new),
-                    "baselined": len(gate.baselined),
-                    "stale_baseline_entries": len(gate.stale),
                 },
                 out,
                 indent=2,
             )
             out.write("\n")
         else:
-            baselined = {id(f) for f in gate.baselined}
             for finding in findings:
-                tag = (
-                    " [baselined]"
-                    if baselined_active and id(finding) in baselined
-                    else ""
-                )
-                print(f"{finding.report_line()}{tag}", file=out)
+                print(finding.report_line(), file=out)
             noun = "finding" if len(findings) == 1 else "findings"
-            summary = (
+            print(
                 f"simlint: {len(findings)} {noun} in {scanned} "
-                "file(s) scanned"
+                "file(s) scanned",
+                file=out,
             )
-            if baselined_active:
-                summary += (
-                    f" ({len(gate.new)} new, {len(gate.baselined)} "
-                    f"baselined, {len(gate.stale)} stale baseline "
-                    "entr(ies))"
-                )
-            print(summary, file=out)
     finally:
         if close:
             out.close()
@@ -201,23 +130,8 @@ def _run(args) -> int:
         disable=_split_ids(args.disable),
         whole_program=args.whole_program,
     )
-
-    if args.write_baseline is not None:
-        count = write_baseline(findings, args.write_baseline)
-        print(
-            f"simlint: wrote {count} baseline entr(ies) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    baselined_active = args.baseline is not None
-    if baselined_active:
-        gate = apply_baseline(findings, load_baseline(args.baseline))
-    else:
-        gate = BaselineResult(new=list(findings), baselined=[], stale=[])
-
-    _emit(args, findings, scanned, gate, baselined_active)
-    return 1 if gate.new else 0
+    _emit(args, findings, scanned)
+    return 1 if findings else 0
 
 
 def main(argv=None) -> int:

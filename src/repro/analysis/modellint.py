@@ -47,10 +47,10 @@ any simulation runs:
     finding.
 
 Findings reuse :class:`~repro.analysis.linter.Finding` — same severity
-levels, same deterministic ordering, same SARIF emission — but anchor
-to the spec/config *file* (line 1: TOML/JSON decoding drops line
-information).  Domain imports happen inside functions: the source
-passes that import :data:`MODEL_RULES` need none of them.
+levels, same deterministic ordering — but anchor to the spec/config
+*file* (line 1: TOML/JSON decoding drops line information).  Domain
+imports happen inside functions: the source passes that import
+:data:`MODEL_RULES` need none of them.
 """
 
 from __future__ import annotations

@@ -82,9 +82,8 @@ def rule_catalog() -> Dict[str, Tuple[str, str]]:
 def source_rules(whole_program: bool = True) -> Dict[str, str]:
     """id -> summary of the rules a run over source files can fire.
 
-    This is what ``--select`` / ``--disable`` accept and what a SARIF
-    report lists: the per-file rules, plus the cross-module ones when
-    the run includes them.
+    This is what ``--select`` / ``--disable`` accept: the per-file
+    rules, plus the cross-module ones when the run includes them.
     """
     kinds = ("per-file", "whole-program") if whole_program else ("per-file",)
     return {
@@ -164,8 +163,8 @@ def run_rules(
         if finding.rule not in waived and "all" not in waived:
             reported.append(finding)
     # Sorted globally by (path, line, col, rule) — not by filesystem
-    # iteration order — so text/JSON/SARIF reports and baseline diffs
-    # are byte-stable across machines and path-argument orderings.
+    # iteration order — so text and JSON reports are byte-stable across
+    # machines and path-argument orderings.
     reported.sort(key=Finding.sort_key)
     return reported, len(lines)
 

@@ -139,7 +139,7 @@ class GlobalRngRule(Rule):
         )
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith(
@@ -216,7 +216,7 @@ class WallClockRule(Rule):
         return ctx.rel.startswith(("engine/", "datacenter/"))
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 dotted = dotted_name(node.func)
                 if dotted in self.banned:
@@ -276,7 +276,7 @@ class PrefetchContractRule(Rule):
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         classes = [
             node
-            for node in ast.walk(ctx.tree)
+            for node in ctx.nodes
             if isinstance(node, ast.ClassDef)
         ]
         # Distribution-ness propagates through in-module inheritance:
@@ -374,7 +374,7 @@ class EventMutationRule(Rule):
         return isinstance(index, ast.Name) and index.id.startswith("EV_")
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assign):
                 hits = any(
                     self._is_event_subscript(target)
@@ -445,7 +445,7 @@ class FloatTimeEqRule(Rule):
         return False
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -604,7 +604,7 @@ class SwallowExceptionRule(Rule):
         return False
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not self._is_broad(node):
@@ -692,7 +692,7 @@ class ScalarSampleLoopRule(Rule):
                 yield from flagged(node)
         # A comprehension's element, iterables and conditions are
         # per-iteration by definition, loop or no loop.
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.DictComp):
                 parts = [node.key, node.value]
             elif isinstance(
@@ -727,7 +727,7 @@ class ParallelLambdaRule(Rule):
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if ctx.rel.startswith("parallel/"):
-            for node in ast.walk(ctx.tree):
+            for node in ctx.nodes:
                 if isinstance(node, ast.Lambda):
                     yield ctx.finding(
                         self.id,
@@ -737,7 +737,7 @@ class ParallelLambdaRule(Rule):
                         "function",
                     )
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -763,8 +763,8 @@ class BlockingSleepInTransportRule(Rule):
     supposed to be multiplexing workers: heartbeats stop being
     answered, injected-fault due-times slip, and a liveness monitor on
     the other side reads the stall as a dead link.  Waiting must ride a
-    poll/wait timeout, a condition variable, an ``asyncio.sleep``, or a
-    ``threading.Timer`` — anything that keeps the thread responsive.
+    poll/wait timeout, a condition variable, a blocking socket read, or
+    a ``threading.Timer`` — anything that keeps the thread responsive.
 
     The handful of legitimate blocking waits (a respawn barrier with
     nothing else runnable, a worker-side injected hang where blocking
@@ -782,7 +782,7 @@ class BlockingSleepInTransportRule(Rule):
         return ctx.rel.startswith("parallel/")
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Call)
                 and dotted_name(node.func) == "time.sleep"
@@ -794,3 +794,92 @@ class BlockingSleepInTransportRule(Rule):
                     "thread; wait on a poll timeout, condition "
                     "variable, or timer instead",
                 )
+
+
+#: The restricted-name table: ``(kind, names, allowed modules, reason)``.
+#: ``kind`` is ``builtin`` (a call to the bare name), ``call`` (a call
+#: through a name or an attribute ending in it) or ``import``
+#: (``import name`` / ``from name import …``).  Allowed modules are
+#: package-relative paths.
+_RESTRICTED = (
+    (
+        "builtin",
+        ("exec", "eval", "compile"),
+        (),
+        "the library runs no code it built from text",
+    ),
+    (
+        "call",
+        ("PrefetchSampler",),
+        (
+            "distributions/prefetch.py",
+            "engine/simulation.py",
+            "workloads/generator.py",
+        ),
+        "a component that wraps its own stream escapes the prefetch mode "
+        "and the sanitizer; draw through Simulation.sampler",
+    ),
+    (
+        "import",
+        ("asyncio",),
+        (),
+        "the carriers run on blocking sockets and threads; an event loop "
+        "would be a second concurrency model",
+    ),
+)
+
+
+@register_rule
+class RestrictedNameRule(Rule):
+    """Names the library may use only in the modules that own them.
+
+    Each row of :data:`_RESTRICTED` is one source invariant: a builtin,
+    a constructor or a module, the package-relative modules allowed to
+    use it, and why.  Adding an invariant is adding a row; its finding
+    quotes the row's reason.  Test modules are exempt (a test may
+    ``exec`` a documented example).
+    """
+
+    id = "restricted-name"
+    summary = (
+        "no builtin exec/eval/compile, no asyncio import, and no "
+        "PrefetchSampler built outside its three homes, in library code"
+    )
+
+    def applies(self, ctx: ModuleInfo) -> bool:
+        return not ctx.rel.startswith("tests/")
+
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
+        rows = [row for row in _RESTRICTED if ctx.rel not in row[2]]
+        for node in ctx.nodes:
+            for kind, name, label in _uses(node):
+                for row_kind, names, allowed, reason in rows:
+                    if kind != row_kind or name not in names:
+                        continue
+                    where = (
+                        f"outside {', '.join(allowed)}" if allowed
+                        else "in library code"
+                    )
+                    yield ctx.finding(
+                        self.id, node, f"`{label}` {where}: {reason}"
+                    )
+
+
+def _uses(node: ast.AST) -> Iterator[Tuple[str, str, str]]:
+    """``(kind, name, label)`` for each use ``node`` makes of a name, in
+    the kinds of :data:`_RESTRICTED`."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            name = node.func.id
+            yield "builtin", name, f"{name}()"
+            yield "call", name, f"{name}()"
+        elif isinstance(node.func, ast.Attribute):
+            yield "call", node.func.attr, f"{node.func.attr}()"
+    elif isinstance(node, ast.Import):
+        for alias in node.names:
+            yield "import", alias.name.split(".")[0], f"import {alias.name}"
+    elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        yield (
+            "import", node.module.split(".")[0],
+            f"from {node.module} import ...",
+        )

@@ -131,6 +131,8 @@ class ModuleInfo:
     rel: str  # package-relative path used for scoping
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
+    #: every node of ``tree`` in ``ast.walk`` order, walked once.
+    nodes: List[ast.AST] = field(default_factory=list)
     #: local alias -> fully dotted target ("np" -> "numpy",
     #: "derive_seed" -> "repro.faults.recovery.derive_seed").
     imports: Dict[str, str] = field(default_factory=dict)
@@ -209,6 +211,7 @@ def parse_module(
         rel=rel,
         tree=tree,
         lines=source.splitlines(),
+        nodes=list(ast.walk(tree)),
     )
     _index_imports(module)
     _index_definitions(module)
@@ -248,7 +251,7 @@ def load_modules(
 
 
 def _index_imports(module: ModuleInfo) -> None:
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]

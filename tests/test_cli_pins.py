@@ -87,82 +87,82 @@ REFUSAL = re.compile(r"^\S+(?: \S+)? requires (.+)\n$")
 #: ``(where, argv)``; shell continuations are joined, redirections and
 #: the trailing ``&`` dropped.
 DOCUMENTED = [
-    ("ci.yml:96", ["sweep", "examples/sweeps/mm1_loadcurve.toml", "--lint"]),
-    ("ci.yml:97", ["sweep", "examples/sweeps/fig8_cv.toml", "--lint"]),
-    ("ci.yml:98",
+    ("ci.yml:83", ["sweep", "examples/sweeps/mm1_loadcurve.toml", "--lint"]),
+    ("ci.yml:84", ["sweep", "examples/sweeps/fig8_cv.toml", "--lint"]),
+    ("ci.yml:85",
      ["sweep", "examples/sweeps/multiserver_waste.toml", "--lint"]),
-    ("ci.yml:99", ["sweep", "examples/sweeps/cloning_tail.toml", "--lint"]),
-    ("ci.yml:100", ["sweep", "examples/sweeps/lint_demo.toml", "--lint"]),
-    ("ci.yml:103",
+    ("ci.yml:86", ["sweep", "examples/sweeps/cloning_tail.toml", "--lint"]),
+    ("ci.yml:87", ["sweep", "examples/sweeps/lint_demo.toml", "--lint"]),
+    ("ci.yml:90",
      ["sweep", "examples/sweeps/multiserver_misfit_demo.toml", "--lint"]),
-    ("ci.yml:164", ["run", "/tmp/mm1.json", "--trace", "/tmp/trace.jsonl",
+    ("ci.yml:151", ["run", "/tmp/mm1.json", "--trace", "/tmp/trace.jsonl",
                     "--metrics"]),
-    ("ci.yml:281", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:238", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--jobs", "2", "--cache", "/tmp/sweep-cache",
                     "--out", "/tmp/cold.json"]),
-    ("ci.yml:283", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:240", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--jobs", "2", "--cache", "/tmp/sweep-cache",
                     "--out", "/tmp/warm.json"]),
-    ("ci.yml:306", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:263", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "serial", "--respawn", "--chaos",
                     '{"faults": [{"kind": "kill", "slave_id": 0, '
                     '"round": 1, "phase": "pre_run"}]}',
                     "--trace", "/tmp/serial_chaos.jsonl",
                     "--out", "/tmp/serial_chaos.json"]),
-    ("ci.yml:345", ["sweep", "/tmp/bad_grid.toml"]),
-    ("ci.yml:393", ["sweep", "examples/sweeps/cloning_tail.toml",
+    ("ci.yml:302", ["sweep", "/tmp/bad_grid.toml"]),
+    ("ci.yml:350", ["sweep", "examples/sweeps/cloning_tail.toml",
                     "--jobs", "2", "--cache", "/tmp/clone-cache",
                     "--out", "/tmp/clone_cold.json"]),
-    ("ci.yml:395", ["sweep", "examples/sweeps/cloning_tail.toml",
+    ("ci.yml:352", ["sweep", "examples/sweeps/cloning_tail.toml",
                     "--jobs", "2", "--cache", "/tmp/clone-cache",
                     "--out", "/tmp/clone_warm.json"]),
-    ("ci.yml:435", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:394", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "pool", "--jobs", "2",
                     "--out", "/tmp/pool.json"]),
-    ("ci.yml:439", ["agent", "127.0.0.1:9751", "--slots", "2",
+    ("ci.yml:398", ["agent", "127.0.0.1:9751", "--slots", "2",
                     "--idle-exit", "20"]),
-    ("ci.yml:441", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:400", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "remote", "--listen", "127.0.0.1:9751",
                     "--jobs", "2", "--out", "/tmp/remote.json"]),
-    ("ci.yml:450", ["agent", "127.0.0.1:9752", "--slots", "2",
+    ("ci.yml:413", ["agent", "127.0.0.1:9752", "--slots", "2",
                     "--idle-exit", "20"]),
-    ("ci.yml:452", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:415", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "remote", "--listen", "127.0.0.1:9752",
                     "--jobs", "2", "--chaos",
                     '{"faults": [{"kind": "kill", "slave_id": 0, '
                     '"round": 1, "phase": "pre_run"}]}',
                     "--respawn", "--out", "/tmp/remote_chaos.json"]),
-    ("ci.yml:544", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:511", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--chaos", '{"faults":[1]}']),
-    ("ci.yml:553", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:520", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--backend", "process"]),
-    ("ci.yml:557", ["agent", "127.0.0.1:9761", "--slots", "2",
+    ("ci.yml:524", ["agent", "127.0.0.1:9761", "--slots", "2",
                     "--idle-exit", "30"]),
-    ("ci.yml:559", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:526", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--backend", "remote", "--listen", "127.0.0.1:9761",
                     "--chaos", "/tmp/netplan.json",
                     "--heartbeat-interval", "0.5",
                     "--heartbeat-misses", "3"]),
-    ("ci.yml:571", ["agent", "127.0.0.1:9762", "--slots", "2",
+    ("ci.yml:542", ["agent", "127.0.0.1:9762", "--slots", "2",
                     "--idle-exit", "40"]),
-    ("ci.yml:574", ["run", "/tmp/net_mm1.json", "--parallel", "2",
+    ("ci.yml:545", ["run", "/tmp/net_mm1.json", "--parallel", "2",
                     "--backend", "remote", "--listen", "127.0.0.1:9762",
                     "--chaos",
                     '{"faults": [{"kind": "partition", "slave_id": 1, '
                     '"round": 1, "direction": "in"}]}',
                     "--heartbeat-interval", "0.5",
                     "--heartbeat-misses", "3", "--round-timeout", "120"]),
-    ("ci.yml:729", ["run", "/tmp/mm1.json", "--parallel", "2", "--metrics",
+    ("ci.yml:704", ["run", "/tmp/mm1.json", "--parallel", "2", "--metrics",
                     "--progress", "0"]),
     ("README.md:123", ["workloads"]),
     ("README.md:124", ["run", "experiment.json"]),
     ("README.md:125", ["run", "experiment.json", "--sanitize"]),
     ("README.md:127", ["characterize", "trace.txt"]),
     ("README.md:128", ["theory", "mm1", "--lam", "10", "--mu", "20"]),
-    ("analysis.md:173",
+    ("analysis.md:156",
      ["sweep", "examples/sweeps/lint_demo.toml", "--lint"]),
-    ("analysis.md:177", ["run", "config.json", "--lint"]),
-    ("analysis.md:321", ["run", "config.json", "--sanitize"]),
+    ("analysis.md:160", ["run", "config.json", "--lint"]),
+    ("analysis.md:310", ["run", "config.json", "--sanitize"]),
     ("distributed.md:149", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                             "--backend", "remote",
                             "--listen", "127.0.0.1:9751"]),

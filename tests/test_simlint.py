@@ -659,6 +659,7 @@ class TestCli:
         target.write_text("import random\n")
         assert simlint_main([str(target), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"version", "files_scanned", "findings"}
         assert payload["version"] == 1
         assert payload["files_scanned"] == 1
         (finding,) = payload["findings"]
@@ -699,6 +700,7 @@ class TestCli:
             "scalar-sample-loop",
             "parallel-lambda",
             "blocking-sleep-in-transport",
+            "restricted-name",
         }
 
 
@@ -820,6 +822,18 @@ FIRING_SNIPPETS = {
         "import time\n\n\ndef waiter():\n    time.sleep(1.0)\n",
         "parallel/example.py",
     ),
+    # One use per row of the restricted-name table.
+    "restricted-name": (
+        textwrap.dedent(
+            """
+            import asyncio
+            from repro.distributions import prefetch
+            value = eval("1")
+            sampler = prefetch.PrefetchSampler(dist, rng)
+            """
+        ),
+        "datacenter/example.py",
+    ),
 }
 
 
@@ -920,6 +934,7 @@ class TestBlockingSleepInTransportRule:
         assert "blocking-sleep-in-transport" not in rule_ids(findings)
 
     def test_asyncio_sleep_is_fine(self):
+        # Not a blocking sleep; the import is what the library refuses.
         findings = findings_for(
             textwrap.dedent(
                 """
@@ -932,7 +947,8 @@ class TestBlockingSleepInTransportRule:
             ),
             rel="parallel/agent.py",
         )
-        assert rule_ids(findings) == []
+        assert rule_ids(findings) == ["restricted-name"]
+        assert "`import asyncio` in library code" in findings[0].message
 
     def test_timer_and_cond_waits_are_fine(self):
         findings = findings_for(
@@ -968,3 +984,69 @@ class TestBlockingSleepInTransportRule:
         assert suppressed == [
             "transport.py: time.sleep(timeout)",     # wait() on no endpoints
         ]
+
+
+class TestRestrictedNameRule:
+    def test_builtin_exec_eval_compile_fire(self):
+        findings = findings_for(
+            "exec(code)\nx = eval('1')\nc = compile(src, 'f', 'exec')\n",
+            rel="core/statistic.py",
+        )
+        assert rule_ids(findings) == ["restricted-name"] * 3
+        assert all("built from text" in f.message for f in findings)
+
+    def test_method_named_compile_is_not_the_builtin(self):
+        findings = findings_for(
+            "import re\npattern = re.compile('x+')\n",
+            rel="core/statistic.py",
+        )
+        assert rule_ids(findings) == []
+
+    def test_tests_may_exec(self):
+        findings = findings_for(
+            "exec(compile(block, '<doc>', 'exec'), {})\n",
+            rel="tests/test_examples.py",
+        )
+        assert rule_ids(findings) == []
+
+    def test_sampler_built_outside_its_homes_fires(self):
+        for call in ("PrefetchSampler(d, rng)",
+                     "prefetch.PrefetchSampler(d, rng)"):
+            findings = findings_for(
+                f"sampler = {call}\n", rel="datacenter/server.py"
+            )
+            assert rule_ids(findings) == ["restricted-name"], call
+            assert "Simulation.sampler" in findings[0].message
+
+    @pytest.mark.parametrize("home", [
+        "distributions/prefetch.py",
+        "engine/simulation.py",
+        "workloads/generator.py",
+    ])
+    def test_sampler_homes_may_build_it(self, home):
+        findings = findings_for(
+            "sampler = PrefetchSampler(d, rng)\n", rel=home
+        )
+        assert rule_ids(findings) == []
+
+    def test_sampler_name_in_text_is_not_a_call(self):
+        findings = findings_for(
+            "from repro.distributions.prefetch import PrefetchSampler\n"
+            "label = f'PrefetchSampler({d!r})'\n"
+            "slot: PrefetchSampler = None\n",
+            rel="datacenter/server.py",
+        )
+        assert rule_ids(findings) == []
+
+    def test_from_asyncio_import_fires(self):
+        findings = findings_for(
+            "from asyncio import sleep\nimport asyncio.subprocess\n",
+            rel="parallel/transport.py",
+        )
+        assert rule_ids(findings) == ["restricted-name"] * 2
+
+    def test_relative_import_of_same_name_is_silent(self):
+        findings = findings_for(
+            "from . import asyncio\n", rel="parallel/transport.py"
+        )
+        assert rule_ids(findings) == []

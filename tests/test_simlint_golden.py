@@ -1,36 +1,26 @@
-"""simlint's findings as a format: pinned tuples, fingerprints and SARIF.
+"""simlint's findings as a format: pinned finding tuples.
 
 ``tests/fixtures/simlint_golden.json`` was recorded at the commit
 *before* ``repro.analysis`` was folded onto one loader, one driver and
 one finding constructor (``PYTHONPATH=src python -m
 tests.test_simlint_golden`` from the repository root re-records it).
 It holds, for the hazard corpus under ``tests/fixtures/wpa_corpus`` and
-for every entry of ``tests/test_simlint.py``'s ``FIRING_SNIPPETS``:
-
-- the full finding tuples (rule, path, line, col, end_line, severity,
-  message) in report order;
-- their baseline fingerprints;
-- the SARIF document over all of them.
+for every entry of ``tests/test_simlint.py``'s ``FIRING_SNIPPETS``,
+the full finding tuples (rule, path, line, col, end_line, severity,
+message) in report order.
 
 Everything is computed from the repository root with relative paths, so
-the paths inside findings, messages and fingerprints are
-repo-relative and the fixture does not depend on where the checkout
-lives.  A refactor of the analyzer that is meant to keep what users
-see must leave this test green without touching the fixture.
+the paths inside findings and messages are repo-relative and the
+fixture does not depend on where the checkout lives.  A refactor of the
+analyzer that is meant to keep what users see must leave this test
+green without touching the fixture.
 """
 
 import json
 import os
 from pathlib import Path
 
-from repro.analysis import (
-    RULES,
-    WHOLE_PROGRAM_RULES,
-    analyze_project,
-    fingerprints,
-    lint_source,
-    to_sarif,
-)
+from repro.analysis import analyze_project, lint_source
 from tests.test_simlint import FIRING_SNIPPETS
 from tests.test_wholeprogram import WORKER_ENTRIES
 
@@ -39,7 +29,7 @@ GOLDEN = REPO_ROOT / "tests" / "fixtures" / "simlint_golden.json"
 
 
 def golden_document():
-    """Findings, fingerprints and SARIF as the fixture records them."""
+    """Findings as the fixture records them."""
     previous = os.getcwd()
     os.chdir(REPO_ROOT)
     try:
@@ -55,8 +45,6 @@ def golden_document():
             groups[f"snippet:{rule_id}"] = lint_source(source, rel=rel)
     finally:
         os.chdir(previous)
-    catalog = {rule_id: rule.summary for rule_id, rule in RULES.items()}
-    catalog.update(WHOLE_PROGRAM_RULES)
     return {
         "findings": {
             name: [
@@ -66,21 +54,12 @@ def golden_document():
             ]
             for name, group in groups.items()
         },
-        "fingerprints": {
-            name: fingerprints(group) for name, group in groups.items()
-        },
-        "sarif": to_sarif(
-            [f for group in groups.values() for f in group], rules=catalog
-        ),
     }
 
 
-def test_findings_fingerprints_and_sarif_match_the_recording():
+def test_findings_match_the_recording():
     recorded = json.loads(GOLDEN.read_text())
-    rebuilt = golden_document()
-    assert rebuilt["findings"] == recorded["findings"]
-    assert rebuilt["fingerprints"] == recorded["fingerprints"]
-    assert rebuilt["sarif"] == recorded["sarif"]
+    assert golden_document() == recorded
 
 
 def test_recording_is_not_trivial():

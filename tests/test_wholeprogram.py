@@ -3,35 +3,21 @@
 The positive cases run over the committed hazard corpus in
 ``tests/fixtures/wpa_corpus`` (each file plants one cross-module
 hazard the per-file rules cannot see); the negative case is the
-repository itself: ``src`` must carry zero findings beyond the
-committed baseline.
+repository itself: ``src`` must carry zero findings.
 """
 
-import json
 import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    fingerprints,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.callgraph import build_callgraph, default_worker_entries
 from repro.analysis.cli import main as simlint_main
 from repro.analysis.dataflow import analyze_taint
-from repro.analysis.linter import Finding, LintError
-from repro.analysis.project import (
-    WHOLE_PROGRAM_RULES,
-    all_rule_ids,
-    analyze_project,
-)
+from repro.analysis.linter import Finding
+from repro.analysis.project import analyze_project
 from repro.analysis.races import analyze_races
-from repro.analysis.rules import RULES
-from repro.analysis.sarif import to_sarif, validate_sarif
 from repro.analysis.symbols import ProjectIndex, module_name_for, parse_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -284,75 +270,6 @@ class TestWholeProgramSuppression:
         assert findings == []
 
 
-# -- baseline ----------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_marks_everything_baselined(self, tmp_path, corpus):
-        target = tmp_path / "baseline.json"
-        write_baseline(corpus, target)
-        result = apply_baseline(corpus, load_baseline(target))
-        assert result.clean
-        assert result.new == []
-        assert len(result.baselined) == len(corpus)
-        assert result.stale == []
-
-    def test_fingerprints_survive_line_shifts(self, corpus):
-        shifted = [
-            Finding(
-                rule=f.rule, path=f.path, line=f.line + 10, col=f.col,
-                message=f.message, end_line=f.end_line + 10,
-                severity=f.severity,
-            )
-            for f in corpus
-        ]
-        assert fingerprints(shifted) == fingerprints(corpus)
-
-    def test_new_finding_fails_gate_stale_reported(self, tmp_path, corpus):
-        target = tmp_path / "baseline.json"
-        write_baseline(corpus[:-1], target)
-        result = apply_baseline(corpus, load_baseline(target))
-        assert not result.clean
-        assert result.new == [corpus[-1]]
-        extra = Finding(
-            rule="rng-taint", path="gone.py", line=1, col=1, message="x"
-        )
-        write_baseline(list(corpus) + [extra], target)
-        result = apply_baseline(corpus, load_baseline(target))
-        assert result.clean and len(result.stale) == 1
-
-    def test_bad_baseline_raises(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text("{\"version\": 99}")
-        with pytest.raises(LintError):
-            load_baseline(target)
-
-
-# -- SARIF -------------------------------------------------------------------
-
-
-class TestSarif:
-    def test_corpus_sarif_is_valid(self, corpus):
-        catalog = {rid: rule.summary for rid, rule in RULES.items()}
-        catalog.update(WHOLE_PROGRAM_RULES)
-        document = to_sarif(corpus, rules=catalog)
-        assert list(validate_sarif(document)) == []
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "simlint"
-        assert len(run["results"]) == len(corpus)
-        levels = {r["level"] for r in run["results"]}
-        assert levels <= {"error", "warning", "note"}
-
-    def test_rule_catalog_covers_all_registered_ids(self, corpus):
-        document = to_sarif(corpus, rules={
-            rid: "" for rid in all_rule_ids()
-        })
-        ids = {r["id"] for r in document["runs"][0]["tool"]["driver"]["rules"]}
-        assert set(all_rule_ids()) <= ids
-        assert list(validate_sarif(document)) == []
-
-
 # -- the CLI surface ----------------------------------------------------------
 
 
@@ -382,53 +299,19 @@ class TestWholeProgramCli:
         out = capsys.readouterr().out
         assert "rng-taint" in out
 
-    def test_baseline_gate_cycle(self, tmp_path, capsys):
-        project = self.make_project(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert simlint_main([
-            str(project), "--whole-program",
-            "--write-baseline", str(baseline),
-        ]) == 0
-        assert simlint_main([
-            str(project), "--whole-program", "--baseline", str(baseline),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "[baselined]" in out
-        (project / "c.py").write_text("import random\n")
-        assert simlint_main([
-            str(project), "--whole-program", "--baseline", str(baseline),
-        ]) == 1
-
-    def test_sarif_output_validates(self, tmp_path):
-        project = self.make_project(tmp_path)
-        out_path = tmp_path / "report.sarif"
-        assert simlint_main([
-            str(project), "--whole-program",
-            "--format", "sarif", "--out", str(out_path),
-        ]) == 1
-        document = json.loads(out_path.read_text())
-        assert list(validate_sarif(document)) == []
-        assert any(
-            result["ruleId"] == "rng-taint"
-            for result in document["runs"][0]["results"]
-        )
-
 
 # -- the repository gate ------------------------------------------------------
 
 
 class TestRepositoryGate:
-    def test_src_has_zero_unbaselined_findings(self):
-        """Acceptance: whole-program pass over src, gated on the
-        committed baseline, reports nothing new."""
+    def test_src_has_zero_findings(self):
+        """Acceptance: the whole-program pass over src reports
+        nothing."""
         started = time.perf_counter()
         findings, scanned = analyze_project([REPO_ROOT / "src"])
         elapsed = time.perf_counter() - started
         assert scanned >= 99
-        result = apply_baseline(
-            findings, load_baseline(REPO_ROOT / ".simlint-baseline.json")
-        )
-        assert result.new == [], "\n".join(
-            f"{f.location()}: {f.rule}: {f.message}" for f in result.new
+        assert findings == [], "\n".join(
+            f"{f.location()}: {f.rule}: {f.message}" for f in findings
         )
         assert elapsed < 10.0, f"whole-program pass took {elapsed:.1f}s"
