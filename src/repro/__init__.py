@@ -36,27 +36,49 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.policies` — DreamWeaver and other schedulers
 - :mod:`repro.parallel` — master/slave distributed simulation
 - :mod:`repro.casestudies` — the paper's Section 3/4 experiments
-"""
 
-import importlib
+Start-up: every package exports its names lazily.  ``import repro``
+loads this module alone, and a package's name loads its defining module
+on first use, so ``python -m repro --help`` loads neither numpy nor the
+engine, and a single-process run loads none of the parallel stack.  A
+module that only a cold path uses (a parallel run's transports, fault
+plans and checkpoints) is imported where that path starts.
+"""
 
 __version__ = "1.0.0"
 
 __all__ = ["Experiment", "Server", "Workload", "__version__"]
 
-#: Where each top-level name lives.  They are imported on first use, so
-#: that ``import repro.cli`` (and ``python -m repro --help``) does not
-#: load numpy and the engine.
-_LAZY = {
+
+def _lazy_exports(namespace, table):
+    """A package's ``(__getattr__, __dir__)`` over ``{name: module}``.
+
+    Every package of ``repro`` exports its names through this: ``table``
+    says which module defines each one, and that module is imported on
+    the name's first use, then the value is cached in ``namespace`` (the
+    package's ``globals()``) so later reads never come back here.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        # What ``from module import name`` does; unlike
+        # importlib.import_module, it shows under ``-X importtime``.
+        value = getattr(__import__(table[name], fromlist=[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
     "Experiment": "repro.engine.experiment",
     "Server": "repro.datacenter.server",
     "Workload": "repro.workloads.workload",
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LAZY[name]), name)
-    globals()[name] = value
-    return value
+})

@@ -40,16 +40,7 @@ invariants two ways:
 See ``docs/analysis.md`` for the rule catalog and extension guide.
 """
 
-from repro.analysis.linter import SEVERITIES, Finding, LintError
-from repro.analysis.project import (
-    WHOLE_PROGRAM_RULES,
-    all_rule_ids,
-    analyze_project,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.rules import RULES, Rule, register_rule
+from repro import _lazy_exports
 
 __all__ = [
     "Finding",
@@ -65,3 +56,18 @@ __all__ = [
     "all_rule_ids",
     "analyze_project",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "SEVERITIES": "repro.analysis.linter",
+    "Finding": "repro.analysis.linter",
+    "LintError": "repro.analysis.linter",
+    "WHOLE_PROGRAM_RULES": "repro.analysis.project",
+    "all_rule_ids": "repro.analysis.project",
+    "analyze_project": "repro.analysis.project",
+    "lint_file": "repro.analysis.project",
+    "lint_paths": "repro.analysis.project",
+    "lint_source": "repro.analysis.project",
+    "RULES": "repro.analysis.rules",
+    "Rule": "repro.analysis.rules",
+    "register_rule": "repro.analysis.rules",
+})

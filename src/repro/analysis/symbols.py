@@ -16,7 +16,8 @@ only ``ast.parse`` is in :func:`parse_module`) into the
 - every function and method, keyed by its global qualified name
   ``module.dotted.Class.method``;
 - every import binding (``alias -> fully.dotted.target``), including
-  relative imports;
+  relative imports and the names a package exports lazily through the
+  ``{name: module}`` table it hands ``repro._lazy_exports``;
 - every module-level binding of a *mutable* value (dict/list/set/deque
   literals and constructor calls) — the shared-state candidates the
   race detector checks against worker-reachable code.
@@ -268,6 +269,17 @@ def _index_imports(module: ModuleInfo) -> None:
                     continue
                 bound = alias.asname or alias.name
                 module.imports[bound] = f"{origin}.{alias.name}"
+        elif (
+            isinstance(node, ast.Call)
+            and dotted_name(node.func) == "_lazy_exports"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            for key, value in zip(node.args[1].keys, node.args[1].values):
+                if isinstance(key, ast.Constant) and isinstance(
+                    value, ast.Constant
+                ):
+                    module.imports[key.value] = f"{value.value}.{key.value}"
 
 
 def _index_definitions(module: ModuleInfo) -> None:

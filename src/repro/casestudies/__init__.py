@@ -9,19 +9,7 @@
   performance measurements.
 """
 
-from repro.casestudies.google_search import (
-    build_search_experiment,
-    latency_vs_qps,
-    INTERARRIVAL_KINDS,
-)
-from repro.casestudies.dreamweaver_study import (
-    dreamweaver_point,
-    dreamweaver_tradeoff,
-)
-from repro.casestudies.power_capping_study import (
-    CappedClusterExperiment,
-    build_capped_cluster,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "build_search_experiment",
@@ -32,3 +20,13 @@ __all__ = [
     "CappedClusterExperiment",
     "build_capped_cluster",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "build_search_experiment": "repro.casestudies.google_search",
+    "latency_vs_qps": "repro.casestudies.google_search",
+    "INTERARRIVAL_KINDS": "repro.casestudies.google_search",
+    "dreamweaver_point": "repro.casestudies.dreamweaver_study",
+    "dreamweaver_tradeoff": "repro.casestudies.dreamweaver_study",
+    "CappedClusterExperiment": "repro.casestudies.power_capping_study",
+    "build_capped_cluster": "repro.casestudies.power_capping_study",
+})

@@ -6,13 +6,7 @@ document describes the workload, the server pool, the balancer, and the
 output metrics, and :func:`build_experiment` wires it all up.
 """
 
-from repro.config.loader import (
-    ConfigError,
-    build_distribution,
-    build_experiment,
-    build_workload,
-    load_config,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "ConfigError",
@@ -21,3 +15,11 @@ __all__ = [
     "build_workload",
     "build_experiment",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ConfigError": "repro.config.loader",
+    "build_distribution": "repro.config.loader",
+    "build_experiment": "repro.config.loader",
+    "build_workload": "repro.config.loader",
+    "load_config": "repro.config.loader",
+})

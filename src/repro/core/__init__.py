@@ -20,14 +20,7 @@ sequence of Fig. 2:
    metric has converged.
 """
 
-from repro.core.histogram import BinScheme, Histogram, HistogramError
-from repro.core.runs_test import runs_up_counts, runs_up_statistic, runs_up_passes, find_lag
-from repro.core.confidence import z_value, mean_sample_size, quantile_sample_size
-from repro.core.convergence import MetricTargets, judge, mean_confidence_interval
-from repro.core.statistic import Phase, Statistic, Estimate, StatisticError
-from repro.core.collection import StatisticsCollection
-from repro.core.batch_means import BatchMeansEstimator, calibrate_batch_size
-from repro.core.warmup import mser, mser5, suggest_warmup
+from repro import _lazy_exports
 
 __all__ = [
     "BinScheme",
@@ -54,3 +47,29 @@ __all__ = [
     "mser5",
     "suggest_warmup",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "BinScheme": "repro.core.histogram",
+    "Histogram": "repro.core.histogram",
+    "HistogramError": "repro.core.histogram",
+    "runs_up_counts": "repro.core.runs_test",
+    "runs_up_statistic": "repro.core.runs_test",
+    "runs_up_passes": "repro.core.runs_test",
+    "find_lag": "repro.core.runs_test",
+    "z_value": "repro.core.confidence",
+    "mean_sample_size": "repro.core.confidence",
+    "quantile_sample_size": "repro.core.confidence",
+    "MetricTargets": "repro.core.convergence",
+    "judge": "repro.core.convergence",
+    "mean_confidence_interval": "repro.core.convergence",
+    "Phase": "repro.core.statistic",
+    "Statistic": "repro.core.statistic",
+    "Estimate": "repro.core.statistic",
+    "StatisticError": "repro.core.statistic",
+    "StatisticsCollection": "repro.core.collection",
+    "BatchMeansEstimator": "repro.core.batch_means",
+    "calibrate_batch_size": "repro.core.batch_means",
+    "mser": "repro.core.warmup",
+    "mser5": "repro.core.warmup",
+    "suggest_warmup": "repro.core.warmup",
+})

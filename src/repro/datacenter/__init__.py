@@ -9,41 +9,7 @@ pause/resume (deep sleep), and notifies listeners on job completion so
 output metrics and multi-tier forwarding can be wired up from outside.
 """
 
-from repro.datacenter.job import Job
-from repro.datacenter.disciplines import (
-    FCFSQueue,
-    LIFOQueue,
-    SJFQueue,
-    QueueingDiscipline,
-)
-from repro.datacenter.server import Server, ServerError
-from repro.datacenter.source import Source, TraceSource
-from repro.datacenter.balancers import (
-    CloningBalancer,
-    JoinShortestQueue,
-    LoadBalancer,
-    PowerOfTwoChoices,
-    RandomBalancer,
-    RoundRobinBalancer,
-    SpeculativeRetryBalancer,
-)
-from repro.datacenter.cluster import Cluster, ClusterError, MultiserverCluster, Rack
-from repro.datacenter.processor_sharing import ProcessorSharingServer
-from repro.datacenter.srpt import SRPTServer
-from repro.datacenter.closedloop import ClosedLoopClients, interactive_response_time
-from repro.datacenter.network import (
-    NetworkError,
-    RoutingNetwork,
-    traffic_equations,
-)
-from repro.datacenter.multiclass import (
-    JobClass,
-    MultiClassSource,
-    PriorityQueue,
-    cobham_waiting_times,
-    job_class_of,
-    track_per_class_response,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "Job",
@@ -80,3 +46,39 @@ __all__ = [
     "RoutingNetwork",
     "traffic_equations",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "Job": "repro.datacenter.job",
+    "FCFSQueue": "repro.datacenter.disciplines",
+    "LIFOQueue": "repro.datacenter.disciplines",
+    "SJFQueue": "repro.datacenter.disciplines",
+    "QueueingDiscipline": "repro.datacenter.disciplines",
+    "Server": "repro.datacenter.server",
+    "ServerError": "repro.datacenter.server",
+    "Source": "repro.datacenter.source",
+    "TraceSource": "repro.datacenter.source",
+    "CloningBalancer": "repro.datacenter.balancers",
+    "JoinShortestQueue": "repro.datacenter.balancers",
+    "LoadBalancer": "repro.datacenter.balancers",
+    "PowerOfTwoChoices": "repro.datacenter.balancers",
+    "RandomBalancer": "repro.datacenter.balancers",
+    "RoundRobinBalancer": "repro.datacenter.balancers",
+    "SpeculativeRetryBalancer": "repro.datacenter.balancers",
+    "Cluster": "repro.datacenter.cluster",
+    "ClusterError": "repro.datacenter.cluster",
+    "MultiserverCluster": "repro.datacenter.cluster",
+    "Rack": "repro.datacenter.cluster",
+    "ProcessorSharingServer": "repro.datacenter.processor_sharing",
+    "SRPTServer": "repro.datacenter.srpt",
+    "ClosedLoopClients": "repro.datacenter.closedloop",
+    "interactive_response_time": "repro.datacenter.closedloop",
+    "NetworkError": "repro.datacenter.network",
+    "RoutingNetwork": "repro.datacenter.network",
+    "traffic_equations": "repro.datacenter.network",
+    "JobClass": "repro.datacenter.multiclass",
+    "MultiClassSource": "repro.datacenter.multiclass",
+    "PriorityQueue": "repro.datacenter.multiclass",
+    "cobham_waiting_times": "repro.datacenter.multiclass",
+    "job_class_of": "repro.datacenter.multiclass",
+    "track_per_class_response": "repro.datacenter.multiclass",
+})

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.datacenter.job import Job
 from repro.datacenter.server import Server
 from repro.engine.simulation import Simulation, seeded_rng
-from repro.faults.recovery import derive_seed
 
 
 class LoadBalancer(abc.ABC):
@@ -315,6 +314,8 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         self._lineage_seed = int(rng.integers(0, 2**31 - 1))
 
     def _pick(self, seq: int, attempt: int, used: List[Server]) -> Server:
+        from repro.faults.recovery import derive_seed
+
         rng = seeded_rng(derive_seed(self._lineage_seed, seq, attempt))
         candidates = [s for s in self.servers if s not in used] or self.servers
         return candidates[int(rng.integers(len(candidates)))]

@@ -19,28 +19,7 @@ All distributions are immutable, stateless samplers: randomness enters
 only through the ``numpy.random.Generator`` handed to :meth:`sample`.
 """
 
-from repro.distributions.base import Distribution, DistributionError
-from repro.distributions.continuous import (
-    BoundedPareto,
-    Deterministic,
-    Erlang,
-    Exponential,
-    Gamma,
-    LogNormal,
-    Pareto,
-    Uniform,
-    Weibull,
-)
-from repro.distributions.discrete import Choice
-from repro.distributions.hyperexponential import HyperExponential
-from repro.distributions.empirical import EmpiricalDistribution
-from repro.distributions.transforms import Mixture, Scaled, Shifted, Truncated
-from repro.distributions.prefetch import (
-    DEFAULT_BLOCK,
-    PrefetchContractError,
-    PrefetchSampler,
-)
-from repro.distributions.fitting import fit_mean_cv
+from repro import _lazy_exports
 
 __all__ = [
     "Distribution",
@@ -66,3 +45,28 @@ __all__ = [
     "Truncated",
     "fit_mean_cv",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "Distribution": "repro.distributions.base",
+    "DistributionError": "repro.distributions.base",
+    "BoundedPareto": "repro.distributions.continuous",
+    "Deterministic": "repro.distributions.continuous",
+    "Erlang": "repro.distributions.continuous",
+    "Exponential": "repro.distributions.continuous",
+    "Gamma": "repro.distributions.continuous",
+    "LogNormal": "repro.distributions.continuous",
+    "Pareto": "repro.distributions.continuous",
+    "Uniform": "repro.distributions.continuous",
+    "Weibull": "repro.distributions.continuous",
+    "Choice": "repro.distributions.discrete",
+    "HyperExponential": "repro.distributions.hyperexponential",
+    "EmpiricalDistribution": "repro.distributions.empirical",
+    "Mixture": "repro.distributions.transforms",
+    "Scaled": "repro.distributions.transforms",
+    "Shifted": "repro.distributions.transforms",
+    "Truncated": "repro.distributions.transforms",
+    "DEFAULT_BLOCK": "repro.distributions.prefetch",
+    "PrefetchContractError": "repro.distributions.prefetch",
+    "PrefetchSampler": "repro.distributions.prefetch",
+    "fit_mean_cv": "repro.distributions.fitting",
+})

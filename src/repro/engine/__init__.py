@@ -9,16 +9,7 @@ until every tracked output metric has converged (Section 2.3 of the
 paper) or a safety limit is hit.
 """
 
-from repro.engine.events import Event, EventQueue, SimulationError
-from repro.engine.simulation import Simulation
-from repro.engine.experiment import Experiment, ExperimentResult
-from repro.engine.probes import CompletionProbe, PeriodicProbe, slowdown
-from repro.engine.report import (
-    estimate_to_dict,
-    load_result,
-    result_to_dict,
-    save_result,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "Event",
@@ -35,3 +26,19 @@ __all__ = [
     "save_result",
     "load_result",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "Event": "repro.engine.events",
+    "EventQueue": "repro.engine.events",
+    "SimulationError": "repro.engine.events",
+    "Simulation": "repro.engine.simulation",
+    "Experiment": "repro.engine.experiment",
+    "ExperimentResult": "repro.engine.experiment",
+    "CompletionProbe": "repro.engine.probes",
+    "PeriodicProbe": "repro.engine.probes",
+    "slowdown": "repro.engine.probes",
+    "estimate_to_dict": "repro.engine.report",
+    "load_result": "repro.engine.report",
+    "result_to_dict": "repro.engine.report",
+    "save_result": "repro.engine.report",
+})

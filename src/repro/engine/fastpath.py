@@ -130,22 +130,23 @@ def qualifies(experiment) -> Qualification:
             "multiserver-job workload (servers_needed) requires the event engine",
         )
     station = source.target
-    # Named rejections for the stations the Lindley/Kiefer–Wolfowitz
-    # recurrences structurally cannot model, so auto-mode falls back with
-    # a reason operators can act on (lazy imports: these modules pull in
-    # repro.engine.simulation and must not load during package init).
-    from repro.datacenter.balancers import _ReplicatingBalancer
-    from repro.datacenter.cluster import MultiserverCluster
-
-    if isinstance(station, MultiserverCluster):
-        return Qualification(
-            False, "gang-scheduled MultiserverCluster requires the event engine"
-        )
-    if isinstance(station, _ReplicatingBalancer):
-        return Qualification(
-            False, "cloning/hedging balancer requires the event engine"
-        )
     if type(station) is not Server:
+        # Named rejections for the stations the Lindley/Kiefer–Wolfowitz
+        # recurrences structurally cannot model, so auto-mode falls back
+        # with a reason operators can act on.  Imported here, so that a
+        # run on a plain Server loads neither module.
+        from repro.datacenter.balancers import _ReplicatingBalancer
+        from repro.datacenter.cluster import MultiserverCluster
+
+        if isinstance(station, MultiserverCluster):
+            return Qualification(
+                False,
+                "gang-scheduled MultiserverCluster requires the event engine",
+            )
+        if isinstance(station, _ReplicatingBalancer):
+            return Qualification(
+                False, "cloning/hedging balancer requires the event engine"
+            )
         return Qualification(
             False, f"target {type(station).__name__} is not a plain Server"
         )

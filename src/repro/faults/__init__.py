@@ -30,22 +30,7 @@ first-class, *testable* input instead of an operational surprise:
 See docs/robustness.md for the fault model and recovery semantics.
 """
 
-from repro.faults.checkpoint import (
-    CheckpointError,
-    CheckpointState,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FAULT_KINDS, FaultError, FaultPlan, FaultSpec
-from repro.faults.recovery import (
-    RespawnPolicy,
-    SeedLineage,
-    SupervisionError,
-    SupervisionPolicy,
-    backoff_delay,
-    derive_seed,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -64,3 +49,21 @@ __all__ = [
     "read_checkpoint",
     "write_checkpoint",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "CheckpointError": "repro.faults.checkpoint",
+    "CheckpointState": "repro.faults.checkpoint",
+    "read_checkpoint": "repro.faults.checkpoint",
+    "write_checkpoint": "repro.faults.checkpoint",
+    "FaultInjector": "repro.faults.injector",
+    "FAULT_KINDS": "repro.faults.plan",
+    "FaultError": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "FaultSpec": "repro.faults.plan",
+    "RespawnPolicy": "repro.faults.recovery",
+    "SeedLineage": "repro.faults.recovery",
+    "SupervisionError": "repro.faults.recovery",
+    "SupervisionPolicy": "repro.faults.recovery",
+    "backoff_delay": "repro.faults.recovery",
+    "derive_seed": "repro.faults.recovery",
+})

@@ -20,16 +20,7 @@ inspectable instead of a black box:
 See docs/observability.md for the metric catalog and CLI flags.
 """
 
-from repro.observability.progress import ProgressReporter, convergence_fractions
-from repro.observability.schema import (
-    HOST_KEYS,
-    strip_host_fields,
-    validate_record,
-    validate_trace_file,
-    validate_trace_lines,
-)
-from repro.observability.telemetry import ExperimentTelemetry
-from repro.observability.tracer import KINDS, TraceError, Tracer
+from repro import _lazy_exports
 
 __all__ = [
     "ExperimentTelemetry",
@@ -44,3 +35,17 @@ __all__ = [
     "validate_trace_file",
     "validate_trace_lines",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ProgressReporter": "repro.observability.progress",
+    "convergence_fractions": "repro.observability.progress",
+    "HOST_KEYS": "repro.observability.schema",
+    "strip_host_fields": "repro.observability.schema",
+    "validate_record": "repro.observability.schema",
+    "validate_trace_file": "repro.observability.schema",
+    "validate_trace_lines": "repro.observability.schema",
+    "ExperimentTelemetry": "repro.observability.telemetry",
+    "KINDS": "repro.observability.tracer",
+    "TraceError": "repro.observability.tracer",
+    "Tracer": "repro.observability.tracer",
+})

@@ -24,29 +24,16 @@ mode — persistent workers that accept successive ``configure``
 messages instead of dying after one experiment — used by
 :mod:`repro.sweep` to amortize spawn cost across a whole parameter
 sweep; the pool schedules over either transport.
+
+Importing the master is cheap: ``from repro.parallel import
+ParallelSimulation`` loads the master, the protocol, the recovery
+policies and the statistics they merge, and no transport.  A run
+imports the transports, the fault plan's injector and the checkpoint
+records when it starts, before it forks the first slave, so a forked
+slave imports nothing of its own.
 """
 
-from repro.parallel.protocol import (
-    DeltaTracker,
-    ParallelError,
-    SlaveReport,
-    histogram_delta,
-)
-from repro.parallel.master import ParallelResult, ParallelSimulation
-from repro.parallel.pool import PoolError, PoolJobError, PoolStats, WorkerPool
-from repro.parallel.replications import (
-    ReplicatedEstimate,
-    ReplicationResult,
-    run_replications,
-)
-from repro.parallel.transport import (
-    LocalPipeTransport,
-    RemoteTransport,
-    Transport,
-    TransportCapacityError,
-    TransportError,
-    WorkerEndpoint,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "DeltaTracker",
@@ -69,3 +56,25 @@ __all__ = [
     "TransportError",
     "WorkerEndpoint",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "DeltaTracker": "repro.parallel.protocol",
+    "ParallelError": "repro.parallel.protocol",
+    "SlaveReport": "repro.parallel.protocol",
+    "histogram_delta": "repro.parallel.protocol",
+    "ParallelResult": "repro.parallel.master",
+    "ParallelSimulation": "repro.parallel.master",
+    "PoolError": "repro.parallel.pool",
+    "PoolJobError": "repro.parallel.pool",
+    "PoolStats": "repro.parallel.pool",
+    "WorkerPool": "repro.parallel.pool",
+    "ReplicatedEstimate": "repro.parallel.replications",
+    "ReplicationResult": "repro.parallel.replications",
+    "run_replications": "repro.parallel.replications",
+    "LocalPipeTransport": "repro.parallel.transport",
+    "RemoteTransport": "repro.parallel.transport",
+    "Transport": "repro.parallel.transport",
+    "TransportCapacityError": "repro.parallel.transport",
+    "TransportError": "repro.parallel.transport",
+    "WorkerEndpoint": "repro.parallel.transport",
+})

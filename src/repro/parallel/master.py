@@ -51,21 +51,11 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.convergence import MetricTargets, judge
 from repro.core.histogram import Histogram
 from repro.core.statistic import Estimate, Phase
-from repro.engine.experiment import Experiment
-from repro.faults.checkpoint import (
-    CheckpointError,
-    CheckpointState,
-    SlaveCheckpoint,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.faults.recovery import (
     RespawnPolicy,
     SeedLineage,
@@ -73,7 +63,6 @@ from repro.faults.recovery import (
     SupervisionPolicy,
     derive_seed,
 )
-from repro.parallel.chaos import with_frame_faults
 from repro.parallel.protocol import (
     CAUSE_CORRUPT_PAYLOAD,
     CAUSE_DEADLINE_EXCEEDED,
@@ -88,16 +77,15 @@ from repro.parallel.protocol import (
     scheme_payload,
     validate_report_payload,
 )
-from repro.parallel.transport import (
-    LocalPipeTransport,
-    Transport,
-    TransportCapacityError,
-    WorkerEndpoint,
-    _InlineTransport,
-    _serve_session,
-    collect_replies,
-    disconnect_cause,
-)
+
+# What only a run uses -- the transports, the fault plan and its
+# injector, checkpoints -- is imported where the run needs it, so that
+# importing this module loads none of it.
+if TYPE_CHECKING:
+    from repro.engine.experiment import Experiment
+    from repro.faults.checkpoint import CheckpointState
+    from repro.faults.plan import FaultPlan
+    from repro.parallel.transport import Transport, WorkerEndpoint
 
 
 def build_slave_experiment(
@@ -143,6 +131,8 @@ class _SlaveSession:
         round_offset=0,
         **host,
     ):
+        from repro.faults.injector import FaultInjector
+
         self.experiment = build_slave_experiment(
             factory, factory_kwargs, seed, schemes
         )
@@ -269,6 +259,8 @@ class _RunBook:
         master_seed: int,
         resume: Optional[CheckpointState] = None,
     ):
+        from repro.faults.checkpoint import SlaveCheckpoint
+
         self.lineage = SeedLineage(master_seed)
         self.causes: Dict[int, str] = {}
         self.total_restarts = 0
@@ -728,6 +720,8 @@ class ParallelSimulation:
             return
         if round_number % self.checkpoint_interval != 0:
             return
+        from repro.faults.checkpoint import CheckpointState, write_checkpoint
+
         state = CheckpointState(
             **self._schedule(),
             round=round_number,
@@ -762,6 +756,8 @@ class ParallelSimulation:
         started = time.perf_counter()
         master_wall = 0.0
         if resume_from is not None:
+            from repro.faults.checkpoint import CheckpointError, read_checkpoint
+
             resume = read_checkpoint(resume_from)
             for key, value in self._schedule().items():
                 found = getattr(resume, key)
@@ -835,6 +831,8 @@ class ParallelSimulation:
         self, transport: Transport, slave_id: int, generation: int,
         seed: int, schemes, replay=(), round_offset=0,
     ) -> WorkerEndpoint:
+        from repro.parallel.transport import _serve_session
+
         return transport.spawn(
             slave_id,
             generation,
@@ -863,6 +861,18 @@ class ParallelSimulation:
         folding reports into ``merged`` and keeping ``book``; returns
         ``(converged, rounds, last round's reports, deadline_stopped)``.
         """
+        # A slave's session builds a FaultInjector: load it here, before
+        # the first fork, so that forked slaves import nothing themselves.
+        import repro.faults.injector  # noqa: F401
+        from repro.parallel.chaos import with_frame_faults
+        from repro.parallel.transport import (
+            LocalPipeTransport,
+            TransportCapacityError,
+            _InlineTransport,
+            collect_replies,
+            disconnect_cause,
+        )
+
         owned = self.backend == "serial" or self.transport is None
         if self.backend == "serial":
             transport = _InlineTransport(self.round_timeout)

@@ -8,7 +8,13 @@ it degenerates to plain PowerNap (sleep only when totally idle, wake on
 first arrival), which serves as the baseline.
 """
 
-from repro.policies.dreamweaver import DreamWeaver, DreamWeaverError, PolicyState
-from repro.policies.governor import OndemandGovernor
+from repro import _lazy_exports
 
 __all__ = ["DreamWeaver", "DreamWeaverError", "PolicyState", "OndemandGovernor"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "DreamWeaver": "repro.policies.dreamweaver",
+    "DreamWeaverError": "repro.policies.dreamweaver",
+    "PolicyState": "repro.policies.dreamweaver",
+    "OndemandGovernor": "repro.policies.governor",
+})

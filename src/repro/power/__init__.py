@@ -15,22 +15,7 @@
 - :class:`EnergyMeter` — event-driven energy integration.
 """
 
-from repro.power.models import (
-    CubicDVFSPowerModel,
-    LinearPowerModel,
-    NapPowerModel,
-    PowerModel,
-    PowerModelError,
-)
-from repro.power.dvfs import DVFSPerformanceModel, ServerDVFS
-from repro.power.meter import EnergyMeter
-from repro.power.capping import PowerCappingController
-from repro.power.states import (
-    PowerState,
-    PowerStateError,
-    PowerStateMachine,
-    acpi_default_states,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "PowerModel",
@@ -47,3 +32,19 @@ __all__ = [
     "PowerStateMachine",
     "acpi_default_states",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "CubicDVFSPowerModel": "repro.power.models",
+    "LinearPowerModel": "repro.power.models",
+    "NapPowerModel": "repro.power.models",
+    "PowerModel": "repro.power.models",
+    "PowerModelError": "repro.power.models",
+    "DVFSPerformanceModel": "repro.power.dvfs",
+    "ServerDVFS": "repro.power.dvfs",
+    "EnergyMeter": "repro.power.meter",
+    "PowerCappingController": "repro.power.capping",
+    "PowerState": "repro.power.states",
+    "PowerStateError": "repro.power.states",
+    "PowerStateMachine": "repro.power.states",
+    "acpi_default_states": "repro.power.states",
+})

@@ -19,26 +19,7 @@ See ``docs/sweeps.md`` for the spec format and the caching /
 determinism / fault-tolerance contracts.
 """
 
-from repro.sweep.cache import CACHE_FORMAT, CacheError, SweepCache
-from repro.sweep.runner import (
-    BACKENDS,
-    PointResult,
-    SweepResult,
-    SweepRunner,
-    payload_problem,
-    run_point,
-)
-from repro.sweep.spec import (
-    SweepError,
-    SweepPoint,
-    SweepSpec,
-    apply_params,
-    callable_ref,
-    canonical,
-    canonical_json,
-    content_digest,
-    resolve_callable,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -60,3 +41,24 @@ __all__ = [
     "resolve_callable",
     "run_point",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "CACHE_FORMAT": "repro.sweep.cache",
+    "CacheError": "repro.sweep.cache",
+    "SweepCache": "repro.sweep.cache",
+    "BACKENDS": "repro.sweep.runner",
+    "PointResult": "repro.sweep.runner",
+    "SweepResult": "repro.sweep.runner",
+    "SweepRunner": "repro.sweep.runner",
+    "payload_problem": "repro.sweep.runner",
+    "run_point": "repro.sweep.runner",
+    "SweepError": "repro.sweep.spec",
+    "SweepPoint": "repro.sweep.spec",
+    "SweepSpec": "repro.sweep.spec",
+    "apply_params": "repro.sweep.spec",
+    "callable_ref": "repro.sweep.spec",
+    "canonical": "repro.sweep.spec",
+    "canonical_json": "repro.sweep.spec",
+    "content_digest": "repro.sweep.spec",
+    "resolve_callable": "repro.sweep.spec",
+})

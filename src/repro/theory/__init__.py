@@ -12,31 +12,7 @@ closed forms and approximations so that
   analytic answer sits from the simulated one (the Fig. 5 exercise).
 """
 
-from repro.theory.cloning import (
-    min_of_exponentials_mean,
-    ps_clone_to_all_response,
-    ps_cloning_response,
-    ps_random_split_response,
-)
-from repro.theory.multiserver import (
-    MultiserverReference,
-    multiserver_recurrence,
-    reference_mean,
-    simulate_reference,
-)
-from repro.theory.queues import (
-    TheoryError,
-    erlang_c,
-    mg1_mean_response,
-    mg1_mean_waiting,
-    mm1_mean_response,
-    mm1_mean_waiting,
-    mm1_quantile_response,
-    mmk_mean_response,
-    mmk_mean_waiting,
-    gg1_mean_waiting_approx,
-    utilization,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "TheoryError",
@@ -61,3 +37,25 @@ __all__ = [
     "ps_cloning_response",
     "min_of_exponentials_mean",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "min_of_exponentials_mean": "repro.theory.cloning",
+    "ps_clone_to_all_response": "repro.theory.cloning",
+    "ps_cloning_response": "repro.theory.cloning",
+    "ps_random_split_response": "repro.theory.cloning",
+    "MultiserverReference": "repro.theory.multiserver",
+    "multiserver_recurrence": "repro.theory.multiserver",
+    "reference_mean": "repro.theory.multiserver",
+    "simulate_reference": "repro.theory.multiserver",
+    "TheoryError": "repro.theory.queues",
+    "erlang_c": "repro.theory.queues",
+    "mg1_mean_response": "repro.theory.queues",
+    "mg1_mean_waiting": "repro.theory.queues",
+    "mm1_mean_response": "repro.theory.queues",
+    "mm1_mean_waiting": "repro.theory.queues",
+    "mm1_quantile_response": "repro.theory.queues",
+    "mmk_mean_response": "repro.theory.queues",
+    "mmk_mean_waiting": "repro.theory.queues",
+    "gg1_mean_waiting_approx": "repro.theory.queues",
+    "utilization": "repro.theory.queues",
+})

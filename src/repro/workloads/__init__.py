@@ -7,24 +7,7 @@ published moments; :mod:`repro.workloads.generator` turns workloads into
 explicit traces and back.
 """
 
-from repro.workloads.workload import Workload, WorkloadError
-from repro.workloads.models import (
-    TABLE1_SPECS,
-    WorkloadSpec,
-    dns,
-    google,
-    mail,
-    shell,
-    web,
-    by_name,
-    all_names,
-)
-from repro.workloads.generator import generate_trace, workload_from_trace
-from repro.workloads.timevarying import (
-    RateProfile,
-    VariableRateSource,
-    diurnal_profile,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "Workload",
@@ -44,3 +27,22 @@ __all__ = [
     "VariableRateSource",
     "diurnal_profile",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "Workload": "repro.workloads.workload",
+    "WorkloadError": "repro.workloads.workload",
+    "TABLE1_SPECS": "repro.workloads.models",
+    "WorkloadSpec": "repro.workloads.models",
+    "dns": "repro.workloads.models",
+    "google": "repro.workloads.models",
+    "mail": "repro.workloads.models",
+    "shell": "repro.workloads.models",
+    "web": "repro.workloads.models",
+    "by_name": "repro.workloads.models",
+    "all_names": "repro.workloads.models",
+    "generate_trace": "repro.workloads.generator",
+    "workload_from_trace": "repro.workloads.generator",
+    "RateProfile": "repro.workloads.timevarying",
+    "VariableRateSource": "repro.workloads.timevarying",
+    "diurnal_profile": "repro.workloads.timevarying",
+})

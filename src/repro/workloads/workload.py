@@ -10,12 +10,14 @@ implement.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.distributions import Distribution, EmpiricalDistribution, Scaled
 from repro.engine.simulation import seeded_rng
+
+if TYPE_CHECKING:
+    from repro.distributions import Distribution
 
 
 class WorkloadError(ValueError):
@@ -90,6 +92,8 @@ class Workload:
         (factor < 1 means *more* load)."""
         if factor <= 0:
             raise WorkloadError(f"scale factor must be > 0, got {factor}")
+        from repro.distributions import Scaled
+
         return replace(self, interarrival=Scaled(self.interarrival, factor))
 
     def scale_service(self, factor: float) -> "Workload":
@@ -97,6 +101,8 @@ class Workload:
         (the S_CPU slowdown knob of Fig. 4)."""
         if factor <= 0:
             raise WorkloadError(f"scale factor must be > 0, got {factor}")
+        from repro.distributions import Scaled
+
         return replace(self, service=Scaled(self.service, factor))
 
     def at_load(self, load: float, cores: int = 1, speed: float = 1.0) -> "Workload":
@@ -130,6 +136,8 @@ class Workload:
     ) -> "Workload":
         """Materialize both distributions as fine-grained empirical CDFs,
         the artifact shape BigHouse actually distributes (< 1 MB each)."""
+        from repro.distributions import EmpiricalDistribution
+
         # 0xB16 ("BIG") is the historical fixed seed; changing it changes
         # every shipped empirical workload bit-for-bit.
         rng = rng if rng is not None else seeded_rng(0xB16)

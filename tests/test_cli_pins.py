@@ -163,11 +163,11 @@ DOCUMENTED = [
      ["sweep", "examples/sweeps/lint_demo.toml", "--lint"]),
     ("analysis.md:160", ["run", "config.json", "--lint"]),
     ("analysis.md:310", ["run", "config.json", "--sanitize"]),
-    ("distributed.md:149", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("distributed.md:155", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                             "--backend", "remote",
                             "--listen", "127.0.0.1:9751"]),
-    ("distributed.md:153", ["agent", "127.0.0.1:9751", "--slots", "8"]),
-    ("distributed.md:156", ["run", "config.json", "--parallel", "8",
+    ("distributed.md:159", ["agent", "127.0.0.1:9751", "--slots", "8"]),
+    ("distributed.md:162", ["run", "config.json", "--parallel", "8",
                             "--backend", "remote",
                             "--listen", "0.0.0.0:9751"]),
     ("extending.md:117", ["characterize", "trace.txt"]),
@@ -177,15 +177,15 @@ DOCUMENTED = [
     ("reproducing.md:19", ["sweep", "examples/sweeps/fig8_cv.toml",
                            "--jobs", "4", "--cache", ".sweep-cache",
                            "--out", "fig8.json"]),
-    ("robustness.md:396", ["run", "config.json", "--parallel", "4",
+    ("robustness.md:400", ["run", "config.json", "--parallel", "4",
                            "--chaos",
                            '{"faults": [{"kind": "kill", "slave_id": 1, '
                            '"round": 1}]}',
                            "--respawn"]),
-    ("robustness.md:401", ["run", "config.json", "--parallel", "4",
+    ("robustness.md:405", ["run", "config.json", "--parallel", "4",
                            "--backend", "process", "--checkpoint",
                            "run.ck"]),
-    ("robustness.md:403", ["run", "config.json", "--parallel", "4",
+    ("robustness.md:407", ["run", "config.json", "--parallel", "4",
                            "--backend", "process", "--resume", "run.ck"]),
     ("sweeps.md:10", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                       "--jobs", "4", "--cache", ".sweep-cache",

@@ -1,5 +1,6 @@
 """Unit tests for confidence-interval math (Eqs. 1-3)."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.symbols import parse_module
 from repro.core.confidence import (
     _ndtri,
     mean_sample_size,
@@ -67,21 +69,29 @@ class TestZValue:
         assert np.array_equal(ours, ndtri(grid))
 
 
-def imported_modules(argv):
-    """Every module ``python *argv`` imports on this checkout, at any
-    point of its life, from ``-X importtime``'s listing."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def import_listing(argv):
+    """Each module import ``python *argv`` makes on this checkout, in
+    every process it forks, from ``-X importtime``'s listing."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
-        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    modules = {line.rsplit("|", 1)[-1].strip()
+    listing = [line.rsplit("|", 1)[-1].strip()
                for line in done.stderr.splitlines()
-               if line.startswith("import time:")}
-    assert "repro" in modules  # the listing sees this package at all
-    return modules
+               if line.startswith("import time:")]
+    assert "repro" in listing  # the listing sees this package at all
+    return listing
+
+
+def imported_modules(argv):
+    """Every module ``python *argv`` imports on this checkout, at any
+    point of its life."""
+    return set(import_listing(argv))
 
 
 #: Three complete runs — event engine, fast path, serial-backend
@@ -111,6 +121,76 @@ assert "engine" not in event.extras and fast.extras["engine"] == "fastpath"
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
 
+#: One model, run to convergence on the engine named by ``sys.argv[1]``.
+SINGLE_RUN = """
+import sys
+from repro import Experiment, Server, Workload
+from repro.distributions import Exponential
+
+engine = sys.argv[1]
+cores = 4 if engine == "fastpath" else 1
+experiment = Experiment(seed=3, warmup_samples=200, calibration_samples=1000,
+                        engine=engine)
+server = Server(cores=cores)
+workload = Workload("w", interarrival=Exponential(rate=10.0),
+                    service=Exponential(rate=20.0 / cores))
+experiment.add_source(workload, target=server)
+experiment.track_response_time(server, mean_accuracy=0.1)
+result = experiment.run()
+assert result.converged
+assert result.extras.get("engine") == ("fastpath" if cores > 1 else None)
+"""
+
+#: A two-slave run on the process backend.  Each forked slave first
+#: writes ``<fork>`` into ``-X importtime``'s listing on stderr.
+FORKED_RUN = """
+import os
+os.register_at_fork(
+    after_in_child=lambda: os.write(2, b"import time: 0 | 0 | <fork>\\n"))
+
+from repro import Experiment, Server, Workload
+from repro.distributions import Exponential
+from repro.parallel import ParallelSimulation
+
+def build(seed):
+    experiment = Experiment(seed=seed, warmup_samples=200,
+                            calibration_samples=1000)
+    server = Server(cores=1)
+    workload = Workload("w", interarrival=Exponential(rate=10.0),
+                        service=Exponential(rate=20.0))
+    experiment.add_source(workload, target=server)
+    experiment.track_response_time(server, mean_accuracy=0.1)
+    return experiment
+
+assert ParallelSimulation(build, n_slaves=2, master_seed=5, chunk_size=500,
+                          backend="process").run().converged
+"""
+
+#: What a single-process run never needs: the parallel stack, the fault
+#: machinery, the datacenter models it does not build, the estimators it
+#: does not use, and the tools around the simulator.
+NOT_IN_A_RUN = (
+    "repro.parallel", "repro.faults.checkpoint", "repro.faults.injector",
+    "repro.faults.plan", "repro.datacenter.cluster",
+    "repro.datacenter.multiclass", "repro.datacenter.network",
+    "repro.datacenter.srpt", "repro.datacenter.closedloop",
+    "repro.core.batch_means", "repro.core.warmup", "repro.sweep",
+    "repro.analysis", "repro.observability",
+)
+
+
+def package_names():
+    """``repro`` and every package under it."""
+    root = os.path.join(SRC, "repro")
+    return ["repro"] + sorted(
+        f"repro.{entry}" for entry in os.listdir(root)
+        if os.path.isfile(os.path.join(root, entry, "__init__.py"))
+    )
+
+
+def within(module, prefixes):
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
 
 class TestStartUp:
     """No process this package starts ever loads scipy."""
@@ -129,6 +209,50 @@ class TestStartUp:
     def test_help_does_not_import_the_parallel_package(self):
         modules = imported_modules(["-m", "repro", "--help"])
         assert not [m for m in modules if m.startswith("repro.parallel")]
+
+    @pytest.mark.parametrize("engine", ["event", "fastpath"])
+    def test_a_run_loads_only_what_it_uses(self, engine):
+        modules = imported_modules(["-c", SINGLE_RUN, engine])
+        assert "repro.engine.experiment" in modules
+        assert not sorted(m for m in modules if within(m, NOT_IN_A_RUN))
+
+    def test_importing_the_master_loads_no_transport(self):
+        modules = imported_modules(
+            ["-c", "from repro.parallel import ParallelSimulation"])
+        assert "repro.parallel.master" in modules
+        assert not sorted(modules & {
+            "repro.parallel.transport", "repro.parallel.pool",
+            "repro.parallel.chaos", "repro.faults.checkpoint",
+        })
+
+    def test_forked_slaves_import_nothing(self):
+        # The master loads what a slave uses before it forks the first.
+        listing = import_listing(["-c", FORKED_RUN])
+        forked = listing.index("<fork>")
+        assert "repro.parallel.transport" in listing[:forked]
+        assert not [m for m in listing[forked:] if m.split(".")[0] == "repro"]
+
+    @pytest.mark.parametrize("package", package_names())
+    def test_every_export_is_its_defining_modules_object(self, package):
+        # The lazy table, read as simlint reads it, names for each export
+        # the module whose object a plain `from module import name` gave.
+        path = os.path.join(SRC, *package.split("."), "__init__.py")
+        with open(path) as handle:
+            table = parse_module(handle.read(), path, package).imports
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            if name not in table:  # defined by the package itself
+                assert name in vars(module), name
+                continue
+            home, _, attribute = table[name].rpartition(".")
+            assert attribute == name
+            assert getattr(module, name) is getattr(
+                importlib.import_module(home), name), name
+        assert set(module.__all__) <= set(dir(module))
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(
+            module.__all__)
 
 
 class TestMeanSampleSize:

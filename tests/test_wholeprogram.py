@@ -18,9 +18,15 @@ from repro.analysis.dataflow import analyze_taint
 from repro.analysis.linter import Finding
 from repro.analysis.project import analyze_project
 from repro.analysis.races import analyze_races
-from repro.analysis.symbols import ProjectIndex, module_name_for, parse_module
+from repro.analysis.symbols import (
+    ProjectIndex,
+    load_modules,
+    module_name_for,
+    parse_module,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
 FIXTURES = REPO_ROOT / "tests" / "fixtures"
 CORPUS = FIXTURES / "wpa_corpus"
 WORKER_ENTRIES = ["wpa_corpus.worker.worker_main"]
@@ -110,6 +116,34 @@ class TestSymbolsAndCallgraph:
         assert index.function_for("pkg.a.source") is not None
         resolved = index.resolve(index.modules["pkg.b"], "src")
         assert resolved == "pkg.a.source"
+
+    def test_lazy_package_exports_resolve(self, tmp_path):
+        # A package exporting through a {name: module} table re-exports
+        # the name as a `from module import name` would.
+        index = build_index(tmp_path, {
+            "pkg/__init__.py": (
+                "from repro import _lazy_exports\n"
+                "__getattr__, __dir__ = _lazy_exports(globals(), {\n"
+                "    'source': 'pkg.a',\n"
+                "})\n"
+            ),
+            "pkg/a.py": "def source():\n    return 1\n",
+            "pkg/b.py": (
+                "from pkg import source\n"
+                "def caller():\n"
+                "    return source()\n"
+            ),
+        })
+        assert index.function_for("pkg.source").name == "pkg.a.source"
+        graph = build_callgraph(index)
+        assert "pkg.a.source" in graph.reachable(["pkg.b.caller"])
+
+    def test_repository_package_exports_resolve(self):
+        index = ProjectIndex()
+        for module in load_modules([SRC / "repro" / "faults"]):
+            index.add(module)
+        found = index.function_for("repro.faults.derive_seed")
+        assert found.name == "repro.faults.recovery.derive_seed"
 
     def test_reachability_includes_helper(self, tmp_path):
         index = build_index(tmp_path, {
