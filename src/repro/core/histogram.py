@@ -158,7 +158,7 @@ class Histogram:
 
     @property
     def counts(self) -> np.ndarray:
-        """Regular-bin counts (a copy; mutate via insert/merge)."""
+        """Regular-bin counts (a copy; mutate via insert/merge_payload)."""
         return self._counts.copy()
 
     @counts.setter
@@ -345,65 +345,6 @@ class Histogram:
 
     # -- merging (the parallel "reduce") ------------------------------------
 
-    def rebin_to(self, scheme: BinScheme) -> "Histogram":
-        """A copy of this histogram approximated onto a different scheme.
-
-        Each source bin's mass is deposited at its midpoint in the target
-        scheme (underflow/overflow regions use the midpoint of their
-        observed extent).  Totals and the exact running moments are
-        preserved; only the *binned* quantile resolution degrades — by at
-        most one source bin width, the same error class the histogram
-        approximation already carries.
-        """
-        target = Histogram(scheme)
-        target.count = self.count
-        target._sum = self._sum
-        target._sum_sq = self._sum_sq
-        target.min_seen = self.min_seen
-        target.max_seen = self.max_seen
-
-        source = self.scheme
-        lo = self.min_seen if math.isfinite(self.min_seen) else source.low
-        hi = (
-            max(self.max_seen, source.high)
-            if math.isfinite(self.max_seen)
-            else source.high
-        )
-        values = np.concatenate((
-            source.low + (np.arange(source.bins) + 0.5) * source.width,
-            [(lo + source.low) / 2.0, (source.high + hi) / 2.0],
-        ))
-        masses = np.append(self._counts, [self.underflow, self.overflow])
-        under = values < scheme.low
-        over = values >= scheme.high
-        target.underflow = int(masses[under].sum())
-        target.overflow = int(masses[over].sum())
-        inside = ~(under | over)
-        scaled = (values[inside] - scheme.low) / scheme.width
-        indices = scaled.astype(np.int64)
-        np.minimum(indices, scheme.bins - 1, out=indices)
-        np.add.at(target._counts, indices, masses[inside])
-        return target
-
-    def merge(self, other: "Histogram", rebin: bool = False) -> None:
-        """Fold another histogram into this one.
-
-        Schemes must be identical unless ``rebin=True``, in which case
-        ``other`` is first approximated onto this histogram's scheme via
-        :meth:`rebin_to`.  A silent bin-wise merge of mismatched schemes
-        would attribute mass to the wrong value ranges, so the default is
-        to refuse loudly.
-        """
-        if other.scheme != self.scheme:
-            if not rebin:
-                raise HistogramError(
-                    f"cannot merge different schemes: {self.scheme} vs "
-                    f"{other.scheme}; pass rebin=True to approximate onto "
-                    "this histogram's scheme"
-                )
-            other = other.rebin_to(self.scheme)
-        self.merge_payload(other.to_payload())
-
     def merge_payload(self, payload: dict) -> None:
         """Fold a payload dict (full or delta form) into this histogram.
 
@@ -424,7 +365,7 @@ class Histogram:
         if (low, high, bins) != (scheme.low, scheme.high, scheme.bins):
             raise HistogramError(
                 f"cannot merge payload with scheme {payload['scheme']} "
-                f"into {scheme}; rebin slave-side or recalibrate"
+                f"into {scheme}; histograms merge only under one bin scheme"
             )
         self._counts += _payload_counts(payload, self._bins)
         self.underflow += payload["underflow"]

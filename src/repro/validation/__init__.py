@@ -6,9 +6,11 @@ hardware we validate against mathematics instead: for every queueing
 model with a known closed form, run the full BigHouse pipeline and
 compare its converged estimate to the exact answer.
 
-:func:`run_validation_suite` returns a list of :class:`ValidationCase`
-rows; ``python -m repro.validation`` prints them as a report.  The test
-suite asserts every case passes within its tolerance.
+Every comparison is a row of an acceptance grid
+(:mod:`repro.validation.acceptance`): :func:`run_acceptance` returns one
+:class:`ValidationCase` per statistic, ``python -m repro.validation``
+prints both always-on smoke grids as a report, and the test suite
+asserts every case passes and that the committed tables are current.
 """
 
 from repro import _lazy_exports
@@ -24,12 +26,7 @@ __all__ = [
     "format_acceptance_table",
     "queue_point_factory",
     "run_acceptance",
-    "run_validation_suite",
     "theoretical_value",
-    "validate_mm1",
-    "validate_mmk",
-    "validate_mg1",
-    "validate_ps",
     "write_acceptance_table",
 ]
 
@@ -45,10 +42,5 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "run_acceptance": "repro.validation.acceptance",
     "theoretical_value": "repro.validation.acceptance",
     "write_acceptance_table": "repro.validation.acceptance",
-    "ValidationCase": "repro.validation.suite",
-    "run_validation_suite": "repro.validation.suite",
-    "validate_mg1": "repro.validation.suite",
-    "validate_mm1": "repro.validation.suite",
-    "validate_mmk": "repro.validation.suite",
-    "validate_ps": "repro.validation.suite",
+    "ValidationCase": "repro.validation.acceptance",
 })

@@ -1,10 +1,8 @@
 """Statistical acceptance harness: a sweep over closed-form queues.
 
-The single validation path: every sim-vs-theory comparison — the
-classic :mod:`repro.validation.suite` validators *and* the acceptance
-grid exercised by ``tests/test_acceptance_theory.py`` — runs through
-one :class:`repro.sweep.SweepSpec` over :func:`queue_point_factory` and
-is judged by one rule, CI-aware:
+The single validation path: every sim-vs-theory comparison runs
+through one :class:`repro.sweep.SweepSpec` over
+:func:`queue_point_factory` and is judged by one rule, CI-aware:
 
     pass  ⇔  converged  and  |sim − theory| ≤ tol·|theory| + half_width
 
@@ -15,14 +13,16 @@ budget instead of flaking; a tight run is held to the tolerance.
 Grid points are plain dicts (model, rho, cv, k, metric, quantiles), so
 they slot directly into a sweep ``grid`` and are content-addressed like
 any other point — the acceptance grid caches, parallelizes, and
-resumes exactly like a figure sweep.
+resumes exactly like a figure sweep.  The tests, CI and ``python -m
+repro.validation`` run the two smoke grids from ``_SMOKE_GRIDS``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sweep import SweepResult, SweepRunner, SweepSpec
 
@@ -32,7 +32,8 @@ DEFAULT_MU = 20.0
 #: The always-on smoke subset: one point per model family, plus the
 #: engine axis — the same M/M/1 and M/M/k models re-judged on the
 #: vectorized fastpath engine, so tier-1 always cross-checks the two
-#: engines against the same closed forms.  Fastpath points are appended
+#: engines against the same closed forms — then M/G/1 with
+#: deterministic service and M/G/1-PS at Cv 3.  New points are appended
 #: *after* the historical ones: each point's derived seed (and so its
 #: digest) is a function of its grid index, and prepending would move
 #: every pre-existing result.
@@ -45,6 +46,8 @@ SMOKE_POINTS = (
      "quantiles": [0.95, 0.99], "engine": "fastpath"},
     {"model": "mmk", "rho": 0.75, "k": 4, "metric": "waiting",
      "engine": "fastpath"},
+    {"model": "mg1", "rho": 0.5, "cv": 0.0, "metric": "waiting"},
+    {"model": "ps", "rho": 0.5, "cv": 3.0, "metric": "response"},
 )
 
 #: The full acceptance grid (superset of the smoke subset).
@@ -56,10 +59,8 @@ FULL_POINTS = SMOKE_POINTS + (
     {"model": "mm1", "rho": 0.9, "metric": "response"},
     {"model": "mmk", "rho": 0.5, "k": 4, "metric": "waiting"},
     {"model": "mmk", "rho": 0.9, "k": 4, "metric": "waiting"},
-    {"model": "mg1", "rho": 0.5, "cv": 0.0, "metric": "waiting"},
     {"model": "mg1", "rho": 0.5, "cv": 4.0, "metric": "waiting"},
     {"model": "mg1", "rho": 0.7, "cv": 2.0, "metric": "waiting"},
-    {"model": "ps", "rho": 0.5, "cv": 3.0, "metric": "response"},
     {"model": "mg1", "rho": 0.7, "cv": 2.0, "metric": "waiting",
      "engine": "fastpath"},
 )
@@ -97,6 +98,22 @@ MULTISERVER_FULL_POINTS = MULTISERVER_SMOKE_POINTS + (
      "metric": "response"},
 )
 
+
+class _SmokeGrid(NamedTuple):
+    points: Tuple[dict, ...]
+    seed: int
+    accuracy: float
+
+
+#: The two always-on smoke grids by sweep name, at the seed and
+#: accuracy their committed tables were recorded at.
+_SMOKE_GRIDS = {
+    "acceptance-theory": _SmokeGrid(SMOKE_POINTS, 20260806, 0.05),
+    "acceptance-multiserver": _SmokeGrid(
+        MULTISERVER_SMOKE_POINTS, 20260809, 0.05
+    ),
+}
+
 #: Tolerance (x accuracy target) per model family; on top of these the
 #: CI half-width widens each budget (see module docstring).  ``msj`` is
 #: judged against a finite Monte-Carlo reference (not an exact closed
@@ -113,9 +130,64 @@ QUANTILE_FACTOR = 4.0
 MSJ_REFERENCE_SEED = 0xB16
 MSJ_REFERENCE_JOBS = 200_000
 
-#: Grid-entry keys forwarded to :func:`theoretical_value` beyond the
-#: classic (rho, cv, k, mu) quadruple.
-_EXTRA_KEYS = ("n_servers", "need_values", "need_weights", "backends", "clones")
+#: Grid-entry keys forwarded to :func:`theoretical_value` when present;
+#: an absent key takes the same default there as in the factory.
+_SHAPE_KEYS = ("cv", "k", "mu", "n_servers", "need_values", "need_weights",
+               "backends", "clones")
+
+
+@dataclass(frozen=True)
+class ValidationCase:
+    """One sim-vs-theory comparison, judged by the CI-aware rule of the
+    module docstring.  ``ci`` is the statistics package's own confidence
+    interval for the simulated estimate; with none attached, half_width
+    is 0 and the rule reduces to a relative-error check."""
+
+    name: str
+    simulated: float
+    theoretical: float
+    tolerance: float
+    converged: bool
+    ci: Optional[Tuple[float, float]] = None
+
+    @property
+    def relative_error(self) -> float:
+        """|sim - theory| / |theory|."""
+        if self.theoretical == 0:
+            return abs(self.simulated)
+        return abs(self.simulated - self.theoretical) / abs(self.theoretical)
+
+    @property
+    def half_width(self) -> float:
+        """Half the CI width (0 when no CI was recorded)."""
+        if self.ci is None:
+            return 0.0
+        return abs(self.ci[1] - self.ci[0]) / 2.0
+
+    @property
+    def passed(self) -> bool:
+        """True when the simulated estimate is within its CI-aware budget."""
+        error = abs(self.simulated - self.theoretical)
+        budget = self.tolerance * abs(self.theoretical) + self.half_width
+        return self.converged and error <= budget
+
+
+def _arrival_rate(
+    model: str, rho: float, k: int, mu: float, n_servers: int,
+    need_values: Sequence[int], need_weights: Optional[Sequence[float]],
+    backends: int, clones: int,
+) -> float:
+    """The Poisson arrival rate that puts one grid point at load ``rho``."""
+    if model == "msj":
+        from repro.distributions import Choice
+
+        # rho is the offered load on the whole pool: lam E[k] / (N mu).
+        return rho * n_servers * mu / Choice(need_values, need_weights).mean()
+    if model == "clone_ps":
+        # rho is the per-backend load: each of the d replicas offers
+        # lam/backends ... lam d / (backends mu) = rho.
+        return rho * backends * mu / clones
+    return rho * k * mu
 
 
 def queue_point_factory(
@@ -159,33 +231,27 @@ def queue_point_factory(
     from repro.engine.experiment import Experiment
     from repro.workloads.workload import Workload
 
+    lam = _arrival_rate(
+        model, rho, k, mu, n_servers, need_values, need_weights,
+        backends, clones,
+    )
     if model == "msj":
-        need = Choice(need_values, need_weights)
-        # rho is the offered load on the whole pool: lam E[k] / (N mu).
-        lam = rho * n_servers * mu / need.mean()
         workload = Workload(
             model, Exponential(rate=lam), Exponential(rate=mu)
-        ).with_servers_needed(need)
+        ).with_servers_needed(Choice(need_values, need_weights))
         station = MultiserverCluster(n_servers)
     elif model == "clone_ps":
-        # rho is the per-backend load: each of the d replicas offers
-        # lam/backends ... lam d / (backends mu) = rho.
-        lam = rho * backends * mu / clones
         workload = Workload(model, Exponential(rate=lam), Exponential(rate=mu))
         station = CloningBalancer(
             [ProcessorSharingServer(name=f"ps{i}") for i in range(backends)],
             clones=clones,
         )
     else:
-        lam = rho * k * mu
-        if model in ("mm1", "mmk"):
-            service = Exponential(rate=mu)
-        else:
-            service = fit_mean_cv(1.0 / mu, cv)
-        if model == "ps":
-            station = ProcessorSharingServer()
-        else:
-            station = Server(cores=k)
+        service = (
+            Exponential(rate=mu) if model in ("mm1", "mmk")
+            else fit_mean_cv(1.0 / mu, cv)
+        )
+        station = ProcessorSharingServer() if model == "ps" else Server(cores=k)
         workload = Workload(model, Exponential(rate=lam), service)
     experiment = Experiment(
         seed=seed,
@@ -208,12 +274,8 @@ def queue_point_factory(
 
 @lru_cache(maxsize=None)
 def _msj_reference_value(
-    lam: float,
-    mu: float,
-    n_servers: int,
-    need_values: tuple,
-    need_weights: Optional[tuple],
-    metric: str,
+    lam: float, mu: float, n_servers: int, need_values: tuple,
+    need_weights: Optional[tuple], metric: str,
 ) -> float:
     """Seeded recurrence reference for one msj point (cached: evaluate
     re-asks per statistic and the reference run is the expensive part)."""
@@ -247,13 +309,13 @@ def theoretical_value(
     from repro import theory
     from repro.distributions import fit_mean_cv
 
+    lam = _arrival_rate(
+        model, rho, k, mu, n_servers, need_values, need_weights,
+        backends, clones,
+    )
     if model == "msj":
         if quantile is not None:
             return None
-        from repro.distributions import Choice
-
-        mean_need = Choice(need_values, need_weights).mean()
-        lam = rho * n_servers * mu / mean_need
         return _msj_reference_value(
             lam, mu, n_servers, tuple(need_values),
             tuple(need_weights) if need_weights is not None else None,
@@ -262,10 +324,7 @@ def theoretical_value(
     if model == "clone_ps":
         if quantile is not None or metric != "response":
             return None
-        lam = rho * backends * mu / clones
         return theory.ps_cloning_response(lam, mu, backends, clones)
-
-    lam = rho * k * mu
     if model == "mm1":
         if quantile is not None:
             if metric != "response":
@@ -336,41 +395,32 @@ def build_acceptance_spec(
     )
 
 
-def evaluate(result: SweepResult, accuracy: float = 0.02) -> List["ValidationCase"]:
+def evaluate(
+    result: SweepResult, accuracy: float = 0.02
+) -> List[ValidationCase]:
     """Judge every sweep point against theory; one case per statistic."""
-    from repro.validation.suite import ValidationCase
-
     cases: List[ValidationCase] = []
     for point in result.points:
         entry = point.params
         model = entry["model"]
         metric = entry.get("metric", "response")
-        metric_name = f"{metric}_time"
-        estimate = point.estimate(metric_name)
-        factor = TOLERANCE_FACTORS[model]
+        estimate = point.estimate(f"{metric}_time")
         label = point_label(entry)
-        extra = {key: entry[key] for key in _EXTRA_KEYS if key in entry}
-        theory_mean = theoretical_value(
-            model, metric, entry["rho"],
-            cv=entry.get("cv", 1.0), k=entry.get("k", 1),
-            mu=entry.get("mu", DEFAULT_MU), **extra,
-        )
+        shape = {key: entry[key] for key in _SHAPE_KEYS if key in entry}
         mean_ci = estimate.get("mean_ci")
         cases.append(
             ValidationCase(
                 f"{label} mean {metric}",
                 estimate["mean"],
-                theory_mean,
-                tolerance=factor * accuracy,
+                theoretical_value(model, metric, entry["rho"], **shape),
+                tolerance=TOLERANCE_FACTORS[model] * accuracy,
                 converged=point.converged,
                 ci=tuple(mean_ci) if mean_ci else None,
             )
         )
         for q in entry.get("quantiles", ()):
             theory_q = theoretical_value(
-                model, metric, entry["rho"],
-                cv=entry.get("cv", 1.0), k=entry.get("k", 1),
-                mu=entry.get("mu", DEFAULT_MU), quantile=q, **extra,
+                model, metric, entry["rho"], quantile=q, **shape
             )
             if theory_q is None:
                 continue
@@ -397,7 +447,7 @@ def run_acceptance(
     cache=None,
     tracer=None,
     name: str = "acceptance-theory",
-) -> Tuple[SweepResult, List["ValidationCase"]]:
+) -> Tuple[SweepResult, List[ValidationCase]]:
     """Run the acceptance grid; returns (sweep result, judged cases)."""
     spec = build_acceptance_spec(points, accuracy=accuracy, seed=seed, name=name)
     result = SweepRunner(
@@ -406,7 +456,15 @@ def run_acceptance(
     return result, evaluate(result, accuracy=accuracy)
 
 
-def format_acceptance_table(cases: Iterable["ValidationCase"]) -> str:
+def _run_smoke(name: str) -> Tuple[SweepResult, List[ValidationCase]]:
+    """Run one of ``_SMOKE_GRIDS`` serially at its recorded seed."""
+    grid = _SMOKE_GRIDS[name]
+    return run_acceptance(
+        grid.points, accuracy=grid.accuracy, seed=grid.seed, name=name
+    )
+
+
+def format_acceptance_table(cases: Iterable[ValidationCase]) -> str:
     """The acceptance pass table (published as a CI artifact)."""
     cases = list(cases)
     width = max(len(case.name) for case in cases) + 2
@@ -431,7 +489,7 @@ def format_acceptance_table(cases: Iterable["ValidationCase"]) -> str:
 
 
 def write_acceptance_table(
-    cases: Iterable["ValidationCase"], path: Union[str, Path]
+    cases: Iterable[ValidationCase], path: str | Path
 ) -> Path:
     """Write the pass table to ``path`` (parents created)."""
     path = Path(path)

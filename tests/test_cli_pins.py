@@ -23,13 +23,15 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-PINS_FILE = Path(__file__).resolve().parent / "fixtures" / "cli_pins.json"
+ROOT = Path(__file__).resolve().parent.parent
+PINS_FILE = ROOT / "tests" / "fixtures" / "cli_pins.json"
 
 #: What the fault-option builder prints instead of building: every
 #: flag check has passed.
@@ -84,8 +86,9 @@ NEED_ARGV = {
 REFUSAL = re.compile(r"^\S+(?: \S+)? requires (.+)\n$")
 
 #: Every ``repro`` command line in CI, README.md and docs/, as
-#: ``(where, argv)``; shell continuations are joined, redirections and
-#: the trailing ``&`` dropped.
+#: ``(where, argv)``: ``where`` is ``file:line`` of the line the
+#: command starts on (:func:`command_at`); shell continuations are
+#: joined, redirections and the trailing ``&`` dropped.
 DOCUMENTED = [
     ("ci.yml:83", ["sweep", "examples/sweeps/mm1_loadcurve.toml", "--lint"]),
     ("ci.yml:84", ["sweep", "examples/sweeps/fig8_cv.toml", "--lint"]),
@@ -97,23 +100,23 @@ DOCUMENTED = [
      ["sweep", "examples/sweeps/multiserver_misfit_demo.toml", "--lint"]),
     ("ci.yml:151", ["run", "/tmp/mm1.json", "--trace", "/tmp/trace.jsonl",
                     "--metrics"]),
-    ("ci.yml:238", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:262", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--jobs", "2", "--cache", "/tmp/sweep-cache",
                     "--out", "/tmp/cold.json"]),
-    ("ci.yml:240", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:264", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--jobs", "2", "--cache", "/tmp/sweep-cache",
                     "--out", "/tmp/warm.json"]),
-    ("ci.yml:263", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
+    ("ci.yml:287", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                     "--backend", "serial", "--respawn", "--chaos",
                     '{"faults": [{"kind": "kill", "slave_id": 0, '
                     '"round": 1, "phase": "pre_run"}]}',
                     "--trace", "/tmp/serial_chaos.jsonl",
                     "--out", "/tmp/serial_chaos.json"]),
-    ("ci.yml:302", ["sweep", "/tmp/bad_grid.toml"]),
-    ("ci.yml:350", ["sweep", "examples/sweeps/cloning_tail.toml",
+    ("ci.yml:326", ["sweep", "/tmp/bad_grid.toml"]),
+    ("ci.yml:355", ["sweep", "examples/sweeps/cloning_tail.toml",
                     "--jobs", "2", "--cache", "/tmp/clone-cache",
                     "--out", "/tmp/clone_cold.json"]),
-    ("ci.yml:352", ["sweep", "examples/sweeps/cloning_tail.toml",
+    ("ci.yml:357", ["sweep", "examples/sweeps/cloning_tail.toml",
                     "--jobs", "2", "--cache", "/tmp/clone-cache",
                     "--out", "/tmp/clone_warm.json"]),
     ("ci.yml:394", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
@@ -159,10 +162,10 @@ DOCUMENTED = [
     ("README.md:125", ["run", "experiment.json", "--sanitize"]),
     ("README.md:127", ["characterize", "trace.txt"]),
     ("README.md:128", ["theory", "mm1", "--lam", "10", "--mu", "20"]),
-    ("analysis.md:156",
+    ("analysis.md:157",
      ["sweep", "examples/sweeps/lint_demo.toml", "--lint"]),
-    ("analysis.md:160", ["run", "config.json", "--lint"]),
-    ("analysis.md:310", ["run", "config.json", "--sanitize"]),
+    ("analysis.md:161", ["run", "config.json", "--lint"]),
+    ("analysis.md:311", ["run", "config.json", "--sanitize"]),
     ("distributed.md:155", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
                             "--backend", "remote",
                             "--listen", "127.0.0.1:9751"]),
@@ -191,6 +194,29 @@ DOCUMENTED = [
                       "--jobs", "4", "--cache", ".sweep-cache",
                       "--out", "loadcurve.json"]),
 ]
+
+
+def command_at(where):
+    """The words after ``repro`` on the command line that starts at
+    ``where``, continuation lines joined; a shell comment, a closing
+    backtick and everything after them are dropped."""
+    name, number = where.rsplit(":", 1)
+    path = {
+        "ci.yml": ROOT / ".github" / "workflows" / "ci.yml",
+        "README.md": ROOT / "README.md",
+    }.get(name, ROOT / "docs" / name)
+    lines = iter(path.read_text().splitlines()[int(number) - 1:])
+    text = next(lines)
+    while text.endswith("\\"):
+        text = text[:-1] + next(lines)
+    found = re.search(r"\brepro (?=[a-z])", text)
+    if found is None:
+        return []
+    words = shlex.shlex(
+        text[found.end():].split("`")[0], posix=True, punctuation_chars=True
+    )
+    words.whitespace_split = True
+    return list(words)
 
 
 def _captured(call):
@@ -372,6 +398,12 @@ class TestPinnedCli:
         (row,) = [r for r in pins["commands"] if r["where"] == where]
         assert row["argv"] == argv
         assert _namespace(argv) == row["namespace"]
+
+    @pytest.mark.parametrize(
+        "where, argv", DOCUMENTED, ids=[where for where, _ in DOCUMENTED]
+    )
+    def test_label_names_the_line_the_command_starts_on(self, where, argv):
+        assert command_at(where)[:len(argv)] == argv
 
 
 def _dump(document) -> str:

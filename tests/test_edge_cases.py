@@ -43,7 +43,7 @@ class TestHistogramEdges:
         scheme = BinScheme(low=0.0, high=1.0, bins=4)
         filled = Histogram(scheme)
         filled.insert_block([0.1, 0.2, 0.3])
-        filled.merge(Histogram(scheme))
+        filled.merge_payload(Histogram(scheme).to_payload())
         assert filled.count == 3
 
 

@@ -150,7 +150,7 @@ class TestMerge:
             np.concatenate([a_values, b_values]), bins=500
         )
         merged = filled(a_values, scheme)
-        merged.merge(filled(b_values, scheme))
+        merged.merge_payload(filled(b_values, scheme).to_payload())
         union = filled(np.concatenate([a_values, b_values]), scheme)
         assert merged.count == union.count
         assert merged.mean == pytest.approx(union.mean)
@@ -162,16 +162,16 @@ class TestMerge:
         a = Histogram(BinScheme(0.0, 1.0, 10))
         b = Histogram(BinScheme(0.0, 2.0, 10))
         with pytest.raises(HistogramError):
-            a.merge(b)
+            a.merge_payload(b.to_payload())
 
     def test_merge_is_commutative(self, rng):
         scheme = BinScheme(0.0, 10.0, 100)
         a_values = rng.uniform(0, 8, size=1000)
         b_values = rng.uniform(2, 10, size=1000)
         ab = filled(a_values, scheme)
-        ab.merge(filled(b_values, scheme))
+        ab.merge_payload(filled(b_values, scheme).to_payload())
         ba = filled(b_values, scheme)
-        ba.merge(filled(a_values, scheme))
+        ba.merge_payload(filled(a_values, scheme).to_payload())
         assert ab.mean == pytest.approx(ba.mean)
         assert np.array_equal(ab.counts, ba.counts)
 
@@ -217,42 +217,21 @@ class TestProperties:
         scheme = BinScheme.from_sample(values, bins=32)
         left = filled(values[:split], scheme)
         right = filled(values[split:], scheme)
-        left.merge(right)
+        left.merge_payload(right.to_payload())
         assert left.count == len(values)
         assert left.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-9)
 
 
 class TestMergeConsistency:
-    """merge() and merge_payload() must enforce the same contract."""
+    """merge_payload() refuses a bad payload before touching any state."""
 
     def test_merge_mismatched_schemes_refuses_loudly(self, rng):
         left = filled(rng.exponential(size=100))
         right = filled(rng.exponential(size=100) * 10.0)
-        with pytest.raises(HistogramError, match="rebin=True"):
-            left.merge(right)
-
-    def test_merge_with_rebin_preserves_totals_and_moments(self, rng):
-        left_values = rng.exponential(size=400)
-        right_values = rng.exponential(size=300) * 3.0
-        left = filled(left_values)
-        right = filled(right_values)
-        left.merge(right, rebin=True)
-        combined = np.concatenate([left_values, right_values])
-        assert left.count == len(combined)
-        assert left.mean == pytest.approx(float(np.mean(combined)))
-        assert left.std == pytest.approx(float(np.std(combined)))
-        assert left.min_seen == pytest.approx(float(np.min(combined)))
-        assert left.max_seen == pytest.approx(float(np.max(combined)))
-
-    def test_rebin_quantile_error_bounded_by_source_bin(self, rng):
-        values = rng.exponential(size=5000)
-        source = filled(values, bins=200)
-        coarse = BinScheme(low=0.0, high=float(np.max(values)) * 2, bins=64)
-        rebinned = source.rebin_to(coarse)
-        for q in (0.5, 0.9, 0.99):
-            assert rebinned.quantile(q) == pytest.approx(
-                source.quantile(q), abs=coarse.width + source.scheme.width
-            )
+        before = left.to_payload()
+        with pytest.raises(HistogramError, match="one bin scheme"):
+            left.merge_payload(right.to_payload())
+        assert left.to_payload() == before
 
     def test_payload_truncated_counts_rejected(self, rng):
         # Regression: a short counts list silently merged as a prefix,

@@ -15,7 +15,6 @@ Three layers pin :class:`repro.datacenter.cluster.MultiserverCluster`:
 """
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,18 +30,14 @@ from repro.theory.multiserver import (
     reference_mean,
     simulate_reference,
 )
-from repro.validation import MULTISERVER_FULL_POINTS, MULTISERVER_SMOKE_POINTS
-from repro.validation.acceptance import run_acceptance, write_acceptance_table
+from repro.validation import MULTISERVER_FULL_POINTS
+from repro.validation.acceptance import _SMOKE_GRIDS, run_acceptance
 from repro.workloads.workload import Workload
-from tests.test_acceptance_theory import assert_cases_pass
+from tests.test_acceptance_theory import assert_cases_pass, checked_smoke_run
 
 FULL_SCALE = os.environ.get("REPRO_TEST_FULL") == "1"
-TABLE_PATH = Path(__file__).resolve().parent.parent / (
-    "benchmarks/results/acceptance_multiserver.txt"
-)
-
-SEED = 20260809
-ACCURACY = 0.05
+#: The multiserver smoke grid's fixed spec seed and accuracy.
+GRID = _SMOKE_GRIDS["acceptance-multiserver"]
 
 
 def make_job(job_id, size, need):
@@ -314,12 +309,7 @@ class TestAcceptanceSmoke:
 
     @pytest.fixture(scope="class")
     def smoke(self):
-        result, cases = run_acceptance(
-            MULTISERVER_SMOKE_POINTS, accuracy=ACCURACY, seed=SEED,
-            backend="serial", name="acceptance-multiserver",
-        )
-        write_acceptance_table(cases, TABLE_PATH)
-        return result, cases
+        return checked_smoke_run("acceptance-multiserver")
 
     def test_smoke_grid_against_references(self, smoke):
         result, cases = smoke
@@ -340,9 +330,8 @@ class TestAcceptanceSmoke:
 class TestAcceptanceFullGrid:
     def test_full_grid_against_references(self):
         result, cases = run_acceptance(
-            MULTISERVER_FULL_POINTS, accuracy=ACCURACY, seed=SEED,
+            MULTISERVER_FULL_POINTS, accuracy=GRID.accuracy, seed=GRID.seed,
             backend="pool", jobs=4, name="acceptance-multiserver",
         )
-        write_acceptance_table(cases, TABLE_PATH)
         assert len(result.points) == len(MULTISERVER_FULL_POINTS)
         assert_cases_pass(cases, result)

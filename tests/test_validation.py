@@ -1,14 +1,12 @@
-"""Tests for the sim-vs-theory validation harness."""
+"""Tests for the sim-vs-theory verdict rule.
+
+The cases themselves are rows of the acceptance grids
+(``tests/test_acceptance_theory.py``, ``tests/test_multiserver.py``).
+"""
 
 import pytest
 
-from repro.validation import (
-    ValidationCase,
-    validate_mg1,
-    validate_mm1,
-    validate_mmk,
-    validate_ps,
-)
+from repro.validation import ValidationCase
 
 
 class TestValidationCase:
@@ -33,22 +31,3 @@ class TestValidationCase:
                               tolerance=0.1, converged=True)
         assert case.relative_error == pytest.approx(0.2)
 
-
-class TestSuiteCases:
-    """Each validator's cases must pass (the simulator is correct)."""
-
-    def test_mm1(self):
-        for case in validate_mm1(accuracy=0.03):
-            assert case.passed, f"{case.name}: {case.relative_error:.2%}"
-
-    def test_mmk(self):
-        for case in validate_mmk(accuracy=0.05):
-            assert case.passed, f"{case.name}: {case.relative_error:.2%}"
-
-    def test_mg1(self):
-        for case in validate_mg1(accuracy=0.03):
-            assert case.passed, f"{case.name}: {case.relative_error:.2%}"
-
-    def test_ps(self):
-        for case in validate_ps(accuracy=0.05):
-            assert case.passed, f"{case.name}: {case.relative_error:.2%}"
