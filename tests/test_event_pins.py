@@ -19,6 +19,7 @@ import pytest
 from repro.datacenter.balancers import SpeculativeRetryBalancer
 from repro.datacenter.closedloop import ClosedLoopClients
 from repro.datacenter.cluster import MultiserverCluster
+from repro.datacenter.disciplines import SJFQueue
 from repro.datacenter.multiclass import (
     JobClass,
     MultiClassSource,
@@ -63,13 +64,17 @@ def track(experiment, station):
     )
 
 
-def counters(holder, *names):
-    """Read ``names`` off ``holder`` once the run is over."""
-    return lambda: {name: getattr(holder, name) for name in names}
+def counters(holder, *names, calls=()):
+    """Read the attributes ``names`` and the results of the zero-argument
+    methods ``calls`` off ``holder`` once the run is over."""
+    return lambda: {
+        **{name: getattr(holder, name) for name in names},
+        **{name: getattr(holder, name)() for name in calls},
+    }
 
 
 def fed_station(station, arrival_rate=8.0, service_rate=10.0, workload=None,
-                names=("completed_jobs",)):
+                names=("completed_jobs",), calls=()):
     """A case builder: one open-loop source feeding ``station()``."""
 
     def build(experiment, seed):
@@ -79,7 +84,7 @@ def fed_station(station, arrival_rate=8.0, service_rate=10.0, workload=None,
             target=target,
         )
         track(experiment, target)
-        return counters(target, *names)
+        return counters(target, *names, calls=calls)
 
     return build
 
@@ -228,6 +233,9 @@ def periodic_probe(experiment, seed):
     return counters(probe, "samples_taken")
 
 
+#: The busy-core and fully-idle time a ``Server`` has integrated.
+SERVER_INTEGRALS = ("busy_core_seconds", "idle_seconds")
+
 #: Each builder wires a component into a fresh sanitized experiment and
 #: returns a function that reads the component's counters after the run.
 PINNED_CASES = {
@@ -246,6 +254,18 @@ PINNED_CASES = {
     "capping-governor": capping_with_governor,
     "power-states": power_states,
     "periodic-probe": periodic_probe,
+    # The FCFS server again, also reading its busy- and idle-time
+    # integrals, and once under a discipline that is not FCFS.
+    "server-c1-accounting": fed_station(
+        lambda: Server(cores=1), calls=SERVER_INTEGRALS
+    ),
+    "server-c4-accounting": fed_station(
+        lambda: Server(cores=4), arrival_rate=32.0, calls=SERVER_INTEGRALS
+    ),
+    "server-sjf-c2": fed_station(
+        lambda: Server(cores=2, discipline=SJFQueue()), arrival_rate=16.0,
+        calls=SERVER_INTEGRALS,
+    ),
 }
 
 

@@ -196,6 +196,24 @@ class TestPauseResume:
         assert job.start_time == pytest.approx(3.0)
         assert job.finish_time == pytest.approx(4.0)
 
+    def test_paused_server_holds_no_pending_completion(self):
+        # The job path integrates busy time with no paused branch: it
+        # relies on pause() disarming every completion and on nothing
+        # starting while paused.
+        sim, server = bound_server(cores=2)
+        running = inject(sim, server, at=0.0, size=5.0)
+        sim.schedule_at(1.0, lambda: server.pause())
+        late = inject(sim, server, at=2.0, size=1.0)
+        sim.run(until=3.0)
+        assert running._completion_event is None
+        assert len(sim.events) == 0
+        assert late.start_time is None
+        assert server.busy_cores == 1 and server.queue_length == 1
+        server.resume()
+        sim.run()
+        assert late.start_time == pytest.approx(3.0)
+        assert running.finish_time == pytest.approx(7.0)
+
     def test_double_pause_resume_are_noops(self):
         sim, server = bound_server()
         server.pause()
