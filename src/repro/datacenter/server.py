@@ -84,6 +84,8 @@ class Server:
         self.completed_jobs = 0
         self._heap = None
         self._seq = None
+        #: The callback of every completion record (bound once at bind).
+        self._on_due = None
         # Direct deque access when the discipline is exactly FCFS (the
         # overwhelmingly common case): skips two method frames per
         # queued job.  None for any other/subclassed discipline.
@@ -119,6 +121,7 @@ class Server:
         # the heap.  Safe because heap compaction is in-place.
         self._heap = sim.events._heap
         self._seq = sim.events._counter
+        self._on_due = self._complete
         if self.service_distribution is not None:
             self._next_size = sim.sampler(self.service_distribution)
         if self.forward_to is not None:
@@ -243,23 +246,36 @@ class Server:
             self._notify_occupancy()
 
     def _start(self, job: Job) -> None:
-        # Runs once per served job: the completion-event push is inlined
-        # (record layout [time, seq, callback, state]) and the
-        # callback is a partial, which dispatches at C level — one Python
-        # frame fewer per completion than a lambda trampoline.
+        # Starts a job on a free core: from arrive, and through
+        # _dispatch_from_queue after a cancel, a resume or a non-FCFS
+        # completion.  The FCFS hand-over in _complete is a copy of this
+        # body without the integral, so change the two together.  The
+        # completion-event push is inlined (record layout
+        # [time, seq, callback, state]) and the callback
+        # is a partial over the method bound once in bind, which
+        # dispatches at C level — one Python frame fewer per completion
+        # than a lambda trampoline.
         now = self.sim.now
         if job.start_time is None:
             job.start_time = now
-        # Exact != is correct: _last_busy_update is assigned from this
-        # same clock, so equality means "already integrated at this time".
-        if now != self._last_busy_update:  # simlint: disable=float-time-eq
-            self._update_busy_integral()
-        self._running[job.job_id] = job
+        running = self._running
+        # _update_busy_integral, inline: nothing starts while paused, and
+        # exact != is correct (_last_busy_update is assigned from this
+        # same clock), so inequality means dt > 0.
+        last = self._last_busy_update
+        if now != last:  # simlint: disable=float-time-eq
+            dt = now - last
+            busy = len(running)
+            self._busy_integral += dt * busy
+            if busy == 0:
+                self._idle_integral += dt
+            self._last_busy_update = now
+        running[job.job_id] = job
         job._last_progress = now
         event = [
             now + job.remaining / self.speed,
             next(self._seq),
-            partial(self._complete, job),
+            partial(self._on_due, job),
             PENDING,
         ]
         heappush(self._heap, event)
@@ -268,7 +284,7 @@ class Server:
     def _schedule_completion(self, job: Job) -> None:
         """Cold-path completion scheduling (set_speed / resume)."""
         job._completion_event = self.sim.schedule_in(
-            job.remaining / self.speed, partial(self._complete, job)
+            job.remaining / self.speed, partial(self._on_due, job)
         )
 
     def _sync_progress(self, job: Job) -> None:
@@ -284,22 +300,48 @@ class Server:
         job._last_progress = now
 
     def _complete(self, job: Job) -> None:
+        # One frame per FCFS job: busy time is integrated here and the
+        # freed core is handed to the queue's head here, with no call.
         job._completion_event = None
         job.remaining = 0.0
         now = self.sim.now
+        running = self._running
         # Integrate the elapsed interval at the pre-completion core count
-        # before dropping the job, or busy time is undercounted.
-        if now != self._last_busy_update:  # simlint: disable=float-time-eq
-            self._update_busy_integral()
-        del self._running[job.job_id]
+        # before dropping the job, or busy time is undercounted.  This is
+        # _update_busy_integral, inline: no completion fires while paused
+        # (pause() disarms them all), and this job holds a core.
+        last = self._last_busy_update
+        if now != last:  # simlint: disable=float-time-eq
+            self._busy_integral += (now - last) * len(running)
+            self._last_busy_update = now
+        del running[job.job_id]
         job.finish_time = now
         self.completed_jobs += 1
         for listener in self._complete_listeners:
             listener(job, self)
         if self.forward_to is not None:
             self._forward(job)
-        if not self.paused and self.queue:
-            self._dispatch_from_queue()
+        fcfs = self._fcfs
+        if fcfs is None:
+            if not self.paused and self.queue:
+                self._dispatch_from_queue()
+        elif not self.paused:
+            # The FCFS hand-over: _start's body for each queued job a
+            # free core takes, minus its integral (done above at now).
+            while fcfs and len(running) < self.cores:
+                head = fcfs.popleft()
+                if head.start_time is None:
+                    head.start_time = now
+                running[head.job_id] = head
+                head._last_progress = now
+                event = [
+                    now + head.remaining / self.speed,
+                    next(self._seq),
+                    partial(self._on_due, head),
+                    PENDING,
+                ]
+                heappush(self._heap, event)
+                head._completion_event = event
         if self._occupancy_listeners:
             self._notify_occupancy()
 
