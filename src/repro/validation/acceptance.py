@@ -380,7 +380,6 @@ def build_acceptance_spec(
     points: Iterable[dict] = SMOKE_POINTS,
     accuracy: float = 0.02,
     seed: int = 3001,
-    max_events: int = 30_000_000,
     name: str = "acceptance-theory",
 ) -> SweepSpec:
     """The acceptance grid as an ordinary sweep spec."""
@@ -391,7 +390,7 @@ def build_acceptance_spec(
         factory=queue_point_factory,
         factory_kwargs={"accuracy": accuracy},
         grid=tuple(dict(entry) for entry in points),
-        max_events=max_events,
+        max_events=30_000_000,
     )
 
 
@@ -444,15 +443,11 @@ def run_acceptance(
     seed: int = 3001,
     backend: str = "serial",
     jobs: Optional[int] = None,
-    cache=None,
-    tracer=None,
     name: str = "acceptance-theory",
 ) -> Tuple[SweepResult, List[ValidationCase]]:
     """Run the acceptance grid; returns (sweep result, judged cases)."""
     spec = build_acceptance_spec(points, accuracy=accuracy, seed=seed, name=name)
-    result = SweepRunner(
-        spec, backend=backend, jobs=jobs, cache=cache, tracer=tracer
-    ).run()
+    result = SweepRunner(spec, backend=backend, jobs=jobs).run()
     return result, evaluate(result, accuracy=accuracy)
 
 
