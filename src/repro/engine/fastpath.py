@@ -35,8 +35,12 @@ service generators), and the resulting waiting/response vectors feed the
 the scalar path), so warmup, calibration, convergence decisions, CI
 semantics, and reports are untouched.  Results are *statistically
 equivalent* to the event engine — same distributions, same estimator —
-but not bit-identical: the block sampler does not preserve the event
-engine's draw interleaving, and for c >= 2 observations arrive in
+but not bit-identical: :func:`run_fastpath` draws fresh gaps from
+``source._next_gap.rng``, after the first arrival ``Source.bind`` armed
+and the 4 096 gaps its ``PrefetchSampler`` already buffered, so the
+fast path pairs each service with a later gap than the event engine
+does (arrivals and services come from separate generators, so draw
+interleaving is not the cause); and for c >= 2 observations arrive in
 arrival order rather than completion order.  See ``docs/fastpath.md``.
 
 Eligibility is decided structurally by :func:`qualifies`; callers should

@@ -196,7 +196,10 @@ class TestRunObservability:
 
         trace_path = tmp_path / "trace.jsonl"
         config = write_config(tmp_path)
-        assert main(["run", str(config), "--trace", str(trace_path)]) == 0
+        assert main(["run", str(config), "--trace", str(trace_path),
+                     "--metrics"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["telemetry"]["events_processed"] > 0
         count, errors = validate_trace_file(trace_path)
         assert errors == []
         assert count > 0
@@ -222,10 +225,14 @@ class TestRunObservability:
 
     def test_progress_flag_reports_to_stderr(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        assert main(["run", str(config), "--progress", "0"]) == 0
-        captured = capsys.readouterr()
-        assert "[progress] response_time" in captured.err
-        json.loads(captured.out)  # stdout stays pure JSON
+        for flags, line in (
+            ([], "[progress] response_time"),
+            (["--parallel", "2", "--metrics"], "[progress] round "),
+        ):
+            assert main(["run", str(config), *flags, "--progress", "0"]) == 0
+            captured = capsys.readouterr()
+            assert line in captured.err
+            json.loads(captured.out)  # stdout stays pure JSON
 
     def test_parallel_serial_backend(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"

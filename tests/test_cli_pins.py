@@ -32,6 +32,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS_FILE = ROOT / "tests" / "fixtures" / "cli_pins.json"
+CI_FILE = ROOT / ".github" / "workflows" / "ci.yml"
 
 #: What the fault-option builder prints instead of building: every
 #: flag check has passed.
@@ -90,73 +91,6 @@ REFUSAL = re.compile(r"^\S+(?: \S+)? requires (.+)\n$")
 #: command starts on (:func:`command_at`); shell continuations are
 #: joined, redirections and the trailing ``&`` dropped.
 DOCUMENTED = [
-    ("ci.yml:83", ["sweep", "examples/sweeps/mm1_loadcurve.toml", "--lint"]),
-    ("ci.yml:84", ["sweep", "examples/sweeps/fig8_cv.toml", "--lint"]),
-    ("ci.yml:85",
-     ["sweep", "examples/sweeps/multiserver_waste.toml", "--lint"]),
-    ("ci.yml:86", ["sweep", "examples/sweeps/cloning_tail.toml", "--lint"]),
-    ("ci.yml:87", ["sweep", "examples/sweeps/lint_demo.toml", "--lint"]),
-    ("ci.yml:90",
-     ["sweep", "examples/sweeps/multiserver_misfit_demo.toml", "--lint"]),
-    ("ci.yml:151", ["run", "/tmp/mm1.json", "--trace", "/tmp/trace.jsonl",
-                    "--metrics"]),
-    ("ci.yml:262", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
-                    "--jobs", "2", "--cache", "/tmp/sweep-cache",
-                    "--out", "/tmp/cold.json"]),
-    ("ci.yml:264", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
-                    "--jobs", "2", "--cache", "/tmp/sweep-cache",
-                    "--out", "/tmp/warm.json"]),
-    ("ci.yml:287", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
-                    "--backend", "serial", "--respawn", "--chaos",
-                    '{"faults": [{"kind": "kill", "slave_id": 0, '
-                    '"round": 1, "phase": "pre_run"}]}',
-                    "--trace", "/tmp/serial_chaos.jsonl",
-                    "--out", "/tmp/serial_chaos.json"]),
-    ("ci.yml:326", ["sweep", "/tmp/bad_grid.toml"]),
-    ("ci.yml:355", ["sweep", "examples/sweeps/cloning_tail.toml",
-                    "--jobs", "2", "--cache", "/tmp/clone-cache",
-                    "--out", "/tmp/clone_cold.json"]),
-    ("ci.yml:357", ["sweep", "examples/sweeps/cloning_tail.toml",
-                    "--jobs", "2", "--cache", "/tmp/clone-cache",
-                    "--out", "/tmp/clone_warm.json"]),
-    ("ci.yml:394", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
-                    "--backend", "pool", "--jobs", "2",
-                    "--out", "/tmp/pool.json"]),
-    ("ci.yml:398", ["agent", "127.0.0.1:9751", "--slots", "2",
-                    "--idle-exit", "20"]),
-    ("ci.yml:400", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
-                    "--backend", "remote", "--listen", "127.0.0.1:9751",
-                    "--jobs", "2", "--out", "/tmp/remote.json"]),
-    ("ci.yml:413", ["agent", "127.0.0.1:9752", "--slots", "2",
-                    "--idle-exit", "20"]),
-    ("ci.yml:415", ["sweep", "examples/sweeps/mm1_loadcurve.toml",
-                    "--backend", "remote", "--listen", "127.0.0.1:9752",
-                    "--jobs", "2", "--chaos",
-                    '{"faults": [{"kind": "kill", "slave_id": 0, '
-                    '"round": 1, "phase": "pre_run"}]}',
-                    "--respawn", "--out", "/tmp/remote_chaos.json"]),
-    ("ci.yml:511", ["run", "/tmp/net_mm1.json", "--parallel", "2",
-                    "--chaos", '{"faults":[1]}']),
-    ("ci.yml:520", ["run", "/tmp/net_mm1.json", "--parallel", "2",
-                    "--backend", "process"]),
-    ("ci.yml:524", ["agent", "127.0.0.1:9761", "--slots", "2",
-                    "--idle-exit", "30"]),
-    ("ci.yml:526", ["run", "/tmp/net_mm1.json", "--parallel", "2",
-                    "--backend", "remote", "--listen", "127.0.0.1:9761",
-                    "--chaos", "/tmp/netplan.json",
-                    "--heartbeat-interval", "0.5",
-                    "--heartbeat-misses", "3"]),
-    ("ci.yml:542", ["agent", "127.0.0.1:9762", "--slots", "2",
-                    "--idle-exit", "40"]),
-    ("ci.yml:545", ["run", "/tmp/net_mm1.json", "--parallel", "2",
-                    "--backend", "remote", "--listen", "127.0.0.1:9762",
-                    "--chaos",
-                    '{"faults": [{"kind": "partition", "slave_id": 1, '
-                    '"round": 1, "direction": "in"}]}',
-                    "--heartbeat-interval", "0.5",
-                    "--heartbeat-misses", "3", "--round-timeout", "120"]),
-    ("ci.yml:704", ["run", "/tmp/mm1.json", "--parallel", "2", "--metrics",
-                    "--progress", "0"]),
     ("README.md:123", ["workloads"]),
     ("README.md:124", ["run", "experiment.json"]),
     ("README.md:125", ["run", "experiment.json", "--sanitize"]),
@@ -202,7 +136,7 @@ def command_at(where):
     backtick and everything after them are dropped."""
     name, number = where.rsplit(":", 1)
     path = {
-        "ci.yml": ROOT / ".github" / "workflows" / "ci.yml",
+        "ci.yml": CI_FILE,
         "README.md": ROOT / "README.md",
     }.get(name, ROOT / "docs" / name)
     lines = iter(path.read_text().splitlines()[int(number) - 1:])
@@ -404,6 +338,13 @@ class TestPinnedCli:
     )
     def test_label_names_the_line_the_command_starts_on(self, where, argv):
         assert command_at(where)[:len(argv)] == argv
+
+    def test_ci_runs_no_inline_script(self):
+        # A CI check is a test or a CLI command that runs the same way
+        # on a laptop: no heredoc, no `python -` or `python -c` step.
+        text = CI_FILE.read_text()
+        assert re.findall(r"<<-?\s*['\"]?\w+", text) == []
+        assert re.findall(r"\bpython3? -(?:c\b|\s)", text) == []
 
 
 def _dump(document) -> str:

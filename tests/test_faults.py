@@ -231,16 +231,21 @@ class TestPlanDocuments:
         target = (write_config(tmp_path) if command == "run"
                   else write_task_spec(tmp_path))
         path = tmp_path / "plan.json"
+        parallel = ["--parallel", "2"] if command == "run" else []
         for document, where in MALFORMED:
             path.write_text(json.dumps(document))
-            argv = [command, str(target), "--chaos", str(path)]
-            if command == "run":
-                argv += ["--parallel", "2"]
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"{command}: --chaos: {where}:")
-            assert captured.err.count("\n") == 1
+            plans = [str(path)]
+            if isinstance(document, dict):  # an object also comes inline
+                plans.append(json.dumps(document))
+            for plan in plans:
+                argv = [command, str(target), *parallel, "--chaos", plan]
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(
+                    f"{command}: --chaos: {where}:"
+                )
+                assert captured.err.count("\n") == 1
 
     # A builder that stalls on some document fails on the deadline
     # instead of hanging the suite.

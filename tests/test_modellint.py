@@ -373,8 +373,10 @@ class TestWorkloadClassRules:
         assert "multiserver-misfit" in out
         assert "never be placed" in out
 
-    def test_shipped_workload_sweeps_are_clean(self, capsys):
-        for name in ("multiserver_waste.toml", "cloning_tail.toml"):
-            spec = REPO_ROOT / "examples" / "sweeps" / name
-            assert repro_main(["sweep", str(spec), "--lint"]) == 0
-        capsys.readouterr()
+    def test_shipped_workload_sweeps_are_clean(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        for name in ("mm1_loadcurve", "fig8_cv", "multiserver_waste",
+                     "cloning_tail"):
+            spec = f"examples/sweeps/{name}.toml"
+            assert repro_main(["sweep", spec, "--lint"]) == 0
+            assert "0 findings" in capsys.readouterr().out

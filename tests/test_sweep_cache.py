@@ -1,11 +1,13 @@
 """Property tests for sweep digests and the content-addressed cache."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as repro_main
 from repro.sweep import (
     CACHE_FORMAT,
     CacheError,
@@ -225,3 +227,20 @@ class TestRunnerCacheBehavior:
             task_spec(axes={"x": [1, 99, 3]}), backend="serial", cache=cache
         ).run()
         assert edited.cache_hits == 2 and edited.computed == 1
+
+    @pytest.mark.parametrize("name", ["mm1_loadcurve", "cloning_tail"])
+    def test_cli_rerun_is_all_cache_hits(self, name, tmp_path, monkeypatch):
+        # A shipped spec twice through `repro sweep` on one --cache.
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        runs = []
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{run}.json"
+            assert repro_main([
+                "sweep", f"examples/sweeps/{name}.toml", "--jobs", "2",
+                "--cache", str(tmp_path / "cache"), "--out", str(out),
+            ]) == 0
+            runs.append(json.loads(out.read_text()))
+        cold, warm = runs
+        assert cold["cache_hits"] == 0
+        assert warm["cache_hits"] == len(warm["points"]) == 4
+        assert all(point["cached"] for point in warm["points"])

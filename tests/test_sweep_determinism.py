@@ -15,10 +15,13 @@ kills one remote worker mid-sweep and requires the respawned fleet to
 reproduce the reference digests bit-for-bit.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.faults import FaultPlan, RespawnPolicy
 from repro.parallel.agent import HostAgent
 from repro.parallel.pool import PoolError
@@ -145,6 +148,28 @@ def test_serial_chaos_degrade_cell_fails_like_the_pool(fault):
     with pytest.raises(PoolError, match=r"every pool worker has died "
                                         r"\(1 started\)"):
         chaos_cell("serial", fault, respawn=False)
+
+
+def test_serial_chaos_sweep_forks_nothing(tmp_path, monkeypatch):
+    """Through the CLI, a serial sweep's killed worker is respawned on
+    the inline transport: its trace has no spawned process in it."""
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    trace = tmp_path / "serial_chaos.jsonl"
+    out = tmp_path / "serial_chaos.json"
+    assert repro_main([
+        "sweep", "examples/sweeps/mm1_loadcurve.toml",
+        "--backend", "serial", "--respawn", "--chaos",
+        '{"faults": [{"kind": "kill", "slave_id": 0, "round": 1, '
+        '"phase": "pre_run"}]}',
+        "--trace", str(trace), "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["pool"]["restarts"] == 1
+    traced = {
+        (record["component"], record["name"])
+        for record in map(json.loads, trace.read_text().splitlines())
+    }
+    assert ("pool", "spawn") in traced  # the respawn is traced...
+    assert ("transport", "spawn") not in traced  # ...and forked nothing
 
 
 def test_serial_backoff_and_hang_cost_no_wall_time(reference):

@@ -16,13 +16,18 @@ must be bit-identical to ``backend="process"``, including a mid-run
 worker kill recovered by respawn.
 """
 
+import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.faults import FaultPlan, FaultSpec, RespawnPolicy
 from repro.observability import Tracer
 from repro.parallel.agent import HostAgent
@@ -41,7 +46,12 @@ from repro.parallel.transport import (
     parse_address,
     read_frame,
 )
+from tests.test_cli import write_config
 from tests.test_parallel import factory
+
+#: ``REPRO_TEST_FULL=1`` also runs a real ``repro agent`` process.
+FULL_SCALE = os.environ.get("REPRO_TEST_FULL") == "1"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- worker entry points (module-level: picklable by reference) ---------------
@@ -687,6 +697,55 @@ class TestRemoteChaosDeterminism:
         assert outcomes[0] == outcomes[1]
 
 
+MM1_SPEC = "examples/sweeps/mm1_loadcurve.toml"
+KILL_PLAN = ('{"faults": [{"kind": "kill", "slave_id": 0, "round": 1, '
+             '"phase": "pre_run"}]}')
+PARTITION_PLAN = ('{"faults": [{"kind": "partition", "slave_id": 1, '
+                  '"round": 1, "direction": "in"}]}')
+BENIGN_NET_PLAN = {"faults": [
+    {"kind": "duplicate", "slave_id": 0, "round": 1, "direction": "in"},
+    {"kind": "duplicate", "slave_id": 1, "round": 1, "direction": "out"},
+    {"kind": "delay", "slave_id": 1, "round": 1, "direction": "in",
+     "delay": 0.3},
+]}
+HEARTBEATS = ["--heartbeat-interval", "0.5", "--heartbeat-misses", "3"]
+POOL_SWEEP = ["sweep", MM1_SPEC, "--backend", "pool", "--jobs", "2",
+              "--out", "TMP/pool.json"]
+
+#: ``repro`` command lines against a loopback agent process, as
+#: (local reference or None, remote command, fields the remote result
+#: holds).  ``ADDRESS`` is the master's listen address, ``TMP`` the
+#: test's directory (``exp.json`` is the run config).
+AGENT_COMMANDS = [
+    (POOL_SWEEP,
+     ["sweep", MM1_SPEC, "--backend", "remote", "--listen", "ADDRESS",
+      "--jobs", "2", "--out", "TMP/remote.json"],
+     {"backend": "remote", "deaths": 0}),
+    (POOL_SWEEP,
+     ["sweep", MM1_SPEC, "--backend", "remote", "--listen", "ADDRESS",
+      "--jobs", "2", "--chaos", KILL_PLAN, "--respawn",
+      "--out", "TMP/remote_chaos.json"],
+     {"degraded": False, "deaths": 1, "jobs_requeued": 1}),
+    (["run", "TMP/exp.json", "--parallel", "2", "--backend", "process"],
+     ["run", "TMP/exp.json", "--parallel", "2", "--backend", "remote",
+      "--listen", "ADDRESS", "--chaos", "TMP/netplan.json", *HEARTBEATS],
+     {"degraded": False}),
+    (None,
+     ["run", "TMP/exp.json", "--parallel", "2", "--backend", "remote",
+      "--listen", "ADDRESS", "--chaos", PARTITION_PLAN, *HEARTBEATS,
+      "--round-timeout", "120"],
+     {"failure_causes": {"1": "liveness timeout"}}),
+]
+
+
+def digests(document):
+    """A run's merged digests, or each sweep point's."""
+    if "points" not in document:
+        return document["merged_digests"]
+    return {point["name"]: point["payload"]["histogram_digests"]
+            for point in document["points"]}
+
+
 class TestAgentRedialBackoff:
     """The agent's re-dial loop: exponential, seeded-jitter, bounded."""
 
@@ -746,6 +805,49 @@ class TestAgentRedialBackoff:
         finally:
             agent.stop(timeout=10.0)
             transport.close()
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not FULL_SCALE, reason="set REPRO_TEST_FULL=1")
+    @pytest.mark.parametrize(
+        "reference, remote, holds", AGENT_COMMANDS,
+        ids=["sweep", "sweep-kill", "run-benign-chaos", "run-partition"],
+    )
+    def test_agent_process_serves_the_cli_and_leaves_with_its_master(
+        self, reference, remote, holds, tmp_path, monkeypatch, capsys
+    ):
+        # `repro agent` in its own process, then the master through the
+        # CLI: the remote run reproduces the local one's digests, and the
+        # agent exits cleanly within 10 s of its master.
+        monkeypatch.chdir(ROOT)
+        write_config(tmp_path, seed=11)
+        (tmp_path / "netplan.json").write_text(json.dumps(BENIGN_NET_PLAN))
+        address = f"127.0.0.1:{self._dead_port()}"
+
+        def result(template):
+            argv = [word.replace("ADDRESS", address)
+                    .replace("TMP", str(tmp_path)) for word in template]
+            assert repro_main(argv) == 0
+            out = capsys.readouterr().out
+            if "--out" in argv:
+                out = Path(argv[argv.index("--out") + 1]).read_text()
+            return json.loads(out)
+
+        agent = subprocess.Popen(
+            [sys.executable, "-m", "repro", "agent", address,
+             "--slots", "2", "--idle-exit", "20"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        try:
+            found = result(remote)
+            agent.wait(timeout=10.0)
+        finally:
+            agent.kill()
+            agent.wait()
+        assert agent.returncode == 0
+        view = {**found, **found.get("pool", {})}  # a sweep's fleet counts
+        assert {key: view[key] for key in holds} == holds
+        if reference is not None:
+            assert digests(found) == digests(result(reference))
 
     def test_corrupt_frame_before_spawn_redials(self):
         # A master that answers every hello with a frame that does not
