@@ -16,7 +16,7 @@ assumption checkable at run time:
   fell, so it is only comparable between runs with the same prefetch
   configuration.
 
-- while a probe with ``verify_prefetch`` is attached, every refill of
+- while a probe is attached, every refill of
   every sampler a component builds through
   :meth:`~repro.engine.simulation.Simulation.sampler` is cross-checked:
   the block draw is replayed per-draw from a clone of the generator
@@ -75,21 +75,13 @@ class SanitizerDigest:
 class DeterminismProbe:
     """Streaming hasher for the event-dispatch stream and RNG blocks.
 
-    Parameters
-    ----------
-    verify_prefetch:
-        When True (default), prefetch samplers bound while this probe is
-        attached replay every block per-draw and raise on any
-        divergence.  Set False for hash-only probing (e.g. to observe
-        the digest drift a contract violation causes instead of
-        stopping on it).
+    Prefetch samplers bound while a probe is attached replay every block
+    per-draw and raise on any divergence.
     """
 
-    __slots__ = ("verify_prefetch", "events_hashed", "rng_blocks",
-                 "_events", "_rng")
+    __slots__ = ("events_hashed", "rng_blocks", "_events", "_rng")
 
-    def __init__(self, verify_prefetch: bool = True):
-        self.verify_prefetch = verify_prefetch
+    def __init__(self):
         self.events_hashed = 0
         self.rng_blocks = 0
         self._events = hashlib.blake2b(digest_size=16)
@@ -210,7 +202,6 @@ def verify_backend_determinism(
     master_seed: int = 0,
     chunk_size: int = 500,
     max_rounds: int = 200,
-    **parallel_kwargs,
 ) -> SanitizerCheck:
     """Assert serial and process backends drive identical slave streams.
 
@@ -233,7 +224,6 @@ def verify_backend_determinism(
             chunk_size=chunk_size,
             backend=backend,
             max_rounds=max_rounds,
-            **parallel_kwargs,
         ).run()
         if result.slave_digests is None:
             raise SanitizerError(

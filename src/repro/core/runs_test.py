@@ -235,7 +235,6 @@ def select_lag(
     sample: Sequence[float],
     max_lag: int = 50,
     significance: float = 0.05,
-    min_points: int = MIN_RUNS_SAMPLE,
 ) -> LagSelection:
     """Calibration-phase lag search with defined degenerate behaviour.
 
@@ -255,20 +254,20 @@ def select_lag(
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     values = np.asarray(sample, dtype=float)
-    if values.size < min_points:
+    if values.size < MIN_RUNS_SAMPLE:
         return LagSelection(
             lag=max_lag,
             conclusive=False,
             reason=(
                 f"calibration sample too small to test "
-                f"({values.size} < {min_points}); grew lag to max_lag"
+                f"({values.size} < {MIN_RUNS_SAMPLE}); grew lag to max_lag"
             ),
         )
     largest_testable = 1
     tested = 0
     for lag in range(1, max_lag + 1):
         spaced = values[::lag]
-        if spaced.size < min_points:
+        if spaced.size < MIN_RUNS_SAMPLE:
             break
         largest_testable = lag
         result = runs_up_test(spaced, significance)
@@ -297,7 +296,6 @@ def find_lag(
     sample: Sequence[float],
     max_lag: int = 50,
     significance: float = 0.05,
-    min_points: int = MIN_RUNS_SAMPLE,
 ) -> int:
     """Smallest lag ``l`` whose spaced subsequence passes the runs-up test.
 
@@ -311,11 +309,8 @@ def find_lag(
     that need the conclusiveness flag use :func:`select_lag`.
     """
     values = np.asarray(sample, dtype=float)
-    if values.size < min_points:
+    if values.size < MIN_RUNS_SAMPLE:
         raise ValueError(
-            f"calibration sample too small: {values.size} < {min_points}"
+            f"calibration sample too small: {values.size} < {MIN_RUNS_SAMPLE}"
         )
-    return select_lag(
-        values, max_lag=max_lag, significance=significance,
-        min_points=min_points,
-    ).lag
+    return select_lag(values, max_lag=max_lag, significance=significance).lag

@@ -165,7 +165,6 @@ class Statistic:
         max_lag: int = 50,
         fixed_scheme: Optional[BinScheme] = None,
         min_accepted: int = 100,
-        significance: float = 0.05,
     ):
         if mean_accuracy is not None and not 0.0 < mean_accuracy < 1.0:
             raise StatisticError(
@@ -195,7 +194,6 @@ class Statistic:
         self.bins = int(bins)
         self.max_lag = int(max_lag)
         self.fixed_scheme = fixed_scheme
-        self.significance = significance
 
         self.phase = Phase.WARMUP
         self.lag: Optional[int] = None
@@ -467,11 +465,7 @@ class Statistic:
         :func:`repro.core.runs_test.select_lag` and
         :attr:`lag_selection`.
         """
-        selection = select_lag(
-            self._calibration,
-            max_lag=self.max_lag,
-            significance=self.significance,
-        )
+        selection = select_lag(self._calibration, max_lag=self.max_lag)
         self.lag = selection.lag
         self.lag_selection = selection
         scheme = self.fixed_scheme or BinScheme.from_sample(

@@ -64,25 +64,22 @@ class PrefetchSampler:
     block_size:
         Draws per refill.  ``1`` disables prefetching (every call is a
         plain ``sample``), which is the A/B "off" configuration.
-    verify:
-        When True, every block refill is replayed per-draw from a clone
-        of the generator state and must consume the generator
-        bit-identically and reproduce the same values (within float
-        tolerance for pow/log-based transforms), else
-        :class:`PrefetchContractError` is raised.  This is the runtime
-        check behind ``Experiment(..., sanitize=True)``; it multiplies
-        the sampling cost and is meant for verification runs only.
     probe:
         Optional :class:`~repro.analysis.sanitizer.DeterminismProbe`;
         when set, each refill records its block size so the sanitizer
-        can pin RNG block boundaries, and verification is on unless the
-        probe opts out (``verify_prefetch=False``).
+        can pin RNG block boundaries, and is first replayed per-draw
+        from a clone of the generator state: it must consume the
+        generator bit-identically and reproduce the same values (within
+        float tolerance for pow/log-based transforms), else
+        :class:`PrefetchContractError` is raised.  This is the runtime
+        check behind ``Experiment(..., sanitize=True)``; it multiplies
+        the sampling cost and is meant for verification runs only.
     """
 
     __slots__ = ("distribution", "rng", "block_size", "it", "_vectorized",
-                 "verify", "probe")
+                 "probe")
 
-    #: Relative tolerance for the verify-mode value comparison: numpy's
+    #: Relative tolerance for the verified-block value comparison: numpy's
     #: vectorized SIMD kernels may round pow/log transforms 1-2 ulp
     #: differently from the scalar path (see module docstring); real
     #: contract violations produce entirely different draws.
@@ -93,7 +90,6 @@ class PrefetchSampler:
         distribution: Distribution,
         rng: np.random.Generator,
         block_size: int = DEFAULT_BLOCK,
-        verify: bool = False,
         probe=None,
     ):
         if block_size < 1:
@@ -101,7 +97,6 @@ class PrefetchSampler:
         self.distribution = distribution
         self.rng = rng
         self.block_size = int(block_size)
-        self.verify = verify or (probe is not None and probe.verify_prefetch)
         self.probe = probe
         self._vectorized = (
             block_size > 1 and getattr(distribution, "prefetch_safe", False)
@@ -131,13 +126,12 @@ class PrefetchSampler:
         """
         if not self._vectorized:
             return float(self.distribution.sample(self.rng))
-        if self.verify:
-            block = self._verified_block().tolist()
-        else:
+        if self.probe is None:
             block = self.distribution.sample_many(
                 self.rng, self.block_size
             ).tolist()
-        if self.probe is not None:
+        else:
+            block = self._verified_block().tolist()
             self.probe.record_block(self.block_size)
         self.it = it = iter(block)
         return next(it)

@@ -72,8 +72,8 @@ class Experiment:
 
     - ``warmup_samples`` (Nw), ``calibration_samples`` (Nc = 5000),
     - ``confidence`` (1 - alpha, default 95%),
-    - ``bins`` / ``max_lag`` for calibration,
-    - ``max_events`` / ``max_sim_time`` as safety bounds,
+    - ``max_events`` as a safety bound (``run(max_sim_time=)`` adds a
+      horizon),
     - ``prefetch`` as the sampling mode of the :class:`Simulation`, so of
       every sampler a component builds through
       :meth:`Simulation.sampler` (False is the A/B "off" configuration),
@@ -89,10 +89,7 @@ class Experiment:
         warmup_samples: int = 1000,
         calibration_samples: int = 5000,
         confidence: float = 0.95,
-        bins: int = 1000,
-        max_lag: int = 50,
         max_events: int = 50_000_000,
-        max_sim_time: Optional[float] = None,
         prefetch: bool = True,
         sanitize: bool = False,
         engine: str = "event",
@@ -107,10 +104,7 @@ class Experiment:
         self.warmup_samples = warmup_samples
         self.calibration_samples = calibration_samples
         self.confidence = confidence
-        self.bins = bins
-        self.max_lag = max_lag
         self.max_events = max_events
-        self.max_sim_time = max_sim_time
         self.engine = engine
         self.sources: list = []
         self._metric_bindings: list = []
@@ -179,8 +173,6 @@ class Experiment:
             confidence=self.confidence,
             warmup_samples=self.warmup_samples,
             calibration_samples=self.calibration_samples,
-            bins=self.bins,
-            max_lag=self.max_lag,
         )
         kwargs.update(overrides)
         return self.stats.add(Statistic(name, **kwargs))
@@ -231,7 +223,7 @@ class Experiment:
 
     # -- observability -------------------------------------------------------
 
-    def attach_tracer(self, tracer, emit_interval: int = 4096) -> None:
+    def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.observability.Tracer` to the whole run.
 
         Wires the event loop (periodic ``engine/events`` counters) and
@@ -240,7 +232,7 @@ class Experiment:
         forwards the tracer to future metrics too.
         """
         self._tracer = tracer
-        self.simulation.attach_tracer(tracer, emit_interval)
+        self.simulation.attach_tracer(tracer)
         self.stats.attach_tracer(tracer)
 
     @property
@@ -289,12 +281,11 @@ class Experiment:
 
         simulation = self.simulation
         budget = max_events if max_events is not None else self.max_events
-        horizon = max_sim_time if max_sim_time is not None else self.max_sim_time
         remaining = budget - simulation.events_processed
         started = time.perf_counter()
         if remaining > 0:
             simulation.run(
-                until=horizon,
+                until=max_sim_time,
                 max_events=remaining,
                 stop_when=polled,
             )

@@ -111,8 +111,6 @@ def qualifies(experiment) -> Qualification:
     sim = experiment.simulation
     if sim.probe is not None:
         return Qualification(False, "determinism sanitizer requires the event engine")
-    if experiment.max_sim_time is not None:
-        return Qualification(False, "max_sim_time horizon requires the event clock")
     if sim.events_processed:
         return Qualification(False, "experiment already started on the event engine")
     if len(experiment.sources) != 1:

@@ -31,6 +31,9 @@ from repro.engine.events import (
     SimulationError,
 )
 
+#: Dispatched events between two ``engine/events`` trace counters.
+_TRACE_EVERY = 4096
+
 
 def seeded_rng(seed) -> np.random.Generator:
     """The sanctioned constructor for a component-local random stream.
@@ -73,27 +76,21 @@ class Simulation:
         self._periodic_counter = 0
         self._probe = None
         self._tracer = None
-        self._tracer_interval = 4096
 
     # -- structured tracing (repro.observability) ----------------------------
 
-    def attach_tracer(self, tracer, emit_interval: int = 4096) -> None:
+    def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.observability.Tracer` to the event loop.
 
         While attached, :meth:`run` emits an ``engine/events`` counter
-        every ``emit_interval`` dispatched events carrying the cumulative
+        every 4096 dispatched events carrying the cumulative
         event count, the queue depth, and simulated time.  Rates
         (events/sec) are derived post-hoc from consecutive records —
         the engine itself never reads a wall clock.  Detach with
         ``attach_tracer(None)``; when detached the loop carries no
         tracer state at all.
         """
-        if tracer is not None and emit_interval < 1:
-            raise SimulationError(
-                f"emit_interval must be >= 1, got {emit_interval}"
-            )
         self._tracer = tracer
-        self._tracer_interval = emit_interval
 
     @property
     def tracer(self):
@@ -102,24 +99,21 @@ class Simulation:
 
     # -- determinism sanitizer ----------------------------------------------
 
-    def enable_sanitizer(self, probe=None):
+    def enable_sanitizer(self):
         """Attach a determinism probe (see :mod:`repro.analysis.sanitizer`).
 
         From then on every dispatched event's timestamp is folded into
         the probe's event digest, and every sampler built afterwards by
         :meth:`sampler` records its RNG block boundaries and runs in
-        verify mode (per-draw replay of every block) unless the probe
-        opts out.  Must be attached before components bind — samplers
+        verify mode (per-draw replay of every block).  Must be attached before components bind — samplers
         capture the probe when they are built.
         Returns the probe.
         """
-        if probe is None:
-            # Deferred import: the analysis package depends on the engine,
-            # not the other way around.
-            from repro.analysis.sanitizer import DeterminismProbe
+        # Deferred import: the analysis package depends on the engine,
+        # not the other way around.
+        from repro.analysis.sanitizer import DeterminismProbe
 
-            probe = DeterminismProbe()
-        self._probe = probe
+        self._probe = probe = DeterminismProbe()
         return probe
 
     @property
@@ -258,7 +252,7 @@ class Simulation:
         # int-vs-float, and this test runs once per event), so the
         # disabled cost is one integer compare that never fires.
         tracer = self._tracer
-        emit_every = self._tracer_interval if tracer is not None else sys.maxsize
+        emit_every = _TRACE_EVERY if tracer is not None else sys.maxsize
         next_emit = emit_every
         processed = 0
         now = self.now

@@ -19,8 +19,8 @@ first-class, *testable* input instead of an operational surprise:
   are applied by the framed channel of :mod:`repro.parallel.transport`;
 - :mod:`~repro.faults.recovery` — :class:`RespawnPolicy` (exponential
   backoff + deterministic jitter, per-slave and total restart budgets),
-  :class:`SupervisionPolicy` (fleet floor, degradation threshold, and
-  overall deadline for graceful degradation), and
+  :class:`SupervisionPolicy` (fleet floor and overall deadline for
+  graceful degradation), and
   :class:`SeedLineage`, the generation-aware seed registry that
   guarantees a replacement slave draws a fresh unique stream;
 - :mod:`~repro.faults.checkpoint` — atomic JSON-lines experiment

@@ -14,8 +14,7 @@ Three independent concerns live here:
   this class exists to make structurally impossible.
 - :class:`SupervisionPolicy` — *whether the run itself survives* a
   shrinking fleet: the minimum fleet size below which continuing is
-  pointless, the strength below which a finished result is flagged
-  ``degraded``, and an overall wall-clock deadline.  Violations raise
+  pointless and an overall wall-clock deadline.  Violations raise
   :class:`SupervisionError` with a machine-readable cause (never a
   silent hang) unless the policy says to continue degraded.
 """
@@ -31,6 +30,8 @@ _SEED_STRIDE = 0x9E3779B9
 #: slave-id axis, so (slave, gen) pairs spread over the seed space.
 _GENERATION_STRIDE = 0x85EBCA6B
 _SEED_MASK = 0x7FFFFFFF
+#: Longest wait, in seconds, before a respawn.
+_BACKOFF_CAP = 30.0
 
 
 def derive_seed(master_seed: int, slave_id: int, generation: int = 0) -> int:
@@ -126,15 +127,13 @@ class RespawnPolicy:
     ``max_restarts_per_slave`` bounds each slave id's respawn count;
     ``max_total_restarts`` (None = unbounded) caps the whole run so a
     systematically crashing factory cannot respawn forever.  Delays
-    follow ``backoff_base * 2**(generation-1)`` capped at
-    ``backoff_cap``, stretched by up to ``jitter`` (fractional) of
-    seeded noise.
+    follow ``backoff_base * 2**(generation-1)`` capped at 30 s,
+    stretched by up to ``jitter`` (fractional) of seeded noise.
     """
 
     max_restarts_per_slave: int = 2
     max_total_restarts: Optional[int] = None
     backoff_base: float = 0.25
-    backoff_cap: float = 30.0
     jitter: float = 0.1
 
     def __post_init__(self) -> None:
@@ -151,7 +150,7 @@ class RespawnPolicy:
                 f"max_total_restarts must be >= 0, got "
                 f"{self.max_total_restarts}"
             )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
+        if self.backoff_base < 0:
             raise ValueError("backoff must be >= 0")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
@@ -172,7 +171,7 @@ class RespawnPolicy:
         return backoff_delay(
             generation,
             self.backoff_base,
-            self.backoff_cap,
+            _BACKOFF_CAP,
             self.jitter,
             jitter_seed,
         )
@@ -203,11 +202,6 @@ class SupervisionPolicy:
       run aborts with :class:`SupervisionError` (``on_exhausted=
       "abort"``, the default) or presses on with whatever survives
       (``"continue"``).
-    - ``degrade_below`` — the full-strength threshold: a finished run
-      whose surviving fleet is at least this large is *not* flagged
-      ``degraded`` even if it lost (unreplaced) workers along the way.
-      ``None`` keeps the strict default — any unreplaced death
-      degrades the result.
     - ``deadline`` — overall wall-clock budget in seconds for the run.
       Past it, ``"abort"`` raises while ``"continue"`` stops cleanly
       and returns the merged-so-far result flagged ``degraded`` (with
@@ -215,7 +209,6 @@ class SupervisionPolicy:
     """
 
     min_workers: int = 1
-    degrade_below: Optional[int] = None
     deadline: Optional[float] = None
     on_exhausted: str = "abort"
 
@@ -223,11 +216,6 @@ class SupervisionPolicy:
         if self.min_workers < 1:
             raise ValueError(
                 f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if self.degrade_below is not None and self.degrade_below < 1:
-            raise ValueError(
-                f"degrade_below must be >= 1 or None, "
-                f"got {self.degrade_below}"
             )
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(
@@ -242,9 +230,3 @@ class SupervisionPolicy:
     def fleet_ok(self, effective_workers: int) -> bool:
         """Whether the run may continue with this many contributors."""
         return effective_workers >= self.min_workers
-
-    def is_degraded(self, survivors: int, unreplaced_deaths: int) -> bool:
-        """Whether a *finished* run at this strength is degraded."""
-        if self.degrade_below is not None:
-            return survivors < self.degrade_below
-        return unreplaced_deaths > 0

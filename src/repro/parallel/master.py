@@ -14,7 +14,7 @@ Protocol (Fig. 3):
    Eqs. 2-3;
 5. final estimates are read off the merged histograms.
 
-Chunk sizes grow geometrically per round up to ``max_chunk_size``: early
+Chunk sizes grow geometrically per round up to ``16 * chunk_size``: early
 rounds stay small so convergence is detected promptly on easy targets,
 later rounds amortize the report/merge overhead on hard ones.  The
 master computes the schedule and runs the same loop whatever carries
@@ -87,6 +87,11 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.parallel.transport import Transport, WorkerEndpoint
 
+#: Event budget of one slave chunk (and of each replayed chunk).
+_CHUNK_EVENTS = 10_000_000
+#: Round quotas double from ``chunk_size`` up to this multiple of it.
+_CHUNK_GROWTH = 16
+
 
 def build_slave_experiment(
     factory: Callable[..., Experiment],
@@ -124,7 +129,6 @@ class _SlaveSession:
         factory_kwargs,
         seed,
         schemes,
-        max_events_per_chunk,
         slave_id,
         faults=(),
         replay=(),
@@ -136,16 +140,13 @@ class _SlaveSession:
         self.experiment = build_slave_experiment(
             factory, factory_kwargs, seed, schemes
         )
-        self.max_events_per_chunk = max_events_per_chunk
         self.slave_id = slave_id
         self.tracker = DeltaTracker()
         self.injector = FaultInjector(faults, **host)
         self.round_number = round_offset
         self.baseline: Optional[SlaveReport] = None
         if replay:
-            self.experiment.replay_chunks(
-                replay, max_events=max_events_per_chunk
-            )
+            self.experiment.replay_chunks(replay, max_events=_CHUNK_EVENTS)
             self.baseline = self._report()
 
     def _report(self) -> SlaveReport:
@@ -178,9 +179,7 @@ class _SlaveSession:
             raise ParallelError(f"unknown command: {command!r}")
         self.round_number += 1
         self.injector.on_chunk_start(self.round_number)
-        self.experiment.run_until_accepted(
-            command[1], max_events=self.max_events_per_chunk
-        )
+        self.experiment.run_until_accepted(command[1], max_events=_CHUNK_EVENTS)
         report = self.injector.filter_report(self.round_number, self._report())
         # A dropped report skips after_send: there was no send for a
         # post_report kill to follow (FaultPlan rejects that pairing).
@@ -358,12 +357,9 @@ class ParallelSimulation:
         and master schedule, so merged digests are bit-identical.
     chunk_size:
         Accepted observations per slave in the first round between
-        merges; later rounds double it up to ``max_chunk_size``.
+        merges; later rounds double it up to ``16 * chunk_size``.
     max_rounds:
         Safety bound on measure/merge rounds.
-    max_chunk_size:
-        Cap for the geometric growth; defaults to ``16 * chunk_size``
-        (``max_chunk_size=chunk_size`` keeps every round constant).
     round_timeout:
         Per-round recv deadline in host seconds.  A slave that produces
         no report within the deadline is marked dead with cause
@@ -377,8 +373,7 @@ class ParallelSimulation:
     supervision:
         A :class:`~repro.faults.recovery.SupervisionPolicy` governing
         the run's fate as the fleet shrinks: a fleet floor
-        (``min_workers``), a degradation threshold (``degrade_below``),
-        and a measurement-phase wall-clock ``deadline``.  Violations
+        (``min_workers``) and a measurement-phase wall-clock ``deadline``.  Violations
         raise :class:`~repro.faults.recovery.SupervisionError` with a
         machine-readable cause, or — with ``on_exhausted="continue"``
         — let the run finish ``degraded=True`` with whatever survives.
@@ -415,8 +410,6 @@ class ParallelSimulation:
         chunk_size: int = 2000,
         backend: str = "serial",
         max_rounds: int = 10_000,
-        max_events_per_chunk: int = 10_000_000,
-        max_chunk_size: Optional[int] = None,
         round_timeout: Optional[float] = 600.0,
         respawn: Optional[RespawnPolicy] = None,
         supervision: Optional[SupervisionPolicy] = None,
@@ -437,11 +430,6 @@ class ParallelSimulation:
                 "backend 'remote' needs a transport (a RemoteTransport "
                 "listening for repro agents)"
             )
-        if max_chunk_size is not None and max_chunk_size < chunk_size:
-            raise ParallelError(
-                f"max_chunk_size ({max_chunk_size}) must be >= "
-                f"chunk_size ({chunk_size})"
-            )
         if round_timeout is not None and round_timeout <= 0:
             raise ParallelError(
                 f"round_timeout must be > 0 or None, got {round_timeout}"
@@ -457,10 +445,6 @@ class ParallelSimulation:
         self.chunk_size = chunk_size
         self.backend = backend
         self.max_rounds = max_rounds
-        self.max_events_per_chunk = max_events_per_chunk
-        self.max_chunk_size = (
-            max_chunk_size if max_chunk_size is not None else 16 * chunk_size
-        )
         self.round_timeout = round_timeout
         self.respawn = respawn
         self.supervision = supervision
@@ -548,11 +532,11 @@ class ParallelSimulation:
     def _round_chunk(self, round_number: int) -> int:
         """Accepted-observation quota per slave for one round (1-based).
 
-        Geometric growth capped at ``max_chunk_size``; computed by the
+        Geometric growth capped at ``16 * chunk_size``; computed by the
         master so every backend follows the identical schedule.
         """
         grown = self.chunk_size << min(round_number - 1, 60)
-        return min(grown, self.max_chunk_size)
+        return min(grown, _CHUNK_GROWTH * self.chunk_size)
 
     # -- master steps ----------------------------------------------------------
 
@@ -709,7 +693,7 @@ class ParallelSimulation:
             "n_slaves": self.n_slaves,
             "chunk_size": self.chunk_size,
             "adaptive_chunking": True,
-            "max_chunk_size": self.max_chunk_size,
+            "max_chunk_size": _CHUNK_GROWTH * self.chunk_size,
             "delta_reports": True,
         }
 
@@ -806,10 +790,7 @@ class ParallelSimulation:
                 if any(report.digest is not None for report in reports)
                 else None
             ),
-            # No policy degrades like the default one: on any unreplaced death.
-            degraded=deadline_stopped or (
-                self.supervision or SupervisionPolicy()
-            ).is_degraded(self.n_slaves - len(dead), len(dead)),
+            degraded=deadline_stopped or bool(dead),
             dead_slaves=dead,
             failure_causes={i: book.causes[i] for i in dead},
             restarts=book.total_restarts,
@@ -843,7 +824,6 @@ class ParallelSimulation:
                 self.factory_kwargs,
                 seed,
                 schemes,
-                self.max_events_per_chunk,
                 slave_id,
                 self.fault_plan.for_slave(slave_id, generation)
                 if self.fault_plan is not None

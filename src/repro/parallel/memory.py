@@ -175,11 +175,6 @@ class InMemoryTransport(_FramedTransport):
         )
         return FramedEndpoint(channel, worker_id, generation)
 
-    def capacity(self) -> int:
-        # Threads are always spawnable, like forks on the local
-        # transport.
-        return 1
-
     def reap(self, endpoint) -> None:
         endpoint.close()
         thread = endpoint.channel.thread

@@ -423,6 +423,10 @@ class WorkerPool:
                 # backoff stalls nobody.
                 self.transport.wait((), timeout=delay)
                 return True
+            if not self.transport.elastic:
+                # Due already (it fell due after the loop top read the
+                # clock): the next loop top spawns it.
+                return True
         elif not (self._unbound and self.transport.elastic):
             return False
         return (

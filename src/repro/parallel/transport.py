@@ -505,7 +505,8 @@ class Transport:
     #: Short name carried in trace records.
     kind: str = "abstract"
     #: True when workers join and leave on their own schedule (the
-    #: caller should poll :meth:`capacity` and admit joins mid-run).
+    #: caller polls the transport's ``capacity`` and admits joins
+    #: mid-run); only an elastic transport has ``capacity``.
     elastic: bool = False
 
     def __init__(self) -> None:
@@ -550,14 +551,6 @@ class Transport:
     ) -> List[WorkerEndpoint]:
         """Endpoints with a message (or EOF) ready, or [] on timeout."""
         raise NotImplementedError
-
-    def capacity(self) -> int:
-        """Worker slots that could be bound right now without blocking."""
-        return 0
-
-    def wait_for_capacity(self, timeout: Optional[float] = None) -> bool:
-        """Block until :meth:`capacity` > 0 (elastic transports)."""
-        return self.capacity() > 0
 
     def reap(self, endpoint: WorkerEndpoint) -> None:
         """Release one condemned endpoint's resources for good."""
@@ -792,11 +785,6 @@ class LocalPipeTransport(Transport):
         # object can be freed (and its address recycled) mid-lookup.
         ready_ids = {id(conn) for conn in ready}
         return [e for e in endpoints if id(e.conn) in ready_ids]
-
-    def capacity(self) -> int:
-        # Forking is always possible; report one slot so elastic-style
-        # callers (none today) would never block on a local transport.
-        return 1
 
     def reap(self, endpoint) -> None:
         reap_process(endpoint.process)
@@ -1513,11 +1501,13 @@ class RemoteTransport(_FramedTransport):
         return bool(self._lobby)
 
     def capacity(self) -> int:
+        """Agent slots that could be bound right now without blocking."""
         with self._cond:
             self._lobby_open()
             return len(self._lobby)
 
     def wait_for_capacity(self, timeout: Optional[float] = None) -> bool:
+        """Block until :meth:`capacity` > 0 or ``timeout`` passes."""
         with self._cond:
             return self._cond.wait_for(self._lobby_open, timeout)
 

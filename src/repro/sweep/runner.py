@@ -1,4 +1,4 @@
-"""SweepRunner: execute a SweepSpec over a persistent slave pool.
+"""SweepRunner: execute a SweepSpec through one worker pool.
 
 The runner turns a :class:`~repro.sweep.spec.SweepSpec` into results:
 
@@ -288,10 +288,6 @@ class SweepRunner:
         floor (abort or continue degraded) and a sweep-wide deadline
         (always aborts — a partial sweep is not a meaningful result).
         Passed through to :class:`WorkerPool`.
-    pool:
-        An existing started :class:`WorkerPool` to schedule onto (kept
-        alive across sweeps); the runner then ignores ``jobs`` /
-        ``respawn`` / ``fault_plan`` and does not shut it down.
     transport:
         A started :class:`~repro.parallel.transport.Transport` for the
         ``remote`` backend (the runner never closes it — its owner
@@ -318,7 +314,6 @@ class SweepRunner:
         fault_plan=None,
         supervision=None,
         job_timeout: Optional[float] = 600.0,
-        pool: Optional[WorkerPool] = None,
         transport=None,
         join_timeout: float = 30.0,
         tracer=None,
@@ -330,10 +325,10 @@ class SweepRunner:
             )
         if jobs is not None and jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
-        if backend == "remote" and transport is None and pool is None:
+        if backend == "remote" and transport is None:
             raise SweepError(
                 "backend 'remote' needs a transport (a RemoteTransport "
-                "listening for repro agents) or a pre-built pool"
+                "listening for repro agents)"
             )
         self.spec = spec
         self.backend = backend
@@ -347,7 +342,6 @@ class SweepRunner:
         self.fault_plan = fault_plan
         self.supervision = supervision
         self.job_timeout = job_timeout
-        self.pool = pool
         self.transport = transport
         self.join_timeout = join_timeout
         self.tracer = tracer
@@ -380,33 +374,29 @@ class SweepRunner:
         """Every backend: one :meth:`WorkerPool.map`; ``serial`` is one
         worker on the inline transport, ``pool`` the pool's own forked
         workers, ``remote`` the caller's transport."""
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            if self.backend == "serial":
-                n_workers, transport = 1, _InlineTransport(self.job_timeout)
-            elif self.backend == "pool":
-                n_workers, transport = self._default_jobs(), None
-            else:
-                n_workers, transport = self.jobs or 16, self.transport
-            pool = WorkerPool(
-                run_point,
-                n_workers=n_workers,
-                master_seed=self.spec.seed,
-                job_timeout=self.job_timeout,
-                respawn=self.respawn,
-                fault_plan=self.fault_plan,
-                supervision=self.supervision,
-                validate=payload_problem,
-                tracer=self.tracer,
-                transport=transport,
-                join_timeout=self.join_timeout,
-            )
+        if self.backend == "serial":
+            n_workers, transport = 1, _InlineTransport(self.job_timeout)
+        elif self.backend == "pool":
+            n_workers, transport = self._default_jobs(), None
+        else:
+            n_workers, transport = self.jobs or 16, self.transport
+        pool = WorkerPool(
+            run_point,
+            n_workers=n_workers,
+            master_seed=self.spec.seed,
+            job_timeout=self.job_timeout,
+            respawn=self.respawn,
+            fault_plan=self.fault_plan,
+            supervision=self.supervision,
+            validate=payload_problem,
+            tracer=self.tracer,
+            transport=transport,
+            join_timeout=self.join_timeout,
+        )
         try:
             results = pool.map(jobs)
         finally:
-            if owned:
-                pool.shutdown()
+            pool.shutdown()
         return results, pool.stats
 
     # -- the run -------------------------------------------------------------

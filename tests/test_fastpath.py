@@ -723,11 +723,6 @@ class TestQualification:
         experiment.attach_tracer(Tracer.to_memory())
         assert not qualifies(experiment)
 
-    def test_max_sim_time_disqualifies(self):
-        experiment, _ = build_mm1(max_sim_time=100.0)
-        verdict = qualifies(experiment)
-        assert not verdict and "max_sim_time" in verdict.reason
-
     def test_bounded_source_disqualifies(self):
         experiment = Experiment(seed=1)
         server = Server()

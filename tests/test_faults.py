@@ -325,8 +325,8 @@ class TestInlineEndpoint:
         transport = _InlineTransport(reply_timeout=30.0)
         endpoint = transport.spawn(
             0, 0, _serve_session,
-            (_SlaveSession, factory, {}, derive_seed(7, 0), schemes,
-             10_000_000, 0, faults),
+            (_SlaveSession, factory, {}, derive_seed(7, 0), schemes, 0,
+             faults),
         )
         return transport, endpoint
 
@@ -856,7 +856,6 @@ class TestResume:
         with pytest.raises(CheckpointError, match=f"{knob} is False"):
             ParallelSimulation(
                 factory, n_slaves=2, master_seed=7, chunk_size=100,
-                max_chunk_size=1600,
             ).run(resume_from=path)
 
     def test_dead_slave_state_survives_checkpoint(self, tmp_path):

@@ -178,7 +178,7 @@ class TestSupervisionPolicy:
         "kwargs",
         [
             dict(min_workers=0),
-            dict(degrade_below=0),
+            dict(deadline=-1.0),
             dict(deadline=0.0),
             dict(on_exhausted="panic"),
         ],
@@ -187,15 +187,10 @@ class TestSupervisionPolicy:
         with pytest.raises(ValueError):
             SupervisionPolicy(**kwargs)
 
-    def test_fleet_ok_and_degraded(self):
-        policy = SupervisionPolicy(min_workers=2, degrade_below=3)
+    def test_fleet_ok(self):
+        policy = SupervisionPolicy(min_workers=2)
         assert policy.fleet_ok(2)
         assert not policy.fleet_ok(1)
-        assert policy.is_degraded(survivors=2, unreplaced_deaths=0)
-        assert not policy.is_degraded(survivors=3, unreplaced_deaths=1)
-        strict = SupervisionPolicy()
-        assert strict.is_degraded(survivors=4, unreplaced_deaths=1)
-        assert not strict.is_degraded(survivors=4, unreplaced_deaths=0)
 
 
 # -- the chaos matrix on the in-memory wire ------------------------------------
@@ -535,19 +530,6 @@ class TestMasterChaosParity:
         assert result.converged
         assert result.degraded
         assert result.failure_causes[0] == CAUSE_CORRUPT_FRAME
-
-    def test_degrade_below_relaxes_the_flag(self):
-        # One unreplaced death out of two, but the policy says one
-        # survivor is still full strength.
-        plan = FaultPlan.single("corrupt", slave_id=0, round=1)
-        result = run_memory_master(
-            fault_plan=plan,
-            supervision=SupervisionPolicy(
-                min_workers=1, degrade_below=1, on_exhausted="continue"
-            ),
-        )
-        assert result.converged
-        assert not result.degraded
 
     def test_deadline_abort_raises_typed_cause(self):
         with pytest.raises(SupervisionError) as info:

@@ -244,7 +244,7 @@ class TestTracedExperiment:
     def run_traced(self, seed=1):
         experiment = small_experiment(seed=seed)
         tracer = Tracer.to_memory()
-        experiment.attach_tracer(tracer, emit_interval=1000)
+        experiment.attach_tracer(tracer)
         result = experiment.run()
         return result, tracer
 

@@ -118,8 +118,6 @@ class TestValidation:
             ParallelSimulation(factory, chunk_size=0)
         with pytest.raises(ParallelError):
             ParallelSimulation(factory, backend="mpi")
-        with pytest.raises(ParallelError):
-            ParallelSimulation(factory, chunk_size=1000, max_chunk_size=500)
 
 
 class TestDeltaProtocol:
@@ -211,26 +209,11 @@ class TestChunkSchedule:
         simulation = ParallelSimulation(factory, chunk_size=100)
         assert [simulation._round_chunk(r) for r in range(1, 8)] == [
             100, 200, 400, 800, 1600, 1600, 1600
-        ]  # default cap = 16 * chunk_size
-
-    def test_explicit_cap(self):
-        simulation = ParallelSimulation(
-            factory, chunk_size=100, max_chunk_size=350
-        )
-        assert [simulation._round_chunk(r) for r in range(1, 5)] == [
-            100, 200, 350, 350
-        ]
-
-    def test_constant_without_adaptive_chunking(self):
-        # A cap equal to the first chunk leaves the growth no room.
-        simulation = ParallelSimulation(
-            factory, chunk_size=100, max_chunk_size=100
-        )
-        assert [simulation._round_chunk(r) for r in (1, 5, 50)] == [100] * 3
+        ]  # cap = 16 * chunk_size
 
     def test_no_overflow_at_large_round_numbers(self):
         simulation = ParallelSimulation(factory, chunk_size=100)
-        assert simulation._round_chunk(10_000) == simulation.max_chunk_size
+        assert simulation._round_chunk(10_000) == 1600
 
 
 class TestSerialBackend:

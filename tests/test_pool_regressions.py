@@ -1,4 +1,4 @@
-"""Regression tests for three WorkerPool scheduling-loop bugs.
+"""Regression tests for four WorkerPool scheduling-loop bugs.
 
 Each test pins one defect that shipped in the pre-transport pool:
 
@@ -14,6 +14,11 @@ Each test pins one defect that shipped in the pre-transport pool:
    keyed on ``id(pipe)``, which a recycled allocation could alias to
    the wrong worker; dispatch now keys on endpoint identity and skips
    stale readiness signals outright.
+4. **A respawn that falls due between two clock reads** — with the
+   fleet empty and a replacement due, the pool asked the transport for
+   free capacity; the inline transport (serial sweeps) reported none,
+   and the pool raised :class:`PoolError` while the replacement was
+   due.
 """
 
 import time
@@ -26,6 +31,7 @@ from repro.parallel.pool import PoolJobError, WorkerPool
 from repro.parallel.transport import (
     Transport,
     WorkerEndpoint,
+    _InlineTransport,
     collect_replies,
 )
 
@@ -124,6 +130,40 @@ class TestNonBlockingBackoff:
         assert pool.stats.restarts == 1
         assert pool.stats.failure_causes == {}
 
+    def test_respawn_due_between_clock_reads_is_spawned(self):
+        """A due respawn on a serial (inline) pool is a worker to come.
+
+        The transport's clock moves on 1 s per read, so the 1.5 s
+        backoff is still ahead when the loop top admits capacity and
+        already past when the empty fleet checks what it waits for.
+        """
+
+        class TickingInlineTransport(_InlineTransport):
+            def __init__(self, reply_timeout):
+                super().__init__(reply_timeout)
+                self.reads = 0
+
+            def _now(self):
+                self.reads += 1
+                return super()._now() + float(self.reads)
+
+        plan = FaultPlan.single("kill", slave_id=0, round=1, phase="pre_run")
+        pool = WorkerPool(
+            flaky_runner,
+            n_workers=1,
+            master_seed=5,
+            job_timeout=30.0,
+            respawn=RespawnPolicy(
+                max_restarts_per_slave=1, backoff_base=1.5, jitter=0.0
+            ),
+            fault_plan=plan,
+            transport=TickingInlineTransport(30.0),
+        )
+        with pool:
+            results = pool.map([("a", {"x": 1}), ("b", {"x": 2})])
+        assert results == {"a": {"value": 1}, "b": {"value": 2}}
+        assert pool.stats.deaths == pool.stats.restarts == 1
+
 
 # -- scripted transport for dispatch-identity tests ---------------------------
 
@@ -189,9 +229,6 @@ class ScriptedTransport(Transport):
         self.wait_calls += 1
         self.timeouts.append(timeout)
         return step(list(endpoints))
-
-    def capacity(self):
-        return 1
 
     def reap(self, endpoint):
         self.reaped.append(endpoint)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datacenter.disciplines import LIFOQueue
+from repro.datacenter.disciplines import LIFOQueue, SJFQueue
 from repro.datacenter.job import Job
 from repro.datacenter.server import Server, ServerError
 from repro.distributions import Deterministic
@@ -102,6 +102,24 @@ class TestSingleCoreFlow:
         sim.run()
         # LIFO: the late job is served before the early one.
         assert late.start_time < early.start_time
+
+    def test_cancel_queued_job_on_sjf_server(self):
+        sim, server = bound_server(discipline=SJFQueue())
+        finished = []
+        server.on_complete(lambda job, _server: finished.append(job.job_id))
+        running = inject(sim, server, at=0.0, size=10.0)
+        long, short, middle = (
+            inject(sim, server, at=1.0, size=size) for size in (3.0, 1.0, 2.0)
+        )
+        outcomes = []
+        sim.schedule_at(2.0, lambda: outcomes.extend(
+            [server.cancel(middle), server.cancel(middle)]
+        ))
+        sim.run()
+        assert outcomes == [True, False]
+        assert finished == [running.job_id, short.job_id, long.job_id]
+        assert middle.start_time is None
+        assert server.completed_jobs == 3
 
 
 class TestMultiCore:

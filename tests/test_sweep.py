@@ -14,7 +14,7 @@ from repro.cli import main as repro_main
 from repro.faults import FaultPlan, RespawnPolicy
 from repro.faults.recovery import derive_seed
 from repro.observability import Tracer
-from repro.parallel.pool import PoolError, PoolJobError, WorkerPool
+from repro.parallel.pool import PoolError, PoolJobError
 from repro.sweep import (
     SweepError,
     SweepRunner,
@@ -293,15 +293,6 @@ class TestSweepRunner:
             SweepRunner(spec, backend="serial").run()
         assert caught.value.job_id == first
         assert repr(first) in str(caught.value)
-
-    def test_external_pool_is_reused_and_left_running(self):
-        with WorkerPool(run_point, n_workers=2) as pool:
-            first = SweepRunner(task_spec(), pool=pool).run()
-            second = SweepRunner(task_spec(seed=10), pool=pool).run()
-            assert first.converged and second.converged
-            # Same fleet served both sweeps: completions accumulate.
-            assert pool.stats.jobs_completed == 6
-            assert pool.alive_workers == [0, 1]
 
     def test_tracer_records_points_and_counters(self):
         tracer = Tracer.to_memory()

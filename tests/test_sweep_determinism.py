@@ -182,7 +182,7 @@ def test_serial_backoff_and_hang_cost_no_wall_time(reference):
         fault_plan=FaultPlan.single("hang", slave_id=0, round=1,
                                     delay=3600.0),
         respawn=RespawnPolicy(
-            backoff_base=60.0, backoff_cap=60.0, jitter=0.0
+            backoff_base=30.0, jitter=0.0
         ),
     ).run()
     assert time.monotonic() - started < 30.0
