@@ -197,30 +197,25 @@ def verify_prefetch_determinism(
 
 def verify_backend_determinism(
     factory: Callable,
-    factory_kwargs: Optional[dict] = None,
     n_slaves: int = 2,
-    master_seed: int = 0,
     chunk_size: int = 500,
     max_rounds: int = 200,
 ) -> SanitizerCheck:
     """Assert serial and process backends drive identical slave streams.
 
-    Runs the full master/slave protocol once per backend with sanitized
-    slaves and compares each slave's cumulative event digest.  The
-    factory must be picklable (module-level) and forward ``sanitize``
-    to :class:`Experiment`.
+    Runs the full master/slave protocol once per backend (at its default
+    master seed) with sanitized slaves and compares each slave's
+    cumulative event digest.  The factory must be picklable
+    (module-level) and forward ``sanitize`` to :class:`Experiment`.
     """
     from repro.parallel.master import ParallelSimulation
 
-    kwargs = dict(factory_kwargs or {})
-    kwargs["sanitize"] = True
     per_backend: Dict[str, List[SanitizerDigest]] = {}
     for backend in ("serial", "process"):
         result = ParallelSimulation(
             factory,
-            factory_kwargs=kwargs,
+            factory_kwargs={"sanitize": True},
             n_slaves=n_slaves,
-            master_seed=master_seed,
             chunk_size=chunk_size,
             backend=backend,
             max_rounds=max_rounds,

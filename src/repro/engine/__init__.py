@@ -18,13 +18,8 @@ __all__ = [
     "Simulation",
     "Experiment",
     "ExperimentResult",
-    "PeriodicProbe",
-    "CompletionProbe",
-    "slowdown",
     "estimate_to_dict",
     "result_to_dict",
-    "save_result",
-    "load_result",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -34,11 +29,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "Simulation": "repro.engine.simulation",
     "Experiment": "repro.engine.experiment",
     "ExperimentResult": "repro.engine.experiment",
-    "CompletionProbe": "repro.engine.probes",
-    "PeriodicProbe": "repro.engine.probes",
-    "slowdown": "repro.engine.probes",
     "estimate_to_dict": "repro.engine.report",
-    "load_result": "repro.engine.report",
     "result_to_dict": "repro.engine.report",
-    "save_result": "repro.engine.report",
 })

@@ -2,16 +2,12 @@
 
 Long parameter sweeps (every benchmark in this repo) want results on
 disk in a tool-agnostic form.  ``result_to_dict`` flattens an
-:class:`~repro.engine.experiment.ExperimentResult` (or a parallel /
-replicated result) into JSON-safe plain data; ``save_result`` /
-``load_result`` are the file-shaped conveniences.
+:class:`~repro.engine.experiment.ExperimentResult` (and
+``parallel_result_to_dict`` a parallel one) into JSON-safe plain data
+for ``json.dump``, which is what ``repro run`` writes.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Union
 
 from repro.core.statistic import Estimate
 from repro.engine.experiment import ExperimentResult
@@ -95,23 +91,3 @@ def parallel_result_to_dict(result) -> dict:
     if telemetry is not None:
         payload["telemetry"] = _plain(telemetry)
     return payload
-
-
-def save_result(result: ExperimentResult, path: Union[str, Path]) -> Path:
-    """Write a result as indented JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        json.dump(result_to_dict(result), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_result(path: Union[str, Path]) -> dict:
-    """Read a saved result back as the plain-dict form.
-
-    (Deliberately not reconstructed into live objects: a saved result is
-    a report, not a resumable simulation.)
-    """
-    with Path(path).open() as handle:
-        return json.load(handle)

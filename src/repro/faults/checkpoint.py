@@ -38,7 +38,7 @@ from repro.core.histogram import BinScheme, HistogramError
 from repro.shape import checked
 
 #: Bump when the record layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -80,9 +80,6 @@ class CheckpointState:
     master_seed: int
     n_slaves: int
     chunk_size: int
-    adaptive_chunking: bool
-    max_chunk_size: int
-    delta_reports: bool
     round: int
     master_events: int = 0
     total_restarts: int = 0
@@ -110,7 +107,7 @@ _SCHEME = Tuple[float, float, int]
 _META = {"version": int, **{
     key: hint
     for key, hint in get_type_hints(CheckpointState).items()
-    if hint in (int, bool)
+    if hint is int
 }}
 #: The histogram payload nested in a ``metric`` record.
 _MERGED = {

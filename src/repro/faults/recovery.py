@@ -124,15 +124,13 @@ def backoff_delay(
 class RespawnPolicy:
     """When (and how eagerly) dead slaves are replaced.
 
-    ``max_restarts_per_slave`` bounds each slave id's respawn count;
-    ``max_total_restarts`` (None = unbounded) caps the whole run so a
-    systematically crashing factory cannot respawn forever.  Delays
+    ``max_restarts_per_slave`` bounds each slave id's respawn count, so
+    a systematically crashing factory cannot respawn forever.  Delays
     follow ``backoff_base * 2**(generation-1)`` capped at 30 s,
     stretched by up to ``jitter`` (fractional) of seeded noise.
     """
 
     max_restarts_per_slave: int = 2
-    max_total_restarts: Optional[int] = None
     backoff_base: float = 0.25
     jitter: float = 0.1
 
@@ -142,29 +140,14 @@ class RespawnPolicy:
                 f"max_restarts_per_slave must be >= 0, got "
                 f"{self.max_restarts_per_slave}"
             )
-        if (
-            self.max_total_restarts is not None
-            and self.max_total_restarts < 0
-        ):
-            raise ValueError(
-                f"max_total_restarts must be >= 0, got "
-                f"{self.max_total_restarts}"
-            )
         if self.backoff_base < 0:
             raise ValueError("backoff must be >= 0")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
-    def allows(self, restarts_for_slave: int, total_restarts: int) -> bool:
-        """Whether one more respawn fits both budgets."""
-        if restarts_for_slave >= self.max_restarts_per_slave:
-            return False
-        if (
-            self.max_total_restarts is not None
-            and total_restarts >= self.max_total_restarts
-        ):
-            return False
-        return True
+    def allows(self, restarts_for_slave: int) -> bool:
+        """Whether one more respawn fits the slave's budget."""
+        return restarts_for_slave < self.max_restarts_per_slave
 
     def delay(self, generation: int, jitter_seed: Optional[int] = None) -> float:
         """Backoff before spawning ``generation`` (1 = first respawn)."""

@@ -2,8 +2,9 @@
 
 Validates one or more JSON-lines trace files against the schema in
 :mod:`repro.observability.schema`.  Exit codes: ``0`` all valid, ``1``
-schema violations found, ``2`` usage or I/O error.  CI runs this
-against the smoke-experiment trace.
+schema violations found, ``2`` usage or I/O error.
+``tests/test_cli.py::TestRunObservability::test_trace_validator_cli``
+runs this on the trace ``repro run --trace`` writes.
 """
 
 from __future__ import annotations

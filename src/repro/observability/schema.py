@@ -20,8 +20,10 @@ host_duration float? span duration in host seconds (spans only)
 ``host_*`` keys are the only nondeterministic content: two runs of the
 same seed must produce byte-identical traces once those keys are
 stripped (:func:`strip_host_fields`).  The validator is dependency-free
-on purpose — CI runs it against a smoke trace before anything heavier
-is installed.
+on purpose: it needs nothing beyond the standard library.  The tests
+``test_trace_flag_writes_valid_jsonl`` and ``test_trace_validator_cli``
+in ``tests/test_cli.py`` run it on the trace ``repro run --trace``
+writes.
 """
 
 from __future__ import annotations

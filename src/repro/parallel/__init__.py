@@ -46,9 +46,6 @@ __all__ = [
     "PoolJobError",
     "PoolStats",
     "WorkerPool",
-    "ReplicatedEstimate",
-    "ReplicationResult",
-    "run_replications",
     "LocalPipeTransport",
     "RemoteTransport",
     "Transport",
@@ -68,9 +65,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "PoolJobError": "repro.parallel.pool",
     "PoolStats": "repro.parallel.pool",
     "WorkerPool": "repro.parallel.pool",
-    "ReplicatedEstimate": "repro.parallel.replications",
-    "ReplicationResult": "repro.parallel.replications",
-    "run_replications": "repro.parallel.replications",
     "LocalPipeTransport": "repro.parallel.transport",
     "RemoteTransport": "repro.parallel.transport",
     "Transport": "repro.parallel.transport",

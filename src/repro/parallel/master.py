@@ -610,13 +610,10 @@ class ParallelSimulation:
         """Dead slaves the policy will replace this round (budget check)."""
         if self.respawn is None:
             return []
-        chosen = []
-        total = book.total_restarts
-        for slave_id in book.dead:
-            if self.respawn.allows(book.slaves[slave_id].restarts, total):
-                chosen.append(slave_id)
-                total += 1
-        return chosen
+        return [
+            slave_id for slave_id in book.dead
+            if self.respawn.allows(book.slaves[slave_id].restarts)
+        ]
 
     # -- supervision --------------------------------------------------------------
 
@@ -681,20 +678,11 @@ class ParallelSimulation:
 
     def _schedule(self) -> Dict[str, object]:
         """What fixes the deterministic chunk schedule, as a checkpoint
-        records it and a resume must find it.
-
-        ``adaptive_chunking`` and ``delta_reports`` were options once;
-        a file written with either off followed a schedule (or merged a
-        report form) this master no longer has, so it is refused rather
-        than resumed onto a different one.
-        """
+        records it and a resume must find it."""
         return {
             "master_seed": self.master_seed,
             "n_slaves": self.n_slaves,
             "chunk_size": self.chunk_size,
-            "adaptive_chunking": True,
-            "max_chunk_size": _CHUNK_GROWTH * self.chunk_size,
-            "delta_reports": True,
         }
 
     def _maybe_checkpoint(

@@ -530,7 +530,7 @@ class WorkerPool:
         # collide with the dead one.
         self._generation[worker_id] = generation + 1
         if self.respawn is not None and self.respawn.allows(
-            self._restarts.get(worker_id, 0), self.stats.restarts
+            self._restarts.get(worker_id, 0)
         ):
             delay = self.respawn.delay(
                 generation + 1,

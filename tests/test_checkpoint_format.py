@@ -1,13 +1,12 @@
 """The checkpoint file as a format: pinned bytes and a decoder that refuses.
 
-``tests/fixtures/checkpoint_v1.jsonl`` was recorded at the commit
-*before* the run book started keeping ``SlaveCheckpoint`` records
+``tests/fixtures/checkpoint_v2.jsonl`` pins format version 2
 (``python tests/test_checkpoint_format.py`` re-records it and the
 results beside it).  Its scenario leaves nothing trivial: slave 1 is
 killed in round 2 and respawned (generation, restarts, ``prior_*`` and
-a four-entry lineage), slave 2 is killed in round 3 with the restart
-budget spent (a ``dead`` record and an ``owed`` quota).  Three
-contracts hang off it:
+a five-entry lineage), then its replacement is killed in round 3 with
+the restart budget spent (a ``dead`` record and an ``owed`` quota).
+Three contracts hang off it:
 
 - the same run still writes the same bytes, ``write(read(f)) == f``,
   and resuming from it lands on the recorded digests;
@@ -37,8 +36,8 @@ from repro.faults import (
 )
 from repro.parallel import ParallelSimulation
 
-FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v1.jsonl"
-EXPECTED = FIXTURE.with_name("checkpoint_v1.expected.json")
+FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v2.jsonl"
+EXPECTED = FIXTURE.with_name("checkpoint_v2.expected.json")
 
 
 def factory(seed, accuracy=0.02):
@@ -56,11 +55,12 @@ def factory(seed, accuracy=0.02):
     return experiment
 
 
-ONE_RESTART = RespawnPolicy(max_restarts_per_slave=1, max_total_restarts=1,
+ONE_RESTART = RespawnPolicy(max_restarts_per_slave=1,
                             backoff_base=0.0, jitter=0.0)
 PLAN = FaultPlan(specs=(
     FaultSpec(kind="kill", slave_id=1, round=2, phase="pre_report"),
-    FaultSpec(kind="kill", slave_id=2, round=3, phase="pre_report"),
+    FaultSpec(kind="kill", slave_id=1, round=3, generation=1,
+              phase="pre_report"),
 ))
 KW = dict(n_slaves=3, master_seed=7, chunk_size=400, respawn=ONE_RESTART)
 
@@ -105,10 +105,10 @@ class TestPinnedFormat:
 
     def test_fixture_leaves_no_field_trivial(self):
         state = read_checkpoint(FIXTURE)
-        respawned, dead = state.slaves[1], state.slaves[2]
-        assert respawned.generation == respawned.restarts == 1
-        assert respawned.prior_events and respawned.prior_accepted
-        assert dead.owed and state.dead == {2: "injected fault: kill"}
+        slave = state.slaves[1]  # respawned once, then left dead
+        assert slave.generation == slave.restarts == 1
+        assert slave.prior_events and slave.prior_accepted
+        assert slave.owed and state.dead == {1: "injected fault: kill"}
         assert len(state.lineage) == 5 and state.total_restarts == 1
 
     def test_resume_lands_on_the_recorded_result(self):
@@ -240,11 +240,11 @@ class TestRefusals:
 
     def test_absent_optional_keys_take_their_defaults(self, tmp_path):
         records = fixture_records()
-        for record in (records[0], records[4]):  # meta, slave 2
+        for record in (records[0], records[3]):  # meta, slave 1
             for key in LENIENT:
                 record.pop(key, None)
         state = read_checkpoint(write_records(tmp_path / "ck.jsonl", records))
-        assert state.slaves[2].owed == state.slaves[2].events_processed == 0
+        assert state.slaves[1].owed == state.slaves[1].events_processed == 0
         assert state.master_events == state.total_restarts == 0
 
     def test_record_order_does_not_matter(self, tmp_path):

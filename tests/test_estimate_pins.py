@@ -6,11 +6,10 @@ convergence code must reproduce bit for bit: every metric's
 intervals, lag, counts, phase and verdict), ``Experiment.progress()``
 after calibration and at the end, the telemetry digest and the
 :class:`~repro.observability.ProgressReporter` lines.  Beside the runs
-it pins the across-replication intervals of ``run_replications`` and a
-batch-means half-width on a seeded sequence.  Floats are stored as
-``float.hex``.  A change meant to keep every number must leave it green;
-``PYTHONPATH=src python -m tests.test_estimate_pins`` re-records the
-fixture, only for a change that is meant to move them.
+it pins a batch-means half-width on a seeded sequence.  Floats are
+stored as ``float.hex``.  A change meant to keep every number must
+leave it green; ``PYTHONPATH=src python -m tests.test_estimate_pins``
+re-records the fixture, only for a change that is meant to move them.
 """
 
 import dataclasses
@@ -29,7 +28,6 @@ from repro.distributions import Exponential
 from repro.engine.experiment import Experiment
 from repro.observability import ExperimentTelemetry, ProgressReporter
 from repro.parallel import ParallelSimulation
-from repro.parallel.replications import run_replications
 from repro.workloads import web
 from repro.workloads.workload import Workload
 
@@ -162,29 +160,6 @@ def parallel_case():
     }
 
 
-def replications_case():
-    """``run_replications`` intervals over three seeds, mean and p95."""
-    outcome = {}
-    for value, quantile in (("mean", None), ("quantile", 0.95)):
-        study = run_replications(
-            parallel_factory, replications=3, base_seed=31,
-            metric_value=value, quantile=quantile,
-        )
-        outcome[value] = {
-            "seeds": study.seeds,
-            "estimates": {
-                name: plain({
-                    "values": estimate.values,
-                    "mean": estimate.mean,
-                    "std": estimate.std,
-                    "confidence_interval": estimate.confidence_interval,
-                })
-                for name, estimate in study.estimates.items()
-            },
-        }
-    return outcome
-
-
 def batch_means_case():
     """Half-width and relative accuracy over a seeded AR(1) sequence."""
     rng = np.random.default_rng(41)
@@ -206,7 +181,6 @@ PINNED_CASES = {
     "two-metric": lambda: serial_case(two_metric, 12),
     "mm4-fastpath": lambda: serial_case(mm4_fastpath, 13),
     "par2-serial": parallel_case,
-    "replications": replications_case,
     "batch-means": batch_means_case,
 }
 

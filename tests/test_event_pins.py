@@ -13,6 +13,7 @@ fixture, only for a change that is meant to move simulated numbers.
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,6 @@ from repro.datacenter.server import Server
 from repro.datacenter.srpt import SRPTServer
 from repro.distributions import Choice, Exponential
 from repro.engine.experiment import Experiment
-from repro.engine.probes import PeriodicProbe
 from repro.engine.simulation import seeded_rng
 from repro.policies import DreamWeaver, OndemandGovernor
 from repro.power import CubicDVFSPowerModel, DVFSPerformanceModel, ServerDVFS
@@ -223,12 +223,14 @@ def periodic_probe(experiment, seed):
     server = Server(cores=1)
     experiment.add_source(mm_workload(), target=server)
     experiment.track("queue_depth", mean_accuracy=0.2)
-    probe = PeriodicProbe(
-        lambda: server.outstanding + 1,  # + 1: the mean must not be zero
-        lambda value: experiment.record("queue_depth", value),
-        period=0.05,
-    )
-    probe.bind(experiment.simulation)
+    probe = SimpleNamespace(samples_taken=0)
+
+    def sample():
+        probe.samples_taken += 1
+        # + 1: the mean must not be zero.
+        experiment.record("queue_depth", server.outstanding + 1.0)
+
+    experiment.simulation.schedule_periodic(0.05, sample)
     track(experiment, server)
     return counters(probe, "samples_taken")
 

@@ -1,13 +1,18 @@
 """Integration tests for the Experiment layer against queuing theory."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Experiment, Server, Workload
 from repro.distributions import Exponential, HyperExponential
+from repro.power import CubicDVFSPowerModel, ServerDVFS
 from repro.workloads import web
+
+EXTENDING = Path(__file__).parent.parent / "docs" / "extending.md"
 
 
 class TestBasicRun:
@@ -236,3 +241,44 @@ class TestMultiMetric:
         result = experiment.run(max_events=2_000_000)
         estimate = result["queue_depth"]
         assert estimate.quantiles[0.9] >= 1.0
+
+
+def documented_feeds():
+    """The code blocks of ``docs/extending.md`` §1: the per-completion
+    feed, then the periodic one."""
+    section = EXTENDING.read_text().split("## 1.", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def run_documented(block, **names):
+    exec(compile(block, str(EXTENDING), "exec"), names)
+
+
+class TestDocumentedMetricFeeds:
+    """``docs/extending.md`` §1 run as written, so a doc edit that breaks
+    either pattern fails here."""
+
+    def test_extracts_per_job(self):
+        per_job, _ = documented_feeds()
+        experiment = Experiment(seed=26, warmup_samples=100,
+                                calibration_samples=1000)
+        server = Server()
+        experiment.add_source(web().at_load(0.5), target=server)
+        run_documented(per_job, experiment=experiment, server=server)
+        result = experiment.run(max_events=2_000_000)
+        # One observation per completed job, none below the 1.0 offset.
+        assert result["queue_depth"].observed == server.completed_jobs
+        assert result["queue_depth"].quantiles[0.9] >= 1.0
+
+    def test_feeds_experiment_metric(self):
+        _, periodic = documented_feeds()
+        experiment = Experiment(seed=5, warmup_samples=50,
+                                calibration_samples=500)
+        server = Server(cores=2)
+        coupling = ServerDVFS(server, CubicDVFSPowerModel(100.0, 300.0))
+        experiment.add_source(web().at_load(0.5, cores=2), target=server)
+        run_documented(periodic, experiment=experiment, coupling=coupling)
+        result = experiment.run(max_events=2_000_000)
+        # One sample a simulated second, between idle and peak power.
+        assert result["power"].observed == math.floor(result.sim_time)
+        assert 100.0 < result["power"].mean < 300.0

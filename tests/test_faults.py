@@ -438,10 +438,9 @@ class TestBackoff:
         assert 2.0 <= a <= 3.0
 
     def test_policy_budgets(self):
-        policy = RespawnPolicy(max_restarts_per_slave=2, max_total_restarts=3)
-        assert policy.allows(0, 0)
-        assert not policy.allows(2, 0)  # per-slave budget spent
-        assert not policy.allows(0, 3)  # run budget spent
+        policy = RespawnPolicy(max_restarts_per_slave=2)
+        assert policy.allows(0) and policy.allows(1)
+        assert not policy.allows(2)  # per-slave budget spent
 
 
 # -- checkpoint ---------------------------------------------------------------
@@ -452,9 +451,6 @@ def _state(**overrides):
         master_seed=7,
         n_slaves=2,
         chunk_size=100,
-        adaptive_chunking=True,
-        max_chunk_size=1600,
-        delta_reports=True,
         round=3,
         master_events=5000,
         schemes={"rt": (0.0, 2.0, 4)},
@@ -848,12 +844,11 @@ class TestResume:
                 factory, **{**KW, "chunk_size": 999}
             ).run(resume_from=path)
 
-    @pytest.mark.parametrize("knob", ["delta_reports", "adaptive_chunking"])
-    def test_checkpoint_from_a_removed_knob_is_refused(self, tmp_path, knob):
-        # Written by a master that still had the option, with it off:
-        # the schedule (or report form) it followed no longer exists.
-        path = write_checkpoint(tmp_path / "old.jsonl", _state(**{knob: False}))
-        with pytest.raises(CheckpointError, match=f"{knob} is False"):
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # Version 1 also recorded three schedule settings that had become
+        # constants; no reader for it is kept.
+        path = write_checkpoint(tmp_path / "old.jsonl", _state(version=1))
+        with pytest.raises(CheckpointError, match="checkpoint version 1 "):
             ParallelSimulation(
                 factory, n_slaves=2, master_seed=7, chunk_size=100,
             ).run(resume_from=path)
