@@ -844,10 +844,20 @@ class TestResume:
                 factory, **{**KW, "chunk_size": 999}
             ).run(resume_from=path)
 
-    def test_version_1_checkpoint_is_refused(self, tmp_path):
-        # Version 1 also recorded three schedule settings that had become
-        # constants; no reader for it is kept.
+    @pytest.mark.parametrize("knob", ["delta_reports", "adaptive_chunking"])
+    def test_checkpoint_from_a_removed_knob_is_refused(self, tmp_path, knob):
+        # Written by a master that still had the option, with it off: the
+        # schedule (or report form) it followed no longer exists. Such a
+        # file is version 1, whose meta record carried the three schedule
+        # settings that have since become constants; no reader for it is
+        # kept, so it is refused by version before any field is trusted.
         path = write_checkpoint(tmp_path / "old.jsonl", _state(version=1))
+        meta, *rest = path.read_text().splitlines()
+        meta = json.loads(meta)
+        meta.update(adaptive_chunking=True, max_chunk_size=1600,
+                    delta_reports=True)
+        meta[knob] = False
+        path.write_text("\n".join([json.dumps(meta), *rest]) + "\n")
         with pytest.raises(CheckpointError, match="checkpoint version 1 "):
             ParallelSimulation(
                 factory, n_slaves=2, master_seed=7, chunk_size=100,
