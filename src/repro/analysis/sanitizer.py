@@ -155,22 +155,20 @@ def experiment_digest(
 def verify_prefetch_determinism(
     factory: Callable,
     seed: int = 0,
-    factory_kwargs: Optional[dict] = None,
     max_events: Optional[int] = None,
 ) -> SanitizerCheck:
     """Assert prefetch-on and prefetch-off runs dispatch identical events.
 
-    Runs ``factory(seed, prefetch=True, sanitize=True, **kwargs)`` and
-    the ``prefetch=False`` twin under the same seed and compares event
+    Runs ``factory(seed=seed, prefetch=True, sanitize=True)`` and the
+    ``prefetch=False`` twin under the same seed and compares event
     digests.  RNG digests are reported but *not* compared — block
     boundaries legitimately differ between the two configurations.
     """
     digests = {}
     for label, prefetch in (("prefetch-on", True), ("prefetch-off", False)):
-        kwargs = dict(factory_kwargs or {})
-        kwargs["prefetch"] = prefetch
         digests[label] = experiment_digest(
-            factory, seed=seed, factory_kwargs=kwargs, max_events=max_events
+            factory, seed=seed, factory_kwargs={"prefetch": prefetch},
+            max_events=max_events,
         )
     on, off = digests["prefetch-on"], digests["prefetch-off"]
     matched = (

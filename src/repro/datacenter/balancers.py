@@ -245,8 +245,7 @@ class CloningBalancer(_ReplicatingBalancer):
             self._rng = sim.spawn_rng()
 
     def _select(self) -> List[Server]:
-        if self.clones == len(self.servers):
-            return self.servers
+        """``clones`` distinct backends at random (clone-to-d, d < n)."""
         picks = self._rng.choice(
             len(self.servers), size=self.clones, replace=False
         )
@@ -262,7 +261,9 @@ class CloningBalancer(_ReplicatingBalancer):
             )
         self.dispatched += 1
         size = job.size if self.synchronized else None
-        entry = [(job._replica(size), backend) for backend in self._select()]
+        # Clone-to-all (no stream was spawned at bind) picks every backend.
+        backends = self.servers if self._rng is None else self._select()
+        entry = job._replicas(size, backends)
         self._pending[job.job_id] = entry
         for replica, backend in entry:
             backend.arrive(replica)
@@ -332,7 +333,7 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         self.dispatched += 1
         self._seqno[job.job_id] = self.dispatched
         backend = self._pick(self.dispatched, 0, [])
-        entry = [(job._replica(job.size), backend)]
+        entry = job._replicas(job.size, (backend,))
         self._pending[job.job_id] = entry
         self._arm_timer(job)
         backend.arrive(entry[0][0])
@@ -352,11 +353,10 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
             return  # finished just as the timer fired
         used = [backend for _, backend in entry]
         backend = self._pick(self._seqno[logical.job_id], len(entry), used)
-        replica = logical._replica(logical.size)
-        entry.append((replica, backend))
+        entry += logical._replicas(logical.size, (backend,))
         self.retries_issued += 1
         self._arm_timer(logical)
-        backend.arrive(replica)
+        backend.arrive(entry[-1][0])
 
     def _finalize_extra(self, logical: Job) -> None:
         self._seqno.pop(logical.job_id, None)

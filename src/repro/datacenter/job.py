@@ -34,7 +34,7 @@ class Job:
         Network arrival, first instant of service, and completion.
     """
 
-    # NOTE: Source._emit and _replica below initialize instances via
+    # NOTE: Source._emit and _replicas below initialize instances via
     # __new__ + direct slot stores for speed; keep both field lists in
     # sync with these slots (tests/test_jobs.py checks them).
     __slots__ = (
@@ -53,28 +53,35 @@ class Job:
         "clone_of",
     )
 
-    def _replica(self, size: Optional[float]) -> "Job":
-        """A replica of this logical job, as redundancy balancers mint them.
+    def _replicas(self, size: Optional[float], backends) -> list:
+        """One replica of this logical job per backend, as redundancy
+        balancers mint them: ``[(replica, backend), ...]`` in order.
 
-        Built without ``__init__`` (no frame, no validation: ``size`` is
-        the logical job's own, or None for the backend to draw); arrival
-        time, class and server need are the logical job's.
+        Built without ``__init__`` (no frame per replica, no validation:
+        ``size`` is the logical job's own, or None for the backend to
+        draw); arrival time, class and server need are the logical job's.
         """
-        replica = _new_job(Job)
-        replica.job_id = next(JOB_COUNTER)
-        replica.size = size
-        replica.remaining = size
-        replica.arrival_time = self.arrival_time
-        replica.start_time = None
-        replica.finish_time = None
-        replica.delay_used = 0.0
-        replica._completion_event = None
-        replica._last_progress = None
-        replica.stages_completed = 0
-        replica.job_class = self.job_class
-        replica.servers_needed = self.servers_needed
-        replica.clone_of = self
-        return replica
+        arrival_time = self.arrival_time
+        job_class = self.job_class
+        servers_needed = self.servers_needed
+        entry = []
+        for backend in backends:
+            replica = _new_job(Job)
+            replica.job_id = next(JOB_COUNTER)
+            replica.size = size
+            replica.remaining = size
+            replica.arrival_time = arrival_time
+            replica.start_time = None
+            replica.finish_time = None
+            replica.delay_used = 0.0
+            replica._completion_event = None
+            replica._last_progress = None
+            replica.stages_completed = 0
+            replica.job_class = job_class
+            replica.servers_needed = servers_needed
+            replica.clone_of = self
+            entry.append((replica, backend))
+        return entry
 
     def __init__(self, job_id: int, size: Optional[float] = None):
         if size is not None and size < 0:

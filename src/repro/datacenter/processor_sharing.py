@@ -12,17 +12,20 @@ Each change (an arrival, a cancellation, a completion) costs one walk of
 the pool, ``_settle``: debit every job its share of the service elapsed
 since the last change, let the one job in or out, and note the smallest
 ``remaining`` on the way; the pending completion event is then cancelled
-and a new one pushed for that job.  Every armed record carries the same
-callback, bound once at ``bind``, which reads the due job off the
-station.  A completion runs its listeners between the walk and the
-re-arm, so a listener that re-enters the station sees a settled pool and
-event sequence numbers do not depend on it.  The re-arm uses the walk's
-soonest job unless a listener did re-enter ``arrive``/``cancel`` (every
-walk bumps a counter); only then does a second walk arm it.  The
-arithmetic is fixed — ``remaining - elapsed * speed / n`` clamped at
-0.0, ``delay = remaining * n / speed``, first admitted wins a tie — and
-``tests/test_processor_sharing.py`` holds a naive transcription that
-results must equal exactly, not approximately.
+and a new one pushed for that job, both inline on the queue's heap (the
+cancel is ``EventQueue.cancel``'s three steps without its checks: the
+station owns that record, so it is always pending).  Every armed record
+carries the same callback, bound once at ``bind``, which reads the due
+job off the station.  A completion runs its listeners between the walk
+and the re-arm, so a listener that re-enters the station sees a settled
+pool and event sequence numbers do not depend on it.  The re-arm uses
+the walk's soonest job unless a listener did re-enter
+``arrive``/``cancel`` (every walk bumps a counter); only then does a
+second walk arm it.  The arithmetic is fixed — ``remaining - elapsed *
+speed / n`` clamped at 0.0, ``delay = remaining * n / speed``, first
+admitted wins a tie — and ``tests/test_processor_sharing.py`` holds a
+naive transcription that results must equal exactly, not
+approximately.
 
 PS is insensitive to the service distribution's shape: mean response at
 load rho is E[S] / (1 - rho) regardless of Cv — a sharp contrast with
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 from repro.datacenter.job import Job
 from repro.datacenter.server import ServerError
 from repro.distributions.prefetch import PrefetchSampler
-from repro.engine.events import PENDING, SimulationError
+from repro.engine.events import CANCELLED, EV_STATE, PENDING, SimulationError
 from repro.engine.simulation import Simulation
 
 
@@ -55,7 +58,8 @@ class ProcessorSharingServer:
         self.name = name
         self.sim: Optional[Simulation] = None
         self._next_size: Optional[PrefetchSampler] = None
-        self._cancel_event = None
+        self._events = None
+        self._compact_min = None
         self._heap = None
         self._seq = None
         self._jobs: dict[int, Job] = {}
@@ -82,7 +86,8 @@ class ProcessorSharingServer:
         self._last_progress = sim.now
         # Captured once: _settle cancels and pushes completion records
         # straight on the queue.  Safe because heap compaction is in-place.
-        self._cancel_event = sim.events.cancel
+        self._events = sim.events
+        self._compact_min = sim.events.COMPACT_MIN
         self._heap = sim.events._heap
         self._seq = sim.events._counter
         self._on_due = self._complete
@@ -166,8 +171,16 @@ class ProcessorSharingServer:
             if self._changes != changes:
                 self._settle(None, None, False)
                 return
-        if self._completion_event is not None:
-            self._cancel_event(self._completion_event)
+        pending = self._completion_event
+        if pending is not None:
+            # EventQueue.cancel, inline: state, dead count, compaction
+            # (tests/test_events.py holds the counts to the queue's own).
+            pending[EV_STATE] = CANCELLED  # simlint: disable=event-mutation
+            events = self._events
+            events._dead += 1
+            size = len(self._heap)
+            if size >= self._compact_min and events._dead * 2 > size:
+                events._compact()
             self._completion_event = None
         if soonest is None:
             return

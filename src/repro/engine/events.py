@@ -22,10 +22,17 @@ cancellation handle returned to callers, who treat it as opaque.
 
 Because lazy deletion leaves cancelled entries buried in the heap, a
 cancel-heavy workload would otherwise inflate the heap without bound.
-When dead entries exceed half the heap (and the heap is big enough to
-matter), the queue compacts: it drops dead entries and re-heapifies —
-in place, because a running event loop holds a direct reference to the
+When the heap is big enough to matter and dead entries exceed half of
+it, the queue compacts: it drops dead entries and re-heapifies — in
+place, because a running event loop holds a direct reference to the
 heap list.
+
+:meth:`EventQueue.cancel` is for outside callers: it refuses a record
+that is already cancelled or has fired.  A station that owns its one
+pending record (``ProcessorSharingServer``) cancels it inline with the
+same three steps — state to :data:`CANCELLED`, ``_dead`` up by one,
+the compaction rule — just as ``Source``, ``Server`` and the PS station
+push their records inline.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ def describe_event(event: Event) -> str:
     """Human-readable rendering of an event record (debugging aid).
 
     Names the callback by its qualified name, looking through a
-    :func:`functools.partial` to the function it wraps.
+    :func:`functools.partial` to the function it wraps (a bound method,
+    :class:`types.MethodType` included, names its function already).
     """
     callback = getattr(event[EV_CALLBACK], "func", event[EV_CALLBACK])
     name = getattr(callback, "__qualname__", repr(callback))
@@ -100,7 +108,7 @@ class EventQueue:
         event[EV_STATE] = CANCELLED
         self._dead += 1
         heap = self._heap
-        if self._dead * 2 > len(heap) and len(heap) >= self.COMPACT_MIN:
+        if len(heap) >= self.COMPACT_MIN and self._dead * 2 > len(heap):
             self._compact()
 
     def _compact(self) -> None:

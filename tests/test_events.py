@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datacenter.balancers import CloningBalancer
 from repro.datacenter.job import Job
 from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import Server
@@ -146,6 +147,59 @@ class TestRecordLayout:
         assert heap
         assert {len(event) for event in heap} == {width}
         assert {event[EV_STATE] for event in heap} <= {PENDING, CANCELLED}
+
+    def test_inline_cancels_keep_the_queue_counts(self):
+        """PS stations cancel their pending record inline, not through
+        ``EventQueue.cancel``; after a cloning run over them the live
+        count and the dead count must still match the heap."""
+        experiment = Experiment(seed=11)
+        balancer = CloningBalancer(
+            [ProcessorSharingServer() for _ in range(4)], clones=3
+        )
+        experiment.add_source(
+            Workload("clones", Exponential(rate=8.0), Exponential(rate=10.0)),
+            target=balancer,
+        )
+        experiment.simulation.run(max_events=20_000)
+        events = experiment.simulation.events
+        states = [event[EV_STATE] for event in events._heap]
+        assert balancer.cancelled_replicas > 0
+        assert states.count(CANCELLED) > 0
+        assert len(events) == states.count(PENDING)
+        assert events._dead == states.count(CANCELLED)
+
+    def test_inline_cancels_compact_like_the_queue(self):
+        """A PS station re-arming over a heap padded past ``COMPACT_MIN``
+        compacts it in place, step for step as ``EventQueue.cancel``
+        would, and the queue then pops in the same order."""
+        pad = EventQueue.COMPACT_MIN
+        sim = Simulation()
+        twin = EventQueue()
+        for i in range(pad):
+            sim.schedule_at(1000.0 + i, lambda: None)
+            twin.schedule(1000.0 + i, lambda: None)
+        station = ProcessorSharingServer()
+        station.bind(sim)
+        heap = sim.events._heap
+        mirrored = None
+        for i in range(2 * pad):
+            # Every arrival re-arms the station, cancelling its last record.
+            station.arrive(Job(i + 1, size=float(2 * pad - i)))
+            armed = station._completion_event
+            if mirrored is not None:
+                twin.cancel(mirrored)
+            mirrored = twin.schedule(armed[EV_TIME], lambda: None)
+            assert armed[:2] == mirrored[:2]
+            assert sim.events._dead == twin._dead
+            assert len(heap) == len(twin._heap)
+        assert sim.events._heap is heap  # compacted in place
+        assert len(heap) < pad + 2 * pad  # ... and it did compact
+        live = 0
+        while (event := sim.events.pop()) is not None:
+            assert event[:2] == twin.pop()[:2]
+            live += 1
+        assert twin.pop() is None
+        assert live == pad + 1
 
 
 class TestSimulation:

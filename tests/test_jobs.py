@@ -54,7 +54,7 @@ def slot_values(job, *skip):
 
 
 class TestFastConstructors:
-    """Source._emit and Job._replica build jobs without __init__: each
+    """Source._emit and Job._replicas build jobs without __init__: each
     must set every slot, equal to a job built the slow way."""
 
     def test_source_emitted_job(self):
@@ -91,12 +91,18 @@ class TestFastConstructors:
         logical.delay_used = 0.5
         logical.job_class = "gold"
         logical.servers_needed = 2
-        replica = logical._replica(size)
         slow = Job(0, size=size)
         slow.arrival_time = 3.0
         slow.job_class = "gold"
         slow.servers_needed = 2
         skip = ("job_id", "clone_of")
-        assert slot_values(replica, *skip) == slot_values(slow, *skip)
-        assert replica.clone_of is logical
-        assert replica.job_id != logical._replica(size).job_id
+        ids = []
+        for n in (1, 4):
+            backends = [object() for _ in range(n)]
+            entry = logical._replicas(size, backends)
+            assert [backend for _, backend in entry] == backends
+            for replica, _ in entry:
+                assert slot_values(replica, *skip) == slot_values(slow, *skip)
+                assert replica.clone_of is logical
+                ids.append(replica.job_id)
+        assert ids == sorted(set(ids))  # distinct and increasing

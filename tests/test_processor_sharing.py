@@ -1,5 +1,7 @@
 """Unit tests for the processor-sharing station."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,10 @@ from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import ServerError
 from repro.distributions import Deterministic, Exponential, HyperExponential
 from repro.engine.simulation import Simulation
+
+#: ``REPRO_TEST_FULL=1`` runs the property tests against the naive oracle
+#: at ten times their examples.
+FULL_SCALE = os.environ.get("REPRO_TEST_FULL") == "1"
 
 
 def bound_ps(**kwargs):
@@ -245,7 +251,7 @@ def play(steps, speed, make_station):
     def snapshot(what):
         event = station._completion_event
         log.append((
-            what, sim.now, event and (event[0], event[1]),
+            what, sim.now, event and (event[0], event[1]), len(sim.events),
             [(job.job_id, job.remaining, job.finish_time) for job in admitted],
         ))
 
@@ -283,12 +289,13 @@ def real_station(sim, speed):
 
 
 class TestAgainstNaiveOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3000 if FULL_SCALE else 300, deadline=None)
     @given(steps=STEPS, speed=st.sampled_from([1.0, 0.75, 3.0]))
     def test_identical_to_the_three_step_algorithm(self, steps, speed):
         # ==, not approx: finish times, every job's remaining (withdrawn
-        # ones included), completion counts, events processed and the
-        # (time, seq) of the pending completion after every step.
+        # ones included), completion counts, events processed, and after
+        # every step the (time, seq) of the pending completion and the
+        # queue's live count (the oracle cancels through sim.cancel).
         assert play(steps, speed, real_station) == play(steps, speed, NaivePS)
 
     def test_cancel_of_the_job_about_to_complete(self):
@@ -324,7 +331,8 @@ def play_cloning(steps, clones, synchronized, speed, make_station):
 
     def snapshot(what):
         log.append((
-            what, sim.now, sim.events_processed, balancer.cancelled_replicas,
+            what, sim.now, sim.events_processed, len(sim.events),
+            balancer.cancelled_replicas,
             [job.finish_time for job in logical],
             [station._completion_event and station._completion_event[:2]
              for station in balancer.servers],
@@ -366,7 +374,7 @@ class TestBalancerAgainstNaiveOracle:
     """The oracle again, with a cloning balancer in front: sibling cancels
     and re-admissions fire from inside completion listeners."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2000 if FULL_SCALE else 200, deadline=None)
     @given(
         steps=st.lists(
             # (gap, logical size, size of the job its completion admits)
@@ -381,7 +389,8 @@ class TestBalancerAgainstNaiveOracle:
         self, steps, clones, synchronized, speed
     ):
         # ==, not approx: logical finish times, cancelled replicas, events
-        # processed and every backend's pending (time, seq), each step.
+        # processed, the queue's live count and every backend's pending
+        # (time, seq), each step.
         args = (steps, clones, synchronized, speed)
         assert play_cloning(*args, real_backend) == play_cloning(
             *args, naive_backend
@@ -395,4 +404,4 @@ class TestBalancerAgainstNaiveOracle:
         steps = [(0.0, 0.25, 0.25), (0.0, 0.25, None)]
         real = play_cloning(steps, 3, True, 1.0, real_backend)
         assert real == play_cloning(steps, 3, True, 1.0, naive_backend)
-        assert real[-1][4] == [0.25, 0.25, 0.5]
+        assert real[-1][5] == [0.25, 0.25, 0.5]
