@@ -14,10 +14,10 @@ from repro.datacenter import (
     JobClass,
     MultiClassSource,
     PriorityQueue,
-    cobham_waiting_times,
     track_per_class_response,
 )
 from repro.distributions import Exponential, HyperExponential
+from repro.theory import cobham_waiting_times
 
 ARRIVAL_RATE = 30.0
 CLASSES = [

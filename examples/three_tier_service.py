@@ -18,8 +18,9 @@ Run:  python examples/three_tier_service.py
 """
 
 from repro import Experiment, Workload
-from repro.datacenter import RoutingNetwork, Server, traffic_equations
+from repro.datacenter import RoutingNetwork, Server
 from repro.distributions import Deterministic, Exponential
+from repro.theory import traffic_equations
 
 ARRIVAL_RATE = 40.0  # external requests/s
 

@@ -35,16 +35,13 @@ __all__ = [
     "ProcessorSharingServer",
     "SRPTServer",
     "ClosedLoopClients",
-    "interactive_response_time",
     "JobClass",
     "MultiClassSource",
     "PriorityQueue",
-    "cobham_waiting_times",
     "job_class_of",
     "track_per_class_response",
     "NetworkError",
     "RoutingNetwork",
-    "traffic_equations",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -71,14 +68,11 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "ProcessorSharingServer": "repro.datacenter.processor_sharing",
     "SRPTServer": "repro.datacenter.srpt",
     "ClosedLoopClients": "repro.datacenter.closedloop",
-    "interactive_response_time": "repro.datacenter.closedloop",
     "NetworkError": "repro.datacenter.network",
     "RoutingNetwork": "repro.datacenter.network",
-    "traffic_equations": "repro.datacenter.network",
     "JobClass": "repro.datacenter.multiclass",
     "MultiClassSource": "repro.datacenter.multiclass",
     "PriorityQueue": "repro.datacenter.multiclass",
-    "cobham_waiting_times": "repro.datacenter.multiclass",
     "job_class_of": "repro.datacenter.multiclass",
     "track_per_class_response": "repro.datacenter.multiclass",
 })

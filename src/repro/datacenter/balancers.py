@@ -188,7 +188,6 @@ class _ReplicatingBalancer(LoadBalancer):
             began = other.start_time
             if began is not None and (start is None or began < start):
                 start = began
-        self._finalize_extra(logical)
         logical.start_time = start
         logical.size = replica.size if logical.size is None else logical.size
         logical.remaining = 0.0
@@ -196,9 +195,6 @@ class _ReplicatingBalancer(LoadBalancer):
         self.completed_jobs += 1
         for listener in self._logical_listeners:
             listener(logical, self)
-
-    def _finalize_extra(self, logical: Job) -> None:
-        """Subclass hook run while finalizing (e.g. cancel hedge timers)."""
 
 
 class CloningBalancer(_ReplicatingBalancer):
@@ -308,6 +304,9 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         self._timers: dict[int, list] = {}
         #: logical job id -> arrival sequence number (the seed key).
         self._seqno: dict[int, int] = {}
+        # Registered first, so the hedge bookkeeping is dropped before any
+        # outside listener sees the logical completion.
+        self.on_complete(self._drop_hedges)
 
     def _on_bind(self, sim: Simulation) -> None:
         super()._on_bind(sim)
@@ -358,7 +357,7 @@ class SpeculativeRetryBalancer(_ReplicatingBalancer):
         self._arm_timer(logical)
         backend.arrive(entry[-1][0])
 
-    def _finalize_extra(self, logical: Job) -> None:
+    def _drop_hedges(self, logical: Job, _balancer) -> None:
         self._seqno.pop(logical.job_id, None)
         timer = self._timers.pop(logical.job_id, None)
         if timer is not None:

@@ -13,7 +13,9 @@ the classic machine-repairman / interactive-response-time law
 
     R = N / X - Z
 
-(N clients, throughput X, think time Z) ties it to theory for tests.
+(N clients, throughput X, think time Z) and exact mean value analysis
+for X (:mod:`repro.theory.networks`) tie it to theory in the
+acceptance grid's ``closed`` rows.
 """
 
 from __future__ import annotations
@@ -103,13 +105,3 @@ class ClosedLoopClients:
             listener(job)
         self._schedule_submit()
 
-
-def interactive_response_time(
-    n_clients: int, throughput: float, think_time_mean: float
-) -> float:
-    """The interactive response-time law: R = N / X - Z."""
-    if throughput <= 0:
-        raise ValueError(f"throughput must be > 0, got {throughput}")
-    if n_clients < 1:
-        raise ValueError(f"need >= 1 client, got {n_clients}")
-    return n_clients / throughput - think_time_mean

@@ -16,8 +16,8 @@ This module adds:
   ``response_time[interactive]`` separately from ``response_time[batch]``.
 
 The non-preemptive M/G/1 priority queue has a closed form (Cobham's
-formula), provided in :func:`cobham_waiting_times` and used by the test
-suite to validate the whole stack.
+formula, :func:`repro.theory.cobham_waiting_times`); the acceptance
+grid's ``priority`` rows judge the whole stack against it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -208,38 +208,3 @@ def track_per_class_response(
     station.on_complete(route)
     return names
 
-
-def cobham_waiting_times(
-    arrival_rates: Sequence[float],
-    services: Sequence[Distribution],
-) -> List[float]:
-    """Cobham's formula: mean waits in a non-preemptive M/G/1 priority queue.
-
-    Class i (index order = priority order, 0 highest):
-
-        W_i = R / ((1 - sigma_i)(1 - sigma_{i+1}))
-
-    where R = sum_j lambda_j E[S_j^2] / 2 (mean residual work) and
-    sigma_i = sum_{j < i} rho_j, sigma_{i+1} = sum_{j <= i} rho_j.
-    """
-    if len(arrival_rates) != len(services):
-        raise ValueError("need one service distribution per arrival rate")
-    if not arrival_rates:
-        raise ValueError("need >= 1 class")
-    rhos = [
-        lam * service.mean()
-        for lam, service in zip(arrival_rates, services)
-    ]
-    if sum(rhos) >= 1.0:
-        raise ValueError(f"unstable: total rho = {sum(rhos):.3f} >= 1")
-    residual = sum(
-        lam * (service.variance() + service.mean() ** 2) / 2.0
-        for lam, service in zip(arrival_rates, services)
-    )
-    waits = []
-    cumulative = 0.0
-    for rho in rhos:
-        before = cumulative
-        cumulative += rho
-        waits.append(residual / ((1.0 - before) * (1.0 - cumulative)))
-    return waits

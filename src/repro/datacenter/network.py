@@ -13,13 +13,14 @@ with effective arrival rate from the traffic equations
 
     lambda_i = gamma_i + sum_j lambda_j P[j][i]
 
-:func:`traffic_equations` solves them, giving the closed-form per-station
-loads the test suite validates the simulated network against.
+:func:`repro.theory.traffic_equations` solves them, giving the
+closed-form per-station loads the acceptance grid's ``jackson`` rows
+judge the simulated network against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,28 +117,3 @@ class RoutingNetwork:
         for listener in self._exit_listeners:
             listener(job)
 
-
-def traffic_equations(
-    external_rates: Sequence[float],
-    routing: Sequence[Sequence[float]],
-) -> List[float]:
-    """Solve lambda = gamma + P^T lambda for the effective station rates.
-
-    Raises :class:`NetworkError` when the network does not drain (the
-    spectral condition fails and the linear system is singular).
-    """
-    gamma = np.asarray(external_rates, dtype=float)
-    matrix = np.asarray(routing, dtype=float)
-    n = gamma.size
-    if matrix.shape != (n, n):
-        raise NetworkError(f"routing must be {n}x{n}, got {matrix.shape}")
-    if np.any(gamma < 0):
-        raise NetworkError("external rates must be >= 0")
-    system = np.eye(n) - matrix.T
-    try:
-        rates = np.linalg.solve(system, gamma)
-    except np.linalg.LinAlgError as error:
-        raise NetworkError(f"network does not drain: {error}") from None
-    if np.any(rates < -1e-9):
-        raise NetworkError(f"negative effective rates: {rates.tolist()}")
-    return [float(rate) for rate in rates]

@@ -7,7 +7,10 @@ model with a known closed form, run the full BigHouse pipeline and
 compare its converged estimate to the exact answer.
 
 Every comparison is a row of an acceptance grid
-(:mod:`repro.validation.acceptance`): :func:`run_acceptance` returns one
+(:mod:`repro.validation.acceptance`), whose model families are one
+record each: the record builds the station and names every (statistic,
+ground truth) pair a point is judged on, the truths coming from
+:mod:`repro.theory`.  :func:`run_acceptance` returns one
 :class:`ValidationCase` per statistic, ``python -m repro.validation``
 prints both always-on smoke grids as a report, and the test suite
 asserts every case passes and that the committed tables are current.
@@ -26,7 +29,6 @@ __all__ = [
     "format_acceptance_table",
     "queue_point_factory",
     "run_acceptance",
-    "theoretical_value",
     "write_acceptance_table",
 ]
 
@@ -40,7 +42,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "format_acceptance_table": "repro.validation.acceptance",
     "queue_point_factory": "repro.validation.acceptance",
     "run_acceptance": "repro.validation.acceptance",
-    "theoretical_value": "repro.validation.acceptance",
     "write_acceptance_table": "repro.validation.acceptance",
     "ValidationCase": "repro.validation.acceptance",
 })

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.datacenter.closedloop import (
-    ClosedLoopClients,
-    interactive_response_time,
-)
+from repro.datacenter.closedloop import ClosedLoopClients
 from repro.datacenter.server import Server
 from repro.distributions import Deterministic, Exponential
 from repro.engine.simulation import Simulation
+from repro.theory import interactive_response_time
 
 
 def make_loop(n_clients, think_mean=1.0, service_mean=0.1, seed=5,
@@ -87,18 +85,6 @@ class TestMechanics:
 
 
 class TestInteractiveLaw:
-    def test_response_time_law_holds(self):
-        # Measure X and R in the simulation; R = N/X - Z must hold as an
-        # operational law (exactly, up to edge effects).
-        sim, server, clients = make_loop(8, think_mean=1.0,
-                                         service_mean=0.1, seed=9)
-        responses = []
-        clients.on_cycle_complete(lambda job: responses.append(job.response_time))
-        sim.run(until=2000.0)
-        measured_r = sum(responses) / len(responses)
-        law_r = interactive_response_time(8, clients.throughput(), 1.0)
-        assert measured_r == pytest.approx(law_r, rel=0.05)
-
     def test_self_throttling(self):
         # Doubling the population less than doubles offered throughput
         # once the server saturates (closed-loop self-throttling).

@@ -816,40 +816,6 @@ class TestEngineSelection:
 
 
 class TestStatisticalEquivalence:
-    def test_mm1_mean_matches_theory(self):
-        from repro import theory
-
-        experiment, _ = build_mm1(engine="fastpath", rho=0.7, accuracy=0.02)
-        result = experiment.run()
-        assert result.converged
-        expected = theory.mm1_mean_response(0.7, 1.0)
-        estimate = result["response_time"]
-        half_width = (
-            (estimate.mean_ci[1] - estimate.mean_ci[0]) / 2
-            if estimate.mean_ci else 0.0
-        )
-        assert abs(estimate.mean - expected) <= 0.1 * expected + half_width
-
-    def test_mmk_waiting_matches_theory(self):
-        from repro import theory
-
-        experiment = Experiment(
-            seed=9, engine="fastpath", warmup_samples=200,
-            calibration_samples=1000,
-        )
-        server = Server(cores=4)
-        experiment.add_source(
-            Workload("mmk", Exponential(rate=0.8 * 4), Exponential(1.0)),
-            server,
-        )
-        experiment.track_waiting_time(server, mean_accuracy=0.02)
-        result = experiment.run()
-        assert result.converged
-        expected = theory.mmk_mean_waiting(0.8 * 4, 1.0, 4)
-        assert result["waiting_time"].mean == pytest.approx(
-            expected, rel=0.1
-        )
-
     def test_gg1_hyperexponential_matches_pollaczek_khinchine(self):
         from repro import theory
 

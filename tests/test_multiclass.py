@@ -8,12 +8,12 @@ from repro.datacenter.multiclass import (
     JobClass,
     MultiClassSource,
     PriorityQueue,
-    cobham_waiting_times,
     job_class_of,
     track_per_class_response,
 )
 from repro.distributions import Deterministic, Exponential
 from repro.engine.simulation import Simulation
+from repro.theory import cobham_waiting_times
 
 
 def two_classes(interactive_mean=0.05, batch_mean=0.2):
@@ -146,45 +146,6 @@ class TestCobham:
 
 
 class TestEndToEndPriorities:
-    def test_simulation_matches_cobham(self):
-        """Full stack: multi-class source + priority server vs theory."""
-        classes = two_classes(interactive_mean=0.04, batch_mean=0.08)
-        # Equal weights on a rate-10 stream: each class sees lambda = 5.
-        per_class_rates = [5.0, 5.0]
-        theory = cobham_waiting_times(
-            per_class_rates, [c.service for c in classes]
-        )
-
-        experiment = Experiment(seed=41, warmup_samples=500,
-                                calibration_samples=3000)
-        server = Server(cores=1, discipline=PriorityQueue())
-        source = MultiClassSource(
-            Exponential(rate=10.0), classes, server
-        )
-        source.bind(experiment.simulation)
-        experiment.sources.append(source)
-
-        for job_class in classes:
-            experiment.track(
-                f"wait[{job_class.name}]", mean_accuracy=0.05
-            )
-
-        def route(job, _server):
-            job_class = job_class_of(job)
-            if job_class is not None:
-                experiment.record(
-                    f"wait[{job_class.name}]", job.waiting_time
-                )
-
-        server.on_complete(route)
-        result = experiment.run(max_events=20_000_000)
-        assert result.converged
-        interactive = result["wait[interactive]"].mean
-        batch = result["wait[batch]"].mean
-        assert interactive == pytest.approx(theory[0], rel=0.15)
-        assert batch == pytest.approx(theory[1], rel=0.15)
-        assert interactive < batch
-
     def test_track_per_class_helper(self):
         classes = two_classes()
         experiment = Experiment(seed=43, warmup_samples=100,

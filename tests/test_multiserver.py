@@ -305,7 +305,7 @@ class TestFastpathGate:
 
 
 class TestAcceptanceSmoke:
-    """Three multiserver/cloning grid points, always on."""
+    """Five multiserver/cloning grid points, always on."""
 
     @pytest.fixture(scope="class")
     def smoke(self):
@@ -320,9 +320,9 @@ class TestAcceptanceSmoke:
         names = " ".join(case.name for case in cases)
         assert "MSJ" in names and "PS-clone" in names
 
-    def test_smoke_is_three_cases(self, smoke):
+    def test_smoke_is_five_cases(self, smoke):
         _, cases = smoke
-        assert len(cases) == 3
+        assert len(cases) == 5
 
 
 @pytest.mark.slow

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Experiment, Workload
 from repro.datacenter.balancers import CloningBalancer
 from repro.datacenter.job import Job
 from repro.datacenter.processor_sharing import ProcessorSharingServer
 from repro.datacenter.server import ServerError
-from repro.distributions import Deterministic, Exponential, HyperExponential
+from repro.distributions import Deterministic, Exponential
 from repro.engine.simulation import Simulation
 
 #: ``REPRO_TEST_FULL=1`` runs the property tests against the naive oracle
@@ -106,30 +105,6 @@ class TestMechanics:
         server = ProcessorSharingServer()
         with pytest.raises(ServerError):
             server.arrive(Job(1, size=1.0))
-
-
-class TestInsensitivity:
-    """M/G/1-PS mean response depends only on the mean service time."""
-
-    def run_ps(self, service, seed):
-        experiment = Experiment(seed=seed, warmup_samples=300,
-                                calibration_samples=2000)
-        server = ProcessorSharingServer()
-        workload = Workload("ps", Exponential(rate=10.0), service)
-        experiment.add_source(workload, target=server)
-        experiment.track_response_time(server, mean_accuracy=0.03)
-        return experiment.run(max_events=20_000_000)["response_time"].mean
-
-    def test_matches_closed_form(self):
-        # E[T] = E[S] / (1 - rho) = 0.05 / 0.5 = 0.1
-        mean = self.run_ps(Exponential(rate=20.0), seed=101)
-        assert mean == pytest.approx(0.1, rel=0.1)
-
-    def test_insensitive_to_cv(self):
-        light = self.run_ps(Exponential(rate=20.0), seed=102)
-        heavy = self.run_ps(HyperExponential.from_mean_cv(0.05, 3.0), seed=103)
-        # Same mean service -> same mean response, despite Cv 1 vs 3.
-        assert heavy == pytest.approx(light, rel=0.15)
 
 
 class NaivePS:

@@ -9,13 +9,17 @@ from repro.theory import (
     TheoryError,
     erlang_c,
     gg1_mean_waiting_approx,
+    interactive_response_time,
     mg1_mean_response,
     mg1_mean_waiting,
+    mg1_sjf_response,
+    mg1_srpt_response,
     mm1_mean_response,
     mm1_mean_waiting,
     mm1_quantile_response,
     mmk_mean_response,
     mmk_mean_waiting,
+    mva_throughput,
 )
 
 
@@ -115,6 +119,63 @@ class TestKingman:
     def test_negative_cv_rejected(self):
         with pytest.raises(TheoryError):
             gg1_mean_waiting_approx(1.0, Exponential(rate=2.0), -1.0)
+
+
+class TestSizeBasedDisciplines:
+    """Phipps (SJF) and Schrage–Miller (SRPT) at the scheduling study's
+    point: E[S] = 50 ms, Cv = 3, rho = 0.7."""
+
+    SERVICE = HyperExponential.from_mean_cv(0.05, 3.0)
+
+    def test_pinned_values(self):
+        assert mg1_sjf_response(14.0, self.SERVICE) == pytest.approx(
+            0.2879, abs=5e-5
+        )
+        assert mg1_srpt_response(14.0, self.SERVICE) == pytest.approx(
+            0.0891, abs=5e-5
+        )
+
+    @pytest.mark.parametrize("service", [
+        Exponential(rate=20.0), HyperExponential.from_mean_cv(0.05, 2.0),
+        HyperExponential.from_mean_cv(0.05, 3.0),
+    ])
+    @pytest.mark.parametrize("lam", [4.0, 10.0, 18.0])
+    def test_srpt_beats_sjf_beats_fcfs(self, service, lam):
+        srpt = mg1_srpt_response(lam, service)
+        sjf = mg1_sjf_response(lam, service)
+        assert srpt <= sjf <= mg1_mean_response(lam, service)
+
+    def test_light_load_is_the_service_time(self):
+        for form in (mg1_sjf_response, mg1_srpt_response):
+            assert form(1e-6, self.SERVICE) == pytest.approx(0.05, rel=1e-5)
+
+    def test_rejected_inputs(self):
+        with pytest.raises(TheoryError):
+            mg1_sjf_response(20.0, self.SERVICE)  # rho = 1
+        with pytest.raises(TheoryError):
+            mg1_srpt_response(10.0, Deterministic(0.05))
+
+
+class TestClosedLoop:
+    def test_one_client_never_queues(self):
+        assert mva_throughput(1, [0.1], 1.0) == pytest.approx(1.0 / 1.1)
+
+    def test_mva_response_at_the_grid_point(self):
+        throughput = mva_throughput(8, [0.1], 1.0)
+        assert interactive_response_time(8, throughput, 1.0) == (
+            pytest.approx(0.20904, abs=5e-6)
+        )
+
+    def test_throughput_saturates_at_the_bottleneck(self):
+        assert mva_throughput(200, [0.1, 0.05], 1.0) == pytest.approx(
+            10.0, rel=1e-6
+        )
+
+    def test_rejected_inputs(self):
+        with pytest.raises(TheoryError):
+            mva_throughput(0, [0.1], 1.0)
+        with pytest.raises(TheoryError):
+            mva_throughput(2, [], 1.0)
 
 
 class TestSimulationAgreement:
